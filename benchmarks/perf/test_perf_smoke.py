@@ -26,7 +26,7 @@ KERNEL_BENCHES = ("timeout_storm", "timeout_storm_calendar",
 
 def test_kernel_bench_smoke():
     doc = run_kernel_bench("smoke")
-    assert doc["schema"] == BENCH_SCHEMA == "repro-bench/4"
+    assert doc["schema"] == BENCH_SCHEMA
     assert doc["scale"] == "smoke"
     assert doc["stat"] == "best"
     assert doc["config"]["record_plane"] == "batched"

@@ -21,21 +21,29 @@ numpy is an *optional* dependency (CI runs without it): when unavailable,
 ``HAVE_NUMPY`` is False, column views return None, and every helper falls
 back to the scalar path.  The ``"columnar"`` plane then degrades to exactly
 the ``"batched"`` plane — configurations stay portable.
+
+numpy is also imported *lazily* (:func:`numpy_module`): every caller here
+sits behind ``job.columnar_active`` or a column view, so the default
+batched plane — and ``import repro`` — never pays for the import.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import List, Optional, Sequence
 
-try:  # pragma: no cover - exercised implicitly by both CI matrices
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-HAVE_NUMPY = _np is not None
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 __all__ = ["HAVE_NUMPY", "BatchColumns", "cumulative_ship_times",
-           "partition_by_target"]
+           "partition_by_target", "numpy_module"]
+
+
+def numpy_module():
+    """The numpy module, imported on first use; None without numpy."""
+    if not HAVE_NUMPY:
+        return None
+    import numpy
+    return numpy
 
 
 class BatchColumns:
@@ -51,6 +59,7 @@ class BatchColumns:
                  "visible_time")
 
     def __init__(self, records, visible_times=None):
+        _np = numpy_module()
         if _np is None:  # pragma: no cover - numpy-less fallback
             raise RuntimeError("BatchColumns requires numpy")
         n = len(records)
@@ -92,7 +101,8 @@ def cumulative_ship_times(sizes: Sequence[float], start: float,
     numpy, or for runs too short to amortize array construction.
     """
     n = len(sizes)
-    if _np is not None and n >= 8:
+    _np = numpy_module() if n >= 8 else None
+    if _np is not None:
         ser = _np.asarray(sizes, dtype=_np.float64) / bandwidth
         ser[0] += start
         return _np.add.accumulate(ser).tolist()
@@ -114,7 +124,8 @@ def partition_by_target(key_groups: Sequence[int],
     per-target arrival order a sequential ``for member: route(member)``
     loop produces, courtesy of the stable sort.
     """
-    if _np is not None and len(key_groups) >= 8:
+    _np = numpy_module() if len(key_groups) >= 8 else None
+    if _np is not None:
         kgs = _np.asarray(key_groups, dtype=_np.int64)
         targets = _np.asarray(table, dtype=_np.int64)[kgs]
         order = _np.argsort(targets, kind="stable")

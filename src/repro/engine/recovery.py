@@ -39,7 +39,8 @@ from .keys import KeyGroupAssignment
 from .operators import OperatorInstance
 from .records import CheckpointBarrier
 from .runtime import SourceInstance, StreamJob
-from .state import ChangelogChainError, KeyGroupState, StateStatus
+from .state import (ChangelogChainError, KeyGroupState, StateStatus,
+                    cut_copy)
 
 __all__ = ["RecoveryManager", "RecoveryError"]
 
@@ -186,7 +187,7 @@ class RecoveryManager:
                     flight.src_name,
                     KeyGroupState(key_group=kg, status=StateStatus.LOCAL,
                                   size_bytes=flight.size_bytes,
-                                  entries=dict(flight.entries)))
+                                  entries=cut_copy(flight.entries)))
                 checkpoint.folded[(op, kg)] = flight.src_name
             self._reindex()
         if self.job.scaling_active:
@@ -213,7 +214,7 @@ class RecoveryManager:
             snapshot.state[kg] = KeyGroupState(
                 key_group=kg, status=StateStatus.LOCAL,
                 size_bytes=flight.size_bytes,
-                entries=dict(flight.entries))
+                entries=cut_copy(flight.entries))
             checkpoint.folded[(op, kg)] = instance.name
         # First capture wins: a key-group someone else already captured is
         # scrubbed from this snapshot (the landed copy at a destination
@@ -293,7 +294,7 @@ class RecoveryManager:
             frozen = KeyGroupState(
                 key_group=flight.key_group, status=StateStatus.LOCAL,
                 size_bytes=flight.size_bytes,
-                entries=dict(flight.entries))
+                entries=cut_copy(flight.entries))
             dst_snapshot = checkpoint.snapshots.get(dst.name)
             if dst_snapshot is not None:
                 dst_snapshot.state[flight.key_group] = frozen
@@ -729,7 +730,7 @@ class RecoveryManager:
                 restored[kg] = KeyGroupState(
                     key_group=kg, status=StateStatus.LOCAL,
                     size_bytes=group.size_bytes,
-                    entries=dict(group.entries))
+                    entries=cut_copy(group.entries))
             if owner_map is not None:
                 # Groups this instance owns but no snapshot held bytes for
                 # (fallback-assigned): start them empty and LOCAL.

@@ -36,7 +36,6 @@ Storage itself is pluggable behind :class:`StateBackend`:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -50,6 +49,9 @@ __all__ = [
     "ChangelogSegment",
     "ChangelogChainError",
     "StateTransferCostModel",
+    "PROCESSABLE",
+    "mutation_clock",
+    "cut_copy",
 ]
 
 
@@ -61,10 +63,44 @@ class StateStatus(enum.Enum):
     INACTIVE = "inactive"
 
 
-#: Process-wide version stamp source for :attr:`KeyGroupState.version`.
-#: Global (not per-group) so a dropped-and-re-registered key-group can never
-#: reuse a version an observer memoised for the old incarnation.
-_versions = itertools.count()
+#: Statuses under which a key-group's records may be processed here
+#: (:attr:`KeyGroupState.processable`; hot loops test membership directly).
+PROCESSABLE = (StateStatus.LOCAL, StateStatus.PENDING_OUT)
+
+#: Process-wide mutation clock, and the version stamp source for
+#: :attr:`KeyGroupState.version`: it ticks on every ``KeyGroupState``
+#: creation and every :meth:`KeyGroupState.bump_version`.  Global (not
+#: per-group) so a dropped-and-re-registered key-group can never reuse a
+#: version an observer memoised for the old incarnation, and so an observer
+#: caching a view over *all* groups of a backend (the window operators'
+#: ripe-time gate) can validate it with one comparison — an unrelated tick
+#: merely costs that observer one recomputation.
+_clock = [0]
+
+
+def _tick() -> int:
+    _clock[0] += 1
+    return _clock[0]
+
+
+def mutation_clock() -> int:
+    """Current reading of the process-wide mutation clock."""
+    return _clock[0]
+
+
+def cut_copy(entries: Dict[Any, Any]) -> Dict[Any, Any]:
+    """Copy ``entries`` for a consistent cut (checkpoint or restore).
+
+    Operator logics may mutate ``list``/``dict`` entry values in place
+    (window panes), so those are copied one level; everything else —
+    ``KeyedReduceLogic``'s immutable values — is shared.
+    """
+    copied = dict(entries)
+    for key, value in entries.items():
+        kind = type(value)
+        if kind is list or kind is dict:
+            copied[key] = value.copy()
+    return copied
 
 
 @dataclass
@@ -84,15 +120,15 @@ class KeyGroupState:
     #: views of ``entries`` (e.g. the window operators' fire-floor memo)
     #: validate against this stamp; the owning logic's *own* incremental
     #: mutations maintain the cache in place and need no bump.
-    version: int = field(default_factory=lambda: next(_versions))
+    version: int = field(default_factory=_tick)
 
     @property
     def processable(self) -> bool:
-        return self.status in (StateStatus.LOCAL, StateStatus.PENDING_OUT)
+        return self.status in PROCESSABLE
 
     def bump_version(self) -> None:
         """Invalidate observers' memoised views of :attr:`entries`."""
-        self.version = next(_versions)
+        self.version = _tick()
 
 
 class StateBackend:
@@ -115,6 +151,13 @@ class StateBackend:
     name = "abstract"
     #: Incremental backends cut delta segments + async uploads.
     is_incremental = False
+    #: In-place write hook: ``note_in_place(key_group, nbytes)`` or None.
+    #: A logic that mutates entry values (or ``entries``/``size_bytes``)
+    #: directly instead of through ``put``/``delete``/``add_bytes`` must
+    #: call it — when not None — after touching a group, with the bytes
+    #: written.  None means the backend needs no notice: callers resolve
+    #: the attribute once per call and pay a single ``is None`` test.
+    note_in_place = None
 
     # -- ownership ------------------------------------------------------------
     def register_group(self, key_group: int,
@@ -227,8 +270,7 @@ class DictStateBackend(StateBackend):
 
     def owned_groups(self) -> List[int]:
         return sorted(kg for kg, g in self._groups.items()
-                      if g.status in (StateStatus.LOCAL,
-                                      StateStatus.PENDING_OUT))
+                      if g.status in PROCESSABLE)
 
     def has_processable(self, key_group: int) -> bool:
         group = self._groups.get(key_group)
@@ -271,13 +313,14 @@ class DictStateBackend(StateBackend):
 
     def snapshot(self) -> Dict[int, KeyGroupState]:
         """A structural copy for checkpoints (entries shared copy-on-write
-        is unnecessary in simulation; we copy dicts)."""
+        is unnecessary in simulation; we copy dicts, and in-place-mutable
+        values one level — see :func:`cut_copy`)."""
         copied = {}
         for kg, group in self._groups.items():
             copied[kg] = KeyGroupState(
                 key_group=kg, status=group.status,
                 size_bytes=group.size_bytes,
-                entries=dict(group.entries),
+                entries=cut_copy(group.entries),
             )
         return copied
 
@@ -302,7 +345,8 @@ class ChangelogSegment:
         ("drop",)                                     # group vanished
 
     where each op is ``("put", key, value, size_delta)``,
-    ``("del", key, size_delta)`` or ``("bytes", delta)``.
+    ``("del", key, size_delta)`` or ``("bytes", delta)``.  A group written
+    in place since the last cut is carried as a ``full`` image too.
 
     ``delta_bytes`` is what the asynchronous upload must move;
     ``restore_tail_bytes`` is what a restore must re-read and replay —
@@ -348,6 +392,12 @@ class ChangelogStateBackend(DictStateBackend):
     :attr:`KeyGroupState.version` contract: any wholesale replace bumps
     the version, and a version observed to have changed since the last
     cut forces a whole-group image instead of an unsound delta replay.
+
+    In-place writes to entry values (window panes) bypass it too and are
+    announced through :meth:`note_in_place`: the group is marked dirty and
+    the bytes written are tallied; the next cut carries a self-contained
+    image of each dirty group but charges only the tallied bytes — what an
+    incremental upload of the touched panes would move.
     """
 
     name = "changelog"
@@ -377,6 +427,8 @@ class ChangelogStateBackend(DictStateBackend):
         self._cut_versions: Dict[int, int] = {}
         #: Groups whose next cut must carry a whole-group image.
         self._pending_full: set = set()
+        #: Groups written in place since the last cut -> bytes written.
+        self._dirty: Dict[int, float] = {}
         self._mutations_since_materialize = 0
         self.materializations = 0
         #: Version at which each group's base is durably captured —
@@ -415,6 +467,9 @@ class ChangelogStateBackend(DictStateBackend):
         super().add_bytes(key_group, delta)
         self._append(key_group, ("bytes", delta), abs(delta))
 
+    def note_in_place(self, key_group: int, nbytes: float) -> None:
+        self._dirty[key_group] = self._dirty.get(key_group, 0.0) + nbytes
+
     # -- materialization & truncation ----------------------------------------
 
     def materialize(self) -> None:
@@ -424,6 +479,7 @@ class ChangelogStateBackend(DictStateBackend):
         self._log.clear()
         self._log_seqs.clear()
         self._log_bytes.clear()
+        self._dirty.clear()
         self._pending_full = set(self._groups)
         self._mutations_since_materialize = 0
         self.materializations += 1
@@ -460,16 +516,28 @@ class ChangelogStateBackend(DictStateBackend):
             if log:
                 for op, seq in zip(log, seqs):
                     if seq > seq_from:
+                        if op[0] == "put" and type(op[2]) in (list, dict):
+                            # Freeze a value later writes may mutate.
+                            op = ("put", op[1], op[2].copy(), op[3])
                         ops.append(op)
                         op_bytes += (abs(op[1]) if op[0] == "bytes"
                                      else self.bytes_per_entry)
-            if kg in self._pending_full or version_break:
-                groups[kg] = ("full", dict(group.entries),
+            dirty_bytes = self._dirty.get(kg)
+            rebase = kg in self._pending_full or version_break
+            if rebase or dirty_bytes is not None:
+                groups[kg] = ("full", cut_copy(group.entries),
                               group.size_bytes, group.status)
-                delta_bytes += group.size_bytes + self.bytes_per_entry
-                # Base image becomes durable: restores read it locally.
-                restore_tail += self.bytes_per_entry
                 self._durable_versions[kg] = group.version
+                if rebase:
+                    delta_bytes += group.size_bytes + self.bytes_per_entry
+                    # Base image becomes durable: restores read it locally.
+                    restore_tail += self.bytes_per_entry
+                else:
+                    # In-place writes never reach the log, so the image
+                    # stands in for them (subsuming any logged ops) and is
+                    # charged what was actually written.
+                    delta_bytes += op_bytes + dirty_bytes
+                    restore_tail += op_bytes + dirty_bytes
             elif ops:
                 groups[kg] = ("deltas", ops)
                 delta_bytes += op_bytes
@@ -483,6 +551,7 @@ class ChangelogStateBackend(DictStateBackend):
         full_base = bool(live) and all(
             groups.get(kg, ("",))[0] == "full" for kg in live)
         self._pending_full.clear()
+        self._dirty.clear()
         self._last_cut_seq = seq_to
         return ChangelogSegment(
             checkpoint_id=checkpoint_id, seq_from=seq_from, seq_to=seq_to,
@@ -523,7 +592,7 @@ class ChangelogStateBackend(DictStateBackend):
                     _, entries, size, status = payload
                     state[kg] = KeyGroupState(
                         key_group=kg, status=status,
-                        size_bytes=size, entries=dict(entries))
+                        size_bytes=size, entries=cut_copy(entries))
                 elif kind == "drop":
                     state.pop(kg, None)
                 elif kind == "deltas":
@@ -569,7 +638,8 @@ class ChangelogStateBackend(DictStateBackend):
                 if seq > self._last_cut_seq:
                     tail += (abs(op[1]) if op[0] == "bytes"
                              else self.bytes_per_entry)
-        return tail + self.bytes_per_entry
+        return (tail + self._dirty.get(key_group, 0.0)
+                + self.bytes_per_entry)
 
 
 @dataclass

@@ -15,16 +15,21 @@ compromise that lets one simulated record stand for hundreds of physical
 ones.  Key-groups are the atomic unit of state migration, so this does not
 change any scaling behaviour; per-key state semantics are exercised by the
 ``KeyedReduceLogic`` operators instead.
+
+Both operators are thin parameterisations of one pane engine,
+:class:`_PaneLogic`; a subclass supplies only the pane tag and layout, the
+per-record fold and the emit predicate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
-from .columnar import _np
+from .columnar import numpy_module
 from .operators import OperatorLogic
 from .records import Record, StreamElement
+from .state import PROCESSABLE, mutation_clock
 
 __all__ = ["SlidingWindowAggregateLogic", "WindowedJoinLogic"]
 
@@ -43,6 +48,9 @@ _COLUMNAR_MIN_BATCH = 8
 # attribute access and the pane never leaves this module.
 _P_COUNT, _P_BYTES, _P_VALUE = 0, 1, 2
 
+#: ``_PaneLogic._emit`` result for a ripe pane that is purged silently.
+_NO_EMIT = object()
+
 
 def _window_starts(event_time: float, size: float, slide: float
                    ) -> List[float]:
@@ -58,11 +66,18 @@ def _window_starts(event_time: float, size: float, slide: float
     return starts
 
 
-class SlidingWindowAggregateLogic(OperatorLogic):
-    """Keyed sliding-window aggregate (NEXMark Q7 style: max over window).
+class _PaneLogic(OperatorLogic):
+    """The pane engine under both window operators: the record path
+    (pane-key memo, direct entry access, one merged ``size_bytes`` update),
+    the fire-floor, the ripe-time gate and the only fire-and-purge loop.
 
-    Per window fire, emits one record per key-group pane (value = aggregate),
-    then purges the pane and releases its state bytes.
+    Panes live in the key-group's ``entries`` under ``(_TAG, start)`` and
+    are mutated *in place*, bypassing ``state.get/put/add_bytes``; every
+    such write is announced through ``state.note_in_place`` (None for
+    backends that need no notice), which is what keeps checkpoint cuts
+    consistent.  Subclasses set ``_TAG`` (entry-key tag), ``_OUT`` (tag of
+    emitted record keys) and ``_BYTES`` (where a pane keeps its byte tally),
+    and implement :meth:`_fold` and :meth:`_emit`.
     """
 
     # Pane feeding reads only the record (event_time/count/value) and the
@@ -70,9 +85,9 @@ class SlidingWindowAggregateLogic(OperatorLogic):
     # batched plane may apply records analytically at their end times.
     batch_eligible = True
 
-    def __init__(self, size: float, slide: float,
-                 agg_fn: Callable[[Any, Record], Any] = None,
-                 bytes_per_record: float = 512.0,
+    _TAG = _OUT = _BYTES = None
+
+    def __init__(self, size: float, slide: float, bytes_per_record: float,
                  allowed_lateness: float = 0.0):
         if size <= 0 or slide <= 0:
             raise ValueError("size and slide must be positive")
@@ -80,22 +95,21 @@ class SlidingWindowAggregateLogic(OperatorLogic):
             raise ValueError("size must be >= slide for sliding windows")
         self.size = size
         self.slide = slide
-        self.agg_fn = agg_fn or self._default_agg
         self.bytes_per_record = bytes_per_record
         self.allowed_lateness = allowed_lateness
-        self.windows_fired = 0
         # Window starts depend on event_time only through its slide bucket;
-        # records cluster in few buckets, so memoize per bucket.
+        # records cluster in few buckets, so memoize per bucket — the
+        # ``(_TAG, start)`` entry keys themselves, so the hot loop
+        # allocates no tuples at all.
         self._starts_memo: dict = {}
-        self._fast_agg = self.agg_fn is SlidingWindowAggregateLogic._default_agg
         # Fire-floor memo: key_group -> [state version, lower bound on the
         # start of any live pane].  ``on_watermark`` skips a group's entry
         # scan entirely while ``floor + size > cutoff`` — no pane can be
-        # ripe.  The bound is maintained by this logic's own pane
-        # creations/purges; any *foreign* bulk mutation of the group's
-        # entries (migration install, rollback, recovery merge) bumps
-        # ``KeyGroupState.version``, which invalidates the memo entry and
-        # forces one full rescan.  A stale-low floor only costs a scan;
+        # ripe.  ``on_watermark`` alone maintains the bound (purges raise
+        # it, ``_new_low`` lowers it); any *foreign* bulk mutation of the
+        # group's entries (migration install, rollback, recovery merge)
+        # bumps ``KeyGroupState.version``, which invalidates the memo entry
+        # and forces one full rescan.  A stale-low floor only costs a scan;
         # version invalidation prevents the dangerous stale-high case.
         self._fire_floor: dict = {}
         # Grid-exact windows additionally let ``on_watermark`` *probe* ripe
@@ -109,6 +123,187 @@ class SlidingWindowAggregateLogic(OperatorLogic):
         eighth = slide * 8.0
         self._grid_exact = (eighth == math.floor(eighth)
                             and math.fmod(size, slide) == 0.0)
+        # Ripe-time gate.  ``_ripe_at`` is a lower bound on ``start + size``
+        # over every pane live at the last *closing* pass of ``on_watermark``
+        # — one that saw every group processable and left every floor valid
+        # (-inf = gate open) — and holds while the state module's mutation
+        # clock still reads ``_gate_clock``; ``_new_low`` bounds the start
+        # of every pane created since (late records included).  Until the
+        # watermark reaches either bound ``on_watermark`` returns in O(1).
+        # The clock ticks on every ``KeyGroupState`` creation and
+        # ``bump_version()``, so no install, rollback or recovery merge can
+        # hide a ripe pane behind a closed gate, and a group that is not
+        # processable keeps the gate open until it is.
+        self._ripe_at = -math.inf
+        self._new_low = math.inf
+        self._gate_clock = -1
+        self._purged = 0  # panes fired and purged, emitted or not
+
+    # -- subclass surface -----------------------------------------------------
+
+    def _fold(self, entries: dict, pane_keys: list, record: Record,
+              count: int, added: float) -> int:
+        """Apply ``record`` to the pane under each of ``pane_keys``
+        (``added`` bytes each), inserting a blank pane where one is
+        missing; returns how many were inserted.  Owns the loop so the
+        fold runs inline, at ~size/slide panes per record."""
+        raise NotImplementedError
+
+    def _emit(self, pane) -> Any:
+        """Value to emit for a ripe pane, or ``_NO_EMIT``."""
+        raise NotImplementedError
+
+    # -- record path ----------------------------------------------------------
+
+    def _pane_keys(self, bucket: int, event_time: float) -> list:
+        """Memo miss: compute and remember a slide bucket's entry keys."""
+        pane_keys = [(self._TAG, start) for start in
+                     _window_starts(event_time, self.size, self.slide)]
+        self._starts_memo[bucket] = pane_keys
+        return pane_keys
+
+    def on_record(self, record, instance, at_time=None):
+        event_time = record.event_time
+        bucket = math.floor(event_time / self.slide)
+        pane_keys = self._starts_memo.get(bucket)
+        if pane_keys is None:
+            pane_keys = self._pane_keys(bucket, event_time)
+        if not pane_keys:
+            return []
+        # The naive loop's per-pane ``state.get``/``put``/``add_bytes`` calls
+        # collapse into direct entry access (``_fold``) plus one merged
+        # byte-count update: all deltas are positive, so merging cannot hit
+        # the zero-clamp, and byte quantities are integer-valued in every
+        # shipped workload, so the merged sum is exact.
+        state = instance.state
+        kg = record.key_group
+        group = state._groups.get(kg)
+        if group is None:
+            group = state.register_group(kg)
+        count = record.count
+        added = self.bytes_per_record * count
+        new_panes = self._fold(group.entries, pane_keys, record, count, added)
+        if new_panes and pane_keys[0][1] < self._new_low:
+            self._new_low = pane_keys[0][1]
+        grown = added * len(pane_keys) + new_panes * state.bytes_per_entry
+        group.size_bytes += grown
+        note = state.note_in_place
+        if note is not None:
+            note(kg, grown)
+        return []
+
+    # Time-blind (``batch_eligible``): analytic application is the same call.
+    on_record_at = on_record
+
+    # -- fire path ------------------------------------------------------------
+
+    def on_watermark(self, timestamp, instance):
+        cutoff = timestamp - self.allowed_lateness
+        clock = mutation_clock()
+        size = self.size
+        new_low = self._new_low
+        if (cutoff < self._ripe_at and cutoff < new_low + size
+                and clock == self._gate_clock):
+            return []  # gate closed: provably nothing ripe anywhere
+        outputs: List[StreamElement] = []
+        slide = self.slide
+        grid_exact = self._grid_exact
+        tag, out_tag, bytes_at = self._TAG, self._OUT, self._BYTES
+        emit = self._emit
+        state = instance.state
+        bytes_per_entry = state.bytes_per_entry
+        note = state.note_in_place
+        now = instance.sim.now
+        fire_floor = self._fire_floor
+        ripe_at = math.inf
+        purged = 0
+        for group in state.groups():
+            if group.status not in PROCESSABLE:
+                ripe_at = -math.inf  # keeps the gate open
+                continue
+            kg = group.key_group
+            entries = group.entries
+            floor = fire_floor.get(kg)
+            ripe = []
+            if floor is not None and new_low < floor[1]:
+                floor[1] = new_low  # panes created since the last pass
+            if (floor is not None and floor[0] == group.version
+                    and (grid_exact or floor[1] + size > cutoff)):
+                # Valid floor: either provably nothing is ripe (the loop
+                # runs zero times), or probe the ripe stretch of the start
+                # grid by key — no entry scan at all.  Ascending start
+                # order; the floor advances to the first unripe grid point,
+                # so probes are amortised O(fired + watermark delta).
+                start = floor[1]
+                while start + size <= cutoff:
+                    ripe.append((tag, start))
+                    start += slide
+                floor[1] = start
+            else:  # scan every entry once and (re)build the floor
+                min_live = math.inf
+                for entry_key in entries:
+                    if type(entry_key) is tuple and entry_key[0] == tag:
+                        start = entry_key[1]
+                        if start + size <= cutoff:
+                            ripe.append(entry_key)
+                        elif start < min_live:
+                            min_live = start
+                floor = fire_floor[kg] = [group.version, min_live]
+            if floor[1] + size < ripe_at:
+                ripe_at = floor[1] + size
+            if not ripe:
+                continue
+            live = len(entries)
+            held = left = group.size_bytes
+            for entry_key in ripe:
+                pane = entries.pop(entry_key, None)
+                if pane is None:
+                    continue  # empty grid point
+                value = emit(pane)
+                if value is not _NO_EMIT:
+                    start = entry_key[1]
+                    outputs.append(Record(
+                        key=(out_tag, kg, start), key_group=None,
+                        event_time=start + size, value=value, count=1,
+                        size_bytes=64.0, created_at=now))
+                # Inlined state.add_bytes(kg, -pane bytes) followed by
+                # state.delete(kg, entry_key): both zero-clamps
+                # (``max(0.0, x)`` spelled as a comparison), same order.
+                left -= pane[bytes_at]
+                if not left > 0.0:
+                    left = 0.0
+                left -= bytes_per_entry
+                if not left > 0.0:
+                    left = 0.0
+            if len(entries) != live:
+                group.size_bytes = left
+                purged += live - len(entries)
+                if note is not None:
+                    note(kg, held - left)
+        self._purged += purged
+        self._ripe_at = ripe_at
+        if ripe_at != -math.inf:
+            self._new_low = math.inf  # every floor now covers them
+        self._gate_clock = clock
+        return outputs
+
+
+class SlidingWindowAggregateLogic(_PaneLogic):
+    """Keyed sliding-window aggregate (NEXMark Q7 style: max over window).
+
+    Per window fire, emits one record per key-group pane (value = aggregate),
+    then purges the pane and releases its state bytes.
+    """
+
+    _TAG, _OUT, _BYTES = "pane", "window", _P_BYTES
+
+    def __init__(self, size: float, slide: float,
+                 agg_fn: Callable[[Any, Record], Any] = None,
+                 bytes_per_record: float = 512.0,
+                 allowed_lateness: float = 0.0):
+        super().__init__(size, slide, bytes_per_record, allowed_lateness)
+        self.agg_fn = agg_fn or self._default_agg
+        self._fast_agg = self.agg_fn is SlidingWindowAggregateLogic._default_agg
 
     @staticmethod
     def _default_agg(current: Any, record: Record) -> Any:
@@ -147,60 +342,40 @@ class SlidingWindowAggregateLogic(OperatorLogic):
                 runmax = cand
         return runmax
 
-    def on_record(self, record, instance):
-        kg = record.key_group
-        event_time = record.event_time
-        bucket = math.floor(event_time / self.slide)
-        # Memoized per bucket: the ``("pane", start)`` entry keys themselves,
-        # so the hot loop allocates no tuples at all.
-        pane_keys = self._starts_memo.get(bucket)
-        if pane_keys is None:
-            pane_keys = [("pane", start) for start in
-                         _window_starts(event_time, self.size, self.slide)]
-            self._starts_memo[bucket] = pane_keys
-        if not pane_keys:
-            return []
-        # One pass over the key-group's entry dict; the per-pane
-        # ``state.get``/``state.put``/``state.add_bytes`` calls of the naive
-        # loop collapse into direct entry access plus one merged byte-count
-        # update (all deltas are positive, so merging cannot hit the
-        # zero-clamp and is observably identical).
-        state = instance.state
-        group = state.group(kg)
-        if group is None:
-            group = state.register_group(kg)
-        entries = group.entries
-        count = record.count
-        added = self.bytes_per_record * count
-        fast_agg = self._fast_agg
-        if fast_agg:
-            candidate = record.value if record.value is not None else count
-        floor = self._fire_floor.get(kg)
-        if floor is not None and floor[0] != group.version:
-            floor = None  # foreign bulk mutation: next watermark rescans
+    def _fold(self, entries, pane_keys, record, count, added):
         new_panes = 0
+        if not self._fast_agg:
+            for pane_key in pane_keys:
+                pane = entries.get(pane_key)
+                if pane is None:
+                    pane = entries[pane_key] = [0, 0.0, None]
+                    new_panes += 1
+                pane[_P_COUNT] += count
+                pane[_P_VALUE] = self.agg_fn(pane[_P_VALUE], record)
+                pane[_P_BYTES] += added
+            return new_panes
+        candidate = record.value if record.value is not None else count
         for pane_key in pane_keys:
             pane = entries.get(pane_key)
             if pane is None:
-                pane = [0, 0.0, None]
-                entries[pane_key] = pane
+                pane = entries[pane_key] = [0, 0.0, None]
                 new_panes += 1
-                if floor is not None and pane_key[1] < floor[1]:
-                    floor[1] = pane_key[1]
             pane[_P_COUNT] += count
-            if fast_agg:
-                current = pane[_P_VALUE]
-                try:
-                    if current is None or candidate > current:
-                        pane[_P_VALUE] = candidate
-                except TypeError:
+            current = pane[_P_VALUE]
+            try:
+                if current is None or candidate > current:
                     pane[_P_VALUE] = candidate
-            else:
-                pane[_P_VALUE] = self.agg_fn(pane[_P_VALUE], record)
+            except TypeError:
+                pane[_P_VALUE] = candidate
             pane[_P_BYTES] += added
-        group.size_bytes += (added * len(pane_keys)
-                             + new_panes * state.bytes_per_entry)
-        return []
+        return new_panes
+
+    def _emit(self, pane):
+        return pane[_P_VALUE]
+
+    @property
+    def windows_fired(self) -> int:
+        return self._purged
 
     def on_record_batch(self, records, lo, hi, instance):
         """Apply consume-batch members ``records[lo:hi]`` in one call.
@@ -243,6 +418,7 @@ class SlidingWindowAggregateLogic(OperatorLogic):
                 # float64 divide + floor + int64 narrowing produce the
                 # same integers as per-record ``math.floor(t / slide)``
                 # (identical IEEE-754 divide, values far below 2^53).
+                _np = numpy_module()
                 buckets_all = _np.floor(
                     cols.event_time / self.slide).astype(
                         _np.int64).tolist()
@@ -262,10 +438,9 @@ class SlidingWindowAggregateLogic(OperatorLogic):
                     by_pos[kg].append(idx - lo)
         state = instance.state
         groups = state._groups
+        note = state.note_in_place
         memo = self._starts_memo
-        fire_floor = self._fire_floor
         slide = self.slide
-        size = self.size
         bpr = self.bytes_per_record
         bpe = state.bytes_per_entry
         floor_of = math.floor
@@ -275,9 +450,6 @@ class SlidingWindowAggregateLogic(OperatorLogic):
                 group = state.register_group(kg)
             entries = group.entries
             gsb = group.size_bytes
-            floor = fire_floor.get(kg)
-            if floor is not None and floor[0] != group.version:
-                floor = None
             pos = by_pos.get(kg) if cols is not None else None
             m = len(recs)
             a = 0
@@ -296,9 +468,7 @@ class SlidingWindowAggregateLogic(OperatorLogic):
                         b += 1
                 pane_keys = memo.get(bucket)
                 if pane_keys is None:
-                    pane_keys = [("pane", start) for start in
-                                 _window_starts(rec.event_time, size, slide)]
-                    memo[bucket] = pane_keys
+                    pane_keys = self._pane_keys(bucket, rec.event_time)
                 if not pane_keys:
                     a = b
                     continue
@@ -308,12 +478,11 @@ class SlidingWindowAggregateLogic(OperatorLogic):
                 for pane_key in pane_keys:
                     pane = entries.get(pane_key)
                     if pane is None:
-                        pane = [0, 0.0, None]
-                        entries[pane_key] = pane
+                        pane = entries[pane_key] = [0, 0.0, None]
                         new_panes += 1
-                        if floor is not None and pane_key[1] < floor[1]:
-                            floor[1] = pane_key[1]
                     panes.append(pane)
+                if new_panes and pane_keys[0][1] < self._new_low:
+                    self._new_low = pane_keys[0][1]
                 run = b - a
                 runmax = None
                 if cols is not None and run >= _COLUMNAR_MIN_RUN:
@@ -366,93 +535,12 @@ class SlidingWindowAggregateLogic(OperatorLogic):
                     else:
                         gsb += added * npk
                 a = b
+            if note is not None:
+                note(kg, gsb - group.size_bytes)
             group.size_bytes = gsb
 
-    def on_watermark(self, timestamp, instance):
-        outputs: List[StreamElement] = []
-        cutoff = timestamp - self.allowed_lateness
-        size = self.size
-        state = instance.state
-        bytes_per_entry = state.bytes_per_entry
-        now = instance.sim.now
-        fire_floor = self._fire_floor
-        grid_exact = self._grid_exact
-        slide = self.slide
-        for group in state.groups():
-            if not group.processable:
-                continue
-            kg = group.key_group
-            floor = fire_floor.get(kg)
-            if floor is not None and floor[0] == group.version:
-                start = floor[1]
-                if start + size > cutoff:
-                    continue  # provably nothing ripe: skip entirely
-                if grid_exact:
-                    # Probe ripe panes directly on the start grid — no
-                    # entry scan at all.  Fires in ascending start order;
-                    # the floor advances to the first unripe grid point,
-                    # so probes are amortised O(fired + watermark delta).
-                    entries = group.entries
-                    while start + size <= cutoff:
-                        pane_key = ("pane", start)
-                        pane = entries.get(pane_key)
-                        if pane is not None:
-                            outputs.append(Record(
-                                key=("window", kg, start),
-                                key_group=None,
-                                event_time=start + size,
-                                value=pane[_P_VALUE],
-                                count=1,
-                                size_bytes=64.0,
-                                created_at=now,
-                            ))
-                            del entries[pane_key]
-                            group.size_bytes = max(
-                                0.0, group.size_bytes - pane[_P_BYTES])
-                            group.size_bytes = max(
-                                0.0, group.size_bytes - bytes_per_entry)
-                            self.windows_fired += 1
-                        start += slide
-                    floor[1] = start
-                    continue
-            fired: List[Tuple[Any, list]] = []
-            min_live = math.inf
-            # Scan without copying: nothing mutates entries until the
-            # purge loop below.
-            for entry_key, pane in group.entries.items():
-                if type(entry_key) is tuple and entry_key[0] == "pane":
-                    start = entry_key[1]
-                    if start + size <= cutoff:
-                        fired.append((entry_key, pane))
-                    elif start < min_live:
-                        min_live = start
-            if floor is None:
-                fire_floor[kg] = [group.version, min_live]
-            else:
-                floor[0] = group.version
-                floor[1] = min_live
-            for entry_key, pane in fired:
-                start = entry_key[1]
-                outputs.append(Record(
-                    key=("window", group.key_group, start),
-                    key_group=None,
-                    event_time=start + size,
-                    value=pane[_P_VALUE],
-                    count=1,
-                    size_bytes=64.0,
-                    created_at=now,
-                ))
-                # Inlined state.add_bytes(kg, -pane bytes) followed by
-                # state.delete(kg, entry_key) — including both zero-clamps,
-                # in the same order.
-                del group.entries[entry_key]
-                group.size_bytes = max(0.0, group.size_bytes - pane[_P_BYTES])
-                group.size_bytes = max(0.0, group.size_bytes - bytes_per_entry)
-                self.windows_fired += 1
-        return outputs
 
-
-class WindowedJoinLogic(OperatorLogic):
+class WindowedJoinLogic(_PaneLogic):
     """Keyed tumbling-window co-group join (NEXMark Q8 style).
 
     Records are tagged by side via ``side_fn(record) -> "left" | "right"``.
@@ -460,121 +548,33 @@ class WindowedJoinLogic(OperatorLogic):
     present (value = (#left, #right)).
     """
 
-    # Same contract as SlidingWindowAggregateLogic: per-record feeding is
-    # time-blind and silent, so analytic batch application is exact.
-    batch_eligible = True
+    _TAG, _OUT, _BYTES = "join", "join", "bytes"
 
     def __init__(self, size: float, slide: Optional[float] = None,
                  side_fn: Callable[[Record], str] = None,
                  bytes_per_record: float = 512.0):
-        if size <= 0:
-            raise ValueError("size must be positive")
-        self.size = size
-        self.slide = slide or size
-        if self.size < self.slide:
-            raise ValueError("size must be >= slide")
+        super().__init__(size, slide or size, bytes_per_record)
         self.side_fn = side_fn or (
             lambda record: record.value[0] if isinstance(record.value, tuple)
             else "left")
-        self.bytes_per_record = bytes_per_record
         self.joins_emitted = 0
-        self._starts_memo: dict = {}
-        # Same fire-floor memo and grid-exact probe gate as
-        # SlidingWindowAggregateLogic (see there).
-        self._fire_floor: dict = {}
-        eighth = self.slide * 8.0
-        self._grid_exact = (eighth == math.floor(eighth)
-                            and math.fmod(self.size, self.slide) == 0.0)
 
-    def on_record(self, record, instance):
-        kg = record.key_group
+    def _fold(self, entries, pane_keys, record, count, added):
         side = self.side_fn(record)
-        bucket = math.floor(record.event_time / self.slide)
-        starts = self._starts_memo.get(bucket)
-        if starts is None:
-            starts = _window_starts(record.event_time, self.size, self.slide)
-            self._starts_memo[bucket] = starts
-        for start in starts:
-            pane_key = ("join", start)
-            pane = instance.state.get(kg, pane_key)
+        new_panes = 0
+        for pane_key in pane_keys:
+            pane = entries.get(pane_key)
             if pane is None:
-                pane = {"left": 0, "right": 0, "bytes": 0.0}
-                instance.state.put(kg, pane_key, pane)
-                floor = self._fire_floor.get(kg)
-                if floor is not None:
-                    group = instance.state.group(kg)
-                    if floor[0] == group.version and start < floor[1]:
-                        floor[1] = start
-            pane[side] = pane.get(side, 0) + record.count
-            added = self.bytes_per_record * record.count
+                pane = entries[pane_key] = {"left": 0, "right": 0,
+                                            "bytes": 0.0}
+                new_panes += 1
+            pane[side] = pane.get(side, 0) + count
             pane["bytes"] += added
-            instance.state.add_bytes(kg, added)
-        return []
+        return new_panes
 
-    def on_watermark(self, timestamp, instance):
-        outputs: List[StreamElement] = []
-        fire_floor = self._fire_floor
-        size = self.size
-        slide = self.slide
-        grid_exact = self._grid_exact
-        for group in instance.state.groups():
-            if not group.processable:
-                continue
-            floor = fire_floor.get(group.key_group)
-            if floor is not None and floor[0] == group.version:
-                start = floor[1]
-                if start + size > timestamp:
-                    continue  # provably nothing ripe: skip entirely
-                if grid_exact:
-                    entries = group.entries
-                    while start + size <= timestamp:
-                        pane_key = ("join", start)
-                        pane = entries.get(pane_key)
-                        if pane is not None:
-                            if pane.get("left", 0) and pane.get("right", 0):
-                                outputs.append(Record(
-                                    key=("join", group.key_group, start),
-                                    key_group=None,
-                                    event_time=start + size,
-                                    value=(pane["left"], pane["right"]),
-                                    count=1,
-                                    size_bytes=64.0,
-                                    created_at=instance.sim.now,
-                                ))
-                                self.joins_emitted += 1
-                            instance.state.add_bytes(group.key_group,
-                                                     -pane["bytes"])
-                            instance.state.delete(group.key_group, pane_key)
-                        start += slide
-                    floor[1] = start
-                    continue
-            min_live = math.inf
-            for entry_key, pane in list(group.entries.items()):
-                if not (isinstance(entry_key, tuple)
-                        and entry_key[0] == "join"):
-                    continue
-                start = entry_key[1]
-                if start + self.size > timestamp:
-                    if start < min_live:
-                        min_live = start
-                    continue
-                if pane.get("left", 0) and pane.get("right", 0):
-                    outputs.append(Record(
-                        key=("join", group.key_group, start),
-                        key_group=None,
-                        event_time=start + self.size,
-                        value=(pane["left"], pane["right"]),
-                        count=1,
-                        size_bytes=64.0,
-                        created_at=instance.sim.now,
-                    ))
-                    self.joins_emitted += 1
-                instance.state.add_bytes(group.key_group,
-                                         -pane["bytes"])
-                instance.state.delete(group.key_group, entry_key)
-            if floor is None:
-                fire_floor[group.key_group] = [group.version, min_live]
-            else:
-                floor[0] = group.version
-                floor[1] = min_live
-        return outputs
+    def _emit(self, pane):
+        left, right = pane.get("left", 0), pane.get("right", 0)
+        if not (left and right):
+            return _NO_EMIT
+        self.joins_emitted += 1
+        return (left, right)

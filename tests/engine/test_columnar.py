@@ -157,3 +157,34 @@ def test_batch_columns_unkeyed_members_marked():
     cols = RecordBatch(records).columns()
     assert cols.key_group.tolist() == [-1]
     assert cols.visible_time is None
+
+
+# -- lazy numpy --------------------------------------------------------------------
+
+
+def _numpy_loaded_after_q7(record_plane):
+    """In a fresh interpreter: is numpy imported after ``import repro``,
+    and after building + running a short Q7 on ``record_plane``?"""
+    import os
+    import subprocess
+    import sys
+    script = (
+        "import sys, repro\n"
+        "after_import = 'numpy' in sys.modules\n"
+        "from repro.experiments.golden import capture_q7_trace\n"
+        f"capture_q7_trace(system=None, warmup=2.0, post=3.0,\n"
+        f"                 record_plane={record_plane!r})\n"
+        "print(after_import, 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+def test_default_plane_never_imports_numpy():
+    assert _numpy_loaded_after_q7("batched") == ["False", "False"]
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+def test_columnar_plane_imports_numpy_on_first_use():
+    assert _numpy_loaded_after_q7("columnar") == ["False", "True"]

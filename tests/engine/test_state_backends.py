@@ -206,3 +206,126 @@ class TestMigrationFastPath:
         group.entries = {"x": 1}
         group.bump_version()
         assert backend.changelog_tail_bytes(0) is None
+
+
+# -- consistent cuts under in-place pane writes -------------------------------
+
+def _window_logic(kind):
+    from repro.engine import SlidingWindowAggregateLogic, WindowedJoinLogic
+    if kind == "aggregate":
+        return SlidingWindowAggregateLogic(size=4.0, slide=1.0,
+                                           bytes_per_record=8.0)
+    return WindowedJoinLogic(size=4.0, slide=1.0, bytes_per_record=8.0,
+                             side_fn=lambda r: r.value[0])
+
+
+def _feed(logic, state, kg, event_time, side="left"):
+    import types
+    from repro.engine import Record
+    inst = types.SimpleNamespace(
+        state=state, sim=types.SimpleNamespace(now=0.0),
+        job=types.SimpleNamespace(columnar_active=False))
+    logic.on_record(Record(key=f"k{kg}", key_group=kg,
+                           event_time=event_time, count=2,
+                           value=(side, 7)), inst)
+    return inst
+
+
+def _frozen(groups):
+    import copy
+    return {kg: (g.size_bytes, copy.deepcopy(g.entries))
+            for kg, g in groups.items()}
+
+
+@pytest.mark.parametrize("kind", ["aggregate", "join"])
+@pytest.mark.parametrize("backend", [DictStateBackend,
+                                     ChangelogStateBackend])
+class TestCutsDoNotAliasLivePanes:
+    def test_snapshot_is_frozen(self, backend, kind):
+        state, logic = backend(), _window_logic(kind)
+        _feed(logic, state, 0, 5.0)
+        snap = state.snapshot()
+        before = _frozen(snap)
+        _feed(logic, state, 0, 5.5, side="right")
+        assert _frozen(snap) == before
+        # ...and the live state did move on.
+        assert _frozen(state.snapshot()) != before
+
+    def test_restored_state_does_not_write_into_the_snapshot(self, backend,
+                                                             kind):
+        from repro.engine.state import cut_copy
+        state, logic = backend(), _window_logic(kind)
+        _feed(logic, state, 0, 5.0)
+        snap = state.snapshot()
+        before = _frozen(snap)
+        # What RecoveryManager does at restore: a cut copy of the image.
+        state.install_group(0, cut_copy(snap[0].entries),
+                            snap[0].size_bytes)
+        _feed(logic, state, 0, 5.5, side="right")
+        assert _frozen(snap) == before
+
+
+@pytest.mark.parametrize("kind", ["aggregate", "join"])
+class TestChangelogSeesInPlaceWrites:
+    def test_cut_feed_cut_covers_the_touched_groups(self, kind):
+        state, logic = make_backend(), _window_logic(kind)
+        _feed(logic, state, 0, 5.0)
+        _feed(logic, state, 1, 5.0)
+        chain = [state.cut_segment(1)]
+        _feed(logic, state, 1, 5.5, side="right")
+        segment = state.cut_segment(2)
+        assert set(segment.groups) == {1}
+        # 2 records x 8 bytes x 4 panes, nothing created: what was written.
+        assert segment.delta_bytes == 64.0
+        chain.append(segment)
+        # An idle interval cuts an empty segment again.
+        idle = state.cut_segment(3)
+        assert not idle.groups and idle.delta_bytes == 0.0
+        chain.append(idle)
+        assert _frozen(ChangelogStateBackend.replay_chain(chain)) == \
+            _frozen(state._groups)
+
+    def test_fires_and_purges_are_cut_too(self, kind):
+        state, logic = make_backend(), _window_logic(kind)
+        inst = _feed(logic, state, 0, 5.0)
+        _feed(logic, state, 0, 5.5, side="right")
+        chain = [state.cut_segment(1)]
+        assert logic.on_watermark(7.5, inst)   # fires the two oldest panes
+        segment = state.cut_segment(2)
+        assert set(segment.groups) == {0} and segment.delta_bytes > 0
+        chain.append(segment)
+        assert _frozen(ChangelogStateBackend.replay_chain(chain)) == \
+            _frozen(state._groups)
+
+    def test_earlier_segments_stay_frozen(self, kind):
+        state, logic = make_backend(), _window_logic(kind)
+        _feed(logic, state, 0, 5.0)
+        first = state.cut_segment(1)
+        before = _frozen(ChangelogStateBackend.replay_chain([first]))
+        _feed(logic, state, 0, 5.5, side="right")
+        assert _frozen(ChangelogStateBackend.replay_chain([first])) == before
+
+    def test_migration_tail_counts_unlogged_writes(self, kind):
+        state, logic = make_backend(), _window_logic(kind)
+        _feed(logic, state, 0, 5.0)
+        state.cut_segment(1)
+        idle_tail = state.changelog_tail_bytes(0)
+        _feed(logic, state, 0, 5.5, side="right")
+        assert state.changelog_tail_bytes(0) == idle_tail + 64.0
+
+
+def test_logged_put_values_are_frozen_at_the_cut():
+    """A logic may ``put`` a mutable value and later write it in place."""
+    state = make_backend()
+    pane = {"n": 1}
+    state.put(0, "a", 0)
+    first = state.cut_segment(1)
+    state.put(0, "p", pane)
+    second = state.cut_segment(2)
+    pane["n"] = 2
+    state.note_in_place(0, 8.0)
+    restored = ChangelogStateBackend.replay_chain([first, second])
+    assert restored[0].entries["p"] == {"n": 1}
+    third = state.cut_segment(3)
+    restored = ChangelogStateBackend.replay_chain([first, second, third])
+    assert restored[0].entries["p"] == {"n": 2}
