@@ -297,11 +297,12 @@ class Channel:
         inbox = self.input_channel.total_depth() if self.input_channel else 0
         return len(self.outbox) + self._in_flight + inbox
 
-    def quiesce(self) -> None:
+    def quiesce(self) -> bool:
         """Collapse sender-side batch state to the per-record equivalent.
 
-        Called when the plane collapses (rescale window, fault injection,
-        recovery).  A ship batch mid-serialize is *unwound*: members whose
+        Called when a collapse window opens (rescale, fault window on this
+        channel, recovery); returns True when there was batch state to
+        collapse.  A ship batch mid-serialize is *unwound*: members whose
         per-record serialization would not have started yet go back to the
         outbox head (credits, in-flight counts and phantom slots restored),
         and the ship completion retargets to the in-progress member's
@@ -310,13 +311,18 @@ class Channel:
         (``extract_outbox``/``inject_confirm``/``send_front``) then sees
         exactly the elements the reference plane would hold.
         """
-        if self._fuse_due is not None:
+        found = self._fuse_due is not None
+        if found:
             self._downgrade_fuse()
         batch = self._serializing
         if batch is not None and batch.__class__ is RecordBatch:
             self._unwind_serializing(batch)
+            found = True
         if self._deferred:
             self.materialize_credits(self.sim._now)
+        # Carriers past the serialize slot explode at delivery.
+        return found or any(element.__class__ is RecordBatch
+                            for element, _epoch in self._wire)
 
     def _unwind_serializing(self, batch: RecordBatch) -> None:
         sim = self.sim
@@ -352,19 +358,8 @@ class Channel:
         while reservations and dropped < n and reservations[-1] > now:
             reservations.pop()
             dropped += 1
-        if self.telemetry is not None:
-            registry = self.telemetry.registry
-            registry.counter("channel.elements_shipped",
-                             channel=self.name).inc(-n)
-            tail_bytes = 0.0
-            for rec in tail:
-                tail_bytes += rec.size_bytes
-            registry.counter("channel.bytes_shipped",
-                             channel=self.name).inc(-tail_bytes)
-            batch.size_bytes -= tail_bytes
-        else:
-            for rec in tail:
-                batch.size_bytes -= rec.size_bytes
+        for rec in tail:
+            batch.size_bytes -= rec.size_bytes
         # Truncate in place: the same object sits on the wire (or already
         # in the receiver's queue), so the consumer view shrinks with it.
         del batch.records[cut:]
@@ -687,16 +682,6 @@ class Channel:
                 # The run evaporated (head re-checked ineligible): restore
                 # the per-element path for `first`.
                 return None
-        telemetry = self.telemetry
-        if telemetry is not None:
-            registry = telemetry.registry
-            shipped = registry.counter("channel.elements_shipped",
-                                       channel=self.name)
-            shipped_bytes = registry.counter("channel.bytes_shipped",
-                                             channel=self.name)
-            for rec in records:
-                shipped.inc()
-                shipped_bytes.inc(rec.size_bytes)
         k = len(records)
         latency = link.latency
         visible = [t + latency for t in ship_times]
@@ -786,8 +771,20 @@ class Channel:
             self._wire.append((element, self._serializing_epoch))
             sim.schedule_entry(sim._now + self.link.latency,
                                self._deliver_entry)
-        # A batch went on the wire at formation with its deliver dispatch
-        # already scheduled; this entry only marks the serialize slot free.
+        elif self.telemetry is not None:
+            # A batch went on the wire at formation with its deliver
+            # dispatch already scheduled; this entry marks the serialize
+            # slot free and counts the members that shipped — an unwind has
+            # truncated the batch to those, so the counters only go up and
+            # end where the per-record plane's do.
+            registry = self.telemetry.registry
+            shipped = registry.counter("channel.elements_shipped",
+                                       channel=self.name)
+            shipped_bytes = registry.counter("channel.bytes_shipped",
+                                             channel=self.name)
+            for rec in element.records:
+                shipped.inc()
+                shipped_bytes.inc(rec.size_bytes)
         self._drain_loop()
 
     def _deliver_next(self) -> None:
@@ -798,13 +795,15 @@ class Channel:
                 return  # flushed while in flight: dropped (all members)
             if self.input_channel is None:
                 return
-            if self.batching and (self._job is None
-                                  or not self._job.scaling_active):
+            if (self.batching and self.fault_hook is None
+                    and (self._job is None
+                         or not self._job.scaling_active)):
                 self.input_channel.deliver_batch(element)
             else:
-                # The plane collapsed (rescale window, fault injection,
-                # recovery) while the batch was in flight: fall back to
-                # per-record delivery at the original per-record times.
+                # A collapse window (rescale, fault window on this channel)
+                # opened while the batch was in flight: fall back to
+                # per-record delivery at the original per-record times, so
+                # the fault hook sees every member.
                 self._explode(element, epoch)
             return
         self._in_flight -= 1
@@ -962,19 +961,20 @@ class InputChannel:
         if watermark.timestamp > self.watermark:
             self.watermark = watermark.timestamp
 
-    def materialize(self, now: float) -> None:
+    def materialize(self, now: float) -> bool:
         """Explode queued batch carriers back to individual records.
 
         Members already visible (their per-record delivery time has
         passed) take the carrier's place in the queue; members still "on
         the wire" in per-record terms are re-delivered at their original
         times through the backing channel's delivery path (epoch-checked,
-        fault hook consulted).  Called when the plane collapses — scaling
-        window, fault injection, recovery — so every consumer-side
-        structure holds only plain elements afterwards.
+        fault hook consulted).  Called when a collapse window opens —
+        rescale, fault window on this channel, recovery — so every
+        consumer-side structure holds only plain elements afterwards.
+        Returns True when a carrier was queued.
         """
         if not self._nbatches:
-            return
+            return False
         out: Deque[StreamElement] = deque()
         channel = self.channel
         sim = self.instance.sim
@@ -997,6 +997,7 @@ class InputChannel:
                                 lambda r=records[i]: self.deliver(r))
         self.queue = out
         self._nbatches = 0
+        return True
 
     def total_depth(self) -> int:
         """All unconsumed members, including not-yet-visible ones."""

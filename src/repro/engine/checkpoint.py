@@ -100,9 +100,7 @@ class CheckpointCoordinator:
         seen = self._pending.get(checkpoint_id)
         if seen is None:
             return
-        needed = {inst.name for inst in self.job.all_instances()
-                  if inst.running or inst.paused}
-        if not seen >= needed:
+        if not seen >= self.job.live_instance_names():
             return
         if any(cid <= checkpoint_id
                for _, cid in self.job.pending_uploads):

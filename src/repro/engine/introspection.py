@@ -107,6 +107,8 @@ def job_summary(job: StreamJob) -> Dict:
     return {
         "sim_time_s": job.sim.now,
         "kernel_events": job.sim.events_processed,
+        "record_plane": job.config.record_plane,
+        "plane_collapses": job.plane_collapses,
         "operators": len(job.graph.operators),
         "instances": len(job.all_instances()),
         "records_generated": job.metrics.total_source_output(),

@@ -334,6 +334,7 @@ class OperatorInstance:
         self.job = job
         self.spec = spec
         self.index = index
+        self.name = f"{spec.name}[{index}]"
         self.node = node
         self.metrics = metrics
         self.logic: OperatorLogic = spec.logic_factory()
@@ -382,21 +383,17 @@ class OperatorInstance:
         # arrays over the batch members: the records themselves, their
         # service-end times, their source channels, and the poll cursor
         # value after each pick (so preemption can rewind the round-robin
-        # to exactly where the per-record plane would stand).
+        # to exactly where the per-record plane would stand); plus the wire
+        # carriers the batch emptied, so preemption can put them back.
         self._batch_records: Optional[List[Record]] = None
         self._batch_ends: Optional[List[float]] = None
         self._batch_channels: Optional[List[InputChannel]] = None
         self._batch_cursors: Optional[List[int]] = None
+        self._batch_emptied: Optional[List[RecordBatch]] = None
         self._batch_start = 0.0
         self._batch_applied = 0
         self._batch_pending_end = 0.0
         self._vis_wake_at: Optional[float] = None
-
-    # -- identity ------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return f"{self.spec.name}[{self.index}]"
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<{self.name} on {self.node.name}>"
@@ -422,17 +419,20 @@ class OperatorInstance:
         if self.running:
             return
         self.running = True
+        self.job._live_names = None
         self.logic.open(self)
         self._process = self.sim.spawn(self._run(), name=self.name)
 
     def stop(self) -> None:
         self.running = False
+        self.job._live_names = None
         if self._batch_records is not None:
             self.preempt_batch()
         self.wake.fire()
 
     def pause(self) -> None:
         self.paused = True
+        self.job._live_names = None
         # The per-record plane pauses at the next element boundary; an
         # analytic batch must collapse to that same boundary.
         if self._batch_records is not None:
@@ -440,6 +440,7 @@ class OperatorInstance:
 
     def resume(self) -> None:
         self.paused = False
+        self.job._live_names = None
         self.wake.fire()
 
     # -- control lane -----------------------------------------------------------
@@ -810,6 +811,7 @@ class OperatorInstance:
         if k < 2:
             return False
         # ---- commit: pop members, defer their credits, park descriptor ----
+        emptied: List[RecordBatch] = []
         for i in range(1, k):
             ch = chans[i]
             q = ch.queue
@@ -819,6 +821,7 @@ class OperatorInstance:
                 if el.next_index == len(el.records):
                     q.popleft()
                     ch._nbatches -= 1
+                    emptied.append(el)
             else:
                 q.popleft()
             backing = ch.channel
@@ -831,6 +834,7 @@ class OperatorInstance:
         self._batch_ends = ends
         self._batch_channels = chans
         self._batch_cursors = cursors
+        self._batch_emptied = emptied
         self._batch_start = now
         self._batch_applied = 0
         self._batch_pending_end = ends[-1]
@@ -918,6 +922,7 @@ class OperatorInstance:
         self._batch_ends = None
         self._batch_channels = None
         self._batch_cursors = None
+        self._batch_emptied = None
         self._batch_applied = 0
         self.current_key_group = None
 
@@ -946,7 +951,11 @@ class OperatorInstance:
         started go back to the *front* of their channels (their deferred
         credits cancelled — on the per-record plane their pops never
         happened) and the poll cursor rewinds to the in-progress member's
-        position.  The in-progress member keeps its original end time: the
+        position.  A member taken from a wire carrier goes back *into* that
+        carrier, so one the per-record plane has not delivered yet keeps
+        its delivery time (a later explode routes it past the fault hook)
+        and a sender-side unwind still truncates it.  The in-progress
+        member keeps its original end time: the
         process is interrupted and re-parks until then, after which the
         main loop resumes per-record polling against real state.
         """
@@ -965,9 +974,25 @@ class OperatorInstance:
             self._process.interrupt("batch-preempt")
             return
         chans = self._batch_channels
+        emptied = self._batch_emptied
         for i in range(n - 1, j, -1):
             ch = chans[i]
-            ch.queue.appendleft(records[i])
+            rec = records[i]
+            q = ch.queue
+            # Walking backwards, a member taken from a carrier is the last
+            # one its carrier gave up: of the head carrier, or of the most
+            # recently emptied one (which then goes back on the queue).
+            head = q[0] if q else None
+            if emptied and emptied[-1].records[-1] is rec:
+                head = emptied.pop()
+                q.appendleft(head)
+                ch._nbatches += 1
+                head.next_index -= 1
+            elif (head.__class__ is RecordBatch and head.next_index
+                    and head.records[head.next_index - 1] is rec):
+                head.next_index -= 1
+            else:
+                q.appendleft(rec)
             backing = ch.channel
             if backing is not None:
                 backing.cancel_deferred_credit(ends[i - 1])
@@ -1122,3 +1147,4 @@ class OperatorInstance:
         if channel is None or self._eos_channels >= needed:
             yield from self.router.emit(eos)
             self.running = False
+            self.job._live_names = None

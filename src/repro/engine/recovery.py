@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .keys import KeyGroupAssignment
 from .operators import OperatorInstance
-from .records import CheckpointBarrier
+from .records import CheckpointBarrier, RecordBatch
 from .runtime import SourceInstance, StreamJob
 from .state import (ChangelogChainError, KeyGroupState, StateStatus,
                     cut_copy)
@@ -133,6 +133,9 @@ class RecoveryManager:
         #: Ids of retained checkpoints that are still aligning — the only
         #: ones the auxiliary-lane hold has to consider.
         self._open_cids: List[int] = []
+        #: Latched once any checkpoint has captured a key-group (non-empty
+        #: ``folded``) — until then no record can need compensating.
+        self._captured = False
         self.recoveries: List[Tuple[float, int]] = []
         self._installed = False
         self._recover_proc = None
@@ -145,10 +148,10 @@ class RecoveryManager:
         if self._installed:
             return self
         self._installed = True
-        # Recovery needs per-record capture (lineage for consistent cuts)
-        # and auxiliary-lane holds — both bypassed by analytic batches, so
-        # the batched plane is permanently collapsed for this job.
-        self.job.disable_batching()
+        # The capture listener and the auxiliary-lane hold keep analytic
+        # consume-batches off (their formation gate reads both hooks); the
+        # channel half of the batched plane stays on and collapses only for
+        # the duration of a restore (:meth:`_recover`).
         self.job.snapshot_listener = self._on_snapshot
         self.job.flight_landed_hook = self._on_flight_landed
         self.job.record_capture_listener = self._on_record
@@ -241,6 +244,8 @@ class RecoveryManager:
             self._segments[(instance.name, barrier.checkpoint_id)] = \
                 segment
         checkpoint.snapshots[instance.name] = snapshot
+        if checkpoint.folded:
+            self._captured = True
         self._maybe_complete(checkpoint)
 
     def _on_upload(self, instance_name: str, checkpoint_id: int,
@@ -305,6 +310,7 @@ class RecoveryManager:
                 # _on_record, which sees the capture on record below).
                 checkpoint.prefolds[key] = (dst.name, frozen)
             checkpoint.folded[key] = dst.name
+            self._captured = True
 
     def _on_record(self, instance: OperatorInstance, record) -> None:
         """Record-level checkpoint compensation (the aux-lane gap closer).
@@ -318,7 +324,7 @@ class RecoveryManager:
         should that checkpoint ever be restored.
         """
         seq = record.src_seq
-        if seq is None:
+        if seq is None or not self._captured:
             return
         origin = record.src_origin
         op = instance.spec.name
@@ -350,6 +356,9 @@ class RecoveryManager:
         a post-cut effect (a double-count after restore).  The hold lasts
         only until the instance's own barrier arrives.
         """
+        # Re-route lanes are built with batching off; a carrier here would
+        # read as "no lineage" and leak its post-cut members.
+        assert element.__class__ is not RecordBatch
         if not self._open_cids:
             return False
         seq = getattr(element, "src_seq", None)
@@ -368,9 +377,7 @@ class RecoveryManager:
         return False
 
     def _covers_everything(self, checkpoint: _Checkpoint) -> bool:
-        names = {inst.name for inst in self.job.all_instances()
-                 if inst.running or inst.paused}
-        return set(checkpoint.snapshots) >= names
+        return checkpoint.snapshots.keys() >= self.job.live_instance_names()
 
     def _prune(self) -> None:
         """Satellite of checkpoint completion: bound retention.
@@ -595,7 +602,10 @@ class RecoveryManager:
         # covers the straggler window: an element already mid-service when
         # the failure hit would otherwise be emitted into the freshly
         # flushed channels on wake-up and then *also* replayed — the flag
-        # makes the instance discard it instead.
+        # makes the instance discard it instead.  The plane collapses
+        # first, so the sweep below sees individual records and the flush
+        # cannot strand a carrier count on a cleared queue.
+        job.quiesce_batches()
         instances = job.all_instances()
         for instance in instances:
             instance.pause()

@@ -58,7 +58,9 @@ class JobConfig:
     #: numpy-backed column views over each batch (vectorized window-pane
     #: accumulation and batch formation — falls back to plain batched
     #: behaviour when numpy is unavailable); ``"single"`` is the
-    #: per-record reference implementation.
+    #: per-record reference implementation.  Rescales, fault windows and
+    #: recoveries collapse the batched planes to per-record state for
+    #: their own window, never for the rest of the job.
     record_plane: str = "batched"
     #: Upper bound on records per micro-batch; credits and channel
     #: occupancy shrink actual batches below this.
@@ -333,6 +335,7 @@ class SourceInstance(OperatorInstance):
             elif isinstance(element, EndOfStream):
                 yield from self.router.emit(element)
                 self.running = False
+                self.job._live_names = None
             else:
                 yield from self.handle_element(None, element)
 
@@ -355,11 +358,13 @@ class StreamJob:
             raise ValueError(
                 f"unknown record_plane: {self.config.record_plane!r} "
                 f"(expected one of: {', '.join(JobConfig.RECORD_PLANES)})")
-        #: True while the micro-batched record plane is active ("batched"
-        #: and "columnar" both ride the batch carriers).  Cleared
-        #: (permanently) by :meth:`disable_batching` — fault injection and
-        #: failure recovery need per-record visibility everywhere.
+        #: True when the record plane rides micro-batch carriers ("batched"
+        #: and "columnar"); decided by ``record_plane`` alone for the life
+        #: of the job.  Rescales, fault windows and recoveries collapse the
+        #: plane for their own window through :meth:`quiesce_batches`.
         self._batching = self.config.record_plane in ("batched", "columnar")
+        #: :meth:`quiesce_batches` calls that found batch state to collapse.
+        self.plane_collapses = 0
         #: True when the columnar plane is selected *and* numpy is present:
         #: channels vectorize batch-formation ship times, carriers expose
         #: column views.  Without numpy the "columnar" plane degrades to
@@ -368,6 +373,9 @@ class StreamJob:
         self.columnar_active = (self.config.record_plane == "columnar"
                                 and HAVE_NUMPY)
         self._instances: Dict[str, List[OperatorInstance]] = {}
+        #: Cache behind :meth:`live_instance_names`; every ``running`` /
+        #: ``paused`` flip resets it to None.
+        self._live_names: Optional[frozenset] = None
         #: Current (authoritative) key-group assignment per keyed operator.
         self.assignments: Dict[str, KeyGroupAssignment] = {}
         self._snapshots: List[Tuple[float, str, int]] = []
@@ -573,48 +581,46 @@ class StreamJob:
 
     # -- record-plane control ------------------------------------------------------
 
-    def quiesce_batches(self) -> None:
-        """Collapse all in-flight micro-batches to per-record state.
+    def quiesce_batches(self, channels: Optional[List[Channel]] = None
+                        ) -> None:
+        """Collapse in-flight micro-batches to per-record state.
 
         Preempts active analytic batch executions (unfinished members go
         back to their input channels) and explodes batches queued at input
         channels; batches still on a wire explode at delivery (the deliver
-        path re-checks the plane).  Formation gates check ``scaling_active``
-        and channel flags live, so callers that need a per-record window
-        (scaling, recovery, fault injection) quiesce once and the plane
-        stays collapsed for as long as their gate holds.
+        path re-checks the plane).  Formation gates read ``scaling_active``
+        and ``fault_hook`` live, so a caller that needs a per-record window
+        (rescale, fault window, recovery) quiesces once when it opens and
+        the plane stays collapsed for as long as its gate holds.
+        ``channels`` narrows the collapse to those channels and their
+        receivers (a fault window's hop); the default is the whole job.
         """
         now = self.sim.now
-        instances = self.all_instances()
-        for instance in instances:
-            preempt = getattr(instance, "preempt_batch", None)
-            if preempt is not None:
-                preempt()
+        if channels is None:
+            receivers = self.all_instances()
+            channels = [channel for instance in receivers
+                        for channel in instance.router.all_channels()]
+            inputs = [input_channel for instance in receivers
+                      for input_channel in instance.input_channels]
+        else:
+            inputs = [channel.input_channel for channel in channels]
+            # Each receiver once: a preempted batch stays parked until its
+            # in-progress member ends and must not be interrupted twice.
+            receivers = dict.fromkeys(ic.instance for ic in inputs)
+        found = False
+        for instance in receivers:
+            if instance._batch_records is not None:
+                instance.preempt_batch()
+                found = True
         # Sender side first: unwinding a mid-serialize ship batch truncates
         # the shared carrier, so the consumer-side materialize below sees
         # only the members that per-record serialization had committed.
-        for instance in instances:
-            for channel in instance.router.all_channels():
-                channel.quiesce()
-        for instance in instances:
-            for input_channel in instance.input_channels:
-                input_channel.materialize(now)
-
-    def disable_batching(self) -> None:
-        """Permanently fall back to the per-record reference plane.
-
-        Installed by the fault injector and the recovery manager: record-
-        window fault triggers and restore-time queue surgery need individual
-        records everywhere.  Idempotent.
-        """
-        if not self._batching:
-            return
-        self._batching = False
-        self.columnar_active = False
-        for instance in self.all_instances():
-            for channel in instance.router.all_channels():
-                channel.batching = False
-        self.quiesce_batches()
+        for channel in channels:
+            found |= channel.quiesce()
+        for input_channel in inputs:
+            found |= input_channel.materialize(now)
+        if found:
+            self.plane_collapses += 1
 
     def _sync_batches(self) -> None:
         """Apply the completed prefix of every active analytic batch."""
@@ -641,6 +647,17 @@ class StreamJob:
     def all_instances(self) -> List[OperatorInstance]:
         return [inst for group in self._instances.values()
                 for inst in group]
+
+    def live_instance_names(self) -> frozenset:
+        """Names of the running or paused instances — the set a checkpoint
+        must cover.  Rebuilt after an instance lifecycle change, not per
+        snapshot."""
+        names = self._live_names
+        if names is None:
+            names = self._live_names = frozenset(
+                inst.name for inst in self.all_instances()
+                if inst.running or inst.paused)
+        return names
 
     def sources(self) -> List[SourceInstance]:
         return [inst for spec in self.graph.sources()

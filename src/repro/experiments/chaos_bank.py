@@ -29,6 +29,7 @@ Design notes on the fault/checkpoint interplay the scenarios encode:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional
 
 from ..engine import (CheckpointCoordinator, JobConfig, JobGraph,
@@ -42,20 +43,24 @@ from ..faults import (ChaosScenario, ChaosSetup, CrashInstance,
 __all__ = ["CHAOS_SCENARIOS", "chaos_scenario"]
 
 
-def _config_with_backend(job_config, state_backend: Optional[str]):
-    """Overlay a state-backend choice on an (optional) JobConfig."""
-    if state_backend is None:
-        return job_config
-    if job_config is None:
-        return JobConfig(state_backend=state_backend)
-    return dataclasses.replace(job_config, state_backend=state_backend)
+def _config_with_backend(job_config, state_backend: Optional[str],
+                         record_plane: Optional[str] = None):
+    """Overlay state-backend / record-plane choices on an (optional)
+    JobConfig; None keeps what the config (or the default) says."""
+    overlay = {}
+    if state_backend is not None:
+        overlay["state_backend"] = state_backend
+    if record_plane is not None:
+        overlay["record_plane"] = record_plane
+    return dataclasses.replace(job_config or JobConfig(), **overlay)
 
 
 def _keyed_job(stop_at: float, num_key_groups: int = 16,
                parallelism: int = 2, keys: int = 24,
                state_bytes_per_group: float = 2e6,
                gap: float = 0.01, job_config=None,
-               state_backend: Optional[str] = None):
+               state_backend: Optional[str] = None,
+               record_plane: Optional[str] = None):
     """source → keyed sum → sink plus a counting oracle.
 
     The generator tallies ``produced[key]`` as it offers records, so the
@@ -75,7 +80,8 @@ def _keyed_job(stop_at: float, num_key_groups: int = 16,
     graph.add_sink("sink", collect=True)
     graph.connect("src", "agg", Partitioning.HASH)
     graph.connect("agg", "sink", Partitioning.FORWARD)
-    job_config = _config_with_backend(job_config, state_backend)
+    job_config = _config_with_backend(job_config, state_backend,
+                                      record_plane)
     job = StreamJob(graph, config=job_config).build()
     produced: Dict[str, int] = {}
 
@@ -141,14 +147,13 @@ def _expect_spans(job, want_rollback: bool = True,
 
 
 def _crash_mid_subscale(seed: int, job_config=None,
-                        state_backend: Optional[str] = None) -> ChaosSetup:
+                        state_backend: Optional[str] = None,
+                        record_plane: Optional[str] = None) -> ChaosSetup:
     """§IV-C acceptance: crash mid-subscale, recover from a checkpoint
     taken during the scaling operation, finish the rescale via retry.
 
-    ``job_config`` lets the plane-equivalence tests force
-    ``record_plane="single"``; the default job starts batched and is
-    collapsed by the recovery/injector hooks, and both must behave
-    identically.
+    ``job_config`` lets the scheduler-equivalence tests force the
+    calendar queue; the transfer cost model is overlaid on it.
     """
     from ..core.drrs import DRRSController
 
@@ -157,15 +162,13 @@ def _crash_mid_subscale(seed: int, job_config=None,
     # wire bytes to almost nothing, and without the floor the subscale
     # would finish before the crash lands, voiding the scenario.
     slow_handoff = StateTransferCostModel(handshake_seconds=0.35)
-    if job_config is None:
-        job_config = JobConfig(transfer=slow_handoff)
-    else:
-        job_config = dataclasses.replace(job_config,
-                                         transfer=slow_handoff)
+    job_config = dataclasses.replace(job_config or JobConfig(),
+                                     transfer=slow_handoff)
     job, produced = _keyed_job(stop_at=14.0,
                                state_bytes_per_group=24e6,
                                job_config=job_config,
-                               state_backend=state_backend)
+                               state_backend=state_backend,
+                               record_plane=record_plane)
     job.enable_telemetry()
     checkpoints = CheckpointCoordinator(job, interval=0.75)
     checkpoints.start()
@@ -199,7 +202,8 @@ def _crash_mid_subscale(seed: int, job_config=None,
 
 
 def _autoscale_crash_mid_subscale(
-        seed: int, state_backend: Optional[str] = None) -> ChaosSetup:
+        seed: int, state_backend: Optional[str] = None,
+        record_plane: Optional[str] = None) -> ChaosSetup:
     """Closed-loop acceptance: the *autoscaler* initiates the subscale
     (reacting to a load ramp), a phase-triggered crash lands while that
     subscale is moving state, DRRS aborts → rolls back → retries under
@@ -220,9 +224,8 @@ def _autoscale_crash_mid_subscale(
     graph.add_sink("sink", collect=True)
     graph.connect("src", "agg", Partitioning.HASH)
     graph.connect("agg", "sink", Partitioning.FORWARD)
-    job = StreamJob(graph,
-                    config=_config_with_backend(None,
-                                                state_backend)).build()
+    job = StreamJob(graph, config=_config_with_backend(
+        None, state_backend, record_plane)).build()
     job.enable_telemetry()
     produced: Dict[str, int] = {}
 
@@ -300,14 +303,16 @@ def _autoscale_crash_mid_subscale(
 
 
 def _crash_during_transfer(
-        seed: int, state_backend: Optional[str] = None) -> ChaosSetup:
+        seed: int, state_backend: Optional[str] = None,
+        record_plane: Optional[str] = None) -> ChaosSetup:
     """Phase-triggered crash the instant the first key-group migration
     begins; recovery rolls the migration back, the retry completes it."""
     from ..core.drrs import DRRSController
 
     job, produced = _keyed_job(stop_at=14.0,
                                state_bytes_per_group=8e6,
-                               state_backend=state_backend)
+                               state_backend=state_backend,
+                               record_plane=record_plane)
     job.enable_telemetry()
     checkpoints = CheckpointCoordinator(job, interval=1.0)
     checkpoints.start()
@@ -330,11 +335,12 @@ def _crash_during_transfer(
 
 
 def _lossy_window_then_crash(
-        seed: int, kind: str,
-        state_backend: Optional[str] = None) -> ChaosSetup:
+        seed: int, kind: str, state_backend: Optional[str] = None,
+        record_plane: Optional[str] = None) -> ChaosSetup:
     """Drop or duplicate a window of records, then crash: recovery from
     a pre-window checkpoint plus replay restores exactly-once."""
-    job, produced = _keyed_job(stop_at=12.0, state_backend=state_backend)
+    job, produced = _keyed_job(stop_at=12.0, state_backend=state_backend,
+                               record_plane=record_plane)
     checkpoints = CheckpointCoordinator(job, interval=1.0)
     checkpoints.start()
     recovery = RecoveryManager(job, restart_seconds=0.5).install()
@@ -363,7 +369,8 @@ def _lossy_window_then_crash(
 
 
 def _stall_and_rollback(
-        seed: int, state_backend: Optional[str] = None) -> ChaosSetup:
+        seed: int, state_backend: Optional[str] = None,
+        record_plane: Optional[str] = None) -> ChaosSetup:
     """Transfers stall mid-migration; a watchdog aborts the scale, the
     rollback restores the pre-subscale world and the retry finishes.
     No recovery at all — exactly-once must survive on rollback alone."""
@@ -371,7 +378,8 @@ def _stall_and_rollback(
 
     job, produced = _keyed_job(stop_at=14.0,
                                state_bytes_per_group=8e6,
-                               state_backend=state_backend)
+                               state_backend=state_backend,
+                               record_plane=record_plane)
     job.enable_telemetry()
     controller = DRRSController(job)
     holder = _rescale_at(job, controller, "agg", 6.0, 4)
@@ -391,11 +399,12 @@ def _stall_and_rollback(
                       expectations=[expect])
 
 
-def _delay_blip(seed: int,
-                state_backend: Optional[str] = None) -> ChaosSetup:
+def _delay_blip(seed: int, state_backend: Optional[str] = None,
+                record_plane: Optional[str] = None) -> ChaosSetup:
     """Records re-ordered by a delay window: no loss, no duplication —
     exactly-once must hold with no recovery at all."""
-    job, produced = _keyed_job(stop_at=10.0, state_backend=state_backend)
+    job, produced = _keyed_job(stop_at=10.0, state_backend=state_backend,
+                               record_plane=record_plane)
     injector = FaultInjector(job, seed=seed)
     injector.add(DelayRecords("src", "agg", duration=1.0, hold=0.8,
                               probability=0.5, at=4.0))
@@ -403,11 +412,12 @@ def _delay_blip(seed: int,
                       horizon=20.0, oracle={"agg": produced})
 
 
-def _double_fault(seed: int,
-                  state_backend: Optional[str] = None) -> ChaosSetup:
+def _double_fault(seed: int, state_backend: Optional[str] = None,
+                  record_plane: Optional[str] = None) -> ChaosSetup:
     """A second crash strikes while the first restore is still running;
     the half-done restore is abandoned and recovery restarts cleanly."""
-    job, produced = _keyed_job(stop_at=12.0, state_backend=state_backend)
+    job, produced = _keyed_job(stop_at=12.0, state_backend=state_backend,
+                               record_plane=record_plane)
     checkpoints = CheckpointCoordinator(job, interval=1.0)
     checkpoints.start()
     recovery = RecoveryManager(job, restart_seconds=1.5).install()
@@ -428,8 +438,8 @@ def _double_fault(seed: int,
                       oracle={"agg": produced}, expectations=[expect])
 
 
-def _crash_large_state(seed: int,
-                       state_backend: Optional[str] = None) -> ChaosSetup:
+def _crash_large_state(seed: int, state_backend: Optional[str] = None,
+                       record_plane: Optional[str] = None) -> ChaosSetup:
     """Recovery-time tier: crash a job with *large* keyed state.
 
     Defaults to the changelog backend.  The expectation measures the
@@ -446,7 +456,8 @@ def _crash_large_state(seed: int,
     backend = state_backend or "changelog"
     job, produced = _keyed_job(stop_at=12.0,
                                state_bytes_per_group=48e6,
-                               state_backend=backend)
+                               state_backend=backend,
+                               record_plane=record_plane)
     job.enable_telemetry()
     checkpoints = CheckpointCoordinator(job, interval=1.0)
     checkpoints.start()
@@ -481,7 +492,8 @@ def _crash_large_state(seed: int,
         if backend != "changelog":
             return problems
         # Dict twin, same seed: the baseline the claims are made against.
-        twin = _crash_large_state(seed, state_backend="dict")
+        twin = _crash_large_state(seed, state_backend="dict",
+                                  record_plane=record_plane)
         twin.injector.arm()
         twin.job.run(until=twin.horizon)
         dict_sync, dict_restore = _measure(twin.job)
@@ -509,7 +521,8 @@ def _crash_large_state(seed: int,
 
 
 def _checkpoint_upload_stall(
-        seed: int, state_backend: Optional[str] = None) -> ChaosSetup:
+        seed: int, state_backend: Optional[str] = None,
+        record_plane: Optional[str] = None) -> ChaosSetup:
     """Recovery-time tier: async uploads stall, then a crash lands.
 
     Defaults to the changelog backend.  A checkpoint whose delta-segment
@@ -522,7 +535,8 @@ def _checkpoint_upload_stall(
     backend = state_backend or "changelog"
     job, produced = _keyed_job(stop_at=12.0,
                                state_bytes_per_group=8e6,
-                               state_backend=backend)
+                               state_backend=backend,
+                               record_plane=record_plane)
     job.enable_telemetry()
     checkpoints = CheckpointCoordinator(job, interval=1.0)
     checkpoints.start()
@@ -579,14 +593,12 @@ CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
             "phase-triggered crash at the first state transfer"),
         ChaosScenario(
             "drop-then-crash",
-            lambda seed, state_backend=None: _lossy_window_then_crash(
-                seed, "drop", state_backend=state_backend),
+            functools.partial(_lossy_window_then_crash, kind="drop"),
             "lose a window of records on the wire, then crash; replay "
             "repairs the loss"),
         ChaosScenario(
             "duplicate-then-crash",
-            lambda seed, state_backend=None: _lossy_window_then_crash(
-                seed, "duplicate", state_backend=state_backend),
+            functools.partial(_lossy_window_then_crash, kind="duplicate"),
             "deliver a window of records twice, then crash; rollback "
             "undoes the double count"),
         ChaosScenario(

@@ -54,12 +54,15 @@ class ChaosSetup:
 
 @dataclass
 class ChaosScenario:
-    """A named builder: ``build(seed, state_backend=None) -> ChaosSetup``.
+    """A named builder:
+    ``build(seed, state_backend=None, record_plane=None) -> ChaosSetup``.
 
     ``state_backend`` selects the keyed-state backend ("dict" or
     "changelog"; None keeps the scenario's own default) — every scenario
     must pass the same invariants under either, and the semantic traces
-    must be identical (backend equivalence)."""
+    must be identical (backend equivalence).  ``record_plane`` likewise
+    selects the record plane; every plane must produce the same report
+    apart from the kernel event and plane-collapse counts."""
 
     name: str
     build: Callable[..., ChaosSetup]
@@ -77,6 +80,10 @@ class ChaosReport:
     #: Keyed-state backend the run used ("dict"/"changelog") — recorded
     #: so seeded-report diffs cannot silently compare across backends.
     state_backend: str = "dict"
+    #: Record plane the job ran on, and how many times it collapsed to
+    #: per-record state for a window (rescale, fault window, recovery).
+    record_plane: str = "batched"
+    plane_collapses: int = 0
     #: ``(time, kind, detail)`` per fired fault / closed window.
     faults: List = field(default_factory=list)
     #: Faults that fired but could not take effect.
@@ -99,6 +106,8 @@ class ChaosReport:
             "passed": self.passed,
             "horizon": self.horizon,
             "state_backend": self.state_backend,
+            "record_plane": self.record_plane,
+            "plane_collapses": self.plane_collapses,
             "faults": [list(entry) for entry in self.faults],
             "fault_errors": [list(entry) for entry in self.fault_errors],
             "recoveries": [list(entry) for entry in self.recoveries],
@@ -111,7 +120,9 @@ class ChaosReport:
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         lines = [f"[{verdict}] {self.scenario} (seed={self.seed}, "
-                 f"backend={self.state_backend}): "
+                 f"backend={self.state_backend}, "
+                 f"plane={self.record_plane} collapsed "
+                 f"{self.plane_collapses}x): "
                  f"{len(self.faults)} fault events, "
                  f"{len(self.recoveries)} recoveries, "
                  f"{len(self.violations)} violations"]
@@ -125,21 +136,22 @@ class ChaosReport:
 class ChaosHarness:
     """Runs one scenario at one seed and judges the outcome.
 
-    ``state_backend`` (None / "dict" / "changelog") is forwarded to the
+    ``state_backend`` (None / "dict" / "changelog") and ``record_plane``
+    (None / a ``JobConfig.RECORD_PLANES`` name) are forwarded to the
     scenario builder; None keeps the scenario's default."""
 
     def __init__(self, scenario: ChaosScenario, seed: int = 0,
-                 state_backend: Optional[str] = None):
+                 state_backend: Optional[str] = None,
+                 record_plane: Optional[str] = None):
         self.scenario = scenario
         self.seed = seed
         self.state_backend = state_backend
+        self.record_plane = record_plane
 
     def run(self) -> ChaosReport:
-        if self.state_backend is None:
-            setup = self.scenario.build(self.seed)
-        else:
-            setup = self.scenario.build(self.seed,
-                                        state_backend=self.state_backend)
+        setup = self.scenario.build(self.seed,
+                                    state_backend=self.state_backend,
+                                    record_plane=self.record_plane)
         job = setup.job
         setup.injector.arm()
         monitor: Optional[WatermarkMonitor] = None
@@ -168,6 +180,8 @@ class ChaosHarness:
             passed=not violations,
             horizon=setup.horizon,
             state_backend=getattr(job.config, "state_backend", "dict"),
+            record_plane=job.config.record_plane,
+            plane_collapses=job.plane_collapses,
             faults=list(setup.injector.injected),
             fault_errors=list(setup.injector.errors),
             recoveries=recoveries,

@@ -246,12 +246,6 @@ class FaultInjector:
         """Register a fault spec; returns self for chaining."""
         if fault.at is None and fault.phase is None:
             raise ValueError("fault needs a trigger: set at= or phase=")
-        # Fault windows need per-record channel hooks (drop/duplicate act
-        # on individual deliveries), so the batched record plane is
-        # collapsed as soon as a real fault exists — chaos scenarios
-        # exercise the reference plane by construction.  An injector that
-        # never receives a fault stays inert.
-        self.job.disable_batching()
         self.pending.append(fault)
         if self._armed:
             self._arm_one(fault)
@@ -336,6 +330,26 @@ class FaultInjector:
         return lambda element: (getattr(element, "is_record", False)
                                 and rng.random() < probability)
 
+    def _hook_channels(self, channels: List, hook):
+        """Install ``hook`` on ``channels``; returns the call that undoes it.
+
+        The hop's batches collapse first, so every record not yet past its
+        per-record delivery point reaches the hook; a non-None
+        ``fault_hook`` then keeps the hop per-record until the window
+        closes.  Other channels — and injectors holding only crash or
+        stall faults — never leave the batched plane.
+        """
+        self.job.quiesce_batches(channels)
+        saved = [(channel, channel.fault_hook) for channel in channels]
+        for channel in channels:
+            channel.fault_hook = hook
+
+        def unhook():
+            for channel, previous in saved:
+                if channel.fault_hook is hook:
+                    channel.fault_hook = previous
+        return unhook
+
     def open_channel_window(self, fault, action: str) -> None:
         """Drop or duplicate matching records until the window closes."""
         channels = self.channels_between(fault.from_op, fault.to_op)
@@ -351,14 +365,10 @@ class FaultInjector:
                 return action
             return None
 
-        saved = [(channel, channel.fault_hook) for channel in channels]
-        for channel in channels:
-            channel.fault_hook = hook
+        unhook = self._hook_channels(channels, hook)
 
         def close():
-            for channel, previous in saved:
-                if channel.fault_hook is hook:
-                    channel.fault_hook = previous
+            unhook()
             self.injected.append(
                 (self.sim.now, "WindowClosed",
                  f"{action} window {fault.from_op}->{fault.to_op}: "
@@ -389,19 +399,19 @@ class FaultInjector:
 
             def redeliver(ch=channel, el=element):
                 if ch.input_channel is not None:
+                    # Out-of-band arrival: a carrier queued after the
+                    # window closed may hold members the per-record plane
+                    # delivers only after this one.
+                    self.job.quiesce_batches([ch])
                     ch.input_channel.deliver(el)
 
             self.sim.call_in(fault.hold, redeliver)
             return "drop"
 
-        saved = [(channel, channel.fault_hook) for channel in channels]
-        for channel in channels:
-            channel.fault_hook = hook
+        unhook = self._hook_channels(channels, hook)
 
         def close():
-            for channel, previous in saved:
-                if channel.fault_hook is hook:
-                    channel.fault_hook = previous
+            unhook()
             self.injected.append(
                 (self.sim.now, "WindowClosed",
                  f"delay window {fault.from_op}->{fault.to_op}: "

@@ -37,12 +37,14 @@ import hashlib
 from typing import Dict, List, Optional
 
 from ..engine.graph import Partitioning
+from ..engine.records import RecordBatch
 from ..engine.state import StateStatus
 
 __all__ = [
     "check_exactly_once_state",
     "check_unique_ownership",
     "check_routing_consistency",
+    "check_carrier_counts",
     "check_all",
     "semantic_trace",
     "check_backend_equivalence",
@@ -140,11 +142,27 @@ def check_routing_consistency(job, op_name: str) -> List[str]:
     return violations
 
 
+def check_carrier_counts(job, op_name: str) -> List[str]:
+    """Every input channel's ``_nbatches`` equals the batch carriers
+    actually in its queue (queue surgery must go through the plane)."""
+    violations: List[str] = []
+    for instance in job.instances(op_name):
+        for channel in instance.input_channels:
+            queued = sum(element.__class__ is RecordBatch
+                         for element in channel.queue)
+            if channel._nbatches != queued:
+                violations.append(
+                    f"{channel.name}: _nbatches={channel._nbatches} but "
+                    f"{queued} carriers queued")
+    return violations
+
+
 def check_all(job, op_name: str,
               oracle: Optional[Dict] = None) -> List[str]:
     """Run every structural check (and the oracle check when given)."""
     violations = check_unique_ownership(job, op_name)
     violations += check_routing_consistency(job, op_name)
+    violations += check_carrier_counts(job, op_name)
     if oracle is not None:
         violations += check_exactly_once_state(job, op_name, oracle)
     return violations

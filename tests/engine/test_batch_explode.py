@@ -143,10 +143,47 @@ def test_quiesce_batches_explodes_everything_columnar():
     job.stop()
 
 
-def test_disable_batching_clears_columnar_flag():
-    job = build_keyed_job(job_config=JobConfig(record_plane="columnar"))
-    job.start()
-    job.disable_batching()
-    assert job._batching is False
-    assert job.columnar_active is False
+def _shipped_counters(batching, quiesce_at=None):
+    """Ship 8 x 200 B over a 1 MB/s link with telemetry on; optionally
+    quiesce mid-serialize.  Returns (elements_shipped, bytes_shipped)."""
+    from repro.telemetry import Telemetry
+
+    sim, channel, input_channel = _wire_channel()
+    channel.batching = batching
+    channel.telemetry = telemetry = Telemetry(sim)
+    _send_records(sim, channel, 8)
+    if quiesce_at is not None:
+        sim.run(until=quiesce_at)
+        assert channel._serializing.__class__ is RecordBatch
+        channel.quiesce()  # parent: Counter.inc(-n) -> ValueError
+        assert channel._serializing.__class__ is RecordBatch
+        assert len(channel._serializing.records) < 8  # really unwound
+    sim.run()
+    assert input_channel.total_depth() == 8
+    registry = telemetry.registry
+    return (registry.counter("channel.elements_shipped",
+                             channel=channel.name).value,
+            registry.counter("channel.bytes_shipped",
+                             channel=channel.name).value)
+
+
+def test_unwind_mid_serialize_keeps_ship_counters_monotone():
+    """Unwinding a ship batch mid-serialize must not decrement a Counter;
+    the final tallies equal the per-record plane's."""
+    reference = _shipped_counters(batching=False)
+    assert reference == (8.0, 1600.0)
+    assert _shipped_counters(batching=True) == reference
+    assert _shipped_counters(batching=True, quiesce_at=0.0003) == reference
+
+
+def test_reroute_lanes_never_batch():
+    """Auxiliary (re-route) lanes are built per-record on every plane: the
+    recovery manager's aux-lane hold and stranded-record sweep read queue
+    heads as individual records."""
+    job = build_keyed_job()
+    assert job._batching
+    src, dst = job.instances("agg")
+    lane = job.create_direct_channel(src, dst)
+    assert lane.batching is False
+    assert lane.input_channel.is_auxiliary
     job.stop()

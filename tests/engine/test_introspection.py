@@ -79,3 +79,5 @@ def test_job_summary_consistency():
     assert summary["instances"] == len(job.all_instances())
     assert summary["records_generated"] >= summary["records_delivered"] >= 0
     assert summary["total_state_mb"] > 0
+    assert summary["record_plane"] == job.config.record_plane
+    assert summary["plane_collapses"] == job.plane_collapses == 0

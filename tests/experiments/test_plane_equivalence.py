@@ -8,10 +8,11 @@ digests, scaling metrics, per-instance counters) and the chaos invariant
 reports (checkpoint recoveries included) to match exactly.
 """
 
-from repro.engine.runtime import JobConfig
-from repro.experiments.chaos_bank import CHAOS_SCENARIOS, _crash_mid_subscale
+import pytest
+
+from repro.experiments.chaos_bank import CHAOS_SCENARIOS
 from repro.experiments.golden import capture_q7_trace
-from repro.faults.chaos import ChaosHarness, ChaosScenario
+from repro.faults.chaos import ChaosHarness
 
 
 def test_q7_drrs_rescale_planes_equivalent():
@@ -29,20 +30,21 @@ def test_q7_drrs_rescale_columnar_equivalent():
     assert columnar["semantic"] == single["semantic"]
 
 
+def _chaos_doc(name, record_plane, seed=7):
+    """One chaos run's report minus the fields that name the plane."""
+    report = ChaosHarness(CHAOS_SCENARIOS[name], seed=seed,
+                          record_plane=record_plane).run()
+    assert report.passed, report.summary()
+    doc = report.to_dict()
+    assert doc.pop("record_plane") == record_plane
+    return doc
+
+
 def test_chaos_crash_mid_subscale_columnar_equivalent():
-    """Fault window + checkpoint barrier + recovery explode, columnar."""
-    batched = ChaosHarness(CHAOS_SCENARIOS["crash-mid-subscale"],
-                           seed=7).run()
-    columnar_scenario = ChaosScenario(
-        "crash-mid-subscale-columnar",
-        lambda seed: _crash_mid_subscale(
-            seed, job_config=JobConfig(record_plane="columnar")),
-        "crash-mid-subscale forced onto the columnar plane")
-    columnar = ChaosHarness(columnar_scenario, seed=7).run()
-    assert batched.passed and columnar.passed
-    b, c = batched.to_dict(), columnar.to_dict()
-    b.pop("scenario"), c.pop("scenario")
-    assert b == c
+    """Fault window + checkpoint barrier + recovery explode, columnar:
+    same eventing as the batched plane, down to the kernel event count."""
+    assert (_chaos_doc("crash-mid-subscale", "columnar")
+            == _chaos_doc("crash-mid-subscale", "batched"))
 
 
 def test_q7_noscale_planes_equivalent():
@@ -51,25 +53,23 @@ def test_q7_noscale_planes_equivalent():
     assert batched["semantic"] == single["semantic"]
 
 
-def test_chaos_crash_mid_subscale_planes_equivalent():
-    """The §IV-C acceptance scenario under both planes.
+@pytest.mark.parametrize("name", sorted(CHAOS_SCENARIOS))
+def test_chaos_planes_equivalent(name):
+    """Every chaos scenario, batched vs. per-record.
 
-    The batched job is collapsed to per-record eventing by the recovery
-    manager / fault injector hooks before any fault fires, so the two runs
-    must produce the *same* invariant report: same recoveries (times and
-    restored checkpoint ids), same injected faults, same violations (none),
-    and the same kernel event count.
+    Faults and recovery collapse the batched plane only for their own
+    window (a restore, a fault window's hop, a rescale), so the batched
+    run really rides carriers between them — and must still produce the
+    *same* invariant report: same recoveries (times and restored
+    checkpoint ids), same injected faults and window hit counts, same
+    violations (none), same semantic trace.  Only the kernel event count
+    and the collapse tally may differ, and the batched plane must dispatch
+    strictly fewer events: equal counts mean something collapsed it for
+    the whole job again.
     """
-    batched = ChaosHarness(CHAOS_SCENARIOS["crash-mid-subscale"],
-                           seed=7).run()
-    single_scenario = ChaosScenario(
-        "crash-mid-subscale-single",
-        lambda seed: _crash_mid_subscale(
-            seed, job_config=JobConfig(record_plane="single")),
-        "crash-mid-subscale forced onto the per-record plane")
-    single = ChaosHarness(single_scenario, seed=7).run()
-
-    assert batched.passed and single.passed
-    b, s = batched.to_dict(), single.to_dict()
-    b.pop("scenario"), s.pop("scenario")
-    assert b == s
+    batched = _chaos_doc(name, "batched")
+    single = _chaos_doc(name, "single")
+    assert batched.pop("kernel_events") < single.pop("kernel_events")
+    batched.pop("plane_collapses")  # may be 0: nothing in flight at a crash
+    assert single.pop("plane_collapses") == 0
+    assert batched == single

@@ -7,6 +7,8 @@ wall-clock optimizations, so every combination of
 subtree and the same chaos invariant reports bit-for-bit.
 """
 
+import functools
+
 import pytest
 
 from repro.engine.runtime import JobConfig
@@ -42,19 +44,20 @@ def test_q7_noscale_identical_across_scheduler_plane_matrix():
 def test_chaos_crash_mid_subscale_identical_under_calendar(plane):
     """The §IV-C acceptance scenario: calendar × plane vs the heap run.
 
-    Fault windows force the plane to collapse to per-record eventing, so
-    this exercises the explode path under the calendar scheduler too.
+    The rescale and the restore each collapse the plane for their window,
+    so this exercises the explode path under the calendar scheduler too.
     """
     reference = ChaosHarness(CHAOS_SCENARIOS["crash-mid-subscale"],
                              seed=7).run()
     scenario = ChaosScenario(
         f"crash-mid-subscale-calendar-{plane}",
-        lambda seed: _crash_mid_subscale(
-            seed, job_config=JobConfig(record_plane=plane,
-                                       scheduler="calendar")),
+        functools.partial(_crash_mid_subscale,
+                          job_config=JobConfig(scheduler="calendar")),
         "crash-mid-subscale under the calendar-queue scheduler")
-    run = ChaosHarness(scenario, seed=7).run()
+    run = ChaosHarness(scenario, seed=7, record_plane=plane).run()
     assert reference.passed and run.passed
     ref_doc, doc = reference.to_dict(), run.to_dict()
     ref_doc.pop("scenario"), doc.pop("scenario")
+    assert doc.pop("record_plane") == plane
+    assert ref_doc.pop("record_plane") == "batched"
     assert doc == ref_doc

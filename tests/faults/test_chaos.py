@@ -47,6 +47,11 @@ def test_report_shape():
     assert doc["passed"] is True
     assert doc["violations"] == []
     assert doc["state_backend"] == "dict"
+    assert doc["record_plane"] == "batched"
+    # The delay window collapses its hop when it opens, and again for each
+    # late re-delivery that finds batch state on it.
+    assert doc["plane_collapses"] >= 1
+    assert "plane=batched collapsed" in report.summary()
     assert doc["semantic_trace"]["digest"]
     assert "delay-blip" in report.summary()
 

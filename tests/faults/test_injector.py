@@ -1,12 +1,17 @@
 """FaultInjector: inertness, determinism, windows, phase triggers."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (CheckpointCoordinator, JobGraph, KeyedReduceLogic,
                           OperatorSpec, Partitioning, Record, StreamJob)
+from repro.engine.cluster import ClusterModel, LinkSpec, NodeSpec
+from repro.engine.records import RecordBatch
 from repro.engine.recovery import RecoveryManager
-from repro.faults import (CrashInstance, DropRecords, DuplicateRecords,
-                          FaultInjector)
+from repro.engine.runtime import JobConfig
+from repro.faults import (CrashInstance, DelayRecords, DropRecords,
+                          DuplicateRecords, FaultInjector)
 
 
 def small_job(stop_at=6.0):
@@ -132,3 +137,122 @@ def test_same_seed_same_run():
         return job.sim.events_processed, list(injector.injected)
 
     assert one_run() == one_run()
+
+
+# -- fault hooks see every record, on every plane ----------------------------
+
+_WINDOWS = {
+    "drop": lambda **kw: DropRecords("src", "agg", **kw),
+    "duplicate": lambda **kw: DuplicateRecords("src", "agg", **kw),
+    "delay": lambda **kw: DelayRecords("src", "agg", hold=0.004, **kw),
+}
+
+
+def _burst_run(record_plane, kind, open_at, eligible, probability=1.0,
+               probe=None):
+    """Two 24-record bursts over a slow hop (0.2 ms serialize per record,
+    2 ms latency), so one wire carrier's members become visible over
+    several milliseconds, with a 3 ms fault window opened at ``open_at``.
+
+    ``eligible`` makes the receiver a silent reducer that runs analytic
+    consume-batches (and is slow enough to take carrier members ahead of
+    their delivery time); otherwise it emits every update to the sink.
+    """
+    slow = LinkSpec(latency=0.002, bandwidth=1e6)
+    cluster = ClusterModel([NodeSpec("n0")], default_link=slow,
+                           loopback=slow)
+    graph = JobGraph("hook", num_key_groups=8)
+    graph.add_source("src", service_time=1e-5)
+    graph.add_operator(OperatorSpec(
+        "agg",
+        logic_factory=lambda: KeyedReduceLogic(
+            lambda old, r: (old or 0) + r.count,
+            emit_updates=not eligible),
+        parallelism=1, service_time=5e-4 if eligible else 1e-4,
+        keyed=True))
+    graph.add_sink("sink", collect=True)
+    graph.connect("src", "agg", Partitioning.HASH)
+    graph.connect("agg", "sink", Partitioning.FORWARD)
+    job = StreamJob(graph, cluster=cluster,
+                    config=JobConfig(record_plane=record_plane)).build()
+    src = job.sources()[0]
+
+    def burst():
+        for i in range(24):
+            src.offer(Record(key=f"k{i % 5}", event_time=job.sim.now,
+                             count=1, size_bytes=200.0))
+
+    # Off-grid burst times: no delivery shares a timestamp with the window.
+    job.sim.call_at(1.000003, burst)
+    job.sim.call_at(1.0081, burst)
+    if probe is not None:  # scheduled first: sees the hop pre-collapse
+        job.sim.call_at(open_at, lambda: probe(job))
+    injector = FaultInjector(job, seed=3)
+    injector.add(_WINDOWS[kind](duration=0.003, probability=probability,
+                                at=open_at)).arm()
+    job.run(until=3.0)
+    agg = job.instances("agg")[0]
+    return {
+        "faults": injector.injected,
+        "state": sorted((key, value) for group in agg.state.groups()
+                        for key, value in group.entries.items()),
+        "sink": [(r.key, r.value) for r in job.sink_logic().collected],
+        "processed": agg.records_processed,
+        "busy_seconds": agg.busy_seconds,
+    }
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(sorted(_WINDOWS)),
+       open_at=st.floats(min_value=0.999, max_value=1.024),
+       eligible=st.booleans(), probability=st.sampled_from([1.0, 0.5]))
+def test_fault_window_hits_the_same_records_on_both_planes(
+        kind, open_at, eligible, probability):
+    """A window opening anywhere in a carrier's life — members still
+    serializing, on the wire, queued but not yet visible, or already taken
+    by an analytic consume-batch — hits exactly the records the per-record
+    plane's window hits: same ``WindowClosed ... N records``, same state,
+    same sink sequence."""
+    batched = _burst_run("batched", kind, open_at, eligible, probability)
+    single = _burst_run("single", kind, open_at, eligible, probability)
+    assert batched == single
+
+
+@pytest.mark.parametrize("open_at,where", [
+    (1.001, {"serializing": True, "wire": True, "queue": False}),
+    (1.0055, {"serializing": False, "wire": True, "queue": True}),
+    (1.0065, {"serializing": False, "wire": False, "queue": True})])
+def test_window_opening_mid_carrier_hits_the_unseen_members(open_at, where):
+    """Pinned cases of the above, each checked to open while a carrier
+    really is mid-serialize / on the wire / queued with unseen members (a
+    hook installed without collapsing the hop, or a deliver path that
+    ignores it, misses those members)."""
+    seen = {}
+
+    def probe(job):
+        channel = job.instances("src")[0].router.all_channels()[0]
+        seen["serializing"] = channel._serializing.__class__ is RecordBatch
+        seen["wire"] = any(el.__class__ is RecordBatch
+                           for el, _epoch in channel._wire)
+        seen["queue"] = channel.input_channel._nbatches > 0
+
+    batched = _burst_run("batched", "drop", open_at, False, probe=probe)
+    assert seen == where
+    assert batched == _burst_run("single", "drop", open_at, False)
+    assert not batched["faults"][-1][2].endswith(": 0 records")
+
+
+def test_crash_only_injector_never_collapses_the_plane():
+    """Crash and stall faults install no channel hook: adding them must not
+    touch the record plane (the parent collapsed it for the whole job)."""
+    job_a, _ = small_job()
+    job_a.run(until=3.0)
+    job_b, _ = small_job()
+    recovery = RecoveryManager(job_b).install()
+    FaultInjector(job_b, recovery=recovery).add(
+        CrashInstance("agg", 0, at=100.0)).arm()
+    job_b.run(until=3.0)
+    assert job_b._batching and job_b.plane_collapses == 0
+    assert all(channel.batching for inst in job_b.all_instances()
+               for channel in inst.router.all_channels())
