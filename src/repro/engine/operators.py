@@ -470,7 +470,7 @@ class OperatorInstance:
         sim = self.sim
         while self.running:
             if self.paused:
-                yield self.wake.wait()
+                yield self.wake
                 continue
             if self._inband:
                 fn = self._inband.pop(0)
@@ -482,7 +482,7 @@ class OperatorInstance:
                     break
                 suspended = self.input_handler.suspended
                 start = self.sim.now
-                yield self.wake.wait()
+                yield self.wake
                 if suspended:
                     self._note_suspension(start, self.sim.now)
                 continue
@@ -1098,7 +1098,7 @@ class OperatorInstance:
     def _handle_marker(self, marker: LatencyMarker):
         cost = self.service_time(1)
         if cost > 0:
-            yield self.sim.timeout(cost)
+            yield cost  # bare-delay yield == sim.timeout(cost)
             self.busy_seconds += cost
         if self.spec.is_sink:
             self.metrics.record_latency(self.sim.now,

@@ -288,7 +288,7 @@ class SourceInstance(OperatorInstance):
     def _run(self):
         while self.running:
             if self.paused:
-                yield self.wake.wait()
+                yield self.wake
                 continue
             if self._inband:
                 fn = self._inband.pop(0)
@@ -299,7 +299,7 @@ class SourceInstance(OperatorInstance):
                 yield from self.handle_element(None, element)
                 continue
             if not self.pending:
-                yield self.wake.wait()
+                yield self.wake
                 continue
             element = self.pending.popleft()
             self.consumed_elements += 1

@@ -292,10 +292,11 @@ class Process(Event):
 
     Yield protocol: the generator yields :class:`Event` instances — or a
     bare ``float``/``int`` delay, shorthand for ``sim.timeout(delay)``
-    without the Event allocation (same heap position, same counter draw).
+    without the Event allocation (same heap position, same counter draw),
+    or an :class:`~repro.simulation.primitives.EdgeWake` to park on.
     When the yielded event fires, the process resumes with the event's value
-    (or the exception, for failed events); a bare delay resumes with
-    ``None``.
+    (or the exception, for failed events); a bare delay or a wake resumes
+    with ``None``.
     """
 
     __slots__ = ("_generator", "name", "_waiting_on", "_timeout_entry")
@@ -339,6 +340,12 @@ class Process(Event):
             if entry is not None:
                 entry._defunct = True
                 self._timeout_entry = None
+        elif type(target) is EdgeWake:
+            # Parked: un-park, so neither a later fire() nor a wake already
+            # on the heap resumes the process a second time.
+            self._waiting_on = None
+            target._owner = None
+            target._armed = False
         elif target is not None:
             self._waiting_on = None
             callbacks = target.callbacks
@@ -409,6 +416,12 @@ class Process(Event):
                 self._waiting_on = _TIMEOUT_WAIT
                 sim._push(
                     sim._heap, (when, next(sim._counter), entry))
+                return
+            if kind is EdgeWake:
+                # Park: nothing allocated or scheduled until the wake fires.
+                target._owner = self
+                target._armed = True
+                self._waiting_on = target
                 return
             if not isinstance(target, Event):
                 raise SimulationError(
@@ -830,3 +843,7 @@ class Simulator:
                 heap.pop()
                 continue
             return item[0]
+
+
+# Last: primitives builds on the names above; Process tells a wake by type.
+from .primitives import EdgeWake  # noqa: E402

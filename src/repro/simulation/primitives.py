@@ -4,7 +4,9 @@ These are the building blocks the streaming engine uses to model bounded
 buffers, wake-up conditions and resource gates:
 
 * :class:`Signal` — a re-armable "something changed, re-check your condition"
-  wake-up, the backbone of every operator's main loop.
+  wake-up for any number of waiters.
+* :class:`EdgeWake` — the single-owner park every operator and source main
+  loop idles on.
 * :class:`BoundedStore` — a FIFO buffer with blocking put (backpressure) and
   blocking get.
 * :class:`Semaphore` — counted resource gate (used for per-node subscale
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Optional
 
-from .kernel import Event, SimulationError, Simulator
+from .kernel import Event, SimulationError, Simulator, _Callback
 
 __all__ = ["Signal", "EdgeWake", "BoundedStore", "Semaphore"]
 
@@ -55,37 +57,44 @@ class Signal:
 
 
 class EdgeWake:
-    """Edge-triggered wake-up: a :meth:`fire` with no waiter is dropped.
+    """Edge-triggered park for one main loop: a :meth:`fire` while its
+    owner is not parked is dropped.
+
+    The owner ``yield``s the wake itself, which allocates and schedules
+    nothing; :meth:`fire` on a parked owner pushes the wake's one reusable
+    heap entry at ``(now, next(counter))`` — the draw ``Event.succeed()``
+    would make — and later fires are dropped until the owner parks again.
 
     Strictly cheaper than :class:`Signal` — no pending latch means no
     spurious wake/re-poll round-trip through the event heap when a producer
-    fires while the consumer is busy.  It is only correct for consumers that
-    re-check *all* of their wake conditions immediately before each
-    :meth:`wait`, with no simulation dispatch in between (the operator and
-    source main loops do exactly this: the wakeable state — input queues,
-    in-band functions, pause/stop flags — is re-read at the top of every
-    loop iteration, so a dropped fire can never strand observable work).
-    One-shot waiters that may :meth:`wait` *after* the producer fired must
+    fires while the consumer is busy.  It is only correct for a consumer
+    that re-checks *all* of its wake conditions immediately before each
+    park, with no simulation dispatch in between (the operator and source
+    main loops do exactly this: the wakeable state — input queues, in-band
+    functions, pause/stop flags — is re-read at the top of every loop
+    iteration, so a dropped fire can never strand observable work).
+    Several waiters, or one that may wait *after* the producer fired, must
     keep using :class:`Signal`.
     """
 
-    __slots__ = ("_sim", "_waiters")
+    __slots__ = ("_sim", "_entry", "_owner", "_armed")
 
     def __init__(self, sim: Simulator):
         self._sim = sim
-        self._waiters: List[Event] = []
-
-    def wait(self) -> Event:
-        ev = self._sim.event()
-        self._waiters.append(ev)
-        return ev
+        self._entry = _Callback(self._wake)
+        self._owner = None  # the parked Process; cleared by an interrupt
+        self._armed = False  # parked, and no wake on the heap yet
 
     def fire(self) -> None:
-        if self._waiters:
-            waiters, self._waiters = self._waiters, []
-            for ev in waiters:
-                if not ev.triggered:
-                    ev.succeed()
+        if self._armed:
+            self._armed = False
+            sim = self._sim
+            sim._push(sim._heap, (sim._now, next(sim._counter), self._entry))
+
+    def _wake(self) -> None:
+        owner = self._owner
+        if owner is not None:  # else interrupted while the wake was in flight
+            owner._resume(self._sim._done)
 
 
 class BoundedStore:

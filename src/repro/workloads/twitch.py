@@ -190,4 +190,4 @@ class TwitchWorkload(Workload):
             if sim.now >= next_watermark:
                 source.offer(Watermark(timestamp=sim.now - cfg.watermark_lag))
                 next_watermark = sim.now + cfg.watermark_interval
-            yield sim.timeout(cfg.batch_size / current_rate)
+            yield cfg.batch_size / current_rate  # bare delay, no Event

@@ -69,3 +69,58 @@ def assert_assignment_consistent(job: StreamJob, op_name: str) -> None:
                 group = other.state.group(kg)
                 assert group is None or not group.processable, (
                     f"kg {kg} duplicated on instance {other.index}")
+
+
+class EventPerWaitWake:
+    """The ``EdgeWake`` from before main loops parked, kept as a test-only
+    oracle: one fresh ``Event`` and callback list per wait, fired through
+    ``succeed()`` and ``Event._dispatch``."""
+
+    def __init__(self, sim):
+        self._sim = sim
+        self._waiters = []
+
+    def wait(self):
+        ev = self._sim.event()
+        self._waiters.append(ev)
+        return ev
+
+    def fire(self):
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            for ev in waiters:
+                if not ev.triggered:
+                    ev.succeed()
+
+
+def use_oracle_wake(job: StreamJob) -> StreamJob:
+    """Make every instance of a built, not yet started job idle the old way.
+
+    Each ``_run`` is driven through an adapter that swaps the yielded wake
+    for ``oracle.wait()``; everything else the generator yields (delays,
+    send events, an interrupt thrown in) passes through untouched.
+    """
+    for instance in job.all_instances():
+        oracle = instance.wake = EventPerWaitWake(instance.sim)
+        instance._run = _oracle_run(oracle, instance._run)
+    return job
+
+
+def _oracle_run(oracle, make_generator):
+    def run():
+        gen = make_generator()
+        step, arg = gen.send, None
+        while True:
+            try:
+                target = step(arg)
+            except StopIteration:
+                return
+            try:
+                if target is oracle:
+                    yield oracle.wait()
+                    step, arg = gen.send, None
+                else:
+                    step, arg = gen.send, (yield target)
+            except BaseException as exc:  # e.g. a batch-preempt Interrupt
+                step, arg = gen.throw, exc
+    return run

@@ -1,9 +1,9 @@
-"""Signal, BoundedStore and Semaphore behaviour."""
+"""Signal, EdgeWake, BoundedStore and Semaphore behaviour."""
 
 import pytest
 
-from repro.simulation import (BoundedStore, Semaphore, Signal,
-                              SimulationError, Simulator)
+from repro.simulation import (BoundedStore, EdgeWake, Interrupt, Semaphore,
+                              Signal, SimulationError, Simulator)
 
 
 class TestSignal:
@@ -165,35 +165,19 @@ class TestSemaphore:
 
 
 class TestEdgeWake:
-    def test_fire_wakes_all_current_waiters(self):
-        from repro.simulation import EdgeWake
+    # The multi-waiter case went with the behaviour: an EdgeWake parks one
+    # owner; several waiters use Signal (TestSignal covers that).
 
-        sim = Simulator()
-        wake = EdgeWake(sim)
-        log = []
-
-        def proc(i):
-            yield wake.wait()
-            log.append(i)
-
-        for i in range(3):
-            sim.spawn(proc(i))
-        sim.call_at(1.0, wake.fire)
-        sim.run()
-        assert sorted(log) == [0, 1, 2]
-
-    def test_fire_with_no_waiters_is_dropped(self):
-        # Edge-triggered: unlike Signal, a fire with nobody waiting latches
-        # nothing.  A later wait() parks until the *next* fire.
-        from repro.simulation import EdgeWake
-
+    def test_fire_with_nobody_parked_is_dropped(self):
+        # Edge-triggered: unlike Signal, a fire with nobody parked latches
+        # nothing.  A later park lasts until the *next* fire.
         sim = Simulator()
         wake = EdgeWake(sim)
         wake.fire()  # dropped
         log = []
 
         def proc():
-            yield wake.wait()
+            yield wake
             log.append(sim.now)
 
         sim.spawn(proc())
@@ -201,17 +185,15 @@ class TestEdgeWake:
         sim.run()
         assert log == [3.0]
 
-    def test_waiters_cleared_after_fire(self):
-        from repro.simulation import EdgeWake
-
+    def test_rearms_after_each_wake(self):
         sim = Simulator()
         wake = EdgeWake(sim)
         log = []
 
         def proc():
-            yield wake.wait()
+            yield wake
             log.append(("first", sim.now))
-            yield wake.wait()
+            yield wake
             log.append(("second", sim.now))
 
         sim.spawn(proc())
@@ -219,3 +201,86 @@ class TestEdgeWake:
         sim.call_at(2.0, wake.fire)
         sim.run()
         assert log == [("first", 1.0), ("second", 2.0)]
+
+    def test_two_fires_before_the_dispatch_resume_once(self):
+        sim = Simulator()
+        wake = EdgeWake(sim)
+        resumed = []
+
+        def proc():
+            while True:
+                yield wake
+                resumed.append(sim.now)
+
+        sim.spawn(proc())
+
+        def burst():
+            wake.fire()
+            wake.fire()
+
+        sim.call_at(1.0, burst)
+        before = sim.events_processed
+        sim.run()
+        assert resumed == [1.0]
+        # start event + burst callback + exactly one wake entry
+        assert sim.events_processed - before == 3
+
+    def test_wake_draws_the_counter_an_event_succeed_would(self):
+        # The parked wake and an Event fired in the same dispatch keep
+        # their fire order on the heap.
+        sim = Simulator()
+        wake = EdgeWake(sim)
+        ev_before, ev_after = sim.event(), sim.event()
+        log = []
+
+        def parked():
+            yield wake
+            log.append("wake")
+
+        def waiter(ev, tag):
+            yield ev
+            log.append(tag)
+
+        sim.spawn(parked())
+        sim.spawn(waiter(ev_before, "before"))
+        sim.spawn(waiter(ev_after, "after"))
+
+        def burst():
+            ev_before.succeed()
+            wake.fire()
+            ev_after.succeed()
+
+        sim.call_at(1.0, burst)
+        sim.run()
+        assert log == ["before", "wake", "after"]
+
+    def test_interrupt_unparks(self):
+        # A fire after the interrupt must not resume the process a second
+        # time -- neither a later one nor one already on the heap.
+        for fire_first in (False, True):
+            sim = Simulator()
+            wake = EdgeWake(sim)
+            log = []
+
+            def proc():
+                try:
+                    yield wake
+                    log.append("woken")
+                except Interrupt as intr:
+                    log.append(("interrupted", intr.cause))
+                yield 5.0
+                log.append(("slept", sim.now))
+
+            p = sim.spawn(proc())
+
+            def hit():
+                if fire_first:
+                    wake.fire()  # its entry is on the heap already
+                p.interrupt("stop")
+                wake.fire()  # dropped: nobody is parked any more
+
+            sim.call_at(1.0, hit)
+            sim.call_at(2.0, wake.fire)
+            sim.run()
+            assert log == [("interrupted", "stop"), ("slept", 6.0)]
+            assert not p.is_alive
