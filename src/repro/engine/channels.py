@@ -25,7 +25,6 @@ from typing import Callable, Deque, List, Optional, TYPE_CHECKING
 
 from ..simulation.kernel import Event, Simulator, _Callback
 from .cluster import LinkSpec
-from .columnar import cumulative_ship_times
 from .records import RecordBatch, StreamElement, Watermark
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,9 +52,8 @@ class Channel:
                  "_drain_entry", "_ship_entry", "_deliver_entry",
                  "_serializing", "_serializing_epoch", "_wire",
                  "fault_hook", "batching", "max_batch", "_job",
-                 "_deferred", "_credit_wake_at", "_reservations",
-                 "_reserve_wake_at", "_ship_due", "_fused_entry",
-                 "_fuse_due")
+                 "_reservations", "_reserve_wake_at", "_ship_due",
+                 "_fused_entry", "_fuse_due")
 
     def __init__(self, sim: Simulator, link: LinkSpec, name: str = "",
                  outbox_capacity: int = 64, inbox_capacity: int = 64):
@@ -117,14 +115,6 @@ class Channel:
         #: Owning StreamJob (None for standalone channels); consulted live
         #: for ``scaling_active`` so batches never span a rescale window.
         self._job = None
-        #: Due times of flow-control credits owed by records the consumer
-        #: popped *early* (analytic batch execution pops the whole batch at
-        #: formation; the per-record plane would return each credit at that
-        #: record's service boundary).  Sorted ascending; materialized
-        #: lazily at kick/drain time, with an explicit wake-up when the
-        #: drainer would otherwise stall past a due time.
-        self._deferred: Deque[float] = deque()
-        self._credit_wake_at: Optional[float] = None
         #: Release times of *virtual outbox slots*: a ship batch empties k
         #: slots at formation where the per-record drainer would free them
         #: one serialize at a time, so k-1 phantom occupants keep send-side
@@ -318,8 +308,6 @@ class Channel:
         if batch is not None and batch.__class__ is RecordBatch:
             self._unwind_serializing(batch)
             found = True
-        if self._deferred:
-            self.materialize_credits(self.sim._now)
         # Carriers past the serialize slot explode at delivery.
         return found or any(element.__class__ is RecordBatch
                             for element, _epoch in self._wire)
@@ -382,9 +370,8 @@ class Channel:
             if not ev.triggered:
                 ev.succeed()
         self.credits = self.inbox_capacity
-        # Credits are whole again and in-flight batches are invalidated:
-        # pending early-pop credits and phantom outbox slots die with them.
-        self._deferred.clear()
+        # In-flight batches are invalidated: their phantom outbox slots die
+        # with them.
         self._reservations.clear()
         self._kick()
 
@@ -397,7 +384,6 @@ class Channel:
         for ev, _element in waiters:
             if not ev.triggered:
                 ev.succeed()
-        self._deferred.clear()
         self._reservations.clear()
         self._kick()
 
@@ -482,67 +468,16 @@ class Channel:
         if (self._drain_parked and not self._closed and self.outbox
                 and self.input_channel is not None):
             if self.credits <= 0:
-                if self._deferred \
-                        and self.materialize_credits(self.sim._now):
-                    pass  # an early-pop credit came due: drain proceeds
-                else:
-                    if self._deferred:
-                        self._schedule_credit_wake()
-                    if self.telemetry is not None:
-                        # The drain pass this kick would have started would
-                        # have stalled on flow control; count it here since
-                        # the pass itself is elided.
-                        self.telemetry.registry.counter(
-                            "channel.credit_stalls", channel=self.name).inc()
-                    return
+                if self.telemetry is not None:
+                    # The drain pass this kick would have started would
+                    # have stalled on flow control; count it here since
+                    # the pass itself is elided.
+                    self.telemetry.registry.counter(
+                        "channel.credit_stalls", channel=self.name).inc()
+                return
             self._drain_parked = False
             sim = self.sim
             sim.schedule_entry(sim._now, self._drain_entry)
-
-    # -- deferred early-pop credits -------------------------------------------
-
-    def defer_credit(self, due: float) -> None:
-        """Register a flow-control credit that comes due at time ``due``.
-
-        Dues are registered in ascending order (analytic batch boundaries),
-        keeping :attr:`_deferred` sorted.
-        """
-        self._deferred.append(due)
-
-    def cancel_deferred_credit(self, due: float) -> None:
-        """Drop one pending credit with time ``due`` (batch preemption
-        hands the record back unconsumed, so its pop never happened)."""
-        d = self._deferred
-        for i in range(len(d) - 1, -1, -1):
-            if d[i] == due:
-                del d[i]
-                return
-
-    def materialize_credits(self, now: float) -> int:
-        """Convert every deferred credit with due time <= ``now``."""
-        d = self._deferred
-        n = 0
-        while d and d[0] <= now:
-            d.popleft()
-            n += 1
-        if n:
-            self.credits += n
-        return n
-
-    def _schedule_credit_wake(self) -> None:
-        d = self._deferred
-        if not d:
-            return
-        due = d[0]
-        at = self._credit_wake_at
-        if at is not None and at <= due:
-            return
-        self._credit_wake_at = due
-        self.sim.call_at(due, self._credit_fire)
-
-    def _credit_fire(self) -> None:
-        self._credit_wake_at = None
-        self._kick()
 
     def _drain_loop(self) -> None:
         """Serialize and ship outbox elements until blocked or drained.
@@ -553,19 +488,12 @@ class Channel:
         """
         sim = self.sim
         while True:
-            if self._deferred:
-                self.materialize_credits(sim._now)
             if (self._closed or not self.outbox or self.credits <= 0
                     or self.input_channel is None):
                 if self._closed:
                     return
                 if (self.outbox and self.credits <= 0
                         and self.input_channel is not None):
-                    if self._deferred:
-                        # Stalled on flow control with early-pop credits
-                        # pending: the per-record drainer would resume at
-                        # the next pop boundary.
-                        self._schedule_credit_wake()
                     if self.telemetry is not None:
                         # Flow control, not emptiness, is stalling the
                         # drainer.
@@ -643,45 +571,24 @@ class Channel:
         limit = min(self.credits, self.max_batch)
         records = [first]
         total = first.size_bytes
-        job = self._job
-        if job is not None and job.columnar_active:
-            # Columnar plane: pop the run first, then compute every member's
-            # cumulative serialize time with one np.add.accumulate — the
-            # same left-to-right float64 additions the scalar loop below
-            # performs, so the ship/delivery instants are bitwise equal.
-            sizes = [first.size_bytes]
-            while len(records) < limit and outbox:
-                nxt = outbox[0]
-                if not nxt.is_record:
-                    break
-                if nxt.size_bytes / bandwidth <= 0:
-                    break
-                outbox.popleft()
-                records.append(nxt)
-                sizes.append(nxt.size_bytes)
-                total += nxt.size_bytes
-            if len(records) == 1:
-                return None
-            ship_times = cumulative_ship_times(sizes, sim._now, bandwidth)
-        else:
-            s = sim._now + ser
-            ship_times = [s]
-            while len(records) < limit and outbox:
-                nxt = outbox[0]
-                if not nxt.is_record:
-                    break
-                nser = nxt.size_bytes / bandwidth
-                if nser <= 0:
-                    break
-                outbox.popleft()
-                records.append(nxt)
-                s += nser
-                ship_times.append(s)
-                total += nxt.size_bytes
-            if len(records) == 1:
-                # The run evaporated (head re-checked ineligible): restore
-                # the per-element path for `first`.
-                return None
+        s = sim._now + ser
+        ship_times = [s]
+        while len(records) < limit and outbox:
+            nxt = outbox[0]
+            if not nxt.is_record:
+                break
+            nser = nxt.size_bytes / bandwidth
+            if nser <= 0:
+                break
+            outbox.popleft()
+            records.append(nxt)
+            s += nser
+            ship_times.append(s)
+            total += nxt.size_bytes
+        if len(records) == 1:
+            # The run evaporated (head re-checked ineligible): restore
+            # the per-element path for `first`.
+            return None
         k = len(records)
         latency = link.latency
         visible = [t + latency for t in ship_times]
@@ -884,19 +791,11 @@ class InputChannel:
 
     def block(self, token) -> None:
         self.block_tokens.add(token)
-        # An analytic consume-batch was formed against the old block state;
-        # collapse it so subsequent poll decisions see the new one.
-        inst = self.instance
-        if getattr(inst, "_batch_records", None) is not None:
-            inst.preempt_batch()
 
     def unblock(self, token) -> None:
         self.block_tokens.discard(token)
-        inst = self.instance
-        if getattr(inst, "_batch_records", None) is not None:
-            inst.preempt_batch()
         if not self.block_tokens:
-            inst.wake.fire()
+            self.instance.wake.fire()
 
     def deliver(self, element: StreamElement) -> None:
         self.queue.append(element)

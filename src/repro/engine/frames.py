@@ -22,9 +22,8 @@ decoded element is indistinguishable from its pipe-transported twin and
 the sharded equivalence bar (byte-identical sink dumps, state digests,
 watermark traces) is unaffected by transport choice.
 
-Column arrays are reused from the columnar record plane when available:
-``RecordBatch.columns()`` views serialize via ``ndarray.tobytes`` (a
-memcpy) instead of per-field Python loops.
+With numpy present, ``RecordBatch.columns()`` views serialize via
+``ndarray.tobytes`` (a memcpy) instead of per-field Python loops.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..simulation.kernel import Interrupt, Simulator, _At
+from ..simulation.kernel import Simulator
 from ..simulation.primitives import EdgeWake
 from .channels import InputChannel
 from .cluster import NodeSpec
@@ -50,42 +50,12 @@ __all__ = [
 class OperatorLogic:
     """User-level processing logic; one instance per parallel subtask."""
 
-    #: True when ``on_record`` is safe to apply *analytically* at a batch
-    #: member's precomputed service-end time: it must not read ``sim.now``
-    #: (use the ``at_time`` of :meth:`on_record_at` instead) and must
-    #: return no outputs (outputs would be emitted at batch end rather
-    #: than at each record's own end — wrong send times).  Off by default;
-    #: the engine then falls back to per-record processing for this logic.
-    batch_eligible: bool = False
-
-    #: Optional whole-batch application hook: a callable
-    #: ``on_record_batch(records, lo, hi, instance)`` applying members
-    #: ``records[lo:hi]`` in one call, or None (the default) to apply them
-    #: via :meth:`on_record_at` one by one.  Implementations MUST be
-    #: bit-identical to the member-by-member path — same state mutations in
-    #: the same float-accumulation order — and, like :attr:`batch_eligible`,
-    #: must emit nothing.  The instance still performs all per-member
-    #: accounting (busy time, counters); this hook only replaces the logic
-    #: application itself.
-    on_record_batch = None
-
     def open(self, instance: "OperatorInstance") -> None:
         """Called once before the first element."""
 
     def on_record(self, record: Record,
                   instance: "OperatorInstance") -> List[StreamElement]:
         raise NotImplementedError
-
-    def on_record_at(self, record: Record, instance: "OperatorInstance",
-                     at_time: float) -> List[StreamElement]:
-        """Batched-plane application of one record at time ``at_time``.
-
-        ``at_time`` is the record's service-end time — under analytic batch
-        execution it may differ from ``sim.now``.  Logics that timestamp
-        side effects (e.g. sinks feeding metrics) override this; the
-        default delegates to :meth:`on_record`.
-        """
-        return self.on_record(record, instance)
 
     def on_watermark(self, timestamp: float,
                      instance: "OperatorInstance") -> List[StreamElement]:
@@ -158,10 +128,6 @@ class KeyedReduceLogic(OperatorLogic):
         self.reduce_fn = reduce_fn
         self.emit_updates = emit_updates
         self.state_bytes_per_record = state_bytes_per_record
-        # Emitting logics produce outputs per record, which analytic batch
-        # application cannot time correctly — only the silent form is
-        # batch-safe (instance attribute shadows the class flag).
-        self.batch_eligible = not emit_updates
 
     def on_record(self, record, instance):
         kg = record.key_group
@@ -179,8 +145,6 @@ class KeyedReduceLogic(OperatorLogic):
 class SinkLogic(OperatorLogic):
     """Terminal operator: counts arrivals and optionally collects output."""
 
-    batch_eligible = True
-
     def __init__(self, collect: bool = False):
         self.collect = collect
         self.collected: List[Record] = []
@@ -189,16 +153,6 @@ class SinkLogic(OperatorLogic):
     def on_record(self, record, instance):
         self.records_in += record.count
         instance.metrics.record_sink_input(instance.sim.now, record.count)
-        if self.collect:
-            self.collected.append(record)
-        return []
-
-    def on_record_at(self, record, instance, at_time):
-        # Same as on_record, but the throughput sample is stamped with the
-        # record's own service-end time rather than sim.now (which sits at
-        # batch end during analytic application).
-        self.records_in += record.count
-        instance.metrics.record_sink_input(at_time, record.count)
         if self.collect:
             self.collected.append(record)
         return []
@@ -285,45 +239,6 @@ class DefaultInputHandler(InputHandler):
 # Operator instance runtime
 # ---------------------------------------------------------------------------
 
-#: Formation-scan sentinels: the channel is provably empty at the probed
-#: boundary (poll would move on) / the poll outcome is ambiguous or
-#: batch-breaking (formation must end at the previous boundary).
-_SKIP = object()
-_STOP = object()
-
-
-def _consume_arrival_bound(ic: InputChannel, now: float) -> float:
-    """Lower bound on when the next element can be *delivered* into ``ic``
-    beyond what is already queued.
-
-    Used by consume-batch formation to prove a channel stays empty through
-    a future poll boundary.  Returns ``now`` when nothing is provable (an
-    arrival time the sender side does not expose), which makes every
-    boundary test fail — the conservative outcome.
-    """
-    backing = ic.channel
-    if backing is None:
-        return now  # direct-fed channel: arrivals are unknowable
-    wire = backing._wire
-    if wire:
-        head = wire[0][0]
-        if head.__class__ is RecordBatch:
-            # The batch's members arrive at their per-record delivery
-            # times; everything behind it on the FIFO wire arrives later.
-            return head.visible_times[0]
-        return now  # plain in-flight element: delivery time not exposed
-    if backing._serializing is not None:
-        # Wire empty: the serializing element (or the outbox behind it)
-        # cannot be delivered before its ship completion + propagation.
-        return backing._ship_due + backing.link.latency
-    if backing._closed:
-        return float("inf")
-    if backing.outbox or backing._send_waiters:
-        return now  # drainer stalled on flow control: resume time unknown
-    # Nothing queued or in flight: any future send still pays propagation.
-    return now + backing.link.latency
-
-
 class OperatorInstance:
     """One parallel subtask: a DES process bound to a cluster node."""
 
@@ -379,20 +294,6 @@ class OperatorInstance:
         self._pending_checkpoint: Dict[int, set] = {}
         self._inband: List = []
         self._process = None
-        # Analytic consume-batch state (batched record plane).  Parallel
-        # arrays over the batch members: the records themselves, their
-        # service-end times, their source channels, and the poll cursor
-        # value after each pick (so preemption can rewind the round-robin
-        # to exactly where the per-record plane would stand); plus the wire
-        # carriers the batch emptied, so preemption can put them back.
-        self._batch_records: Optional[List[Record]] = None
-        self._batch_ends: Optional[List[float]] = None
-        self._batch_channels: Optional[List[InputChannel]] = None
-        self._batch_cursors: Optional[List[int]] = None
-        self._batch_emptied: Optional[List[RecordBatch]] = None
-        self._batch_start = 0.0
-        self._batch_applied = 0
-        self._batch_pending_end = 0.0
         self._vis_wake_at: Optional[float] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -426,17 +327,11 @@ class OperatorInstance:
     def stop(self) -> None:
         self.running = False
         self.job._live_names = None
-        if self._batch_records is not None:
-            self.preempt_batch()
         self.wake.fire()
 
     def pause(self) -> None:
         self.paused = True
         self.job._live_names = None
-        # The per-record plane pauses at the next element boundary; an
-        # analytic batch must collapse to that same boundary.
-        if self._batch_records is not None:
-            self.preempt_batch()
 
     def resume(self) -> None:
         self.paused = False
@@ -458,10 +353,6 @@ class OperatorInstance:
         for atomically updating routing tables and emitting barriers.
         """
         self._inband.append(fn)
-        if self._batch_records is not None:
-            # Collapse an analytic batch so the injection lands at the next
-            # element boundary, exactly where the per-record plane runs it.
-            self.preempt_batch()
         self.wake.fire()
 
     # -- main loop ------------------------------------------------------------------
@@ -498,19 +389,6 @@ class OperatorInstance:
                     count = element.count
                     cost = (self.spec.service_time * count
                             / self.node.speed)
-                    job = self.job
-                    if (cost > 0 and job._batching
-                            and not job.scaling_active
-                            and self.logic.batch_eligible
-                            and not self._inband
-                            and job.record_capture_listener is None
-                            and job.aux_hold_hook is None
-                            and type(self.input_handler)
-                            is DefaultInputHandler
-                            and self._try_form_batch(channel, element,
-                                                     cost)):
-                        yield from self._run_batch()
-                        continue
                     self.current_key_group = element.key_group
                     try:
                         if cost > 0:
@@ -607,404 +485,6 @@ class OperatorInstance:
     def _vis_fire(self) -> None:
         self._vis_wake_at = None
         self.wake.fire()
-
-    # -- analytic consume batches (batched record plane) ----------------------
-
-    def _try_form_batch(self, first_channel: InputChannel, first: Record,
-                        first_cost: float) -> bool:
-        """Try to assemble an analytic consume-batch starting with ``first``.
-
-        Replays the per-record plane's poll alternation forward in time: at
-        each boundary (the previous record's service end) the round-robin
-        outcome must be *provable* from state frozen in this dispatch —
-        queued elements, in-batch visibility times, and lower bounds on the
-        next wire arrival.  Formation stops at the first boundary where the
-        outcome is ambiguous (possible unseen arrival, non-record head,
-        exact-tie visibility) or batch-breaking (watermark/barrier/EOS at
-        the head).  On success (>= 2 provable back-to-back records) the
-        members are popped with their flow-control credits deferred to the
-        per-record pop boundaries, the descriptor state is parked on the
-        instance, and True is returned; otherwise no state is touched.
-        """
-        channels = self.input_channels
-        # Fast reject: every pick comes from an element already queued at
-        # formation time (the arrival bound can only prove emptiness, never
-        # supply a record), so with all queues empty a second pick is
-        # impossible and the scan below cannot succeed.  Forming is also a
-        # pure perf choice (execution is bit-identical either way), so skip
-        # shallow queues outright: a 2-member batch elides one heap event —
-        # less than the formation scan costs.  A queued carrier means a
-        # ship batch's worth of members is waiting; that is always worth
-        # the scan.
-        depth = 0
-        for ch in channels:
-            if ch._nbatches:
-                depth = 2
-                break
-            depth += len(ch.queue)
-        if depth < 2:
-            return False
-        handler = self.input_handler
-        n = len(channels)
-        max_size = self.job.config.max_batch_size
-        if max_size < 2:
-            return False
-        sim = self.sim
-        now = sim._now
-        service_time = self.spec.service_time
-        speed = self.node.speed
-        records = [first]
-        ends = [now + first_cost]
-        chans = [first_channel]
-        cursors = [handler._cursor]
-        cursor = handler._cursor % n
-        # Degenerate fast path: when exactly one channel holds queued
-        # content and every other is blocked or empty, each round-robin
-        # rotation provably lands on that channel as long as the boundary
-        # stays below every empty channel's arrival bound — the per-
-        # boundary scan collapses to two float compares per pick.  Ending
-        # earlier than the general scan would (min_bound is position-
-        # blind) only shortens the batch, which is always sound.
-        run_general = True
-        live = -1
-        min_bound = float("inf")
-        for ci in range(n):
-            ch = channels[ci]
-            if ch.block_tokens:
-                continue
-            if ch.queue:
-                if live >= 0:
-                    live = -2  # two live channels: general scan required
-                    break
-                live = ci
-            else:
-                bound = _consume_arrival_bound(ch, now)
-                if bound < min_bound:
-                    min_bound = bound
-        if live == -1:
-            return False  # nothing queued anywhere: no second pick exists
-        if live >= 0:
-            run_general = False
-            lch = channels[live]
-            q = lch.queue
-            qlen = len(q)
-            cursor = (live + 1) % n
-            qi = 0
-            bi = -1
-            b = ends[0]
-            while b < min_bound and len(records) < max_size:
-                if qi >= qlen:
-                    # Live channel exhausted and every other channel is
-                    # empty: no further pick is provable (or possible).
-                    break
-                el = q[qi]
-                if el.__class__ is RecordBatch:
-                    if bi < 0:
-                        bi = el.next_index
-                    if bi >= len(el.records):
-                        qi += 1
-                        bi = -1
-                        continue
-                    vt = el.visible_times[bi]
-                    if vt >= b:
-                        break  # not yet delivered (or exact tie) at b
-                    rec = el.records[bi]
-                    bi += 1
-                elif el.is_record:
-                    rec = el
-                    qi += 1
-                else:
-                    break  # watermark/barrier/EOS head ends the batch
-                records.append(rec)
-                b = b + service_time * rec.count / speed
-                ends.append(b)
-                chans.append(lch)
-                cursors.append(cursor)
-        # Per-channel virtual consumption pointer [queue index, member
-        # index within a batch carrier; -1 = not yet resolved], and a
-        # lazily-computed per-channel arrival bound (index = channel slot).
-        if run_general:
-            pointers: List[Optional[List[int]]] = [None] * n
-            bounds: List[Optional[float]] = [None] * n
-        while run_general and len(records) < max_size:
-            b = ends[-1]
-            picked = None
-            scan = cursor
-            for _ in range(n):
-                ch = channels[scan]
-                ci = scan
-                scan += 1
-                if scan == n:
-                    scan = 0
-                if ch.block_tokens:
-                    # Block state is frozen through the batch window:
-                    # block/unblock preempt any in-flight batch, so a
-                    # formation-time snapshot is sound.
-                    continue
-                ptr = pointers[ci]
-                if ptr is None:
-                    ptr = pointers[ci] = [0, -1]
-                qi, bi = ptr
-                q = ch.queue
-                qlen = len(q)
-                head = None
-                while qi < qlen:
-                    el = q[qi]
-                    if el.__class__ is RecordBatch:
-                        if bi < 0:
-                            bi = el.next_index
-                        if bi >= len(el.records):
-                            qi += 1
-                            bi = -1
-                            continue
-                        vt = el.visible_times[bi]
-                        if vt < b:
-                            head = el.records[bi]
-                        elif vt > b:
-                            # Provably not yet delivered at b; everything
-                            # behind it arrives later still.
-                            head = _SKIP
-                        else:
-                            head = _STOP  # exact tie: dispatch order unknowable
-                        break
-                    head = el if el.is_record else _STOP
-                    break
-                ptr[0] = qi
-                ptr[1] = bi
-                if head is None:
-                    # Virtual queue exhausted: need an arrival proof.
-                    bound = bounds[ci]
-                    if bound is None:
-                        bound = bounds[ci] = _consume_arrival_bound(ch, now)
-                    if b < bound:
-                        continue  # provably still empty at b
-                    picked = _STOP
-                    break
-                if head is _SKIP:
-                    continue
-                if head is _STOP:
-                    picked = _STOP
-                    break
-                picked = (ci, ch, head)
-                cursor = scan
-                break
-            if picked is None or picked is _STOP:
-                break
-            ci, ch, rec = picked
-            ptr = pointers[ci]
-            qi, bi = ptr
-            el = ch.queue[qi]
-            if el.__class__ is RecordBatch:
-                bi += 1
-                if bi >= len(el.records):
-                    qi += 1
-                    bi = -1
-            else:
-                qi += 1
-            ptr[0] = qi
-            ptr[1] = bi
-            records.append(rec)
-            ends.append(b + service_time * rec.count / speed)
-            chans.append(ch)
-            cursors.append(cursor)
-        k = len(records)
-        if k < 2:
-            return False
-        # ---- commit: pop members, defer their credits, park descriptor ----
-        emptied: List[RecordBatch] = []
-        for i in range(1, k):
-            ch = chans[i]
-            q = ch.queue
-            el = q[0]
-            if el.__class__ is RecordBatch:
-                el.next_index += 1
-                if el.next_index == len(el.records):
-                    q.popleft()
-                    ch._nbatches -= 1
-                    emptied.append(el)
-            else:
-                q.popleft()
-            backing = ch.channel
-            if backing is not None:
-                # The per-record plane returns this credit at the record's
-                # poll boundary (= previous record's service end).
-                backing.defer_credit(ends[i - 1])
-        handler._cursor = cursors[-1]
-        self._batch_records = records
-        self._batch_ends = ends
-        self._batch_channels = chans
-        self._batch_cursors = cursors
-        self._batch_emptied = emptied
-        self._batch_start = now
-        self._batch_applied = 0
-        self._batch_pending_end = ends[-1]
-        return True
-
-    def _run_batch(self):
-        """Sleep to the batch's final service end, then apply all members.
-
-        A preemption (scaling quiesce, in-band injection, pause/stop,
-        block/unblock) interrupts the sleep after :meth:`preempt_batch` has
-        applied completed members, requeued unstarted ones and retargeted
-        ``_batch_pending_end`` to the in-progress member's end — the loop
-        re-parks until then.
-        """
-        while True:
-            try:
-                yield _At(self._batch_pending_end)
-            except Interrupt:
-                if self._batch_records is None:
-                    return  # fully settled by the preemption
-                continue
-            records = self._batch_records
-            if records is None:
-                return
-            self._apply_batch_prefix(len(records))
-            self._clear_batch()
-            return
-
-    def _apply_batch_prefix(self, j: int) -> None:
-        """Apply members ``[_batch_applied, j)`` at their own end times.
-
-        Arithmetic mirrors the per-record hot path expression-for-
-        expression (``end - prev`` is the same float subtraction the
-        per-record ``sim.now - start`` performs), so counters stay
-        bit-identical.
-        """
-        i = self._batch_applied
-        if j <= i:
-            return
-        records = self._batch_records
-        ends = self._batch_ends
-        logic = self.logic
-        telemetry = self.job.telemetry
-        counter = None
-        if telemetry is not None:
-            counter = telemetry.registry.counter(
-                "records.processed", operator=self.spec.name)
-        prev = self._batch_start if i == 0 else ends[i - 1]
-        busy = self.busy_seconds
-        processed = self.records_processed
-        batch_fn = logic.on_record_batch
-        if batch_fn is not None:
-            # Whole-batch application: the accounting loop stays per-member
-            # (``end - prev`` is the same float subtraction sequence), the
-            # logic applies the members in one call.
-            lo = i
-            while i < j:
-                end = ends[i]
-                busy = busy + (end - prev)
-                count = records[i].count
-                processed += count
-                if counter is not None:
-                    counter.inc(count)
-                prev = end
-                i += 1
-            batch_fn(records, lo, j, self)
-        else:
-            while i < j:
-                rec = records[i]
-                end = ends[i]
-                busy = busy + (end - prev)
-                count = rec.count
-                processed += count
-                if counter is not None:
-                    counter.inc(count)
-                logic.on_record_at(rec, self, end)
-                prev = end
-                i += 1
-        self.busy_seconds = busy
-        self.records_processed = processed
-        self._batch_applied = j
-
-    def _clear_batch(self) -> None:
-        self._batch_records = None
-        self._batch_ends = None
-        self._batch_channels = None
-        self._batch_cursors = None
-        self._batch_emptied = None
-        self._batch_applied = 0
-        self.current_key_group = None
-
-    def sync_batch(self) -> None:
-        """Apply members whose service end has passed (run() boundaries).
-
-        Observers examining the world between ``Simulator.run`` calls see
-        per-record-identical counters and sink samples; the rest of the
-        batch stays armed for the next run.
-        """
-        records = self._batch_records
-        if records is None:
-            return
-        now = self.sim._now
-        ends = self._batch_ends
-        n = len(records)
-        j = self._batch_applied
-        while j < n and ends[j] <= now:
-            j += 1
-        self._apply_batch_prefix(j)
-
-    def preempt_batch(self) -> None:
-        """Collapse an in-flight analytic batch at the current time.
-
-        Members whose service completed are applied; members not yet
-        started go back to the *front* of their channels (their deferred
-        credits cancelled — on the per-record plane their pops never
-        happened) and the poll cursor rewinds to the in-progress member's
-        position.  A member taken from a wire carrier goes back *into* that
-        carrier, so one the per-record plane has not delivered yet keeps
-        its delivery time (a later explode routes it past the fault hook)
-        and a sender-side unwind still truncates it.  The in-progress
-        member keeps its original end time: the
-        process is interrupted and re-parks until then, after which the
-        main loop resumes per-record polling against real state.
-        """
-        records = self._batch_records
-        if records is None:
-            return
-        now = self.sim._now
-        ends = self._batch_ends
-        n = len(records)
-        j = self._batch_applied
-        while j < n and ends[j] <= now:
-            j += 1
-        self._apply_batch_prefix(j)
-        if j >= n:
-            self._clear_batch()
-            self._process.interrupt("batch-preempt")
-            return
-        chans = self._batch_channels
-        emptied = self._batch_emptied
-        for i in range(n - 1, j, -1):
-            ch = chans[i]
-            rec = records[i]
-            q = ch.queue
-            # Walking backwards, a member taken from a carrier is the last
-            # one its carrier gave up: of the head carrier, or of the most
-            # recently emptied one (which then goes back on the queue).
-            head = q[0] if q else None
-            if emptied and emptied[-1].records[-1] is rec:
-                head = emptied.pop()
-                q.appendleft(head)
-                ch._nbatches += 1
-                head.next_index -= 1
-            elif (head.__class__ is RecordBatch and head.next_index
-                    and head.records[head.next_index - 1] is rec):
-                head.next_index -= 1
-            else:
-                q.appendleft(rec)
-            backing = ch.channel
-            if backing is not None:
-                backing.cancel_deferred_credit(ends[i - 1])
-        cursors = self._batch_cursors
-        del records[j + 1:]
-        del ends[j + 1:]
-        del chans[j + 1:]
-        del cursors[j + 1:]
-        self.input_handler._cursor = cursors[j]
-        self._batch_pending_end = ends[j]
-        self.current_key_group = records[j].key_group
-        self._process.interrupt("batch-preempt")
 
     # -- element handling ---------------------------------------------------------
 

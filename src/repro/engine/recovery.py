@@ -148,10 +148,8 @@ class RecoveryManager:
         if self._installed:
             return self
         self._installed = True
-        # The capture listener and the auxiliary-lane hold keep analytic
-        # consume-batches off (their formation gate reads both hooks); the
-        # channel half of the batched plane stays on and collapses only for
-        # the duration of a restore (:meth:`_recover`).
+        # The batched plane stays on and collapses only for the duration
+        # of a restore (:meth:`_recover`).
         self.job.snapshot_listener = self._on_snapshot
         self.job.flight_landed_hook = self._on_flight_landed
         self.job.record_capture_listener = self._on_record

@@ -12,7 +12,6 @@ import enum
 from typing import Dict, List, TYPE_CHECKING
 
 from .channels import Channel
-from .columnar import partition_by_target
 from .keys import key_to_key_group
 from .records import LatencyMarker, Record, StreamElement
 
@@ -53,9 +52,6 @@ class OutputEdge:
         self._rr = 0
         #: key-group -> Channel, derived from routing_table + channels.
         self._channel_cache: Dict[int, Channel] = {}
-        #: Dense ``key-group -> target index`` list for vectorized burst
-        #: partitioning; rebuilt lazily after every routing change.
-        self._dense_table = None
 
     def add_channel(self, channel: Channel) -> int:
         """Register a channel to a (possibly new) downstream instance."""
@@ -74,7 +70,6 @@ class OutputEdge:
     def invalidate_cache(self) -> None:
         """Drop the key-group → channel cache (routing changed)."""
         self._channel_cache.clear()
-        self._dense_table = None
 
     def channel_for_record(self, record: Record) -> Channel:
         partitioning = self.partitioning
@@ -95,34 +90,6 @@ class OutputEdge:
             self._rr += 1
             return channel
         raise ValueError(f"record on {partitioning} edge")
-
-    def partition_burst(self, records) -> dict:
-        """Columnar fan-out split: target channel index → member indices.
-
-        The vectorized (stable ``np.argsort``/``np.bincount``) counterpart
-        of calling :meth:`channel_for_record` on each record of a burst:
-        per-target member order equals the sequential routing loop's
-        arrival order exactly.  Key-groups are resolved (and stamped) the
-        same way the scalar path resolves them; the routing table is
-        densified once and cached until :meth:`invalidate_cache`.  HASH
-        edges only.
-        """
-        if self.partitioning is not Partitioning.HASH:
-            raise ValueError(f"partition_burst on {self.partitioning} edge")
-        key_groups = []
-        for record in records:
-            kg = record.key_group
-            if kg is None:
-                kg = key_to_key_group(record.key, self.num_key_groups)
-                record.key_group = kg
-            key_groups.append(kg)
-        table = self._dense_table
-        if table is None:
-            table = [0] * self.num_key_groups
-            for kg, target in self.routing_table.items():
-                table[kg] = target
-            self._dense_table = table
-        return partition_by_target(key_groups, table)
 
     def channel_for_marker(self, marker: LatencyMarker) -> Channel:
         if self.partitioning is Partitioning.HASH:

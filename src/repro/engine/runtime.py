@@ -52,18 +52,16 @@ class JobConfig:
     #: default transfer bandwidth fraction this caps aggregate state traffic
     #: at roughly the host link rate.
     max_concurrent_transfers_per_host: int = 4
-    #: Record plane: ``"batched"`` moves micro-batches end-to-end through
-    #: the source→channel→operator hot loop (bit-identical semantics,
-    #: golden-trace enforced); ``"columnar"`` is the batched plane plus
-    #: numpy-backed column views over each batch (vectorized window-pane
-    #: accumulation and batch formation — falls back to plain batched
-    #: behaviour when numpy is unavailable); ``"single"`` is the
-    #: per-record reference implementation.  Rescales, fault windows and
-    #: recoveries collapse the batched planes to per-record state for
-    #: their own window, never for the rest of the job.
+    #: Record plane: ``"batched"`` ships runs of records over a channel as
+    #: one wire carrier (bit-identical semantics, golden-trace enforced);
+    #: ``"single"`` is the per-record reference implementation.  Operators
+    #: consume one record at a time on both.  Rescales, fault windows and
+    #: recoveries collapse the batched plane to per-record state for their
+    #: own window, never for the rest of the job.
     record_plane: str = "batched"
-    #: Upper bound on records per micro-batch; credits and channel
-    #: occupancy shrink actual batches below this.
+    #: Upper bound on records per wire carrier — the only batches there
+    #: are; credits and channel occupancy shrink actual carriers below
+    #: this.
     max_batch_size: int = 64
     #: Kernel event scheduler: ``"heap"`` (binary heap) or ``"calendar"``
     #: (calendar-queue / bucketed wheel — same dispatch order
@@ -107,7 +105,7 @@ class JobConfig:
 
     #: Legal record planes / schedulers / batch-size bounds (also enforced
     #: by :class:`~..experiments.harness.ExperimentConfig` overrides).
-    RECORD_PLANES = ("batched", "single", "columnar")
+    RECORD_PLANES = ("batched", "single")
     SCHEDULERS = ("heap", "calendar")
     STATE_BACKENDS = ("dict", "changelog")
     SHARD_TRANSPORTS = ("auto", "shm", "pipe")
@@ -358,20 +356,13 @@ class StreamJob:
             raise ValueError(
                 f"unknown record_plane: {self.config.record_plane!r} "
                 f"(expected one of: {', '.join(JobConfig.RECORD_PLANES)})")
-        #: True when the record plane rides micro-batch carriers ("batched"
-        #: and "columnar"); decided by ``record_plane`` alone for the life
-        #: of the job.  Rescales, fault windows and recoveries collapse the
-        #: plane for their own window through :meth:`quiesce_batches`.
-        self._batching = self.config.record_plane in ("batched", "columnar")
+        #: True when the record plane rides micro-batch carriers; decided
+        #: by ``record_plane`` alone for the life of the job.  Rescales,
+        #: fault windows and recoveries collapse the plane for their own
+        #: window through :meth:`quiesce_batches`.
+        self._batching = self.config.record_plane == "batched"
         #: :meth:`quiesce_batches` calls that found batch state to collapse.
         self.plane_collapses = 0
-        #: True when the columnar plane is selected *and* numpy is present:
-        #: channels vectorize batch-formation ship times, carriers expose
-        #: column views.  Without numpy the "columnar" plane degrades to
-        #: exactly the "batched" plane (same bits either way).
-        from .columnar import HAVE_NUMPY
-        self.columnar_active = (self.config.record_plane == "columnar"
-                                and HAVE_NUMPY)
         self._instances: Dict[str, List[OperatorInstance]] = {}
         #: Cache behind :meth:`live_instance_names`; every ``running`` /
         #: ``paused`` flip resets it to None.
@@ -567,13 +558,7 @@ class StreamJob:
 
     def run(self, until: Optional[float] = None) -> float:
         self.start()
-        end = self.sim.run(until=until)
-        if self._batching:
-            # The per-record plane leaves every record whose service ended
-            # by `until` fully applied; catch analytic batch application up
-            # to the stop time so metrics reads between runs are identical.
-            self._sync_batches()
-        return end
+        return self.sim.run(until=until)
 
     def stop(self) -> None:
         for instance in self.all_instances():
@@ -585,13 +570,13 @@ class StreamJob:
                         ) -> None:
         """Collapse in-flight micro-batches to per-record state.
 
-        Preempts active analytic batch executions (unfinished members go
-        back to their input channels) and explodes batches queued at input
-        channels; batches still on a wire explode at delivery (the deliver
-        path re-checks the plane).  Formation gates read ``scaling_active``
-        and ``fault_hook`` live, so a caller that needs a per-record window
-        (rescale, fault window, recovery) quiesces once when it opens and
-        the plane stays collapsed for as long as its gate holds.
+        Unwinds ship batches mid-serialize and explodes batches queued at
+        input channels; batches still on a wire explode at delivery (the
+        deliver path re-checks the plane).  Formation gates read
+        ``scaling_active`` and ``fault_hook`` live, so a caller that needs a
+        per-record window (rescale, fault window, recovery) quiesces once
+        when it opens and the plane stays collapsed for as long as its gate
+        holds.
         ``channels`` narrows the collapse to those channels and their
         receivers (a fault window's hop); the default is the whole job.
         """
@@ -604,14 +589,7 @@ class StreamJob:
                       for input_channel in instance.input_channels]
         else:
             inputs = [channel.input_channel for channel in channels]
-            # Each receiver once: a preempted batch stays parked until its
-            # in-progress member ends and must not be interrupted twice.
-            receivers = dict.fromkeys(ic.instance for ic in inputs)
         found = False
-        for instance in receivers:
-            if instance._batch_records is not None:
-                instance.preempt_batch()
-                found = True
         # Sender side first: unwinding a mid-serialize ship batch truncates
         # the shared carrier, so the consumer-side materialize below sees
         # only the members that per-record serialization had committed.
@@ -621,13 +599,6 @@ class StreamJob:
             found |= input_channel.materialize(now)
         if found:
             self.plane_collapses += 1
-
-    def _sync_batches(self) -> None:
-        """Apply the completed prefix of every active analytic batch."""
-        for instance in self.all_instances():
-            sync = getattr(instance, "sync_batch", None)
-            if sync is not None:
-                sync()
 
     def invalidate_routing_caches(self, op_name: str) -> None:
         """Drop every sender-side routing cache targeting ``op_name``.

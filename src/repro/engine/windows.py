@@ -26,21 +26,11 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, List, Optional
 
-from .columnar import numpy_module
 from .operators import OperatorLogic
 from .records import Record, StreamElement
 from .state import PROCESSABLE, mutation_clock
 
 __all__ = ["SlidingWindowAggregateLogic", "WindowedJoinLogic"]
-
-#: Minimum same-(key-group, bucket) run length before the columnar
-#: accumulation path pays for its per-pane array setup.  Below this the
-#: scalar adds win; batch-wide bucketing is vectorized regardless.
-_COLUMNAR_MIN_RUN = 3
-
-#: Minimum consume-batch size before building the column view at all.
-_COLUMNAR_MIN_BATCH = 8
-
 
 # One (key-group, window-start) aggregation pane, stored as a bare list for
 # update speed: [count, bytes, value].  With ~size/slide panes touched per
@@ -79,11 +69,6 @@ class _PaneLogic(OperatorLogic):
     emitted record keys) and ``_BYTES`` (where a pane keeps its byte tally),
     and implement :meth:`_fold` and :meth:`_emit`.
     """
-
-    # Pane feeding reads only the record (event_time/count/value) and the
-    # state backend — never sim.now — and emits nothing per record, so the
-    # batched plane may apply records analytically at their end times.
-    batch_eligible = True
 
     _TAG = _OUT = _BYTES = None
 
@@ -162,7 +147,7 @@ class _PaneLogic(OperatorLogic):
         self._starts_memo[bucket] = pane_keys
         return pane_keys
 
-    def on_record(self, record, instance, at_time=None):
+    def on_record(self, record, instance):
         event_time = record.event_time
         bucket = math.floor(event_time / self.slide)
         pane_keys = self._starts_memo.get(bucket)
@@ -191,9 +176,6 @@ class _PaneLogic(OperatorLogic):
         if note is not None:
             note(kg, grown)
         return []
-
-    # Time-blind (``batch_eligible``): analytic application is the same call.
-    on_record_at = on_record
 
     # -- fire path ------------------------------------------------------------
 
@@ -315,33 +297,6 @@ class SlidingWindowAggregateLogic(_PaneLogic):
             return candidate
         return current
 
-    @staticmethod
-    def _columnar_run_max(recs, a, b, panes):
-        """Fold the run's max candidate, or None when ineligible.
-
-        The columnar path collapses the per-record, per-pane max fold
-        into one fold over the run plus a single compare per pane.  That
-        collapse is observably identical only when every comparison is
-        exception-free and totally ordered, so it is gated on all
-        candidates — and all current pane values — being plain non-NaN
-        ints or floats; bools, NaNs and mixed types keep the scalar
-        path's try/except, first-write-wins semantics.
-        """
-        for pane in panes:
-            v = pane[_P_VALUE]
-            if v is not None and type(v) is not int and type(v) is not float:
-                return None
-        runmax = None
-        for idx in range(a, b):
-            rec = recs[idx]
-            cand = rec.value if rec.value is not None else rec.count
-            t = type(cand)
-            if (t is not int and t is not float) or cand != cand:
-                return None
-            if runmax is None or cand > runmax:
-                runmax = cand
-        return runmax
-
     def _fold(self, entries, pane_keys, record, count, added):
         new_panes = 0
         if not self._fast_agg:
@@ -376,168 +331,6 @@ class SlidingWindowAggregateLogic(_PaneLogic):
     @property
     def windows_fired(self) -> int:
         return self._purged
-
-    def on_record_batch(self, records, lo, hi, instance):
-        """Apply consume-batch members ``records[lo:hi]`` in one call.
-
-        Bit-identical to calling :meth:`on_record` member-by-member:
-        members are regrouped by key-group — safe, because two key-groups
-        never share a pane, an entries dict or a ``size_bytes`` cell — and
-        within a group processed in arrival order, with the per-pane dict
-        lookups hoisted out of runs of records sharing one slide bucket.
-        Every float accumulates into its pane and into ``size_bytes`` in
-        exactly the per-record order, so sums match to the last bit.
-        Custom ``agg_fn``s may observe global call order, so only the
-        default (max) aggregate takes the regrouped path.
-
-        Under the columnar record plane, long same-bucket runs additionally
-        take a vectorized path over :meth:`RecordBatch.columns` views:
-        integer count sums are order-free and therefore exact, and float
-        byte accumulations use ``np.add.accumulate`` seeded with the
-        current accumulator so the left-to-right IEEE-754 addition order —
-        and therefore every bit of the result — matches the scalar path.
-        The per-pane max fold collapses to one fold plus one compare per
-        pane, gated on plain-numeric values (see
-        :meth:`_columnar_run_max`).
-        """
-        if not self._fast_agg:
-            for idx in range(lo, hi):
-                self.on_record(records[idx], instance)
-            return
-        cols = added_all = buckets_all = None
-        if (hi - lo >= _COLUMNAR_MIN_BATCH
-                and getattr(instance.job, "columnar_active", False)):
-            from .records import RecordBatch
-            cols = RecordBatch(records[lo:hi]).columns()
-            if cols is not None:
-                # One vector multiply for every member's byte increment;
-                # each element equals the scalar path's ``bpr * count``
-                # exactly (same IEEE-754 double multiply).
-                added_all = self.bytes_per_record * cols.count
-                # Batch-wide slide buckets in one vectorized pass:
-                # float64 divide + floor + int64 narrowing produce the
-                # same integers as per-record ``math.floor(t / slide)``
-                # (identical IEEE-754 divide, values far below 2^53).
-                _np = numpy_module()
-                buckets_all = _np.floor(
-                    cols.event_time / self.slide).astype(
-                        _np.int64).tolist()
-        by_kg: dict = {}
-        by_pos: dict = {}
-        for idx in range(lo, hi):
-            rec = records[idx]
-            kg = rec.key_group
-            lst = by_kg.get(kg)
-            if lst is None:
-                by_kg[kg] = [rec]
-                if cols is not None:
-                    by_pos[kg] = [idx - lo]
-            else:
-                lst.append(rec)
-                if cols is not None:
-                    by_pos[kg].append(idx - lo)
-        state = instance.state
-        groups = state._groups
-        note = state.note_in_place
-        memo = self._starts_memo
-        slide = self.slide
-        bpr = self.bytes_per_record
-        bpe = state.bytes_per_entry
-        floor_of = math.floor
-        for kg, recs in by_kg.items():
-            group = groups.get(kg)
-            if group is None:
-                group = state.register_group(kg)
-            entries = group.entries
-            gsb = group.size_bytes
-            pos = by_pos.get(kg) if cols is not None else None
-            m = len(recs)
-            a = 0
-            while a < m:
-                rec = recs[a]
-                if pos is not None:
-                    bucket = buckets_all[pos[a]]
-                    b = a + 1
-                    while b < m and buckets_all[pos[b]] == bucket:
-                        b += 1
-                else:
-                    bucket = floor_of(rec.event_time / slide)
-                    b = a + 1
-                    while b < m and floor_of(recs[b].event_time
-                                             / slide) == bucket:
-                        b += 1
-                pane_keys = memo.get(bucket)
-                if pane_keys is None:
-                    pane_keys = self._pane_keys(bucket, rec.event_time)
-                if not pane_keys:
-                    a = b
-                    continue
-                npk = len(pane_keys)
-                panes = []
-                new_panes = 0
-                for pane_key in pane_keys:
-                    pane = entries.get(pane_key)
-                    if pane is None:
-                        pane = entries[pane_key] = [0, 0.0, None]
-                        new_panes += 1
-                    panes.append(pane)
-                if new_panes and pane_keys[0][1] < self._new_low:
-                    self._new_low = pane_keys[0][1]
-                run = b - a
-                runmax = None
-                if cols is not None and run >= _COLUMNAR_MIN_RUN:
-                    runmax = self._columnar_run_max(recs, a, b, panes)
-                if runmax is not None:
-                    seg = pos[a:b]
-                    added_seg = added_all[seg]
-                    total = int(cols.count[seg].sum())
-                    chain = _np.empty(run + 1)
-                    for pane in panes:
-                        pane[_P_COUNT] += total
-                        current = pane[_P_VALUE]
-                        if current is None or runmax > current:
-                            pane[_P_VALUE] = runmax
-                        chain[0] = pane[_P_BYTES]
-                        chain[1:] = added_seg
-                        pane[_P_BYTES] = float(
-                            _np.add.accumulate(chain)[-1])
-                    gchain = _np.empty(run)
-                    # The run's first member keeps the scalar association
-                    # for the pane-creation byte charge: gsb + (added*npk
-                    # + new_panes*bpe) as one sum, then per-member adds.
-                    gchain[0] = gsb + (float(added_seg[0]) * npk
-                                       + new_panes * bpe)
-                    if run > 1:
-                        gchain[1:] = added_seg[1:] * npk
-                    gsb = float(_np.add.accumulate(gchain)[-1])
-                    a = b
-                    continue
-                for idx in range(a, b):
-                    rec = recs[idx]
-                    count = rec.count
-                    added = bpr * count
-                    candidate = (rec.value if rec.value is not None
-                                 else count)
-                    for pane in panes:
-                        pane[_P_COUNT] += count
-                        current = pane[_P_VALUE]
-                        try:
-                            if current is None or candidate > current:
-                                pane[_P_VALUE] = candidate
-                        except TypeError:
-                            pane[_P_VALUE] = candidate
-                        pane[_P_BYTES] += added
-                    if idx == a:
-                        # Only the run's first record can create panes;
-                        # later members add ``x + 0.0`` in the per-record
-                        # plane, which is bitwise ``x`` here (x >= 0).
-                        gsb += added * npk + new_panes * bpe
-                    else:
-                        gsb += added * npk
-                a = b
-            if note is not None:
-                note(kg, gsb - group.size_bytes)
-            group.size_bytes = gsb
 
 
 class WindowedJoinLogic(_PaneLogic):

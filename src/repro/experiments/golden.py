@@ -87,7 +87,7 @@ def capture_q7_trace(system: Optional[str] = "drrs",
     """Run a NEXMark Q7 scenario (optionally under a DRRS rescale) and
     return its semantic trace document.
 
-    ``record_plane`` selects "batched"/"columnar"/"single" and
+    ``record_plane`` selects "batched"/"single" and
     ``scheduler`` selects "heap"/"calendar" (None = engine default); the
     semantic subtree must be identical for every combination.
     """

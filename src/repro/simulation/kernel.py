@@ -108,21 +108,6 @@ class _Callback:
 _TIMEOUT_WAIT = object()
 
 
-class _At:
-    """Absolute-time wait marker: ``yield _At(when)`` sleeps until ``when``.
-
-    The bare-delay shorthand (``yield <float>``) is relative; batch
-    execution needs to park until a precomputed absolute end time without
-    re-deriving the delta (and its float error) at resume time.  Uses the
-    same reusable timeout entry and counter-draw position as a bare delay.
-    """
-
-    __slots__ = ("when",)
-
-    def __init__(self, when: float):
-        self.when = when
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -399,23 +384,6 @@ class Process(Event):
                 sim._push(
                     sim._heap,
                     (sim._now + target, next(sim._counter), entry))
-                return
-            if kind is _At:
-                # Absolute-time wait: identical machinery to a bare delay,
-                # but the heap time is taken verbatim (no now+delta float
-                # round-trip).
-                sim = self.sim
-                when = target.when
-                if when < sim._now:
-                    raise SimulationError(
-                        f"cannot wait until {when}; now is {sim._now}")
-                entry = self._timeout_entry
-                if entry is None:
-                    entry = self._timeout_entry = _Callback(
-                        self._timeout_fire)
-                self._waiting_on = _TIMEOUT_WAIT
-                sim._push(
-                    sim._heap, (when, next(sim._counter), entry))
                 return
             if kind is EdgeWake:
                 # Park: nothing allocated or scheduled until the wake fires.

@@ -69,12 +69,10 @@ import pickle
 import time
 import traceback
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..engine.frames import decode_frame, encode_frame
-from ..engine.records import RecordBatch
 from ..engine.routing import ShardPlan, partition_graph, topological_order
 from .shm_ring import DEFAULT_RING_BYTES, SPILL, ShmRing
 
@@ -347,44 +345,22 @@ class _Egress:
 class _IngressFeed:
     """Receiver-side stand-in for the sending Channel.
 
-    Keeps the real InputChannel; this object answers the two questions the
-    consume side asks its backing channel:
-
-    * ``_consume_arrival_bound``: "when can the next element arrive?" — we
-      maintain a sentinel :class:`RecordBatch` on a fake one-element wire
-      whose ``visible_times[0]`` is the bound: the earliest staged (known,
-      not yet injected) message time, else the conservative floor (the
-      current pass's stop — nothing can arrive below it).
-    * credit returns (``pop``/``remove``/analytic-batch consumption) — we
-      only *ledger* them (see module docstring): ``credits`` stays huge so
-      formation on the sending side (in the other process) is never gated
-      here, and return times are recorded for the post-hoc replay.
+    Keeps the real InputChannel; this object only *ledgers* the credit
+    returns the consume side makes to its backing channel (``pop`` /
+    ``remove``): each is recorded at pop time for the post-hoc credit
+    replay (see module docstring).  ``credits`` exists for the ``+= 1``
+    inlined in ``pop()``; the sender, in another process, runs with
+    unbounded credits of its own.
     """
 
-    __slots__ = ("cid", "sim", "pending", "floor", "_sentinel", "_wire",
-                 "credits", "returns", "link", "_serializing", "_closed",
-                 "outbox", "_send_waiters")
+    __slots__ = ("cid", "sim", "credits", "returns")
 
-    def __init__(self, cid: int, sim, link):
+    def __init__(self, cid: int, sim):
         self.cid = cid
         self.sim = sim
-        #: Delivery times of staged-but-not-yet-injected messages (FIFO).
-        self.pending: deque = deque()
-        self.floor = 0.0
-        self._sentinel = RecordBatch([], visible_times=[0.0])
-        self._wire = ((self._sentinel, 0),)
         self.credits = float("inf")
         #: Times at which the receiver returned a flow-control credit.
         self.returns: List[float] = []
-        self.link = link
-        self._serializing = None
-        self._closed = False
-        self.outbox = ()
-        self._send_waiters = ()
-
-    def update_bound(self) -> None:
-        self._sentinel.visible_times[0] = (
-            self.pending[0] if self.pending else self.floor)
 
     # -- credit ledger (InputChannel call sites) ----------------------------
 
@@ -394,15 +370,6 @@ class _IngressFeed:
 
     def _return_credit(self) -> None:
         self.returns.append(self.sim._now)
-
-    def defer_credit(self, due: float) -> None:
-        self.returns.append(due)
-
-    def cancel_deferred_credit(self, due: float) -> None:
-        for i in range(len(self.returns) - 1, -1, -1):
-            if self.returns[i] == due:
-                del self.returns[i]
-                return
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +555,9 @@ def _localize(job, spec: ShardSpec):
                                            spec.transport != "shm"))
             ch.credits = float("inf")
         elif d == me:
-            feed = _IngressFeed(cid, job.sim, ch.link)
+            feed = _IngressFeed(cid, job.sim)
             ic = ch.input_channel
             ic.channel = feed
-            feed.update_bound()
             feeds[cid] = feed
     owned = set(spec.shards[me])
     for op_name in owned:
@@ -936,9 +902,6 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
                 seq = seqs[cid]
                 seqs[cid] = seq + 1
                 heapq.heappush(staged, (t, cid, seq, mkind, payload))
-                feed = feeds[cid]
-                feed.pending.append(t)
-                feed.update_bound()
 
         def poll_all() -> bool:
             buf: List = []
@@ -1025,15 +988,9 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
 
                 def deliver_all(batch=batch):
                     for cid, mkind, payload in batch:
-                        feed = feeds[cid]
-                        feed.pending.popleft()
-                        feed.update_bound()
                         _inject(ics[cid], mkind, payload)
 
                 sim.call_at(t, deliver_all)
-            for feed in feeds.values():
-                feed.floor = stop
-                feed.update_bound()
             if inclusive:
                 sim.run(until=stop)
             else:
@@ -1063,7 +1020,6 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
                     flush(final=False)
                     aq.productive()
                 run_to(until, inclusive=True)
-                job._sync_batches()
                 flush(final=True)
                 break
             stop = min(safe, frontier + aq.value, until)

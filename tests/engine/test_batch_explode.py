@@ -1,14 +1,13 @@
 """Per-record explode of batch carriers, at every site that needs it.
 
-Batches (including columnar carriers with a cached column view) are
-transport envelopes only: whenever a consumer-side structure must hold
+Batches (including carriers with a cached column view) are transport
+envelopes only: whenever a consumer-side structure must hold
 individual records — checkpoint barriers, fault windows, rescale
 re-routing, recovery surgery — the plane collapses and the member records
 come back out with identity, order and per-record delivery times intact.
 """
 
 import sys
-from types import SimpleNamespace
 
 sys.path.insert(0, "tests")
 from helpers import build_keyed_job, drive  # noqa: E402
@@ -16,7 +15,6 @@ from helpers import build_keyed_job, drive  # noqa: E402
 from repro.engine.channels import Channel, InputChannel
 from repro.engine.cluster import LinkSpec
 from repro.engine.records import Record, RecordBatch, Watermark
-from repro.engine.runtime import JobConfig
 from repro.simulation import Simulator
 from repro.simulation.primitives import Signal
 
@@ -30,16 +28,13 @@ class _Receiver:
         pass
 
 
-def _wire_channel(columnar=False):
+def _wire_channel():
     """A batching channel into a bare receiver, outside any StreamJob."""
     sim = Simulator()
     channel = Channel(sim, LinkSpec(bandwidth=1e6, latency=0.001),
                       name="t", outbox_capacity=64, inbox_capacity=64)
     channel.batching = True
     channel.max_batch = 32
-    if columnar:
-        channel._job = SimpleNamespace(columnar_active=True,
-                                       scaling_active=0)
     receiver = _Receiver(sim)
     input_channel = InputChannel(receiver, name="t-in")
     channel.attach(input_channel)
@@ -58,8 +53,8 @@ def _send_records(sim, channel, n):
     return records
 
 
-def _materialize_roundtrip(columnar):
-    sim, channel, input_channel = _wire_channel(columnar=columnar)
+def _materialize_roundtrip(cached_view):
+    sim, channel, input_channel = _wire_channel()
     records = _send_records(sim, channel, 20)
     # Run just long enough for a carrier to be queued with some members
     # still invisible (per-record plane would not have delivered them yet).
@@ -69,7 +64,7 @@ def _materialize_roundtrip(columnar):
         sim.step()
     batch = next(e for e in input_channel.queue
                  if e.__class__ is RecordBatch)
-    if columnar:
+    if cached_view:
         from repro.engine.columnar import HAVE_NUMPY
         # column view cached pre-explode (None on a numpy-less box)
         assert (batch.columns() is not None) == HAVE_NUMPY
@@ -91,16 +86,16 @@ def _materialize_roundtrip(columnar):
 
 
 def test_materialize_roundtrip_batched():
-    _materialize_roundtrip(columnar=False)
+    _materialize_roundtrip(cached_view=False)
 
 
-def test_materialize_roundtrip_columnar():
-    _materialize_roundtrip(columnar=True)
+def test_materialize_roundtrip_with_cached_column_view():
+    _materialize_roundtrip(cached_view=True)
 
 
 def test_batches_never_cross_a_watermark():
     """Formation stops at time signals: a watermark is never swallowed."""
-    sim, channel, input_channel = _wire_channel(columnar=True)
+    sim, channel, input_channel = _wire_channel()
 
     def producer():
         for i in range(6):
@@ -125,14 +120,13 @@ def test_batches_never_cross_a_watermark():
         assert all(m.key.startswith("b") for m in members)
 
 
-def test_quiesce_batches_explodes_everything_columnar():
-    """StreamJob.quiesce_batches: the rescale/fault collapse, columnar."""
-    job = build_keyed_job(job_config=JobConfig(record_plane="columnar"))
+def test_quiesce_batches_explodes_everything():
+    """StreamJob.quiesce_batches: the rescale/fault collapse."""
+    job = build_keyed_job()
     drive(job, until=0.5)
     job.start()
     job.sim.run(until=0.25)
-    from repro.engine.columnar import HAVE_NUMPY
-    assert job.columnar_active or not HAVE_NUMPY
+    assert job._batching
     job.quiesce_batches()
     for inst in job.all_instances():
         for ic in inst.input_channels:

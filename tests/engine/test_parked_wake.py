@@ -13,43 +13,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, "tests")
-from helpers import build_keyed_job, use_oracle_wake  # noqa: E402
+from helpers import (build_keyed_job, build_tie_job,  # noqa: E402
+                     run_outcome, use_oracle_wake)
 
-from repro.engine import (CheckpointBarrier, EndOfStream, JobGraph,
-                          KeyedReduceLogic, LatencyMarker, OperatorSpec,
-                          Partitioning, Record, StreamJob, Watermark)
-from repro.engine.cluster import GBIT, ClusterModel, LinkSpec, NodeSpec
+from repro.engine import (CheckpointBarrier, EndOfStream, LatencyMarker,
+                          Record, Watermark)
+from repro.engine.cluster import GBIT
 from repro.engine.runtime import JobConfig
-from repro.faults.invariants import semantic_trace
 from repro.simulation.kernel import Event, Process
 from repro.workloads.twitch import TwitchConfig, TwitchWorkload
 
 TICK = 0.001
 
 
-def _build(stages, sources, aggs, latency, bandwidth, services, plane):
-    link = LinkSpec(latency=latency, bandwidth=bandwidth)
-    cluster = ClusterModel([NodeSpec("n0")], default_link=link,
-                           loopback=link)
-    graph = JobGraph("tie-job", num_key_groups=4)
-    graph.add_source("src", parallelism=sources, service_time=services[0])
-    graph.add_sink("sink", collect=True, service_time=services[2])
-    if stages == 3:
-        graph.add_operator(OperatorSpec(
-            "agg",
-            logic_factory=lambda: KeyedReduceLogic(
-                lambda old, r: (old or 0) + r.count),
-            parallelism=aggs, service_time=services[1], keyed=True))
-        graph.connect("src", "agg", Partitioning.HASH)
-        graph.connect("agg", "sink", Partitioning.REBALANCE)
-    else:
-        graph.connect("src", "sink", Partitioning.REBALANCE)
-    return StreamJob(graph, cluster=cluster,
-                     config=JobConfig(record_plane=plane)).build()
-
-
 def _outcome(params, script, action, oracle):
-    job = _build(**params)
+    job = build_tie_job(**params)
     if oracle:
         use_oracle_wake(job)
     sim = job.sim
@@ -75,19 +53,7 @@ def _outcome(params, script, action, oracle):
         sim.call_at(at * TICK, last.pause)
         sim.call_at((at + 3) * TICK, last.resume)
     job.run(until=0.2)
-    sink = job.sink_logic()
-    return {
-        "trace": semantic_trace(job),
-        "latency": job.metrics.latency_samples,
-        "source_events": job.metrics._source_events,
-        "sink_events": job.metrics._sink_events,
-        "arrivals": [(r.key, r.value) for r in sink.collected],
-        "instances": {i.name: (i.records_processed, i.current_watermark,
-                               i.busy_seconds, i.suspended_seconds)
-                      for i in job.all_instances()},
-        "snapshots": job.snapshots,
-        "events": sim.events_processed,
-    }
+    return dict(run_outcome(job), events=sim.events_processed)
 
 
 _script = st.lists(

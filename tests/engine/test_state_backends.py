@@ -223,8 +223,7 @@ def _feed(logic, state, kg, event_time, side="left"):
     import types
     from repro.engine import Record
     inst = types.SimpleNamespace(
-        state=state, sim=types.SimpleNamespace(now=0.0),
-        job=types.SimpleNamespace(columnar_active=False))
+        state=state, sim=types.SimpleNamespace(now=0.0))
     logic.on_record(Record(key=f"k{kg}", key_group=kg,
                            event_time=event_time, count=2,
                            value=(side, 7)), inst)

@@ -113,8 +113,7 @@ class Harness:
         self.logic = _make(kind, size, slide, bpr, lateness)
         self.naive = Naive(kind, size, slide, bpr, lateness)
         self.inst = types.SimpleNamespace(
-            state=backend(), sim=types.SimpleNamespace(now=NOW),
-            job=types.SimpleNamespace(columnar_active=False))
+            state=backend(), sim=types.SimpleNamespace(now=NOW))
         self.ref_state = DictStateBackend()
         self.fired = 0
 
@@ -132,11 +131,8 @@ class Harness:
             self.naive.on_record(rec, ref)
         elif op == "batch":
             recs = [_record(self.kind, *r) for r in step[1]]
-            if self.logic.on_record_batch is not None:
-                self.logic.on_record_batch(recs, 0, len(recs), self.inst)
-            else:
-                for rec in recs:
-                    self.logic.on_record_at(rec, self.inst, NOW)
+            for rec in recs:
+                self.logic.on_record(rec, self.inst)
             for rec in recs:
                 self.naive.on_record(rec, ref)
         elif op == "wm":

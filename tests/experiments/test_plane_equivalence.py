@@ -10,8 +10,10 @@ reports (checkpoint recoveries included) to match exactly.
 
 import pytest
 
+from repro.engine.runtime import JobConfig
 from repro.experiments.chaos_bank import CHAOS_SCENARIOS
 from repro.experiments.golden import capture_q7_trace
+from repro.experiments.harness import ExperimentConfig
 from repro.faults.chaos import ChaosHarness
 
 
@@ -23,11 +25,15 @@ def test_q7_drrs_rescale_planes_equivalent():
     assert batched["semantic"] == single["semantic"]
 
 
-def test_q7_drrs_rescale_columnar_equivalent():
-    columnar = capture_q7_trace(record_plane="columnar")
-    single = capture_q7_trace(record_plane="single")
-    assert columnar["info"]["record_plane"] == "columnar"
-    assert columnar["semantic"] == single["semantic"]
+def test_removed_columnar_plane_fails_loudly():
+    """``"columnar"`` was a third plane once; asking for it must raise the
+    ordinary unknown-plane error at every entry point, never fall back."""
+    for make in (lambda: JobConfig(record_plane="columnar"),
+                 lambda: ExperimentConfig(workload=None,
+                                          record_plane="columnar"),
+                 lambda: capture_q7_trace(record_plane="columnar")):
+        with pytest.raises(ValueError, match="unknown record_plane"):
+            make()
 
 
 def _chaos_doc(name, record_plane, seed=7):
@@ -38,13 +44,6 @@ def _chaos_doc(name, record_plane, seed=7):
     doc = report.to_dict()
     assert doc.pop("record_plane") == record_plane
     return doc
-
-
-def test_chaos_crash_mid_subscale_columnar_equivalent():
-    """Fault window + checkpoint barrier + recovery explode, columnar:
-    same eventing as the batched plane, down to the kernel event count."""
-    assert (_chaos_doc("crash-mid-subscale", "columnar")
-            == _chaos_doc("crash-mid-subscale", "batched"))
 
 
 def test_q7_noscale_planes_equivalent():

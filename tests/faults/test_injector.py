@@ -154,9 +154,9 @@ def _burst_run(record_plane, kind, open_at, eligible, probability=1.0,
     2 ms latency), so one wire carrier's members become visible over
     several milliseconds, with a 3 ms fault window opened at ``open_at``.
 
-    ``eligible`` makes the receiver a silent reducer that runs analytic
-    consume-batches (and is slow enough to take carrier members ahead of
-    their delivery time); otherwise it emits every update to the sink.
+    ``eligible`` makes the receiver a slow silent reducer (a backlog of
+    queued carriers builds up behind it while the window opens); otherwise
+    it is fast and emits every update to the sink.
     """
     slow = LinkSpec(latency=0.002, bandwidth=1e6)
     cluster = ClusterModel([NodeSpec("n0")], default_link=slow,
@@ -210,8 +210,8 @@ def _burst_run(record_plane, kind, open_at, eligible, probability=1.0,
 def test_fault_window_hits_the_same_records_on_both_planes(
         kind, open_at, eligible, probability):
     """A window opening anywhere in a carrier's life — members still
-    serializing, on the wire, queued but not yet visible, or already taken
-    by an analytic consume-batch — hits exactly the records the per-record
+    serializing, on the wire, queued but not yet visible, or queued behind
+    a slow receiver's backlog — hits exactly the records the per-record
     plane's window hits: same ``WindowClosed ... N records``, same state,
     same sink sequence."""
     batched = _burst_run("batched", kind, open_at, eligible, probability)

@@ -5,8 +5,10 @@ from __future__ import annotations
 from repro.engine import (JobGraph, KeyedReduceLogic, LatencyMarker,
                           OperatorSpec, Partitioning, Record, StreamJob,
                           Watermark)
+from repro.engine.cluster import ClusterModel, LinkSpec, NodeSpec
 from repro.engine.graph import OperatorSpec
 from repro.engine.runtime import JobConfig
+from repro.faults.invariants import semantic_trace
 
 
 def build_keyed_job(num_key_groups: int = 16,
@@ -32,6 +34,48 @@ def build_keyed_job(num_key_groups: int = 16,
     graph.connect("src", "agg", Partitioning.HASH)
     graph.connect("agg", "sink", Partitioning.FORWARD)
     return StreamJob(graph, config=job_config).build()
+
+
+def build_tie_job(stages, sources, aggs, latency, bandwidth, services, plane,
+                  agg_logic=None):
+    """src → [agg →] sink on one node with one link spec for every hop, so
+    zero or equal latencies make deliveries and wakes tie at one instant.
+    ``services`` is (source, agg, sink) service time; ``agg_logic`` replaces
+    the emitting keyed sum."""
+    link = LinkSpec(latency=latency, bandwidth=bandwidth)
+    cluster = ClusterModel([NodeSpec("n0")], default_link=link,
+                           loopback=link)
+    graph = JobGraph("tie-job", num_key_groups=4)
+    graph.add_source("src", parallelism=sources, service_time=services[0])
+    graph.add_sink("sink", collect=True, service_time=services[2])
+    if stages == 3:
+        graph.add_operator(OperatorSpec(
+            "agg",
+            logic_factory=agg_logic or (lambda: KeyedReduceLogic(
+                lambda old, r: (old or 0) + r.count)),
+            parallelism=aggs, service_time=services[1], keyed=True))
+        graph.connect("src", "agg", Partitioning.HASH)
+        graph.connect("agg", "sink", Partitioning.REBALANCE)
+    else:
+        graph.connect("src", "sink", Partitioning.REBALANCE)
+    return StreamJob(graph, cluster=cluster,
+                     config=JobConfig(record_plane=plane)).build()
+
+
+def run_outcome(job: StreamJob) -> dict:
+    """Everything a finished run of a collecting job can show, for
+    differential tests: two runs that must agree compare these equal."""
+    return {
+        "trace": semantic_trace(job),
+        "latency": job.metrics.latency_samples,
+        "source_events": job.metrics._source_events,
+        "sink_events": job.metrics._sink_events,
+        "arrivals": [(r.key, r.value) for r in job.sink_logic().collected],
+        "instances": {i.name: (i.records_processed, i.current_watermark,
+                               i.busy_seconds, i.suspended_seconds)
+                      for i in job.all_instances()},
+        "snapshots": job.snapshots,
+    }
 
 
 def drive(job: StreamJob, until: float, record_gap: float = 0.005,
@@ -121,6 +165,6 @@ def _oracle_run(oracle, make_generator):
                     step, arg = gen.send, None
                 else:
                     step, arg = gen.send, (yield target)
-            except BaseException as exc:  # e.g. a batch-preempt Interrupt
+            except BaseException as exc:  # thrown in by the kernel
                 step, arg = gen.throw, exc
     return run
