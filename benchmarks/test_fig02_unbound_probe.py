@@ -9,7 +9,7 @@ Reproduced shape: Unbound's latency ratios are far below OTFS's, and close
 to the no-scale level.
 """
 
-from conftest import save_table
+from conftest import assert_rescales_finished, save_table
 
 from repro.experiments import QUICK, run_fig02_unbound_probe
 from repro.experiments.report import format_fig02
@@ -20,8 +20,13 @@ def test_fig02_unbound_probe(benchmark):
                              rounds=1, iterations=1)
     save_table("fig02_unbound_probe", format_fig02(out))
 
+    assert_rescales_finished(out["results"])
     otfs = out["ratios"]["otfs"]
     unbound = out["ratios"]["unbound"]
+    # OTFS pays L_p, L_s and L_d: a rescale that disturbs nothing did not
+    # happen (a scaling barrier dropped on its way reads exactly 1.00).
+    assert otfs["avg_ratio"] > 1.05
+    assert otfs["peak_ratio"] > 1.05
     # Unbound eliminates L_p and L_s: it must beat OTFS on both ratios
     # and sit near the no-scale level.
     assert unbound["avg_ratio"] <= otfs["avg_ratio"]

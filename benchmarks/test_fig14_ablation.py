@@ -10,7 +10,7 @@ Reproduced shape: full DRRS has the lowest (within noise) mean latency, and
 no isolated variant beats it meaningfully.
 """
 
-from conftest import save_table
+from conftest import assert_rescales_finished, save_table
 
 from repro.experiments import QUICK, run_fig14_ablation
 from repro.experiments.report import format_fig14
@@ -21,6 +21,7 @@ def test_fig14_ablation(benchmark):
                              rounds=1, iterations=1)
     save_table("fig14_ablation", format_fig14(out))
 
+    assert_rescales_finished(out["results"])
     rows = {r["variant"]: r for r in out["rows"]}
     full = rows["drrs"]
     for variant in ("dr", "schedule", "subscale"):

@@ -403,8 +403,9 @@ def _cmd_shard_check(args) -> int:
     report = {
         "workload": args.workload,
         "until": args.until,
-        "shards_requested": args.shards,
+        "shards_requested": sharded.shards_requested,
         "workers": sharded.shards,
+        "degraded": sharded.degraded,
         "plan": [list(s) for s in sharded.plan.shards]
         if sharded.plan else [],
         "replans": sharded.replans,
@@ -452,7 +453,12 @@ def _cmd_shard_check(args) -> int:
                   f"{sync.get('writer_full_wait_s', 0.0):.3f}s")
         for line in sharded.backpressure_detail:
             print(f"  {line}", file=sys.stderr)
-    ok = equal and sharded.backpressure_safe
+    short = sharded.shards < sharded.shards_requested
+    if short:
+        print(f"shard-check: asked for {sharded.shards_requested} workers, "
+              f"ran {sharded.shards} [{', '.join(sharded.degraded)}]",
+              file=sys.stderr)
+    ok = equal and sharded.backpressure_safe and not short
     return 0 if ok else 1
 
 
@@ -654,8 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one workload sharded and single-process at the same "
              "config and compare results exactly",
         epilog=EXIT_CONTRACT.format(
-            fail="the sharded run's results differ from single-process "
-                 "or its flow-control certification fails"),
+            fail="the sharded run's results differ from single-process, "
+                 "its flow-control certification fails, or it ran on fewer "
+                 "workers than --shards asked for"),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p_shard.add_argument("--workload", default="q7",
                          choices=("q7", "q8", "twitch"))

@@ -16,7 +16,8 @@ from .operators import (DefaultInputHandler, FilterLogic, InputHandler,
 from .recovery import RecoveryError, RecoveryManager
 from .records import (CheckpointBarrier, ControlSignal, EndOfStream,
                       LatencyMarker, Record, StreamElement, Watermark)
-from .routing import OutputEdge, OutputRouter, Partitioning
+from .routing import (NoChannelError, OutputEdge, OutputRouter,
+                      Partitioning)
 from .runtime import JobConfig, SourceInstance, StreamJob
 from .state import (ChangelogChainError, ChangelogSegment,
                     ChangelogStateBackend, DictStateBackend,
@@ -37,7 +38,7 @@ __all__ = [
     "PassThroughLogic", "SinkLogic",
     "CheckpointBarrier", "ControlSignal", "EndOfStream", "LatencyMarker",
     "Record", "StreamElement", "Watermark",
-    "OutputEdge", "OutputRouter", "Partitioning",
+    "NoChannelError", "OutputEdge", "OutputRouter", "Partitioning",
     "JobConfig", "SourceInstance", "StreamJob",
     "RecoveryError", "RecoveryManager",
     "ChangelogChainError", "ChangelogSegment", "ChangelogStateBackend",

@@ -23,18 +23,22 @@ def instance_rows(job: StreamJob, operator: Optional[str] = None,
     """One row per operator instance: load, queues, state.
 
     ``since`` turns ``busy_fraction`` into a rate over ``now - since``
-    rather than the whole run.
+    rather than the whole run.  A chain member has no queue of its own —
+    its head's task hands it every element — so ``chain_head`` names that
+    head and ``inbox_depth`` is the head's: the work waiting for the task.
     """
     horizon = max(job.sim.now - since, 1e-9)
     rows = []
     names = [operator] if operator else list(job.graph.operators)
     for name in names:
         for inst in job.instances(name):
-            inbox = sum(len(ch) for ch in inst.input_channels)
+            head = inst.chain_head
+            inbox = sum(len(ch) for ch in (head or inst).input_channels)
             outbox = sum(ch.backlog for ch in inst.router.all_channels())
             row = {
                 "instance": inst.name,
                 "node": inst.node.name,
+                "chain_head": head.name if head is not None else None,
                 "running": inst.running,
                 "busy_fraction": min(inst.busy_seconds / horizon, 1.0),
                 "records_processed": inst.records_processed,
@@ -58,9 +62,11 @@ def operator_rows(job: StreamJob, since: float = 0.0) -> List[Dict]:
         if not per_instance:
             continue
         busy = [r["busy_fraction"] for r in per_instance]
+        head = job.instances(name)[0].chain_head
         rows.append({
             "operator": name,
             "parallelism": len(per_instance),
+            "chain_head": head.spec.name if head is not None else None,
             "busy_mean": sum(busy) / len(busy),
             "busy_max": max(busy),
             "inbox_depth": sum(r["inbox_depth"] for r in per_instance),

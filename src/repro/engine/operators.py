@@ -242,6 +242,15 @@ class DefaultInputHandler(InputHandler):
 class OperatorInstance:
     """One parallel subtask: a DES process bound to a cluster node."""
 
+    #: Head of the operator chain this instance is a member of: the
+    #: instance whose task hands it every element, in order, through
+    #: ``handle_element(None, element)``.  None for an instance with its
+    #: own input channels and process (a head is its own task).  A class
+    #: default that only members shadow: ``__init__`` sets 30 attributes,
+    #: the most CPython keeps in an instance's inline value array, and a
+    #: 31st on every instance slows each attribute load on the record path.
+    chain_head: Optional["OperatorInstance"] = None
+
     def __init__(self, sim: Simulator, job: "StreamJob",
                  spec: "OperatorSpec", index: int, node: NodeSpec,
                  metrics: MetricsCollector):
@@ -316,27 +325,41 @@ class OperatorInstance:
 
     # -- lifecycle ------------------------------------------------------------
 
+    # A chain member has no loop of its own: its lifecycle flags stay its
+    # own (checkpoint coverage, monitors), and whatever must happen *in* a
+    # main loop happens in its head's, where "between elements" holds for
+    # the whole chain.
+
     def start(self) -> None:
         if self.running:
             return
         self.running = True
         self.job._live_names = None
         self.logic.open(self)
-        self._process = self.sim.spawn(self._run(), name=self.name)
+        if self.chain_head is None:
+            self._process = self.sim.spawn(self._run(), name=self.name)
 
     def stop(self) -> None:
         self.running = False
         self.job._live_names = None
-        self.wake.fire()
+        if self.chain_head is not None:
+            self.chain_head.stop()
+        else:
+            self.wake.fire()
 
     def pause(self) -> None:
         self.paused = True
         self.job._live_names = None
+        if self.chain_head is not None:
+            self.chain_head.pause()
 
     def resume(self) -> None:
         self.paused = False
         self.job._live_names = None
-        self.wake.fire()
+        if self.chain_head is not None:
+            self.chain_head.resume()
+        else:
+            self.wake.fire()
 
     # -- control lane -----------------------------------------------------------
 
@@ -352,6 +375,10 @@ class OperatorInstance:
         *between* elements — the injection point scaling coordinators need
         for atomically updating routing tables and emitting barriers.
         """
+        head = self.chain_head
+        if head is not None:
+            head.run_inband(lambda _head: fn(self))
+            return
         self._inband.append(fn)
         self.wake.fire()
 
@@ -441,23 +468,9 @@ class OperatorInstance:
                         router = self.router
                         if outputs:
                             yield from router.emit_burst(outputs)
-                        # Inlined router.emit broadcast: sends accepted
-                        # immediately hand back the shared pre-succeeded
-                        # event, which _resume would continue past
-                        # synchronously anyway — only genuinely pending
-                        # (backpressured) sends need the yield.
-                        wm_out = Watermark(timestamp=new_wm)
-                        done = sim.done
-                        for edge in router.edges:
-                            for ch in edge.channels:
-                                if self.abandon_work:
-                                    break
-                                ev = ch.send(wm_out)
-                                if ev is not done:
-                                    yield ev
-                            else:
-                                continue
-                            break
+                        rest = router.forward(Watermark(timestamp=new_wm))
+                        if rest is not None:
+                            yield from rest
                 else:
                     yield from self.handle_element(channel, element)
             finally:
@@ -573,7 +586,9 @@ class OperatorInstance:
             outputs = self.logic.on_watermark(new_wm, self)
             if outputs:
                 yield from self.router.emit_burst(outputs)
-            yield from self.router.emit(Watermark(timestamp=new_wm))
+            rest = self.router.forward(Watermark(timestamp=new_wm))
+            if rest is not None:
+                yield from rest
 
     def _handle_marker(self, marker: LatencyMarker):
         cost = self.service_time(1)

@@ -9,7 +9,7 @@ can tell which records were routed with the old vs. new table.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .channels import Channel
 from .keys import key_to_key_group
@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .operators import OperatorInstance
 
 __all__ = ["Partitioning", "OutputEdge", "OutputRouter", "ShardPlan",
-           "partition_graph", "topological_order"]
+           "NoChannelError", "partition_graph", "topological_order"]
 
 
 class Partitioning(enum.Enum):
@@ -27,6 +27,11 @@ class Partitioning(enum.Enum):
     HASH = "hash"              # key-group routing table
     REBALANCE = "rebalance"    # round-robin
     BROADCAST = "broadcast"    # every element to every target
+
+
+class NoChannelError(LookupError):
+    """A channel was asked of an edge that has none: the hop is chained
+    (its downstream instance runs inside the sender's task) or unwired."""
 
 
 class OutputEdge:
@@ -37,16 +42,25 @@ class OutputEdge:
     sender's perspective) must call :meth:`invalidate_cache` — done by
     :meth:`set_routing`/:meth:`add_channel`, and explicitly by runtime code
     that trims ``channels`` in place.
+
+    A *chained* edge (:attr:`chained` set, ``channels`` empty for good) is
+    a co-located FORWARD hop fused into the sender's task: the router
+    hands every element to that one downstream instance directly.
     """
 
     def __init__(self, name: str, partitioning: Partitioning,
                  num_key_groups: int = 0,
-                 sender_index: int = 0):
+                 sender_index: int = 0,
+                 dst_op: Optional[str] = None):
         self.name = name
         self.partitioning = partitioning
         self.num_key_groups = num_key_groups
         self.sender_index = sender_index
+        #: Name of the downstream operator (None for hand-built edges).
+        self.dst_op = dst_op
         self.channels: List[Channel] = []
+        #: The downstream instance of a chained hop, else None.
+        self.chained: Optional["OperatorInstance"] = None
         #: key-group -> index into ``channels``; private to this sender.
         self.routing_table: Dict[int, int] = {}
         self._rr = 0
@@ -71,6 +85,11 @@ class OutputEdge:
         """Drop the key-group → channel cache (routing changed)."""
         self._channel_cache.clear()
 
+    def _no_channel(self) -> NoChannelError:
+        why = ("not wired" if self.chained is None else
+               f"chained: the router hands elements to {self.chained.name}")
+        return NoChannelError(f"edge {self.name} has no channels ({why})")
+
     def channel_for_record(self, record: Record) -> Channel:
         partitioning = self.partitioning
         if partitioning is Partitioning.HASH:
@@ -83,12 +102,17 @@ class OutputEdge:
                 channel = self.channels[self.routing_table[kg]]
                 self._channel_cache[kg] = channel
             return channel
-        if partitioning is Partitioning.FORWARD:
-            return self.channels[self.sender_index % len(self.channels)]
-        if partitioning is Partitioning.REBALANCE:
-            channel = self.channels[self._rr % len(self.channels)]
-            self._rr += 1
-            return channel
+        # An edge without channels shows as the modulo's ZeroDivisionError:
+        # catching it names the error without a per-record emptiness check.
+        try:
+            if partitioning is Partitioning.FORWARD:
+                return self.channels[self.sender_index % len(self.channels)]
+            if partitioning is Partitioning.REBALANCE:
+                channel = self.channels[self._rr % len(self.channels)]
+                self._rr += 1
+                return channel
+        except ZeroDivisionError:
+            raise self._no_channel() from None
         raise ValueError(f"record on {partitioning} edge")
 
     def channel_for_marker(self, marker: LatencyMarker) -> Channel:
@@ -104,7 +128,10 @@ class OutputEdge:
             return channel
         # Forward/rebalance/broadcast edges: pin markers to one path for
         # stable measurements.
-        return self.channels[self.sender_index % len(self.channels)]
+        try:
+            return self.channels[self.sender_index % len(self.channels)]
+        except ZeroDivisionError:
+            raise self._no_channel() from None
 
 
 class OutputRouter:
@@ -155,18 +182,77 @@ class OutputRouter:
                         yield channel.send(element)
                 elif edge.channels:
                     yield edge.channel_for_record(element).send(element)
+                elif edge.chained is not None:
+                    yield from edge.chained.handle_element(None, element)
         elif isinstance(element, LatencyMarker):
             for edge in self.edges:
                 if instance.abandon_work:
                     return
                 if edge.channels:
                     yield edge.channel_for_marker(element).send(element)
+                elif edge.chained is not None:
+                    yield from edge.chained.handle_element(None, element)
         else:
-            for edge in self.edges:
-                for channel in edge.channels:
+            rest = self.forward(element)
+            if rest is not None:
+                yield from rest
+
+    def forward(self, element: StreamElement, dst_ops=None):
+        """Send one in-band element down *every* path out of this instance
+        — each channel of each edge, and each chained member — or only
+        the edges into ``dst_ops`` when given.
+
+        The one place that walks edges to broadcast: watermarks,
+        checkpoint barriers, end-of-stream and scaling signals all come
+        through here, so a channel-less (chained) edge cannot be skipped
+        by a caller's own loop.  Returns ``None`` when every path took the
+        element at once — the common case, which then costs no generator
+        — and otherwise the generator the caller must ``yield from`` to
+        finish the walk: it starts at the first chained member or pending
+        (backpressured) send.  Accepted sends hand back the shared
+        pre-succeeded event, which the kernel would continue past
+        synchronously anyway, so they are never yielded.
+        """
+        instance = self.instance
+        done = instance.sim.done
+        for e, edge in enumerate(self.edges):
+            if dst_ops is not None and edge.dst_op not in dst_ops:
+                continue
+            if edge.chained is not None:
+                return self._forward_from(element, dst_ops, e, 0)
+            for c, channel in enumerate(edge.channels):
+                if instance.abandon_work:
+                    return None
+                ev = channel.send(element)
+                if ev is not done:
+                    return self._forward_from(element, dst_ops, e, c + 1, ev)
+        return None
+
+    def _forward_from(self, element, dst_ops, e, c, ev=None):
+        """The rest of a :meth:`forward` walk: wait for the pending send
+        ``ev``, then go on from channel ``c`` of edge ``e`` (live lists: a
+        rescale may add channels while a send is pending)."""
+        if ev is not None:
+            yield ev
+        instance = self.instance
+        done = instance.sim.done
+        edges = self.edges
+        while e < len(edges):
+            edge = edges[e]
+            if dst_ops is None or edge.dst_op in dst_ops:
+                if edge.chained is not None:
                     if instance.abandon_work:
                         return
-                    yield channel.send(element)
+                    yield from edge.chained.handle_element(None, element)
+                while c < len(edge.channels):
+                    if instance.abandon_work:
+                        return
+                    ev = edge.channels[c].send(element)
+                    c += 1
+                    if ev is not done:
+                        yield ev
+            e += 1
+            c = 0
 
     def emit_burst(self, outputs):
         """Generator: emit a sequence of outputs, fast-pathing records.
@@ -291,7 +377,8 @@ def partition_graph(graph, num_shards: int, edge_latency,
     counts from a telemetry probe when available, a uniform default
     otherwise — and the partition minimizes the maximum per-shard weight
     (classic contiguous min-max DP).  Fewer legal boundaries than requested
-    shards clamps the shard count rather than failing.
+    shards clamps the shard count rather than failing; the caller compares
+    ``plan.num_shards`` with what it asked for (``run_sharded`` reports it).
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")

@@ -500,8 +500,18 @@ class StreamJob:
                     instances[owner].state.register_group(
                         kg, StateStatus.LOCAL,
                         size_bytes=spec.initial_state_bytes_per_group)
+        # Operator chains: a hop Flink would chain gets no channel; its
+        # downstream instances run inside the task of their chain's head.
+        upstream = {edge.dst: edge.src for edge in self.graph.edges
+                    if self._chains(edge)}
         for edge in self.graph.edges:
-            self._wire_edge(edge)
+            if edge.dst in upstream:
+                head = edge.src
+                while head in upstream:
+                    head = upstream[head]
+                self._chain_edge(edge, self._instances[head])
+            else:
+                self._wire_edge(edge)
         self._built = True
         return self
 
@@ -511,16 +521,46 @@ class StreamJob:
         cls = SourceInstance if spec.is_source else OperatorInstance
         return cls(self.sim, self, spec, index, node, self.metrics)
 
+    def _chains(self, edge: EdgeSpec) -> bool:
+        """Whether ``edge`` is a hop Flink would chain: FORWARD between
+        equal parallelisms, the upstream's only output and the
+        downstream's only input, neither end keyed (a rescale target
+        changes parallelism at run time), downstream not a sink, and every
+        ``src[i]`` placed on ``dst[i]``'s node.  Decided from graph shape
+        and placement alone; instances on different nodes keep the
+        channel."""
+        operators = self.graph.operators
+        src, dst = operators[edge.src], operators[edge.dst]
+        return (edge.partitioning is Partitioning.FORWARD
+                and src.parallelism == dst.parallelism
+                and not (src.keyed or dst.keyed or dst.is_sink)
+                and len(self.graph.out_edges(edge.src)) == 1
+                and len(self.graph.in_edges(edge.dst)) == 1
+                and all(u.node.name == v.node.name for u, v in zip(
+                    self._instances[edge.src], self._instances[edge.dst])))
+
+    def _out_edge(self, edge: EdgeSpec,
+                  sender: OperatorInstance) -> OutputEdge:
+        return OutputEdge(name=edge.name, partitioning=edge.partitioning,
+                          num_key_groups=self.graph.num_key_groups,
+                          sender_index=sender.index, dst_op=edge.dst)
+
+    def _chain_edge(self, edge: EdgeSpec,
+                    heads: List[OperatorInstance]) -> None:
+        """Fuse ``src[i] -> dst[i]`` into the task of ``heads[i]``: no
+        Channel, no InputChannel and no process for ``dst[i]``."""
+        for sender, member in zip(self._instances[edge.src],
+                                  self._instances[edge.dst]):
+            out_edge = self._out_edge(edge, sender)
+            out_edge.chained = member
+            member.chain_head = heads[member.index]
+            sender.router.add_edge(out_edge)
+
     def _wire_edge(self, edge: EdgeSpec) -> None:
         dst_instances = self._instances[edge.dst]
         assignment = self.assignments.get(edge.dst)
         for sender in self._instances[edge.src]:
-            out_edge = OutputEdge(
-                name=edge.name,
-                partitioning=edge.partitioning,
-                num_key_groups=self.graph.num_key_groups,
-                sender_index=sender.index)
-            out_edge.dst_op = edge.dst
+            out_edge = self._out_edge(edge, sender)
             for dst in dst_instances:
                 self._connect(sender, out_edge, dst)
             if edge.partitioning is Partitioning.HASH:
@@ -649,7 +689,7 @@ class StreamJob:
         for src_name in self.graph.upstream_of(op_name):
             for sender in self._instances[src_name]:
                 for edge in sender.router.edges:
-                    if getattr(edge, "dst_op", None) == op_name:
+                    if edge.dst_op == op_name:
                         result.append((sender, edge))
         return result
 
@@ -670,6 +710,13 @@ class StreamJob:
         responsible for ``instance.start()`` after the provisioning delay.
         """
         spec = self.graph.operators[op_name]
+        first = self._instances[op_name][0]
+        if first.chain_head is not None or any(
+                edge.chained is not None for edge in first.router.edges):
+            raise ValueError(
+                f"{op_name} runs in an operator chain, whose parallelism is "
+                "fixed at build time (only keyed operators rescale, and "
+                "they are never chained)")
         index = len(self._instances[op_name])
         node_spec = self.cluster.place(preferred=node)
         cls = SourceInstance if spec.is_source else OperatorInstance
@@ -685,12 +732,7 @@ class StreamJob:
             channel.input_channel.watermark = sender.current_watermark
         # Channels to every successor instance.
         for edge_spec in self.graph.out_edges(op_name):
-            out_edge = OutputEdge(
-                name=edge_spec.name,
-                partitioning=edge_spec.partitioning,
-                num_key_groups=self.graph.num_key_groups,
-                sender_index=instance.index)
-            out_edge.dst_op = edge_spec.dst
+            out_edge = self._out_edge(edge_spec, instance)
             for dst in self._instances[edge_spec.dst]:
                 self._connect(instance, out_edge, dst)
             if edge_spec.partitioning is Partitioning.HASH:

@@ -185,21 +185,19 @@ class OTFSController(ScalingController):
 
     def _apply_routing(self, instance, signal) -> None:
         for edge in instance.router.edges:
-            if getattr(edge, "dst_op", None) == self._op_name:
+            if edge.dst_op == self._op_name:
                 for kg, dst in signal.routing_updates.items():
                     edge.set_routing(kg, dst)
 
     def _forward(self, instance, signal, only_to: Optional[str] = None):
-        for edge in instance.router.edges:
-            dst_op = getattr(edge, "dst_op", None)
-            if only_to is not None and dst_op != only_to:
-                continue
-            if only_to is None and dst_op not in self._route_set:
-                continue
-            for ch in edge.channels:
-                yield ch.send(ScaleSignalBarrier(
-                    scale_id=signal.scale_id, phase=signal.phase,
-                    routing_updates=dict(signal.routing_updates)))
+        """Pass the barrier on towards the scaling operator: down every
+        path into ``only_to``, or into the upstream closure by default.
+        Returns what the caller ``yield from``s (empty when every send was
+        accepted at once)."""
+        return instance.router.forward(
+            ScaleSignalBarrier(scale_id=signal.scale_id, phase=signal.phase,
+                               routing_updates=dict(signal.routing_updates)),
+            dst_ops=self._route_set if only_to is None else {only_to}) or ()
 
     # -- migration ------------------------------------------------------------------
 

@@ -1123,9 +1123,21 @@ class ShardedRunResult:
                  backpressure_safe: bool = True,
                  backpressure_detail=None, until: float = 0.0,
                  replans: int = 0, forbidden_cuts=None,
-                 transport: Optional[str] = None, sync_per_shard=None):
+                 transport: Optional[str] = None, sync_per_shard=None,
+                 shards_requested: Optional[int] = None, degraded=None):
         self.view = view
+        #: Worker processes the run actually used.
         self.shards = shards
+        #: Worker processes the caller asked for (``shards`` when it got
+        #: them all).
+        self.shards_requested = (shards if shards_requested is None
+                                 else shards_requested)
+        #: Machine-readable reasons the run is less than what was asked
+        #: for, in the order they arose: ``"single-process:<reason>"``
+        #: (:func:`supports_sharding` said no), ``"clamped:<asked>-><got>"``
+        #: (fewer legal cut boundaries than requested shards) and
+        #: ``"transport:shm->pipe"``.  Empty for an undegraded run.
+        self.degraded: List[str] = list(degraded or [])
         self.plan = plan
         self.events_per_shard = events_per_shard or []
         self.wall_s = wall_s
@@ -1251,7 +1263,11 @@ def run_sharded(workload_factory, *, until: float, shards: int,
     after forking and builds the *full* job deterministically, then starts
     only its own shard's instances.  Falls back to
     :func:`run_single_reference` when ``shards <= 1``, the plan collapses
-    to one shard, or the platform cannot fork.
+    to one shard, or the platform cannot fork.  Whenever the run is less
+    than what was asked for -- single-process, fewer workers than
+    ``shards`` because the graph has fewer legal cuts, pipes instead of
+    shared memory -- it warns, and the result says so in
+    ``shards_requested`` / ``degraded``.
 
     ``transport`` picks the cut-edge data plane (``"shm"`` / ``"pipe"`` /
     ``"auto"``); None defers to ``job_config.shard_transport``.  ``"auto"``
@@ -1272,17 +1288,25 @@ def run_sharded(workload_factory, *, until: float, shards: int,
     """
     from ..engine.runtime import JobConfig
     config = job_config or JobConfig()
-    support = supports_sharding(config)
-    if shards <= 1 or not support:
-        if shards > 1 and not support:
-            warnings.warn(
-                f"sharded run degraded to single-process "
-                f"[{support.reason}]: {support.detail}",
-                RuntimeWarning, stacklevel=2)
-        return run_single_reference(
+
+    def single(*degraded: str) -> ShardedRunResult:
+        result = run_single_reference(
             workload_factory, until=until, job_config=config,
             collect_sinks=collect_sinks, trace_watermarks=trace_watermarks,
             inbox_overrides=cut_inbox)
+        result.shards_requested = shards
+        result.degraded += degraded
+        return result
+
+    support = supports_sharding(config)
+    if shards <= 1:
+        return single()
+    if not support:
+        warnings.warn(
+            f"sharded run degraded to single-process "
+            f"[{support.reason}]: {support.detail}",
+            RuntimeWarning, stacklevel=2)
+        return single(f"single-process:{support.reason}")
     if transport is None:
         transport = getattr(config, "shard_transport", None) or "auto"
     if transport == "auto":
@@ -1298,17 +1322,24 @@ def run_sharded(workload_factory, *, until: float, shards: int,
     while True:
         plan = plan_for_job(probe_job, shards, weights=weights,
                             forbidden_edges=forbidden)
+        # partition_graph clamps to the legal boundaries; say so.
+        clamped = []
+        if plan.num_shards < shards:
+            clamped = [f"clamped:{shards}->{plan.num_shards}"]
+            warnings.warn(
+                f"sharded run clamped from {shards} to {plan.num_shards} "
+                f"workers: the graph has only {plan.num_shards - 1} legal "
+                f"cut boundaries ({plan.describe()})",
+                RuntimeWarning, stacklevel=2)
         if plan.num_shards <= 1:
-            return run_single_reference(
-                workload_factory, until=until, job_config=config,
-                collect_sinks=collect_sinks,
-                trace_watermarks=trace_watermarks,
-                inbox_overrides=cut_inbox)
+            return single(*clamped)
         plan.annotate_cuts(ring_bytes=ring_bytes, inbox_overrides=cut_inbox)
         result = _run_sharded_once(
             workload_factory, probe_job, plan, config, until=until,
             collect_sinks=collect_sinks, trace_watermarks=trace_watermarks,
             quantum=quantum, transport=transport)
+        result.shards_requested = shards
+        result.degraded = clamped + result.degraded
         result.replans = replans
         result.forbidden_cuts = sorted(forbidden)
         flagged = result._flagged_edges & set(plan.cut_edges)
@@ -1351,6 +1382,7 @@ def _run_sharded_once(workload_factory, probe_job, plan, config, *,
     # workers inherit the mappings (nothing pickled, no re-attach); the
     # parent closes and unlinks them after the run.
     rings: Dict[Tuple[int, int], ShmRing] = {}
+    degraded: List[str] = []
     if transport == "shm":
         try:
             for pair in sorted(pairs):
@@ -1362,6 +1394,7 @@ def _run_sharded_once(workload_factory, probe_job, plan, config, *,
                 ring.unlink()
             rings.clear()
             transport = "pipe"
+            degraded.append("transport:shm->pipe")
             warnings.warn(
                 f"shared-memory transport unavailable ({exc}); falling "
                 f"back to the pipe transport", RuntimeWarning,
@@ -1457,7 +1490,8 @@ def _run_sharded_once(workload_factory, probe_job, plan, config, *,
         backpressure_safe=backpressure_safe,
         backpressure_detail=detail, until=until,
         transport=transport,
-        sync_per_shard=[b.get("sync", {}) for b in ordered])
+        sync_per_shard=[b.get("sync", {}) for b in ordered],
+        degraded=degraded)
     result._flagged_edges = flagged
     return result
 

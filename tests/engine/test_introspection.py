@@ -5,7 +5,9 @@ import sys
 import pytest
 
 sys.path.insert(0, "tests")
-from helpers import build_keyed_job, drive  # noqa: E402
+from helpers import build_keyed_job, build_tie_job, drive  # noqa: E402
+
+from repro.engine import CheckpointBarrier, MapLogic, Record
 
 from repro.engine.introspection import (channel_rows, hot_instance,
                                         instance_rows, job_summary,
@@ -81,3 +83,54 @@ def test_job_summary_consistency():
     assert summary["total_state_mb"] > 0
     assert summary["record_plane"] == job.config.record_plane
     assert summary["plane_collapses"] == job.plane_collapses == 0
+
+
+def test_unchained_rows_have_no_chain_head():
+    job = running_job()
+    assert all(r["chain_head"] is None for r in instance_rows(job))
+    assert all(r["chain_head"] is None for r in operator_rows(job))
+
+
+def test_chain_member_rows_name_their_head_and_its_queue():
+    """A member has no queue of its own: its row points at the head whose
+    task runs it and shows the depth waiting there, and its telemetry
+    stays on its own track -- the chain is still seven rows, not four."""
+    def stage():
+        return MapLogic(lambda r: r)
+
+    # src -REBALANCE-> pre -> s0 -> s1 -HASH-> agg -> sink
+    job = build_tie_job(stages=3, sources=1, aggs=1, latency=1e-4,
+                        bandwidth=float("inf"), services=(1e-5, 0.0, 0.0),
+                        plane="batched", op_head=True,
+                        stateless=[(stage, 0.0), (stage, 0.0)])
+    telemetry = job.enable_telemetry()
+    source, head = job.sources()[0], job.instances("pre")[0]
+    for i in range(20):
+        source.offer(Record(key=f"k{i}", count=1))
+    job.sim.call_at(0.0005, lambda: source.inject(
+        CheckpointBarrier(checkpoint_id=1)))
+    job.sim.call_at(0.0002, job.instances("s1")[0].pause)  # holds the task
+    job.run(until=0.005)
+
+    rows = {r["instance"]: r for r in instance_rows(job)}
+    assert head.paused and rows["pre[0]"]["chain_head"] is None
+    assert rows["pre[0]"]["inbox_depth"] > 0  # the backlog is real
+    for member in ("s0[0]", "s1[0]"):
+        assert rows[member]["chain_head"] == "pre[0]"
+        assert rows[member]["inbox_depth"] == rows["pre[0]"]["inbox_depth"]
+        assert rows[member]["records_processed"] \
+            == rows["pre[0]"]["records_processed"] > 0
+    assert rows["agg[0]"]["chain_head"] is None
+    by_operator = {r["operator"]: r for r in operator_rows(job)}
+    assert [by_operator[name]["chain_head"]
+            for name in ("src", "pre", "s0", "s1", "agg", "sink")] \
+        == [None, None, "pre", "pre", None, None]
+
+    job.instances("s1")[0].resume()
+    job.run(until=0.1)
+    tracks = {e.track for e in telemetry.tracer.events_named(
+        "checkpoint.snapshot")}
+    assert tracks == {i.name for i in job.all_instances()}
+    counters = telemetry.registry.snapshot()
+    for name in ("pre", "s0", "s1", "agg"):
+        assert counters[f"records.processed{{operator={name}}}"] == 20

@@ -9,7 +9,7 @@ from helpers import build_keyed_job, drive  # noqa: E402
 
 from repro.engine import (JobGraph, LatencyMarker, OperatorSpec,
                           Partitioning, Record)
-from repro.engine.routing import OutputEdge
+from repro.engine.routing import NoChannelError, OutputEdge
 
 
 def hash_edge(channels=4, num_key_groups=16):
@@ -63,6 +63,30 @@ def test_rebalance_round_robins():
     picks = [edge.channel_for_record(Record(key="a")).index
              for _ in range(6)]
     assert picks == [0, 1, 2, 0, 1, 2]
+
+
+@pytest.mark.parametrize("partitioning", [Partitioning.FORWARD,
+                                          Partitioning.REBALANCE])
+def test_edge_without_channels_raises_a_named_error(partitioning):
+    edge = OutputEdge("a->b", partitioning)
+    with pytest.raises(NoChannelError, match="a->b has no channels"):
+        edge.channel_for_record(Record(key="a"))
+    with pytest.raises(NoChannelError, match="not wired"):
+        edge.channel_for_marker(LatencyMarker(key="a"))
+
+
+def test_forward_reaches_every_channel_or_only_the_named_operators():
+    """`forward` is the one broadcaster: all channels of all edges, in
+    order, no generator when every send is accepted at once."""
+    job = build_keyed_job(source_parallelism=1, agg_parallelism=3)
+    job.start()
+    router = job.sources()[0].router
+    marker = LatencyMarker(key="probe")
+    assert router.forward(marker, dst_ops={"sink"}) is None
+    assert all(not ch.outbox for ch in router.all_channels())
+    assert router.forward(marker, dst_ops={"agg"}) is None
+    assert [list(ch.outbox) for ch in router.all_channels()] \
+        == [[marker]] * 3
 
 
 def test_marker_routing_follows_key_on_hash_edges():

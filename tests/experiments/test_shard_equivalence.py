@@ -53,7 +53,8 @@ def _assert_equivalent(single, multi):
 
 def test_q7_two_shards_equivalent():
     single, multi = _both(NexmarkQ7, until=30.0, shards=2)
-    assert multi.shards == 2
+    assert multi.shards == multi.shards_requested == 2
+    assert multi.degraded == []
     _assert_equivalent(single, multi)
     # non-vacuous: the run really processed records end to end
     assert multi.total_sink_input() > 0
@@ -70,6 +71,9 @@ def test_q7_two_shards_equivalent():
 def test_twitch_three_shards_equivalent():
     single, multi = _both(TwitchWorkload, until=20.0, shards=3)
     assert multi.shards >= 2
+    # The source's chain is one task: it is planned as one block.
+    assert multi.plan.shards[0][:4] == ["twitch-source", "parse",
+                                        "bot-filter", "enrich"]
     _assert_equivalent(single, multi)
     assert multi.total_sink_input() > 0
 

@@ -37,16 +37,37 @@ def build_keyed_job(num_key_groups: int = 16,
 
 
 def build_tie_job(stages, sources, aggs, latency, bandwidth, services, plane,
-                  agg_logic=None):
+                  agg_logic=None, stateless=(), op_head=False, spread=False):
     """src → [agg →] sink on one node with one link spec for every hop, so
     zero or equal latencies make deliveries and wakes tie at one instant.
     ``services`` is (source, agg, sink) service time; ``agg_logic`` replaces
-    the emitting keyed sum."""
+    the emitting keyed sum.
+
+    ``stateless`` is a sequence of ``(logic_factory, service)`` FORWARD
+    stages ``s0, s1, …`` of the sources' parallelism, placed behind the
+    source — or, with ``op_head``, behind a REBALANCE-fed pass-through
+    ``pre`` — so that on the one node they chain into that head's task.
+    ``spread`` deals the instances round-robin over three nodes joined by
+    the same link spec: no ``u[i]``/``v[i]`` pair shares a node (the
+    parallelism is 1 or 2), and every hop stays a channel."""
     link = LinkSpec(latency=latency, bandwidth=bandwidth)
-    cluster = ClusterModel([NodeSpec("n0")], default_link=link,
-                           loopback=link)
+    cluster = ClusterModel(
+        [NodeSpec(f"n{i}") for i in range(3 if spread else 1)],
+        default_link=link, loopback=link)
     graph = JobGraph("tie-job", num_key_groups=4)
     graph.add_source("src", parallelism=sources, service_time=services[0])
+    tail = "src"
+    if op_head:
+        graph.add_operator(OperatorSpec("pre", parallelism=sources,
+                                        service_time=services[0]))
+        graph.connect("src", "pre", Partitioning.REBALANCE)
+        tail = "pre"
+    for k, (logic_factory, service) in enumerate(stateless):
+        graph.add_operator(OperatorSpec(
+            f"s{k}", logic_factory=logic_factory, parallelism=sources,
+            service_time=service))
+        graph.connect(tail, f"s{k}", Partitioning.FORWARD)
+        tail = f"s{k}"
     graph.add_sink("sink", collect=True, service_time=services[2])
     if stages == 3:
         graph.add_operator(OperatorSpec(
@@ -54,10 +75,10 @@ def build_tie_job(stages, sources, aggs, latency, bandwidth, services, plane,
             logic_factory=agg_logic or (lambda: KeyedReduceLogic(
                 lambda old, r: (old or 0) + r.count)),
             parallelism=aggs, service_time=services[1], keyed=True))
-        graph.connect("src", "agg", Partitioning.HASH)
+        graph.connect(tail, "agg", Partitioning.HASH)
         graph.connect("agg", "sink", Partitioning.REBALANCE)
     else:
-        graph.connect("src", "sink", Partitioning.REBALANCE)
+        graph.connect(tail, "sink", Partitioning.REBALANCE)
     return StreamJob(graph, cluster=cluster,
                      config=JobConfig(record_plane=plane)).build()
 
@@ -70,7 +91,8 @@ def run_outcome(job: StreamJob) -> dict:
         "latency": job.metrics.latency_samples,
         "source_events": job.metrics._source_events,
         "sink_events": job.metrics._sink_events,
-        "arrivals": [(r.key, r.value) for r in job.sink_logic().collected],
+        "arrivals": [(r.key, r.value, r.count, r.event_time)
+                     for r in job.sink_logic().collected],
         "instances": {i.name: (i.records_processed, i.current_watermark,
                                i.busy_seconds, i.suspended_seconds)
                       for i in job.all_instances()},

@@ -225,6 +225,8 @@ class TestConfigPlumbing:
                 job_config=JobConfig(state_backend="changelog"))
         assert result.shards == 1
         assert result.plan is None
+        assert result.shards_requested == 2
+        assert result.degraded == ["single-process:changelog-async-uploads"]
 
     def test_shards_one_falls_back_to_single_process(self):
         result = run_sharded(NexmarkQ7, until=2.0, shards=1,
@@ -232,6 +234,17 @@ class TestConfigPlumbing:
         assert result.shards == 1
         assert result.backpressure_safe
         assert result.plan is None
+        assert result.shards_requested == 1 and result.degraded == []
+
+    def test_clamped_shard_count_is_reported_not_silent(self):
+        """Q7 has two legal cut boundaries: asking for four workers gets
+        three, and the result and a warning both say so."""
+        with pytest.warns(RuntimeWarning, match="clamped from 4 to 3"):
+            result = run_sharded(NexmarkQ7, until=2.0, shards=4,
+                                 job_config=JobConfig(inbox_capacity=256))
+        assert (result.shards, result.shards_requested) == (3, 4)
+        assert result.degraded == ["clamped:4->3"]
+        assert result.plan.num_shards == 3
 
     def test_jobconfig_shard_inbox_validation(self):
         assert JobConfig().shard_inbox_capacity == 512
