@@ -154,8 +154,8 @@ class ScalingSignals:
         #: live instances every sample (churn safety).
         self._busy_cursor: Dict[int, float] = {}
         self._last_time: Optional[float] = None
-        #: Cursor into job.metrics source events (O(new events) per sample).
-        self._source_cursor = 0
+        #: Source records already counted by an earlier sample.
+        self._source_seen = 0
         self._last_blocked = 0
 
     # -- raw taps -------------------------------------------------------------
@@ -188,12 +188,10 @@ class ScalingSignals:
         return max(0.0, now - frontier)
 
     def _source_delta(self) -> int:
-        events = self.job.metrics._source_events
-        total = 0
-        for index in range(self._source_cursor, len(events)):
-            total += events[index][1]
-        self._source_cursor = len(events)
-        return total
+        total = self.job.metrics.total_source_output()
+        delta = total - self._source_seen
+        self._source_seen = total
+        return delta
 
     # -- sampling -------------------------------------------------------------
 

@@ -23,9 +23,9 @@ def instance_rows(job: StreamJob, operator: Optional[str] = None,
     """One row per operator instance: load, queues, state.
 
     ``since`` turns ``busy_fraction`` into a rate over ``now - since``
-    rather than the whole run.  A chain member has no queue of its own —
-    its head's task hands it every element — so ``chain_head`` names that
-    head and ``inbox_depth`` is the head's: the work waiting for the task.
+    rather than the whole run.  ``chain_head`` names a chain member's
+    head; ``inbox_depth`` is :meth:`OperatorInstance.inbox_depth`, the
+    work waiting for the instance's task.
     """
     horizon = max(job.sim.now - since, 1e-9)
     rows = []
@@ -33,7 +33,7 @@ def instance_rows(job: StreamJob, operator: Optional[str] = None,
     for name in names:
         for inst in job.instances(name):
             head = inst.chain_head
-            inbox = sum(len(ch) for ch in (head or inst).input_channels)
+            inbox = inst.inbox_depth()
             outbox = sum(ch.backlog for ch in inst.router.all_channels())
             row = {
                 "instance": inst.name,

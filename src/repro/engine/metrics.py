@@ -21,30 +21,59 @@ malformed arguments (``pct`` outside [0, 100], non-positive windows) raise.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["MetricsCollector", "series_peak", "series_mean", "percentile"]
 
 
 class MetricsCollector:
-    """Central sink for measurements produced during one simulated run."""
+    """Central sink for measurements produced during one simulated run.
+
+    The source and sink logs hold one ``(time, count)`` event per record,
+    packed into parallel ``array('d')`` / ``array('q')`` columns — 16 bytes
+    an event, exact values — with a running total beside each.  Read them
+    through :meth:`source_events` / :meth:`sink_events`, the two series and
+    the two totals; nothing outside this module touches the columns.
+    """
 
     def __init__(self):
         self.latency_samples: List[Tuple[float, float]] = []
-        self._source_events: List[Tuple[float, int]] = []
-        self._sink_events: List[Tuple[float, int]] = []
+        self._source_times, self._source_counts = array("d"), array("q")
+        self._sink_times, self._sink_counts = array("d"), array("q")
+        self._source_total = self._sink_total = 0
         self.custom: Dict[str, List[Tuple[float, float]]] = {}
+
+    @classmethod
+    def from_view(cls, view: Mapping[str, Any]) -> "MetricsCollector":
+        """A collector holding a sharded run's merged view (the metric keys
+        of :func:`repro.simulation.sharded.collect_run_view`)."""
+        metrics = cls()
+        metrics.latency_samples = list(view["latency_samples"])
+        for time, count in view["source_events"]:
+            metrics.record_source_output(time, count)
+        for time, count in view["sink_events"]:
+            metrics.record_sink_input(time, count)
+        metrics.custom = {k: list(v) for k, v in view["custom"].items()}
+        return metrics
 
     # -- recording -------------------------------------------------------------
 
     def record_latency(self, time: float, latency: float) -> None:
         self.latency_samples.append((time, latency))
 
+    # The count goes in first: ``array('q')`` refuses a non-integer with a
+    # TypeError (it never truncates), and then nothing of the event is kept.
+
     def record_source_output(self, time: float, count: int) -> None:
-        self._source_events.append((time, count))
+        self._source_counts.append(count)
+        self._source_times.append(time)
+        self._source_total += count
 
     def record_sink_input(self, time: float, count: int) -> None:
-        self._sink_events.append((time, count))
+        self._sink_counts.append(count)
+        self._sink_times.append(time)
+        self._sink_total += count
 
     def record_custom(self, name: str, time: float, value: float) -> None:
         self.custom.setdefault(name, []).append((time, value))
@@ -54,26 +83,43 @@ class MetricsCollector:
     def latency_series(self) -> List[Tuple[float, float]]:
         return list(self.latency_samples)
 
+    def source_events(self) -> Iterable[Tuple[float, int]]:
+        """Every source record as ``(emit time, count)``, in record order."""
+        return zip(self._source_times, self._source_counts)
+
+    def sink_events(self) -> Iterable[Tuple[float, int]]:
+        """Every sink record as ``(arrival time, count)``, in record order."""
+        return zip(self._sink_times, self._sink_counts)
+
     def throughput_series(self, window: float = 1.0,
                           start: float = 0.0,
                           end: Optional[float] = None
                           ) -> List[Tuple[float, float]]:
         """Source output rate (records/s) per ``window``-second bucket."""
-        return _rate_series(self._source_events, window, start, end)
+        return _rate_series(self._source_times, self._source_counts,
+                            window, start, end)
 
     def sink_rate_series(self, window: float = 1.0,
                          start: float = 0.0,
                          end: Optional[float] = None
                          ) -> List[Tuple[float, float]]:
-        return _rate_series(self._sink_events, window, start, end)
+        return _rate_series(self._sink_times, self._sink_counts,
+                            window, start, end)
+
+    # Simulated time is never negative, so the default range is the whole
+    # log and answers from the running total; explicit bounds scan.
 
     def total_source_output(self, start: float = 0.0,
                             end: float = math.inf) -> int:
-        return sum(c for t, c in self._source_events if start <= t < end)
+        if start <= 0.0 and end == math.inf:
+            return self._source_total
+        return sum(c for t, c in self.source_events() if start <= t < end)
 
     def total_sink_input(self, start: float = 0.0,
                          end: float = math.inf) -> int:
-        return sum(c for t, c in self._sink_events if start <= t < end)
+        if start <= 0.0 and end == math.inf:
+            return self._sink_total
+        return sum(c for t, c in self.sink_events() if start <= t < end)
 
     # -- scalar summaries ----------------------------------------------------------
 
@@ -92,21 +138,21 @@ class MetricsCollector:
         }
 
 
-def _rate_series(events: Sequence[Tuple[float, int]], window: float,
-                 start: float, end: Optional[float]
+def _rate_series(times: Sequence[float], counts: Sequence[int],
+                 window: float, start: float, end: Optional[float]
                  ) -> List[Tuple[float, float]]:
     if window <= 0:
         raise ValueError("window must be positive")
-    if not events:
+    if not times:
         return []
     if end is None:
-        end = max(t for t, _c in events) + window
+        end = max(times) + window
     buckets: Dict[int, int] = {}
-    for t, count in events:
+    for t, count in zip(times, counts):
         if t < start or t >= end:
             continue
-        buckets[int((t - start) // window)] = (
-            buckets.get(int((t - start) // window), 0) + count)
+        index = int((t - start) // window)
+        buckets[index] = buckets.get(index, 0) + count
     n_buckets = int(math.ceil((end - start) / window))
     series = []
     for i in range(n_buckets):

@@ -320,6 +320,14 @@ class OperatorInstance:
         self.input_handler.on_channel_added(channel)
         return channel
 
+    def inbox_depth(self) -> int:
+        """Elements waiting for this instance's task; for a chain member,
+        which has no queue of its own, that is its head's inbox.
+        ``len(channel)`` is the visibility-aware logical depth: what the
+        per-record plane's queue would hold right now."""
+        return sum(len(channel) for channel in
+                   (self.chain_head or self).input_channels)
+
     def set_suspension_listener(self, listener) -> None:
         self._suspension_listener = listener
 

@@ -85,8 +85,14 @@ class _PaneLogic(OperatorLogic):
         # Window starts depend on event_time only through its slide bucket;
         # records cluster in few buckets, so memoize per bucket — the
         # ``(_TAG, start)`` entry keys themselves, so the hot loop
-        # allocates no tuples at all.
+        # allocates no tuples at all.  The memo follows event time: it
+        # holds the newest bucket seen and the ``_memo_span`` buckets below
+        # it, the only ones with a window still open (or within
+        # ``allowed_lateness``) at the newest event time, so its size is set
+        # by the window shape and never by how long the job has run.
         self._starts_memo: dict = {}
+        self._memo_span = math.ceil((size + allowed_lateness) / slide)
+        self._memo_front = -math.inf
         # Fire-floor memo: key_group -> [state version, lower bound on the
         # start of any live pane].  ``on_watermark`` skips a group's entry
         # scan entirely while ``floor + size > cutoff`` — no pane can be
@@ -141,10 +147,20 @@ class _PaneLogic(OperatorLogic):
     # -- record path ----------------------------------------------------------
 
     def _pane_keys(self, bucket: int, event_time: float) -> list:
-        """Memo miss: compute and remember a slide bucket's entry keys."""
+        """Memo miss — once per slide bucket, never per record: compute the
+        bucket's entry keys and remember them while event time is within
+        ``_memo_span`` buckets.  A new front bucket evicts the buckets it
+        leaves behind; a record later than that just recomputes its keys."""
         pane_keys = [(self._TAG, start) for start in
                      _window_starts(event_time, self.size, self.slide)]
-        self._starts_memo[bucket] = pane_keys
+        memo = self._starts_memo
+        if bucket > self._memo_front:
+            self._memo_front = bucket
+            oldest = bucket - self._memo_span
+            for stale in [b for b in memo if b < oldest]:
+                del memo[stale]
+        if bucket >= self._memo_front - self._memo_span:
+            memo[bucket] = pane_keys
         return pane_keys
 
     def on_record(self, record, instance):

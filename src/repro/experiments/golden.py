@@ -120,8 +120,8 @@ def capture_q7_trace(system: Optional[str] = "drrs",
             "latency_count": len(latency),
             "latency_head": [list(sample) for sample in latency[:20]],
             "latency_digest": _digest(latency),
-            "source_events_digest": _digest(metrics._source_events),
-            "sink_events_digest": _digest(metrics._sink_events),
+            "source_events_digest": _digest(list(metrics.source_events())),
+            "sink_events_digest": _digest(list(metrics.sink_events())),
             "operators": _operator_digest(job),
             "scaling": scaling_metrics_digest(result.scaling_metrics),
             "scaling_period": result.scaling_period,

@@ -275,12 +275,7 @@ def _run_experiment_sharded(config: ExperimentConfig, job_config,
         import dataclasses as _dc
         return run_experiment(_dc.replace(config, shards=1))
 
-    metrics = MetricsCollector()
-    view = result.semantic_view()
-    metrics.latency_samples = list(view["latency_samples"])
-    metrics._source_events = list(view["source_events"])
-    metrics._sink_events = list(view["sink_events"])
-    metrics.custom = {k: list(v) for k, v in view["custom"].items()}
+    metrics = MetricsCollector.from_view(result.semantic_view())
 
     scale_at = config.warmup
     latency = metrics.latency_series()

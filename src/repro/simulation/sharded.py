@@ -413,8 +413,8 @@ def collect_run_view(job, owned_ops, *, collect_sinks=False,
     metrics = job.metrics
     view: Dict[str, Any] = {
         "latency_samples": list(metrics.latency_samples),
-        "source_events": list(metrics._source_events),
-        "sink_events": list(metrics._sink_events),
+        "source_events": list(metrics.source_events()),
+        "sink_events": list(metrics.sink_events()),
         "custom": {k: list(v) for k, v in metrics.custom.items()},
         "state_digests": {},
         "watermarks": {},

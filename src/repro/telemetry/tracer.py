@@ -208,9 +208,7 @@ class Telemetry:
             while self._sampler_running:
                 yield job.sim.timeout(interval)
                 for inst in job.all_instances():
-                    # len(ch) is the visibility-aware logical depth — what
-                    # the per-record plane's queue would hold right now.
-                    depth = sum(len(ch) for ch in inst.input_channels)
+                    depth = inst.inbox_depth()
                     backlog = sum(ch.backlog
                                   for ch in inst.router.all_channels())
                     self.registry.gauge("instance.inbox_depth",

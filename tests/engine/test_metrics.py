@@ -1,12 +1,16 @@
 """Metrics collection: latency stats, rate series, percentiles."""
 
 import math
+import pickle
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import MetricsCollector, percentile, series_mean, series_peak
+from repro.engine import (MetricsCollector, Record, SinkLogic, percentile,
+                          series_mean, series_peak)
+from repro.simulation.sharded import collect_run_view
 
 
 def test_latency_stats_window():
@@ -57,6 +61,85 @@ def test_custom_series():
     m.record_custom("backlog", 1.0, 5.0)
     m.record_custom("backlog", 2.0, 7.0)
     assert m.custom["backlog"] == [(1.0, 5.0), (2.0, 7.0)]
+
+
+def test_non_integer_count_fails_loudly_and_keeps_nothing():
+    """A fractional ``Record.count`` must never be truncated into the
+    packed counters: the record path raises and the log stays aligned."""
+    m = MetricsCollector()
+    sink = types.SimpleNamespace(metrics=m, sim=types.SimpleNamespace(now=1.0))
+    SinkLogic().on_record(Record(key="k", count=2), sink)
+    with pytest.raises(TypeError):
+        SinkLogic().on_record(Record(key="k", count=2.5), sink)
+    with pytest.raises(TypeError):
+        m.record_source_output(1.0, 2.5)
+    assert list(m.sink_events()) == [(1.0, 2)] and m.total_sink_input() == 2
+    assert list(m.source_events()) == [] and m.total_source_output() == 0
+
+
+# -- the list-of-tuples implementation the packed logs replaced, kept as the
+# -- reference the series and totals must equal bit for bit
+
+def _ref_rate_series(events, window, start, end):
+    if not events:
+        return []
+    if end is None:
+        end = max(t for t, _c in events) + window
+    buckets = {}
+    for t, count in events:
+        if t < start or t >= end:
+            continue
+        buckets[int((t - start) // window)] = (
+            buckets.get(int((t - start) // window), 0) + count)
+    return [(start + (i + 0.5) * window, buckets.get(i, 0) / window)
+            for i in range(int(math.ceil((end - start) / window)))]
+
+
+def _ref_total(events, start=0.0, end=math.inf):
+    return sum(c for t, c in events if start <= t < end)
+
+
+_events = st.lists(st.tuples(st.floats(0.0, 50.0), st.integers(0, 10**6)),
+                   max_size=60)
+_bound = st.one_of(st.none(), st.floats(0.0, 60.0))
+
+
+@given(source=_events, sink=_events,
+       window=st.floats(0.01, 20.0), start=st.floats(0.0, 40.0),
+       end=_bound, through_view=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_packed_logs_equal_the_list_of_tuples_reference(
+        source, sink, window, start, end, through_view):
+    m = MetricsCollector()
+    for t, c in source:
+        m.record_source_output(t, c)
+    for t, c in sink:
+        m.record_sink_input(t, c)
+    m.record_latency(1.0, 0.5)
+    m.record_custom("backlog", 2.0, 3.0)
+    if through_view:
+        # What a shard worker ships and the harness loads back.
+        job = types.SimpleNamespace(
+            metrics=m, graph=types.SimpleNamespace(sinks=lambda: []))
+        view = pickle.loads(pickle.dumps(collect_run_view(job, ())))
+        assert view["source_events"] == source
+        assert view["sink_events"] == sink
+        m = MetricsCollector.from_view(view)
+        assert m.latency_samples == [(1.0, 0.5)]
+        assert m.custom == {"backlog": [(2.0, 3.0)]}
+    assert list(m.source_events()) == source
+    assert list(m.sink_events()) == sink
+    for series, total, events in (
+            (m.throughput_series, m.total_source_output, source),
+            (m.sink_rate_series, m.total_sink_input, sink)):
+        assert series(window, start, end) == _ref_rate_series(
+            events, window, start, end)
+        assert series(window) == _ref_rate_series(events, window, 0.0, None)
+        assert total() == _ref_total(events)
+        assert total(start) == _ref_total(events, start)
+        if end is not None:
+            assert total(start, end) == _ref_total(events, start, end)
+            assert total(end=end) == _ref_total(events, end=end)
 
 
 def test_series_peak_and_mean():

@@ -46,7 +46,7 @@ def _observe(job, receiver):
     return (job.sim.now, receiver.records_processed, receiver.busy_seconds,
             receiver.current_watermark,
             [len(ic) for ic in receiver.input_channels],
-            list(job.metrics._sink_events))
+            list(job.metrics.sink_events()))
 
 
 def _outcome(plane, kind, service, script, action, probe=None):

@@ -10,6 +10,11 @@ every ``StateStatus``).  Outputs, ``entries`` and ``size_bytes`` must be
 equal after every step: this is what stands between the ripe-time gate and
 a silently unfired window.
 
+Event times span 0-60 s, over ten times the pane-key memo's span for every
+shape, so the memo evicts over and over with late records (whose keys
+are recomputed), installs and status flips in between, and must stay within
+its bound throughout.
+
 Byte quantities are dyadic so the engine's one merged ``size_bytes`` update
 per record is bit-equal to the reference's per-pane additions.
 """
@@ -163,6 +168,7 @@ class Harness:
                 if state.group(step[1]) is not None:
                     state.group(step[1]).status = step[2]
         assert _image(real) == _image(ref), step
+        assert len(self.logic._starts_memo) <= self.logic._memo_span + 1
 
     def run(self, steps):
         for step in steps:
@@ -177,7 +183,7 @@ class Harness:
 
 
 _kg = st.integers(0, KEY_GROUPS - 1)
-_time = st.integers(0, 80).map(lambda q: q * 0.25)
+_time = st.integers(0, 240).map(lambda q: q * 0.25)
 _rec = st.tuples(_kg, _time, st.integers(1, 4), st.integers(0, 9))
 _step = st.one_of(
     st.tuples(st.just("rec"), _kg, _time, st.integers(1, 4),
@@ -185,7 +191,7 @@ _step = st.one_of(
     st.tuples(st.just("batch"), st.lists(_rec, min_size=1, max_size=12)),
     st.tuples(st.just("wm"), _time),
     st.tuples(st.just("install"), _kg,
-              st.lists(st.integers(0, 40), max_size=3, unique=True),
+              st.lists(st.integers(0, 120), max_size=3, unique=True),
               st.integers(1, 3), st.integers(0, 9),
               st.sampled_from(list(StateStatus))),
     st.tuples(st.just("drop"), _kg),

@@ -89,8 +89,8 @@ def run_outcome(job: StreamJob) -> dict:
     return {
         "trace": semantic_trace(job),
         "latency": job.metrics.latency_samples,
-        "source_events": job.metrics._source_events,
-        "sink_events": job.metrics._sink_events,
+        "source_events": list(job.metrics.source_events()),
+        "sink_events": list(job.metrics.sink_events()),
         "arrivals": [(r.key, r.value, r.count, r.event_time)
                      for r in job.sink_logic().collected],
         "instances": {i.name: (i.records_processed, i.current_watermark,

@@ -5,9 +5,11 @@ import sys
 import pytest
 
 sys.path.insert(0, "tests")
-from helpers import build_keyed_job, drive  # noqa: E402
+from helpers import build_keyed_job, build_tie_job, drive  # noqa: E402
 
 from repro.core.drrs import DRRSController
+from repro.engine import PassThroughLogic, Record
+from repro.engine.introspection import instance_rows
 from repro.simulation.kernel import Simulator
 from repro.telemetry import Tracer, to_jsonl_lines
 
@@ -134,3 +136,28 @@ def test_sampler_is_opt_in_and_samples():
     samples = telemetry.tracer.events_named("queue.sample")
     assert samples, "sampler produced no queue.sample instants"
     assert {e.category for e in samples} == {"sampling"}
+
+
+def test_sampler_reports_a_chain_members_depth_as_its_heads():
+    """``pre -> s0 -> s1`` is one task reading ``pre``'s inbox: under
+    backlog the members' gauge and ``queue.sample`` show that inbox, as
+    ``instance_rows`` does — not their own (absent) input channels."""
+    job = build_tie_job(
+        stages=2, sources=1, aggs=1, latency=1e-4, bandwidth=1e9,
+        services=(1e-5, 0.0, 0.0), plane="batched", op_head=True,
+        stateless=[(PassThroughLogic, 2e-3), (PassThroughLogic, 0.0)])
+    telemetry = job.enable_telemetry(sample_interval=0.01)
+    source = job.sources()[0]
+    for i in range(200):
+        source.offer(Record(key=f"k{i}", count=1, size_bytes=100.0))
+    job.run(until=0.0105)                # one sample, taken at 0.01
+    chain = ["pre[0]", "s0[0]", "s1[0]"]
+    rows = {row["instance"]: row["inbox_depth"] for row in instance_rows(job)}
+    assert rows["pre[0]"] > 0
+    assert [rows[name] for name in chain] == [rows["pre[0]"]] * 3
+    gauges = [telemetry.registry.gauge("instance.inbox_depth",
+                                       instance=name).value for name in chain]
+    assert gauges[0] > 0 and gauges == [gauges[0]] * 3
+    sampled = {e.track: e.attrs["inbox_depth"]
+               for e in telemetry.tracer.events_named("queue.sample")}
+    assert [sampled[name] for name in chain] == gauges
