@@ -250,7 +250,6 @@ def _cmd_bench(args) -> int:
     written = write_bench_files(output_dir=args.output, scale=args.scale,
                                 which=args.only, best_of=args.best_of,
                                 stat=args.stat, shards=args.shards,
-                                transport=args.transport,
                                 inbox=args.inbox)
     docs = {}
     for name, path in written.items():
@@ -298,7 +297,7 @@ def _cmd_bench(args) -> int:
             rewritten = write_bench_files(
                 output_dir=args.output, scale=args.scale, which=suite,
                 best_of=args.best_of, stat=args.stat, shards=args.shards,
-                transport=args.transport, inbox=args.inbox)
+                inbox=args.inbox)
             with open(rewritten[suite]) as f:
                 docs[suite] = json.load(f)
         all_rows, per_suite = _compare_all()
@@ -365,8 +364,7 @@ def _cmd_shard_check(args) -> int:
     # The shard flow-control window applies to both runs (same-config
     # comparison): JobConfig owns the default / REPRO_SHARD_INBOX contract.
     config = JobConfig(shards=args.shards,
-                       shard_inbox_capacity=args.inbox,
-                       shard_transport=args.transport)
+                       shard_inbox_capacity=args.inbox)
     config = dataclasses.replace(
         config, inbox_capacity=config.shard_inbox_capacity)
 
@@ -424,8 +422,7 @@ def _cmd_shard_check(args) -> int:
     }
     if args.trace_out:
         from .telemetry.shards import write_shard_sync_trace
-        write_shard_sync_trace(sharded.sync_per_shard, args.trace_out,
-                               transport=sharded.transport)
+        write_shard_sync_trace(sharded.sync_per_shard, args.trace_out)
         report["trace"] = args.trace_out
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
@@ -439,8 +436,7 @@ def _cmd_shard_check(args) -> int:
               f"sink records {single.total_sink_input()} vs "
               f"{sharded.total_sink_input()}")
         if sync:
-            print(f"  transport={sync.get('transport')} "
-                  f"nulls sent/suppressed="
+            print(f"  nulls sent/suppressed="
                   f"{sync.get('null_sent', 0)}/"
                   f"{sync.get('null_suppressed', 0)} "
                   f"grant rounds={sync.get('grant_rounds', 0)} "
@@ -645,11 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "sharded kernel plus its single-process "
                               "reference and records plan, equivalence, "
                               "and both speedups")
-    p_bench.add_argument("--transport", default=None,
-                         choices=("auto", "shm", "pipe"),
-                         help="cut-edge data plane for sharded e2e runs "
-                              "(default: REPRO_SHARD_TRANSPORT or auto; "
-                              "auto picks shared memory)")
     p_bench.add_argument("--inbox", type=_positive_int, default=None,
                          metavar="N",
                          help="shard flow-control window "
@@ -676,11 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "byte-for-byte diffing in CI")
     p_shard.add_argument("--json", action="store_true",
                          help="print the comparison report as JSON")
-    p_shard.add_argument("--transport", default=None,
-                         choices=("auto", "shm", "pipe"),
-                         help="cut-edge data plane (default: "
-                              "REPRO_SHARD_TRANSPORT or auto; auto picks "
-                              "shared memory)")
     p_shard.add_argument("--inbox", type=_positive_int, default=None,
                          metavar="N",
                          help="shard flow-control window "

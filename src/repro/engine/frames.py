@@ -7,7 +7,8 @@ cut-edge messages.  ``RecordBatch`` payloads — the hot path at paper scale
 created times, sizes, counts, record ids, key groups) plus one pickle for
 the object-typed remainder (keys, values, lineage).  That single pickle
 per frame replaces one pickle traversal per Record, which is where the
-pipe transport burned its cross-shard budget (see docs/performance.md).
+original pickle-over-pipe protocol burned its cross-shard budget (see
+docs/performance.md).
 
 Watermarks — the bulk of cut-edge *messages* — are pure structs (no
 pickle at all).  Anything else (latency markers, barriers, control
@@ -17,10 +18,10 @@ sacrificing the fast paths.
 
 Bit-exactness contract: floats round-trip through ``<d`` (IEEE-754
 binary64, the in-memory representation), ints through ``<q``, and object
-payloads through pickle exactly as the pipe transport moved them — so a
-decoded element is indistinguishable from its pipe-transported twin and
-the sharded equivalence bar (byte-identical sink dumps, state digests,
-watermark traces) is unaffected by transport choice.
+payloads through pickle — so a decoded element is indistinguishable from
+its pickled twin (``tests/engine/test_frames.py``) and the sharded
+equivalence bar (byte-identical sink dumps, state digests, watermark
+traces) holds across the cut.
 
 With numpy present, ``RecordBatch.columns()`` views serialize via
 ``ndarray.tobytes`` (a memcpy) instead of per-field Python loops.

@@ -95,20 +95,11 @@ class JobConfig:
     #: (defaulting to 512).  Per-cut-edge overrides can be attached to the
     #: partition plan (:meth:`~..engine.routing.ShardPlan.annotate_cuts`).
     shard_inbox_capacity: Optional[int] = None
-    #: Cut-edge transport for the sharded kernel: ``"shm"`` (shared-memory
-    #: columnar frame rings with demand-driven null messages and adaptive
-    #: quantum), ``"pipe"`` (the legacy pickle-over-pipe protocol with a
-    #: fixed quantum and eager nulls), or ``"auto"`` (shm when the
-    #: platform supports it, else pipe).  ``None`` reads
-    #: ``REPRO_SHARD_TRANSPORT`` (defaulting to ``"auto"``).
-    shard_transport: Optional[str] = None
 
-    #: Legal record planes / schedulers / batch-size bounds (also enforced
-    #: by :class:`~..experiments.harness.ExperimentConfig` overrides).
+    #: Legal record planes / schedulers / backends and the numeric bounds.
     RECORD_PLANES = ("batched", "single")
     SCHEDULERS = ("heap", "calendar")
     STATE_BACKENDS = ("dict", "changelog")
-    SHARD_TRANSPORTS = ("auto", "shm", "pipe")
     MAX_BATCH_SIZE_LIMIT = 4096
     MAX_SHARDS = 64
     MAX_SHARD_INBOX = 1 << 20
@@ -176,13 +167,6 @@ class JobConfig:
                 "shard_inbox_capacity must be an integer in "
                 f"[1, {self.MAX_SHARD_INBOX}], "
                 f"got {self.shard_inbox_capacity!r}")
-        if self.shard_transport is None:
-            self.shard_transport = os.environ.get(
-                "REPRO_SHARD_TRANSPORT", "auto")
-        if self.shard_transport not in self.SHARD_TRANSPORTS:
-            raise ValueError(
-                f"unknown shard_transport: {self.shard_transport!r} "
-                f"(expected one of: {', '.join(self.SHARD_TRANSPORTS)})")
 
 
 @dataclass

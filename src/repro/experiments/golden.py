@@ -22,7 +22,7 @@ import hashlib
 import json
 from typing import Any, Dict, Optional
 
-from ..engine.runtime import StreamJob
+from ..engine.runtime import JobConfig, StreamJob
 from .harness import ExperimentConfig, run_experiment
 from .scenarios import QUICK, make_workload
 
@@ -82,14 +82,14 @@ def capture_q7_trace(system: Optional[str] = "drrs",
                      post: float = 25.0,
                      new_parallelism: int = 12,
                      telemetry: bool = False,
-                     record_plane: Optional[str] = None,
-                     scheduler: Optional[str] = None) -> Dict[str, Any]:
+                     job_config: Optional[JobConfig] = None
+                     ) -> Dict[str, Any]:
     """Run a NEXMark Q7 scenario (optionally under a DRRS rescale) and
     return its semantic trace document.
 
-    ``record_plane`` selects "batched"/"single" and
-    ``scheduler`` selects "heap"/"calendar" (None = engine default); the
-    semantic subtree must be identical for every combination.
+    ``job_config`` (None = engine defaults) selects the record plane and
+    scheduler; the semantic subtree must be identical for every
+    combination.
     """
     from .figures import controller_factory
 
@@ -100,8 +100,7 @@ def capture_q7_trace(system: Optional[str] = "drrs",
         new_parallelism=new_parallelism,
         warmup=warmup,
         post_duration=post,
-        record_plane=record_plane,
-        scheduler=scheduler,
+        job_config=job_config,
         label=f"golden-q7/{system or 'no-scale'}",
         telemetry=telemetry)
     result = run_experiment(config)

@@ -15,7 +15,7 @@ runs keep the same semantics).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..engine.cluster import ClusterModel
@@ -47,94 +47,18 @@ class ExperimentConfig:
     #: ... held for this many seconds (100 s in the paper).
     stabilize_hold: float = 10.0
     cluster: Optional[ClusterModel] = None
+    #: The engine configuration — record plane, scheduler, state backend,
+    #: shard count and every other engine knob live here and nowhere
+    #: else.  None = ``JobConfig()`` (which reads ``REPRO_SHARDS``).
+    #: ``shards > 1`` only applies to plain runs: a run with a scaling
+    #: controller, telemetry or a custom cluster stays single-process and
+    #: says so in :attr:`ExperimentResult.degraded`.
     job_config: Optional[JobConfig] = None
-    #: Record-plane knobs without constructing a full JobConfig: when
-    #: ``job_config`` is None these build one ("batched"/"single", and the
-    #: batch-size cap).  Ignored when an explicit job_config is given.
-    record_plane: Optional[str] = None
-    max_batch_size: Optional[int] = None
-    #: Kernel scheduler override ("heap"/"calendar"); None = engine default.
-    scheduler: Optional[str] = None
-    #: Keyed-state backend override ("dict"/"changelog"); None = engine
-    #: default.  Like the other knobs, ignored when an explicit
-    #: ``job_config`` is given.
-    state_backend: Optional[str] = None
     label: str = ""
     #: Opt-in structured tracing: when True the job's telemetry subsystem
     #: is enabled before warm-up and exposed on the result.  Off by default
     #: so figure runs stay bit-identical to the un-instrumented engine.
     telemetry: bool = False
-    #: Worker processes for the run.  None = the engine default
-    #: (``REPRO_SHARDS`` or 1).  Sharding only applies to plain runs —
-    #: any run with a scaling controller, telemetry, or a custom cluster
-    #: falls back to single-process so rescale/chaos semantics are
-    #: untouched (same pattern as the batched plane's per-record
-    #: fallback).  The fallback is silent by design: the result is
-    #: identical either way, only wall-clock differs.
-    shards: Optional[int] = None
-    #: Cut-edge flow-control window for sharded runs (becomes the
-    #: engine-wide ``inbox_capacity`` of the built job so sharded and
-    #: single-process runs stay same-config).  None = the engine default
-    #: (``REPRO_SHARD_INBOX`` or 512); only consulted when the run
-    #: actually shards.
-    shard_inbox_capacity: Optional[int] = None
-    #: Cut-edge data plane for sharded runs ("auto"/"shm"/"pipe").
-    #: None = the engine default (``REPRO_SHARD_TRANSPORT`` or "auto",
-    #: which picks shared memory).
-    shard_transport: Optional[str] = None
-
-    def __post_init__(self):
-        if (self.record_plane is not None
-                and self.record_plane not in JobConfig.RECORD_PLANES):
-            raise ValueError(
-                f"unknown record_plane: {self.record_plane!r} "
-                f"(expected one of: {', '.join(JobConfig.RECORD_PLANES)} "
-                "— or None for the engine default)")
-        if self.max_batch_size is not None and (
-                not isinstance(self.max_batch_size, int)
-                or isinstance(self.max_batch_size, bool)
-                or not 1 <= self.max_batch_size
-                <= JobConfig.MAX_BATCH_SIZE_LIMIT):
-            raise ValueError(
-                "max_batch_size must be an integer in "
-                f"[1, {JobConfig.MAX_BATCH_SIZE_LIMIT}] or None, "
-                f"got {self.max_batch_size!r}")
-        if (self.scheduler is not None
-                and self.scheduler not in JobConfig.SCHEDULERS):
-            raise ValueError(
-                f"unknown scheduler: {self.scheduler!r} "
-                f"(expected one of: {', '.join(JobConfig.SCHEDULERS)} "
-                "— or None for the engine default)")
-        if (self.state_backend is not None
-                and self.state_backend not in JobConfig.STATE_BACKENDS):
-            raise ValueError(
-                f"unknown state_backend: {self.state_backend!r} "
-                f"(expected one of: "
-                f"{', '.join(JobConfig.STATE_BACKENDS)} "
-                "— or None for the engine default)")
-        if self.shards is not None and (
-                not isinstance(self.shards, int)
-                or isinstance(self.shards, bool)
-                or not 1 <= self.shards <= JobConfig.MAX_SHARDS):
-            raise ValueError(
-                f"shards must be an integer in [1, {JobConfig.MAX_SHARDS}] "
-                f"or None, got {self.shards!r}")
-        if self.shard_inbox_capacity is not None and (
-                not isinstance(self.shard_inbox_capacity, int)
-                or isinstance(self.shard_inbox_capacity, bool)
-                or not 1 <= self.shard_inbox_capacity
-                <= JobConfig.MAX_SHARD_INBOX):
-            raise ValueError(
-                "shard_inbox_capacity must be an integer in "
-                f"[1, {JobConfig.MAX_SHARD_INBOX}] or None, "
-                f"got {self.shard_inbox_capacity!r}")
-        if (self.shard_transport is not None
-                and self.shard_transport not in JobConfig.SHARD_TRANSPORTS):
-            raise ValueError(
-                f"unknown shard_transport: {self.shard_transport!r} "
-                f"(expected one of: "
-                f"{', '.join(JobConfig.SHARD_TRANSPORTS)} "
-                "— or None for the engine default)")
 
 
 @dataclass
@@ -156,6 +80,13 @@ class ExperimentResult:
     job: Optional[StreamJob] = field(default=None, repr=False)
     #: The job's Telemetry bundle when ExperimentConfig.telemetry was set.
     telemetry: Optional[object] = field(default=None, repr=False)
+    #: How a run that asked for ``shards > 1`` fell short, in the reason
+    #: codes of ``ShardedRunResult.degraded``: ``"single-process:<reason>"``
+    #: (``controller``, ``telemetry``, ``cluster``, a
+    #: :func:`~repro.simulation.sharded.supports_sharding` reason, or
+    #: ``uncertified`` when the credit ledger rejected the sharded run)
+    #: and ``"clamped:<asked>-><got>"``.  Empty when nothing was degraded.
+    degraded: List[str] = field(default_factory=list)
 
     @property
     def peak_latency(self) -> float:
@@ -230,7 +161,20 @@ def detect_scaling_period(latency_series: List[Tuple[float, float]],
     return None
 
 
-def _run_experiment_sharded(config: ExperimentConfig, job_config,
+def _single_process_reason(config: ExperimentConfig) -> Optional[str]:
+    """Why a run that asks for ``shards > 1`` must stay single-process
+    (a ``degraded`` reason code), or None when it may shard."""
+    from ..simulation.sharded import supports_sharding
+
+    support = supports_sharding(config.job_config,
+                                controller=config.controller_factory,
+                                telemetry=config.telemetry)
+    if not support:
+        return support.reason
+    return "cluster" if config.cluster is not None else None
+
+
+def _run_experiment_sharded(config: ExperimentConfig,
                             shards: int) -> ExperimentResult:
     """Plain (no-controller) run on the sharded kernel.
 
@@ -241,24 +185,9 @@ def _run_experiment_sharded(config: ExperimentConfig, job_config,
     shard-vs-single equivalence contract; only wall-clock differs.
     """
     import copy
-    import dataclasses as _dc
 
     from ..engine.metrics import MetricsCollector
     from ..simulation.sharded import run_sharded
-
-    # Explicit shard knobs override the job config for *this* run; the
-    # flow-control window applies engine-wide (the sharded run and the
-    # single reference inside run_sharded stay same-config).
-    if (config.shard_inbox_capacity is not None
-            or config.shard_transport is not None):
-        overrides = {}
-        if config.shard_inbox_capacity is not None:
-            overrides["shard_inbox_capacity"] = config.shard_inbox_capacity
-            overrides["inbox_capacity"] = config.shard_inbox_capacity
-        if config.shard_transport is not None:
-            overrides["shard_transport"] = config.shard_transport
-        base = job_config if job_config is not None else JobConfig()
-        job_config = _dc.replace(base, **overrides)
 
     workload = config.workload
     end_at = config.warmup + config.post_duration
@@ -267,13 +196,15 @@ def _run_experiment_sharded(config: ExperimentConfig, job_config,
         # so a Workload whose build mutates internal state stays
         # deterministic across processes.
         lambda: copy.deepcopy(workload),
-        until=end_at, shards=shards, job_config=job_config)
+        until=end_at, shards=shards, job_config=config.job_config)
     if not result.backpressure_safe:
         # The credit ledger could not certify the run even after
         # replanning — results may differ from single-process, so the
         # figure falls back to the reference kernel.
-        import dataclasses as _dc
-        return run_experiment(_dc.replace(config, shards=1))
+        single = replace(config.job_config or JobConfig(), shards=1)
+        fallback = run_experiment(replace(config, job_config=single))
+        fallback.degraded = ["single-process:uncertified"]
+        return fallback
 
     metrics = MetricsCollector.from_view(result.semantic_view())
 
@@ -299,40 +230,23 @@ def _run_experiment_sharded(config: ExperimentConfig, job_config,
         sink_records=metrics.total_sink_input(),
         job=None,
         telemetry=None,
+        degraded=result.degraded,
     )
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the three-phase protocol and collect the figure inputs."""
     workload = config.workload
-    job_config = config.job_config
-    if job_config is None and (config.record_plane is not None
-                               or config.max_batch_size is not None
-                               or config.scheduler is not None
-                               or config.state_backend is not None):
-        overrides = {}
-        if config.record_plane is not None:
-            overrides["record_plane"] = config.record_plane
-        if config.max_batch_size is not None:
-            overrides["max_batch_size"] = config.max_batch_size
-        if config.scheduler is not None:
-            overrides["scheduler"] = config.scheduler
-        if config.state_backend is not None:
-            overrides["state_backend"] = config.state_backend
-        job_config = JobConfig(**overrides)
+    degraded: List[str] = []
+    shards = (config.job_config or JobConfig()).shards
+    if shards > 1:
+        reason = _single_process_reason(config)
+        if reason is None:
+            return _run_experiment_sharded(config, shards)
+        degraded.append(f"single-process:{reason}")
 
-    effective_shards = config.shards
-    if effective_shards is None:
-        effective_shards = (job_config.shards if job_config is not None
-                            else JobConfig().shards)
-    if (effective_shards > 1 and config.controller_factory is None
-            and not config.telemetry and config.cluster is None):
-        from ..simulation.sharded import supports_sharding
-        if supports_sharding(job_config):
-            return _run_experiment_sharded(config, job_config,
-                                           effective_shards)
-
-    job = workload.build(cluster=config.cluster, job_config=job_config)
+    job = workload.build(cluster=config.cluster,
+                         job_config=config.job_config)
     telemetry = job.enable_telemetry() if config.telemetry else None
     job.run(until=config.warmup)
 
@@ -375,4 +289,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         sink_records=job.metrics.total_sink_input(),
         job=job,
         telemetry=telemetry,
+        degraded=degraded,
     )

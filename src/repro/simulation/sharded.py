@@ -23,21 +23,20 @@ synchronizes the workers conservatively (Chandy–Misra–Bryant style):
   ``(time, channel id, FIFO seq)`` order — so ``(time, seq)`` ordering on
   every cut channel is preserved.
 
-**Transports.**  The default data plane (``transport="shm"``) ships each
-flush as a columnar frame (:mod:`repro.engine.frames`) through a
-shared-memory SPSC ring (:mod:`repro.simulation.shm_ring`) per cut shard
-pair — record batches cross as seven packed numeric columns plus one
-pickle per frame, watermarks as pure structs.  Grants piggyback on data
-frames; a *bare* grant (null message) is sent only when the downstream
-reader has raised its blocked flag in shared memory (demand-driven nulls),
-and each worker adapts its quantum — widening after consecutive productive
-rounds, shrinking on blocked waits — so synchronization overhead tracks
-how tightly the shards are actually coupled.  Frames that exceed the ring
-capacity spill through the legacy pipe behind an in-band marker,
-preserving order.  ``transport="pipe"`` keeps the original
-pickle-over-pipe protocol (fixed quantum, eager nulls) byte-for-byte as a
-baseline and portability fallback; both transports produce identical
-semantic views and both are certified by the same credit ledger.
+**Transport.**  Each flush crosses a cut as one columnar frame
+(:mod:`repro.engine.frames`) through a shared-memory SPSC ring
+(:mod:`repro.simulation.shm_ring`) per cut shard pair — record batches
+cross as seven packed numeric columns plus one pickle per frame,
+watermarks as pure structs.  Grants piggyback on data frames; a *bare*
+grant (null message) is sent only when the downstream reader has raised
+its blocked flag in shared memory (demand-driven nulls), and each worker
+adapts its quantum — widening after consecutive productive rounds,
+shrinking on blocked waits — so synchronization overhead tracks how
+tightly the shards are actually coupled.  Frames that exceed the ring
+capacity spill through the pair's pipe behind an in-band marker,
+preserving order; the pipe carries nothing else.  Where the rings cannot
+be created the run degrades to single-process
+(``"single-process:no-shm"``) — there is no second wire format.
 
 The shard graph is feed-forward (contiguous topological segments), so the
 first shard always progresses and the pipeline never deadlocks; speedup is
@@ -65,7 +64,6 @@ import heapq
 import math
 import multiprocessing
 import os
-import pickle
 import time
 import traceback
 import warnings
@@ -89,7 +87,7 @@ __all__ = [
 
 #: Default (initial) sim-seconds a worker advances per synchronization
 #: pass.  Only transport-batching granularity — runahead is unbounded
-#: (feed-forward DAG).  The shm transport widens it adaptively up to
+#: (feed-forward DAG).  Workers widen it adaptively up to
 #: ``quantum * QUANTUM_GROWTH_LIMIT`` while rounds stay productive.
 DEFAULT_QUANTUM = 0.25
 
@@ -100,8 +98,6 @@ QUANTUM_GROWTH_LIMIT = 32.0
 #: adaptive quantum doubles.
 PRODUCTIVE_STREAK = 2
 
-_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
-
 
 @dataclass(frozen=True)
 class ShardingSupport:
@@ -111,8 +107,9 @@ class ShardingSupport:
     unsupported, :attr:`reason` carries a stable machine-readable code
     (``"controller"``, ``"telemetry"``, ``"faults"``,
     ``"changelog-async-uploads"``, ``"no-fork"``) and :attr:`detail` a
-    human sentence — both end up in the fallback warning and in
-    experiment reports.
+    human sentence — both end up in the fallback warning, and the code
+    as ``"single-process:<reason>"`` in the ``degraded`` list of
+    :class:`ShardedRunResult` and of the experiment harness's result.
     """
 
     supported: bool
@@ -132,7 +129,10 @@ def supports_sharding(config=None, *, controller=None,
     asynchronous segment uploads) degrades to single-process, as do
     platforms without the ``fork`` start method (the workers inherit the
     workload factory by forking).  Returns a truthy/falsy
-    :class:`ShardingSupport`; falsy verdicts name the degradation.
+    :class:`ShardingSupport`; falsy verdicts name the degradation.  Two
+    more single-process reasons are decided elsewhere: ``"no-shm"`` by
+    :func:`run_sharded` when the shared-memory rings cannot be created,
+    and ``"cluster"`` by the experiment harness for custom cluster models.
     """
     if controller is not None:
         return ShardingSupport(
@@ -183,11 +183,6 @@ class ShardSpec:
     config_kwargs: Dict[str, Any] = field(default_factory=dict)
     collect_sinks: bool = False
     trace_watermarks: bool = False
-    #: Cut-edge transport this run uses: ``"shm"`` or ``"pipe"``.
-    transport: str = "shm"
-    #: Whether the quantum adapts (shm protocol) or stays fixed (legacy
-    #: pipe protocol).
-    adaptive_quantum: bool = True
     #: Per-edge inbox-capacity overrides (edge name -> capacity) from the
     #: plan's cut hints; applied to matching *local* channels so a shard's
     #: internal flow control matches the overridden reference run.
@@ -296,28 +291,22 @@ class _Egress:
 
     The real Channel keeps simulating serialization and propagation; its
     delivery events call these methods at the exact per-element delivery
-    times, which we capture (kind, channel id, time, element) for the pipe.
-    Credit debits for the post-hoc flow-control ledger are reconstructed
-    here: an element delivered at ``t`` left the outbox (consumed its
-    credit) one serialization + propagation earlier.
+    times, which we capture (kind, channel id, time, element) for the
+    next frame.  Credit debits for the post-hoc flow-control ledger are
+    reconstructed here: an element delivered at ``t`` left the outbox
+    (consumed its credit) one serialization + propagation earlier.
     """
 
-    __slots__ = ("cid", "sim", "buf", "latency", "bw", "debits",
-                 "strip_columns")
+    __slots__ = ("cid", "sim", "buf", "latency", "bw", "debits")
 
     def __init__(self, cid: int, sim, buf: List, latency: float, bw: float,
-                 debits: List, strip_columns: bool = True):
+                 debits: List):
         self.cid = cid
         self.sim = sim
         self.buf = buf
         self.latency = latency
         self.bw = bw
         self.debits = debits
-        #: Pipe transport pickles the whole batch — drop any cached numpy
-        #: view first (it would be pickled redundantly).  The shm codec
-        #: instead *reuses* the column cache (``tobytes`` is a memcpy), so
-        #: it keeps the view.
-        self.strip_columns = strip_columns
 
     def deliver(self, element) -> None:
         now = self.sim._now
@@ -326,8 +315,6 @@ class _Egress:
         self.buf.append(("e", self.cid, now, element))
 
     def deliver_batch(self, batch) -> None:
-        if self.strip_columns:
-            batch._columns = None  # numpy views don't cross the pipe
         head = batch.records[0]
         when = (batch.visible_times[0] - self.latency
                 - head.size_bytes / self.bw)
@@ -550,9 +537,7 @@ def _localize(job, spec: ShardSpec):
             buf = egress_buffers.setdefault(d, [])
             debit = debits.setdefault(cid, [])
             ch.input_channel = _Egress(cid, job.sim, buf, ch.link.latency,
-                                       ch.link.bandwidth, debit,
-                                       strip_columns=(
-                                           spec.transport != "shm"))
+                                       ch.link.bandwidth, debit)
             ch.credits = float("inf")
         elif d == me:
             feed = _IngressFeed(cid, job.sim)
@@ -576,13 +561,13 @@ def _inject(ic, kind: str, element) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Cut-edge transports
+# Cut-edge transport
 # ---------------------------------------------------------------------------
 
 #: Blocked/writer-full wait backoff: start, cap (seconds).
 _WAIT_MIN = 5e-5
 _WAIT_MAX = 2e-3
-#: Safety bound on one blocked wait (mirrors the legacy 10 s poll timeout).
+#: Safety bound on one blocked wait.
 _WAIT_LIMIT = 10.0
 #: Max blocked-wait intervals kept for the telemetry trace.
 _MAX_INTERVALS = 4096
@@ -592,14 +577,13 @@ class _SyncStats:
     """Per-worker synchronization-protocol counters (one per worker,
     shared by all of its senders; shipped in the result bundle)."""
 
-    __slots__ = ("transport", "null_sent", "null_suppressed",
+    __slots__ = ("null_sent", "null_suppressed",
                  "grant_rounds", "frames_sent", "msgs_sent",
                  "bytes_shipped", "spills", "batch_fallbacks",
                  "blocked_waits", "blocked_wait_s", "writer_full_wait_s",
                  "blocked_intervals")
 
-    def __init__(self, transport: str):
-        self.transport = transport
+    def __init__(self):
         self.null_sent = 0           # bare-grant frames actually sent
         self.null_suppressed = 0     # grant advances not sent (no demand)
         self.grant_rounds = 0        # synchronization rounds (flush calls)
@@ -616,7 +600,6 @@ class _SyncStats:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "transport": self.transport,
             "null_sent": self.null_sent,
             "null_suppressed": self.null_suppressed,
             "grant_rounds": self.grant_rounds,
@@ -639,18 +622,16 @@ class _AdaptiveQuantum:
     Host pacing only — the quantum never changes *what* is simulated
     (injection times are exact), just how much sim-time each
     synchronization round covers, i.e. how often the worker pays flush +
-    grant overhead.  ``growth_limit=1`` pins the quantum (legacy
-    fixed-quantum behaviour).
+    grant overhead.
     """
 
     __slots__ = ("value", "initial", "qmax", "streak", "widenings",
                  "shrinks")
 
-    def __init__(self, initial: float,
-                 growth_limit: float = QUANTUM_GROWTH_LIMIT):
+    def __init__(self, initial: float):
         self.value = initial
         self.initial = initial
-        self.qmax = initial * growth_limit
+        self.qmax = initial * QUANTUM_GROWTH_LIMIT
         self.streak = 0
         self.widenings = 0
         self.shrinks = 0
@@ -685,7 +666,7 @@ class _ShmSender:
 
     def __init__(self, ring: ShmRing, spill, stats: _SyncStats):
         self.ring = ring
-        self.spill = spill  # legacy pipe: oversized-frame side channel
+        self.spill = spill  # the pair's pipe: oversized-frame side channel
         self.stats = stats
         self.sent_grant = -1.0  # grant the receiver has actually seen
         self.seen_grant = -1.0  # newest grant observed (sent or not)
@@ -745,8 +726,7 @@ class _ShmSender:
         if ring.push(data):
             return
         # Ring full: the reader always drains (its main loop and its
-        # blocked wait both poll), so back off until space frees up —
-        # the shm analogue of the legacy pipe-full blocking write.
+        # blocked wait both poll), so back off until space frees up.
         t0 = time.perf_counter()
         delay = _WAIT_MIN
         while not ring.push(data):
@@ -754,40 +734,6 @@ class _ShmSender:
             if delay < _WAIT_MAX:
                 delay *= 2
         stats.writer_full_wait_s += time.perf_counter() - t0
-
-
-class _PipeSender:
-    """Legacy transport: the PR 8 pickle-over-pipe protocol, unchanged on
-    the wire in all but pickle protocol number — grants are sent eagerly
-    on every advance (no demand tracking), data rides whole-object
-    pickles.  Kept as the portability fallback and as the measurable
-    baseline the shm transport's counters are compared against."""
-
-    __slots__ = ("conn", "stats", "sent_grant")
-
-    def __init__(self, conn, stats: _SyncStats):
-        self.conn = conn
-        self.stats = stats
-        self.sent_grant = -1.0
-
-    def send(self, msgs: Optional[List], grant: float, final: bool) -> None:
-        if msgs or grant > self.sent_grant:
-            stats = self.stats
-            payload = pickle.dumps(
-                ("done" if final else "adv", grant, msgs or []),
-                _PICKLE_PROTO)
-            if msgs:
-                stats.msgs_sent += len(msgs)
-                # The dumps() above captured the list synchronously;
-                # clear in place — the _Egress endpoints hold a
-                # reference to this list.
-                msgs.clear()
-            elif not final:
-                stats.null_sent += 1
-            self.conn.send_bytes(payload)
-            self.sent_grant = grant
-            stats.frames_sent += 1
-            stats.bytes_shipped += len(payload)
 
 
 class _ShmReceiver:
@@ -826,35 +772,13 @@ class _ShmReceiver:
         return got
 
 
-class _PipeReceiver:
-    """Legacy receive endpoint (counterpart of :class:`_PipeSender`)."""
-
-    __slots__ = ("conn", "grant", "done")
-
-    def __init__(self, conn):
-        self.conn = conn
-        self.grant = 0.0
-        self.done = False
-
-    def poll(self, out: List) -> bool:
-        got = False
-        conn = self.conn
-        while conn.poll():
-            kind, grant, msgs = pickle.loads(conn.recv_bytes())
-            got = True
-            if grant > self.grant:
-                self.grant = grant
-            if kind == "done":
-                self.grant = math.inf
-                self.done = True
-            if msgs:
-                out.extend(msgs)
-        return got
-
-
 def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
-                 upstream: Dict[int, Any], downstream: Dict[int, Any]):
-    """One shard's event loop under conservative synchronization."""
+                 upstream: Dict[int, Tuple], downstream: Dict[int, Tuple]):
+    """One shard's event loop under conservative synchronization.
+
+    ``upstream`` / ``downstream`` map a peer shard id to that cut pair's
+    ``(ShmRing, spill pipe end)``.
+    """
     try:
         spec: ShardSpec = spec_conn.recv()
         workload = workload_factory()
@@ -870,25 +794,12 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
                 ics[cid] = ch.input_channel
 
         until = spec.until
-        use_shm = spec.transport == "shm"
-        stats = _SyncStats(spec.transport)
-        aq = _AdaptiveQuantum(
-            spec.quantum,
-            QUANTUM_GROWTH_LIMIT if spec.adaptive_quantum else 1.0)
-        senders = {}
-        for d, endpoint in downstream.items():
-            if use_shm:
-                ring, spill = endpoint
-                senders[d] = _ShmSender(ring, spill, stats)
-            else:
-                senders[d] = _PipeSender(endpoint, stats)
-        receivers = {}
-        for u, endpoint in upstream.items():
-            if use_shm:
-                ring, spill = endpoint
-                receivers[u] = _ShmReceiver(ring, spill)
-            else:
-                receivers[u] = _PipeReceiver(endpoint)
+        stats = _SyncStats()
+        aq = _AdaptiveQuantum(spec.quantum)
+        senders = {d: _ShmSender(ring, spill, stats)
+                   for d, (ring, spill) in downstream.items()}
+        receivers = {u: _ShmReceiver(ring, spill)
+                     for u, (ring, spill) in upstream.items()}
         grants = {u: 0.0 for u in upstream}
         # Staged ingress: heap of (time, channel_id, seq, kind, payload).
         staged: List[Tuple] = []
@@ -923,32 +834,27 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
             # Blocked wait: nothing new and the caller cannot advance.
             stats.blocked_waits += 1
             w0 = time.perf_counter()
-            if use_shm:
-                # Raise the blocked flag on the *binding* upstream rings
-                # (grant == the current minimum) — that is the demand
-                # signal their writers' null messages are gated on.  The
-                # re-poll after raising the flags closes the race with a
-                # writer that pushed between our first poll and the flag.
-                low = min(grants.values()) if grants else math.inf
-                flagged = [rx for u, rx in receivers.items()
-                           if not rx.done and grants[u] <= low]
+            # Raise the blocked flag on the *binding* upstream rings
+            # (grant == the current minimum) — that is the demand signal
+            # their writers' null messages are gated on.  The re-poll
+            # after raising the flags closes the race with a writer that
+            # pushed between our first poll and the flag.
+            low = min(grants.values()) if grants else math.inf
+            flagged = [rx for u, rx in receivers.items()
+                       if not rx.done and grants[u] <= low]
+            for rx in flagged:
+                rx.ring.set_blocked(True)
+            delay = _WAIT_MIN
+            try:
+                while not poll_all():
+                    if time.perf_counter() - w0 > _WAIT_LIMIT:
+                        break
+                    time.sleep(delay)
+                    if delay < _WAIT_MAX:
+                        delay *= 2
+            finally:
                 for rx in flagged:
-                    rx.ring.set_blocked(True)
-                delay = _WAIT_MIN
-                try:
-                    while not poll_all():
-                        if time.perf_counter() - w0 > _WAIT_LIMIT:
-                            break
-                        time.sleep(delay)
-                        if delay < _WAIT_MAX:
-                            delay *= 2
-                finally:
-                    for rx in flagged:
-                        rx.ring.set_blocked(False)
-            else:
-                conns = [rx.conn for rx in receivers.values()]
-                multiprocessing.connection.wait(conns, timeout=_WAIT_LIMIT)
-                poll_all()
+                    rx.ring.set_blocked(False)
             w1 = time.perf_counter()
             stats.blocked_wait_s += w1 - w0
             if len(stats.blocked_intervals) < _MAX_INTERVALS:
@@ -1134,9 +1040,10 @@ class ShardedRunResult:
                                  else shards_requested)
         #: Machine-readable reasons the run is less than what was asked
         #: for, in the order they arose: ``"single-process:<reason>"``
-        #: (:func:`supports_sharding` said no), ``"clamped:<asked>-><got>"``
-        #: (fewer legal cut boundaries than requested shards) and
-        #: ``"transport:shm->pipe"``.  Empty for an undegraded run.
+        #: (:func:`supports_sharding` said no, or ``no-shm``: the
+        #: shared-memory rings could not be created) and
+        #: ``"clamped:<asked>-><got>"`` (fewer legal cut boundaries than
+        #: requested shards).  Empty for an undegraded run.
         self.degraded: List[str] = list(degraded or [])
         self.plan = plan
         self.events_per_shard = events_per_shard or []
@@ -1148,7 +1055,7 @@ class ShardedRunResult:
         self.until = until
         self.replans = replans
         self.forbidden_cuts = sorted(forbidden_cuts or [])
-        #: ``"shm"`` / ``"pipe"`` for sharded runs, None single-process.
+        #: ``"shm"`` for sharded runs, None single-process.
         self.transport = transport
         #: Per-shard sync-protocol counter dicts (see ``_SyncStats``).
         self.sync_per_shard: List[Dict[str, Any]] = sync_per_shard or []
@@ -1181,7 +1088,7 @@ class ShardedRunResult:
         single-process runs."""
         if not self.sync_per_shard:
             return {}
-        totals: Dict[str, Any] = {"transport": self.transport}
+        totals: Dict[str, Any] = {}
         for key in ("null_sent", "null_suppressed", "grant_rounds",
                     "frames_sent", "msgs_sent", "bytes_shipped", "spills",
                     "batch_fallbacks", "blocked_waits"):
@@ -1253,7 +1160,6 @@ def run_sharded(workload_factory, *, until: float, shards: int,
                 trace_watermarks: bool = False,
                 quantum: float = DEFAULT_QUANTUM,
                 max_replans: int = 1,
-                transport: Optional[str] = None,
                 cut_inbox: Optional[Dict[str, int]] = None,
                 ring_bytes=None) -> ShardedRunResult:
     """Run a workload to ``until`` across ``shards`` worker processes.
@@ -1263,15 +1169,12 @@ def run_sharded(workload_factory, *, until: float, shards: int,
     after forking and builds the *full* job deterministically, then starts
     only its own shard's instances.  Falls back to
     :func:`run_single_reference` when ``shards <= 1``, the plan collapses
-    to one shard, or the platform cannot fork.  Whenever the run is less
-    than what was asked for -- single-process, fewer workers than
-    ``shards`` because the graph has fewer legal cuts, pipes instead of
-    shared memory -- it warns, and the result says so in
+    to one shard, the platform cannot fork, or the shared-memory rings
+    cannot be created.  Whenever the run is less than what was asked for
+    -- single-process, or fewer workers than ``shards`` because the graph
+    has fewer legal cuts -- it warns, and the result says so in
     ``shards_requested`` / ``degraded``.
 
-    ``transport`` picks the cut-edge data plane (``"shm"`` / ``"pipe"`` /
-    ``"auto"``); None defers to ``job_config.shard_transport``.  ``"auto"``
-    prefers shm and degrades to pipe if shared memory is unavailable.
     ``cut_inbox`` maps edge names to per-cut-edge inbox-capacity overrides
     and ``ring_bytes`` (int or per-edge mapping) sizes the shared-memory
     rings; both are recorded as cut hints on the partition plan.  A caller
@@ -1307,10 +1210,6 @@ def run_sharded(workload_factory, *, until: float, shards: int,
             f"[{support.reason}]: {support.detail}",
             RuntimeWarning, stacklevel=2)
         return single(f"single-process:{support.reason}")
-    if transport is None:
-        transport = getattr(config, "shard_transport", None) or "auto"
-    if transport == "auto":
-        transport = "shm"
 
     # Plan on a throwaway build (actual channel latencies, no run).
     probe_workload = workload_factory()
@@ -1334,12 +1233,19 @@ def run_sharded(workload_factory, *, until: float, shards: int,
         if plan.num_shards <= 1:
             return single(*clamped)
         plan.annotate_cuts(ring_bytes=ring_bytes, inbox_overrides=cut_inbox)
-        result = _run_sharded_once(
-            workload_factory, probe_job, plan, config, until=until,
-            collect_sinks=collect_sinks, trace_watermarks=trace_watermarks,
-            quantum=quantum, transport=transport)
+        try:
+            result = _run_sharded_once(
+                workload_factory, probe_job, plan, config, until=until,
+                collect_sinks=collect_sinks,
+                trace_watermarks=trace_watermarks, quantum=quantum)
+        except _NoSharedMemory as exc:
+            warnings.warn(
+                f"sharded run degraded to single-process [no-shm]: the "
+                f"shared-memory rings could not be created ({exc})",
+                RuntimeWarning, stacklevel=2)
+            return single(*clamped, "single-process:no-shm")
         result.shards_requested = shards
-        result.degraded = clamped + result.degraded
+        result.degraded = clamped
         result.replans = replans
         result.forbidden_cuts = sorted(forbidden)
         flagged = result._flagged_edges & set(plan.cut_edges)
@@ -1359,15 +1265,14 @@ def _pair_ring_bytes(plan, pair_edges: Dict[Tuple[int, int], List[str]],
     return best or DEFAULT_RING_BYTES
 
 
+class _NoSharedMemory(Exception):
+    """The cut pairs' shared-memory rings could not be created."""
+
+
 def _run_sharded_once(workload_factory, probe_job, plan, config, *,
                       until: float, collect_sinks: bool,
-                      trace_watermarks: bool, quantum: float,
-                      transport: str = "shm") -> ShardedRunResult:
-    ctx = multiprocessing.get_context("fork")
-    spec_pipes = [ctx.Pipe(duplex=False) for _ in range(plan.num_shards)]
-    result_pipes = [ctx.Pipe(duplex=False) for _ in range(plan.num_shards)]
-    # One pipe per cut shard pair (u -> v): the data plane for the pipe
-    # transport, the oversized-frame spill channel for shm.
+                      trace_watermarks: bool,
+                      quantum: float) -> ShardedRunResult:
     pairs = set()
     pair_edges: Dict[Tuple[int, int], List[str]] = {}
     shard_of = plan.shard_of
@@ -1376,46 +1281,40 @@ def _run_sharded_once(workload_factory, probe_job, plan, config, *,
         if s != d:
             pairs.add((s, d))
             pair_edges.setdefault((s, d), []).append(e.name)
-    pair_pipes = {pair: ctx.Pipe(duplex=False) for pair in sorted(pairs)}
 
     # Shared-memory rings, created by the parent *before* forking so the
     # workers inherit the mappings (nothing pickled, no re-attach); the
     # parent closes and unlinks them after the run.
     rings: Dict[Tuple[int, int], ShmRing] = {}
-    degraded: List[str] = []
-    if transport == "shm":
-        try:
-            for pair in sorted(pairs):
-                rings[pair] = ShmRing(_pair_ring_bytes(plan, pair_edges,
-                                                       pair))
-        except OSError as exc:  # pragma: no cover - shm-less platforms
-            for ring in rings.values():
-                ring.close()
-                ring.unlink()
-            rings.clear()
-            transport = "pipe"
-            degraded.append("transport:shm->pipe")
-            warnings.warn(
-                f"shared-memory transport unavailable ({exc}); falling "
-                f"back to the pipe transport", RuntimeWarning,
-                stacklevel=2)
+    try:
+        for pair in sorted(pairs):
+            rings[pair] = ShmRing(_pair_ring_bytes(plan, pair_edges, pair))
+    except OSError as exc:
+        for ring in rings.values():
+            ring.close()
+            ring.unlink()
+        raise _NoSharedMemory(str(exc)) from exc
+
+    ctx = multiprocessing.get_context("fork")
+    spec_pipes = [ctx.Pipe(duplex=False) for _ in range(plan.num_shards)]
+    result_pipes = [ctx.Pipe(duplex=False) for _ in range(plan.num_shards)]
+    # One pipe per cut shard pair (u -> v): the oversized-frame spill
+    # channel behind the ring.
+    pair_pipes = {pair: ctx.Pipe(duplex=False) for pair in sorted(pairs)}
 
     inbox_overrides = {name: hints["inbox_capacity"]
                        for name, hints in plan.cut_hints.items()
                        if "inbox_capacity" in hints}
 
-    def endpoint(pair, end: int):
-        # end 0 = receiver side, 1 = sender side of the pair's pipe.
-        if transport == "shm":
-            return (rings[pair], pair_pipes[pair][end])
-        return pair_pipes[pair][end]
-
     workers = []
     t0 = time.perf_counter()
     try:
         for sid in range(plan.num_shards):
-            up = {u: endpoint((u, v), 0) for (u, v) in pairs if v == sid}
-            down = {v: endpoint((u, v), 1) for (u, v) in pairs if u == sid}
+            # Pipe end 0 is the receiver side, end 1 the sender side.
+            up = {u: (rings[u, v], pair_pipes[u, v][0])
+                  for (u, v) in pairs if v == sid}
+            down = {v: (rings[u, v], pair_pipes[u, v][1])
+                    for (u, v) in pairs if u == sid}
             proc = ctx.Process(
                 target=_worker_main,
                 args=(sid, workload_factory, spec_pipes[sid][0],
@@ -1428,8 +1327,6 @@ def _run_sharded_once(workload_factory, probe_job, plan, config, *,
                          config_kwargs=_config_kwargs(config),
                          collect_sinks=collect_sinks,
                          trace_watermarks=trace_watermarks,
-                         transport=transport,
-                         adaptive_quantum=(transport == "shm"),
                          inbox_overrides=inbox_overrides)
         for sid in range(plan.num_shards):
             spec_pipes[sid][1].send(dataclasses.replace(spec,
@@ -1489,9 +1386,8 @@ def _run_sharded_once(workload_factory, probe_job, plan, config, *,
         worker_cpus=[b.get("cpu_s", 0.0) for b in ordered],
         backpressure_safe=backpressure_safe,
         backpressure_detail=detail, until=until,
-        transport=transport,
-        sync_per_shard=[b.get("sync", {}) for b in ordered],
-        degraded=degraded)
+        transport="shm",
+        sync_per_shard=[b.get("sync", {}) for b in ordered])
     result._flagged_edges = flagged
     return result
 

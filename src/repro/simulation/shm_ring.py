@@ -29,7 +29,8 @@ Concurrency model — and why it is safe in pure Python:
 
 Frames larger than the ring can never fit; :meth:`push_spill_marker`
 writes a 4-byte in-band marker that tells the reader to fetch the payload
-from the side channel (the legacy pipe), preserving frame order exactly.
+from the side channel (the cut pair's pipe), preserving frame order
+exactly.
 """
 
 from __future__ import annotations

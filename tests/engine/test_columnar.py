@@ -63,9 +63,11 @@ def _numpy_loaded_after_q7(record_plane):
     script = (
         "import sys, repro\n"
         "after_import = 'numpy' in sys.modules\n"
+        "from repro.engine.runtime import JobConfig\n"
         "from repro.experiments.golden import capture_q7_trace\n"
         f"capture_q7_trace(system=None, warmup=2.0, post=3.0,\n"
-        f"                 record_plane={record_plane!r})\n"
+        f"                 job_config=JobConfig("
+        f"record_plane={record_plane!r}))\n"
         "print(after_import, 'numpy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", script], env=env,

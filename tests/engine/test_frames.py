@@ -1,7 +1,7 @@
 """Columnar cut-edge frame codec: bit-exact roundtrips and fallbacks.
 
 The codec's contract is that a decoded element is indistinguishable from
-its pipe-transported (pickled) twin — these tests compare field-by-field
+its pickled twin — these tests compare field-by-field
 against the originals, including float bit patterns.
 """
 

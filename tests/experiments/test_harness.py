@@ -1,7 +1,10 @@
 """Experiment harness: protocol, scaling-period detection, result shape."""
 
+import dataclasses
+
 import pytest
 
+from repro.engine.runtime import JobConfig
 from repro.experiments import (ExperimentConfig, QUICK,
                                detect_scaling_period, run_experiment)
 from repro.experiments.scenarios import Scenario, make_workload
@@ -91,6 +94,13 @@ class TestRunExperiment:
             workload=tiny_workload(), controller_factory=None,
             warmup=4.0, post_duration=8.0, measure_window=1.0))
         assert len(result.throughput_series) == pytest.approx(12, abs=1)
+
+    def test_no_field_shadows_an_engine_knob(self):
+        """Engine knobs live on JobConfig alone; an experiment passes one
+        as ``job_config`` rather than re-declaring its fields."""
+        shared = ({f.name for f in dataclasses.fields(ExperimentConfig)}
+                  & {f.name for f in dataclasses.fields(JobConfig)})
+        assert shared == set()
 
 
 def test_scenario_factory_scales_state():

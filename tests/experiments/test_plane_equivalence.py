@@ -13,13 +13,16 @@ import pytest
 from repro.engine.runtime import JobConfig
 from repro.experiments.chaos_bank import CHAOS_SCENARIOS
 from repro.experiments.golden import capture_q7_trace
-from repro.experiments.harness import ExperimentConfig
 from repro.faults.chaos import ChaosHarness
 
 
+def _trace(plane, **kw):
+    return capture_q7_trace(job_config=JobConfig(record_plane=plane), **kw)
+
+
 def test_q7_drrs_rescale_planes_equivalent():
-    batched = capture_q7_trace(record_plane="batched")
-    single = capture_q7_trace(record_plane="single")
+    batched = _trace("batched")
+    single = _trace("single")
     assert batched["info"]["record_plane"] == "batched"
     assert single["info"]["record_plane"] == "single"
     assert batched["semantic"] == single["semantic"]
@@ -27,13 +30,11 @@ def test_q7_drrs_rescale_planes_equivalent():
 
 def test_removed_columnar_plane_fails_loudly():
     """``"columnar"`` was a third plane once; asking for it must raise the
-    ordinary unknown-plane error at every entry point, never fall back."""
-    for make in (lambda: JobConfig(record_plane="columnar"),
-                 lambda: ExperimentConfig(workload=None,
-                                          record_plane="columnar"),
-                 lambda: capture_q7_trace(record_plane="columnar")):
-        with pytest.raises(ValueError, match="unknown record_plane"):
-            make()
+    ordinary unknown-plane error, never fall back.  ``JobConfig`` is the
+    one place a plane is chosen (experiments and the golden capture take
+    a ``job_config``)."""
+    with pytest.raises(ValueError, match="unknown record_plane"):
+        JobConfig(record_plane="columnar")
 
 
 def _chaos_doc(name, record_plane, seed=7):
@@ -47,8 +48,8 @@ def _chaos_doc(name, record_plane, seed=7):
 
 
 def test_q7_noscale_planes_equivalent():
-    batched = capture_q7_trace(system=None, record_plane="batched")
-    single = capture_q7_trace(system=None, record_plane="single")
+    batched = _trace("batched", system=None)
+    single = _trace("single", system=None)
     assert batched["semantic"] == single["semantic"]
 
 

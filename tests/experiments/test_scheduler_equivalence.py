@@ -18,10 +18,15 @@ from repro.faults.chaos import ChaosHarness, ChaosScenario
 COMBOS = [("heap", "batched"), ("calendar", "batched")]
 
 
+def _trace(scheduler, plane, **kw):
+    return capture_q7_trace(
+        job_config=JobConfig(scheduler=scheduler, record_plane=plane), **kw)
+
+
 def test_q7_rescale_identical_across_scheduler_plane_matrix():
-    reference = capture_q7_trace(record_plane="single", scheduler="heap")
+    reference = _trace("heap", "single")
     for scheduler, plane in COMBOS:
-        trace = capture_q7_trace(record_plane=plane, scheduler=scheduler)
+        trace = _trace(scheduler, plane)
         assert trace["info"]["scheduler"] == scheduler
         assert trace["info"]["record_plane"] == plane
         assert trace["semantic"] == reference["semantic"], \
@@ -29,11 +34,9 @@ def test_q7_rescale_identical_across_scheduler_plane_matrix():
 
 
 def test_q7_noscale_identical_across_scheduler_plane_matrix():
-    reference = capture_q7_trace(system=None, record_plane="single",
-                                 scheduler="heap")
+    reference = _trace("heap", "single", system=None)
     for scheduler, plane in COMBOS:
-        trace = capture_q7_trace(system=None, record_plane=plane,
-                                 scheduler=scheduler)
+        trace = _trace(scheduler, plane, system=None)
         assert trace["semantic"] == reference["semantic"], \
             f"semantic drift under scheduler={scheduler}, plane={plane}"
 

@@ -9,14 +9,17 @@ mechanism that could make the conservative schedule diverge).  These
 tests spawn real worker processes.
 """
 
+import dataclasses
 import os
 import sys
 
 import pytest
 
+from repro.engine.cluster import single_machine
 from repro.engine.runtime import JobConfig
 from repro.experiments.harness import ExperimentConfig, run_experiment
-from repro.simulation.sharded import (run_sharded, run_single_reference,
+from repro.simulation.sharded import (DEFAULT_QUANTUM, run_sharded,
+                                      run_single_reference,
                                       supports_sharding)
 from repro.workloads.nexmark import NexmarkQ7
 from repro.workloads.twitch import TwitchWorkload
@@ -55,6 +58,7 @@ def test_q7_two_shards_equivalent():
     single, multi = _both(NexmarkQ7, until=30.0, shards=2)
     assert multi.shards == multi.shards_requested == 2
     assert multi.degraded == []
+    assert multi.transport == "shm" and single.transport is None
     _assert_equivalent(single, multi)
     # non-vacuous: the run really processed records end to end
     assert multi.total_sink_input() > 0
@@ -69,6 +73,8 @@ def test_q7_two_shards_equivalent():
 
 
 def test_twitch_three_shards_equivalent():
+    """A seeded, chaos-free Twitch run over the shared-memory frames is
+    the single-process run: sinks, state digests, watermark traces."""
     single, multi = _both(TwitchWorkload, until=20.0, shards=3)
     assert multi.shards >= 2
     # The source's chain is one task: it is planned as one block.
@@ -76,6 +82,9 @@ def test_twitch_three_shards_equivalent():
                                         "bot-filter", "enrich"]
     _assert_equivalent(single, multi)
     assert multi.total_sink_input() > 0
+    assert multi.view["sinks"] == single.view["sinks"]
+    assert multi.view["state_digests"] == single.view["state_digests"]
+    assert multi.view["watermark_traces"] == single.view["watermark_traces"]
 
 
 def test_worker_cpu_accounting_present():
@@ -86,35 +95,79 @@ def test_worker_cpu_accounting_present():
     assert all(n > 0 for n in multi.events_per_shard)
 
 
+def _harness_config(shards, **kw):
+    return ExperimentConfig(
+        workload=NexmarkQ7(), warmup=5.0, post_duration=15.0,
+        job_config=dataclasses.replace(_SHARD_CONFIG, shards=shards), **kw)
+
+
+def _assert_same_figures(result, ref):
+    assert result.source_records == ref.source_records
+    assert result.sink_records == ref.sink_records
+    assert sorted(result.latency_series) == sorted(ref.latency_series)
+    assert result.throughput_series == ref.throughput_series
+    assert result.pre_latency == ref.pre_latency
+    assert result.during_latency == ref.during_latency
+
+
 def test_harness_sharded_run_matches_single():
-    """run_experiment(shards=N) reproduces the single-process figures."""
+    """job_config.shards=N reproduces the single-process figures."""
+    ref = run_experiment(_harness_config(1))
+    shard = run_experiment(_harness_config(2))
+    assert ref.degraded == [] and shard.degraded == []
+    assert shard.job is None  # the sharded path has no in-process job
+    _assert_same_figures(shard, ref)
 
-    def config(shards):
-        return ExperimentConfig(
-            workload=NexmarkQ7(), warmup=5.0, post_duration=15.0,
-            job_config=_SHARD_CONFIG, shards=shards)
 
-    ref = run_experiment(config(1))
-    shard = run_experiment(config(2))
-    assert shard.source_records == ref.source_records
-    assert shard.sink_records == ref.sink_records
-    assert sorted(shard.latency_series) == sorted(ref.latency_series)
-    assert shard.throughput_series == ref.throughput_series
-    assert shard.pre_latency == ref.pre_latency
-    assert shard.during_latency == ref.during_latency
+def test_harness_uncertified_run_falls_back_and_says_so(monkeypatch):
+    """A sharded run the credit ledger cannot certify is discarded: the
+    figures come from a single-process rerun, recorded as degraded."""
+    from repro.simulation import sharded
+
+    def uncertified(*args, shards, **kw):
+        return sharded.ShardedRunResult({}, shards=shards,
+                                        backpressure_safe=False)
+
+    ref = run_experiment(_harness_config(1))
+    monkeypatch.setattr(sharded, "run_sharded", uncertified)
+    result = run_experiment(_harness_config(2))
+    assert result.degraded == ["single-process:uncertified"]
+    assert result.job is not None
+    _assert_same_figures(result, ref)
 
 
 def test_harness_controller_run_ignores_shards():
-    """Scaling-controller runs silently degrade to single-process (the
-    rescale machinery needs one global event loop)."""
+    """Scaling-controller runs degrade to single-process (the rescale
+    machinery needs one global event loop) and the result says so."""
     from repro.scaling.otfs import OTFSController
 
     result = run_experiment(ExperimentConfig(
         workload=NexmarkQ7(),
         controller_factory=lambda job: OTFSController(job),
-        new_parallelism=6, warmup=5.0, post_duration=10.0, shards=4))
+        new_parallelism=6, warmup=5.0, post_duration=10.0,
+        job_config=JobConfig(shards=4)))
     assert result.controller_name != "no-scale"
     assert result.job is not None  # single-process path keeps the job
+    assert result.degraded == ["single-process:controller"]
+
+
+#: ExperimentConfig overrides that keep a shards=2 run single-process,
+#: by the reason code the result must carry.
+_SINGLE_PROCESS_CAUSES = {
+    "telemetry": dict(telemetry=True),
+    "cluster": dict(cluster=single_machine()),
+    "changelog-async-uploads":
+        dict(job_config=JobConfig(shards=2, state_backend="changelog")),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_SINGLE_PROCESS_CAUSES))
+def test_harness_single_process_reason_is_recorded(reason):
+    config = dataclasses.replace(_harness_config(2),
+                                 **_SINGLE_PROCESS_CAUSES[reason])
+    result = run_experiment(config)
+    assert result.job is not None
+    assert result.degraded == [f"single-process:{reason}"]
 
 
 def test_supports_sharding_gate_matches_fallbacks():
@@ -123,79 +176,30 @@ def test_supports_sharding_gate_matches_fallbacks():
 
 
 # ---------------------------------------------------------------------------
-# Transport matrix: the shm columnar data plane vs the pipe baseline
+# The cut-edge transport: shared-memory frames, demand-driven nulls
 # ---------------------------------------------------------------------------
 
-def _run_transport(workload_cls, transport, *, until, shards):
-    return run_sharded(
-        workload_cls, until=until, shards=shards,
-        job_config=_SHARD_CONFIG, collect_sinks=True,
-        trace_watermarks=True, transport=transport)
-
-
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_transport_equivalent_to_single(transport):
-    single = run_single_reference(
-        NexmarkQ7, until=25.0, job_config=_SHARD_CONFIG,
-        collect_sinks=True, trace_watermarks=True)
-    multi = _run_transport(NexmarkQ7, transport, until=25.0, shards=2)
-    assert multi.transport == transport
-    _assert_equivalent(single, multi)
-    assert multi.view["sinks"] == single.view["sinks"]
-    assert multi.view["watermark_traces"] == single.view["watermark_traces"]
-
-
-def test_pipe_and_shm_agree_on_seeded_twitch():
-    """The ISSUE's equivalence bar: a seeded, chaos-free Twitch run is
-    byte-identical across transports (sinks, digests, watermarks)."""
-    pipe = _run_transport(TwitchWorkload, "pipe", until=15.0, shards=3)
-    shm = _run_transport(TwitchWorkload, "shm", until=15.0, shards=3)
-    assert pipe.backpressure_safe and shm.backpressure_safe
-    pv, sv = pipe.semantic_view(), shm.semantic_view()
-    assert set(pv) == set(sv)
-    for key in pv:
-        assert sv[key] == pv[key], f"semantic_view[{key!r}] diverged"
-    assert shm.view["sinks"] == pipe.view["sinks"]
-    assert shm.view["state_digests"] == pipe.view["state_digests"]
-    assert shm.view["watermark_traces"] == pipe.view["watermark_traces"]
-
-
 def test_sync_counters_present_and_directional():
-    """The shm protocol must demonstrably do *less* synchronization work
-    than the pipe baseline on the same run: fewer frames (adaptive
-    quantum merges rounds) and no more bare nulls than the pipe's
-    eager-null count."""
-    pipe = _run_transport(NexmarkQ7, "pipe", until=25.0, shards=2)
-    shm = _run_transport(NexmarkQ7, "shm", until=25.0, shards=2)
-    pt, st = pipe.sync_totals(), shm.sync_totals()
-    assert pt["transport"] == "pipe" and st["transport"] == "shm"
-    for totals in (pt, st):
-        assert totals["grant_rounds"] > 0
-        assert totals["frames_sent"] > 0
-        assert totals["msgs_sent"] > 0
-        assert totals["bytes_shipped"] > 0
-    # identical cut-edge message stream on both transports
-    assert st["msgs_sent"] == pt["msgs_sent"]
-    # adaptive quantum: strictly fewer synchronization rounds and frames
-    assert st["grant_rounds"] < pt["grant_rounds"]
-    assert st["frames_sent"] < pt["frames_sent"]
-    # demand-driven nulls never exceed the eager baseline
-    assert st["null_sent"] <= pt["null_sent"] + pt["null_suppressed"]
+    """The shm protocol's counters are present per worker, and the
+    adaptive quantum does what it is for: the source shard, which has no
+    upstream and so never blocks, widens its quantum and needs fewer
+    synchronization rounds than a fixed quantum would."""
+    until = 25.0
+    multi = run_sharded(NexmarkQ7, until=until, shards=2,
+                        job_config=_SHARD_CONFIG)
+    totals = multi.sync_totals()
+    assert totals["grant_rounds"] > 0
+    assert totals["frames_sent"] > 0
+    assert totals["msgs_sent"] > 0
+    assert totals["bytes_shipped"] > 0
     # per-shard breakdown matches the worker count
-    assert len(shm.sync_per_shard) == shm.shards
-    for sync in shm.sync_per_shard:
-        assert sync["transport"] == "shm"
+    assert len(multi.sync_per_shard) == multi.shards == 2
+    source = multi.sync_per_shard[0]
+    assert source["blocked_waits"] == 0
+    assert source["quantum_widenings"] > 0
+    assert source["grant_rounds"] < until / DEFAULT_QUANTUM
+    for sync in multi.sync_per_shard:
         assert sync["quantum_final"] >= sync["quantum_initial"]
-
-
-def test_auto_transport_resolves_to_shm():
-    multi = _run_transport(NexmarkQ7, None, until=10.0, shards=2)
-    assert multi.transport == "shm"
-    multi = run_sharded(
-        NexmarkQ7, until=10.0, shards=2,
-        job_config=JobConfig(inbox_capacity=256, shard_transport="pipe"),
-        collect_sinks=True)
-    assert multi.transport == "pipe"
 
 
 def test_oversized_frames_spill_through_the_pipe():
@@ -206,31 +210,6 @@ def test_oversized_frames_spill_through_the_pipe():
         collect_sinks=True, trace_watermarks=True)
     multi = run_sharded(
         NexmarkQ7, until=15.0, shards=2, job_config=_SHARD_CONFIG,
-        collect_sinks=True, trace_watermarks=True, transport="shm",
-        ring_bytes=4096)
+        collect_sinks=True, trace_watermarks=True, ring_bytes=4096)
     assert multi.sync_totals()["spills"] > 0
     _assert_equivalent(single, multi)
-
-
-def test_harness_shard_knobs_plumb_through():
-    """ExperimentConfig.shard_transport/shard_inbox_capacity reach the
-    sharded run and still reproduce the single-process figures."""
-
-    def config(shards, **kw):
-        return ExperimentConfig(
-            workload=NexmarkQ7(), warmup=5.0, post_duration=10.0,
-            shards=shards, **kw)
-
-    # the reference runs at the same effective config the shard knobs
-    # produce (shard_inbox_capacity becomes the engine-wide inbox)
-    ref = run_experiment(config(1, job_config=JobConfig(
-        inbox_capacity=256)))
-    shard = run_experiment(config(2, shard_transport="shm",
-                                  shard_inbox_capacity=256))
-    assert shard.source_records == ref.source_records
-    assert shard.sink_records == ref.sink_records
-    assert sorted(shard.latency_series) == sorted(ref.latency_series)
-    with pytest.raises(ValueError, match="shard_transport"):
-        ExperimentConfig(workload=NexmarkQ7(), shard_transport="telegraph")
-    with pytest.raises(ValueError, match="shard_inbox_capacity"):
-        ExperimentConfig(workload=NexmarkQ7(), shard_inbox_capacity=0)

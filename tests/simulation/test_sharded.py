@@ -5,6 +5,9 @@ The full shard-vs-single equivalence runs (real worker processes) live in
 deterministic single-process pieces.
 """
 
+import warnings
+from multiprocessing import shared_memory
+
 import pytest
 
 from repro.engine.graph import JobGraph, OperatorSpec
@@ -14,8 +17,11 @@ from repro.engine.runtime import JobConfig
 from repro.simulation import sharded
 from repro.simulation.sharded import (ShardedRunResult, _replay_credits,
                                       plan_for_job, run_sharded,
+                                      run_single_reference,
                                       supports_sharding)
+from repro.simulation.shm_ring import ShmRing
 from repro.workloads.nexmark import NexmarkQ7
+from repro.workloads.twitch import TwitchWorkload
 
 
 def _chain_graph(*names, source=0, latencies=None):
@@ -264,21 +270,59 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="REPRO_SHARD_INBOX"):
             JobConfig()
 
-    def test_jobconfig_shard_transport_validation(self, monkeypatch):
-        assert JobConfig().shard_transport == "auto"
-        assert JobConfig(shard_transport="pipe").shard_transport == "pipe"
-        with pytest.raises(ValueError, match="shard_transport"):
-            JobConfig(shard_transport="carrier-pigeon")
-        monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "shm")
-        assert JobConfig().shard_transport == "shm"
-        monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "smoke-signal")
-        with pytest.raises(ValueError, match="shard_transport"):
-            JobConfig()
+
+class TestNoSharedMemory:
+    """Without shared memory there is no sharded run — and no second wire
+    format either: the run is the single-process reference and says so."""
+
+    def test_rings_released_and_run_degrades_loudly(self, monkeypatch):
+        made = []
+
+        def second_ring_fails(capacity):
+            if made:
+                raise OSError("no space left on the shared-memory device")
+            made.append(ShmRing(capacity))
+            return made[-1]
+
+        monkeypatch.setattr(sharded, "ShmRing", second_ring_fails)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_sharded(TwitchWorkload, until=5.0, shards=4,
+                                 job_config=JobConfig(), collect_sinks=True,
+                                 trace_watermarks=True)
+        runtime = [w for w in caught
+                   if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "[no-shm]" in str(runtime[0].message)
+        # the first ring was closed and its segment unlinked
+        assert len(made) == 1 and made[0].buf is None
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=made[0].shm.name)
+        assert (result.shards, result.shards_requested) == (1, 4)
+        assert result.degraded == ["single-process:no-shm"]
+        assert result.transport is None
+        reference = run_single_reference(
+            TwitchWorkload, until=5.0, job_config=JobConfig(),
+            collect_sinks=True, trace_watermarks=True)
+        assert result.semantic_view() == reference.semantic_view()
+
+    def test_shard_check_exits_nonzero(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        def no_ring(capacity):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(sharded, "ShmRing", no_ring)
+        with pytest.warns(RuntimeWarning, match=r"\[no-shm\]"):
+            code = main(["shard-check", "--workload", "twitch",
+                         "--shards", "4", "--until", "5"])
+        assert code == 1
+        assert "single-process:no-shm" in capsys.readouterr().err
 
 
 class TestAdaptiveQuantum:
     def test_widen_after_productive_streak(self):
-        aq = sharded._AdaptiveQuantum(0.25, growth_limit=32.0)
+        aq = sharded._AdaptiveQuantum(0.25)
         assert aq.value == 0.25
         aq.productive()
         assert aq.value == 0.25  # one productive round is not enough
@@ -286,10 +330,11 @@ class TestAdaptiveQuantum:
         assert aq.value == 0.5
         for _ in range(40):
             aq.productive()
-        assert aq.value == 0.25 * 32.0  # capped at the growth limit
+        # capped at the growth limit
+        assert aq.value == 0.25 * sharded.QUANTUM_GROWTH_LIMIT
 
     def test_shrink_on_blocked_wait(self):
-        aq = sharded._AdaptiveQuantum(0.25, growth_limit=32.0)
+        aq = sharded._AdaptiveQuantum(0.25)
         for _ in range(8):
             aq.productive()
         widened = aq.value
@@ -307,13 +352,6 @@ class TestAdaptiveQuantum:
         aq.productive()
         assert aq.value == 0.25  # streak was broken, no widening yet
         assert aq.widenings == 0 and aq.shrinks == 0
-
-    def test_growth_limit_one_pins_the_quantum(self):
-        aq = sharded._AdaptiveQuantum(0.25, growth_limit=1.0)
-        for _ in range(10):
-            aq.productive()
-        assert aq.value == 0.25
-        assert aq.widenings == 0
 
 
 class TestPerEdgeCapacities:

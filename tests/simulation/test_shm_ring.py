@@ -2,7 +2,7 @@
 
 Single-process tests — the ring's SPSC contract means one side at a time
 is exercised here; the cross-process behaviour is covered by the
-transport-matrix equivalence runs in
+shard-vs-single equivalence runs in
 ``tests/experiments/test_shard_equivalence.py``.
 """
 
