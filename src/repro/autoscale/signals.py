@@ -10,8 +10,9 @@ EWMA smoothing:
 * **per-instance busy fraction** — delta of ``OperatorInstance.
   busy_seconds`` over the sampling interval, per live instance (max and
   mean are the policy-facing aggregates; max is robust under key skew);
-* **channel queue depth** — visibility-aware logical depth of the
-  operator's input channels plus the source admission backlog;
+* **channel queue depth** — the summed ``OperatorInstance.inbox_depth()``
+  of the operator's instances (a chain member reads its head's inbox),
+  plus the source admission backlog;
 * **backpressure stall** — senders into the operator currently blocked on
   a full output cache, integrated over time into ``stall_seconds``;
 * **watermark lag** — how far the operator's event-time frontier trails
@@ -164,8 +165,7 @@ class ScalingSignals:
         return self.job.instances(self.operator)
 
     def _queue_depth(self) -> int:
-        return sum(len(channel) for inst in self._instances()
-                   for channel in inst.input_channels)
+        return sum(inst.inbox_depth() for inst in self._instances())
 
     def _admission_backlog(self) -> int:
         return sum(source.backlog for source in self.job.sources())

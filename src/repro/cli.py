@@ -8,7 +8,6 @@ Examples::
     python -m repro run q7 --system drrs --new-parallelism 12
     python -m repro workload twitch --until 30
     python -m repro trace q8 --system drrs --output trace.json
-    python -m repro bench --scale smoke --json
     python -m repro autoscale --scale smoke --json --check
 """
 
@@ -215,140 +214,6 @@ def _cmd_trace(args) -> int:
     if args.jsonl:
         write_jsonl(telemetry, args.jsonl)
         print(f"[raw spans saved to {args.jsonl}]")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import os
-
-    from .perf import compare_bench_docs, config_mismatch_warnings, \
-        format_config, format_delta_table, write_bench_files
-
-    if args.shards is None:
-        # JobConfig's validation owns the REPRO_SHARDS env contract.
-        from .engine.runtime import JobConfig
-        args.shards = JobConfig().shards
-
-    # Baselines are validated *before* any bench runs: a bad --compare
-    # argument must fail fast (exit 2), not after minutes of measurement.
-    suites = ("kernel", "e2e") if args.only is None else (args.only,)
-    baselines = {}
-    for path in args.compare or ():
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, ValueError) as error:
-            raise _usage_error(
-                f"cannot read --compare baseline {path}: {error}")
-        baselines[doc.get("bench")] = doc
-    unmatched = set(baselines) - set(suites)
-    if unmatched:
-        raise _usage_error(
-            f"--compare baseline(s) for {sorted(unmatched)} have no "
-            "matching current bench (check --only)")
-
-    written = write_bench_files(output_dir=args.output, scale=args.scale,
-                                which=args.only, best_of=args.best_of,
-                                stat=args.stat, shards=args.shards,
-                                inbox=args.inbox)
-    docs = {}
-    for name, path in written.items():
-        with open(path) as f:
-            docs[name] = json.load(f)
-
-    def _compare_all():
-        rows, regs = [], {}
-        for name, doc in docs.items():
-            if name in baselines:
-                suite_rows, bad = compare_bench_docs(
-                    doc, baselines[name], threshold=args.threshold)
-                rows += suite_rows
-                if bad:
-                    regs[name] = bad
-        return rows, regs
-
-    # A baseline measured under a different scheduler / record plane /
-    # shard count is apples-to-oranges: print both configs and warn
-    # instead of comparing silently.
-    config_warnings = []
-    for name, doc in docs.items():
-        if name in baselines:
-            for warning in config_mismatch_warnings(doc, baselines[name]):
-                config_warnings.append(f"{name}: {warning}")
-    if config_warnings:
-        for name in sorted(set(docs) & set(baselines)):
-            print(f"[{name} current  config: {format_config(docs[name])}]",
-                  file=sys.stderr)
-            print(f"[{name} baseline config: "
-                  f"{format_config(baselines[name])}]", file=sys.stderr)
-        for line in config_warnings:
-            print(f"WARNING: {line}", file=sys.stderr)
-
-    # A wall-clock dip must survive re-measurement to count: single-box
-    # throughput noise routinely exceeds the threshold, so each regressed
-    # suite is re-run up to --retry times and only a persistent drop fails.
-    all_rows, per_suite = _compare_all()
-    for attempt in range(args.retry):
-        if not per_suite:
-            break
-        print(f"[possible regression in {sorted(per_suite)}; re-measuring "
-              f"(retry {attempt + 1}/{args.retry})]", file=sys.stderr)
-        for suite in per_suite:
-            rewritten = write_bench_files(
-                output_dir=args.output, scale=args.scale, which=suite,
-                best_of=args.best_of, stat=args.stat, shards=args.shards,
-                inbox=args.inbox)
-            with open(rewritten[suite]) as f:
-                docs[suite] = json.load(f)
-        all_rows, per_suite = _compare_all()
-    regressions = [line for bad in per_suite.values() for line in bad]
-
-    if args.json:
-        out = dict(docs)
-        if baselines:
-            out["compare"] = {"rows": all_rows, "regressions": regressions,
-                              "config_warnings": config_warnings}
-        print(json.dumps(out, indent=1, sort_keys=True))
-    else:
-        for name, path in written.items():
-            doc = docs[name]
-            print(f"[{name} bench written to {path}]")
-            speedup = doc.get("speedup_vs_pre_pr")
-            if name == "e2e":
-                results = doc["results"]
-                if "records_per_sec" in results:
-                    scenarios = {"q7": results}
-                else:
-                    scenarios = results
-                for scen, result in sorted(scenarios.items()):
-                    rps = result.get("records_per_sec", 0.0)
-                    line = f"  {scen}: {rps:,.0f} records/s"
-                    if speedup is not None and "records_per_sec" in results:
-                        line += f"  ({speedup:.2f}x vs pre-PR)"
-                    print(line)
-            elif isinstance(speedup, dict):
-                for bench_name, ratio in sorted(speedup.items()):
-                    print(f"  {bench_name}: {ratio:.2f}x vs pre-PR")
-        if all_rows:
-            print()
-            print(format_delta_table(all_rows))
-
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path and all_rows:
-        with open(summary_path, "a") as f:
-            f.write("### Bench deltas vs baseline "
-                    f"(threshold -{100 * args.threshold:.0f}%)\n\n")
-            f.write(format_delta_table(all_rows, markdown=True))
-            f.write("\n\n")
-            if regressions:
-                f.write("**REGRESSIONS:**\n\n")
-                f.writelines(f"- {line}\n" for line in regressions)
-                f.write("\n")
-
-    if regressions:
-        for line in regressions:
-            print(f"REGRESSION: {line}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -598,54 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--jsonl",
                          help="also dump raw spans/events as JSON Lines")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the wall-clock perf benches and write "
-             "BENCH_kernel.json / BENCH_e2e.json",
-        epilog=EXIT_CONTRACT.format(
-            fail="a --compare baseline shows a throughput regression "
-                 "past --threshold that persists through every --retry"),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p_bench.add_argument("--scale", default="full",
-                         choices=("smoke", "full", "paper"),
-                         help="smoke: CI gate; full: recorded trajectory; "
-                              "paper: 600 s NEXMark Q7/Q8 + the 4M-event "
-                              "Twitch trace (nightly tier)")
-    p_bench.add_argument("--output", default=".",
-                         help="directory for the BENCH_*.json files")
-    p_bench.add_argument("--only", choices=("kernel", "e2e"), default=None,
-                         help="run just one suite")
-    p_bench.add_argument("--json", action="store_true",
-                         help="also print the bench documents as JSON")
-    p_bench.add_argument("--best-of", type=_positive_int, default=None,
-                         help="repetitions per bench, >= 1 (default: "
-                              "harness BEST_OF)")
-    p_bench.add_argument("--stat", default="best",
-                         choices=("best", "median"),
-                         help="reduce the repetitions to the fastest run "
-                              "or the median run (CI uses median)")
-    p_bench.add_argument("--compare", action="append", metavar="BASELINE",
-                         help="baseline BENCH_*.json to diff against; "
-                              "repeatable (one per suite); exits non-zero "
-                              "if any throughput drops past --threshold")
-    p_bench.add_argument("--threshold", type=float, default=0.10,
-                         help="relative drop that counts as a regression "
-                              "(default 0.10 = 10%%)")
-    p_bench.add_argument("--retry", type=int, default=2,
-                         help="re-measure a regressed suite up to N times; "
-                              "only a drop that persists through every "
-                              "retry fails the gate (default 2)")
-    p_bench.add_argument("--shards", type=_positive_int, default=None,
-                         help="worker processes for the e2e scenarios "
-                              "(default: REPRO_SHARDS or 1); > 1 runs the "
-                              "sharded kernel plus its single-process "
-                              "reference and records plan, equivalence, "
-                              "and both speedups")
-    p_bench.add_argument("--inbox", type=_positive_int, default=None,
-                         metavar="N",
-                         help="shard flow-control window "
-                              "(default: REPRO_SHARD_INBOX or 512)")
-
     p_shard = sub.add_parser(
         "shard-check",
         help="run one workload sharded and single-process at the same "
@@ -740,7 +557,6 @@ def main(argv: Optional[list] = None) -> int:
         "run": _cmd_run,
         "workload": _cmd_workload,
         "trace": _cmd_trace,
-        "bench": _cmd_bench,
         "shard-check": _cmd_shard_check,
         "chaos": _cmd_chaos,
         "autoscale": _cmd_autoscale,

@@ -21,8 +21,8 @@ from .routing import (NoChannelError, OutputEdge, OutputRouter,
 from .runtime import JobConfig, SourceInstance, StreamJob
 from .state import (ChangelogChainError, ChangelogSegment,
                     ChangelogStateBackend, DictStateBackend,
-                    KeyedStateBackend, KeyGroupState, StateBackend,
-                    StateStatus, StateTransferCostModel)
+                    KeyGroupState, StateBackend, StateStatus,
+                    StateTransferCostModel)
 from .windows import SlidingWindowAggregateLogic, WindowedJoinLogic
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "JobConfig", "SourceInstance", "StreamJob",
     "RecoveryError", "RecoveryManager",
     "ChangelogChainError", "ChangelogSegment", "ChangelogStateBackend",
-    "DictStateBackend", "KeyedStateBackend", "KeyGroupState",
+    "DictStateBackend", "KeyGroupState",
     "StateBackend", "StateStatus", "StateTransferCostModel",
     "SlidingWindowAggregateLogic", "WindowedJoinLogic",
 ]

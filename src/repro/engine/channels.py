@@ -53,7 +53,7 @@ class Channel:
                  "_serializing", "_serializing_epoch", "_wire",
                  "fault_hook", "batching", "max_batch", "_job",
                  "_reservations", "_reserve_wake_at", "_ship_due",
-                 "_fused_entry", "_fuse_due")
+                 "_fused_entry", "_fuse_due", "_late")
 
     def __init__(self, sim: Simulator, link: LinkSpec, name: str = "",
                  outbox_capacity: int = 64, inbox_capacity: int = 64):
@@ -90,7 +90,7 @@ class Channel:
         # Reusable heap entries (one allocation per channel, not per
         # element).  Drain/ship have at most one outstanding schedule each;
         # the deliver entry may sit in the heap at several positions, one
-        # per in-flight element — `_wire` holds their (element, epoch)
+        # per in-flight element — `_wire` holds their (element, epoch, due)
         # payloads in delivery order (fixed per-channel latency keeps the
         # wire FIFO).
         self._drain_entry = _Callback(self._drain_loop)
@@ -105,7 +105,11 @@ class Channel:
         # Epoch captured when the serializing element left the outbox: a
         # flush() mid-serialize must still invalidate it.
         self._serializing_epoch = 0
-        self._wire: Deque = deque()  # (element, epoch) pairs
+        self._wire: Deque = deque()  # (element, epoch, due) triples
+        #: Members of collapsed carriers still on the wire in per-record
+        #: terms, as (due, element, epoch), in delivery order; each has its
+        #: own heap entry (see ``_deliver_later``).
+        self._late: Deque = deque()
         #: Micro-batched shipping.  Off by default so standalone channels
         #: (unit tests, benches) keep per-element behaviour; StreamJob
         #: flips it on at wiring time when the job's record plane is
@@ -310,7 +314,7 @@ class Channel:
             found = True
         # Carriers past the serialize slot explode at delivery.
         return found or any(element.__class__ is RecordBatch
-                            for element, _epoch in self._wire)
+                            for element, _epoch, _due in self._wire)
 
     def _unwind_serializing(self, batch: RecordBatch) -> None:
         sim = self.sim
@@ -337,7 +341,7 @@ class Channel:
         # Only a batch still on the wire carries the members in
         # `_in_flight`; once delivered (short-latency links) the tally was
         # already settled at the deliver dispatch.
-        for entry, _epoch in self._wire:
+        for entry, _epoch, _due in self._wire:
             if entry is batch:
                 self._in_flight -= n
                 break
@@ -542,9 +546,9 @@ class Channel:
                     return
                 sim.schedule_entry(due, self._ship_entry)
                 return
-            self._wire.append((element, self._epoch))
-            sim.schedule_entry(sim._now + self.link.latency,
-                               self._deliver_entry)
+            due = sim._now + self.link.latency
+            self._wire.append((element, self._epoch, due))
+            sim.schedule_entry(due, self._deliver_entry)
 
     def _form_batch(self, first: StreamElement) -> Optional[RecordBatch]:
         """Pop the record run at the outbox head into one wire batch.
@@ -599,7 +603,7 @@ class Channel:
         # On the wire at formation: the deliver dispatch fires at the
         # *first* member's per-record delivery time; later members become
         # visible at theirs without further heap traffic.
-        self._wire.append((batch, epoch))
+        self._wire.append((batch, epoch, visible[0]))
         sim.schedule_entry(visible[0], self._deliver_entry)
         # The serialize slot stays busy until the last member ships.
         self._serializing = batch
@@ -657,9 +661,9 @@ class Channel:
         element, self._serializing = self._serializing, None
         if element is None:
             return
-        self._wire.append((element, self._serializing_epoch))
-        sim.schedule_entry(self._ship_due + self.link.latency,
-                           self._deliver_entry)
+        due = self._ship_due + self.link.latency
+        self._wire.append((element, self._serializing_epoch, due))
+        sim.schedule_entry(due, self._deliver_entry)
         self._drain_parked = True
 
     def _ship(self) -> None:
@@ -675,9 +679,9 @@ class Channel:
             sim.discount()
             return
         if element.__class__ is not RecordBatch:
-            self._wire.append((element, self._serializing_epoch))
-            sim.schedule_entry(sim._now + self.link.latency,
-                               self._deliver_entry)
+            due = sim._now + self.link.latency
+            self._wire.append((element, self._serializing_epoch, due))
+            sim.schedule_entry(due, self._deliver_entry)
         elif self.telemetry is not None:
             # A batch went on the wire at formation with its deliver
             # dispatch already scheduled; this entry marks the serialize
@@ -695,7 +699,7 @@ class Channel:
         self._drain_loop()
 
     def _deliver_next(self) -> None:
-        element, epoch = self._wire.popleft()
+        element, epoch, _due = self._wire.popleft()
         if element.__class__ is RecordBatch:
             self._in_flight -= len(element.records)
             if epoch != self._epoch:
@@ -711,7 +715,7 @@ class Channel:
                 # opened while the batch was in flight: fall back to
                 # per-record delivery at the original per-record times, so
                 # the fault hook sees every member.
-                self._explode(element, epoch)
+                self._explode(element)
             return
         self._in_flight -= 1
         if epoch != self._epoch:
@@ -731,24 +735,65 @@ class Channel:
         if self.input_channel is not None:
             self.input_channel.deliver(element)
 
-    def _explode(self, batch: RecordBatch, epoch: int) -> None:
+    def _explode(self, batch: RecordBatch) -> None:
         """Deliver a batch's members individually: past-due members land
         now (in order), future ones at their original per-record times."""
-        sim = self.sim
-        now = sim._now
+        now = self.sim._now
         records = batch.records
         visible = batch.visible_times
         for i in range(batch.next_index, len(records)):
             if visible[i] <= now:
                 self._deliver_one(records[i])
             else:
-                sim.call_at(
-                    visible[i],
-                    lambda r=records[i], e=epoch: self._deliver_late(r, e))
+                self._deliver_later(records[i], visible[i])
 
-    def _deliver_late(self, element: StreamElement, epoch: int) -> None:
+    def _deliver_later(self, element: StreamElement, due: float) -> None:
+        """Deliver a collapsed carrier's member at its per-record time."""
+        entry = (due, element, self._epoch)
+        self._late.append(entry)
+        self.sim.call_at(due, self._deliver_late)
+
+    def _deliver_late(self) -> None:
+        # Same due times, scheduled in delivery order: the heap pops these
+        # entries in `_late` order.
+        _due, element, epoch = self._late.popleft()
         if epoch == self._epoch:
             self._deliver_one(element)
+
+    def landed(self) -> int:
+        """Elements whose delivery time has come but whose delivery
+        dispatch has not run yet.
+
+        Such a same-instant tie is broken by heap order, and the two
+        record planes schedule deliveries differently (a carrier member is
+        visible from its time on, with no dispatch of its own), so the
+        receiver's logical depth counts these to read alike on both.
+        """
+        now = self.sim._now
+        epoch = self._epoch
+        n = 0
+        for element, ep, due in self._wire:
+            if due > now:
+                break
+            if ep != epoch:
+                continue
+            if element.__class__ is RecordBatch:
+                for t in element.visible_times:
+                    if t > now:
+                        break
+                    n += 1
+            else:
+                n += 1
+        for due, _element, ep in self._late:
+            if due > now:
+                break
+            if ep == epoch:
+                n += 1
+        if (self._fuse_due is not None and self._fuse_due <= now
+                and self._serializing is not None
+                and self._serializing_epoch == epoch):
+            n += 1
+        return n
 
     def _deliver_control(self, element: StreamElement) -> None:
         if self.input_channel is not None:
@@ -887,10 +932,7 @@ class InputChannel:
                 if vis[i] <= now:
                     out.append(records[i])
                 elif channel is not None:
-                    sim.call_at(
-                        vis[i],
-                        lambda r=records[i], e=channel._epoch:
-                        channel._deliver_late(r, e))
+                    channel._deliver_later(records[i], vis[i])
                 else:
                     sim.call_at(vis[i],
                                 lambda r=records[i]: self.deliver(r))
@@ -908,11 +950,14 @@ class InputChannel:
         return n
 
     def __len__(self) -> int:
+        # Logical depth at this instant, alike on both record planes: every
+        # unconsumed element whose per-record delivery time has come --
+        # batch members past it, and elements landing right now whose
+        # delivery dispatch is still behind the reader in the heap.
+        channel = self.channel
+        n = channel.landed() if channel is not None else 0
         if not self._nbatches:
-            return len(self.queue)
-        # Logical depth the per-record plane would report: batch members
-        # past their per-record delivery time count, later ones do not.
-        n = 0
+            return n + len(self.queue)
         now = self.instance.sim.now
         for element in self.queue:
             if element.__class__ is RecordBatch:

@@ -23,7 +23,7 @@ from .records import (CheckpointBarrier, ControlSignal, EndOfStream,
                       LatencyMarker, Record, RecordBatch, StreamElement,
                       Watermark)
 from .routing import OutputRouter
-from .state import KeyedStateBackend
+from .state import DictStateBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import OperatorSpec
@@ -266,7 +266,7 @@ class OperatorInstance:
         self.router = OutputRouter(self)
         make_backend = getattr(job, "make_state_backend", None)
         self.state = (make_backend(spec) if make_backend is not None else
-                      KeyedStateBackend(bytes_per_entry=spec.bytes_per_entry))
+                      DictStateBackend(bytes_per_entry=spec.bytes_per_entry))
         # Edge-triggered: safe because _run re-checks every wake condition
         # at the top of each iteration before parking (see EdgeWake docs).
         self.wake = EdgeWake(sim)

@@ -661,7 +661,7 @@ class RecoveryManager:
                     queue_stranded(op, element)
                 for _ev, element in backing._send_waiters:
                     queue_stranded(op, element)
-                for element, epoch in backing._wire:
+                for element, epoch, _due in backing._wire:
                     if epoch == backing._epoch:
                         queue_stranded(op, element)
                 if (backing._serializing is not None

@@ -23,7 +23,6 @@ Storage itself is pluggable behind :class:`StateBackend`:
 
 * :class:`DictStateBackend` — the reference in-memory store (full-copy
   snapshots; checkpoints pay for the whole state on the barrier path).
-  ``KeyedStateBackend`` remains as a compatibility alias.
 * :class:`ChangelogStateBackend` — log-structured: every mutation appends
   to a per-key-group changelog; checkpoints cut *delta segments* (only
   what changed since the previous cut) that are uploaded asynchronously
@@ -44,7 +43,6 @@ __all__ = [
     "KeyGroupState",
     "StateBackend",
     "DictStateBackend",
-    "KeyedStateBackend",
     "ChangelogStateBackend",
     "ChangelogSegment",
     "ChangelogChainError",
@@ -323,11 +321,6 @@ class DictStateBackend(StateBackend):
                 entries=cut_copy(group.entries),
             )
         return copied
-
-
-#: Backwards-compatible alias: the concrete backend historically exposed
-#: under this name.  New code should pick a backend explicitly.
-KeyedStateBackend = DictStateBackend
 
 
 class ChangelogChainError(RuntimeError):

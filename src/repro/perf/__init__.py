@@ -1,18 +1,5 @@
-"""Wall-clock performance benchmarks for the DES kernel and record plane.
+"""Microbench bodies the benchmark ledger imports (:mod:`.benches`).
 
-``repro bench`` runs these and writes ``BENCH_kernel.json`` /
-``BENCH_e2e.json`` — the repo's recorded perf trajectory.  Each document
-embeds the pre-optimization numbers (measured at the pre-PR commit with
-this same harness, see :mod:`repro.perf.baseline`) so regressions and
-speedups are visible in one file.
+Host-time measurement lives in ``benchmarks/ledger`` (``BENCHMARK.json``);
+this package re-exports nothing.
 """
-
-from .benches import (BENCH_SCALES, compare_bench_docs,
-                      config_mismatch_warnings, format_config,
-                      format_delta_table, run_e2e_bench, run_kernel_bench,
-                      write_bench_files)
-
-__all__ = ["BENCH_SCALES", "run_kernel_bench", "run_e2e_bench",
-           "write_bench_files", "compare_bench_docs",
-           "config_mismatch_warnings", "format_config",
-           "format_delta_table"]

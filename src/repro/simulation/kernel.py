@@ -197,10 +197,6 @@ class Event:
             for callback in callbacks:
                 callback(self)
 
-    def _process(self) -> None:
-        # Backwards-compatible alias (pre-overhaul dispatch entry point).
-        self._dispatch()
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "processed" if self._processed else (
             "triggered" if self._triggered else "pending")

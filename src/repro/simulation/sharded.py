@@ -358,6 +358,11 @@ class _IngressFeed:
     def _return_credit(self) -> None:
         self.returns.append(self.sim._now)
 
+    def landed(self) -> int:
+        # The wire lives in the sender's process: nothing to add to the
+        # receiver's logical depth here.
+        return 0
+
 
 # ---------------------------------------------------------------------------
 # Run-view collection (shared by workers and the single-process reference)
@@ -1084,8 +1089,8 @@ class ShardedRunResult:
 
     def sync_totals(self) -> Dict[str, Any]:
         """Sum of the sync-protocol counters across shards (the
-        per-`BENCH_e2e.json`/shard-check aggregate).  Empty for
-        single-process runs."""
+        aggregate `repro shard-check` and the benchmark ledger report).
+        Empty for single-process runs."""
         if not self.sync_per_shard:
             return {}
         totals: Dict[str, Any] = {}

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.autoscale import EwmaWindow, ScalingSignals
-from tests.helpers import build_keyed_job, drive
+from repro.engine import MapLogic, Record
+from repro.engine.introspection import instance_rows
+from tests.helpers import build_keyed_job, build_tie_job, drive
 
 
 # -- EwmaWindow ---------------------------------------------------------------
@@ -96,6 +98,27 @@ def test_history_limit_trims():
     job.sim.spawn(sampler(), name="sampler")
     job.run(until=3.0)
     assert len(signals.history) == 5
+
+
+def test_chain_member_queue_depth_is_its_heads_inbox():
+    """A chain member has no input channels: its queue is the head's
+    inbox, the same depth `instance_rows` reports for it."""
+    # src -REBALANCE-> pre -> s0 -HASH-> agg -> sink; s0 runs in pre's task
+    job = build_tie_job(stages=3, sources=1, aggs=1, latency=1e-4,
+                        bandwidth=float("inf"), services=(1e-5, 0.0, 0.0),
+                        plane="batched", op_head=True,
+                        stateless=[(lambda: MapLogic(lambda r: r), 0.01)])
+    source = job.sources()[0]
+    for i in range(20):
+        source.offer(Record(key=f"k{i}", count=1))
+    job.run(until=0.005)
+
+    member = job.instances("s0")[0]
+    assert member.chain_head is job.instances("pre")[0]
+    assert not member.input_channels
+    rows = instance_rows(job, "s0")
+    depth = ScalingSignals(job, "s0").sample().queue_depth
+    assert depth == sum(row["inbox_depth"] for row in rows) > 0
 
 
 def test_snapshot_to_dict_is_json_safe():

@@ -127,6 +127,19 @@ def test_interrupted_backlog_is_plane_independent(kind, service, script,
     _assert_planes_agree(kind, service, script, action)
 
 
+def test_depth_read_at_a_delivery_instant():
+    """Pinned case of the above: the in-band function resumes at the very
+    instant a record lands, and on the per-record plane its delivery
+    dispatch is still behind the reader in the heap, while the batched
+    plane's carrier member is visible from that instant on.  The depth
+    counts it on both."""
+    script = [(0, 0, "burst", 0), (2, 0, "burst", 9)]
+    outcome, _events = _outcome("single", "reduce", SLOW, script,
+                                ("inband", 0.003711))
+    assert [seen[4] for seen in outcome["seen"]] == [[4, 0], [9, 0]]
+    _assert_planes_agree("reduce", SLOW, script, ("inband", 0.003711))
+
+
 @pytest.mark.parametrize("kind", sorted(_RECEIVERS))
 @pytest.mark.parametrize("what", ACTIONS)
 def test_action_landing_on_queued_carriers(kind, what):

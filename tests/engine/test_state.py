@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.engine import KeyedStateBackend, StateStatus
+from repro.engine import DictStateBackend, StateStatus
 from repro.engine.state import StateTransferCostModel
 
 
 def test_register_and_lookup():
-    backend = KeyedStateBackend()
+    backend = DictStateBackend()
     group = backend.register_group(3, StateStatus.LOCAL, size_bytes=100.0)
     assert backend.group(3) is group
     assert backend.group(4) is None
@@ -17,7 +17,7 @@ def test_register_and_lookup():
 
 
 def test_put_get_delete_and_entry_sizing():
-    backend = KeyedStateBackend(bytes_per_entry=10.0)
+    backend = DictStateBackend(bytes_per_entry=10.0)
     backend.put(0, "a", 1)
     backend.put(0, "b", 2)
     backend.put(0, "a", 3)  # overwrite: no size growth
@@ -31,19 +31,19 @@ def test_put_get_delete_and_entry_sizing():
 
 
 def test_get_default_for_absent_group():
-    backend = KeyedStateBackend()
+    backend = DictStateBackend()
     assert backend.get(9, "x", default="d") == "d"
 
 
 def test_add_bytes_never_negative():
-    backend = KeyedStateBackend()
+    backend = DictStateBackend()
     backend.add_bytes(1, 50.0)
     backend.add_bytes(1, -500.0)
     assert backend.group(1).size_bytes == 0.0
 
 
 def test_owned_groups_excludes_migrated():
-    backend = KeyedStateBackend()
+    backend = DictStateBackend()
     backend.register_group(0, StateStatus.LOCAL)
     backend.register_group(1, StateStatus.PENDING_OUT)
     backend.register_group(2, StateStatus.MIGRATED_OUT)
@@ -53,7 +53,7 @@ def test_owned_groups_excludes_migrated():
 
 
 def test_processable_statuses():
-    backend = KeyedStateBackend()
+    backend = DictStateBackend()
     for status, expected in [
             (StateStatus.LOCAL, True),
             (StateStatus.PENDING_OUT, True),
@@ -66,14 +66,14 @@ def test_processable_statuses():
 
 
 def test_total_bytes():
-    backend = KeyedStateBackend()
+    backend = DictStateBackend()
     backend.register_group(0, size_bytes=10.0)
     backend.register_group(1, size_bytes=30.0)
     assert backend.total_bytes() == 40.0
 
 
 def test_snapshot_is_independent_copy():
-    backend = KeyedStateBackend()
+    backend = DictStateBackend()
     backend.put(0, "k", 1)
     snap = backend.snapshot()
     backend.put(0, "k", 2)

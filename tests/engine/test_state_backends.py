@@ -12,7 +12,6 @@ import pytest
 from repro.engine import (ChangelogChainError, ChangelogStateBackend,
                           DictStateBackend, JobConfig, StateBackend)
 from repro.engine.runtime import StreamJob
-from repro.engine.state import KeyedStateBackend
 
 
 def make_backend(**kwargs):
@@ -21,8 +20,7 @@ def make_backend(**kwargs):
 
 
 class TestBackendSelection:
-    def test_dict_is_the_default_and_the_legacy_alias(self):
-        assert KeyedStateBackend is DictStateBackend
+    def test_backend_names_and_incrementality(self):
         assert DictStateBackend.name == "dict"
         assert not DictStateBackend.is_incremental
         assert ChangelogStateBackend.name == "changelog"

@@ -234,7 +234,7 @@ def test_window_opening_mid_carrier_hits_the_unseen_members(open_at, where):
         channel = job.instances("src")[0].router.all_channels()[0]
         seen["serializing"] = channel._serializing.__class__ is RecordBatch
         seen["wire"] = any(el.__class__ is RecordBatch
-                           for el, _epoch in channel._wire)
+                           for el, _epoch, _due in channel._wire)
         seen["queue"] = channel.input_channel._nbatches > 0
 
     batched = _burst_run("batched", "drop", open_at, False, probe=probe)

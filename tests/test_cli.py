@@ -114,7 +114,7 @@ def test_trace_command(tmp_path, capsys):
     assert first["kind"] in ("span", "instant")
 
 
-@pytest.mark.parametrize("command", ["bench", "chaos", "autoscale"])
+@pytest.mark.parametrize("command", ["chaos", "autoscale"])
 def test_check_commands_document_exit_contract(command, capsys):
     # The exit-status contract is part of each check-style command's
     # --help (0 = pass, 1 = check failure, 2 = usage error).
@@ -124,6 +124,14 @@ def test_check_commands_document_exit_contract(command, capsys):
     out = capsys.readouterr().out
     assert "exit status:" in out
     assert "usage error" in out
+
+
+def test_bench_is_not_a_command(capsys):
+    # Host time is measured by the benchmark ledger; `bench` is gone.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_autoscale_rejects_unknown_policy_as_usage_error(capsys):
