@@ -4,7 +4,7 @@
 Builds a keyed pipeline, drives it with a traffic ramp, and lets the
 closed-loop :class:`AutoscaleController` size the aggregator by itself:
 ``ScalingSignals`` samples busy fractions / queue depths / source rate
-into EWMA windows, a pluggable policy turns them into parallelism
+and EWMA-smooths them, a pluggable policy turns them into parallelism
 targets, and the controller actuates each decision through DRRS — on the
 fly, under live traffic, serialized against any other control-plane
 operation.  Every step lands in an auditable decision log.
@@ -16,8 +16,7 @@ Run:  python examples/autoscale_quickstart.py
 """
 
 from repro import DRRSController, JobGraph, StreamJob
-from repro.autoscale import (AutoscaleController, PredictivePolicy,
-                             ScalingSignals)
+from repro.autoscale import AutoscaleController, PredictivePolicy
 from repro.engine import (KeyedReduceLogic, LatencyMarker, OperatorSpec,
                           Partitioning, Record)
 
@@ -80,9 +79,7 @@ def main():
         min_parallelism=1, max_parallelism=8,
         cooldown=8.0, hold_ticks=2)
     auto = AutoscaleController(
-        job, drrs, "aggregator", policy,
-        signals=ScalingSignals(job, "aggregator"),
-        interval=2.0, warmup=2.0)
+        job, drrs, "aggregator", policy, interval=2.0, warmup=2.0)
     auto.start()
 
     print("running a 100-second day: ramp at t=20, peak to t=70, then quiet;")

@@ -4,7 +4,7 @@ The subsystem has three layers (see ``docs/autoscaling.md``):
 
 * :mod:`.signals` — :class:`ScalingSignals` samples one operator's live
   telemetry (busy fraction, queue depth, backpressure stalls, watermark
-  lag, source rate) into EWMA-smoothed rolling windows;
+  lag, source rate) and EWMA-smooths the aggregates;
 * :mod:`.policy` — pluggable :class:`AutoscalePolicy` decision functions
   (reactive utilisation / queue-depth with hysteresis + cooldown +
   bounds, and a predictive arrival-rate forecaster);
@@ -14,21 +14,17 @@ The subsystem has three layers (see ``docs/autoscaling.md``):
 """
 
 from .controller import AutoscaleController
-from .policy import (AutoscalePolicy, POLICY_NAMES, PredictivePolicy,
-                     QueueDepthPolicy, ScalingDecision,
-                     UtilizationThresholdPolicy, make_policy)
-from .signals import EwmaWindow, ScalingSignals, SignalSnapshot
+from .policy import (AutoscalePolicy, PredictivePolicy, QueueDepthPolicy,
+                     ScalingDecision, UtilizationThresholdPolicy)
+from .signals import ScalingSignals, SignalSnapshot
 
 __all__ = [
     "AutoscaleController",
     "AutoscalePolicy",
-    "EwmaWindow",
-    "POLICY_NAMES",
     "PredictivePolicy",
     "QueueDepthPolicy",
     "ScalingDecision",
     "ScalingSignals",
     "SignalSnapshot",
     "UtilizationThresholdPolicy",
-    "make_policy",
 ]

@@ -28,7 +28,6 @@ runs produce byte-identical JSON.
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional
 
 from ..engine.runtime import StreamJob
@@ -44,7 +43,6 @@ class AutoscaleController:
 
     def __init__(self, job: StreamJob, controller: ScalingController,
                  operator: str, policy: AutoscalePolicy,
-                 signals: Optional[ScalingSignals] = None,
                  interval: float = 2.0, warmup: float = 0.0):
         if interval <= 0:
             raise ValueError("interval must be > 0")
@@ -53,7 +51,7 @@ class AutoscaleController:
         self.controller = controller
         self.operator = operator
         self.policy = policy
-        self.signals = signals or ScalingSignals(job, operator)
+        self.signals = ScalingSignals(job, operator)
         self.interval = interval
         self.warmup = warmup
         self._log: List[dict] = []
@@ -61,7 +59,6 @@ class AutoscaleController:
         self._stopped = False
         #: Done event of our own in-flight rescale (None when idle).
         self._inflight = None
-        self._inflight_target: Optional[int] = None
         #: Latest decision deferred while the plane was busy (coalesced).
         self._pending: Optional[ScalingDecision] = None
         self.rescales_issued = 0
@@ -119,7 +116,7 @@ class AutoscaleController:
         self._accrue_cost()
         snapshot = self.signals.sample()
         if len(self.signals.history) < self.policy.min_samples:
-            return  # EWMA windows still cold: no decisions yet
+            return  # EWMAs still cold: no decisions yet
         # The policy sees every sample, busy or not: hold counters and
         # calibration keep accumulating across deferral windows.
         decision = self.policy.decide(snapshot, self.signals.history)
@@ -163,7 +160,6 @@ class AutoscaleController:
         done = self.controller.request_rescale(self.operator,
                                                decision.target)
         self._inflight = done
-        self._inflight_target = decision.target
         if self.job.telemetry is not None:
             self.job.telemetry.registry.counter(
                 "autoscale.decisions", operator=self.operator,
@@ -198,7 +194,6 @@ class AutoscaleController:
         finally:
             if self._inflight is done:
                 self._inflight = None
-                self._inflight_target = None
 
     # -- reporting ------------------------------------------------------------
 
@@ -210,9 +205,6 @@ class AutoscaleController:
     def decision_log(self) -> List[dict]:
         """The decision log as JSON-safe dicts (copy; stable order)."""
         return [dict(entry) for entry in self._log]
-
-    def decision_log_json(self) -> str:
-        return json.dumps(self._log, sort_keys=True)
 
     def summary(self) -> dict:
         self.finalize()

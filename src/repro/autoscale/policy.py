@@ -40,7 +40,7 @@ from .signals import SignalSnapshot
 
 __all__ = ["ScalingDecision", "AutoscalePolicy",
            "UtilizationThresholdPolicy", "QueueDepthPolicy",
-           "PredictivePolicy", "make_policy", "POLICY_NAMES"]
+           "PredictivePolicy"]
 
 
 @dataclass
@@ -80,8 +80,8 @@ class AutoscalePolicy:
         self.cooldown_in = (cooldown_in if cooldown_in is not None
                             else 2.0 * cooldown)
         self.hold_ticks = hold_ticks
-        #: Snapshots required before any decision: the EWMA windows must
-        #: fill before smoothed values mean anything (cold windows read
+        #: Snapshots required before any decision: the EWMAs must warm
+        #: up before smoothed values mean anything (cold EWMAs read
         #: as idle and would trigger a bogus launch-time scale-in).
         self.min_samples = min_samples
         self._last_applied: float = float("-inf")
@@ -369,18 +369,3 @@ class PredictivePolicy(AutoscalePolicy):
             return None
         fallback.reason = "reactive-fallback: " + fallback.reason
         return fallback
-
-
-POLICY_NAMES = ("utilization", "queue-depth", "predictive")
-
-
-def make_policy(name: str, **kwargs) -> AutoscalePolicy:
-    """Policy factory used by the CLI and the experiments."""
-    if name == "utilization":
-        return UtilizationThresholdPolicy(**kwargs)
-    if name == "queue-depth":
-        return QueueDepthPolicy(**kwargs)
-    if name == "predictive":
-        return PredictivePolicy(**kwargs)
-    raise ValueError(
-        f"unknown policy {name!r}; known: {', '.join(POLICY_NAMES)}")

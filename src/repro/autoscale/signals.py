@@ -4,8 +4,7 @@
 ``ScalingMetricsSource`` role in control planes like nanofaas
 (queueDepth / inFlight → setEffectiveConcurrency).  Each call to
 :meth:`ScalingSignals.sample` reads the running job *without scheduling
-any simulation events* and folds the raw taps into rolling windows with
-EWMA smoothing:
+any simulation events* and EWMA-smooths the aggregates of the raw taps:
 
 * **per-instance busy fraction** — delta of ``OperatorInstance.
   busy_seconds`` over the sampling interval, per live instance (max and
@@ -38,7 +37,7 @@ from typing import Dict, List, Optional
 
 from ..engine.runtime import StreamJob
 
-__all__ = ["SignalSnapshot", "EwmaWindow", "ScalingSignals"]
+__all__ = ["SignalSnapshot", "ScalingSignals"]
 
 
 @dataclass
@@ -84,70 +83,25 @@ class SignalSnapshot:
         }
 
 
-class EwmaWindow:
-    """Rolling window of the last N samples plus an EWMA of all of them.
-
-    ``alpha`` is the weight of the newest sample; the EWMA seeds with the
-    first sample (no zero-bias warm-up).
-    """
-
-    def __init__(self, size: int = 6, alpha: float = 0.4):
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.size = size
-        self.alpha = alpha
-        self.samples: List[float] = []
-        self.ewma: Optional[float] = None
-
-    def push(self, value: float) -> float:
-        self.samples.append(value)
-        if len(self.samples) > self.size:
-            self.samples.pop(0)
-        if self.ewma is None:
-            self.ewma = value
-        else:
-            self.ewma += self.alpha * (value - self.ewma)
-        return self.ewma
-
-    @property
-    def full(self) -> bool:
-        return len(self.samples) >= self.size
-
-    @property
-    def mean(self) -> float:
-        return (sum(self.samples) / len(self.samples)
-                if self.samples else 0.0)
-
-    @property
-    def latest(self) -> float:
-        return self.samples[-1] if self.samples else 0.0
-
-    def count_above(self, threshold: float) -> int:
-        return sum(1 for v in self.samples if v > threshold)
-
-    def count_below(self, threshold: float) -> int:
-        return sum(1 for v in self.samples if v < threshold)
-
-
 #: The aggregates every snapshot smooths.
 _SMOOTHED = ("busy_max", "busy_mean", "queue_depth", "watermark_lag",
              "source_rate")
+#: EWMA weight of the newest sample.
+_ALPHA = 0.4
 
 
 class ScalingSignals:
-    """Samples one operator's live signals into EWMA rolling windows."""
+    """Samples one operator's live signals and EWMA-smooths the aggregates."""
 
     def __init__(self, job: StreamJob, operator: str,
-                 window: int = 6, alpha: float = 0.4,
                  history_limit: int = 4096):
         if operator not in job.graph.operators:
             raise ValueError(f"unknown operator {operator!r}")
         self.job = job
         self.operator = operator
-        self.windows: Dict[str, EwmaWindow] = {
-            name: EwmaWindow(size=window, alpha=alpha) for name in _SMOOTHED}
+        #: Smoothed value per aggregate; seeded by the first sample (no
+        #: zero-bias warm-up).
+        self._ewma: Dict[str, float] = {}
         self.history: List[SignalSnapshot] = []
         self.history_limit = history_limit
         self.stall_seconds = 0.0
@@ -196,7 +150,7 @@ class ScalingSignals:
     # -- sampling -------------------------------------------------------------
 
     def sample(self) -> SignalSnapshot:
-        """Read every tap, advance the windows, return the snapshot.
+        """Read every tap, advance the EWMAs, return the snapshot.
 
         The first sample establishes cursors and reports zero rates (there
         is no interval to rate over yet).
@@ -247,8 +201,11 @@ class ScalingSignals:
             source_rate=(source_delta / interval if interval > 0 else 0.0),
         )
         for name in _SMOOTHED:
-            snapshot.ewma[name] = self.windows[name].push(
-                getattr(snapshot, name))
+            value = getattr(snapshot, name)
+            smoothed = self._ewma.get(name)
+            if smoothed is not None:
+                value = smoothed + _ALPHA * (value - smoothed)
+            snapshot.ewma[name] = self._ewma[name] = value
         self._last_time = now
         self.history.append(snapshot)
         if len(self.history) > self.history_limit:
@@ -276,10 +233,3 @@ class ScalingSignals:
             snapshot.watermark_lag)
         gauge("autoscale.source_rate", operator=op).set(
             snapshot.source_rate)
-
-    # -- derived --------------------------------------------------------------
-
-    def rate_history(self, samples: int) -> List[tuple]:
-        """The last N ``(time, source_rate)`` pairs (forecasting input)."""
-        tail = self.history[-samples:]
-        return [(s.time, s.source_rate) for s in tail]

@@ -6,8 +6,6 @@ from .drrs import (CoupledSubscaleController, DRRSConfig, DRRSController,
                    make_variant)
 from .executor import DRRSInputHandler, ScaleExecutor
 from .planner import Subscale, SubscalePlanner
-from .policy import (BacklogPolicy, ScalingPolicy, UserRequestPolicy,
-                     UtilizationPolicy)
 from .rerouting import ReRouteManager
 from .scheduling import scan_inter_channel, scan_intra_channel
 
@@ -21,10 +19,6 @@ __all__ = [
     "make_variant",
     "DRRSInputHandler",
     "ScaleExecutor",
-    "BacklogPolicy",
-    "ScalingPolicy",
-    "UserRequestPolicy",
-    "UtilizationPolicy",
     "Subscale",
     "SubscalePlanner",
     "ReRouteManager",

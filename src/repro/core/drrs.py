@@ -27,10 +27,41 @@ from ..scaling.base import ScalingController
 from ..scaling.otfs import OTFSController
 from .coordinator import ScaleCoordinator
 from .planner import Subscale
-from .policy import RetryPolicy
 
 __all__ = ["DRRSConfig", "DRRSController", "CoupledSubscaleController",
-           "make_variant"]
+           "make_variant", "RetryPolicy"]
+
+
+@dataclass
+class RetryPolicy:
+    """Backoff schedule for retrying an aborted scaling operation.
+
+    ``DRRSController.abort_and_rollback`` consults this after a mid-scaling
+    failure: attempt *k* (1-based) waits ``backoff(k)`` simulated seconds
+    before re-requesting the rescale; after ``max_attempts`` failed
+    attempts the operation's done event fails instead.
+    """
+
+    max_attempts: int = 3
+    initial_backoff: float = 0.05
+    multiplier: float = 2.0
+    max_backoff: float = 10.0
+
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.initial_backoff <= 0:
+            raise ValueError("initial_backoff must be > 0 (a zero delay "
+                             "would race the rollback it retries after)")
+        if self.multiplier < 1.0:
+            raise ValueError("multiplier must be >= 1.0")
+
+    def backoff(self, attempt: int) -> float:
+        """Delay before the given 1-based retry attempt."""
+        if attempt < 1:
+            raise ValueError("attempt is 1-based")
+        delay = self.initial_backoff * (self.multiplier ** (attempt - 1))
+        return min(delay, self.max_backoff)
 
 
 @dataclass

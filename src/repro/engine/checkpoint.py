@@ -98,15 +98,8 @@ class CheckpointCoordinator:
 
     def _maybe_complete(self, checkpoint_id: int) -> None:
         seen = self._pending.get(checkpoint_id)
-        if seen is None:
-            return
-        if not seen >= self.job.live_instance_names():
-            return
-        if any(cid <= checkpoint_id
-               for _, cid in self.job.pending_uploads):
-            # A checkpoint's delta chain references every earlier
-            # segment, so it is durable only once all uploads up to and
-            # including its own id have landed.
+        if seen is None or not self.job.checkpoint_durable(checkpoint_id,
+                                                            seen):
             return
         del self._pending[checkpoint_id]
         self.completed.append((self.job.sim.now, checkpoint_id))

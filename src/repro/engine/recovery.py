@@ -150,7 +150,7 @@ class RecoveryManager:
         self._installed = True
         # The batched plane stays on and collapses only for the duration
         # of a restore (:meth:`_recover`).
-        self.job.snapshot_listener = self._on_snapshot
+        self.job.snapshot_listeners.append(self._on_snapshot)
         self.job.flight_landed_hook = self._on_flight_landed
         self.job.record_capture_listener = self._on_record
         self.job.aux_hold_hook = self._should_hold_aux
@@ -261,17 +261,9 @@ class RecoveryManager:
                 continue
             self._maybe_complete(checkpoint)
 
-    def _uploads_done(self, checkpoint: _Checkpoint) -> bool:
-        # The checkpoint's delta chain references every earlier segment,
-        # so it is durable only once all uploads up to and including its
-        # own id have landed.
-        cid = checkpoint.checkpoint_id
-        return not any(pending_cid <= cid
-                       for _, pending_cid in self.job.pending_uploads)
-
     def _maybe_complete(self, checkpoint: _Checkpoint) -> None:
-        if (self._covers_everything(checkpoint)
-                and self._uploads_done(checkpoint)):
+        if self.job.checkpoint_durable(checkpoint.checkpoint_id,
+                                       checkpoint.snapshots.keys()):
             checkpoint.completed_at = self.job.sim.now
             self._prune()
             self._reindex()
@@ -373,9 +365,6 @@ class RecoveryManager:
             if offset is not None and seq >= offset:
                 return True
         return False
-
-    def _covers_everything(self, checkpoint: _Checkpoint) -> bool:
-        return checkpoint.snapshots.keys() >= self.job.live_instance_names()
 
     def _prune(self) -> None:
         """Satellite of checkpoint completion: bound retention.

@@ -358,13 +358,9 @@ class StreamJob:
         #: In-band scaling-signal dispatcher, installed by the active
         #: scaling controller: ``generator(instance, channel, signal)``.
         self.signal_router = None
-        #: Optional hook receiving ``(instance, barrier)`` on every
-        #: snapshot — the RecoveryManager's retention point.
-        self.snapshot_listener = None
-        #: Additional ``(instance, barrier)`` snapshot observers (e.g. the
-        #: CheckpointCoordinator's completion tracker).  Kept separate from
-        #: :attr:`snapshot_listener` for compatibility with callers that
-        #: assign the single slot directly.
+        #: ``(instance, barrier)`` observers called on every snapshot: the
+        #: CheckpointCoordinator's completion tracker and the
+        #: RecoveryManager's retention point.
         self.snapshot_listeners: List = []
         #: Count of scaling operations currently in flight (any controller).
         self.scaling_active = 0
@@ -654,6 +650,17 @@ class StreamJob:
                 if inst.running or inst.paused)
         return names
 
+    def checkpoint_durable(self, checkpoint_id: int, snapshotted) -> bool:
+        """Whether a checkpoint is complete, given the names of the
+        instances that have snapshotted for it: every live instance has,
+        and no upload with an id up to and including ``checkpoint_id`` is
+        pending (its delta chain references every earlier segment).  The
+        CheckpointCoordinator and the RecoveryManager both use this rule."""
+        if not snapshotted >= self.live_instance_names():
+            return False
+        return not any(cid <= checkpoint_id
+                       for _, cid in self.pending_uploads)
+
     def sources(self) -> List[SourceInstance]:
         return [inst for spec in self.graph.sources()
                 for inst in self._instances[spec.name]]
@@ -834,8 +841,6 @@ class StreamJob:
             self.changelog_segments[key] = segment
             self.pending_uploads.add(key)
             self.sim.spawn(self._upload_segment(instance, segment))
-        if self.snapshot_listener is not None:
-            self.snapshot_listener(instance, barrier)
         for listener in self.snapshot_listeners:
             listener(instance, barrier)
 

@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..autoscale import (AutoscaleController, PredictivePolicy,
-                         QueueDepthPolicy, ScalingSignals,
-                         UtilizationThresholdPolicy)
+                         QueueDepthPolicy, UtilizationThresholdPolicy)
 from ..core.drrs import DRRSController
 from ..workloads.twitch import TwitchConfig, TwitchWorkload
 
@@ -189,7 +188,7 @@ def _twitch_config(config: DiurnalConfig,
     )
 
 
-def _make_policy(name: str, config: DiurnalConfig, low: int, high: int):
+def _policy_for(name: str, config: DiurnalConfig, low: int, high: int):
     interval = config.control_interval
     shared = dict(min_parallelism=low, max_parallelism=high,
                   cooldown=4.0 * interval, cooldown_in=8.0 * interval,
@@ -275,8 +274,7 @@ def run_diurnal(policy: str, config: Optional[DiurnalConfig] = None
             job, drrs, workload.scaling_operator,
             # Cap at static peak + margin: an autoscaler allowed to buy a
             # bigger fleet than peak provisioning is not a fair saving.
-            _make_policy(policy, config, low=2, high=peak + 2),
-            signals=ScalingSignals(job, workload.scaling_operator),
+            _policy_for(policy, config, low=2, high=peak + 2),
             interval=config.control_interval,
             warmup=2.0 * config.control_interval)
         auto.start()

@@ -2,13 +2,15 @@
 
 import json
 
+import pytest
+
 from repro.autoscale import (AutoscaleController, AutoscalePolicy,
-                             ScalingDecision, ScalingSignals,
+                             QueueDepthPolicy, ScalingDecision,
                              UtilizationThresholdPolicy)
 from repro.core.drrs import DRRSController
 from repro.engine import (JobGraph, KeyedReduceLogic, OperatorSpec,
                           Partitioning, Record, StreamJob, Watermark)
-from tests.helpers import build_keyed_job, drive
+from tests.helpers import assert_assignment_consistent, build_keyed_job, drive
 
 
 def _ramp_job():
@@ -50,7 +52,6 @@ def _run_ramp():
         max_parallelism=8, cooldown=6.0, cooldown_in=8.0, hold_ticks=2,
         min_samples=4)
     auto = AutoscaleController(job, drrs, "agg", policy,
-                               signals=ScalingSignals(job, "agg"),
                                interval=2.0, warmup=2.0)
     auto.start()
     job.run(until=50.0)
@@ -126,3 +127,57 @@ def test_defers_and_coalesces_while_another_scaler_is_active():
     assert decides[0]["from"] == 3  # issued after the manual 2 -> 3 landed
     assert auto.rescales_completed == 1
     assert len(job.instances("agg")) == 6
+
+
+def _two_record_load(job, until):
+    """Two records per source every 4 ms over 40 keys: the queue grows."""
+    def gen():
+        sources = job.sources()
+        i = 0
+        while job.sim.now < until:
+            for s in sources:
+                s.offer(Record(key=f"k{i % 40}", event_time=job.sim.now,
+                               count=2))
+            i += 1
+            yield job.sim.timeout(0.004)
+
+    job.sim.spawn(gen())
+    return job
+
+
+def _utilization(max_parallelism):
+    return lambda: UtilizationThresholdPolicy(
+        min_parallelism=2, max_parallelism=max_parallelism, cooldown=20.0,
+        min_samples=2)
+
+
+@pytest.mark.parametrize(
+    "agg_service, load, policy, until, check",
+    [
+        # ~2.2x over capacity on two instances: scale out to the cap.
+        (0.0022, lambda job, until: drive(job, until, record_gap=0.005),
+         _utilization(8), 120.0, lambda p, issued: p == 8),
+        # Healthy at two instances: nothing is issued.
+        (0.0002, lambda job, until: drive(job, until, record_gap=0.005),
+         _utilization(8), 40.0, lambda p, issued: p == 2 and issued == 0),
+        # Far over capacity, but capped at three.
+        (0.01, lambda job, until: drive(job, until, record_gap=0.004),
+         _utilization(3), 120.0, lambda p, issued: p == 3),
+        # Queue growth alone drives a queue-depth policy out.
+        (0.004, _two_record_load,
+         lambda: QueueDepthPolicy(min_parallelism=2, high_depth=50.0,
+                                  cooldown=25.0, min_samples=2),
+         90.0, lambda p, issued: p >= 4),
+    ],
+    ids=["overload", "healthy", "cap", "queue-growth"])
+def test_closed_loop_on_keyed_job(agg_service, load, policy, until, check):
+    job = load(build_keyed_job(agg_parallelism=2, agg_service=agg_service),
+               until)
+    auto = AutoscaleController(job, DRRSController(job), "agg", policy(),
+                               interval=3.0, warmup=3.0)
+    auto.start()
+    job.run(until=until)
+    parallelism = len(job.instances("agg"))
+    assert check(parallelism, auto.rescales_issued), auto.summary()
+    assert auto.rescales_failed == 0
+    assert_assignment_consistent(job, "agg")

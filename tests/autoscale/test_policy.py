@@ -3,8 +3,7 @@
 import pytest
 
 from repro.autoscale import (PredictivePolicy, QueueDepthPolicy,
-                             SignalSnapshot, UtilizationThresholdPolicy,
-                             make_policy)
+                             SignalSnapshot, UtilizationThresholdPolicy)
 
 
 def snap(t, parallelism, busy_max=0.0, busy_mean=None, queue_depth=0,
@@ -193,13 +192,3 @@ def test_predictive_validates_parameters():
     with pytest.raises(ValueError):
         PredictivePolicy(high=0.5, low=0.6, target=0.55)
 
-
-# -- factory ------------------------------------------------------------------
-
-
-def test_make_policy_round_trip():
-    assert make_policy("utilization").name == "utilization"
-    assert make_policy("queue-depth").name == "queue-depth"
-    assert make_policy("predictive").name == "predictive"
-    with pytest.raises(ValueError):
-        make_policy("oracle")

@@ -1,51 +1,37 @@
-"""ScalingSignals and EwmaWindow: sampling semantics and smoothing."""
+"""ScalingSignals: sampling semantics and EWMA smoothing."""
 
 import pytest
 
-from repro.autoscale import EwmaWindow, ScalingSignals
+from repro.autoscale import ScalingSignals
 from repro.engine import MapLogic, Record
 from repro.engine.introspection import instance_rows
 from tests.helpers import build_keyed_job, build_tie_job, drive
 
 
-# -- EwmaWindow ---------------------------------------------------------------
+# -- ScalingSignals -----------------------------------------------------------
 
 
 def test_ewma_seeds_with_first_sample():
-    w = EwmaWindow(size=4, alpha=0.5)
-    assert w.push(10.0) == 10.0
-    assert w.ewma == 10.0
+    job = drive(build_keyed_job(), until=2.0)
+    signals = ScalingSignals(job, "agg")
+    job.run(until=1.0)
+    snap = signals.sample()
+    assert len(snap.ewma) == 5
+    for name, value in snap.ewma.items():
+        assert value == getattr(snap, name)
 
 
 def test_ewma_moves_toward_new_samples():
-    w = EwmaWindow(size=4, alpha=0.5)
-    w.push(0.0)
-    assert w.push(10.0) == 5.0
-    assert w.push(10.0) == 7.5
-
-
-def test_window_rolls_and_aggregates():
-    w = EwmaWindow(size=3, alpha=0.4)
-    for v in (1.0, 2.0, 3.0, 4.0):
-        w.push(v)
-    assert w.samples == [2.0, 3.0, 4.0]
-    assert w.full
-    assert w.mean == pytest.approx(3.0)
-    assert w.latest == 4.0
-    assert w.count_above(2.5) == 2
-    assert w.count_below(2.5) == 1
-
-
-def test_window_validates_parameters():
-    with pytest.raises(ValueError):
-        EwmaWindow(size=0)
-    with pytest.raises(ValueError):
-        EwmaWindow(alpha=0.0)
-    with pytest.raises(ValueError):
-        EwmaWindow(alpha=1.5)
-
-
-# -- ScalingSignals -----------------------------------------------------------
+    job = drive(build_keyed_job(), until=3.0)
+    signals = ScalingSignals(job, "agg")
+    job.run(until=1.0)
+    first = signals.sample()
+    job.run(until=2.0)
+    second = signals.sample()
+    assert second.source_rate != first.source_rate
+    for name, prev in first.ewma.items():
+        assert second.ewma[name] == prev + 0.4 * (
+            getattr(second, name) - prev)
 
 
 def test_unknown_operator_rejected():
