@@ -143,7 +143,7 @@ class Channel:
             # Decommissioned target: accept and drop.  The shared
             # pre-succeeded event costs neither an allocation nor a heap
             # push at send time.
-            return self.sim.done
+            return self.sim._done
         if (len(self.outbox) if not self._reservations
                 else self._occupied()) < self.outbox_capacity:
             # Accepted immediately: kick the drainer and hand the sender the
@@ -152,7 +152,7 @@ class Channel:
             # Process._resume's processed-event fast path).
             self.outbox.append(element)
             self._kick()
-            return self.sim.done
+            return self.sim._done
         if self.telemetry is not None:
             self.telemetry.registry.counter(
                 "channel.backpressure_blocks", channel=self.name).inc()

@@ -407,10 +407,10 @@ class OperatorInstance:
                 if not self.running:
                     break
                 suspended = self.input_handler.suspended
-                start = self.sim.now
+                start = sim._now
                 yield self.wake
                 if suspended:
-                    self._note_suspension(start, self.sim.now)
+                    self._note_suspension(start, sim._now)
                 continue
             channel, element = polled
             self.processing_element = True
@@ -427,9 +427,9 @@ class OperatorInstance:
                     self.current_key_group = element.key_group
                     try:
                         if cost > 0:
-                            start = sim.now
+                            start = sim._now
                             yield cost
-                            self.busy_seconds += sim.now - start
+                            self.busy_seconds += sim._now - start
                             if self.abandon_work:
                                 continue
                         self.records_processed += count

@@ -248,7 +248,7 @@ class SourceInstance(OperatorInstance):
 
     def offer(self, element: StreamElement) -> None:
         """Admit one element from the workload generator."""
-        now = self.sim.now
+        now = self.sim._now
         if isinstance(element, Record):
             element.created_at = now
         elif isinstance(element, LatencyMarker):
@@ -268,6 +268,7 @@ class SourceInstance(OperatorInstance):
         return len(self.pending)
 
     def _run(self):
+        sim = self.sim
         while self.running:
             if self.paused:
                 yield self.wake
@@ -307,8 +308,7 @@ class SourceInstance(OperatorInstance):
                 else:
                     yield from self.router.emit(element)
                 self.emitted_records += element.count
-                self.metrics.record_source_output(self.sim.now,
-                                                  element.count)
+                self.metrics.record_source_output(sim._now, element.count)
                 telemetry = self.job.telemetry
                 if telemetry is not None:
                     telemetry.registry.counter(

@@ -23,11 +23,21 @@ Hot-path notes (see ``docs/performance.md``):
 
 * Queue entries are ``(time, counter, entry)`` where ``entry`` is either an
   :class:`Event` or a bare :class:`_Callback` — ``call_at``/``call_in`` skip
-  the full Event machinery.  Both respond to ``_dispatch()``.
+  the full Event machinery.  Both respond to ``_dispatch()``; a
+  ``_Callback`` stores its target itself in that slot, so the run loop
+  calls the target with no trampoline frame.
 * Tie-break order on equal times is the global ``counter`` draw order.  Any
   optimization here must preserve the *relative* order of counter draws for
   retained events; removing a draw-less dispatch (e.g. skipping a defunct
   timeout) shifts nothing and is safe, while reordering draws is not.
+* Continue in place: a process resumed as the last act of its dispatch
+  (a bare-delay fire or an :class:`EdgeWake`) that yields a bare delay
+  ending at ``t`` keeps running at ``t``, with no heap entry and no
+  counter draw, when ``t`` is within the bound of the current heap
+  :meth:`Simulator.run` and strictly earlier than every queued entry.  The
+  entry it skips is the one the loop would pop next with nothing in
+  between, and the skipped draw shifts every later draw alike, so dispatch
+  order is unchanged; ``step()`` and the calendar loop never do this.
 * Cancelled waits are marked ``_defunct`` and skipped on pop instead of
   being sifted out of the queue (lazy cancellation).  Defunct dispatches do
   not count toward ``events_processed``, and dispatch targets that detect a
@@ -93,14 +103,12 @@ class _Callback:
     ``Event.add_callback`` pushes for already-processed events.
     """
 
-    __slots__ = ("fn", "_defunct")
+    __slots__ = ("_dispatch", "_defunct")
 
     def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
+        #: The target itself: the run loop calls ``entry._dispatch()``.
+        self._dispatch = fn
         self._defunct = False
-
-    def _dispatch(self) -> None:
-        self.fn()
 
 
 #: Sentinel stored in ``Process._waiting_on`` while the process sleeps on a
@@ -273,8 +281,10 @@ class Process(Event):
 
     Yield protocol: the generator yields :class:`Event` instances — or a
     bare ``float``/``int`` delay, shorthand for ``sim.timeout(delay)``
-    without the Event allocation (same heap position, same counter draw),
-    or an :class:`~repro.simulation.primitives.EdgeWake` to park on.
+    without the Event allocation (same heap position, same counter draw;
+    or no entry at all when it may continue in place, see the module
+    notes), or an :class:`~repro.simulation.primitives.EdgeWake` to park
+    on.
     When the yielded event fires, the process resumes with the event's value
     (or the exception, for failed events); a bare delay or a wake resumes
     with ``None``.
@@ -352,6 +362,11 @@ class Process(Event):
             return
         self._waiting_on = None
         gen = self._generator
+        sim = self.sim
+        # Resumed with the shared `done` event, this resume is the last
+        # thing its dispatch does (a bare-delay fire or an EdgeWake), so a
+        # bare delay may continue in place (see the module notes).
+        sole = event is sim._done
         while True:
             try:
                 if event._ok:
@@ -371,15 +386,23 @@ class Process(Event):
                 # `yield sim.timeout(delay)`, minus the Event allocation.
                 if target < 0:
                     raise SimulationError(f"negative timeout: {target}")
+                when = sim._now + target
+                if sole and when <= sim._bound:
+                    heap = sim._heap
+                    if not heap or heap[0][0] > when:
+                        # The next event: dispatch it here, as run() would.
+                        sim._now = when
+                        sim._event_count += 1
+                        if sim.dispatch_probe is not None:
+                            sim.dispatch_probe()
+                        event = sim._done
+                        continue
                 entry = self._timeout_entry
                 if entry is None:
                     entry = self._timeout_entry = _Callback(
                         self._timeout_fire)
                 self._waiting_on = _TIMEOUT_WAIT
-                sim = self.sim
-                sim._push(
-                    sim._heap,
-                    (sim._now + target, next(sim._counter), entry))
+                sim._push(sim._heap, (when, next(sim._counter), entry))
                 return
             if kind is EdgeWake:
                 # Park: nothing allocated or scheduled until the wake fires.
@@ -407,7 +430,7 @@ class Process(Event):
     def _timeout_fire(self) -> None:
         """Dispatch target of the reusable bare-delay heap entry."""
         if self._waiting_on is _TIMEOUT_WAIT:
-            self._resume(self.sim.done)
+            self._resume(self.sim._done)
         else:
             # Stale position of the reusable entry: the wait it was armed
             # for was cancelled or replaced.  Nothing happened.
@@ -419,7 +442,7 @@ class Simulator:
 
     __slots__ = ("_now", "_heap", "_counter", "_event_count",
                  "dispatch_probe", "discount_probe", "_done", "_push",
-                 "scheduler")
+                 "scheduler", "_bound")
 
     def __init__(self, scheduler: Optional[str] = None):
         from_env = scheduler is None
@@ -447,6 +470,10 @@ class Simulator:
             self._push = heapq.heappush
         self._counter = itertools.count()
         self._event_count = 0
+        #: ``until`` of the heap :meth:`run` in progress (``inf`` for an
+        #: unbounded run), ``-inf`` outside one: a bare delay continues in
+        #: place only up to here.
+        self._bound = float("-inf")
         #: Optional zero-arg telemetry hook invoked once per dispatched
         #: event.  None (the default) keeps dispatch on the fast path; the
         #: hook must not schedule simulation events.
@@ -476,8 +503,9 @@ class Simulator:
         entries are skipped without counting, and dispatch targets that
         detect a superseded schedule position (a reused entry whose due
         time moved on) call :meth:`discount` to back their pop out of the
-        total.  Bench schema ``repro-bench/3`` records counts under this
-        definition; older baselines include the stale no-op pops.
+        total.  A bare delay that continues in place counts as the
+        dispatch it stands in for, so the total is the one ``step()``
+        reaches on the same program.
         """
         return self._event_count
 
@@ -639,6 +667,7 @@ class Simulator:
             return self._run_calendar(until)
         pop = heapq.heappop
         count = 0
+        self._bound = float("inf") if until is None else until
         try:
             if self.dispatch_probe is None:
                 # Probe-off fast loop: no per-event hook check.  If a
@@ -720,6 +749,7 @@ class Simulator:
             return self._now
         finally:
             self._event_count += count
+            self._bound = float("-inf")
 
     def _run_calendar(self, until: Optional[float]) -> float:
         """Calendar-queue run loop; same dispatch order as the heap loop.

@@ -121,9 +121,10 @@ def drive_source(job: StreamJob, source: SourceInstance,
     key_cache: dict = {}
     next_marker = config.marker_interval
     next_watermark = config.watermark_interval
-    deadline = (sim.now + config.duration
+    deadline = (sim._now + config.duration
                 if config.duration is not None else None)
-    # Per-iteration hot-loop locals (``sim.now`` is a property call).
+    # Per-iteration hot-loop locals; the loop reads the ``_now`` slot, not
+    # the ``now`` property.
     offer = source.offer
     sample = sampler.sample
     get_key = key_cache.get
@@ -133,7 +134,7 @@ def drive_source(job: StreamJob, source: SourceInstance,
     watermark_interval = config.watermark_interval
     watermark_lag = config.watermark_lag
     while True:
-        now = sim.now
+        now = sim._now
         if deadline is not None and now >= deadline:
             break
         key_index = sample()

@@ -15,8 +15,12 @@ Both runs are also held against a three-line model of the stages.
 
 Time is where a chain differs, in both directions.  It has no wire between
 its operators, so with zero-service members -- when it differs from the
-pipeline *only* by that wire -- the k-th sink arrival is never later than
-its unchained twin.  But a chain is one thread: members with a service
+pipeline *only* by that wire -- the k-th sink arrival of an element that
+pays service, records and latency markers counted together, is never later
+than its unchained twin.  Records alone carry no such bound: a marker the
+chain brings to a shared operator one hop earlier can be polled there
+ahead of a record, and the marker's service then delays the record by one
+service time.  But a chain is one thread: members with a service
 time drain a backlog at ``1 / sum(s)`` where the pipeline drains it at
 ``1 / max(s)``, and whatever stalls a member (``pause()``, an in-band
 function) stalls the whole task.  So the bound is asserted exactly where it
@@ -27,7 +31,7 @@ member of a chain processes a record while an in-band function runs in it.
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 sys.path.insert(0, "tests")
 from helpers import (assert_assignment_consistent,  # noqa: E402
@@ -218,7 +222,9 @@ def _outcome(params, offered, state, action, spread):
         snapshots.setdefault(cid, set()).add(name)
     return {
         "arrivals": out["arrivals"], "per_key": per_key,
-        "times": sorted(t for t, _count in out["sink_events"]),
+        # Sink arrivals of everything that pays service on the way.
+        "times": sorted([t for t, _count in out["sink_events"]]
+                        + [t for t, _latency in out["latency"]]),
         "processed": {n: v[0] for n, v in out["instances"].items()},
         "watermarks": {n: v[1] for n, v in out["instances"].items()},
         "state": out["trace"]["state"], "last": out["trace"]["sinks"],
@@ -297,8 +303,24 @@ _action = st.tuples(st.sampled_from(ACTIONS),
                     st.integers(0, 7))
 
 
+#: Source 1's marker reaches ``agg`` one hop earlier through the chain and
+#: is polled ahead of source 0's second record: that record's sink arrival
+#: is later than unchained, the marker's earlier.
+_MARKER_FIRST = dict(
+    params={"stages": 3, "sources": 2, "aggs": 1, "agg": 1e-4,
+            "op_head": False, "chain": [("filter", 0.0)], "latency": 0.0,
+            "bandwidth": float("inf")},
+    script=[(0, 0, "burst", 0), (0, 0, "burst", 0), (0, 0, "watermark", 0),
+            (2, 1, "marker", 0)],
+    action=("checkpoint", 0.0, 0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(params=_params, script=_script, action=_action)
+@example(**dict(_MARKER_FIRST,
+                params=dict(_MARKER_FIRST["params"], plane="batched")))
+@example(**dict(_MARKER_FIRST,
+                params=dict(_MARKER_FIRST["params"], plane="single")))
 def test_chained_and_unchained_placements_agree(params, script, action):
     assume(_assert_chain_agrees(params, script, action))
 

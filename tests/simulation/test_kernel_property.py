@@ -1,9 +1,11 @@
 """Property-based kernel tests: ordering, composites, determinism."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import Simulator
+from repro.simulation import EdgeWake, Interrupt, Simulator
+from repro.telemetry import Telemetry
 
 
 @given(delays=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=50))
@@ -120,3 +122,180 @@ def test_bounded_store_is_lossless_fifo(capacity, items):
     sim.spawn(consumer())
     sim.run()
     assert received == items
+
+
+# -- run() against step(): continue-in-place is invisible ------------------
+
+#: Multiples of 0.5 add up exactly, so delays, fires and interrupts tie.
+_HALVES = st.integers(0, 12).map(lambda k: k * 0.5)
+_DELAY = st.sampled_from([0, 0.0, 0.5, 1, 1.5])
+_OP = st.one_of(st.tuples(st.just("delay"), _DELAY),
+                st.tuples(st.just("timeout"), _DELAY),
+                st.just(("again", None)),
+                st.just(("park", None)),
+                st.tuples(st.just("join"), st.integers(0, 4)))
+
+
+def _run_program(program, fires, interrupts, slices, stepped,
+                 telemetry=False):
+    """Run ``program`` (one op list per process) to exhaustion.
+
+    A wait is a bare delay, a ``sim.timeout`` carrying a value, the
+    process's latest timeout again (already fired, so it resumes at once
+    with that value), a park on the process's :class:`EdgeWake` or a join
+    on another process (whose end event may have several waiters).  A
+    process records ``(now, process, op, what the yield returned)`` after
+    each wait, ``(now, process, op, cause)`` for an interrupt, and moves
+    on.  ``fires`` and ``interrupts`` are ``(time, process)`` pairs
+    scheduled with ``call_at``.  ``slices`` cut the run at those times:
+    ``run(until=t)``, or for ``stepped`` a ``step()`` loop over the
+    entries due by ``t``; the trace marks each cut.
+    """
+    sim = Simulator(scheduler="heap")
+    probes = None
+    if telemetry:
+        probes = Telemetry(sim)
+        sim.dispatch_probe = probes.on_kernel_event
+        sim.discount_probe = probes.on_kernel_discount
+    trace = []
+    wakes = [EdgeWake(sim) for _ in program]
+
+    def proc(i, ops):
+        last = sim.timeout(0.0, value=(i, -1))
+        for n, (op, arg) in enumerate(ops):
+            try:
+                if op == "delay":
+                    got = yield arg
+                elif op == "timeout":
+                    last = sim.timeout(arg, value=(i, n))
+                    got = yield last
+                elif op == "again":
+                    got = yield last
+                elif op == "join":
+                    got = yield procs[arg % len(procs)]
+                else:
+                    got = yield wakes[i]
+                trace.append((sim.now, i, n, got))
+            except Interrupt as exc:
+                trace.append((sim.now, i, n, "interrupt", exc.cause))
+
+    procs = [sim.spawn(proc(i, ops)) for i, ops in enumerate(program)]
+    for at, i in fires:
+        sim.call_at(at, wakes[i % len(wakes)].fire)
+    for at, i in interrupts:
+        sim.call_at(at, lambda p=procs[i % len(procs)], at=at: p.interrupt(at))
+    for until in slices:
+        if stepped:
+            while sim.peek() <= until:
+                sim.step()
+        else:
+            sim.run(until=until)
+        trace.append(("cut", until))
+    if stepped:
+        while sim.step():
+            pass
+    else:
+        sim.run()
+    if probes is not None:
+        snap = probes.registry.snapshot()
+        assert (snap.get("sim.events_dispatched", 0)
+                - snap.get("sim.events_discounted", 0)
+                == sim.events_processed)
+    return trace, sim.now, sim.events_processed, next(sim._counter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=st.lists(st.lists(_OP, min_size=1, max_size=8),
+                        min_size=2, max_size=5),
+       fires=st.lists(st.tuples(_HALVES, st.integers(0, 4)), max_size=6),
+       interrupts=st.lists(st.tuples(_HALVES, st.integers(0, 4)),
+                           max_size=4),
+       slices=st.lists(_HALVES, max_size=4).map(sorted))
+@example(program=[[("delay", 1)] * 4, [("delay", 0.5)] * 4],
+         fires=[], interrupts=[(2.0, 0)], slices=[1.5])
+@example(program=[[("delay", 1)], [("join", 0), ("delay", 0)],
+                  [("join", 0), ("delay", 0)]],
+         fires=[], interrupts=[], slices=[])
+@example(program=[[("timeout", 1), ("delay", 1), ("again", None),
+                   ("delay", 0.5)], [("delay", 3)]],
+         fires=[], interrupts=[], slices=[])
+def test_run_matches_the_step_loop(program, fires, interrupts, slices):
+    """A sliced ``run()`` -- which lets a bare delay continue in place --
+    shows the trace, final time and event count of ``step()``, which never
+    does."""
+    trace, now, events, _draws = _run_program(
+        program, fires, interrupts, slices, stepped=False)
+    o_trace, o_now, o_events, _ = _run_program(
+        program, fires, interrupts, slices, stepped=True)
+    assert trace == o_trace
+    assert now == max([o_now, *slices])  # run(until=t) leaves now >= t
+    assert events == o_events
+
+
+def test_a_chain_of_microsecond_delays_stops_at_the_slice_bound():
+    sim = Simulator(scheduler="heap")
+    times = []
+
+    def ticker():
+        for _ in range(50):
+            yield 1e-6
+            times.append(sim.now)
+
+    sim.spawn(ticker())
+    bound = 20.5e-6
+    assert sim.run(until=bound) == bound
+    assert times and max(times) <= bound
+    assert len(times) == 20  # the 21st tick lies past the bound
+    sim.run()
+    assert len(times) == 50
+    # The chain continued in place instead of taking a counter per tick.
+    program = [[("delay", 1e-6)] * 50, []]
+    stepped = _run_program(program, [], [], [bound], stepped=True)
+    ran = _run_program(program, [], [], [bound], stepped=False)
+    assert ran[:3] == stepped[:3]
+    assert ran[3] < stepped[3]
+
+    # A run() that fails leaves no bound behind for step().
+    failed = Simulator(scheduler="heap")
+    ticks = []
+
+    def ticker_on_failed():
+        for _ in range(5):
+            yield 1.0
+            ticks.append(failed.now)
+
+    def boom():
+        yield 0.5
+        raise RuntimeError("boom")
+
+    failed.spawn(ticker_on_failed())
+    failed.spawn(boom())
+    with pytest.raises(RuntimeError):
+        failed.run()
+    assert failed.step() and ticks == [1.0]  # one event, no continuation
+
+
+def test_a_continuation_never_jumps_an_entry_at_its_own_end_time():
+    sim = Simulator(scheduler="heap")
+    log = []
+    sim.call_at(2.0, lambda: log.append(("callback", sim.now)))
+
+    def proc():
+        yield 1.0
+        yield 1.0  # resumed by its own delay: ends exactly at the callback
+        log.append(("process", sim.now))
+
+    sim.spawn(proc())
+    sim.run()
+    assert log == [("callback", 2.0), ("process", 2.0)]
+
+
+def test_telemetry_counts_every_continuation_as_a_dispatch():
+    program = [[("delay", 1)] * 5, [("delay", 0.5), ("park", None),
+                                    ("delay", 0), ("delay", 0.5)]]
+    fires = [(1.0, 1), (3.0, 1)]
+    traced = _run_program(program, fires, [(2.0, 0)], [2.5], stepped=False,
+                          telemetry=True)
+    plain = _run_program(program, fires, [(2.0, 0)], [2.5], stepped=True)
+    assert traced[:3] == plain[:3]
+    assert traced[3] < plain[3]  # some waits did continue in place
