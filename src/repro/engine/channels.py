@@ -40,9 +40,9 @@ class Channel:
     :meth:`_kick` plays the role the old drain Signal's ``fire()`` played
     (wake a parked drainer, or latch a pending wake-up), and
     :meth:`_drain_loop` is the loop body.  Each wake-up and each serialize
-    step draws exactly the same event-heap counters the generator version
-    drew, so simulated timing and tie-break order are bit-identical — only
-    the per-element generator-resume machinery is gone.
+    step takes exactly the queue position the generator version took, so
+    simulated timing and tie-break order are bit-identical — only the
+    per-element generator-resume machinery is gone.
     """
 
     __slots__ = ("sim", "link", "name", "outbox_capacity", "outbox",
@@ -445,11 +445,12 @@ class Channel:
     def _kick(self) -> None:
         """Wake the drainer (the old drain Signal's ``fire()``).
 
-        The wake-up must go through the heap, not run inline: an element
-        sent at time T stays in the output cache until the drain *event*
-        dispatches, so same-timestamp ``send_front``/``inject_confirm``/
-        ``extract_outbox`` can still overtake or redirect it — the cache
-        semantics every bypass protocol in the paper relies on.
+        The wake-up must be a dispatch of its own, not run inline: an
+        element sent at time T stays in the output cache until the drain
+        entry dispatches from the same-instant lane, so same-timestamp
+        ``send_front``/``inject_confirm``/``extract_outbox`` can still
+        overtake or redirect it — the cache semantics every bypass
+        protocol in the paper relies on.
 
         Two classes of wake-up are dropped without scheduling anything:
 
@@ -480,8 +481,7 @@ class Channel:
                         "channel.credit_stalls", channel=self.name).inc()
                 return
             self._drain_parked = False
-            sim = self.sim
-            sim.schedule_entry(sim._now, self._drain_entry)
+            self.sim._ready.append(self._drain_entry)
 
     def _drain_loop(self) -> None:
         """Serialize and ship outbox elements until blocked or drained.
@@ -764,7 +764,7 @@ class Channel:
         """Elements whose delivery time has come but whose delivery
         dispatch has not run yet.
 
-        Such a same-instant tie is broken by heap order, and the two
+        Such a same-instant tie is broken by dispatch order, and the two
         record planes schedule deliveries differently (a carrier member is
         visible from its time on, with no dispatch of its own), so the
         receiver's logical depth counts these to read alike on both.

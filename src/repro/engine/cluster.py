@@ -13,6 +13,7 @@ per-link latency/bandwidth, per-node relative CPU speed, and per-node slots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -31,13 +32,26 @@ class NodeSpec:
     #: How many operator instances (containers) the node can host.
     slots: int = 64
 
+    def __post_init__(self):
+        if not (self.speed > 0):
+            raise ValueError(f"{self.name}: speed must be > 0, "
+                             f"got {self.speed}")
+
 
 @dataclass
 class LinkSpec:
     """Network parameters between two nodes (or loopback)."""
 
     latency: float = 0.0005  # one-way propagation, seconds
-    bandwidth: float = GBIT  # bytes/second
+    bandwidth: float = GBIT  # bytes/second; inf = free serialization
+
+    def __post_init__(self):
+        if not (0 <= self.latency < math.inf):
+            raise ValueError(f"link latency must be finite and >= 0, "
+                             f"got {self.latency}")
+        if not (self.bandwidth > 0):
+            raise ValueError(f"link bandwidth must be > 0, "
+                             f"got {self.bandwidth}")
 
 
 class ClusterModel:

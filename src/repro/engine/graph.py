@@ -40,8 +40,9 @@ class OperatorSpec:
     def __post_init__(self):
         if self.parallelism < 1:
             raise ValueError(f"{self.name}: parallelism must be >= 1")
-        if self.service_time < 0:
-            raise ValueError(f"{self.name}: service_time must be >= 0")
+        if not (self.service_time >= 0):
+            raise ValueError(f"{self.name}: service_time must be >= 0, "
+                             f"got {self.service_time}")
 
 
 @dataclass

@@ -26,6 +26,13 @@ Hot-path notes (see ``docs/performance.md``):
   the full Event machinery.  Both respond to ``_dispatch()``; a
   ``_Callback`` stores its target itself in that slot, so the run loop
   calls the target with no trampoline frame.
+* Same-instant lane: every schedule site appends an entry due at
+  ``now`` to the FIFO ``Simulator._ready`` (no counter, no tuple, no
+  queue push), and the loop dispatches, per instant, the queued entries
+  due then, the lane, and only then the next queued time.  A queued entry
+  due at ``t`` was pushed before the clock reached ``t``, so it drew an
+  earlier counter than any push made at ``t``: that is the
+  ``(time, counter)`` order exactly.
 * Tie-break order on equal times is the global ``counter`` draw order.  Any
   optimization here must preserve the *relative* order of counter draws for
   retained events; removing a draw-less dispatch (e.g. skipping a defunct
@@ -34,10 +41,11 @@ Hot-path notes (see ``docs/performance.md``):
   (a bare-delay fire or an :class:`EdgeWake`) that yields a bare delay
   ending at ``t`` keeps running at ``t``, with no heap entry and no
   counter draw, when ``t`` is within the bound of the current heap
-  :meth:`Simulator.run` and strictly earlier than every queued entry.  The
-  entry it skips is the one the loop would pop next with nothing in
-  between, and the skipped draw shifts every later draw alike, so dispatch
-  order is unchanged; ``step()`` and the calendar loop never do this.
+  :meth:`Simulator.run`, the lane is empty and ``t`` is strictly earlier
+  than every queued entry.  The entry it skips is the one the loop would
+  pop next with nothing in between, and the skipped draw shifts every
+  later draw alike, so dispatch order is unchanged; ``step()`` and the
+  calendar loop never do this.
 * Cancelled waits are marked ``_defunct`` and skipped on pop instead of
   being sifted out of the queue (lazy cancellation).  Defunct dispatches do
   not count toward ``events_processed``, and dispatch targets that detect a
@@ -47,9 +55,7 @@ Hot-path notes (see ``docs/performance.md``):
   ``"heap"`` is the classic binary heap, ``"calendar"`` the
   calendar-queue / bucketed-wheel scheduler in
   :mod:`repro.simulation.calqueue`.  Both dispatch in exactly the same
-  ``(time, counter)`` order, so traces are bit-identical; every schedule
-  site pushes through ``sim._push(sim._heap, item)`` to stay
-  scheduler-agnostic.
+  ``(time, counter)`` order, so traces are bit-identical.
 """
 
 from __future__ import annotations
@@ -57,7 +63,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import (Any, Callable, Deque, Generator, Iterable, List,
+                    Optional, Tuple)
 
 from .calqueue import CalendarQueue, cq_push
 
@@ -135,11 +143,11 @@ class Event:
         self._ok: bool = True
         self._triggered = False
         self._processed = False
-        # True for events already on the heap with a future fire time
-        # (timeouts, call_at): they cannot be succeeded manually, but they
-        # have NOT fired yet — composites must wait for them.
+        # True for events already scheduled by time (timeouts): they
+        # cannot be succeeded manually, but they have NOT fired yet —
+        # composites must wait for them.
         self._scheduled = False
-        # Lazily-cancelled: still in the heap, skipped at dispatch.
+        # Lazily-cancelled: still queued, skipped at dispatch.
         self._defunct = False
 
     @property
@@ -167,8 +175,7 @@ class Event:
         self._triggered = True
         self._value = value
         self._ok = True
-        sim = self.sim
-        sim._push(sim._heap, (sim._now, next(sim._counter), self))
+        self.sim._ready.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -180,20 +187,15 @@ class Event:
         self._triggered = True
         self._value = exception
         self._ok = False
-        sim = self.sim
-        sim._push(sim._heap, (sim._now, next(sim._counter), self))
+        self.sim._ready.append(self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback(event)``; runs immediately if already past."""
         if self.callbacks is None:
-            # Already processed: run at the current time, preserving ordering
-            # relative to other same-time activity via the event heap.
-            sim = self.sim
-            sim._push(
-                sim._heap,
-                (sim._now, next(sim._counter),
-                 _Callback(lambda: callback(self))))
+            # Already processed: run at the current time, after the other
+            # same-time activity already in the lane.
+            self.sim._ready.append(_Callback(lambda: callback(self)))
         else:
             self.callbacks.append(callback)
 
@@ -281,9 +283,8 @@ class Process(Event):
 
     Yield protocol: the generator yields :class:`Event` instances — or a
     bare ``float``/``int`` delay, shorthand for ``sim.timeout(delay)``
-    without the Event allocation (same heap position, same counter draw;
-    or no entry at all when it may continue in place, see the module
-    notes), or an :class:`~repro.simulation.primitives.EdgeWake` to park
+    without the Event allocation (same queue position; or no entry at
+    all when it may continue in place, see the module notes), or an :class:`~repro.simulation.primitives.EdgeWake` to park
     on.
     When the yielded event fires, the process resumes with the event's value
     (or the exception, for failed events); a bare delay or a wake resumes
@@ -306,7 +307,7 @@ class Process(Event):
         start = Event(sim)
         start._triggered = True
         start.callbacks.append(self._resume)
-        sim._push(sim._heap, (sim._now, next(sim._counter), start))
+        sim._ready.append(start)
 
     @property
     def is_alive(self) -> bool:
@@ -354,8 +355,7 @@ class Process(Event):
         wake._ok = False
         wake._value = Interrupt(cause)
         wake.callbacks.append(self._resume)
-        sim = self.sim
-        sim._push(sim._heap, (sim._now, next(sim._counter), wake))
+        self.sim._ready.append(wake)
 
     def _resume(self, event: Event) -> None:
         if self._triggered:  # finished while the wake-up was in flight
@@ -382,12 +382,13 @@ class Process(Event):
                 return
             kind = type(target)
             if kind is float or kind is int:
-                # Bare-delay yield: same heap position and counter draw as
+                # Bare-delay yield: same queue position as
                 # `yield sim.timeout(delay)`, minus the Event allocation.
-                if target < 0:
-                    raise SimulationError(f"negative timeout: {target}")
+                if not (target >= 0):
+                    raise SimulationError(
+                        f"negative or NaN timeout: {target}")
                 when = sim._now + target
-                if sole and when <= sim._bound:
+                if sole and when <= sim._bound and not sim._ready:
                     heap = sim._heap
                     if not heap or heap[0][0] > when:
                         # The next event: dispatch it here, as run() would.
@@ -402,7 +403,10 @@ class Process(Event):
                     entry = self._timeout_entry = _Callback(
                         self._timeout_fire)
                 self._waiting_on = _TIMEOUT_WAIT
-                sim._push(sim._heap, (when, next(sim._counter), entry))
+                if when == sim._now:
+                    sim._ready.append(entry)
+                else:
+                    sim._push(sim._heap, (when, next(sim._counter), entry))
                 return
             if kind is EdgeWake:
                 # Park: nothing allocated or scheduled until the wake fires.
@@ -418,7 +422,7 @@ class Process(Event):
                 # Already-past event (the shared `done` singleton, or any
                 # event that fired in an earlier dispatch): resume
                 # synchronously instead of round-tripping a bare callback
-                # through the event heap — no counter draw, no dispatch.
+                # through the lane — nothing scheduled, no dispatch.
                 event = target
                 continue
             self._waiting_on = target
@@ -440,7 +444,7 @@ class Process(Event):
 class Simulator:
     """The event loop: owns simulated time and the pending-event queue."""
 
-    __slots__ = ("_now", "_heap", "_counter", "_event_count",
+    __slots__ = ("_now", "_heap", "_ready", "_counter", "_event_count",
                  "dispatch_probe", "discount_probe", "_done", "_push",
                  "scheduler", "_bound")
 
@@ -468,6 +472,9 @@ class Simulator:
         else:
             self._heap = []
             self._push = heapq.heappush
+        #: The same-instant lane: entries due at ``_now``, in dispatch
+        #: order (see the module notes).
+        self._ready: Deque[Any] = deque()
         self._counter = itertools.count()
         self._event_count = 0
         #: ``until`` of the heap :meth:`run` in progress (``inf`` for an
@@ -533,18 +540,15 @@ class Simulator:
         """The shared, already-processed success event (value ``None``).
 
         Hand this to a waiter whose wait is already satisfied and carries no
-        value: no allocation, no heap push at hand-out time.  A process that
-        yields it resumes via the processed-event path of
-        :meth:`Event.add_callback`, which draws its counter at yield time —
-        so only return ``done`` where no other counter draw can occur
-        between hand-out and yield.
+        value: no allocation and nothing scheduled.  A process that yields
+        it resumes synchronously, inside the same dispatch.
         """
         return self._done
 
     def completed(self, value: Any = None) -> Event:
         """An event already fired at the current time, carrying ``value``.
 
-        Equivalent to ``sim.event().succeed(value)`` — same counter draw,
+        Equivalent to ``sim.event().succeed(value)`` — same lane position,
         same dispatch — minus the guard checks.  This is the accepted-send
         fast path: callers that must hand a waiter an event firing "now"
         without reordering anything.
@@ -552,17 +556,21 @@ class Simulator:
         ev = Event(self)
         ev._triggered = True
         ev._value = value
-        self._push(self._heap, (self._now, next(self._counter), ev))
+        self._ready.append(ev)
         return ev
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if not (delay >= 0):
+            raise SimulationError(f"negative or NaN timeout: {delay}")
         ev = Event(self)
         ev._scheduled = True
         ev._value = value
-        self._push(self._heap, (self._now + delay, next(self._counter), ev))
+        when = self._now + delay
+        if when == self._now:
+            self._ready.append(ev)
+        else:
+            self._push(self._heap, (when, next(self._counter), ev))
         return ev
 
     def any_of(self, events: Iterable[Event]) -> Event:
@@ -580,263 +588,139 @@ class Simulator:
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` at absolute simulated time ``when``.
 
-        Cheaper than spawning a process or succeeding an event: the heap
+        Cheaper than spawning a process or succeeding an event: the queue
         entry is a bare :class:`_Callback`, not an :class:`Event`.
         """
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at {when}; now is {self._now}")
-        self._push(self._heap,
-                   (when, next(self._counter), _Callback(callback)))
+        self.schedule_entry(when, _Callback(callback))
 
     def call_in(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` ``delay`` seconds from now."""
         self.call_at(self._now + delay, callback)
 
     def schedule_entry(self, when: float, entry: "_Callback") -> None:
-        """Push a caller-owned heap entry (``_Callback`` or compatible).
+        """Schedule a caller-owned entry (``_Callback`` or compatible).
 
         Hot-path variant of :meth:`call_at` for callers that reuse one
         entry object across many schedules (e.g. a channel drainer): no
-        per-call wrapper allocation.  The same entry may sit in the heap at
-        several positions at once; ``_dispatch()`` runs once per pop.  The
-        caller must never mark a reused entry ``_defunct``.
+        per-call wrapper allocation.  The same entry may be queued at
+        several positions at once; ``_dispatch()`` runs once per position.
+        The caller must never mark a reused entry ``_defunct``.
         """
-        if when < self._now:
+        if not (when >= self._now):
             raise SimulationError(
                 f"cannot schedule at {when}; now is {self._now}")
-        self._push(self._heap, (when, next(self._counter), entry))
-
-    # -- scheduling internals ----------------------------------------------
-
-    def _schedule_event(self, event: Event) -> None:
-        self._push(self._heap, (self._now, next(self._counter), event))
+        if when == self._now:
+            self._ready.append(entry)
+        else:
+            self._push(self._heap, (when, next(self._counter), entry))
 
     # -- execution -----------------------------------------------------------
 
     def step(self) -> bool:
-        """Process one event.  Returns False when the queue is empty.
+        """Process one event.  Returns False when nothing is pending.
 
-        Defunct (lazily-cancelled) entries are discarded without counting
-        as a processed event.
+        Same order as :meth:`run`; defunct (lazily-cancelled) entries are
+        discarded without counting as a processed event.
         """
-        heap = self._heap
-        if type(heap) is list:
-            while heap:
-                when, _seq, entry = heapq.heappop(heap)
-                if entry._defunct:
-                    continue
-                if when < self._now:
-                    raise SimulationError("event heap went backwards in time")
-                self._now = when
-                self._event_count += 1
-                if self.dispatch_probe is not None:
-                    self.dispatch_probe()
-                entry._dispatch()
-                return True
+        head = self._head()
+        ready = self._ready
+        if head is not None and (head[0] == self._now or not ready):
+            heap = self._heap
+            if type(heap) is list:
+                heapq.heappop(heap)
+            else:
+                heap.pop()
+            self._now = head[0]
+            entry = head[2]
+        elif ready:
+            entry = ready.popleft()
+        else:
             return False
-        while True:
-            item = heap.pop()
-            if item is None:
-                return False
-            entry = item[2]
-            if entry._defunct:
-                continue
-            when = item[0]
-            if when < self._now:
-                raise SimulationError("event queue went backwards in time")
-            self._now = when
-            self._event_count += 1
-            if self.dispatch_probe is not None:
-                self.dispatch_probe()
-            entry._dispatch()
-            return True
+        self._event_count += 1
+        if self.dispatch_probe is not None:
+            self.dispatch_probe()
+        entry._dispatch()
+        return True
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains or simulated time passes ``until``.
+        """Run until nothing is pending or simulated time passes ``until``.
 
         Returns the simulated time at which execution stopped.
 
-        The loop is inlined (no per-event ``step()`` call) and pops runs of
-        same-time events in an inner loop: a dispatch can only push entries
-        with *later* counters, so draining the equal-time prefix before
-        re-checking ``until`` preserves tie-break order exactly.
+        One inlined loop (no per-event ``step()`` call) per instant: the
+        queued entries due now, then the lane, with dispatches appending
+        to its tail, and only then the next queued time.  That is
+        ``(time, counter)`` order exactly (see the module notes).
         """
         heap = self._heap
+        limit = float("inf") if until is None else until
+        if not (self._now <= limit):
+            return self._now
         if type(heap) is not list:
-            return self._run_calendar(until)
-        pop = heapq.heappop
-        count = 0
-        self._bound = float("inf") if until is None else until
-        try:
-            if self.dispatch_probe is None:
-                # Probe-off fast loop: no per-event hook check.  If a
-                # dispatch installs a probe mid-run we fall through to the
-                # instrumented loop below on the next outer iteration.
-                if until is None:
-                    while heap and self.dispatch_probe is None:
-                        when, _seq, entry = pop(heap)
-                        if entry._defunct:
-                            continue
-                        self._now = when
-                        count += 1
-                        entry._dispatch()
-                        # Batched same-time pops: drain the equal-time run.
-                        while heap and heap[0][0] == when:
-                            _w, _s, entry = pop(heap)
-                            if entry._defunct:
-                                continue
-                            count += 1
-                            entry._dispatch()
-                else:
-                    while (heap and heap[0][0] <= until
-                           and self.dispatch_probe is None):
-                        when, _seq, entry = pop(heap)
-                        if entry._defunct:
-                            continue
-                        self._now = when
-                        count += 1
-                        entry._dispatch()
-                        while heap and heap[0][0] == when:
-                            _w, _s, entry = pop(heap)
-                            if entry._defunct:
-                                continue
-                            count += 1
-                            entry._dispatch()
-                if self.dispatch_probe is None:
-                    if until is not None and self._now < until:
-                        self._now = until
-                    return self._now
-            if until is None:
-                while heap:
-                    when, _seq, entry = pop(heap)
-                    if entry._defunct:
-                        continue
-                    self._now = when
-                    count += 1
-                    if self.dispatch_probe is not None:
-                        self.dispatch_probe()
-                    entry._dispatch()
-                    # Batched same-time pops: drain the equal-time run.
+            # The reference scheduler: one step() per event.
+            while self.peek() <= limit and self.step():
+                pass
+        else:
+            pop = heapq.heappop
+            ready = self._ready
+            popleft = ready.popleft
+            when = self._now
+            count = 0
+            self._bound = limit
+            try:
+                while True:
                     while heap and heap[0][0] == when:
-                        _w, _s, entry = pop(heap)
+                        entry = pop(heap)[2]
+                        if entry._defunct:
+                            continue
+                        self._now = when
+                        count += 1
+                        if self.dispatch_probe is not None:
+                            self.dispatch_probe()
+                        entry._dispatch()
+                    while ready:
+                        entry = popleft()
                         if entry._defunct:
                             continue
                         count += 1
                         if self.dispatch_probe is not None:
                             self.dispatch_probe()
                         entry._dispatch()
-                return self._now
-            while heap and heap[0][0] <= until:
-                when, _seq, entry = pop(heap)
-                if entry._defunct:
-                    continue
-                self._now = when
-                count += 1
-                if self.dispatch_probe is not None:
-                    self.dispatch_probe()
-                entry._dispatch()
-                while heap and heap[0][0] == when:
-                    _w, _s, entry = pop(heap)
-                    if entry._defunct:
-                        continue
-                    count += 1
-                    if self.dispatch_probe is not None:
-                        self.dispatch_probe()
-                    entry._dispatch()
-            if self._now < until:
-                self._now = until
-            return self._now
-        finally:
-            self._event_count += count
-            self._bound = float("-inf")
+                    if not heap or heap[0][0] > limit:
+                        break
+                    when = heap[0][0]
+            finally:
+                self._event_count += count
+                self._bound = float("-inf")
+        if until is not None and self._now < until:
+            self._now = until
+        return self._now
 
-    def _run_calendar(self, until: Optional[float]) -> float:
-        """Calendar-queue run loop; same dispatch order as the heap loop.
+    def _head(self) -> Optional[Tuple[float, int, Any]]:
+        """The first live queued item, or None.
 
-        ``pop``/``peek_time`` replace ``heappop``/``heap[0][0]``; the
-        equal-time inner drain and defunct skipping are structured exactly
-        as in :meth:`run`, so pop order — and therefore every trace — is
-        bit-identical between the two schedulers.
+        Drops the defunct entries at the front of the lane and the queue.
         """
-        q = self._heap
-        q_pop = q.pop
-        q_pop_at = q.pop_at
-        q_pop_le = q.pop_le
-        count = 0
-        try:
-            if until is None:
-                while True:
-                    item = q_pop()
-                    if item is None:
-                        break
-                    entry = item[2]
-                    if entry._defunct:
-                        continue
-                    when = item[0]
-                    self._now = when
-                    count += 1
-                    if self.dispatch_probe is not None:
-                        self.dispatch_probe()
-                    entry._dispatch()
-                    # Batched same-time pops: drain the equal-time run.
-                    while True:
-                        item = q_pop_at(when)
-                        if item is None:
-                            break
-                        entry = item[2]
-                        if entry._defunct:
-                            continue
-                        count += 1
-                        if self.dispatch_probe is not None:
-                            self.dispatch_probe()
-                        entry._dispatch()
-                return self._now
-            while True:
-                item = q_pop_le(until)
-                if item is None:
-                    break
-                entry = item[2]
-                if entry._defunct:
-                    continue
-                when = item[0]
-                self._now = when
-                count += 1
-                if self.dispatch_probe is not None:
-                    self.dispatch_probe()
-                entry._dispatch()
-                while True:
-                    item = q_pop_at(when)
-                    if item is None:
-                        break
-                    entry = item[2]
-                    if entry._defunct:
-                        continue
-                    count += 1
-                    if self.dispatch_probe is not None:
-                        self.dispatch_probe()
-                    entry._dispatch()
-            if self._now < until:
-                self._now = until
-            return self._now
-        finally:
-            self._event_count += count
-
-    def peek(self) -> float:
-        """Time of the next pending event, or ``inf`` if none."""
+        ready = self._ready
+        while ready and ready[0]._defunct:
+            ready.popleft()
         heap = self._heap
         if type(heap) is list:
             while heap and heap[0][2]._defunct:
                 heapq.heappop(heap)
-            return heap[0][0] if heap else float("inf")
+            return heap[0] if heap else None
         while True:
             item = heap.peek_item()
-            if item is None:
-                return float("inf")
-            if item[2]._defunct:
-                heap.pop()
-                continue
-            return item[0]
+            if item is None or not item[2]._defunct:
+                return item
+            heap.pop()
+
+    def peek(self) -> float:
+        """Time of the next pending event, or ``inf`` if none."""
+        head = self._head()
+        if self._ready:
+            return self._now
+        return float("inf") if head is None else head[0]
 
 
 # Last: primitives builds on the names above; Process tells a wake by type.

@@ -40,7 +40,7 @@ class Signal:
     def wait(self) -> Event:
         if self._pending:
             self._pending = False
-            # Same counter draw `event().succeed()` made, minus the guards.
+            # Same lane position `event().succeed()` takes, minus the guards.
             return self._sim.completed()
         ev = self._sim.event()
         self._waiters.append(ev)
@@ -61,12 +61,12 @@ class EdgeWake:
     owner is not parked is dropped.
 
     The owner ``yield``s the wake itself, which allocates and schedules
-    nothing; :meth:`fire` on a parked owner pushes the wake's one reusable
-    heap entry at ``(now, next(counter))`` — the draw ``Event.succeed()``
-    would make — and later fires are dropped until the owner parks again.
+    nothing; :meth:`fire` on a parked owner appends the wake's one reusable
+    entry to the same-instant lane — the position ``Event.succeed()``
+    would take — and later fires are dropped until the owner parks again.
 
     Strictly cheaper than :class:`Signal` — no pending latch means no
-    spurious wake/re-poll round-trip through the event heap when a producer
+    spurious wake/re-poll round-trip through the event queue when a producer
     fires while the consumer is busy.  It is only correct for a consumer
     that re-checks *all* of its wake conditions immediately before each
     park, with no simulation dispatch in between (the operator and source
@@ -83,13 +83,12 @@ class EdgeWake:
         self._sim = sim
         self._entry = _Callback(self._wake)
         self._owner = None  # the parked Process; cleared by an interrupt
-        self._armed = False  # parked, and no wake on the heap yet
+        self._armed = False  # parked, and no wake scheduled yet
 
     def fire(self) -> None:
         if self._armed:
             self._armed = False
-            sim = self._sim
-            sim._push(sim._heap, (sim._now, next(sim._counter), self._entry))
+            self._sim._ready.append(self._entry)
 
     def _wake(self) -> None:
         owner = self._owner

@@ -285,13 +285,18 @@ def test_closed_channel_send_returns_shared_event_without_heap_growth():
     channel, inbox, _r = make_pair(sim)
     sim.run()  # let construction-time events settle
     channel.close()
-    heap_before = len(sim._heap)
+
+    def pending():
+        return len(sim._heap) + len(sim._ready)
+
+    before = pending()
     events = [channel.send(Record(key=f"k{i}", size_bytes=10))
               for i in range(50)]
     # Every send is accepted-and-dropped via the one shared pre-succeeded
-    # event: no per-send allocation, and the heap does not grow.
+    # event: no per-send allocation, and nothing is scheduled -- neither a
+    # queued entry nor a same-instant one.
     assert all(ev is sim.done for ev in events)
-    assert len(sim._heap) == heap_before
+    assert pending() == before
     sim.run()
     assert len(inbox) == 0
 

@@ -73,3 +73,22 @@ def test_overcommit_picks_least_loaded():
 def test_empty_cluster_rejected():
     with pytest.raises(ValueError):
         ClusterModel([])
+
+
+def test_non_positive_node_speed_rejected():
+    for speed in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            NodeSpec("n", speed=speed)
+
+
+def test_negative_or_non_finite_link_latency_rejected():
+    for latency in (-0.001, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            LinkSpec(latency=latency)
+
+
+def test_non_positive_link_bandwidth_rejected():
+    for bandwidth in (0.0, -5.0, float("nan")):
+        with pytest.raises(ValueError):
+            LinkSpec(bandwidth=bandwidth)
+    assert LinkSpec(bandwidth=float("inf")).bandwidth == float("inf")

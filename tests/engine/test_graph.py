@@ -84,3 +84,9 @@ def test_spec_validation():
         OperatorSpec("x", service_time=-1.0)
     with pytest.raises(ValueError):
         JobGraph("g", num_key_groups=0)
+
+
+def test_nan_service_time_rejected():
+    # A NaN cost would slip past every `cost > 0` guard and charge zero.
+    with pytest.raises(ValueError):
+        OperatorSpec("x", service_time=float("nan"))

@@ -38,6 +38,42 @@ def test_negative_timeout_rejected():
         sim.timeout(-0.1)
 
 
+NAN = float("nan")
+
+
+def test_nan_timeout_rejected():
+    with pytest.raises(SimulationError):
+        Simulator().timeout(NAN)
+
+
+def test_nan_call_at_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.call_at(NAN, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.call_in(NAN, lambda: None)
+    assert sim.peek() == float("inf")
+
+
+def test_nan_schedule_entry_rejected():
+    from repro.simulation.kernel import _Callback
+
+    with pytest.raises(SimulationError):
+        Simulator().schedule_entry(NAN, _Callback(lambda: None))
+
+
+def test_nan_bare_delay_rejected():
+    sim = Simulator()
+
+    def proc():
+        yield NAN
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError):
+        sim.run()
+    assert sim.now == 0.0
+
+
 def test_event_succeed_delivers_value():
     sim = Simulator()
     ev = sim.event()
@@ -278,24 +314,30 @@ def test_determinism_same_program_same_trace():
 
 
 def test_done_singleton_resumes_synchronously():
-    # Yielding the shared pre-succeeded `done` event must not touch the
-    # heap: the process continues inside the same dispatch.
+    # Yielding the shared pre-succeeded `done` event must schedule nothing
+    # (neither a queued nor a same-instant entry) and dispatch nothing: the
+    # process continues inside the same dispatch.
     sim = Simulator()
     log = []
+    dispatched = []
+    sim.dispatch_probe = lambda: dispatched.append(sim.now)
+
+    def pending():
+        return len(sim._heap) + len(sim._ready), len(dispatched)
 
     def proc():
         yield 1.0
-        heap_before = len(sim._heap)
+        before = pending()
         yield sim.done
         yield sim.done
-        log.append((sim.now, heap_before, len(sim._heap)))
+        log.append((sim.now, before, pending()))
 
     sim.spawn(proc())
     sim.run()
     assert len(log) == 1
     now, before, after = log[0]
     assert now == 1.0          # no simulated time passed
-    assert after == before     # no heap entries scheduled
+    assert after == before     # nothing scheduled, nothing dispatched
 
 
 def test_completed_event_preserves_tie_order():

@@ -1,5 +1,7 @@
 """Property-based kernel tests: ordering, composites, determinism."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -299,3 +301,207 @@ def test_telemetry_counts_every_continuation_as_a_dispatch():
     plain = _run_program(program, fires, [(2.0, 0)], [2.5], stepped=True)
     assert traced[:3] == plain[:3]
     assert traced[3] < plain[3]  # some waits did continue in place
+
+
+# -- the dispatch-order contract, stated without kernel internals ----------
+
+#: Delays that tie, including 0 and, far from the origin, ones that are
+#: positive yet do not move the clock (1e16 + 0.5 == 1e16).
+_STEP = st.sampled_from([0, 0.0, 0.5, 1, 1.5])
+_SPEC_OP = st.one_of(
+    st.tuples(st.sampled_from(["call_at", "timeout", "entry"]), _STEP),
+    st.tuples(st.sampled_from(["completed", "succeed"]), st.none()),
+    st.tuples(st.sampled_from(["fire", "interrupt"]), st.integers(0, 3)),
+    st.tuples(st.just("anyof"), st.tuples(_STEP, _STEP)),
+)
+_SPEC_WAIT = st.one_of(
+    st.tuples(st.sampled_from(["delay", "timeout"]), _STEP),
+    st.just(("park", None)))
+_SEGMENT = st.tuples(st.sampled_from(["run", "step"]), st.integers(0, 8),
+                     st.integers(0, 2))
+
+
+class _Spec:
+    """Logs every schedule as ``(when, push index, label)`` and every
+    dispatch as ``(now, label)``; the contract is that dispatches come in
+    ``(when, push index)`` order over the schedules not cancelled."""
+
+    def __init__(self, sim, bursts):
+        self.sim = sim
+        self.bursts = list(bursts)
+        self.schedules = {}  # tag -> (when, push index, label)
+        self.cancelled = set()
+        self.dispatches = []
+        #: Cancelled waits that still dispatch, doing nothing: a wake
+        #: already fired when its owner was interrupted.
+        self.idle = 0
+        self.tags = itertools.count()
+        self.ops = {}  # op name -> fn(arg), filled in by the program
+
+    def schedule(self, when, label=None):
+        tag = next(self.tags)
+        self.schedules[tag] = (when, tag, tag if label is None else label)
+        return tag
+
+    def dispatched(self, tag):
+        self.dispatches.append((self.sim.now, self.schedules[tag][2]))
+        self.act()
+
+    def act(self):
+        """Run the next drawn burst of ops: every observable dispatch
+        runs one."""
+        if self.bursts:
+            for op, arg in self.bursts.pop(0):
+                self.ops[op](arg)
+
+
+def _spec_program(scheduler, far, procs_waits, bursts, pre, segments,
+                  last):
+    from repro.simulation.kernel import _Callback
+
+    sim = Simulator(scheduler=scheduler)
+    if far:
+        sim.run(until=1e16)  # delays of 0.5 and 1 no longer move the clock
+    spec = _Spec(sim, bursts)
+    reused = _Callback(lambda: spec.dispatched("reused"))
+    spec.schedules["reused"] = (None, None, "reused")
+    state = [{"wait": None, "parked": False, "interrupt": False,
+              "live": False} for _ in procs_waits]
+    wakes = [EdgeWake(sim) for _ in procs_waits]
+
+    def proc(i, waits, start):
+        me = state[i]
+        me["live"] = True
+        spec.dispatched(start)
+        for kind, arg in waits:
+            try:
+                if kind == "park":
+                    me["parked"] = True
+                    yield wakes[i]
+                else:
+                    me["wait"] = spec.schedule(sim.now + arg)
+                    yield arg if kind == "delay" else sim.timeout(arg)
+                tag, me["wait"], me["parked"] = me["wait"], None, False
+                spec.dispatched(tag)
+            except Interrupt as exc:
+                me["interrupt"] = False
+                spec.dispatched(exc.cause)
+        me["live"] = False
+        yield sim.event()  # never fires: a process end is not observable
+
+    def op_call_at(d):
+        tag = spec.schedule(sim.now + d)
+        sim.call_at(sim.now + d, lambda: spec.dispatched(tag))
+
+    def op_timeout(d):
+        tag = spec.schedule(sim.now + d)
+        sim.timeout(d).add_callback(lambda _ev: spec.dispatched(tag))
+
+    def op_entry(d):
+        spec.schedule(sim.now + d, "reused")
+        sim.schedule_entry(sim.now + d, reused)
+
+    def op_completed(_arg):
+        tag = spec.schedule(sim.now)
+        sim.completed().add_callback(lambda _ev: spec.dispatched(tag))
+
+    def op_succeed(_arg):
+        tag = spec.schedule(sim.now)
+        ev = sim.event()
+        ev.add_callback(lambda _ev: spec.dispatched(tag))
+        ev.succeed()
+
+    def op_fire(i):
+        i %= len(wakes)
+        me = state[i]
+        if me["parked"] and me["wait"] is None and not me["interrupt"]:
+            me["wait"] = spec.schedule(sim.now)
+            wakes[i].fire()
+
+    def op_interrupt(i):
+        i %= len(procs)
+        me = state[i]
+        if (me["live"] and not me["interrupt"]
+                and (me["parked"] or me["wait"] is not None)):
+            if me["wait"] is not None:
+                spec.cancelled.add(me["wait"])
+                spec.idle += me["parked"]
+            me["wait"], me["parked"], me["interrupt"] = None, False, True
+            procs[i].interrupt(spec.schedule(sim.now))
+
+    def op_anyof(delays):
+        # The later child goes defunct once the earlier one fires: the
+        # composite's own firing is pushed by that child's dispatch.
+        short, long_ = sorted(delays)
+        first = sim.timeout(short)
+        second = sim.timeout(long_)
+        a = spec.schedule(sim.now + short)
+        spec.cancelled.add(spec.schedule(sim.now + long_))
+        composite = sim.any_of([first, second])
+
+        def on_first(_ev):
+            tag = spec.schedule(sim.now)
+            composite.add_callback(lambda _ev: spec.dispatched(tag))
+            spec.dispatched(a)
+
+        first.add_callback(on_first)
+
+    spec.ops.update((name[3:], fn) for name, fn in list(locals().items())
+                    if name.startswith("op_"))
+    procs = [sim.spawn(proc(i, waits, spec.schedule(sim.now)))
+             for i, waits in enumerate(procs_waits)]
+    for _ in range(pre):
+        spec.act()  # pushes before the first run()
+
+    def checked_step():
+        at = sim.peek()
+        if not sim.step():
+            assert at == float("inf")
+            return False
+        assert sim.now == at  # peek() named the entry step() dispatched
+        return True
+
+    base = sim.now
+    for kind, arg, pushes in segments:
+        if kind == "run":
+            sim.run(until=base + arg * 0.5)
+        else:
+            for _ in range(arg):
+                if not checked_step():
+                    break
+        for _ in range(pushes):
+            spec.act()  # pushes between slices
+    if last == "run":
+        sim.run()
+    else:
+        while checked_step():
+            pass
+    assert sim.peek() == float("inf")
+    expected = sorted(v for k, v in spec.schedules.items()
+                      if k not in spec.cancelled and k != "reused")
+    assert spec.dispatches == [(when, label) for when, _i, label
+                               in expected]
+    assert sim.events_processed == len(spec.dispatches) + spec.idle
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheduler=st.sampled_from(["heap", "calendar"]),
+       far=st.booleans(),
+       procs_waits=st.lists(st.lists(_SPEC_WAIT, max_size=6),
+                            min_size=1, max_size=4),
+       bursts=st.lists(st.lists(_SPEC_OP, min_size=1, max_size=3),
+                       max_size=30),
+       pre=st.integers(0, 4),
+       segments=st.lists(_SEGMENT, max_size=5),
+       last=st.sampled_from(["run", "step"]))
+@example(scheduler="heap", far=True,
+         procs_waits=[[("delay", 0.5), ("delay", 1.5)], [("park", None)]],
+         bursts=[[("call_at", 1), ("fire", 1)], [("timeout", 0.5)],
+                 [("anyof", (0, 0)), ("interrupt", 0), ("entry", 0)]],
+         pre=2, segments=[("step", 3, 1), ("run", 3, 1)], last="step")
+def test_dispatch_follows_when_then_push_order(scheduler, far, procs_waits,
+                                               bursts, pre, segments, last):
+    """Every entry -- queued for later or due at once, by any schedule
+    site -- dispatches in ``(when, push order)``, and ``peek()`` names the
+    time of the entry the next ``step()`` dispatches."""
+    _spec_program(scheduler, far, procs_waits, bursts, pre, segments, last)
