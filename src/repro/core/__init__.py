@@ -7,7 +7,6 @@ from .drrs import (CoupledSubscaleController, DRRSConfig, DRRSController,
 from .executor import DRRSInputHandler, ScaleExecutor
 from .planner import Subscale, SubscalePlanner
 from .rerouting import ReRouteManager
-from .scheduling import scan_inter_channel, scan_intra_channel
 
 __all__ = [
     "ConfirmBarrier",
@@ -22,6 +21,4 @@ __all__ = [
     "Subscale",
     "SubscalePlanner",
     "ReRouteManager",
-    "scan_inter_channel",
-    "scan_intra_channel",
 ]

@@ -73,10 +73,7 @@ class ScaleCoordinator:
             instance.control_handler = executor.on_control
             saved_handlers[instance] = instance.input_handler
             instance.input_handler = DRRSInputHandler(
-                instance, executor,
-                inter_channel=config.record_scheduling,
-                intra_channel=(config.record_scheduling
-                               and config.intra_channel),
+                instance, executor, scheduling=config.record_scheduling,
                 buffer_size=config.schedule_buffer)
             instance.wake.fire()
         controller._executors = executors

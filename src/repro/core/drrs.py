@@ -18,6 +18,7 @@ mutual synchronization interference the paper highlights).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -66,16 +67,15 @@ class RetryPolicy:
 
 @dataclass
 class DRRSConfig:
-    """Per-mechanism toggles and tunables (defaults = the paper's)."""
+    """Per-mechanism toggles and tunables (defaults = the paper's).
 
-    #: Decoupled trigger/confirm signals with re-routing.  Turning this off
-    #: is not supported inside DRRSController — use make_variant() for the
-    #: coupled-signal ablations instead.
-    decouple_reroute: bool = True
-    #: Record Scheduling (inter-channel switching; see ``intra_channel``).
+    Decoupling and Re-routing is always on; :func:`make_variant` builds the
+    coupled-signal ablations.
+    """
+
+    #: Record Scheduling: inter-channel switching and intra-channel
+    #: bypassing within ``schedule_buffer``.
     record_scheduling: bool = True
-    #: Intra-channel bypassing (only effective with record_scheduling).
-    intra_channel: bool = True
     #: Subscale Division; when False the scale runs as one undivided
     #: subscale per migration path.
     subscale_division: bool = True
@@ -92,6 +92,10 @@ class DRRSConfig:
     reroute_flush_capacity: int = 16
     reroute_flush_timeout: float = 0.002
 
+    def __post_init__(self):
+        if self.schedule_buffer < 1:
+            raise ValueError("schedule_buffer must be >= 1")
+
 
 class DRRSController(ScalingController):
     """DRRS on-the-fly rescaling (Decoupling/Re-routing + Scheduling +
@@ -104,10 +108,6 @@ class DRRSController(ScalingController):
                  retry_policy: Optional[RetryPolicy] = None):
         super().__init__(job, control_latency=control_latency)
         self.config = config or DRRSConfig()
-        if not self.config.decouple_reroute:
-            raise ValueError(
-                "DRRSController requires decouple_reroute; use "
-                "make_variant() for coupled-signal ablations")
         self._op_name: Optional[str] = None
         self._plan = None
         self._executors: Dict[int, object] = {}
@@ -501,54 +501,16 @@ class CoupledSubscaleController(OTFSController):
     name = "subscale_only"
 
     def __init__(self, job, num_subscales: int = 16,
-                 scheduling: bool = False,
                  control_latency: float = 0.002):
         super().__init__(job, migration="fluid", injection="predecessor",
-                         scheduling=scheduling,
                          control_latency=control_latency)
+        if num_subscales < 1:
+            raise ValueError("num_subscales must be >= 1")
         self.num_subscales = num_subscales
 
-    def _execute(self, op_name, plan, scale_id):
-        import math
-
-        self._plan = plan
-        self._op_name = op_name
-        self._route_set = self._upstream_closure(op_name) | {op_name}
-        self.job.signal_router = self._on_signal
-
-        new_instances = yield from self._provision(op_name, plan)
-        instances = self.job.instances(op_name)
-        scaling_instances = (instances[:plan.old_parallelism]
-                             + new_instances)
-        self._attach_suspension_probes(scaling_instances)
-        saved = self._install_handlers(scaling_instances,
-                                       scheduling=self.scheduling)
-
-        groups = plan.migrating_groups
+    def _batches(self, groups):
         chunk = max(1, math.ceil(len(groups) / self.num_subscales))
-        batches = [groups[i:i + chunk]
-                   for i in range(0, len(groups), chunk)]
-
-        self._remaining = set(groups)
-        self._complete = self.sim.event()
-        for phase, batch in enumerate(batches):
-            routing = {}
-            for kg in batch:
-                move = plan.move_for(kg)
-                routing[kg] = move.dst_index
-                instances[move.src_index].state.require_group(
-                    kg).status = StateStatus.PENDING_OUT
-                instances[move.dst_index].state.register_group(
-                    kg, StateStatus.INCOMING)
-            self._aligned_old = set()
-            # Back-to-back injection: no waiting between subscales.
-            yield from self._inject_phase(op_name, plan, scale_id,
-                                          phase=phase, routing=routing)
-        if self._remaining:
-            yield self._complete
-        self._restore_handlers(saved)
-        self._detach_suspension_probes(scaling_instances)
-        self._finalize_assignment(op_name, plan)
+        return [groups[i:i + chunk] for i in range(0, len(groups), chunk)]
 
 
 def make_variant(job: StreamJob, variant: str = "drrs",
@@ -561,8 +523,7 @@ def make_variant(job: StreamJob, variant: str = "drrs",
     if variant == "dr":
         return DRRSController(
             job,
-            DRRSConfig(record_scheduling=False, intra_channel=False,
-                       subscale_division=False),
+            DRRSConfig(record_scheduling=False, subscale_division=False),
             control_latency=control_latency)
     if variant == "schedule":
         return OTFSController(job, migration="fluid",

@@ -26,13 +26,13 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, TYPE_CHECKING
 
 from ..engine.channels import InputChannel
-from ..engine.operators import InputHandler, OperatorInstance
+from ..engine.operators import OperatorInstance
 from ..engine.records import LatencyMarker, Record, StreamElement
 from ..engine.state import StateStatus
+from ..scaling.base import MigrationAwareHandler
 from .barriers import ConfirmBarrier, TriggerBarrier
 from .planner import Subscale
 from .rerouting import ReRouteManager
-from .scheduling import scan_intra_channel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .drrs import DRRSController
@@ -226,22 +226,36 @@ class ScaleExecutor:
             self.reroute_record(element)
 
 
-class DRRSInputHandler(InputHandler):
-    """Scale Input Handler (B1): classification + Record Scheduling."""
+class DRRSInputHandler(MigrationAwareHandler):
+    """Scale Input Handler (B1): classification + Record Scheduling.
+
+    Record Scheduling itself is the shared :class:`MigrationAwareHandler`;
+    this handler adds Phase 0 (re-routed lanes and INTERNAL consumption)
+    and judges readiness by :meth:`ScaleExecutor.classify`.
+    """
 
     def __init__(self, instance: OperatorInstance, executor: ScaleExecutor,
-                 inter_channel: bool, intra_channel: bool,
-                 buffer_size: int = 200):
-        super().__init__(instance)
+                 scheduling: bool, buffer_size: int = 200):
+        super().__init__(instance, executor.controller,
+                         scheduling=scheduling, buffer_size=buffer_size)
         self.executor = executor
-        self.inter_channel = inter_channel
-        self.intra_channel = intra_channel
-        self.buffer_size = buffer_size
-        self._cursor = 0
-        self._committed: Optional[InputChannel] = None
 
     def _ready(self, channel, element) -> bool:
         return self.executor.classify(channel, element) == READY
+
+    def _switched(self) -> None:
+        telemetry = self.instance.job.telemetry
+        if telemetry is not None:
+            telemetry.registry.counter(
+                "drrs.inter_channel_switches",
+                operator=self.instance.spec.name).inc()
+
+    def _bypassed(self) -> None:
+        telemetry = self.instance.job.telemetry
+        if telemetry is not None:
+            telemetry.registry.counter(
+                "drrs.intra_channel_bypasses",
+                operator=self.instance.spec.name).inc()
 
     def poll(self):
         executor = self.executor
@@ -292,110 +306,22 @@ class DRRSInputHandler(InputHandler):
                     else:
                         break
 
-        regular = [ch for ch in channels
-                   if not getattr(ch, "is_auxiliary", False)]
-
-        # Phase 1 — head selection.
-        if not self.inter_channel:
-            polled = self._poll_committed(regular)
-            if polled is not None:
-                return polled
-            self.suspended = self.suspended or aux_blocked
-            return None
-
-        channel, saw_unprocessable = self._scan_heads(regular)
-        if channel is not None:
-            if saw_unprocessable:
-                telemetry = self.instance.job.telemetry
-                if telemetry is not None:
-                    telemetry.registry.counter(
-                        "drrs.inter_channel_switches",
-                        operator=self.instance.spec.name).inc()
-            return channel, channel.pop()
-
-        # Phase 2 — intra-channel scheduling within the bounded buffer.
-        if self.intra_channel and saw_unprocessable:
-            found = scan_intra_channel(
-                regular,
-                lambda e: self._ready_nochan(e),
-                self.buffer_size,
-                start=self._cursor % max(len(regular), 1))
-            if found is not None:
-                channel, element = found
-                channel.remove(element)
-                telemetry = self.instance.job.telemetry
-                if telemetry is not None:
-                    telemetry.registry.counter(
-                        "drrs.intra_channel_bypasses",
-                        operator=self.instance.spec.name).inc()
-                return channel, element
-
-        self.suspended = saw_unprocessable or aux_blocked
-        return None
-
-    # -- helpers ----------------------------------------------------------------------
-
-    def _scan_heads(self, channels):
-        n = len(channels)
-        saw_unprocessable = False
-        for offset in range(n):
-            channel = channels[(self._cursor + offset) % n]
-            if channel.blocked:
-                if channel.queue:
-                    saw_unprocessable = True
-                continue
-            head = channel.peek()
-            if head is None:
-                continue
-            if self._ready(channel, head):
-                self._cursor = (self._cursor + offset + 1) % n
-                return channel, saw_unprocessable
-            saw_unprocessable = True
-        return None, saw_unprocessable
-
-    def _ready_nochan(self, element) -> bool:
-        # Intra-channel candidates: channel context only matters for the
-        # per-channel fluid-confirmation check, which uses the channel the
-        # element sits in; classify() via kg_in uses arrived_predecessors of
-        # the element's subscale.  For simplicity the intra-channel scan only
-        # accepts records that are ready *regardless* of channel (globally
-        # aligned or untouched/outgoing) — strictly safe.
-        return self.executor.classify(None, element) == READY
+        # Phase 1/2 — Record Scheduling over the regular channels.
+        polled = self._select([ch for ch in channels
+                               if not getattr(ch, "is_auxiliary", False)])
+        if polled is None and aux_blocked:
+            self.suspended = True
+        return polled
 
     def _poll_committed(self, channels):
-        """No inter-channel scheduling: engine order with head commitment."""
-        if self._committed is not None:
-            channel = self._committed
+        """Engine order with head commitment; an INTERNAL item at the
+        committed head is consumed here, since it never blocks."""
+        channel = self._committed
+        if channel is not None:
             head = channel.peek()
-            if head is None:
-                self._committed = None
-            elif self.executor.classify(channel, head) == INTERNAL:
-                # Internal items never block commitment.
+            if head is not None and (self.executor.classify(channel, head)
+                                     == INTERNAL):
                 channel.pop()
                 self.executor.consume_internal(channel, head)
                 self._committed = None
-            elif self._ready(channel, head):
-                self._committed = None
-                return channel, channel.pop()
-            else:
-                self.suspended = True
-                return None
-        n = len(channels)
-        saw_data = False
-        for offset in range(n):
-            channel = channels[(self._cursor + offset) % n]
-            if channel.blocked:
-                if channel.queue:
-                    saw_data = True
-                continue
-            head = channel.peek()
-            if head is None:
-                continue
-            self._cursor = (self._cursor + offset + 1) % n
-            if self._ready(channel, head):
-                return channel, channel.pop()
-            self._committed = channel
-            self.suspended = True
-            return None
-        self.suspended = saw_data
-        return None
+        return super()._poll_committed(channels)

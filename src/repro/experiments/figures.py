@@ -39,20 +39,20 @@ MAIN_WORKLOADS = ("q7", "q8", "twitch")
 MAIN_SYSTEMS = ("drrs", "megaphone", "meces")
 
 
-def controller_factory(name: str, **kwargs) -> Callable[[StreamJob], object]:
+def controller_factory(name: str) -> Callable[[StreamJob], object]:
     """Factory for every controller the evaluation compares."""
     builders = {
-        "drrs": lambda job: DRRSController(job, **kwargs),
-        "megaphone": lambda job: MegaphoneController(job, **kwargs),
-        "meces": lambda job: MecesController(job, **kwargs),
-        "otfs": lambda job: OTFSController(job, **kwargs),
+        "drrs": DRRSController,
+        "megaphone": MegaphoneController,
+        "meces": MecesController,
+        "otfs": OTFSController,
         "otfs-all-at-once": lambda job: OTFSController(
-            job, migration="all_at_once", **kwargs),
-        "unbound": lambda job: UnboundController(job, **kwargs),
-        "stop-restart": lambda job: StopRestartController(job, **kwargs),
-        "dr": lambda job: make_variant(job, "dr", **kwargs),
-        "schedule": lambda job: make_variant(job, "schedule", **kwargs),
-        "subscale": lambda job: make_variant(job, "subscale", **kwargs),
+            job, migration="all_at_once"),
+        "unbound": UnboundController,
+        "stop-restart": StopRestartController,
+        "dr": lambda job: make_variant(job, "dr"),
+        "schedule": lambda job: make_variant(job, "schedule"),
+        "subscale": lambda job: make_variant(job, "subscale"),
     }
     if name not in builders:
         raise ValueError(f"unknown controller: {name!r}")

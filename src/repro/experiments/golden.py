@@ -132,6 +132,8 @@ def capture_q7_trace(system: Optional[str] = "drrs",
             "record_plane": job.config.record_plane,
             "max_batch_size": job.config.max_batch_size,
             "scheduler": job.sim.scheduler,
+            "counters": (result.telemetry.registry.snapshot()
+                         if result.telemetry is not None else {}),
         },
     }
     return doc

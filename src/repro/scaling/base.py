@@ -176,10 +176,15 @@ class MigrationAwareHandler(InputHandler):
     * ``scheduling=True`` — Record Scheduling: inter-channel switching to any
       processable channel, plus intra-channel bypassing of unprocessable
       records within a bounded pre-serialization buffer, never crossing
-      time-semantics signals (watermarks, checkpoint barriers, coupled
-      scaling barriers).
+      time-semantics signals (watermarks, checkpoint barriers, confirm and
+      coupled scaling barriers).  Both are legal reorderings: cross-channel
+      arrival order is already non-deterministic, and records of one key
+      share processability, so a bypass only reorders different keys.
 
-    Processability of a record is delegated to ``controller.record_ready``.
+    Processability is the one hook :meth:`_ready`; here it delegates
+    records to ``controller.record_ready``.  The intra-channel scan passes
+    ``channel=None``, so a bypass only takes records that are ready
+    whatever channel they sit in.
     """
 
     def __init__(self, instance: OperatorInstance, controller,
@@ -191,22 +196,25 @@ class MigrationAwareHandler(InputHandler):
         self._cursor = 0
         self._committed = None  # channel we are head-blocked on
 
-    # The element kinds a record may never be scheduled across.
-    @staticmethod
-    def _is_barrier_like(element) -> bool:
-        return element.is_time_signal
-
-    def _ready(self, element) -> bool:
+    def _ready(self, channel, element) -> bool:
         if isinstance(element, Record):
             return self.controller.record_ready(self.instance, element)
         return True
+
+    def _switched(self) -> None:
+        """An inter-channel switch passed over an unprocessable head."""
+
+    def _bypassed(self) -> None:
+        """An intra-channel bypass took a record behind unprocessable ones."""
 
     def poll(self):
         channels = self.instance.input_channels
         if not channels:
             self.suspended = False
             return None
+        return self._select(channels)
 
+    def _select(self, channels):
         if not self.scheduling:
             return self._poll_committed(channels)
         return self._poll_scheduled(channels)
@@ -219,7 +227,7 @@ class MigrationAwareHandler(InputHandler):
             head = channel.peek()
             if head is None:
                 self._committed = None
-            elif self._ready(head):
+            elif self._ready(channel, head):
                 self._committed = None
                 return channel, channel.pop()
             else:
@@ -237,7 +245,7 @@ class MigrationAwareHandler(InputHandler):
             if head is None:
                 continue
             self._cursor = (self._cursor + offset + 1) % n
-            if self._ready(head):
+            if self._ready(channel, head):
                 return channel, channel.pop()
             # Commit: the engine delivered this element; we must wait for it.
             self._committed = channel
@@ -261,8 +269,10 @@ class MigrationAwareHandler(InputHandler):
             head = channel.peek()
             if head is None:
                 continue
-            if self._ready(head):
+            if self._ready(channel, head):
                 self._cursor = (self._cursor + offset + 1) % n
+                if saw_unprocessable:
+                    self._switched()
                 return channel, channel.pop()
             saw_unprocessable = True
         if not saw_unprocessable:
@@ -279,10 +289,11 @@ class MigrationAwareHandler(InputHandler):
                 scanned += 1
                 if scanned > self.buffer_size:
                     break
-                if self._is_barrier_like(element):
+                if element.is_time_signal:
                     break  # cannot schedule across this signal
-                if self._ready(element):
+                if self._ready(None, element):
                     channel.remove(element)
+                    self._bypassed()
                     return channel, element
             if scanned > self.buffer_size:
                 break
@@ -411,14 +422,12 @@ class ScalingController:
         for instance in instances:
             instance.set_suspension_listener(None)
 
-    def _install_handlers(self, instances, scheduling: bool,
-                          buffer_size: int = 200):
+    def _install_handlers(self, instances, scheduling: bool):
         saved = {}
         for instance in instances:
             saved[instance] = instance.input_handler
             instance.input_handler = MigrationAwareHandler(
-                instance, self, scheduling=scheduling,
-                buffer_size=buffer_size)
+                instance, self, scheduling=scheduling)
             instance.wake.fire()
         return saved
 

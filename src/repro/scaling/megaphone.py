@@ -12,7 +12,6 @@ cumulative propagation delay, and the long scaling duration of Fig. 12.
 
 from __future__ import annotations
 
-from ..engine.state import StateStatus
 from .otfs import OTFSController
 
 __all__ = ["MegaphoneController"]
@@ -22,58 +21,16 @@ class MegaphoneController(OTFSController):
     """Naive-Division sequence of coupled sub-reconfigurations."""
 
     name = "megaphone"
+    sequential = True
 
     def __init__(self, job, batch_size: int = 4,
-                 scheduling: bool = True,
-                 buffer_size: int = 200,
                  control_latency: float = 0.002):
         super().__init__(job, migration="fluid", injection="predecessor",
-                         scheduling=scheduling, buffer_size=buffer_size,
-                         control_latency=control_latency)
+                         scheduling=True, control_latency=control_latency)
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
 
-    def _execute(self, op_name, plan, scale_id):
-        self._plan = plan
-        self._op_name = op_name
-        self._route_set = self._upstream_closure(op_name) | {op_name}
-        self.job.signal_router = self._on_signal
-
-        new_instances = yield from self._provision(op_name, plan)
-        instances = self.job.instances(op_name)
-        old_instances = instances[:plan.old_parallelism]
-        scaling_instances = old_instances + new_instances
-
-        self._attach_suspension_probes(scaling_instances)
-        saved = self._install_handlers(scaling_instances,
-                                       scheduling=self.scheduling,
-                                       buffer_size=self.buffer_size)
-
-        groups = plan.migrating_groups  # lexicographic, as the paper's C1
-        batches = [groups[i:i + self.batch_size]
-                   for i in range(0, len(groups), self.batch_size)]
-        for phase, batch in enumerate(batches):
-            # Per-batch lifecycle marking: only this batch is in flight.
-            routing = {}
-            for kg in batch:
-                move = plan.move_for(kg)
-                routing[kg] = move.dst_index
-                instances[move.src_index].state.require_group(
-                    kg).status = StateStatus.PENDING_OUT
-                instances[move.dst_index].state.register_group(
-                    kg, StateStatus.INCOMING)
-            self._remaining = set(batch)
-            self._complete = self.sim.event()
-            self._aligned_old = set()
-            # Dependency is anchored at the first sub-reconfiguration: the
-            # Naive-Division chain makes every later unit wait on it.
-            yield from self._inject_phase(op_name, plan, scale_id,
-                                          phase=phase, routing=routing,
-                                          anchor=(scale_id, 0))
-            if self._remaining:
-                yield self._complete
-
-        self._restore_handlers(saved)
-        self._detach_suspension_probes(scaling_instances)
-        self._finalize_assignment(op_name, plan)
+    def _batches(self, groups):
+        return [groups[i:i + self.batch_size]
+                for i in range(0, len(groups), self.batch_size)]

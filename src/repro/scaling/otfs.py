@@ -18,7 +18,7 @@ not arrived (no record scheduling in the baseline).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..engine.operators import OperatorInstance
 from ..engine.state import StateStatus
@@ -32,11 +32,13 @@ class OTFSController(ScalingController):
     """Generalized OTFS with coupled signals and configurable migration."""
 
     name = "otfs"
+    #: Naive Division: wait for each batch before injecting the next, and
+    #: anchor every batch's dependency at the first sub-reconfiguration.
+    sequential = False
 
     def __init__(self, job, migration: str = "fluid",
                  injection: str = "source",
                  scheduling: bool = False,
-                 buffer_size: int = 200,
                  control_latency: float = 0.002):
         super().__init__(job, control_latency=control_latency)
         if migration not in ("fluid", "all_at_once"):
@@ -46,7 +48,6 @@ class OTFSController(ScalingController):
         self.migration = migration
         self.injection = injection
         self.scheduling = scheduling
-        self.buffer_size = buffer_size
         self._align: Dict = {}
         self._plan: Optional[MigrationPlan] = None
         self._op_name: Optional[str] = None
@@ -57,34 +58,47 @@ class OTFSController(ScalingController):
 
     # -- main flow ---------------------------------------------------------------
 
+    def _batches(self, groups: List[int]) -> List[List[int]]:
+        """The migrating key-groups split into one coupled barrier each."""
+        return [groups]
+
     def _execute(self, op_name, plan, scale_id):
         self._plan = plan
         self._op_name = op_name
         self._route_set = self._upstream_closure(op_name) | {op_name}
-        self._remaining = set(plan.migrating_groups)
-        self._complete = self.sim.event()
-        self._aligned_old = set()
         self.job.signal_router = self._on_signal
 
         new_instances = yield from self._provision(op_name, plan)
         instances = self.job.instances(op_name)
-        old_instances = instances[:plan.old_parallelism]
-        scaling_instances = old_instances + new_instances
-
-        # Pre-register migration lifecycle state.
-        for move in plan.moves:
-            instances[move.src_index].state.require_group(
-                move.key_group).status = StateStatus.PENDING_OUT
-            instances[move.dst_index].state.register_group(
-                move.key_group, StateStatus.INCOMING)
-
+        scaling_instances = (instances[:plan.old_parallelism]
+                             + new_instances)
         self._attach_suspension_probes(scaling_instances)
         saved = self._install_handlers(scaling_instances,
-                                       scheduling=self.scheduling,
-                                       buffer_size=self.buffer_size)
+                                       scheduling=self.scheduling)
 
-        yield from self._inject_phase(op_name, plan, scale_id, phase=0,
-                                      routing=plan.routing_updates())
+        groups = plan.migrating_groups  # lexicographic, as the paper's C1
+        anchor = (scale_id, 0) if self.sequential else None
+        self._remaining = set(groups)
+        self._complete = self.sim.event()
+        for phase, batch in enumerate(self._batches(groups)):
+            # Lifecycle marking: only injected batches are in flight.
+            routing = {}
+            for kg in batch:
+                move = plan.move_for(kg)
+                routing[kg] = move.dst_index
+                instances[move.src_index].state.require_group(
+                    kg).status = StateStatus.PENDING_OUT
+                instances[move.dst_index].state.register_group(
+                    kg, StateStatus.INCOMING)
+            self._aligned_old = set()
+            if self.sequential:
+                self._remaining = set(batch)
+                self._complete = self.sim.event()
+            yield from self._inject_phase(op_name, plan, scale_id,
+                                          phase=phase, routing=routing,
+                                          anchor=anchor)
+            if self.sequential and self._remaining:
+                yield self._complete
         if self._remaining:
             yield self._complete
         self._restore_handlers(saved)

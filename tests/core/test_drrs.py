@@ -30,10 +30,17 @@ def test_full_drrs_completes_consistently():
     assert_assignment_consistent(job, "agg")
 
 
-def test_config_rejects_coupled_mode():
+@pytest.mark.parametrize("buffer", [0, -1])
+def test_config_rejects_schedule_buffer_below_one(buffer):
+    # A zero buffer would silently turn intra-channel bypassing off.
+    with pytest.raises(ValueError):
+        DRRSConfig(schedule_buffer=buffer)
+
+
+def test_subscale_variant_rejects_zero_subscales():
     job = build_keyed_job()
     with pytest.raises(ValueError):
-        DRRSController(job, DRRSConfig(decouple_reroute=False))
+        make_variant(job, "subscale", num_subscales=0)
 
 
 def test_make_variant_names():

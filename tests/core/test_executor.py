@@ -7,7 +7,8 @@ from helpers import build_keyed_job  # noqa: E402
 
 from repro.core.barriers import ConfirmBarrier, TriggerBarrier
 from repro.core.drrs import DRRSConfig, DRRSController
-from repro.core.executor import BLOCKED, INTERNAL, READY, ScaleExecutor
+from repro.core.executor import (BLOCKED, INTERNAL, READY,
+                                 DRRSInputHandler, ScaleExecutor)
 from repro.core.planner import Subscale
 from repro.engine import Record, StateStatus, Watermark
 
@@ -138,3 +139,23 @@ def test_reroute_manager_created_lazily_and_counts():
     # barrier uses the same manager (same destination)
     ex_src.on_confirm(ConfirmBarrier(subscale_id=0, predecessor_id=111))
     assert len(ex_src.reroute_managers) == 1
+
+
+def test_committed_path_consumes_internal_head():
+    """Without Record Scheduling (the ``dr`` variant) the handler commits to
+    a channel's head; an INTERNAL head there is consumed, not waited on."""
+    job, controller, src, dst, ex_src, ex_dst, subscale = make_setup(
+        record_scheduling=False)
+    handler = DRRSInputHandler(src, ex_src, scheduling=False)
+    channel = src.input_channels[0]
+    src.state.group(0).status = StateStatus.MIGRATED_OUT
+    channel.queue.append(Record(key="x", key_group=0))
+    # Phase 0 consumes INTERNAL heads of unblocked channels only, so the
+    # committed channel's prologue is what reaches this one.
+    channel.block("align")
+    handler._committed = channel
+    assert handler.poll() is None
+    assert not channel.queue
+    assert controller.metrics.records_rerouted == 1
+    assert handler._committed is None
+    assert handler.suspended is False

@@ -58,7 +58,7 @@ def test_single_predecessor_single_channel():
     job = build_keyed_job(source_parallelism=1, agg_parallelism=2)
     drive(job, until=25.0)
     job.run(until=5.0)
-    controller = DRRSController(job, DRRSConfig(intra_channel=True))
+    controller = DRRSController(job, DRRSConfig(record_scheduling=True))
     done = controller.request_rescale("agg", 3)
     job.run(until=40.0)
     assert done.triggered

@@ -1,11 +1,12 @@
-"""Record Scheduling scans: inter-/intra-channel policies (§III-B)."""
+"""Record Scheduling: inter-/intra-channel policies (§III-B), exercised
+through the one handler that implements them."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.scheduling import scan_inter_channel, scan_intra_channel
 from repro.engine.channels import InputChannel
 from repro.engine.records import CheckpointBarrier, Record, Watermark
+from repro.scaling.base import MigrationAwareHandler
 from repro.simulation import Simulator
 
 
@@ -14,102 +15,104 @@ class FakeInstance:
         from repro.simulation import Signal
         self.sim = sim
         self.wake = Signal(sim)
+        self.input_channels = []
 
 
-def channel_with(sim, elements):
-    ch = InputChannel(FakeInstance(sim), name="c")
-    for e in elements:
-        ch.queue.append(e)
-    return ch
+class ReadyIf:
+    """Controller stub: a record is processable iff its key-group is in
+    ``groups``."""
+
+    def __init__(self, groups):
+        self.groups = groups
+
+    def record_ready(self, instance, record):
+        return record.key_group in self.groups
+
+
+def scheduler(channel_elements, ready_groups, buffer_size=200):
+    """A scheduling handler over one fresh channel per element list."""
+    instance = FakeInstance(Simulator())
+    for elements in channel_elements:
+        channel = InputChannel(instance, name="c")
+        channel.queue.extend(elements)
+        instance.input_channels.append(channel)
+    handler = MigrationAwareHandler(instance, ReadyIf(ready_groups),
+                                    scheduling=True, buffer_size=buffer_size)
+    return handler, instance.input_channels
 
 
 def rec(kg, key="k"):
     return Record(key=key, key_group=kg)
 
 
-def ready_if(groups):
-    return lambda e: (not isinstance(e, Record)
-                      or e.key_group in groups)
-
-
 def test_inter_channel_picks_processable_head():
-    sim = Simulator()
-    blocked = channel_with(sim, [rec(1)])
-    open_ch = channel_with(sim, [rec(2)])
-    found, saw = scan_inter_channel([blocked, open_ch], ready_if({2}))
-    assert found is open_ch
-    assert saw is True
+    handler, (stuck, open_ch) = scheduler([[rec(1)], [rec(2)]], {2})
+    channel, element = handler.poll()
+    assert channel is open_ch and element.key_group == 2
+    assert handler.poll() is None
+    assert handler.suspended is True
 
 
 def test_inter_channel_reports_idle():
-    sim = Simulator()
-    a = channel_with(sim, [])
-    b = channel_with(sim, [])
-    found, saw = scan_inter_channel([a, b], ready_if({1}))
-    assert found is None and saw is False
+    handler, _ = scheduler([[], []], {1})
+    assert handler.poll() is None
+    assert handler.suspended is False
 
 
 def test_inter_channel_skips_blocked_channels():
-    sim = Simulator()
-    a = channel_with(sim, [rec(1)])
+    handler, (a, b) = scheduler([[rec(1)], [rec(1)]], {1})
     a.block("align")
-    b = channel_with(sim, [rec(1)])
-    found, saw = scan_inter_channel([a, b], ready_if({1}))
-    assert found is b
-    assert saw is True  # blocked-with-data counts as unprocessable
+    channel, _ = handler.poll()
+    assert channel is b
+    assert handler.poll() is None
+    assert handler.suspended is True  # blocked-with-data counts as stuck
 
 
 def test_inter_channel_round_robin_start():
-    sim = Simulator()
-    a = channel_with(sim, [rec(1)])
-    b = channel_with(sim, [rec(1)])
-    found, _ = scan_inter_channel([a, b], ready_if({1}), start=1)
-    assert found is b
+    handler, (a, b) = scheduler([[rec(1), rec(1)], [rec(1)]], {1})
+    assert handler.poll()[0] is a
+    assert handler.poll()[0] is b  # the scan resumes after the last pick
 
 
 def test_intra_channel_bypasses_unprocessable_record():
-    sim = Simulator()
-    ch = channel_with(sim, [rec(1), rec(2), rec(3)])
-    found = scan_intra_channel([ch], ready_if({2}), buffer_size=200)
-    assert found is not None
-    channel, element = found
-    assert element.key_group == 2
+    handler, (ch,) = scheduler([[rec(1), rec(2), rec(3)]], {2})
+    channel, element = handler.poll()
+    assert channel is ch and element.key_group == 2
+    assert [e.key_group for e in ch.queue] == [1, 3]  # order kept
 
 
 def test_intra_channel_never_crosses_watermark():
-    sim = Simulator()
-    ch = channel_with(sim, [rec(1), Watermark(timestamp=5.0), rec(2)])
-    found = scan_intra_channel([ch], ready_if({2}), buffer_size=200)
-    assert found is None
+    handler, _ = scheduler([[rec(1), Watermark(timestamp=5.0), rec(2)]], {2})
+    assert handler.poll() is None
+    assert handler.suspended is True
 
 
 def test_intra_channel_never_crosses_checkpoint_barrier():
-    sim = Simulator()
-    ch = channel_with(sim, [rec(1), CheckpointBarrier(checkpoint_id=1),
-                            rec(2)])
-    assert scan_intra_channel([ch], ready_if({2}), buffer_size=200) is None
+    handler, _ = scheduler(
+        [[rec(1), CheckpointBarrier(checkpoint_id=1), rec(2)]], {2})
+    assert handler.poll() is None
 
 
 def test_intra_channel_never_crosses_confirm_barrier():
     from repro.core.barriers import ConfirmBarrier
-    sim = Simulator()
-    ch = channel_with(sim, [rec(1), ConfirmBarrier(subscale_id=0), rec(2)])
-    assert scan_intra_channel([ch], ready_if({2}), buffer_size=200) is None
+    handler, _ = scheduler(
+        [[rec(1), ConfirmBarrier(subscale_id=0), rec(2)]], {2})
+    assert handler.poll() is None
 
 
 def test_intra_channel_respects_buffer_bound():
-    sim = Simulator()
-    ch = channel_with(sim, [rec(1)] * 50 + [rec(2)])
-    assert scan_intra_channel([ch], ready_if({2}), buffer_size=10) is None
-    found = scan_intra_channel([ch], ready_if({2}), buffer_size=200)
-    assert found is not None
+    elements = [rec(1)] * 50 + [rec(2)]
+    handler, _ = scheduler([elements], {2}, buffer_size=10)
+    assert handler.poll() is None
+    handler, _ = scheduler([elements], {2}, buffer_size=200)
+    assert handler.poll()[1].key_group == 2
 
 
 def test_intra_channel_skips_blocked_channels():
-    sim = Simulator()
-    ch = channel_with(sim, [rec(1), rec(2)])
+    handler, (ch,) = scheduler([[rec(1), rec(2)]], {2})
     ch.block("align")
-    assert scan_intra_channel([ch], ready_if({2}), buffer_size=200) is None
+    assert handler.poll() is None
+    assert handler.suspended is True
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.booleans()),
@@ -118,16 +121,20 @@ def test_intra_channel_skips_blocked_channels():
 @settings(max_examples=100, deadline=None)
 def test_intra_channel_result_is_first_ready_before_any_signal(
         items, buffer_size):
-    """Property: the returned record is the earliest ready record in the
-    channel that is not preceded by a time-semantics signal and within the
-    scan budget; otherwise None."""
-    sim = Simulator()
-    elements = []
-    for kg, is_signal in items:
-        elements.append(Watermark(timestamp=1.0) if is_signal else rec(kg))
-    ch = channel_with(sim, elements)
-    ready = ready_if({0, 1, 2})
-    found = scan_intra_channel([ch], ready, buffer_size=buffer_size)
+    """Property: with no head ready, the returned record is the earliest
+    ready record in the channel that is not preceded by a time-semantics
+    signal and within the scan budget; otherwise None."""
+    elements = [Watermark(timestamp=1.0) if is_signal else rec(kg)
+                for kg, is_signal in items]
+    ready_groups = {0, 1, 2}
+
+    def ready(e):
+        return not isinstance(e, Record) or e.key_group in ready_groups
+
+    # A ready head (a watermark included) is the inter-channel step's.
+    assume(not elements or not ready(elements[0]))
+    handler, _ = scheduler([elements], ready_groups, buffer_size=buffer_size)
+    found = handler.poll()
 
     expected = None
     for i, e in enumerate(elements):

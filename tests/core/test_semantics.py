@@ -148,8 +148,7 @@ def test_drrs_correct_at_any_scaling_instant(scale_at):
 def test_drrs_correct_with_single_subscale_and_no_scheduling():
     from repro.core.drrs import DRRSConfig, DRRSController
     hist, counts = run_with(lambda job: DRRSController(job, DRRSConfig(
-        record_scheduling=False, intra_channel=False,
-        subscale_division=False)))
+        record_scheduling=False, subscale_division=False)))
     for key, total in counts.items():
         assert hist.get(key) == tuple(range(total))
 

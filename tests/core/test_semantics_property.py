@@ -46,8 +46,7 @@ def run_random_scale(key_choices, scale_at_tenths, num_subscales,
     job.run(until=max(scale_at, 0.01))
     controller = DRRSController(job, DRRSConfig(
         num_subscales=num_subscales,
-        record_scheduling=scheduling,
-        intra_channel=scheduling))
+        record_scheduling=scheduling))
     done = controller.request_rescale("agg", 3)
     job.run(until=len(key_choices) * 0.01 + 30.0)
     assert done.triggered

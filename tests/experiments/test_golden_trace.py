@@ -14,6 +14,8 @@ across runs, which the determinism test checks.
 import json
 import os
 
+import pytest
+
 from repro.experiments.golden import capture_q7_trace
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)),
@@ -25,10 +27,28 @@ def _load(name):
         return json.load(f)
 
 
-def test_drrs_rescale_matches_golden():
-    fresh = capture_q7_trace(telemetry=True)
-    committed = _load("q7_drrs_rescale.json")
+#: DRRS's Record Scheduling counters on this scenario; the baselines'
+#: migration handler counts nothing.
+DRRS_COUNTERS = {
+    "drrs.inter_channel_switches{operator=q7-window}": 74.0,
+    "drrs.intra_channel_bypasses{operator=q7-window}": 45.0,
+    "drrs.records_rerouted{operator=q7-window}": 3701.0,
+}
+
+
+# The baselines pin both handler modes (committed: otfs, subscale;
+# scheduling: schedule, megaphone) and all three coupled-barrier batch
+# shapes (one batch: otfs, schedule; back-to-back: subscale; sequential
+# Naive Division: megaphone).
+@pytest.mark.parametrize("system", ["drrs", "otfs", "schedule", "megaphone",
+                                    "subscale"])
+def test_rescale_matches_golden(system):
+    fresh = capture_q7_trace(system=system, telemetry=True)
+    committed = _load(f"q7_{system}_rescale.json")
     assert fresh["semantic"] == committed["semantic"]
+    counters = {k: v for k, v in fresh["info"]["counters"].items()
+                if k.startswith("drrs.")}
+    assert counters == (DRRS_COUNTERS if system == "drrs" else {})
 
 
 def test_noscale_matches_golden():
