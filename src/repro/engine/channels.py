@@ -164,17 +164,6 @@ class Channel:
             self._schedule_reserve_wake()
         return ev
 
-    def try_send(self, element: StreamElement) -> bool:
-        """Non-blocking send; False when the outbox is full."""
-        if self._closed:
-            return True  # accept and drop
-        if (len(self.outbox) if not self._reservations
-                else self._occupied()) >= self.outbox_capacity:
-            return False
-        self.outbox.append(element)
-        self._kick()
-        return True
-
     def send_front(self, element: StreamElement) -> None:
         """Insert at the *front* of the outbox (priority-in-output-cache).
 

@@ -184,26 +184,6 @@ class RecordBatch(StreamElement):
         """Keys of unconsumed members (lineage/debug view)."""
         return [rec.key for rec in self.records[self.next_index:]]
 
-    def event_times(self):
-        """Event times of unconsumed members (lineage/debug view)."""
-        return [rec.event_time for rec in self.records[self.next_index:]]
-
-    def lineage_span(self):
-        """``(src_origin, first_seq, last_seq)`` when members share one
-        origin and carry lineage, else ``None``."""
-        recs = self.records[self.next_index:]
-        if not recs:
-            return None
-        origin = recs[0].src_origin
-        if origin is None:
-            return None
-        seqs = []
-        for rec in recs:
-            if rec.src_origin != origin or rec.src_seq is None:
-                return None
-            seqs.append(rec.src_seq)
-        return (origin, min(seqs), max(seqs))
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"RecordBatch(n={len(self.records)}, "
                 f"next_index={self.next_index}, "

@@ -174,10 +174,12 @@ class _InflightState:
     """One key-group's bytes while they are on the wire between instances.
 
     Registered in :attr:`StreamJob.inflight_state` by
-    ``ScalingController._transfer_group`` at the instant the entries leave
-    the source backend (status → ``MIGRATED_OUT``) and popped when they are
-    installed at the destination.  While registered, the bytes exist
-    *nowhere else* — checkpoints fold them into the source's snapshot and
+    ``ScalingController._extract`` at the instant the entries leave the
+    source backend (status → ``MIGRATED_OUT``) and popped by
+    ``ScalingController._land`` when they are installed at the
+    destination.  Every whole-key-group move of every controller passes
+    through those two steps.  While registered, the bytes exist *nowhere
+    else* — checkpoints fold them into the source's snapshot and
     rollbacks restore them at the source.
     """
 

@@ -445,10 +445,27 @@ class ScalingController:
                         key_group: int,
                         arrival_status: StateStatus = StateStatus.LOCAL,
                         charge_extract: bool = True):
-        """Extract one key-group at ``src``, ship it, register at ``dst``.
+        """Move one whole key-group from ``src`` to ``dst``.
+
+        Three steps that every controller moving whole key-groups shares:
+        :meth:`_extract` cuts the bytes out of ``src`` into the in-flight
+        registry, :meth:`_ship` carries them over the wire, and
+        :meth:`_land` installs them at ``dst``.
+        """
+        flight, wire_bytes, span = yield from self._extract(
+            src, dst, key_group, charge_extract)
+        yield from self._ship(src, dst, wire_bytes, key_group)
+        self._land(flight, dst, arrival_status, span)
+
+    def _extract(self, src: OperatorInstance, dst: OperatorInstance,
+                 key_group: int, charge_extract: bool = True):
+        """Cut ``key_group`` out of ``src`` and register it as in flight.
 
         Leaves a ``MIGRATED_OUT`` stub at the source so input handlers can
-        recognise records that now belong elsewhere.
+        recognise records that now belong elsewhere.  Returns ``(flight,
+        wire_bytes, span)``: the registered :class:`_InflightState`, the
+        bytes the wire must carry, and the open ``state-transfer`` span
+        (None without telemetry).
         """
         cost_model = self.job.config.transfer
         yield from self._wait_until_idle(src, key_group)
@@ -473,9 +490,6 @@ class ScalingController:
                 "state-transfer", category="transfer",
                 track=f"transfer:{src.name}->{dst.name}",
                 key_group=key_group, bytes=group.size_bytes)
-        entries = group.entries
-        size = group.size_bytes
-        sub_present = group.sub_groups_present
         # Changelog-tail fast path: when the source backend holds a durable
         # base covering this group's current version, the destination can
         # fetch the base from durable storage and only the changelog tail
@@ -483,20 +497,30 @@ class ScalingController:
         # group's version (which would invalidate the durable base).
         tail_fn = getattr(src.state, "changelog_tail_bytes", None)
         tail_bytes = tail_fn(key_group) if tail_fn is not None else None
+        size = group.size_bytes
         wire_bytes = size if tail_bytes is None else min(size, tail_bytes)
+        # From this instant until installation at dst, the bytes live only
+        # in the in-flight registry: checkpoints fold them into the source
+        # snapshot (§IV-C) and an abort restores them from here.
+        flight = _InflightState(
+            op_name=src.spec.name, key_group=key_group,
+            entries=group.entries, size_bytes=size,
+            sub_groups_present=group.sub_groups_present,
+            src_name=src.name, src_index=src.index, dst_index=dst.index)
         group.entries = {}
         group.size_bytes = 0.0
         group.status = StateStatus.MIGRATED_OUT
         group.bump_version()
-        # From this instant until installation at dst, the bytes live only
-        # in the in-flight registry: checkpoints fold them into the source
-        # snapshot (§IV-C) and an abort restores them from here.
-        flight_key = (src.spec.name, key_group)
-        self.job.inflight_state[flight_key] = _InflightState(
-            op_name=src.spec.name, key_group=key_group, entries=entries,
-            size_bytes=size, sub_groups_present=sub_present,
-            src_name=src.name, src_index=src.index, dst_index=dst.index)
+        self.job.inflight_state[(flight.op_name, key_group)] = flight
         src.wake.fire()
+        return flight, wire_bytes, span
+
+    def _ship(self, src: OperatorInstance, dst: OperatorInstance,
+              wire_bytes: float, key_group: int):
+        """Carry ``wire_bytes`` from ``src`` to ``dst``: one slot of the
+        source host's transfer gate, held for the wire time plus any stall
+        ``job.transfer_fault_hook`` injects for ``key_group``."""
+        cost_model = self.job.config.transfer
         link = self.job.link_between(src, dst)
         gate = self.job.transfer_gate(src.node.name)
         # Ticket pattern: if an abort interrupts us while queued on the
@@ -516,21 +540,30 @@ class ScalingController:
                     yield self.sim.timeout(extra)
         finally:
             gate.cancel(ticket)
-        flight = self.job.inflight_state.pop(flight_key, None)
-        if flight is None:
+
+    def _land(self, flight: _InflightState, dst: OperatorInstance,
+              arrival_status: StateStatus, span) -> None:
+        """Install a shipped flight at ``dst`` and close its span."""
+        key = (flight.op_name, flight.key_group)
+        if self.job.inflight_state.pop(key, None) is None:
             # Rolled back under our feet (the abort path consumed the
             # flight before interrupting us): nothing to install.
             return
         landed_hook = self.job.flight_landed_hook
         if landed_hook is not None:
             landed_hook(flight, dst)
-        dst.state.install_group(key_group, entries, size,
-                                status=arrival_status,
-                                sub_groups_present=sub_present)
-        self.metrics.note_migration_completed(key_group, self.sim.now)
+        self._install(dst, flight, arrival_status)
+        self.metrics.note_migration_completed(flight.key_group, self.sim.now)
         if span is not None:
-            telemetry.tracer.end(span)
+            self.job.telemetry.tracer.end(span)
         dst.wake.fire()
+
+    def _install(self, dst: OperatorInstance, flight: _InflightState,
+                 arrival_status: StateStatus) -> None:
+        """Put a landed flight's bytes into ``dst``'s backend."""
+        dst.state.install_group(flight.key_group, flight.entries,
+                                flight.size_bytes, status=arrival_status,
+                                sub_groups_present=flight.sub_groups_present)
 
     def _finalize_assignment(self, op_name: str,
                              plan: MigrationPlan) -> None:

@@ -104,6 +104,18 @@ class MecesController(ScalingController):
 
     # -- main flow -----------------------------------------------------------------
 
+    def request_rescale(self, op_name: str, new_parallelism: int):
+        # A RecoveryManager folds in-flight bytes into checkpoints one whole
+        # key-group at a time (§IV-C); a Meces move splits a key-group
+        # across two instances, which no snapshot can capture consistently.
+        if self.job.flight_landed_hook is not None:
+            raise RuntimeError(
+                "MecesController does not support checkpoint recovery: its "
+                "sub-key-group moves split a key-group across instances, "
+                "and the RecoveryManager's checkpoint fold captures whole "
+                "key-groups only")
+        return super().request_rescale(op_name, new_parallelism)
+
     def _execute(self, op_name, plan, scale_id):
         from ..simulation.primitives import Signal
 
@@ -225,14 +237,7 @@ class MecesController(ScalingController):
             if cost_model.extract_seconds_per_group > 0:
                 yield self.sim.timeout(
                     cost_model.extract_seconds_per_group / self.sub_groups)
-            link = self.job.link_between(holder, requester)
-            gate = self.job.transfer_gate(holder.node.name)
-            yield gate.acquire()
-            try:
-                yield self.sim.timeout(cost_model.transfer_seconds(
-                    share, link.bandwidth, link.latency))
-            finally:
-                gate.release()
+            yield from self._ship(holder, requester, share, kg)
             dst_group = requester.state.group(kg)
             if dst_group is None:
                 dst_group = requester.state.register_group(

@@ -237,40 +237,20 @@ class OTFSController(ScalingController):
             self._mark_done(move.key_group)
 
     def _batch_migration(self, src, moves, instances):
-        """All-at-once: one synchronized batch per source instance."""
-        cost_model = self.job.config.transfer
+        """All-at-once: extract every group, ship the summed bytes in one
+        synchronized batch per source instance, then land each group."""
         extracted = []
-        total_size = 0.0
         for move in moves:
-            yield from self._wait_until_idle(src, move.key_group)
-            if cost_model.extract_seconds_per_group > 0:
-                yield self.sim.timeout(cost_model.extract_seconds_per_group)
-            group = src.state.require_group(move.key_group)
-            self.metrics.note_migration_started(move.key_group, self.sim.now)
-            extracted.append((move, group.entries, group.size_bytes))
-            total_size += group.size_bytes
-            group.entries = {}
-            group.size_bytes = 0.0
-            group.status = StateStatus.MIGRATED_OUT
-            group.bump_version()
-        src.wake.fire()
-        link = self.job.link_between(src, instances[moves[0].dst_index])
-        yield self.sim.timeout(cost_model.transfer_seconds(
-            total_size, link.bandwidth, link.latency))
-        for move, entries, size in extracted:
             dst = instances[move.dst_index]
-            group = dst.state.group(move.key_group)
-            if group is None:
-                group = dst.state.register_group(move.key_group,
-                                                 StateStatus.LOCAL)
-            group.entries = entries
-            group.size_bytes = size
-            group.status = StateStatus.LOCAL
-            group.bump_version()
-            self.metrics.note_migration_completed(move.key_group,
-                                                  self.sim.now)
-            dst.wake.fire()
-            self._mark_done(move.key_group)
+            flight, wire_bytes, span = yield from self._extract(
+                src, dst, move.key_group)
+            extracted.append((dst, flight, wire_bytes, span))
+        yield from self._ship(src, extracted[0][0],
+                              sum(wire for _d, _f, wire, _s in extracted),
+                              moves[0].key_group)
+        for dst, flight, _wire, span in extracted:
+            self._land(flight, dst, StateStatus.LOCAL, span)
+            self._mark_done(flight.key_group)
 
     def _mark_done(self, key_group: int) -> None:
         self._remaining.discard(key_group)

@@ -9,7 +9,6 @@ reference point.
 
 from __future__ import annotations
 
-from ..engine.state import StateStatus
 from .base import ScalingController
 
 __all__ = ["StopRestartController"]
@@ -52,25 +51,12 @@ class StopRestartController(ScalingController):
         yield self.sim.timeout(job.config.instance_init_seconds)
         instances = job.instances(op_name)
 
-        # 4. Restore migrating key-groups under the new assignment.
-        cost_model = job.config.transfer
+        # 4. Restore migrating key-groups under the new assignment (the
+        #    checkpoint already paid for serialization).
         for move in plan.moves:
-            src = instances[move.src_index]
-            dst = instances[move.dst_index]
-            group = src.state.require_group(move.key_group)
-            self.metrics.note_migration_started(move.key_group, self.sim.now)
-            link = job.link_between(src, dst)
-            yield self.sim.timeout(cost_model.transfer_seconds(
-                group.size_bytes, link.bandwidth, link.latency))
-            entries, size = group.entries, group.size_bytes
-            src.state.drop_group(move.key_group)
-            new_group = dst.state.register_group(move.key_group,
-                                                 StateStatus.LOCAL)
-            new_group.entries = entries
-            new_group.size_bytes = size
-            new_group.bump_version()
-            self.metrics.note_migration_completed(move.key_group,
-                                                  self.sim.now)
+            yield from self._transfer_group(
+                instances[move.src_index], instances[move.dst_index],
+                move.key_group, charge_extract=False)
         for sender, edge in job.senders_to(op_name):
             for kg, dst in plan.routing_updates().items():
                 edge.set_routing(kg, dst)

@@ -73,44 +73,18 @@ class UnboundController(ScalingController):
 
     def _migrate(self, src, moves, instances):
         for move in moves:
-            dst = instances[move.dst_index]
-            # Merge into the universal-key group instead of replacing it:
-            # the destination may already have processed records for it.
-            yield from self._transfer_merge(src, dst, move.key_group)
+            yield from self._transfer_group(src, instances[move.dst_index],
+                                            move.key_group)
 
-    def _transfer_merge(self, src, dst, key_group):
-        cost_model = self.job.config.transfer
-        yield from self._wait_until_idle(src, key_group)
-        if cost_model.extract_seconds_per_group > 0:
-            yield self.sim.timeout(cost_model.extract_seconds_per_group)
-        group = src.state.group(key_group)
-        if group is None:
-            return
-        self.metrics.note_migration_started(key_group, self.sim.now)
-        entries, size = group.entries, group.size_bytes
-        group.entries = {}
-        group.size_bytes = 0.0
-        group.status = StateStatus.MIGRATED_OUT
+    def _install(self, dst, flight, arrival_status):
+        # Merge into the universal-key group instead of replacing it: the
+        # destination may already have processed records for it.  Stale-
+        # state hazard, accepted by design: destination-side updates made
+        # while the state was in flight win over migrated values.
+        group = dst.state.require_group(flight.key_group)
+        merged = dict(flight.entries)
+        merged.update(group.entries)
+        group.entries = merged
+        group.size_bytes += flight.size_bytes
+        group.status = StateStatus.LOCAL
         group.bump_version()
-        link = self.job.link_between(src, dst)
-        gate = self.job.transfer_gate(src.node.name)
-        yield gate.acquire()
-        try:
-            yield self.sim.timeout(cost_model.transfer_seconds(
-                size, link.bandwidth, link.latency))
-        finally:
-            gate.release()
-        dst_group = dst.state.group(key_group)
-        if dst_group is None:
-            dst_group = dst.state.register_group(key_group,
-                                                 StateStatus.LOCAL)
-        # Stale-state hazard, accepted by design: destination-side updates
-        # made while the state was in flight win over migrated values.
-        merged = dict(entries)
-        merged.update(dst_group.entries)
-        dst_group.entries = merged
-        dst_group.size_bytes += size
-        dst_group.status = StateStatus.LOCAL
-        dst_group.bump_version()
-        self.metrics.note_migration_completed(key_group, self.sim.now)
-        dst.wake.fire()

@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate: kernel, primitives, randomness."""
 
 from .kernel import Event, Interrupt, Process, SimulationError, Simulator
-from .primitives import BoundedStore, EdgeWake, Semaphore, Signal
+from .primitives import EdgeWake, Semaphore, Signal
 from .randomness import ZipfSampler, exponential_interarrival, make_rng
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Simulator",
-    "BoundedStore",
     "EdgeWake",
     "Semaphore",
     "Signal",

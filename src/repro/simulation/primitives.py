@@ -1,14 +1,12 @@
 """Synchronization primitives built on the DES kernel.
 
-These are the building blocks the streaming engine uses to model bounded
-buffers, wake-up conditions and resource gates:
+These are the building blocks the streaming engine uses to model wake-up
+conditions and resource gates:
 
 * :class:`Signal` — a re-armable "something changed, re-check your condition"
   wake-up for any number of waiters.
 * :class:`EdgeWake` — the single-owner park every operator and source main
   loop idles on.
-* :class:`BoundedStore` — a FIFO buffer with blocking put (backpressure) and
-  blocking get.
 * :class:`Semaphore` — counted resource gate (used for per-node subscale
   concurrency limits).
 """
@@ -16,11 +14,11 @@ buffers, wake-up conditions and resource gates:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Deque, List
 
 from .kernel import Event, SimulationError, Simulator, _Callback
 
-__all__ = ["Signal", "EdgeWake", "BoundedStore", "Semaphore"]
+__all__ = ["Signal", "EdgeWake", "Semaphore"]
 
 
 class Signal:
@@ -94,85 +92,6 @@ class EdgeWake:
         owner = self._owner
         if owner is not None:  # else interrupted while the wake was in flight
             owner._resume(self._sim._done)
-
-
-class BoundedStore:
-    """A bounded FIFO store with blocking put/get.
-
-    ``put`` returns an event that fires once the item has been accepted,
-    which may be immediately (space available) or later (backpressure).
-    ``get`` returns an event that fires with the oldest item.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError("store capacity must be positive")
-        self._sim = sim
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> Deque[Any]:
-        """The current buffer contents (read-only use expected)."""
-        return self._items
-
-    @property
-    def free(self) -> float:
-        return self.capacity - len(self._items)
-
-    def put(self, item: Any) -> Event:
-        ev = self._sim.event()
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed()
-            self._serve_getters()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the store is full."""
-        if len(self._items) >= self.capacity:
-            return False
-        self._items.append(item)
-        self._serve_getters()
-        return True
-
-    def get(self) -> Event:
-        ev = self._sim.event()
-        self._getters.append(ev)
-        self._serve_getters()
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns None when empty."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        self._serve_putters()
-        return item
-
-    def _serve_getters(self) -> None:
-        while self._getters and self._items:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(self._items.popleft())
-            self._serve_putters()
-
-    def _serve_putters(self) -> None:
-        while self._putters and len(self._items) < self.capacity:
-            putter, item = self._putters.popleft()
-            if putter.triggered:
-                continue
-            self._items.append(item)
-            putter.succeed()
-            self._serve_getters()
 
 
 class Semaphore:

@@ -20,7 +20,7 @@ name                   category        emitted by
 ``decouple``           ``drrs.phase``  ScaleCoordinator (A0/B0 deploy update)
 ``subscale-<i>``       ``drrs.phase``  ScaleCoordinator (launch → done)
 ``signal.injected``    ``drrs.phase``  ScaleCoordinator (instant, per subscale)
-``state-transfer``     ``transfer``    ScalingController._transfer_group
+``state-transfer``     ``transfer``    ScalingController._extract → _land
 ``suspended``          ``suspension``  OperatorInstance wake-up accounting
 ``reroute.flush``      ``reroute``     ReRouteManager drain process
 ``checkpoint.sync``    ``checkpoint``  aligned-snapshot sync pause

@@ -219,6 +219,3 @@ class Telemetry:
                         outbox_backlog=backlog)
 
         job.sim.spawn(sample_loop(), name="telemetry-sampler")
-
-    def stop_sampler(self) -> None:
-        self._sampler_running = False

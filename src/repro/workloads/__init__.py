@@ -3,9 +3,6 @@
 from .base import Workload, WorkloadConfig, drive_source
 from .custom import CustomConfig, CustomWorkload
 from .nexmark import NexmarkConfig, NexmarkQ7, NexmarkQ8, NexmarkQ8Config
-from .nexmark_suite import (QUERIES, NexmarkQ1, NexmarkQ2, NexmarkQ3,
-                            NexmarkQ4, NexmarkQ5, NexmarkQ6,
-                            NexmarkSuiteConfig)
 from .twitch import TwitchConfig, TwitchWorkload
 
 __all__ = [
@@ -15,14 +12,6 @@ __all__ = [
     "CustomConfig",
     "CustomWorkload",
     "NexmarkConfig",
-    "QUERIES",
-    "NexmarkQ1",
-    "NexmarkQ2",
-    "NexmarkQ3",
-    "NexmarkQ4",
-    "NexmarkQ5",
-    "NexmarkQ6",
-    "NexmarkSuiteConfig",
     "NexmarkQ7",
     "NexmarkQ8",
     "NexmarkQ8Config",

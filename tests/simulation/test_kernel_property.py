@@ -100,32 +100,6 @@ def test_signal_wakes_every_waiter_exactly_once(n_waiters, fire_at):
     assert sorted(wakes) == list(range(n_waiters))
 
 
-@given(capacity=st.integers(1, 10),
-       items=st.lists(st.integers(), min_size=1, max_size=40))
-@settings(max_examples=50, deadline=None)
-def test_bounded_store_is_lossless_fifo(capacity, items):
-    from repro.simulation import BoundedStore
-
-    sim = Simulator()
-    store = BoundedStore(sim, capacity=capacity)
-    received = []
-
-    def producer():
-        for item in items:
-            yield store.put(item)
-
-    def consumer():
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-            yield sim.timeout(0.01)
-
-    sim.spawn(producer())
-    sim.spawn(consumer())
-    sim.run()
-    assert received == items
-
-
 # -- run() against step(): continue-in-place is invisible ------------------
 
 #: Multiples of 0.5 add up exactly, so delays, fires and interrupts tie.

@@ -1,9 +1,9 @@
-"""Signal, EdgeWake, BoundedStore and Semaphore behaviour."""
+"""Signal, EdgeWake and Semaphore behaviour."""
 
 import pytest
 
-from repro.simulation import (BoundedStore, EdgeWake, Interrupt, Semaphore,
-                              Signal, SimulationError, Simulator)
+from repro.simulation import (EdgeWake, Interrupt, Semaphore, Signal,
+                              SimulationError, Simulator)
 
 
 class TestSignal:
@@ -49,78 +49,6 @@ class TestSignal:
         sim.call_at(1.0, signal.fire)
         sim.run()
         assert sorted(log) == [0, 1, 2, 3]
-
-
-class TestBoundedStore:
-    def test_fifo_order(self):
-        sim = Simulator()
-        store = BoundedStore(sim, capacity=10)
-        got = []
-
-        def producer():
-            for i in range(5):
-                yield store.put(i)
-
-        def consumer():
-            for _ in range(5):
-                item = yield store.get()
-                got.append(item)
-
-        sim.spawn(producer())
-        sim.spawn(consumer())
-        sim.run()
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_put_blocks_when_full(self):
-        sim = Simulator()
-        store = BoundedStore(sim, capacity=2)
-        timeline = []
-
-        def producer():
-            for i in range(4):
-                yield store.put(i)
-                timeline.append(("put", i, sim.now))
-
-        def consumer():
-            yield sim.timeout(5.0)
-            yield store.get()
-            yield store.get()
-
-        sim.spawn(producer())
-        sim.spawn(consumer())
-        sim.run()
-        put_times = {i: t for _op, i, t in timeline}
-        assert put_times[0] == 0.0
-        assert put_times[1] == 0.0
-        assert put_times[2] == 5.0
-        assert put_times[3] == 5.0
-
-    def test_get_blocks_when_empty(self):
-        sim = Simulator()
-        store = BoundedStore(sim, capacity=2)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        sim.spawn(consumer())
-        sim.call_at(3.0, lambda: store.try_put("x"))
-        sim.run()
-        assert got == [("x", 3.0)]
-
-    def test_try_put_respects_capacity(self):
-        sim = Simulator()
-        store = BoundedStore(sim, capacity=1)
-        assert store.try_put(1)
-        assert not store.try_put(2)
-        assert store.try_get() == 1
-        assert store.try_get() is None
-
-    def test_zero_capacity_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            BoundedStore(sim, capacity=0)
 
 
 class TestSemaphore:
