@@ -270,7 +270,7 @@ class DRRSInputHandler(MigrationAwareHandler):
         while progress:
             progress = False
             for channel in channels:
-                if not getattr(channel, "is_auxiliary", False):
+                if not channel.is_auxiliary:
                     continue
                 while channel.queue:
                     head = channel.peek()
@@ -295,7 +295,7 @@ class DRRSInputHandler(MigrationAwareHandler):
                         aux_blocked = True
                     break
             for channel in channels:
-                if getattr(channel, "is_auxiliary", False) or channel.blocked:
+                if channel.is_auxiliary or channel.blocked:
                     continue
                 while channel.queue:
                     head = channel.peek()
@@ -308,7 +308,7 @@ class DRRSInputHandler(MigrationAwareHandler):
 
         # Phase 1/2 — Record Scheduling over the regular channels.
         polled = self._select([ch for ch in channels
-                               if not getattr(ch, "is_auxiliary", False)])
+                               if not ch.is_auxiliary])
         if polled is None and aux_blocked:
             self.suspended = True
         return polled

@@ -816,7 +816,9 @@ class InputChannel:
         #: checkpoint + scaling) coexist without releasing each other.
         self.block_tokens: set = set()
         #: True for runtime-created auxiliary channels (re-route paths);
-        #: excluded from watermark aggregation, checkpoint alignment and EOS.
+        #: excluded from watermark aggregation and from every barrier
+        #: alignment — checkpoint, end of stream and scale signal — whose
+        #: one membership rule lives in ``operators.Alignment``.
         self.is_auxiliary = False
 
     @property

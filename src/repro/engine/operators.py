@@ -23,7 +23,6 @@ from .records import (CheckpointBarrier, ControlSignal, EndOfStream,
                       LatencyMarker, Record, RecordBatch, StreamElement,
                       Watermark)
 from .routing import OutputRouter
-from .state import DictStateBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import OperatorSpec
@@ -39,6 +38,7 @@ __all__ = [
     "SinkLogic",
     "InputHandler",
     "DefaultInputHandler",
+    "Alignment",
     "OperatorInstance",
 ]
 
@@ -239,6 +239,46 @@ class DefaultInputHandler(InputHandler):
 # Operator instance runtime
 # ---------------------------------------------------------------------------
 
+class Alignment:
+    """One instance's wait for one barrier token on all of its inputs.
+
+    Checkpoint, end-of-stream and scale-signal barriers all align here, so
+    membership has one rule: the instance's current non-auxiliary input
+    channels, re-read on every arrival.  A blocking alignment blocks each
+    arriving channel with the token until :meth:`release`;
+    ``blocking=False`` (end of stream, Meces epochs) only counts.
+    """
+
+    __slots__ = ("instance", "token", "blocking", "seen")
+
+    def __init__(self, instance, token, blocking: bool = True):
+        self.instance = instance
+        self.token = token
+        self.blocking = blocking
+        self.seen: set = set()  # input channels that delivered the token
+
+    def arrive(self, channel: Optional[InputChannel]) -> bool:
+        """Count ``channel``'s token; True once aligned — at once for a
+        token with no channel (injected at a source, or along a chain)."""
+        if channel is None:
+            return True
+        if self.blocking:
+            channel.block(self.token)
+        self.seen.add(channel)
+        return self.complete()
+
+    def complete(self) -> bool:
+        return all(ch in self.seen for ch in self.instance.input_channels
+                   if not ch.is_auxiliary)
+
+    def release(self) -> None:
+        """Unblock the channels this alignment blocked; wake the instance.
+        Set order is free: every unblock only wakes this one instance."""
+        for ch in self.seen:
+            ch.unblock(self.token)
+        self.instance.wake.fire()
+
+
 class OperatorInstance:
     """One parallel subtask: a DES process bound to a cluster node."""
 
@@ -246,8 +286,8 @@ class OperatorInstance:
     #: instance whose task hands it every element, in order, through
     #: ``handle_element(None, element)``.  None for an instance with its
     #: own input channels and process (a head is its own task).  A class
-    #: default that only members shadow: ``__init__`` sets 30 attributes,
-    #: the most CPython keeps in an instance's inline value array, and a
+    #: default that only members shadow: ``__init__`` sets 29 attributes,
+    #: CPython keeps at most 30 in an instance's inline value array, and a
     #: 31st on every instance slows each attribute load on the record path.
     chain_head: Optional["OperatorInstance"] = None
 
@@ -264,9 +304,7 @@ class OperatorInstance:
         self.logic: OperatorLogic = spec.logic_factory()
         self.input_channels: List[InputChannel] = []
         self.router = OutputRouter(self)
-        make_backend = getattr(job, "make_state_backend", None)
-        self.state = (make_backend(spec) if make_backend is not None else
-                      DictStateBackend(bytes_per_entry=spec.bytes_per_entry))
+        self.state = job.make_state_backend(spec)
         # Edge-triggered: safe because _run re-checks every wake condition
         # at the top of each iteration before parking (see EdgeWake docs).
         self.wake = EdgeWake(sim)
@@ -299,8 +337,9 @@ class OperatorInstance:
         self.records_processed = 0
         self._suspension_listener: Optional[Callable[
             [OperatorInstance, float, float], None]] = None
-        self._eos_channels: set = set()
-        self._pending_checkpoint: Dict[int, set] = {}
+        #: Barrier alignments by token (see :meth:`alignment`): checkpoint
+        #: and scale alignments leave once complete, end of stream stays.
+        self.alignments: Dict[Any, Alignment] = {}
         self._inband: List = []
         self._process = None
         self._vis_wake_at: Optional[float] = None
@@ -319,6 +358,12 @@ class OperatorInstance:
         self.input_channels.append(channel)
         self.input_handler.on_channel_added(channel)
         return channel
+
+    def alignment(self, token, blocking: bool = True) -> Alignment:
+        """This instance's alignment of ``token``, opened on first use."""
+        if token not in self.alignments:
+            self.alignments[token] = Alignment(self, token, blocking)
+        return self.alignments[token]
 
     def inbox_depth(self) -> int:
         """Elements waiting for this instance's task; for a chain member,
@@ -537,7 +582,7 @@ class OperatorInstance:
         if isinstance(element, CheckpointBarrier):
             return self._handle_checkpoint_barrier(channel, element)
         if isinstance(element, ControlSignal):
-            if getattr(self.job, "signal_router", None) is not None:
+            if self.job.signal_router is not None:
                 return self.job.signal_router(self, channel, element)
             self.on_control(channel, element)
             return iter(())
@@ -613,16 +658,10 @@ class OperatorInstance:
                                    barrier: CheckpointBarrier):
         """Aligned checkpointing: block the channel until all have arrived."""
         token = ("ckpt", barrier.checkpoint_id)
-        seen = self._pending_checkpoint.setdefault(barrier.checkpoint_id,
-                                                   set())
-        if channel is not None:
-            channel.block(token)
-            seen.add(id(channel))
-        needed = {id(ch) for ch in self.input_channels
-                  if not ch.is_auxiliary}
-        if seen >= needed or channel is None:
+        alignment = self.alignment(token)
+        if alignment.arrive(channel):
             # Alignment complete (or source-injected): snapshot and forward.
-            del self._pending_checkpoint[barrier.checkpoint_id]
+            del self.alignments[token]
             sync_cost = self.job.checkpoint_sync_cost(self)
             if sync_cost > 0:
                 telemetry = self.job.telemetry
@@ -637,17 +676,11 @@ class OperatorInstance:
                     telemetry.tracer.end(span)
             self.job.note_snapshot(self, barrier)
             yield from self.router.emit(barrier)
-            for ch in self.input_channels:
-                ch.unblock(token)
-            self.wake.fire()
+            alignment.release()
 
     def _handle_eos(self, channel: Optional[InputChannel],
                     eos: EndOfStream):
-        if channel is not None:
-            self._eos_channels.add(id(channel))
-        needed = {id(ch) for ch in self.input_channels
-                  if not ch.is_auxiliary}
-        if channel is None or self._eos_channels >= needed:
+        if self.alignment(("eos",), blocking=False).arrive(channel):
             yield from self.router.emit(eos)
             self.running = False
             self.job._live_names = None

@@ -667,12 +667,13 @@ class RecoveryManager:
             for input_channel in instance.input_channels:
                 input_channel.queue.clear()
                 input_channel.block_tokens.clear()
-            instance._pending_checkpoint.clear()
+            for token in [t for t in instance.alignments if t[0] == "ckpt"]:
+                del instance.alignments[token]
             snapshot = checkpoint.snapshots.get(instance.name)
             if snapshot is not None:
                 full_bytes = sum(g.size_bytes
                                  for g in snapshot.state.values())
-                if getattr(instance.state, "is_incremental", False):
+                if instance.state.is_incremental:
                     # Local recovery: the materialized base is durable and
                     # locally available — restore re-reads only the delta
                     # tail back to the nearest anchor.  A broken chain

@@ -817,9 +817,7 @@ class StreamJob:
         Full-copy backends serialize the whole state synchronously;
         incremental backends write a constant-size manifest and move the
         real bytes asynchronously (:meth:`_upload_segment`)."""
-        state = instance.state
-        sync_bytes = getattr(state, "checkpoint_sync_bytes",
-                             state.total_bytes)()
+        sync_bytes = instance.state.checkpoint_sync_bytes()
         if sync_bytes <= 0:
             return 0.0
         full = sync_bytes / self.config.snapshot_bandwidth
@@ -837,7 +835,7 @@ class StreamJob:
         # Cut + launch the async upload *before* the listeners run, so the
         # coordinator and RecoveryManager observe the pending upload when
         # they evaluate checkpoint completeness.
-        if getattr(instance.state, "is_incremental", False):
+        if instance.state.is_incremental:
             segment = instance.state.cut_segment(barrier.checkpoint_id)
             key = (instance.name, barrier.checkpoint_id)
             self.changelog_segments[key] = segment

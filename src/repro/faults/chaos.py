@@ -179,7 +179,7 @@ class ChaosHarness:
             seed=self.seed,
             passed=not violations,
             horizon=setup.horizon,
-            state_backend=getattr(job.config, "state_backend", "dict"),
+            state_backend=job.config.state_backend,
             record_plane=job.config.record_plane,
             plane_collapses=job.plane_collapses,
             faults=list(setup.injector.injected),

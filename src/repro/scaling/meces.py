@@ -21,10 +21,10 @@ Modelled on the paper's re-implementation (§V-A):
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..engine.keys import key_to_key_group
-from ..engine.operators import OperatorInstance
+from ..engine.operators import Alignment, OperatorInstance
 from ..engine.records import Record
 from ..engine.state import StateStatus
 from .base import ScaleSignalBarrier, ScalingController
@@ -53,7 +53,8 @@ class MecesController(ScalingController):
         self._move_counts: Dict[Tuple[int, int], int] = {}
         self._tasks = deque()
         self._task_wake = None
-        self._old_barrier_seen: Dict[int, Set[int]] = {}
+        #: The original instances' counting alignments of the barrier.
+        self._epochs: List[Alignment] = []
         self._migration_enabled = False
         self._done_event = None
 
@@ -143,8 +144,8 @@ class MecesController(ScalingController):
             new_group = dst.state.register_group(move.key_group,
                                                  StateStatus.INCOMING)
             new_group.sub_groups_present = set()
-        self._old_barrier_seen = {
-            inst.index: set() for inst in old_instances}
+        self._epochs = [Alignment(inst, ("scale", (scale_id, 0)),
+                                  blocking=False) for inst in old_instances]
 
         self._attach_suspension_probes(scaling_instances)
         saved = self._install_handlers(scaling_instances, scheduling=False)
@@ -191,9 +192,9 @@ class MecesController(ScalingController):
             return
         if instance.spec.name != self._op_name:
             return
-        if instance.index in self._old_barrier_seen and channel is not None:
-            seen = self._old_barrier_seen[instance.index]
-            seen.add(id(channel))
+        for epoch in self._epochs:
+            if epoch.instance is instance:
+                epoch.arrive(channel)
         self._check_done()
         return
         yield  # pragma: no cover - makes this a generator
@@ -294,13 +295,8 @@ class MecesController(ScalingController):
             return
         # 1) every old instance has seen the barrier on every channel
         #    (no more pre-epoch records can arrive and trigger fetch-backs);
-        instances = self.job.instances(self._op_name)
-        for index, seen in self._old_barrier_seen.items():
-            inst = instances[index]
-            needed = {id(ch) for ch in inst.input_channels
-                      if not getattr(ch, "is_auxiliary", False)}
-            if not seen >= needed:
-                return
+        if not all(epoch.complete() for epoch in self._epochs):
+            return
         # 2) every sub of every moving group rests at its planned owner.
         for kg in self._moving:
             if not self._group_at_target(kg):

@@ -18,7 +18,7 @@ not arrived (no record scheduling in the baseline).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..engine.operators import OperatorInstance
 from ..engine.state import StateStatus
@@ -48,7 +48,6 @@ class OTFSController(ScalingController):
         self.migration = migration
         self.injection = injection
         self.scheduling = scheduling
-        self._align: Dict = {}
         self._plan: Optional[MigrationPlan] = None
         self._op_name: Optional[str] = None
         self._route_set: Set[str] = set()
@@ -144,58 +143,28 @@ class OTFSController(ScalingController):
                     frontier.append(up)
         return closure
 
-    def _role(self, instance: OperatorInstance) -> str:
-        if instance.spec.name == self._op_name:
-            if instance.index < self._plan.old_parallelism:
-                return "old"
-            return "new"
-        if instance.spec.name in self.job.graph.upstream_of(self._op_name):
-            return "predecessor"
-        return "other"
-
     def _on_signal(self, instance, channel, signal):
-        """In-band dispatch for coupled barriers (generator)."""
+        """In-band dispatch for coupled barriers (generator): align, then
+        act by role — a predecessor flips its routing, every instance
+        outside the scaling operator passes the barrier on, and an
+        original instance of it starts migrating."""
         if not isinstance(signal, ScaleSignalBarrier):
             return
-        role = self._role(instance)
-        if role in ("old", "new"):
-            self._align_scaling_instance(instance, channel, signal, role)
+        token = ("scale", signal.signal_key)
+        alignment = instance.alignment(token)
+        if not alignment.arrive(channel):
             return
-        key = (id(instance), signal.signal_key)
-        token = ("scale", signal.signal_key)
-        seen = self._align.setdefault(key, set())
-        if channel is not None:
-            channel.block(token)
-            seen.add(id(channel))
-        needed = {id(ch) for ch in instance.input_channels
-                  if not ch.is_auxiliary}
-        if channel is None or seen >= needed:
-            self._align.pop(key, None)
-            if role == "predecessor":
-                self._apply_routing(instance, signal)
-            for ch in instance.input_channels:
-                ch.unblock(token)
-            instance.wake.fire()
+        del instance.alignments[token]
+        self._apply_routing(instance, signal)  # a no-op off predecessors
+        alignment.release()
+        if instance.spec.name != self._op_name:
             yield from self._forward(instance, signal)
-
-    def _align_scaling_instance(self, instance, channel, signal, role):
-        key = (id(instance), signal.signal_key)
-        token = ("scale", signal.signal_key)
-        seen = self._align.setdefault(key, set())
-        if channel is not None:
-            channel.block(token)
-            seen.add(id(channel))
-        needed = {id(ch) for ch in instance.input_channels
-                  if not ch.is_auxiliary}
-        if seen >= needed:
-            self._align.pop(key, None)
-            for ch in instance.input_channels:
-                ch.unblock(token)
-            instance.wake.fire()
-            mig_key = (instance.index, signal.signal_key)
-            if role == "old" and mig_key not in self._aligned_old:
-                self._aligned_old.add(mig_key)
-                self._start_migration(instance, signal)
+            return
+        mig_key = (instance.index, signal.signal_key)
+        if (instance.index < self._plan.old_parallelism
+                and mig_key not in self._aligned_old):
+            self._aligned_old.add(mig_key)
+            self._start_migration(instance, signal)
 
     def _apply_routing(self, instance, signal) -> None:
         for edge in instance.router.edges:

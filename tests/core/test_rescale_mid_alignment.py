@@ -1,0 +1,107 @@
+"""A rescale that adds input channels while a barrier is aligning.
+
+Every barrier aligns over the receiver's current non-auxiliary input
+channels (``Alignment``).  A rescale that creates a channel *behind* a
+barrier — after the barrier left the channel's sender — adds a member
+that will never deliver it, so the alignment waits forever (ROADMAP
+item 1).  These tests pin where that happens today, one barrier kind
+each: the stalling cases are strict xfails that name item 1, and their
+neighbours on the live side of the window are plain cases.
+"""
+
+import pytest
+
+from repro.core.drrs import DRRSController
+from repro.engine import CheckpointCoordinator
+from repro.engine.records import EndOfStream
+from repro.engine.recovery import RecoveryError, RecoveryManager
+from repro.experiments.chaos_bank import _keyed_job
+from repro.experiments.figures import controller_factory
+from repro.experiments.scenarios import QUICK, make_workload
+from repro.faults.invariants import check_all
+
+LIVE_MIGRATION = ["drrs", "otfs", "otfs-all-at-once", "megaphone",
+                  "subscale", "schedule"]
+
+
+def _item_1(raises, barrier):
+    return pytest.mark.xfail(
+        strict=True, raises=raises,
+        reason=f"ROADMAP item 1: channels created mid-alignment never "
+        f"carry the {barrier}, so the alignment never completes")
+
+
+def _checkpoint_cases():
+    for system in LIVE_MIGRATION:
+        yield pytest.param(system, 0.0, id=f"{system}-0")
+        yield pytest.param(
+            system, 0.001, id=f"{system}-0.001",
+            marks=_item_1(RecoveryError, "checkpoint barrier"))
+    yield pytest.param("stop-restart", 0.001, id="stop-restart-0.001")
+
+
+@pytest.mark.parametrize("system,delta", _checkpoint_cases())
+def test_checkpoint_survives_a_rescale_behind_its_barrier(system, delta):
+    """Checkpoint 1 at 6.0, ``agg`` 2→4 at 6.0 + δ, a failure at 20:
+    recovery restores checkpoint 1 and the exactly-once oracle holds.
+    At δ = 0.001 the sink waits for checkpoint 1 on the new instances'
+    channels, so no checkpoint completes and recovery has none."""
+    job, produced = _keyed_job(stop_at=16.0)
+    checkpoints = CheckpointCoordinator(job, interval=100)
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
+    controller = controller_factory(system)(job)
+    job.sim.call_at(6.0, checkpoints.trigger_now)
+    job.sim.call_at(6.0 + delta,
+                    lambda: controller.request_rescale("agg", 4))
+    job.sim.call_at(20.0, recovery.fail_and_recover)
+    job.run(until=40.0)
+    assert [cid for _t, cid in checkpoints.completed][:1] == [1]
+    assert [cid for _t, cid in recovery.recoveries] == [1]
+    assert check_all(job, "agg", produced) == []
+
+
+@pytest.mark.parametrize("delta", [
+    0.001,
+    pytest.param(-0.0001,
+                 marks=_item_1(AssertionError, "end of stream")),
+])
+def test_end_of_stream_reaches_the_sink_across_a_rescale(delta):
+    """The source ends at 6.0 + δ while DRRS rescales ``agg`` 2→4 at 6.0.
+    Ending after the rescale wired the new instances in, every instance
+    shuts down; ending 0.1 ms before, the end of stream is on the wire
+    when the new ``agg → sink`` channels appear, and the sink waits on
+    them forever."""
+    job, produced = _keyed_job(stop_at=6.0 + delta)
+    controller = DRRSController(job)
+    job.sim.call_at(6.0, lambda: controller.request_rescale("agg", 4))
+    job.sim.call_at(6.0 + delta,
+                    lambda: job.sources()[0].offer(EndOfStream()))
+    job.run(until=30.0)
+    assert job.sink_logic().records_in == sum(produced.values())
+    assert not job.instances("sink")[0].running
+
+
+@pytest.mark.parametrize("otfs_op,drrs_op,drrs_delay", [
+    ("session", "loyalty", 0.01),
+    pytest.param("loyalty", "session", 3.0,
+                 marks=_item_1(AssertionError, "scale signal")),
+])
+def test_otfs_alignment_beside_an_adjacent_drrs_rescale(otfs_op, drrs_op,
+                                                        drrs_delay):
+    """OTFS rescales one of Twitch's adjacent keyed operators while DRRS
+    rescales the other (§IV-B).  New ``loyalty`` instances only add
+    channels downstream of an OTFS alignment at ``session``; new
+    ``session`` instances add channels into ``loyalty`` instances still
+    aligning the OTFS barrier, which those channels never carry."""
+    job = make_workload("twitch", QUICK, batch_size=400).build()
+    job.run(until=15.0)
+    otfs = controller_factory("otfs")(job)
+    drrs = DRRSController(job)
+    parallelism = {"session": 10, "loyalty": 12}
+    otfs_done = otfs.request_rescale(otfs_op, parallelism[otfs_op])
+    drrs_done = {}
+    job.sim.call_at(15.0 + drrs_delay, lambda: drrs_done.setdefault(
+        "done", drrs.request_rescale(drrs_op, parallelism[drrs_op])))
+    job.run(until=60.0)
+    assert drrs_done["done"].triggered
+    assert otfs_done.triggered
