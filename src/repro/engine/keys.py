@@ -13,9 +13,18 @@ from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "key_to_key_group",
+    "key_group_memo",
+    "memoized_key_group",
     "uniform_ranges",
     "KeyGroupAssignment",
 ]
+
+#: Most keys one :func:`key_group_memo` holds; a full memo is cleared
+#: wholesale (a workload's key space is a few thousand ``str`` keys, so
+#: the bound only matters for unbounded key spaces).
+KEY_MEMO_LIMIT = 1 << 16
+
+_memos: Dict[int, Dict[str, int]] = {}
 
 
 def key_to_key_group(key: Any, num_key_groups: int) -> int:
@@ -28,6 +37,34 @@ def key_to_key_group(key: Any, num_key_groups: int) -> int:
         raise ValueError("num_key_groups must be >= 1")
     digest = zlib.crc32(repr(key).encode("utf-8"))
     return digest % num_key_groups
+
+
+def key_group_memo(num_key_groups: int) -> Dict[str, int]:
+    """The ``str`` key → key-group memo shared by every caller hashing
+    into ``num_key_groups`` groups.
+
+    Hash routing holds it by direct reference: a hit is one dict lookup
+    instead of a ``crc32(repr(key))``.  Only ``str`` keys enter it
+    (:func:`memoized_key_group`): ``1``, ``1.0`` and ``True`` are one
+    dict key but have three different ``repr`` and so three groups.
+    """
+    memo = _memos.get(num_key_groups)
+    if memo is None:
+        memo = _memos[num_key_groups] = {}
+    return memo
+
+
+def memoized_key_group(key: Any, num_key_groups: int,
+                       memo: Dict[str, int]) -> int:
+    """:func:`key_to_key_group`, remembering ``str`` keys in ``memo`` (the
+    :func:`key_group_memo` of ``num_key_groups``) -- the miss path of a
+    caller that has already looked ``key`` up there."""
+    key_group = key_to_key_group(key, num_key_groups)
+    if type(key) is str:
+        if len(memo) >= KEY_MEMO_LIMIT:
+            memo.clear()
+        memo[key] = key_group
+    return key_group
 
 
 def uniform_ranges(num_key_groups: int, parallelism: int) -> List[Tuple[int, int]]:

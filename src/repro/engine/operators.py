@@ -596,9 +596,10 @@ class OperatorInstance:
             count = record.count
             cost = self.spec.service_time * count / self.node.speed
             if cost > 0:
-                start = self.sim.now
+                sim = self.sim
+                start = sim._now
                 yield cost  # bare-delay yield == sim.timeout(cost)
-                self.busy_seconds += self.sim.now - start
+                self.busy_seconds += sim._now - start
                 if self.abandon_work:
                     return
             self.records_processed += count

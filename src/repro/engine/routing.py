@@ -12,7 +12,7 @@ import enum
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .channels import Channel
-from .keys import key_to_key_group
+from .keys import key_group_memo, memoized_key_group
 from .records import LatencyMarker, Record, StreamElement
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,9 +37,11 @@ class NoChannelError(LookupError):
 class OutputEdge:
     """One sender instance's view of an edge to a downstream operator.
 
-    Keyed (HASH) lookups go through a key-group → channel cache; every
-    routing-table or channel-list change (a re-route epoch, from this
-    sender's perspective) must call :meth:`invalidate_cache` — done by
+    Keyed (HASH) lookups hash a ``str`` key once per key through the
+    shared :func:`~.keys.key_group_memo`, then go through a key-group →
+    channel cache; every routing-table or channel-list change (a re-route
+    epoch, from this sender's perspective) must call
+    :meth:`invalidate_cache` — done by
     :meth:`set_routing`/:meth:`add_channel`, and explicitly by runtime code
     that trims ``channels`` in place.
 
@@ -66,6 +68,8 @@ class OutputEdge:
         self._rr = 0
         #: key-group -> Channel, derived from routing_table + channels.
         self._channel_cache: Dict[int, Channel] = {}
+        #: str key -> key-group, shared by every edge of this group count.
+        self._key_memo = key_group_memo(num_key_groups)
 
     def add_channel(self, channel: Channel) -> int:
         """Register a channel to a (possibly new) downstream instance."""
@@ -95,7 +99,11 @@ class OutputEdge:
         if partitioning is Partitioning.HASH:
             kg = record.key_group
             if kg is None:
-                kg = key_to_key_group(record.key, self.num_key_groups)
+                key = record.key
+                kg = self._key_memo.get(key) if type(key) is str else None
+                if kg is None:
+                    kg = memoized_key_group(key, self.num_key_groups,
+                                            self._key_memo)
                 record.key_group = kg
             channel = self._channel_cache.get(kg)
             if channel is None:
@@ -119,7 +127,11 @@ class OutputEdge:
         if self.partitioning is Partitioning.HASH:
             kg = marker.key_group
             if kg is None:
-                kg = key_to_key_group(marker.key, self.num_key_groups)
+                key = marker.key
+                kg = self._key_memo.get(key) if type(key) is str else None
+                if kg is None:
+                    kg = memoized_key_group(key, self.num_key_groups,
+                                            self._key_memo)
                 marker.key_group = kg
             channel = self._channel_cache.get(kg)
             if channel is None:

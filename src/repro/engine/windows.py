@@ -33,10 +33,11 @@ from .state import PROCESSABLE, mutation_clock
 __all__ = ["SlidingWindowAggregateLogic", "WindowedJoinLogic"]
 
 # One (key-group, window-start) aggregation pane, stored as a bare list for
-# update speed: [count, bytes, value].  With ~size/slide panes touched per
-# record this is the single hottest store in the engine; list indexing beats
-# attribute access and the pane never leaves this module.
-_P_COUNT, _P_BYTES, _P_VALUE = 0, 1, 2
+# update speed: [bytes, value].  With ~size/slide panes touched per record
+# this is the single hottest store in the engine; list indexing beats
+# attribute access and the pane never leaves this module.  A missing pane
+# is created already holding its first record.
+_P_BYTES, _P_VALUE = 0, 1
 
 #: ``_PaneLogic._emit`` result for a ripe pane that is purged silently.
 _NO_EMIT = object()
@@ -135,9 +136,10 @@ class _PaneLogic(OperatorLogic):
     def _fold(self, entries: dict, pane_keys: list, record: Record,
               count: int, added: float) -> int:
         """Apply ``record`` to the pane under each of ``pane_keys``
-        (``added`` bytes each), inserting a blank pane where one is
-        missing; returns how many were inserted.  Owns the loop so the
-        fold runs inline, at ~size/slide panes per record."""
+        (``added`` bytes each), creating a pane that holds just this
+        record where one is missing; returns how many were created.  Owns
+        the loop so the fold runs inline, at ~size/slide panes per
+        record."""
         raise NotImplementedError
 
     def _emit(self, pane) -> Any:
@@ -260,10 +262,11 @@ class _PaneLogic(OperatorLogic):
                 value = emit(pane)
                 if value is not _NO_EMIT:
                     start = entry_key[1]
-                    outputs.append(Record(
-                        key=(out_tag, kg, start), key_group=None,
-                        event_time=start + size, value=value, count=1,
-                        size_bytes=64.0, created_at=now))
+                    # Positional: key, key_group, event_time, value,
+                    # count, size_bytes, created_at.
+                    outputs.append(Record((out_tag, kg, start), None,
+                                          start + size, value, 1, 64.0,
+                                          now))
                 # Inlined state.add_bytes(kg, -pane bytes) followed by
                 # state.delete(kg, entry_key): both zero-clamps
                 # (``max(0.0, x)`` spelled as a comparison), same order.
@@ -316,22 +319,23 @@ class SlidingWindowAggregateLogic(_PaneLogic):
     def _fold(self, entries, pane_keys, record, count, added):
         new_panes = 0
         if not self._fast_agg:
+            agg_fn = self.agg_fn
             for pane_key in pane_keys:
                 pane = entries.get(pane_key)
                 if pane is None:
-                    pane = entries[pane_key] = [0, 0.0, None]
+                    entries[pane_key] = [added, agg_fn(None, record)]
                     new_panes += 1
-                pane[_P_COUNT] += count
-                pane[_P_VALUE] = self.agg_fn(pane[_P_VALUE], record)
-                pane[_P_BYTES] += added
+                else:
+                    pane[_P_VALUE] = agg_fn(pane[_P_VALUE], record)
+                    pane[_P_BYTES] += added
             return new_panes
         candidate = record.value if record.value is not None else count
         for pane_key in pane_keys:
             pane = entries.get(pane_key)
             if pane is None:
-                pane = entries[pane_key] = [0, 0.0, None]
+                entries[pane_key] = [added, candidate]
                 new_panes += 1
-            pane[_P_COUNT] += count
+                continue
             current = pane[_P_VALUE]
             try:
                 if current is None or candidate > current:

@@ -143,13 +143,8 @@ def drive_source(job: StreamJob, source: SourceInstance,
             key = f"{key_prefix}{key_index}"
             key_cache[key_index] = key
         value = make_value(rng, key_index) if make_value is not None else None
-        offer(Record(
-            key=key,
-            event_time=now,
-            value=value,
-            count=batch_size,
-            size_bytes=batch_bytes,
-        ))
+        # Positional: key, key_group, event_time, value, count, size_bytes.
+        offer(Record(key, None, now, value, batch_size, batch_bytes))
         if emit_markers and now >= next_marker:
             offer(LatencyMarker(key=key))
             next_marker = now + marker_interval

@@ -177,13 +177,12 @@ class TwitchWorkload(Workload):
                     shift_index += 1
             channel = (session_channel if rotation == 0
                        else (session_channel + rotation) % cfg.num_keys)
+            # Positional: key, key_group, event_time, value, count,
+            # size_bytes.
             source.offer(Record(
-                key=f"channel-{channel}",
-                event_time=sim.now,
-                value=rng.choice(("chat", "follow", "sub", "view")),
-                count=cfg.batch_size,
-                size_bytes=cfg.record_bytes * cfg.batch_size,
-            ))
+                f"channel-{channel}", None, sim.now,
+                rng.choice(("chat", "follow", "sub", "view")),
+                cfg.batch_size, cfg.record_bytes * cfg.batch_size))
             if emit_markers and sim.now >= next_marker:
                 source.offer(LatencyMarker(key=f"channel-{channel}"))
                 next_marker = sim.now + cfg.marker_interval

@@ -5,8 +5,9 @@ channels (``Alignment``).  A rescale that creates a channel *behind* a
 barrier — after the barrier left the channel's sender — adds a member
 that will never deliver it, so the alignment waits forever (ROADMAP
 item 1).  These tests pin where that happens today, one barrier kind
-each: the stalling cases are strict xfails that name item 1, and their
-neighbours on the live side of the window are plain cases.
+each, plus the paper's Q7 job stalled by a checkpoint: the stalling cases
+are strict xfails that name item 1, and their neighbours on the live side
+of the window are plain cases.
 """
 
 import pytest
@@ -105,3 +106,27 @@ def test_otfs_alignment_beside_an_adjacent_drrs_rescale(otfs_op, drrs_op,
     job.run(until=60.0)
     assert drrs_done["done"].triggered
     assert otfs_done.triggered
+
+
+@_item_1(AssertionError, "checkpoint barrier")
+def test_q7_rescale_inside_a_checkpoint_alignment_finishes():
+    """Q7 QUICK, seed 7, a checkpoint every 5 s, DRRS 8→12 at 30.2 --
+    inside the alignment of checkpoint 6 (triggered at 30.0).  Today the
+    sink waits for checkpoint 6 on the channels from the new window
+    instances, backpressure stops the sources, the rescale never ends,
+    the last checkpoint (5) completes at 25.42 and the sources admit
+    724,600 of the 800,000 records offered."""
+    workload = make_workload("q7", QUICK, seed=7)
+    job = workload.build()
+    checkpoints = CheckpointCoordinator(job, interval=5)
+    checkpoints.start()
+    controller = DRRSController(job)
+    finished = []
+    job.sim.call_at(30.2, lambda: controller.request_rescale(
+        "q7-window", 12).add_callback(
+            lambda _event: finished.append(job.sim.now)))
+    job.run(until=40.0)
+    assert finished, "the rescale did not finish"
+    assert checkpoints.completed[-1][0] > finished[0]
+    offered = workload.config.rate * 40.0
+    assert job.metrics.total_source_output() >= 0.97 * offered

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import KeyGroupAssignment, key_to_key_group, uniform_ranges
+from repro.engine import (KeyGroupAssignment, LatencyMarker, Partitioning,
+                          Record, key_to_key_group, uniform_ranges)
+from repro.engine import keys
+from repro.engine.keys import key_group_memo
+from repro.engine.routing import OutputEdge
 
 
 def test_key_to_key_group_stable():
@@ -115,3 +119,72 @@ def test_diff_is_exactly_the_ownership_change(n, p_old, p_new):
     for kg in range(n):
         changed = current.owner(kg) != target.owner(kg)
         assert (kg in moved) == changed
+
+
+# -- the str key -> key-group memo --------------------------------------------
+
+#: Key shapes the shipped workloads generate (``drive_source`` prefixes and
+#: Twitch's channels).
+WORKLOAD_KEYS = [f"{prefix}{i}" for prefix in
+                 ("k", "auction-", "seller-", "key-", "channel-")
+                 for i in range(300)]
+
+
+def _hash_edge(num_key_groups):
+    edge = OutputEdge("e", Partitioning.HASH, num_key_groups=num_key_groups)
+    edge.add_channel(object())
+    for kg in range(num_key_groups):
+        edge.set_routing(kg, 0)
+    return edge
+
+
+def _routed(edge, key):
+    record = Record(key=key)
+    edge.channel_for_record(record)
+    marker = LatencyMarker(key=key)
+    edge.channel_for_marker(marker)
+    assert marker.key_group == record.key_group
+    return record.key_group
+
+
+def test_edges_share_one_memo_per_key_group_count():
+    assert _hash_edge(128)._key_memo is _hash_edge(128)._key_memo
+    assert _hash_edge(128)._key_memo is key_group_memo(128)
+    assert key_group_memo(128) is not key_group_memo(256)
+
+
+@pytest.mark.parametrize("num_key_groups", [128, 256])
+def test_memo_equals_the_hash_for_workload_keys(num_key_groups):
+    edge = _hash_edge(num_key_groups)
+    for _ in range(2):  # misses, then hits
+        for key in WORKLOAD_KEYS:
+            assert _routed(edge, key) == key_to_key_group(key,
+                                                          num_key_groups)
+    memo = key_group_memo(num_key_groups)
+    assert all(memo[key] == key_to_key_group(key, num_key_groups)
+               for key in WORKLOAD_KEYS)
+
+
+def test_non_str_keys_bypass_the_memo():
+    """``1``, ``1.0`` and ``True`` are one dict key but three ``repr``s."""
+    edge = _hash_edge(16)
+    odd = [1, 1.0, True, ("a", 1), (1,), None, ["unhashable"]]
+    for _ in range(2):
+        groups = [_routed(edge, key) for key in odd]
+        assert groups == [key_to_key_group(key, 16) for key in odd]
+    assert len({groups[0], groups[1], groups[2]}) == 3
+    assert all(type(key) is str for key in key_group_memo(16))
+    # A str key equal in text to a non-str key keeps its own group.
+    assert _routed(edge, "1") == key_to_key_group("1", 16) != groups[0]
+
+
+def test_full_memo_clears_and_routing_is_unchanged(monkeypatch):
+    monkeypatch.setattr(keys, "KEY_MEMO_LIMIT", 8)
+    edge = _hash_edge(97)
+    memo = key_group_memo(97)
+    sizes = []
+    for _ in range(2):
+        for key in WORKLOAD_KEYS[:40]:
+            assert _routed(edge, key) == key_to_key_group(key, 97)
+            sizes.append(len(memo))
+    assert max(sizes) == 8 and min(sizes) == 1

@@ -1,7 +1,12 @@
 """Stream element types."""
 
+import itertools
+
+import pytest
+
 from repro.engine import (CheckpointBarrier, EndOfStream, LatencyMarker,
                           Record, Watermark)
+from repro.engine import records
 from repro.engine.records import ControlSignal
 
 
@@ -45,3 +50,53 @@ def test_sizes_are_positive():
     for element in (Record(key="a"), Watermark(), LatencyMarker(),
                     CheckpointBarrier(), EndOfStream()):
         assert element.size_bytes > 0
+
+
+def test_record_positional_parameter_order():
+    """Hot-path callers build records positionally: the order is fixed."""
+    r = Record("k", 3, 1.5, "v", 4, 256.0, 0.5, 99, "src", 7)
+    assert (r.key, r.key_group, r.event_time, r.value, r.count,
+            r.size_bytes, r.created_at, r.record_id, r.src_origin,
+            r.src_seq) == ("k", 3, 1.5, "v", 4, 256.0, 0.5, 99, "src", 7)
+
+
+_COPIED = ("key", "key_group", "event_time", "value", "count",
+           "size_bytes", "created_at", "src_origin", "src_seq")
+
+
+def _full_record():
+    return Record(key="a", key_group=3, event_time=1.0, value=10, count=5,
+                  size_bytes=100.0, created_at=2.0, src_origin="src",
+                  src_seq=11)
+
+
+def test_copy_with_copies_every_field_but_the_id():
+    r = _full_record()
+    c = r.copy_with()
+    assert all(getattr(c, name) == getattr(r, name) for name in _COPIED)
+    assert c.record_id != r.record_id
+
+
+def test_copy_with_draws_a_fresh_id_exactly_once(monkeypatch):
+    r = _full_record()
+    monkeypatch.setattr(records, "_record_ids", itertools.count(1000))
+    c = r.copy_with(value=20)
+    assert c.record_id == 1000 and c.value == 20
+    assert next(records._record_ids) == 1001
+
+
+def test_copy_with_honours_a_given_id_without_drawing(monkeypatch):
+    r = _full_record()
+    monkeypatch.setattr(records, "_record_ids", itertools.count(1000))
+    c = r.copy_with(record_id=r.record_id, count=1)
+    assert c.record_id == r.record_id and c.count == 1
+    assert next(records._record_ids) == 1000
+    assert all(getattr(c, name) == getattr(r, name)
+               for name in _COPIED if name != "count")
+
+
+def test_copy_with_rejects_an_unknown_field():
+    r = _full_record()
+    for name in ("colour", "is_record"):
+        with pytest.raises(AttributeError):
+            r.copy_with(**{name: 1})

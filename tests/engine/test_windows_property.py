@@ -3,8 +3,9 @@
 A naive reference — written here against the *public* state surface
 (``get``/``put``/``add_bytes``/``delete``, a full entry scan on every
 watermark, no memo, no floor, no gate) — runs next to the real logics over
-random records (both join sides, late records, ``count`` > 1, grid-exact and
-non-grid size/slide), watermarks, and foreign mutations between them
+random records (both join sides, the default max and a custom running-sum
+``agg_fn``, late records, ``count`` > 1, grid-exact and non-grid
+size/slide), watermarks, and foreign mutations between them
 (``install_group``, ``drop_group``, ``bump_version``, status flips through
 every ``StateStatus``).  Outputs, ``entries`` and ``size_bytes`` must be
 equal after every step: this is what stands between the ripe-time gate and
@@ -38,26 +39,38 @@ KEY_GROUPS = 3
 SHAPES = [(4.0, 1.0), (2.0, 2.0), (2.0, 0.75), (1.5, 0.3)]
 
 
+def _running_sum(current, record):
+    """A custom ``agg_fn``: it takes the general (non-max) fold path."""
+    return (0 if current is None else current) + record.value * record.count
+
+
 class Naive:
-    """The reference: every pane through the public state surface."""
+    """The reference: every pane through the public state surface.
+
+    Aggregate panes (``agg``: the default max, ``sum``: a custom
+    ``agg_fn``) are ``[bytes, value]``; join panes are side counts plus
+    ``bytes``.  A missing pane starts blank and then takes the record.
+    """
 
     def __init__(self, kind, size, slide, bpr, lateness):
         self.kind, self.size, self.slide = kind, size, slide
         self.bpr, self.lateness = bpr, lateness
-        self.tag = "pane" if kind == "agg" else "join"
+        self.tag = "join" if kind == "join" else "pane"
 
     def on_record(self, rec, state):
         for start in _window_starts(rec.event_time, self.size, self.slide):
             pane = state.get(rec.key_group, (self.tag, start))
             if pane is None:
-                pane = ([0, 0.0, None] if self.kind == "agg"
-                        else {"left": 0, "right": 0, "bytes": 0.0})
+                pane = ({"left": 0, "right": 0, "bytes": 0.0}
+                        if self.kind == "join" else [0.0, None])
                 state.put(rec.key_group, (self.tag, start), pane)
             if self.kind == "agg":
-                pane[0] += rec.count
-                if pane[2] is None or rec.value > pane[2]:
-                    pane[2] = rec.value
-                pane[1] += self.bpr * rec.count
+                if pane[1] is None or rec.value > pane[1]:
+                    pane[1] = rec.value
+                pane[0] += self.bpr * rec.count
+            elif self.kind == "sum":
+                pane[1] = (pane[1] or 0) + rec.count * rec.value
+                pane[0] += self.bpr * rec.count
             else:
                 pane[rec.value[0]] = pane.get(rec.value[0], 0) + rec.count
                 pane["bytes"] += self.bpr * rec.count
@@ -72,10 +85,10 @@ class Naive:
                 if key[0] != self.tag \
                         or key[1] + self.size > timestamp - self.lateness:
                     continue
-                if self.kind == "agg":
+                if self.kind != "join":
                     out.append((("window", group.key_group, key[1]),
-                                key[1] + self.size, pane[2]))
-                    nbytes = pane[1]
+                                key[1] + self.size, pane[1]))
+                    nbytes = pane[0]
                 else:
                     if pane.get("left", 0) and pane.get("right", 0):
                         out.append((("join", group.key_group, key[1]),
@@ -88,10 +101,11 @@ class Naive:
 
 
 def _make(kind, size, slide, bpr, lateness):
-    if kind == "agg":
+    if kind != "join":
         return SlidingWindowAggregateLogic(
             size=size, slide=slide, bytes_per_record=bpr,
-            allowed_lateness=lateness)
+            allowed_lateness=lateness,
+            agg_fn=_running_sum if kind == "sum" else None)
     return WindowedJoinLogic(size=size, slide=slide, bytes_per_record=bpr,
                              side_fn=lambda r: r.value[0])
 
@@ -123,9 +137,9 @@ class Harness:
         self.fired = 0
 
     def _pane(self, count, value):
-        if self.kind == "agg":
-            return [count, 8.0 * count, value]
-        return {"left": count, "right": value % 3, "bytes": 8.0 * count}
+        if self.kind == "join":
+            return {"left": count, "right": value % 3, "bytes": 8.0 * count}
+        return [8.0 * count, value]
 
     def step(self, step):
         op = step[0]
@@ -200,7 +214,7 @@ _step = st.one_of(
 )
 
 
-@pytest.mark.parametrize("kind", ["agg", "join"])
+@pytest.mark.parametrize("kind", ["agg", "sum", "join"])
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(shape=st.sampled_from(SHAPES), bpr=st.sampled_from([0.5, 8.0, 400.0]),
@@ -213,7 +227,7 @@ def test_pane_engine_equals_naive_reference(kind, shape, bpr, lateness,
     Harness(kind, shape, bpr, lateness).run(steps)
 
 
-@pytest.mark.parametrize("kind", ["agg", "join"])
+@pytest.mark.parametrize("kind", ["agg", "sum", "join"])
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(shape=st.sampled_from(SHAPES), steps=st.lists(_step, max_size=40))
