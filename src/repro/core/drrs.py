@@ -28,6 +28,7 @@ from ..scaling.base import ScalingController
 from ..scaling.otfs import OTFSController
 from .coordinator import ScaleCoordinator
 from .planner import Subscale
+from .rerouting import ReRouteManager
 
 __all__ = ["DRRSConfig", "DRRSController", "CoupledSubscaleController",
            "make_variant", "RetryPolicy"]
@@ -88,9 +89,6 @@ class DRRSConfig:
     subscale_strategy: str = "greedy"
     #: Bounded pre-serialization buffer for Record Scheduling (items).
     schedule_buffer: int = 200
-    #: Re-route Manager flush strategy (B4).
-    reroute_flush_capacity: int = 16
-    reroute_flush_timeout: float = 0.002
 
     def __post_init__(self):
         if self.schedule_buffer < 1:
@@ -436,7 +434,7 @@ class DRRSController(ScalingController):
                          for ch in dst.input_channels
                          if ch.channel is not None]
             grace = (2 * max(latencies, default=0.001)
-                     + self.config.reroute_flush_timeout
+                     + ReRouteManager.FLUSH_TIMEOUT
                      + self.control_latency)
             owners = dict(kg_map)
 

@@ -153,11 +153,8 @@ class ScaleExecutor:
         if manager is None:
             channel = self.controller.job.create_direct_channel(
                 self.instance, dst, name_suffix="reroute")
-            config = self.controller.config
             manager = ReRouteManager(
                 self.instance.sim, channel,
-                flush_capacity=config.reroute_flush_capacity,
-                flush_timeout=config.reroute_flush_timeout,
                 telemetry=self.controller.job.telemetry)
             self.reroute_managers[key] = manager
         return manager
@@ -281,9 +278,9 @@ class DRRSInputHandler(MigrationAwareHandler):
                         continue
                     if isinstance(head, (Record, LatencyMarker)):
                         if executor.rerouted_ready(head):
-                            hold = self.instance.job.aux_hold_hook
-                            if hold is not None and hold(self.instance,
-                                                        head):
+                            recovery = self.instance.job.recovery
+                            if recovery is not None and recovery.holds_aux(
+                                    self.instance, head):
                                 # Post-barrier element on an alignment-free
                                 # lane: parked until this instance aligns
                                 # the checkpoint it postdates (§IV-C).

@@ -35,9 +35,12 @@ __all__ = ["ReRouteManager"]
 class ReRouteManager:
     """Order-preserving forwarder from one migration source to one target."""
 
+    #: Default flush timeout (seconds); DRRS's rollback grace reads it.
+    FLUSH_TIMEOUT = 0.002
+
     def __init__(self, sim: Simulator, channel: Channel,
                  flush_capacity: int = 16,
-                 flush_timeout: float = 0.002,
+                 flush_timeout: float = FLUSH_TIMEOUT,
                  telemetry=None):
         if flush_capacity < 1:
             raise ValueError("flush_capacity must be >= 1")

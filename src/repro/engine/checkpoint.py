@@ -9,7 +9,7 @@ snapshot.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Set, Tuple
+from typing import List, Tuple
 
 from .records import CheckpointBarrier
 from .runtime import StreamJob
@@ -20,22 +20,17 @@ __all__ = ["CheckpointCoordinator"]
 class CheckpointCoordinator:
     """Injects checkpoint barriers at the sources on a fixed interval.
 
-    Two ledgers, matching the two ends of a checkpoint's life:
+    Two records, matching the two ends of a checkpoint's life:
 
     * :attr:`triggered` — ``(time, id)`` recorded when the barriers are
       injected at the sources;
-    * :attr:`completed` — ``(time, id)`` recorded when every live instance
-      has taken its snapshot for that id (observed via the job's
-      snapshot-listener hook), i.e. when the checkpoint is actually usable
-      for recovery.
-
-    With an incremental (changelog) backend a snapshot only *cuts* the
-    delta segment — the bytes still have to reach durable storage.  The
-    coordinator therefore also tracks the job's asynchronous uploads and
-    declares a checkpoint complete only once every instance has both
-    snapshotted *and* finished uploading its segment (delta-chain
-    completeness: a checkpoint whose tail segment never landed must not
-    be restored from).
+    * :attr:`completed` — ``(time, id)`` recorded when the checkpoint is
+      actually usable for recovery.  The job decides this, once, in its
+      checkpoint ledger (``StreamJob.completed_checkpoints``): every live
+      instance has taken its snapshot for that id and, with an incremental
+      (changelog) backend, every segment upload up to that id has landed
+      (delta-chain completeness).  A restore discards the checkpoints
+      still open, so an id cut before a crash never completes after it.
     """
 
     def __init__(self, job: StreamJob, interval: float):
@@ -45,17 +40,16 @@ class CheckpointCoordinator:
         self.interval = interval
         self._ids = itertools.count(1)
         self.triggered: List[Tuple[float, int]] = []
-        self.completed: List[Tuple[float, int]] = []
-        #: checkpoint id -> names of instances whose snapshot has arrived.
-        self._pending: Dict[int, Set[str]] = {}
         self._running = False
-        self._installed = False
+
+    @property
+    def completed(self) -> List[Tuple[float, int]]:
+        return self.job.completed_checkpoints
 
     def start(self) -> None:
         if self._running:
             return
         self._running = True
-        self._install()
         self.job.sim.spawn(self._loop(), name="checkpoint-coordinator")
 
     def stop(self) -> None:
@@ -63,7 +57,6 @@ class CheckpointCoordinator:
 
     def trigger_now(self) -> int:
         """Inject one checkpoint immediately; returns its id."""
-        self._install()
         checkpoint_id = next(self._ids)
         if self.job.telemetry is not None:
             self.job.telemetry.tracer.instant(
@@ -73,36 +66,6 @@ class CheckpointCoordinator:
         for source in self.job.sources():
             source.inject(CheckpointBarrier(checkpoint_id=checkpoint_id))
         return checkpoint_id
-
-    # -- completion tracking ---------------------------------------------------
-
-    def _install(self) -> None:
-        if not self._installed:
-            self._installed = True
-            self.job.snapshot_listeners.append(self._on_snapshot)
-            self.job.upload_listeners.append(self._on_upload)
-
-    def _on_snapshot(self, instance, barrier: CheckpointBarrier) -> None:
-        seen = self._pending.setdefault(barrier.checkpoint_id, set())
-        seen.add(instance.name)
-        self._maybe_complete(barrier.checkpoint_id)
-
-    def _on_upload(self, instance_name: str, checkpoint_id: int,
-                   segment) -> None:
-        # A landing upload can unblock *later* checkpoints too (their
-        # delta chains reference every earlier segment), so re-check all
-        # pending ids oldest-first.  Ids already completed or discarded
-        # are ignored.
-        for cid in sorted(self._pending):
-            self._maybe_complete(cid)
-
-    def _maybe_complete(self, checkpoint_id: int) -> None:
-        seen = self._pending.get(checkpoint_id)
-        if seen is None or not self.job.checkpoint_durable(checkpoint_id,
-                                                            seen):
-            return
-        del self._pending[checkpoint_id]
-        self.completed.append((self.job.sim.now, checkpoint_id))
 
     def _loop(self):
         while self._running:

@@ -224,9 +224,9 @@ class DefaultInputHandler(InputHandler):
                     # Auxiliary lanes bypass barrier alignment; recovery may
                     # park a post-barrier element until this instance has
                     # aligned the checkpoint it postdates.
-                    hook = self.instance.job.aux_hold_hook
-                    if hook is not None and hook(self.instance,
-                                                 channel.queue[0]):
+                    recovery = instance.job.recovery
+                    if recovery is not None and recovery.holds_aux(
+                            instance, channel.queue[0]):
                         saw_blocked_data = True
                         continue
                 self._cursor = cursor
@@ -483,9 +483,9 @@ class OperatorInstance:
                             telemetry.registry.counter(
                                 "records.processed",
                                 operator=self.spec.name).inc(count)
-                        listener = self.job.record_capture_listener
-                        if listener is not None:
-                            listener(self, element)
+                        recovery = self.job.recovery
+                        if recovery is not None:
+                            recovery.on_record(self, element)
                         outputs = self.logic.on_record(element, self)
                     finally:
                         self.current_key_group = None
@@ -608,9 +608,9 @@ class OperatorInstance:
                 telemetry.registry.counter(
                     "records.processed",
                     operator=self.spec.name).inc(count)
-            listener = self.job.record_capture_listener
-            if listener is not None:
-                listener(self, record)
+            recovery = self.job.recovery
+            if recovery is not None:
+                recovery.on_record(self, record)
             outputs = self.logic.on_record(record, self)
         finally:
             self.current_key_group = None

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .keys import KeyGroupAssignment
 from .operators import OperatorInstance
-from .records import CheckpointBarrier, RecordBatch
+from .records import RecordBatch
 from .runtime import SourceInstance, StreamJob
 from .state import (ChangelogChainError, KeyGroupState, StateStatus,
                     cut_copy)
@@ -95,16 +95,17 @@ class _Checkpoint:
     #: a re-injected record re-processed after a first restore must not be
     #: queued twice for the next).
     pending_ids: set = field(default_factory=set)
-    #: Changelog backends only: the delta segment each instance cut for
-    #: this checkpoint (instance name -> ChangelogSegment).  The chain of
-    #: segments back to the nearest anchor is what a restore must re-read;
-    #: the checkpoint is complete only once every segment's asynchronous
-    #: upload has landed.
-    segments: Dict[str, object] = field(default_factory=dict)
 
 
 class RecoveryManager:
-    """Retains checkpoint snapshots and performs rollback recovery."""
+    """Retains checkpoint snapshots and performs rollback recovery.
+
+    Installed as ``job.recovery``, it is called directly by the job and
+    its instances: :meth:`on_snapshot` and :meth:`on_complete` by the
+    job's checkpoint ledger (which alone decides completion),
+    :meth:`on_flight_landed` by the scaling controllers, and
+    :meth:`on_record` / :meth:`holds_aux` on the record path.
+    """
 
     def __init__(self, job: StreamJob,
                  restart_seconds: float = 1.0,
@@ -136,8 +137,10 @@ class RecoveryManager:
         #: Latched once any checkpoint has captured a key-group (non-empty
         #: ``folded``) — until then no record can need compensating.
         self._captured = False
+        #: Ids open in the job's ledger at :meth:`install`: their earlier
+        #: snapshots were never retained, so they never become restorable.
+        self._unrestorable: frozenset = frozenset()
         self.recoveries: List[Tuple[float, int]] = []
-        self._installed = False
         self._recover_proc = None
         self._pending_dones: List = []
 
@@ -145,16 +148,12 @@ class RecoveryManager:
 
     def install(self) -> "RecoveryManager":
         """Start retaining snapshots; sources begin keeping replay history."""
-        if self._installed:
+        if self.job.recovery is self:
             return self
-        self._installed = True
         # The batched plane stays on and collapses only for the duration
         # of a restore (:meth:`_recover`).
-        self.job.snapshot_listeners.append(self._on_snapshot)
-        self.job.flight_landed_hook = self._on_flight_landed
-        self.job.record_capture_listener = self._on_record
-        self.job.aux_hold_hook = self._should_hold_aux
-        self.job.upload_listeners.append(self._on_upload)
+        self.job.recovery = self
+        self._unrestorable = frozenset(self.job.open_checkpoints)
         for source in self.job.sources():
             source.enable_replay_history()
         return self
@@ -164,16 +163,21 @@ class RecoveryManager:
         self._open_cids = [cid for cid in self._cids
                            if self._checkpoints[cid].completed_at is None]
 
-    def _on_snapshot(self, instance: OperatorInstance,
-                     barrier: CheckpointBarrier) -> None:
-        checkpoint = self._checkpoints.get(barrier.checkpoint_id)
+    def on_snapshot(self, instance: OperatorInstance, checkpoint_id: int,
+                    segment) -> None:
+        """Retain ``instance``'s snapshot for ``checkpoint_id``, with the
+        changelog ``segment`` the job cut for it (None for full-copy
+        backends)."""
+        if segment is not None:
+            self._segments[(instance.name, checkpoint_id)] = segment
+        checkpoint = self._checkpoints.get(checkpoint_id)
         if checkpoint is None:
             checkpoint = _Checkpoint(
-                barrier.checkpoint_id,
+                checkpoint_id,
                 assignments={op: assignment.copy()
                              for op, assignment
                              in self.job.assignments.items()})
-            self._checkpoints[barrier.checkpoint_id] = checkpoint
+            self._checkpoints[checkpoint_id] = checkpoint
             # §IV-C fold, taken eagerly: bytes already on the wire when
             # this checkpoint is born are captured *now*, frozen as of
             # extraction (nothing mutates an unlanded flight).  Waiting
@@ -182,7 +186,7 @@ class RecoveryManager:
             # pre-cut records to the landed group, which the frozen copy
             # cannot contain and which would then silently vanish.  With
             # the capture on record, those records are compensated
-            # through :meth:`_on_record` instead.
+            # through :meth:`on_record` instead.
             for (op, kg), flight in self.job.inflight_state.items():
                 checkpoint.prefolds[(op, kg)] = (
                     flight.src_name,
@@ -226,49 +230,28 @@ class RecoveryManager:
             snapshot.state.pop(kg, None)
         # Plain claims: key-groups whose bytes this snapshot holds and that
         # no one captured yet are captured here and now.  Recording the
-        # claim is what lets _on_record spot post-capture stragglers.
+        # claim is what lets on_record spot post-capture stragglers.
         for kg, group in snapshot.state.items():
             if group.status in (StateStatus.MIGRATED_OUT,
                                 StateStatus.INCOMING):
                 continue
             checkpoint.folded.setdefault((op_name, kg), instance.name)
-        # Changelog backends: adopt the delta segment the runtime cut for
-        # this snapshot (the cut happens before the listeners fire, so it
-        # is always registered by now).
-        segment = self.job.changelog_segments.pop(
-            (instance.name, barrier.checkpoint_id), None)
-        if segment is not None:
-            checkpoint.segments[instance.name] = segment
-            self._segments[(instance.name, barrier.checkpoint_id)] = \
-                segment
         checkpoint.snapshots[instance.name] = snapshot
         if checkpoint.folded:
             self._captured = True
-        self._maybe_complete(checkpoint)
 
-    def _on_upload(self, instance_name: str, checkpoint_id: int,
-                   segment) -> None:
-        """An asynchronous segment upload landed — re-check completeness.
+    def on_complete(self, checkpoint_id: int) -> None:
+        """The job's ledger completed ``checkpoint_id``: make it
+        restorable and bound retention.  Ignored for ids already pruned
+        and for ids that were open at :meth:`install`."""
+        checkpoint = self._checkpoints.get(checkpoint_id)
+        if checkpoint is None or checkpoint_id in self._unrestorable:
+            return
+        checkpoint.completed_at = self.job.sim.now
+        self._prune()
+        self._reindex()
 
-        A landing upload can unblock *later* checkpoints too (their delta
-        chains reference every earlier segment), so every still-open
-        checkpoint is re-checked oldest-first.  Uploads for checkpoints
-        already completed, pruned, or discarded (incomplete at a restore)
-        are ignored."""
-        for cid in sorted(self._checkpoints):
-            checkpoint = self._checkpoints.get(cid)
-            if checkpoint is None or checkpoint.completed_at is not None:
-                continue
-            self._maybe_complete(checkpoint)
-
-    def _maybe_complete(self, checkpoint: _Checkpoint) -> None:
-        if self.job.checkpoint_durable(checkpoint.checkpoint_id,
-                                       checkpoint.snapshots.keys()):
-            checkpoint.completed_at = self.job.sim.now
-            self._prune()
-            self._reindex()
-
-    def _on_flight_landed(self, flight, dst: OperatorInstance) -> None:
+    def on_flight_landed(self, flight, dst: OperatorInstance) -> None:
         """A migrating key-group just installed at its destination.
 
         Closes the remaining fold race: the destination's barrier passed
@@ -297,12 +280,12 @@ class RecoveryManager:
                 # Destination not aligned yet: park the frozen capture; it
                 # replaces the live group when the destination's barrier
                 # arrives (records applied in between are compensated via
-                # _on_record, which sees the capture on record below).
+                # on_record, which sees the capture on record below).
                 checkpoint.prefolds[key] = (dst.name, frozen)
             checkpoint.folded[key] = dst.name
             self._captured = True
 
-    def _on_record(self, instance: OperatorInstance, record) -> None:
+    def on_record(self, instance: OperatorInstance, record) -> None:
         """Record-level checkpoint compensation (the aux-lane gap closer).
 
         Called for every record an instance is about to apply.  A retained
@@ -335,8 +318,7 @@ class RecoveryManager:
             checkpoint.pending_ids.add(record.record_id)
             checkpoint.pending_records.append((op, kg, record))
 
-    def _should_hold_aux(self, instance: OperatorInstance,
-                         element) -> bool:
+    def holds_aux(self, instance: OperatorInstance, element) -> bool:
         """Hold a post-cut element on an alignment-free lane (§IV-C).
 
         Regular channels park post-barrier elements until the receiver has
@@ -463,7 +445,7 @@ class RecoveryManager:
         recovery is already restoring models a *double failure*: the
         in-flight restore is abandoned and recovery restarts from scratch.
         """
-        if not self._installed:
+        if self.job.recovery is not self:
             raise RecoveryError("RecoveryManager not installed")
         checkpoint = self.latest_completed()
         if checkpoint is None:
@@ -601,10 +583,12 @@ class RecoveryManager:
         # 1a. Incomplete checkpoints die with the cut they were collecting:
         # their barriers are about to be flushed, so they can never
         # complete, and their half-taken snapshots mix pre-crash state.
+        # The job's ledger drops them too.
         for cid in list(self._checkpoints):
             if self._checkpoints[cid].completed_at is None:
                 del self._checkpoints[cid]
         self._reindex()
+        job.open_checkpoints.clear()
         # Segments newer than the restore point belong to those discarded
         # cuts; post-restore backends re-anchor (``restart_changelog``),
         # so the pre-crash tail must not shadow the fresh chain.
@@ -714,7 +698,7 @@ class RecoveryManager:
                 # routed records under the restored assignment.
                 if instance.spec.keyed:
                     instance.state._groups = {}
-                    if hasattr(instance.state, "restart_changelog"):
+                    if instance.state.is_incremental:
                         instance.state.restart_changelog()
                 continue
             restored = {}
@@ -737,7 +721,7 @@ class RecoveryManager:
                         restored[kg] = KeyGroupState(
                             key_group=kg, status=StateStatus.LOCAL)
             instance.state._groups = restored
-            if hasattr(instance.state, "restart_changelog"):
+            if instance.state.is_incremental:
                 # Re-anchor: the pre-failure log is meaningless against
                 # the restored state; the next cut carries a whole-state
                 # image so later chains anchor past the restore.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..simulation.kernel import Simulator
 from .channels import Channel, InputChannel
@@ -360,10 +360,17 @@ class StreamJob:
         #: In-band scaling-signal dispatcher, installed by the active
         #: scaling controller: ``generator(instance, channel, signal)``.
         self.signal_router = None
-        #: ``(instance, barrier)`` observers called on every snapshot: the
-        #: CheckpointCoordinator's completion tracker and the
-        #: RecoveryManager's retention point.
-        self.snapshot_listeners: List = []
+        #: The checkpoint ledger, the one record of which checkpoints
+        #: completed.  Open checkpoints: id -> names of the instances that
+        #: have snapshotted for it; ``(time, id)`` appended once when one
+        #: completes (:meth:`_complete_checkpoints`).
+        self.open_checkpoints: Dict[int, Set[str]] = {}
+        self.completed_checkpoints: List[Tuple[float, int]] = []
+        #: The installed RecoveryManager (set by its ``install()``), told
+        #: directly about snapshots, completions, landed flights, applied
+        #: records and auxiliary-lane pops.  None costs one attribute load
+        #: per site.
+        self.recovery = None
         #: Count of scaling operations currently in flight (any controller).
         self.scaling_active = 0
         #: Scaling controllers with an operation in flight, registered by
@@ -377,22 +384,6 @@ class StreamJob:
         #: can fold the migrating bytes into the source's snapshot (§IV-C),
         #: and an aborted transfer can be rolled back.
         self.inflight_state: Dict[Tuple[str, int], "_InflightState"] = {}
-        #: Optional hook ``(flight, dst_instance)`` called when a migrating
-        #: key-group's bytes install at their destination — the
-        #: RecoveryManager's fold-race closer (§IV-C).
-        self.flight_landed_hook = None
-        #: Optional hook ``(instance, record)`` called for every record an
-        #: instance is about to apply — the RecoveryManager's record-level
-        #: checkpoint compensation (a record whose key-group was already
-        #: captured for a retained checkpoint it precedes must be
-        #: re-injected on restore).  None costs one attribute load.
-        self.record_capture_listener = None
-        #: Optional predicate ``(instance, element) -> bool`` consulted
-        #: before popping an *auxiliary*-lane element: True parks it until
-        #: the instance has aligned the checkpoints the element postdates
-        #: (auxiliary lanes bypass barrier alignment, so without the hold a
-        #: post-barrier record could leak into a pre-barrier snapshot).
-        self.aux_hold_hook = None
         #: Callables ``() -> List[(op_name, record)]`` that *remove and
         #: return* records parked in scaling-internal buffers outside any
         #: channel (e.g. DRRS re-route managers) — swept by failure
@@ -407,17 +398,9 @@ class StreamJob:
         #: while an asynchronous changelog-segment upload is in flight —
         #: the fault injector's upload-stall point.
         self.checkpoint_upload_hook = None
-        #: Changelog delta segments cut at snapshot time:
-        #: ``(instance name, checkpoint id) -> ChangelogSegment``.  Only
-        #: populated by incremental backends.
-        self.changelog_segments: Dict[Tuple[str, int], object] = {}
         #: Segments cut but whose asynchronous upload has not finished —
         #: a checkpoint is not complete while any of its keys are here.
         self.pending_uploads: set = set()
-        #: Observers ``(instance_name, checkpoint_id, segment)`` called
-        #: when an asynchronous segment upload finishes (the coordinator's
-        #: and RecoveryManager's completion re-check point).
-        self.upload_listeners: List = []
         #: Event set by the RecoveryManager for the duration of a recovery
         #: (pause → restore → resume); scaling retries wait on it so they
         #: do not race the restore.  None when no recovery is in flight.
@@ -652,17 +635,6 @@ class StreamJob:
                 if inst.running or inst.paused)
         return names
 
-    def checkpoint_durable(self, checkpoint_id: int, snapshotted) -> bool:
-        """Whether a checkpoint is complete, given the names of the
-        instances that have snapshotted for it: every live instance has,
-        and no upload with an id up to and including ``checkpoint_id`` is
-        pending (its delta chain references every earlier segment).  The
-        CheckpointCoordinator and the RecoveryManager both use this rule."""
-        if not snapshotted >= self.live_instance_names():
-            return False
-        return not any(cid <= checkpoint_id
-                       for _, cid in self.pending_uploads)
-
     def sources(self) -> List[SourceInstance]:
         return [inst for spec in self.graph.sources()
                 for inst in self._instances[spec.name]]
@@ -825,24 +797,41 @@ class StreamJob:
 
     def note_snapshot(self, instance: OperatorInstance,
                       barrier: CheckpointBarrier) -> None:
-        self._snapshots.append(
-            (self.sim.now, instance.name, barrier.checkpoint_id))
+        checkpoint_id = barrier.checkpoint_id
+        self._snapshots.append((self.sim.now, instance.name, checkpoint_id))
         if self.telemetry is not None:
             self.telemetry.tracer.instant(
                 "checkpoint.snapshot", category="checkpoint",
-                track=instance.name, checkpoint_id=barrier.checkpoint_id,
+                track=instance.name, checkpoint_id=checkpoint_id,
                 state_bytes=instance.state.total_bytes())
-        # Cut + launch the async upload *before* the listeners run, so the
-        # coordinator and RecoveryManager observe the pending upload when
-        # they evaluate checkpoint completeness.
+        # Cut + launch the async upload *before* the completion check, so
+        # the pending upload holds the checkpoint open.
+        segment = None
         if instance.state.is_incremental:
-            segment = instance.state.cut_segment(barrier.checkpoint_id)
-            key = (instance.name, barrier.checkpoint_id)
-            self.changelog_segments[key] = segment
-            self.pending_uploads.add(key)
+            segment = instance.state.cut_segment(checkpoint_id)
+            self.pending_uploads.add((instance.name, checkpoint_id))
             self.sim.spawn(self._upload_segment(instance, segment))
-        for listener in self.snapshot_listeners:
-            listener(instance, barrier)
+        if self.recovery is not None:
+            self.recovery.on_snapshot(instance, checkpoint_id, segment)
+        self.open_checkpoints.setdefault(checkpoint_id, set()).add(
+            instance.name)
+        self._complete_checkpoints((checkpoint_id,))
+
+    def _complete_checkpoints(self, checkpoint_ids) -> None:
+        """Complete each open checkpoint of ``checkpoint_ids`` (ascending)
+        that is durable: every live instance has snapshotted for it, and
+        no upload with an id up to and including it is pending (its delta
+        chain references every earlier segment)."""
+        for checkpoint_id in checkpoint_ids:
+            if not (self.open_checkpoints[checkpoint_id]
+                    >= self.live_instance_names()):
+                continue
+            if any(cid <= checkpoint_id for _, cid in self.pending_uploads):
+                continue
+            del self.open_checkpoints[checkpoint_id]
+            self.completed_checkpoints.append((self.sim.now, checkpoint_id))
+            if self.recovery is not None:
+                self.recovery.on_complete(checkpoint_id)
 
     def _upload_segment(self, instance: OperatorInstance, segment):
         """Asynchronously ship one delta segment to durable storage.
@@ -868,13 +857,10 @@ class StreamJob:
                 yield extra
         if span is not None:
             self.telemetry.tracer.end(span)
-        key = (instance.name, segment.checkpoint_id)
-        self.pending_uploads.discard(key)
-        for listener in self.upload_listeners:
-            listener(instance.name, segment.checkpoint_id, segment)
-        # Listeners that retain segments (RecoveryManager) adopt them at
-        # snapshot time; anything left here is nobody's — drop it.
-        self.changelog_segments.pop(key, None)
+        self.pending_uploads.discard((instance.name, segment.checkpoint_id))
+        # A landing upload can unblock later checkpoints too (their delta
+        # chains reference every earlier segment): re-check oldest first.
+        self._complete_checkpoints(sorted(self.open_checkpoints))
 
     @property
     def snapshots(self) -> List[Tuple[float, str, int]]:

@@ -549,9 +549,9 @@ class ScalingController:
             # Rolled back under our feet (the abort path consumed the
             # flight before interrupting us): nothing to install.
             return
-        landed_hook = self.job.flight_landed_hook
-        if landed_hook is not None:
-            landed_hook(flight, dst)
+        recovery = self.job.recovery
+        if recovery is not None:
+            recovery.on_flight_landed(flight, dst)
         self._install(dst, flight, arrival_status)
         self.metrics.note_migration_completed(flight.key_group, self.sim.now)
         if span is not None:

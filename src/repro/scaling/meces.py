@@ -109,7 +109,7 @@ class MecesController(ScalingController):
         # A RecoveryManager folds in-flight bytes into checkpoints one whole
         # key-group at a time (§IV-C); a Meces move splits a key-group
         # across two instances, which no snapshot can capture consistently.
-        if self.job.flight_landed_hook is not None:
+        if self.job.recovery is not None:
             raise RuntimeError(
                 "MecesController does not support checkpoint recovery: its "
                 "sub-key-group moves split a key-group across instances, "

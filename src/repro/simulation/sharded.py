@@ -151,7 +151,7 @@ def supports_sharding(config=None, *, controller=None,
         return ShardingSupport(
             False, "changelog-async-uploads",
             "the changelog backend spawns asynchronous segment-upload "
-            "processes and upload listeners on the global loop")
+            "processes that complete checkpoints on the global loop")
     try:
         multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

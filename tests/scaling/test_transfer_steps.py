@@ -10,6 +10,8 @@ the once-per-source batch of OTFS all-at-once, Stop-Restart's uncharged
 extraction and Unbound's merging install.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine.state import StateStatus
@@ -134,7 +136,8 @@ def test_land_installs_flight_and_empties_registry():
     job, controller, src, dst, kg = _step_fixture()
     (flight, _wire, span), _ = _drive(job, controller._extract(src, dst, kg))
     landed = []
-    job.flight_landed_hook = lambda f, d: landed.append((f, d))
+    job.recovery = SimpleNamespace(
+        on_flight_landed=lambda f, d: landed.append((f, d)))
     controller._land(flight, dst, StateStatus.LOCAL, span)
     assert ("agg", kg) not in job.inflight_state
     assert landed == [(flight, dst)]
