@@ -626,8 +626,17 @@ class Channel:
             return
         self._in_flight -= 1
         if self._serializing_epoch == self._epoch:
-            self._deliver_one(element)
-        self._drain_loop()
+            if self.fault_hook is None:
+                receiver = self.input_channel
+                if receiver is not None:
+                    receiver.deliver(element)
+            else:
+                self._deliver_one(element)
+        if self.outbox:
+            self._drain_loop()
+        else:
+            # What the drain pass would conclude with nothing queued.
+            self._drain_parked = True
 
     def _downgrade_fuse(self) -> None:
         """Collapse a fused ship+deliver back to split per-record eventing.

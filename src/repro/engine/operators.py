@@ -193,19 +193,23 @@ class DefaultInputHandler(InputHandler):
     def poll(self):
         instance = self.instance
         channels = instance.input_channels
-        if not channels:
+        n = len(channels)
+        if not n:
             self.suspended = False
             return None
-        n = len(channels)
-        cursor = self._cursor % n
         saw_blocked_data = False
-        for _ in range(n):
-            channel = channels[cursor]
-            cursor += 1
-            if cursor == n:
-                cursor = 0
-            if channel.queue and channel._nbatches:
-                head = channel.queue[0]
+        # One visit per channel, in cyclic order from the cursor: negative
+        # indices wrap, so ``start - n .. start - 1`` reads channels
+        # ``start .. n - 1`` and then ``0 .. start - 1`` with no modulo per
+        # visit.  An empty channel costs one ``queue`` test.
+        start = self._cursor % n
+        for i in range(start - n, start):
+            channel = channels[i]
+            queue = channel.queue
+            if not queue:
+                continue
+            if channel._nbatches:
+                head = queue[0]
                 if head.__class__ is RecordBatch:
                     vt = head.visible_times[head.next_index]
                     if vt > instance.sim._now:
@@ -216,21 +220,19 @@ class DefaultInputHandler(InputHandler):
                         instance._note_invisible(vt)
                         continue
             if channel.block_tokens:
-                if channel.queue:
-                    saw_blocked_data = True
+                saw_blocked_data = True
                 continue
-            if channel.queue:
-                if channel.is_auxiliary:
-                    # Auxiliary lanes bypass barrier alignment; recovery may
-                    # park a post-barrier element until this instance has
-                    # aligned the checkpoint it postdates.
-                    recovery = instance.job.recovery
-                    if recovery is not None and recovery.holds_aux(
-                            instance, channel.queue[0]):
-                        saw_blocked_data = True
-                        continue
-                self._cursor = cursor
-                return channel, channel.pop()
+            if channel.is_auxiliary:
+                # Auxiliary lanes bypass barrier alignment; recovery may
+                # park a post-barrier element until this instance has
+                # aligned the checkpoint it postdates.
+                recovery = instance.job.recovery
+                if recovery is not None and recovery.holds_aux(
+                        instance, queue[0]):
+                    saw_blocked_data = True
+                    continue
+            self._cursor = (i + 1) % n
+            return channel, channel.pop()
         self.suspended = saw_blocked_data
         return None
 
@@ -439,6 +441,7 @@ class OperatorInstance:
 
     def _run(self):
         sim = self.sim
+        done = sim._done
         while self.running:
             if self.paused:
                 yield self.wake
@@ -494,7 +497,8 @@ class OperatorInstance:
                         if out.is_record:
                             ev = router.emit_record_fast(out)
                             if ev is not None:
-                                yield ev
+                                if ev is not done:
+                                    yield ev
                                 continue
                         yield from router.emit(out)
                 elif (element.__class__ is Watermark
@@ -615,11 +619,13 @@ class OperatorInstance:
         finally:
             self.current_key_group = None
         router = self.router
+        done = self.sim._done
         for out in outputs:
             if out.is_record:
                 ev = router.emit_record_fast(out)
                 if ev is not None:
-                    yield ev
+                    if ev is not done:
+                        yield ev
                     continue
             yield from router.emit(out)
 

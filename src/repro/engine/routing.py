@@ -29,6 +29,14 @@ class Partitioning(enum.Enum):
     BROADCAST = "broadcast"    # every element to every target
 
 
+# Module globals for the per-record partitioning tests: a global load is
+# several times cheaper than an enum class attribute read.
+_FORWARD = Partitioning.FORWARD
+_HASH = Partitioning.HASH
+_REBALANCE = Partitioning.REBALANCE
+_BROADCAST = Partitioning.BROADCAST
+
+
 class NoChannelError(LookupError):
     """A channel was asked of an edge that has none: the hop is chained
     (its downstream instance runs inside the sender's task) or unwired."""
@@ -96,7 +104,7 @@ class OutputEdge:
 
     def channel_for_record(self, record: Record) -> Channel:
         partitioning = self.partitioning
-        if partitioning is Partitioning.HASH:
+        if partitioning is _HASH:
             kg = record.key_group
             if kg is None:
                 key = record.key
@@ -113,9 +121,9 @@ class OutputEdge:
         # An edge without channels shows as the modulo's ZeroDivisionError:
         # catching it names the error without a per-record emptiness check.
         try:
-            if partitioning is Partitioning.FORWARD:
+            if partitioning is _FORWARD:
                 return self.channels[self.sender_index % len(self.channels)]
-            if partitioning is Partitioning.REBALANCE:
+            if partitioning is _REBALANCE:
                 channel = self.channels[self._rr % len(self.channels)]
                 self._rr += 1
                 return channel
@@ -124,7 +132,7 @@ class OutputEdge:
         raise ValueError(f"record on {partitioning} edge")
 
     def channel_for_marker(self, marker: LatencyMarker) -> Channel:
-        if self.partitioning is Partitioning.HASH:
+        if self.partitioning is _HASH:
             kg = marker.key_group
             if kg is None:
                 key = marker.key
@@ -164,11 +172,13 @@ class OutputRouter:
         path — or ``None``, in which case the caller must fall back to
         :meth:`emit`.  Semantically identical to ``emit(record)``: same
         single ``channel_for_record`` + ``send`` call, minus one generator.
+        Callers yield the event only when it is not the simulator's shared
+        ``_done`` (an accepted send): a pending send is backpressure.
         """
         edges = self.edges
         if len(edges) == 1:
             edge = edges[0]
-            if edge.partitioning is not Partitioning.BROADCAST \
+            if edge.partitioning is not _BROADCAST \
                     and edge.channels:
                 return edge.channel_for_record(record).send(record)
         return None
@@ -189,7 +199,7 @@ class OutputRouter:
             for edge in self.edges:
                 if instance.abandon_work:
                     return
-                if edge.partitioning is Partitioning.BROADCAST:
+                if edge.partitioning is _BROADCAST:
                     for channel in edge.channels:
                         yield channel.send(element)
                 elif edge.channels:
@@ -269,16 +279,20 @@ class OutputRouter:
     def emit_burst(self, outputs):
         """Generator: emit a sequence of outputs, fast-pathing records.
 
-        Yields exactly what ``for out in outputs: yield from emit(out)``
-        would, minus one generator allocation per record accepted on the
-        single-edge fast path.  Window fires emit bursts of records at one
-        watermark boundary — the hot caller.
+        Waits for exactly what ``for out in outputs: yield from emit(out)``
+        would, minus one generator allocation per record on the single-edge
+        fast path; a send accepted there hands back the shared
+        pre-succeeded event, which the kernel would continue past at once,
+        so only a pending (backpressured) send is yielded.  Window fires
+        emit bursts of records at one watermark boundary — the hot caller.
         """
+        done = self.instance.sim._done
         for out in outputs:
             if out.is_record:
                 ev = self.emit_record_fast(out)
                 if ev is not None:
-                    yield ev
+                    if ev is not done:
+                        yield ev
                     continue
             yield from self.emit(out)
 

@@ -271,6 +271,7 @@ class SourceInstance(OperatorInstance):
 
     def _run(self):
         sim = self.sim
+        done = sim._done
         while self.running:
             if self.paused:
                 yield self.wake
@@ -295,7 +296,9 @@ class SourceInstance(OperatorInstance):
                 # indices, so the stamp is stable across rewinds.
                 element.src_origin = self.name
                 element.src_seq = self.consumed_elements - 1
-            cost = self.service_time(element.count if is_record else 1)
+            # Inlined service_time(), as in the operator loop.
+            cost = (self.spec.service_time
+                    * (element.count if is_record else 1) / self.node.speed)
             if cost > 0:
                 yield cost  # bare-delay yield == sim.timeout(cost)
                 if self.abandon_work:
@@ -305,10 +308,10 @@ class SourceInstance(OperatorInstance):
                     continue
             if is_record:
                 ev = self.router.emit_record_fast(element)
-                if ev is not None:
-                    yield ev
-                else:
+                if ev is None:
                     yield from self.router.emit(element)
+                elif ev is not done:
+                    yield ev
                 self.emitted_records += element.count
                 self.metrics.record_source_output(sim._now, element.count)
                 telemetry = self.job.telemetry

@@ -339,3 +339,68 @@ def test_send_front_and_extract_outbox_order_under_backpressure():
     assert not any(e in extracted for e in delivered)
     # All six sends eventually completed (extraction unblocks waiters).
     assert accepted == list(range(6))
+
+
+def _hooked_singleton(batching, action, install_at):
+    """One record (serialize 0.1 s, latency 0.01 s) with a fault hook
+    installed at ``install_at``, mid-flight; returns what the hook saw
+    and what the receiver got."""
+    sim = Simulator()
+    channel, inbox, _r = make_pair(sim, latency=0.01, bandwidth=1000)
+    channel.batching = batching
+    record = Record(key="a", size_bytes=100)
+    seen = []
+
+    def hook(ch, element):
+        assert element is record
+        seen.append(sim.now)
+        return action
+
+    def install():
+        fused = channel._fuse_due is not None
+        channel.fault_hook = hook
+        return fused
+
+    fused = []
+    channel.send(record)
+    sim.call_at(install_at, lambda: fused.append(install()))
+    sim.run(until=1.0)
+    return {"fused": fused[0], "seen": seen,
+            "queue": [element is record for element in inbox.queue],
+            "credits": channel.credits}
+
+
+@pytest.mark.parametrize("install_at", [0.05, 0.105])
+@pytest.mark.parametrize("action", ["drop", "duplicate"])
+def test_a_fault_hook_installed_mid_fused_flight_acts_as_on_the_split_path(
+        action, install_at):
+    """Installed while the singleton serializes (0.05) or is on the wire
+    (0.105): the hook sees the record at its delivery time, 0.11; drop
+    returns its credit and duplicate delivers it twice."""
+    fused = _hooked_singleton(True, action, install_at)
+    split = _hooked_singleton(False, action, install_at)
+    assert fused.pop("fused") and not split.pop("fused")
+    assert fused == split
+    assert fused["seen"] == [pytest.approx(0.11)]
+    if action == "drop":
+        assert fused["queue"] == [] and fused["credits"] == 4
+    else:
+        assert fused["queue"] == [True, True] and fused["credits"] == 3
+
+
+def test_a_landed_fused_singleton_leaves_the_drainer_parked():
+    """With nothing queued behind it, the fused ship+deliver parks the
+    drainer itself, so the next send's kick starts a drain pass."""
+    sim = Simulator()
+    channel, inbox, _r = make_pair(sim, latency=0.01, bandwidth=1000)
+    channel.batching = True
+    first = Record(key="a", size_bytes=100)
+    second = Record(key="b", size_bytes=100)
+    channel.send(first)
+    sim.run(until=0.05)
+    assert channel._fuse_due == pytest.approx(0.11)
+    sim.run(until=0.2)
+    assert list(inbox.queue) == [first] and channel._drain_parked
+    channel.send(second)
+    sim.run(until=0.5)
+    assert list(inbox.queue) == [first, second]
