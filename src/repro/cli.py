@@ -8,7 +8,6 @@ Examples::
     python -m repro run q7 --system drrs --new-parallelism 12
     python -m repro workload twitch --until 30
     python -m repro trace q8 --system drrs --output trace.json
-    python -m repro autoscale --scale smoke --json --check
 """
 
 from __future__ import annotations
@@ -323,62 +322,6 @@ def _cmd_shard_check(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_autoscale(args) -> int:
-    from .experiments.diurnal import (DIURNAL_POLICIES, DiurnalConfig,
-                                      compare_policies, run_diurnal)
-
-    overrides = {}
-    if args.slo is not None:
-        overrides["slo"] = args.slo
-    config = DiurnalConfig(scale=args.scale, seed=args.seed, **overrides)
-    if args.policy == "compare":
-        doc = compare_policies(config)
-        ok = bool(doc["criteria"]["passed"])
-        runs = doc["policies"]
-    else:
-        doc = run_diurnal(args.policy, config)
-        ok = doc["attainment"] >= config.attainment_target
-        runs = {args.policy: doc}
-    text = json.dumps(doc, indent=1, sort_keys=True)
-    if args.json:
-        print(text)
-    else:
-        savings = doc.get("instance_seconds_savings", {})
-        rows = []
-        for name in DIURNAL_POLICIES:
-            if name not in runs:
-                continue
-            run = runs[name]
-            rows.append({
-                "policy": name,
-                "attainment": run["attainment"],
-                "violations": f"{run['violations']}/{run['windows']}",
-                "ramp_viol": (f"{run['ramp_violations']}"
-                              f"/{run['ramp_windows']}"),
-                "p99_s": run["p99_latency"],
-                "inst_sec": run["instance_seconds"],
-                "rescales": run["rescales"],
-                "savings": savings.get(name, ""),
-            })
-        print(_format_table(
-            rows, title=f"diurnal day ({config.scale}, seed "
-                        f"{config.seed}, SLO {config.slo}s, attainment "
-                        f"target {config.attainment_target})"))
-        if args.policy == "compare":
-            print()
-            for key, value in doc["criteria"].items():
-                print(f"  {key}: {'PASS' if value else 'FAIL'}")
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
-        if not args.json:
-            print(f"[report saved to {args.output}]")
-    if args.check and not ok:
-        print("autoscale: acceptance criteria FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_chaos(args) -> int:
     from .experiments.chaos_bank import CHAOS_SCENARIOS
     from .faults.chaos import ChaosHarness
@@ -516,35 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--json", action="store_true",
                          help="print the report as JSON instead of "
                               "summaries")
-
-    from .experiments.diurnal import DIURNAL_POLICIES
-    p_auto = sub.add_parser(
-        "autoscale",
-        help="run the diurnal-day elasticity scenario under a scaling "
-             "policy (or compare policies) and report SLO attainment "
-             "vs instance-seconds",
-        epilog=EXIT_CONTRACT.format(
-            fail="--check was given and the acceptance criteria (or the "
-                 "single run's SLO attainment target) failed"),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p_auto.add_argument("--policy", default="compare",
-                        choices=("compare",) + DIURNAL_POLICIES,
-                        help="one policy, or 'compare' to run "
-                             "static-peak/reactive/predictive and "
-                             "evaluate the acceptance criteria")
-    p_auto.add_argument("--scale", default="smoke",
-                        choices=("smoke", "quick", "paper"))
-    p_auto.add_argument("--seed", type=int, default=7)
-    p_auto.add_argument("--slo", type=float, default=None,
-                        help="windowed-p99 SLO in seconds (default: the "
-                             "scenario's 1.5)")
-    p_auto.add_argument("--json", action="store_true",
-                        help="emit the full machine-readable report "
-                             "(byte-identical across same-seed runs)")
-    p_auto.add_argument("--output",
-                        help="save the JSON report here as well")
-    p_auto.add_argument("--check", action="store_true",
-                        help="exit 1 unless the criteria pass")
     return parser
 
 
@@ -559,7 +473,6 @@ def main(argv: Optional[list] = None) -> int:
         "trace": _cmd_trace,
         "shard-check": _cmd_shard_check,
         "chaos": _cmd_chaos,
-        "autoscale": _cmd_autoscale,
     }
     if args.command == "chaos" and args.seed is None:
         args.seed = [7]

@@ -2,8 +2,8 @@
 
 This module holds only what ``benchmarks/ledger`` imports: ``micro.py``
 times the four bench bodies and ``workloads.py`` (like ``repro
-shard-check``) reads :data:`SHARD_WEIGHTS`.  ROADMAP item 1 moves them
-into the ledger.
+shard-check``) reads :data:`SHARD_WEIGHTS`.  ROADMAP's "A ledger that
+imports nothing it measures" moves them into the ledger.
 
 Every bench reports wall-clock throughput (operations per second).
 Simulated time is free — these measure how much *host* CPU a kernel

@@ -72,10 +72,16 @@ class StopRestartController(ScalingController):
 
     @staticmethod
     def _quiesced(instances) -> bool:
-        """True once no element is queued, in flight or being processed."""
+        """True once no element is queued, in flight or being processed.
+
+        A paused source may still hold admitted input, but it may also be
+        in the middle of serving one record (its service delay, or a
+        backpressured send): that record leaves under the old routing, so
+        the source counts as drained only once its loop is parked."""
         for instance in instances:
             if instance.spec.is_source and instance.paused:
-                pass  # a paused source may still hold admitted input
+                if instance.running and not instance.wake.parked:
+                    return False
             elif instance.processing_element:
                 return False
             for channel in instance.input_channels:

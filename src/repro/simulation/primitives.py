@@ -83,6 +83,11 @@ class EdgeWake:
         self._owner = None  # the parked Process; cleared by an interrupt
         self._armed = False  # parked, and no wake scheduled yet
 
+    @property
+    def parked(self) -> bool:
+        """True while the owner waits on this wake and no wake is due."""
+        return self._armed
+
     def fire(self) -> None:
         if self._armed:
             self._armed = False

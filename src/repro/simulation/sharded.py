@@ -51,8 +51,8 @@ delivery/consumption times and flags the run (``backpressure_safe=False``)
 if backpressure *would* have engaged, in which case the sharded timing is
 not equivalent to single-process and callers should fall back.
 
-Barriers, checkpoints, rescale, fault injection, telemetry and autoscale
-all require a single event loop and fall back to single-process execution
+Barriers, checkpoints, rescale, fault injection and telemetry all
+require a single event loop and fall back to single-process execution
 (:func:`supports_sharding` / the ``shards<=1`` path), mirroring the batched
 plane's per-record fallback.
 """

@@ -9,7 +9,7 @@ The real trace is not redistributable, so this module generates a synthetic
 equivalent preserving what the paper uses it for — realistic key skew and
 arrival patterns: channel popularity follows a Zipf law (live-streaming
 audiences are heavily concentrated), session lengths are geometric, and the
-event rate carries a mild diurnal-style modulation.
+event rate carries a mild sine-wave modulation.
 
 Pipeline (7 operators): source → parse → filter(bot traffic) →
 enrich(re-key by channel) → session aggregator (keyed) → loyalty window
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 from ..engine.graph import JobGraph, OperatorSpec
 from ..engine.operators import FilterLogic, KeyedReduceLogic, MapLogic
@@ -43,15 +43,6 @@ class TwitchConfig(WorkloadConfig):
     #: ±fraction of rate modulation over the trace (viewership waves).
     rate_wave: float = 0.1
     rate_wave_period: float = 200.0
-    #: Optional arrival-rate profile: multiplier on ``rate`` as a function
-    #: of sim time (diurnal curves, flash crowds).  None keeps the built-in
-    #: sine-wave modulation bit-identical (golden traces depend on it).
-    rate_profile: Optional[Callable[[float], float]] = None
-    #: Optional popularity shifts: ``((time, rotation), ...)`` — from
-    #: ``time`` onwards sampled channel ids rotate by ``rotation`` (mod
-    #: ``num_keys``), re-pointing the Zipf head at different channels.
-    #: None = stable popularity (the default trace).
-    popularity_shifts: Optional[Tuple[Tuple[float, int], ...]] = None
     source_parallelism: int = 2
     operator_parallelism: int = 8
     sink_parallelism: int = 1
@@ -154,37 +145,23 @@ class TwitchWorkload(Workload):
                     if cfg.duration is not None else None)
         session_channel = None
         session_left = 0
-        shifts = (sorted(cfg.popularity_shifts)
-                  if cfg.popularity_shifts else None)
-        shift_index = 0
-        rotation = 0
         while deadline is None or sim.now < deadline:
             # Sessions: a viewer interacts with one channel for a while.
             if session_left <= 0:
                 session_channel = sampler.sample()
                 session_left = 1 + int(rng.expovariate(1.0 / 2.0))
             session_left -= 1
-            if cfg.rate_profile is not None:
-                current_rate = max(rate * cfg.rate_profile(sim.now), 1.0)
-            else:
-                wave = 1.0 + cfg.rate_wave * math.sin(
-                    2 * math.pi * sim.now / cfg.rate_wave_period)
-                current_rate = max(rate * wave, 1.0)
-            if shifts is not None:
-                while (shift_index < len(shifts)
-                       and sim.now >= shifts[shift_index][0]):
-                    rotation = shifts[shift_index][1]
-                    shift_index += 1
-            channel = (session_channel if rotation == 0
-                       else (session_channel + rotation) % cfg.num_keys)
+            wave = 1.0 + cfg.rate_wave * math.sin(
+                2 * math.pi * sim.now / cfg.rate_wave_period)
+            current_rate = max(rate * wave, 1.0)
             # Positional: key, key_group, event_time, value, count,
             # size_bytes.
             source.offer(Record(
-                f"channel-{channel}", None, sim.now,
+                f"channel-{session_channel}", None, sim.now,
                 rng.choice(("chat", "follow", "sub", "view")),
                 cfg.batch_size, cfg.record_bytes * cfg.batch_size))
             if emit_markers and sim.now >= next_marker:
-                source.offer(LatencyMarker(key=f"channel-{channel}"))
+                source.offer(LatencyMarker(key=f"channel-{session_channel}"))
                 next_marker = sim.now + cfg.marker_interval
             if sim.now >= next_watermark:
                 source.offer(Watermark(timestamp=sim.now - cfg.watermark_lag))

@@ -134,3 +134,24 @@ def test_chain_member_rows_name_their_head_and_its_queue():
     counters = telemetry.registry.snapshot()
     for name in ("pre", "s0", "s1", "agg"):
         assert counters[f"records.processed{{operator={name}}}"] == 20
+
+
+def test_chain_member_queue_depth_is_its_heads_inbox():
+    """A chain member has no input channels: its queue is the head's
+    inbox, the same depth `instance_rows` reports for it."""
+    # src -REBALANCE-> pre -> s0 -HASH-> agg -> sink; s0 runs in pre's task
+    job = build_tie_job(stages=3, sources=1, aggs=1, latency=1e-4,
+                        bandwidth=float("inf"), services=(1e-5, 0.0, 0.0),
+                        plane="batched", op_head=True,
+                        stateless=[(lambda: MapLogic(lambda r: r), 0.01)])
+    source = job.sources()[0]
+    for i in range(20):
+        source.offer(Record(key=f"k{i}", count=1))
+    job.run(until=0.005)
+
+    member, head = job.instances("s0")[0], job.instances("pre")[0]
+    assert member.chain_head is head
+    assert not member.input_channels
+    rows = instance_rows(job, "s0")
+    assert member.inbox_depth() == head.inbox_depth() \
+        == sum(row["inbox_depth"] for row in rows) > 0

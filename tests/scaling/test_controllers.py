@@ -13,6 +13,9 @@ sys.path.insert(0, "tests")
 from helpers import (assert_assignment_consistent, build_keyed_job,
                       drive)  # noqa: E402
 
+from repro.engine.runtime import JobConfig
+from repro.experiments import controller_factory
+from repro.faults.invariants import check_all
 from repro.scaling import (MecesController, MegaphoneController,
                            OTFSController, StopRestartController,
                            UnboundController)
@@ -39,14 +42,37 @@ CONTROLLERS = [
     (StopRestartController, {}),
 ]
 
+SYSTEMS = ["drrs", "megaphone", "meces", "otfs", "otfs-all-at-once",
+           "unbound", "stop-restart", "dr", "schedule", "subscale"]
 
-@pytest.mark.parametrize("cls,kwargs", CONTROLLERS,
-                         ids=lambda v: getattr(v, "name", str(v)))
-def test_controller_completes_and_is_consistent(cls, kwargs):
-    job, controller, done = run_scaled(cls, **kwargs)
-    assert done.triggered, f"{controller.name} did not finish"
+
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
+@pytest.mark.parametrize("targets", [(4,), (5, 6, 2), (4, 2, 4, 2), (8,)],
+                         ids=lambda t: "-".join(map(str, t)))
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_controller_completes_and_is_consistent(name, targets, backend):
+    """One controller instance runs successive rescales, each requested
+    after the previous one's ``done``: scale-outs, scale-ins and one large
+    scale-out (2 -> 8, two key-groups per instance)."""
+    job = build_keyed_job(job_config=JobConfig(state_backend=backend))
+    drive(job, until=30.0)
+    controller = controller_factory(name)(job)
+    dones = []
+
+    def rescales():
+        yield job.sim.timeout(5.0)
+        for target in targets:
+            dones.append(controller.request_rescale("agg", target))
+            yield dones[-1]
+
+    job.sim.spawn(rescales(), name="rescales")
+    job.run(until=40.0)
+    assert [done.triggered and done.ok for done in dones] \
+        == [True] * len(targets), f"{name} did not finish {targets}"
     assert_assignment_consistent(job, "agg")
-    assert job.assignments["agg"].parallelism == 4
+    assert job.assignments["agg"].parallelism == targets[-1]
+    assert check_all(job, "agg") == []
+    assert job.sink_logic().records_in == job.metrics.total_source_output()
 
 
 @pytest.mark.parametrize("cls,kwargs", CONTROLLERS,
@@ -54,6 +80,7 @@ def test_controller_completes_and_is_consistent(cls, kwargs):
 def test_controller_conserves_records(cls, kwargs):
     job, controller, done = run_scaled(cls, **kwargs)
     assert done.triggered
+    assert_assignment_consistent(job, "agg")
     job.run(until=40.0)  # drain
     assert job.sink_logic().records_in == job.metrics.total_source_output()
 
@@ -124,6 +151,39 @@ def test_stop_restart_halts_everything():
     assert done.triggered
     # the halt shows up as suspension on the scaling instances
     assert controller.metrics.total_suspension() > 0
+
+
+def test_paused_source_mid_service_is_not_quiesced():
+    """Pausing a source does not stop the record it is serving: that
+    record still leaves, under the routing of the moment.  The halt's
+    drain check must wait until the source's loop is parked."""
+    job = build_keyed_job()
+    drive(job, until=10.0)
+    job.run(until=3.0001)  # both sources are serving the 3.0 records
+    sources = job.sources()
+    for source in sources:
+        source.pause()
+    assert not StopRestartController._quiesced(sources)
+    job.run(until=3.1)
+    assert all(source.wake.parked for source in sources)
+    assert StopRestartController._quiesced(sources)
+
+
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
+@pytest.mark.parametrize("target", [6, 7, 8])
+def test_stop_restart_leaves_no_moved_group_on_its_old_owner(target,
+                                                             backend):
+    """A rescale requested while the sources serve a record: without the
+    parked-source drain rule, that record reached ``agg[0]`` after the
+    halt and re-registered key-group 2 there after the restore."""
+    job = build_keyed_job(job_config=JobConfig(state_backend=backend))
+    drive(job, until=40.0)
+    job.run(until=3.0)
+    done = StopRestartController(job).request_rescale("agg", target)
+    job.run(until=45.0)
+    assert done.triggered and done.ok
+    assert check_all(job, "agg") == []
+    assert job.sink_logic().records_in == job.metrics.total_source_output()
 
 
 def test_all_at_once_single_transfer_per_source():

@@ -1,5 +1,5 @@
 """Telemetry under rescale churn: no leaked instruments, stable identity,
-no dangling open spans (satellite for the autoscaler PR).
+no dangling open spans.
 
 Rescaling creates and retires operator instances; the registry keys
 instruments by (kind, name, labels) where labels are stable operator /
@@ -9,26 +9,20 @@ tracer's per-track open-span stacks must likewise drain once every
 subscale has settled.
 """
 
-from repro.autoscale import ScalingSignals
 from repro.core.drrs import DRRSController
 from tests.helpers import build_keyed_job, drive
 
 
 def _churned_job():
-    """Drive a job through 2 -> 4 -> 2 -> 4 -> 2 rescale cycles while a
-    signals sampler runs, and return everything the tests inspect."""
+    """Drive a job through 2 -> 4 -> 2 -> 4 -> 2 rescale cycles while the
+    telemetry sampler reads every instance's queue depth, and return
+    everything the tests inspect."""
     job = drive(build_keyed_job(state_bytes_per_group=4e5), until=14.0,
                 record_gap=0.004)
-    job.enable_telemetry()
+    job.enable_telemetry(sample_interval=0.25)
     drrs = DRRSController(job)
-    signals = ScalingSignals(job, "agg")
     counts = []
     identity_probe = {}
-
-    def sampler():
-        while job.sim.now < 15.0:
-            yield job.sim.timeout(0.25)
-            signals.sample()
 
     def churn():
         reg = job.telemetry.registry
@@ -41,14 +35,13 @@ def _churned_job():
             yield job.sim.timeout(0.6)
             counts.append(len(reg.instruments()))
 
-    job.sim.spawn(sampler(), name="sampler")
     job.sim.spawn(churn(), name="churn")
     job.run(until=16.0)
-    return job, signals, counts, identity_probe
+    return job, counts, identity_probe
 
 
 def test_rescale_churn_does_not_leak_instruments():
-    job, signals, counts, probe = _churned_job()
+    job, counts, probe = _churned_job()
     assert len(counts) == 4, "not every rescale completed"
     # Labels are stable operator/instance/channel names, so the instrument
     # universe is bounded by the (bounded) instance-pair label space: once
@@ -66,7 +59,7 @@ def test_rescale_churn_does_not_leak_instruments():
 
 
 def test_no_open_spans_after_churn_settles():
-    job, signals, counts, probe = _churned_job()
+    job, counts, probe = _churned_job()
     tracer = job.telemetry.tracer
     dangling = {track: [s.name for s in stack]
                 for track, stack in tracer._open.items() if stack}
@@ -75,10 +68,3 @@ def test_no_open_spans_after_churn_settles():
     assert any(s.category == "migration" for s in tracer.spans)
     assert any(s.category == "transfer" for s in tracer.spans)
 
-
-def test_busy_cursor_prunes_retired_instances():
-    job, signals, counts, probe = _churned_job()
-    # Final parallelism is 2; cursors for the retired instances 2 and 3
-    # must have been dropped on the next sample after scale-in.
-    signals.sample()
-    assert len(signals._busy_cursor) == len(job.instances("agg")) == 2

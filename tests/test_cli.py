@@ -114,7 +114,7 @@ def test_trace_command(tmp_path, capsys):
     assert first["kind"] in ("span", "instant")
 
 
-@pytest.mark.parametrize("command", ["chaos", "autoscale"])
+@pytest.mark.parametrize("command", ["chaos", "shard-check"])
 def test_check_commands_document_exit_contract(command, capsys):
     # The exit-status contract is part of each check-style command's
     # --help (0 = pass, 1 = check failure, 2 = usage error).
@@ -134,22 +134,12 @@ def test_bench_is_not_a_command(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
-def test_autoscale_rejects_unknown_policy_as_usage_error(capsys):
+def test_autoscale_is_not_a_command(capsys):
+    # Rescales start on a user request, as in the paper.
     with pytest.raises(SystemExit) as excinfo:
-        main(["autoscale", "--policy", "clairvoyant"])
+        main(["autoscale"])
     assert excinfo.value.code == 2
-
-
-def test_autoscale_single_policy_json_and_check(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    import json
-    assert main(["autoscale", "--policy", "reactive", "--scale", "smoke",
-                 "--json", "--check", "--output", str(target)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["policy"] == "reactive"
-    assert doc["attainment"] >= 0.9
-    assert doc["rescales"] >= 1
-    assert json.loads(target.read_text()) == doc
+    assert "invalid choice: 'autoscale'" in capsys.readouterr().err
 
 
 def test_figure_output_file(tmp_path, capsys, monkeypatch):
