@@ -15,8 +15,8 @@ The conventional coupled barrier is split into two signals:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Any, Tuple
 
 from ..engine.records import ControlSignal
 
@@ -33,6 +33,7 @@ class TriggerBarrier(ControlSignal):
     src_index: int = 0
     dst_index: int = 0
     size_bytes: float = 16.0
+    controller: Any = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -52,6 +53,7 @@ class ConfirmBarrier(ControlSignal):
     key_groups: Tuple[int, ...] = ()
     rerouted: bool = False
     size_bytes: float = 16.0
+    controller: Any = field(default=None, repr=False, compare=False)
 
     @property
     def is_time_signal(self) -> bool:

@@ -70,7 +70,6 @@ class ScaleCoordinator:
         for instance in instances:
             executor = ScaleExecutor(controller, instance)
             executors[id(instance)] = executor
-            instance.control_handler = executor.on_control
             saved_handlers[instance] = instance.input_handler
             instance.input_handler = DRRSInputHandler(
                 instance, executor, scheduling=config.record_scheduling,
@@ -164,7 +163,6 @@ class ScaleCoordinator:
             executor = executors.get(id(instance))
             if executor is not None:
                 executor.shutdown()
-                instance.control_handler = None
             saved = saved_handlers.pop(instance, None)
             if saved is not None:
                 instance.input_handler = saved
@@ -264,7 +262,8 @@ class ScaleCoordinator:
                 subscale_id=subscale.subscale_id,
                 key_groups=tuple(subscale.key_groups),
                 src_index=subscale.src_index,
-                dst_index=subscale.dst_index))
+                dst_index=subscale.dst_index,
+                controller=controller))
             # Confirm barrier overtakes the output cache; bypassed records
             # are redirected (§III-A), except those belonging to a pending
             # checkpoint's consistent cut (§IV-C, Fig. 9a).
@@ -274,7 +273,8 @@ class ScaleCoordinator:
                     scale_id=controller._scale_ids,
                     subscale_id=subscale.subscale_id,
                     predecessor_id=id(predecessor),
-                    key_groups=tuple(subscale.key_groups)))
+                    key_groups=tuple(subscale.key_groups),
+                    controller=controller))
             for element in bypassed:
                 yield new_channel.send(element)
 

@@ -31,39 +31,16 @@ from .planner import Subscale
 from .rerouting import ReRouteManager
 
 __all__ = ["DRRSConfig", "DRRSController", "CoupledSubscaleController",
-           "make_variant", "RetryPolicy"]
+           "make_variant"]
 
-
-@dataclass
-class RetryPolicy:
-    """Backoff schedule for retrying an aborted scaling operation.
-
-    ``DRRSController.abort_and_rollback`` consults this after a mid-scaling
-    failure: attempt *k* (1-based) waits ``backoff(k)`` simulated seconds
-    before re-requesting the rescale; after ``max_attempts`` failed
-    attempts the operation's done event fails instead.
-    """
-
-    max_attempts: int = 3
-    initial_backoff: float = 0.05
-    multiplier: float = 2.0
-    max_backoff: float = 10.0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.initial_backoff <= 0:
-            raise ValueError("initial_backoff must be > 0 (a zero delay "
-                             "would race the rollback it retries after)")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1.0")
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before the given 1-based retry attempt."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        delay = self.initial_backoff * (self.multiplier ** (attempt - 1))
-        return min(delay, self.max_backoff)
+#: Retrying an aborted rescale (:meth:`DRRSController.abort_and_rollback`):
+#: retry *k* (1-based) backs off ``RETRY_BACKOFF * 2 ** (k - 1)``
+#: simulated seconds, at most ``RETRY_BACKOFF_CAP``, before re-requesting
+#: it; once ``MAX_RETRIES`` retries have aborted, the operation's done
+#: event fails instead.
+MAX_RETRIES = 3
+RETRY_BACKOFF = 0.05
+RETRY_BACKOFF_CAP = 10.0
 
 
 @dataclass
@@ -102,8 +79,7 @@ class DRRSController(ScalingController):
     name = "drrs"
 
     def __init__(self, job: StreamJob, config: Optional[DRRSConfig] = None,
-                 control_latency: float = 0.002,
-                 retry_policy: Optional[RetryPolicy] = None):
+                 control_latency: float = 0.002):
         super().__init__(job, control_latency=control_latency)
         self.config = config or DRRSConfig()
         self._op_name: Optional[str] = None
@@ -113,7 +89,6 @@ class DRRSController(ScalingController):
         self._wave_spans: Dict[int, object] = {}
         self.cancelled = False
         # -- crash tolerance (abort_and_rollback / retry) ---------------------
-        self.retry_policy = retry_policy or RetryPolicy()
         #: Bumped by every abort; in-band injection closures capture the
         #: epoch at command time and become no-ops once it moves on.
         self._abort_epoch = 0
@@ -202,6 +177,15 @@ class DRRSController(ScalingController):
     def scaling_instances(self):
         return self.job.instances(self._op_name)
 
+    def on_control(self, instance, channel, signal) -> None:
+        """A trigger barrier goes to the receiving instance's executor
+        (§III-A).  Confirm barriers ride the data lane, where the
+        executor's input handler consumes them; one that reaches the
+        engine's dispatch instead is dropped."""
+        executor = self._executors.get(id(instance))
+        if executor is not None:
+            executor.on_trigger(signal)
+
     # -- migration (driven by trigger barriers via the executors) ---------------------
 
     def start_subscale_migration(self, subscale: Subscale) -> None:
@@ -257,7 +241,7 @@ class DRRSController(ScalingController):
 
         With ``retry=True`` the original ``request_rescale`` done event is
         kept pending and settled by the retried attempt; once
-        ``retry_policy.max_attempts`` attempts have aborted, it fails.
+        ``MAX_RETRIES`` retries have aborted, it fails.
         Returns that done event (or None if no scale was active).
         """
         if not self.active:
@@ -314,7 +298,7 @@ class DRRSController(ScalingController):
             # process is interrupted, so _run_scale's finally sees it.
             self._retry_pending = True
             attempt = self._attempts + 1
-            if attempt > self.retry_policy.max_attempts:
+            if attempt > MAX_RETRIES:
                 if done is not None and not done.triggered:
                     done.fail(RuntimeError(
                         f"rescale of {op_name} failed after "
@@ -458,13 +442,13 @@ class DRRSController(ScalingController):
     def _retry(self, op_name, new_parallelism, done, attempt):
         """Re-request an aborted rescale after backing off (and after any
         concurrent failure recovery has finished restoring the job)."""
-        policy = self.retry_policy
+        backoff = min(RETRY_BACKOFF * (2.0 ** (attempt - 1)),
+                      RETRY_BACKOFF_CAP)
         if self.job.telemetry is not None:
             self.job.telemetry.tracer.instant(
                 "scale.retry", category="recovery", track="scale",
-                op=op_name, attempt=attempt,
-                backoff=policy.backoff(attempt))
-        yield self.sim.timeout(policy.backoff(attempt))
+                op=op_name, attempt=attempt, backoff=backoff)
+        yield self.sim.timeout(backoff)
         barrier = self.job.recovery_barrier
         if barrier is not None and not barrier.triggered:
             yield barrier

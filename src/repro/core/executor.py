@@ -100,13 +100,8 @@ class ScaleExecutor:
 
     # -- Barrier Handler (B2) -----------------------------------------------------
 
-    def on_control(self, channel: Optional[InputChannel],
-                   element: StreamElement) -> None:
-        """Control-lane delivery: trigger barriers bypass all caches."""
-        if isinstance(element, TriggerBarrier):
-            self.on_trigger(element)
-
     def on_trigger(self, barrier: TriggerBarrier) -> None:
+        """Control-lane delivery: trigger barriers bypass all caches."""
         if barrier.subscale_id in self._triggered:
             return  # duplicates from other predecessors are ignored
         self._triggered.add(barrier.subscale_id)

@@ -74,7 +74,8 @@ class ReRouteManager:
             subscale_id=barrier.subscale_id,
             predecessor_id=barrier.predecessor_id,
             key_groups=barrier.key_groups,
-            rerouted=True)
+            rerouted=True,
+            controller=barrier.controller)
         self._buffer.append(rerouted)
         self.barriers_forwarded += 1
         self._wake.fire()

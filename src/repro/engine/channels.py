@@ -117,7 +117,7 @@ class Channel:
         self.batching = False
         self.max_batch = 64
         #: Owning StreamJob (None for standalone channels); consulted live
-        #: for ``scaling_active`` so batches never span a rescale window.
+        #: for ``active_scalers`` so batches never span a rescale window.
         self._job = None
         #: Release times of *virtual outbox slots*: a ship batch empties k
         #: slots at formation where the per-record drainer would free them
@@ -499,7 +499,7 @@ class Channel:
                     and self.outbox and self.fault_hook is None
                     and not self._send_waiters
                     and (self._job is None
-                         or not self._job.scaling_active)):
+                         or not self._job.active_scalers)):
                 if self._form_batch(element):
                     return
             if self.telemetry is not None:
@@ -522,7 +522,7 @@ class Channel:
                         and not self._send_waiters
                         and self.fault_hook is None
                         and (self._job is None
-                             or not self._job.scaling_active)):
+                             or not self._job.active_scalers)):
                     # Nothing queued behind this element: the ship
                     # completion's only job would be scheduling the deliver
                     # dispatch, so fuse both into one dispatch at the
@@ -706,7 +706,7 @@ class Channel:
                 return
             if (self.batching and self.fault_hook is None
                     and (self._job is None
-                         or not self._job.scaling_active)):
+                         or not self._job.active_scalers)):
                 self.input_channel.deliver_batch(element)
             else:
                 # A collapse window (rescale, fault window on this channel)

@@ -288,7 +288,7 @@ class OperatorInstance:
     #: instance whose task hands it every element, in order, through
     #: ``handle_element(None, element)``.  None for an instance with its
     #: own input channels and process (a head is its own task).  A class
-    #: default that only members shadow: ``__init__`` sets 29 attributes,
+    #: default that only members shadow: ``__init__`` sets 28 attributes,
     #: CPython keeps at most 30 in an instance's inline value array, and a
     #: 31st on every instance slows each attribute load on the record path.
     chain_head: Optional["OperatorInstance"] = None
@@ -311,9 +311,6 @@ class OperatorInstance:
         # at the top of each iteration before parking (see EdgeWake docs).
         self.wake = EdgeWake(sim)
         self.input_handler: InputHandler = DefaultInputHandler(self)
-        #: Scaling hook: called for control-lane signals.
-        self.control_handler: Optional[Callable[
-            [Optional[InputChannel], StreamElement], None]] = None
         #: Scaling hook: observes every element before normal handling and
         #: may swallow it (return True) — used for confirm barriers.
         self.element_interceptor: Optional[Callable[
@@ -419,9 +416,12 @@ class OperatorInstance:
     # -- control lane -----------------------------------------------------------
 
     def on_control(self, channel: Optional[InputChannel],
-                   element: StreamElement) -> None:
-        if self.control_handler is not None:
-            self.control_handler(channel, element)
+                   element: ControlSignal) -> None:
+        """Control-lane arrival: the signal's controller takes it while its
+        operation is in flight; otherwise it is dropped."""
+        controller = element.controller
+        if controller is not None and controller.active:
+            controller.on_control(self, channel, element)
 
     def run_inband(self, fn) -> None:
         """Run generator-function ``fn(instance)`` in-band.
@@ -586,10 +586,10 @@ class OperatorInstance:
         if isinstance(element, CheckpointBarrier):
             return self._handle_checkpoint_barrier(channel, element)
         if isinstance(element, ControlSignal):
-            if self.job.signal_router is not None:
-                return self.job.signal_router(self, channel, element)
-            self.on_control(channel, element)
-            return iter(())
+            controller = element.controller
+            if controller is None or not controller.active:
+                return iter(())
+            return controller.on_signal(self, channel, element)
         if isinstance(element, EndOfStream):
             return self._handle_eos(channel, element)
         return iter(())

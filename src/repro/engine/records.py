@@ -252,9 +252,15 @@ class CheckpointBarrier(StreamElement):
 
 
 class ControlSignal(StreamElement):
-    """Base for scaling-related signals (trigger/confirm barriers)."""
+    """Base for scaling-related signals (trigger/confirm barriers).
+
+    ``controller`` is the scaling controller that created the signal.  On
+    either lane the engine hands the signal to it while it has an operation
+    in flight, and drops it otherwise (or when ``controller`` is None).
+    """
 
     size_bytes: float = 16.0
+    controller = None
 
 
 class EndOfStream(StreamElement):

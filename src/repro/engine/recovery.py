@@ -195,7 +195,7 @@ class RecoveryManager:
                                   entries=cut_copy(flight.entries)))
                 checkpoint.folded[(op, kg)] = flight.src_name
             self._reindex()
-        if self.job.scaling_active:
+        if self.job.active_scalers:
             checkpoint.mid_scaling = True
         snapshot = _InstanceSnapshot(state=instance.state.snapshot())
         if isinstance(instance, SourceInstance):
@@ -451,7 +451,7 @@ class RecoveryManager:
         if checkpoint is None:
             raise RecoveryError("no completed checkpoint to recover from")
         job = self.job
-        if job.scaling_active:
+        if job.active_scalers:
             scalers = list(job.active_scalers)
             unsupported = [s for s in scalers
                            if not hasattr(s, "abort_and_rollback")]

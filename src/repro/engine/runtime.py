@@ -360,9 +360,6 @@ class StreamJob:
         self.assignments: Dict[str, KeyGroupAssignment] = {}
         self._snapshots: List[Tuple[float, str, int]] = []
         self._built = False
-        #: In-band scaling-signal dispatcher, installed by the active
-        #: scaling controller: ``generator(instance, channel, signal)``.
-        self.signal_router = None
         #: The checkpoint ledger, the one record of which checkpoints
         #: completed.  Open checkpoints: id -> names of the instances that
         #: have snapshotted for it; ``(time, id)`` appended once when one
@@ -374,10 +371,9 @@ class StreamJob:
         #: records and auxiliary-lane pops.  None costs one attribute load
         #: per site.
         self.recovery = None
-        #: Count of scaling operations currently in flight (any controller).
-        self.scaling_active = 0
         #: Scaling controllers with an operation in flight, registered by
-        #: ``ScalingController._run_scale`` — the RecoveryManager asks these
+        #: ``ScalingController._run_scale``.  Non-empty keeps the batched
+        #: plane collapsed to per-record, and the RecoveryManager asks these
         #: to abort when a failure strikes mid-scaling.
         self.active_scalers: List = []
         #: Key-group state currently on the wire between two instances:
@@ -581,7 +577,7 @@ class StreamJob:
         Unwinds ship batches mid-serialize and explodes batches queued at
         input channels; batches still on a wire explode at delivery (the
         deliver path re-checks the plane).  Formation gates read
-        ``scaling_active`` and ``fault_hook`` live, so a caller that needs a
+        ``active_scalers`` and ``fault_hook`` live, so a caller that needs a
         per-record window (rescale, fault window, recovery) quiesces once
         when it opens and the plane stays collapsed for as long as its gate
         holds.

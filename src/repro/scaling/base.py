@@ -49,6 +49,7 @@ class ScaleSignalBarrier(ControlSignal):
     #: key-group → new owner instance index, applied by predecessors.
     routing_updates: Dict[int, int] = field(default_factory=dict)
     size_bytes: float = 16.0
+    controller: Any = field(default=None, repr=False, compare=False)
 
     @property
     def signal_key(self) -> Tuple[int, int]:
@@ -350,13 +351,12 @@ class ScalingController:
         return done
 
     def _run_scale(self, op_name, plan, scale_id, done):
-        if not self.job.scaling_active:
+        if not self.job.active_scalers:
             # Entering the first concurrent rescale window: collapse the
             # batched record plane to per-record state so every protocol
             # below (outbox surgery, channel extraction, drain-to-
             # quiescence) sees exactly what the reference plane would hold.
             self.job.quiesce_batches()
-        self.job.scaling_active += 1
         self.job.active_scalers.append(self)
         telemetry = self.job.telemetry
         span = None
@@ -371,10 +371,7 @@ class ScalingController:
         finally:
             self.metrics.finish(self.sim.now)
             self.active = False
-            self.job.signal_router = None
-            self.job.scaling_active -= 1
-            if self in self.job.active_scalers:
-                self.job.active_scalers.remove(self)
+            self.job.active_scalers.remove(self)
             if span is not None:
                 telemetry.tracer.end(
                     span,
@@ -391,6 +388,20 @@ class ScalingController:
 
     def _execute(self, op_name: str, plan: MigrationPlan, scale_id: int):
         raise NotImplementedError
+
+    # -- signal dispatch (every ControlSignal names its controller) ---------------
+
+    def on_signal(self, instance: OperatorInstance, channel,
+                  signal: ControlSignal):
+        """Data-lane arrival of one of this controller's signals at
+        ``instance`` while :attr:`active`; returns what the engine
+        ``yield from``s.  The default drops the signal."""
+        return iter(())
+
+    def on_control(self, instance: OperatorInstance, channel,
+                   signal: ControlSignal) -> None:
+        """Control-lane arrival of one of this controller's signals at
+        ``instance`` while :attr:`active`.  The default drops it."""
 
     # -- processability hook (used by MigrationAwareHandler) ----------------------------
 

@@ -125,7 +125,6 @@ class MecesController(ScalingController):
         self._moving = set(plan.migrating_groups)
         self._task_wake = Signal(self.sim)
         self._done_event = self.sim.event()
-        self.job.signal_router = self._on_signal
 
         new_instances = yield from self._provision(op_name, plan)
         instances = self.job.instances(op_name)
@@ -183,13 +182,11 @@ class MecesController(ScalingController):
             for ch in edge.channels:
                 yield ch.send(ScaleSignalBarrier(
                     scale_id=barrier.scale_id, phase=barrier.phase,
-                    routing_updates={}))
+                    routing_updates={}, controller=self))
         return inject
 
-    def _on_signal(self, instance, channel, signal):
+    def on_signal(self, instance, channel, signal):
         """Barrier arrival at scaling instances: no blocking, just epochs."""
-        if not isinstance(signal, ScaleSignalBarrier):
-            return
         if instance.spec.name != self._op_name:
             return
         for epoch in self._epochs:

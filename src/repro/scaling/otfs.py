@@ -65,7 +65,6 @@ class OTFSController(ScalingController):
         self._plan = plan
         self._op_name = op_name
         self._route_set = self._upstream_closure(op_name) | {op_name}
-        self.job.signal_router = self._on_signal
 
         new_instances = yield from self._provision(op_name, plan)
         instances = self.job.instances(op_name)
@@ -118,7 +117,7 @@ class OTFSController(ScalingController):
             for source in self.job.sources():
                 source.inject(ScaleSignalBarrier(
                     scale_id=scale_id, phase=phase,
-                    routing_updates=dict(routing)))
+                    routing_updates=dict(routing), controller=self))
         else:
             for sender, _edge in self.job.senders_to(op_name):
                 sender.run_inband(self._make_injection(barrier))
@@ -143,13 +142,11 @@ class OTFSController(ScalingController):
                     frontier.append(up)
         return closure
 
-    def _on_signal(self, instance, channel, signal):
-        """In-band dispatch for coupled barriers (generator): align, then
+    def on_signal(self, instance, channel, signal):
+        """In-band arrival of a coupled barrier (generator): align, then
         act by role — a predecessor flips its routing, every instance
         outside the scaling operator passes the barrier on, and an
         original instance of it starts migrating."""
-        if not isinstance(signal, ScaleSignalBarrier):
-            return
         token = ("scale", signal.signal_key)
         alignment = instance.alignment(token)
         if not alignment.arrive(channel):
@@ -179,7 +176,8 @@ class OTFSController(ScalingController):
         accepted at once)."""
         return instance.router.forward(
             ScaleSignalBarrier(scale_id=signal.scale_id, phase=signal.phase,
-                               routing_updates=dict(signal.routing_updates)),
+                               routing_updates=dict(signal.routing_updates),
+                               controller=self),
             dst_ops=self._route_set if only_to is None else {only_to}) or ()
 
     # -- migration ------------------------------------------------------------------

@@ -23,16 +23,13 @@ from .exporters import (phase_summary_table, to_chrome_trace,
 from .phases import migration_breakdown, phase_rows
 from .shards import (shard_sync_events, to_shard_sync_trace,
                      write_shard_sync_trace)
-from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
-                       diff_snapshots)
+from .registry import Counter, Gauge, MetricsRegistry
 from .tracer import InstantEvent, Span, Telemetry, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "diff_snapshots",
     "Span",
     "InstantEvent",
     "Tracer",

@@ -1,10 +1,9 @@
-"""Metrics registry: labelled counters, gauges and histograms.
+"""Metrics registry: labelled counters and gauges.
 
 The registry is the *aggregate* half of the telemetry subsystem (the tracer
 is the *timeline* half): cheap monotonically updated instruments the hot
-paths bump without allocating, plus a :meth:`MetricsRegistry.snapshot` /
-:func:`diff_snapshots` API so experiments can attribute deltas to a phase
-("how many records were re-routed during subscale 3?").
+paths bump without allocating, plus a flat, JSON-serialisable
+:meth:`MetricsRegistry.snapshot`.
 
 Instruments are identified by name + a frozen label set; repeated
 ``registry.counter("x", op="agg")`` calls return the same object.  All
@@ -14,14 +13,9 @@ byte-identical.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "diff_snapshots"]
-
-#: Default histogram bucket upper bounds (seconds-flavoured, log-spaced).
-DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -63,46 +57,6 @@ class Gauge:
         self.value += delta
 
 
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus-style ``le`` buckets)."""
-
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "sum")
-
-    def __init__(self, name: str, labels: LabelKey,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError("buckets must be a non-empty ascending sequence")
-        self.name = name
-        self.labels = labels
-        self.bounds = tuple(buckets)
-        self.bucket_counts = [0] * (len(self.bounds) + 1)  # +inf overflow
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs, ending at +inf."""
-        out = []
-        running = 0
-        for bound, n in zip(self.bounds, self.bucket_counts):
-            running += n
-            out.append((bound, running))
-        out.append((math.inf, self.count))
-        return out
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-
 class MetricsRegistry:
     """Get-or-create home for every instrument in one run."""
 
@@ -123,58 +77,18 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._get("gauge", name, labels, Gauge)
 
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS,
-                  **labels: str) -> Histogram:
-        return self._get(
-            "histogram", name, labels,
-            lambda n, lk: Histogram(n, lk, buckets=buckets))
-
     def instruments(self) -> List[object]:
         """All instruments in deterministic (kind, name, labels) order."""
         return [self._instruments[k] for k in sorted(self._instruments)]
 
-    def snapshot(self) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, float]:
         """Flat, JSON-serialisable view of every instrument.
 
-        Keys are ``name{k=v,...}`` (labels sorted); histogram values are
-        ``{"count", "sum", "buckets"}`` dicts, everything else a float.
+        Keys are ``name{k=v,...}`` (labels sorted), values floats.
         """
-        snap: Dict[str, object] = {}
-        for (kind, name, labels), inst in sorted(self._instruments.items()):
+        snap: Dict[str, float] = {}
+        for (_kind, name, labels), inst in sorted(self._instruments.items()):
             label_str = ",".join(f"{k}={v}" for k, v in labels)
             key = f"{name}{{{label_str}}}" if label_str else name
-            if kind == "histogram":
-                snap[key] = {
-                    "count": inst.count,
-                    "sum": inst.sum,
-                    "buckets": [[b, c] for b, c in inst.cumulative()
-                                if b != math.inf] + [["inf", inst.count]],
-                }
-            else:
-                snap[key] = inst.value
+            snap[key] = inst.value
         return snap
-
-
-def diff_snapshots(before: Dict[str, object],
-                   after: Dict[str, object]) -> Dict[str, object]:
-    """Per-key change between two :meth:`MetricsRegistry.snapshot` calls.
-
-    Scalar instruments diff numerically; histograms diff count/sum.  Keys
-    absent from ``before`` diff against zero; keys whose value did not
-    change are omitted.
-    """
-    out: Dict[str, object] = {}
-    for key, new in after.items():
-        old = before.get(key)
-        if isinstance(new, dict):
-            old_count = old["count"] if isinstance(old, dict) else 0
-            old_sum = old["sum"] if isinstance(old, dict) else 0.0
-            if new["count"] != old_count or new["sum"] != old_sum:
-                out[key] = {"count": new["count"] - old_count,
-                            "sum": new["sum"] - old_sum}
-        else:
-            base = old if isinstance(old, (int, float)) else 0.0
-            if new != base:
-                out[key] = new - base
-    return out

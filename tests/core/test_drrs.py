@@ -8,6 +8,7 @@ sys.path.insert(0, "tests")
 from helpers import (assert_assignment_consistent, build_keyed_job,
                      drive)  # noqa: E402
 
+from repro.core.barriers import ConfirmBarrier, TriggerBarrier
 from repro.core.drrs import (CoupledSubscaleController, DRRSConfig,
                              DRRSController, make_variant)
 from repro.scaling import OTFSController
@@ -92,15 +93,50 @@ def test_cleanup_restores_non_scaling_state():
     job, controller, done = run_drrs()
     assert done.triggered
     for inst in job.instances("agg"):
-        assert inst.control_handler is None
         assert type(inst.input_handler).__name__ != "DRRSInputHandler"
         for group in inst.state.groups():
             assert group.status.name in ("LOCAL",)
-    assert job.signal_router is None
+    assert job.active_scalers == []
+    # A late signal of the finished scale reaches neither lane's handler.
+    reached = []
+    controller.on_control = lambda *args: reached.append(args)
+    controller.on_signal = lambda *args: reached.append(args) or iter(())
+    inst = job.instances("agg")[0]
+    inst.on_control(None, TriggerBarrier(subscale_id=0,
+                                         controller=controller))
+    assert list(inst.handle_element(None, ConfirmBarrier(
+        subscale_id=0, controller=controller))) == []
+    assert reached == []
     # re-route managers drained and closed
     for executor in controller._executors.values():
         for manager in executor.reroute_managers.values():
             assert manager.pending == 0
+
+
+def test_fourth_abort_of_one_rescale_fails_its_done_event():
+    """An aborted rescale retries after 0.05, 0.1 and 0.2 s of backoff;
+    the fourth abort of the same rescale exhausts the three retries and
+    fails the caller's done event."""
+    job = build_keyed_job()
+    drive(job, until=30.0)
+    job.run(until=5.0)
+    controller = DRRSController(job)
+    done = controller.request_rescale("agg", 4)
+    job.run(until=5.05)
+    for backoff in (0.05, 0.1, 0.2):
+        assert controller.active
+        controller.abort_and_rollback(reason="test")
+        aborted_at = job.sim.now
+        job.run(until=aborted_at + backoff - 0.001)
+        assert not controller.active  # backing off
+        job.run(until=aborted_at + backoff + 0.01)
+        assert not done.triggered
+    assert controller.active
+    controller.abort_and_rollback(reason="test")
+    job.run(until=job.sim.now + 1.0)
+    assert done.triggered and not done.ok
+    assert str(done.value) == "rescale of agg failed after 3 retries: test"
+    assert not controller.active
 
 
 def test_second_rescale_after_first():

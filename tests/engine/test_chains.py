@@ -399,14 +399,14 @@ def test_scale_signal_injected_at_a_source_crosses_a_chain():
             s.offer(Record(key=f"k{t % 7}", value=t, count=1)) for s in
             sources])
 
-    on_signal = controller._on_signal
+    on_signal = controller.on_signal
 
     def spy(instance, channel, signal):
         if isinstance(signal, ScaleSignalBarrier):
             seen.append((instance.name, channel is None))
         return on_signal(instance, channel, signal)
 
-    controller._on_signal = spy  # what _execute installs as signal_router
+    controller.on_signal = spy  # each barrier is dispatched to its controller
     done = []
     sim.call_at(10 * TICK, lambda: done.append(
         controller.request_rescale("agg", 2)))

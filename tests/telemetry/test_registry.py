@@ -1,10 +1,8 @@
-"""Metrics registry semantics: instruments, labels, snapshots, diffs."""
-
-import math
+"""Metrics registry semantics: instruments, labels, snapshots."""
 
 import pytest
 
-from repro.telemetry import MetricsRegistry, diff_snapshots
+from repro.telemetry import MetricsRegistry
 
 
 def test_counter_get_or_create_and_labels():
@@ -41,34 +39,12 @@ def test_gauge_set_and_add():
     assert g.value == 5
 
 
-def test_histogram_buckets_and_mean():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat", buckets=(0.1, 1.0, 10.0))
-    for v in (0.05, 0.5, 5.0, 50.0):
-        h.observe(v)
-    assert h.count == 4
-    assert h.sum == pytest.approx(55.55)
-    assert h.mean == pytest.approx(55.55 / 4)
-    cumulative = h.cumulative()
-    assert cumulative == [(0.1, 1), (1.0, 2), (10.0, 3), (math.inf, 4)]
-
-
-def test_histogram_rejects_unsorted_buckets():
-    reg = MetricsRegistry()
-    with pytest.raises(ValueError):
-        reg.histogram("bad", buckets=(1.0, 0.1))
-
-
 def test_snapshot_keys_and_shapes():
     reg = MetricsRegistry()
     reg.counter("records", operator="agg").inc(3)
     reg.gauge("depth").set(2)
-    reg.histogram("lat", buckets=(1.0,)).observe(0.5)
     snap = reg.snapshot()
-    assert snap["records{operator=agg}"] == 3.0
-    assert snap["depth"] == 2.0
-    assert snap["lat"]["count"] == 1
-    assert snap["lat"]["buckets"][-1] == ["inf", 1]
+    assert snap == {"depth": 2.0, "records{operator=agg}": 3.0}
 
 
 def test_snapshot_order_independent_of_creation_order():
@@ -80,18 +56,3 @@ def test_snapshot_order_independent_of_creation_order():
     assert reg1.snapshot() == reg2.snapshot()
     assert list(reg1.snapshot()) == list(reg2.snapshot())
 
-
-def test_diff_snapshots():
-    reg = MetricsRegistry()
-    c = reg.counter("records")
-    h = reg.histogram("lat", buckets=(1.0,))
-    before = reg.snapshot()
-    c.inc(5)
-    h.observe(0.2)
-    reg.counter("fresh").inc()  # appears only in `after`
-    reg.gauge("idle")           # unchanged: omitted from the diff
-    diff = diff_snapshots(before, reg.snapshot())
-    assert diff["records"] == 5.0
-    assert diff["fresh"] == 1.0
-    assert diff["lat"] == {"count": 1, "sum": pytest.approx(0.2)}
-    assert "idle" not in diff
