@@ -71,17 +71,6 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer (exit 2 otherwise)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _scenario(name: str):
     if name == "quick":
         return QUICK
@@ -216,112 +205,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_shard_check(args) -> int:
-    import dataclasses
-    import os
-
-    from .engine.runtime import JobConfig
-    from .experiments.scenarios import QUICK, make_workload
-    from .perf.benches import SHARD_WEIGHTS
-    from .simulation.sharded import run_sharded, run_single_reference
-
-    # The shard flow-control window applies to both runs (same-config
-    # comparison): JobConfig owns the default / REPRO_SHARD_INBOX contract.
-    config = JobConfig(shards=args.shards,
-                       shard_inbox_capacity=args.inbox)
-    config = dataclasses.replace(
-        config, inbox_capacity=config.shard_inbox_capacity)
-
-    def factory():
-        return make_workload(args.workload, QUICK)
-
-    single = run_single_reference(
-        factory, until=args.until, job_config=config,
-        collect_sinks=True, trace_watermarks=True)
-    sharded = run_sharded(
-        factory, until=args.until, shards=args.shards, job_config=config,
-        weights=SHARD_WEIGHTS.get(args.workload),
-        collect_sinks=True, trace_watermarks=True)
-    equal = single.semantic_view() == sharded.semantic_view()
-
-    def _sink_dump(result):
-        # Sorted sink record views + counts: deterministic bytes, so CI
-        # can diff the two files directly.
-        view = result.semantic_view()
-        return {"sink_events": view["sink_events"],
-                "sinks": {name: {"records_in": s["records_in"],
-                                 "collected": s["collected"]}
-                          for name, s in sorted(view["sinks"].items())}}
-
-    if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        for label, result in (("single", single), ("sharded", sharded)):
-            path = os.path.join(args.output, f"sink-{label}.json")
-            with open(path, "w") as f:
-                json.dump(_sink_dump(result), f, indent=1, sort_keys=True)
-                f.write("\n")
-
-    sync = sharded.sync_totals()
-    report = {
-        "workload": args.workload,
-        "until": args.until,
-        "shards_requested": sharded.shards_requested,
-        "workers": sharded.shards,
-        "degraded": sharded.degraded,
-        "plan": [list(s) for s in sharded.plan.shards]
-        if sharded.plan else [],
-        "replans": sharded.replans,
-        "forbidden_cuts": sharded.forbidden_cuts,
-        "backpressure_safe": sharded.backpressure_safe,
-        "backpressure_detail": sharded.backpressure_detail,
-        "results_equal": equal,
-        "sink_records_single": single.total_sink_input(),
-        "sink_records_sharded": sharded.total_sink_input(),
-        "transport": sharded.transport,
-        "inbox_capacity": config.shard_inbox_capacity,
-        "sync": sync,
-        "sync_per_shard": [
-            {k: v for k, v in s.items() if k != "blocked_intervals"}
-            for s in sharded.sync_per_shard],
-    }
-    if args.trace_out:
-        from .telemetry.shards import write_shard_sync_trace
-        write_shard_sync_trace(sharded.sync_per_shard, args.trace_out)
-        report["trace"] = args.trace_out
-    if args.json:
-        print(json.dumps(report, indent=1, sort_keys=True))
-    else:
-        plan = " | ".join("+".join(s) for s in report["plan"]) or "(single)"
-        print(f"[{args.workload} until={args.until:g} "
-              f"shards={sharded.shards}: {plan}]")
-        print(f"  results {'EQUAL' if equal else 'DIFFER'}, "
-              f"flow-control certification "
-              f"{'OK' if sharded.backpressure_safe else 'FAILED'}, "
-              f"sink records {single.total_sink_input()} vs "
-              f"{sharded.total_sink_input()}")
-        if sync:
-            print(f"  nulls sent/suppressed="
-                  f"{sync.get('null_sent', 0)}/"
-                  f"{sync.get('null_suppressed', 0)} "
-                  f"grant rounds={sync.get('grant_rounds', 0)} "
-                  f"frames={sync.get('frames_sent', 0)} "
-                  f"cut bytes={sync.get('bytes_shipped', 0)} "
-                  f"spills={sync.get('spills', 0)}")
-            print(f"  blocked waits={sync.get('blocked_waits', 0)} "
-                  f"({sync.get('blocked_wait_s', 0.0):.3f}s), "
-                  f"writer-full waits "
-                  f"{sync.get('writer_full_wait_s', 0.0):.3f}s")
-        for line in sharded.backpressure_detail:
-            print(f"  {line}", file=sys.stderr)
-    short = sharded.shards < sharded.shards_requested
-    if short:
-        print(f"shard-check: asked for {sharded.shards_requested} workers, "
-              f"ran {sharded.shards} [{', '.join(sharded.degraded)}]",
-              file=sys.stderr)
-    ok = equal and sharded.backpressure_safe and not short
-    return 0 if ok else 1
-
-
 def _cmd_chaos(args) -> int:
     from .experiments.chaos_bank import CHAOS_SCENARIOS
     from .faults.chaos import ChaosHarness
@@ -406,36 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--jsonl",
                          help="also dump raw spans/events as JSON Lines")
 
-    p_shard = sub.add_parser(
-        "shard-check",
-        help="run one workload sharded and single-process at the same "
-             "config and compare results exactly",
-        epilog=EXIT_CONTRACT.format(
-            fail="the sharded run's results differ from single-process, "
-                 "its flow-control certification fails, or it ran on fewer "
-                 "workers than --shards asked for"),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p_shard.add_argument("--workload", default="q7",
-                         choices=("q7", "q8", "twitch"))
-    p_shard.add_argument("--until", type=float, default=60.0,
-                         help="simulated seconds to run (default 60)")
-    p_shard.add_argument("--shards", type=_positive_int, default=2,
-                         help="worker processes (default 2)")
-    p_shard.add_argument("--output", default=None,
-                         help="directory to write sink-dump JSON files "
-                              "(sink-single.json / sink-sharded.json) for "
-                              "byte-for-byte diffing in CI")
-    p_shard.add_argument("--json", action="store_true",
-                         help="print the comparison report as JSON")
-    p_shard.add_argument("--inbox", type=_positive_int, default=None,
-                         metavar="N",
-                         help="shard flow-control window "
-                              "(default: REPRO_SHARD_INBOX or 512)")
-    p_shard.add_argument("--trace-out", default=None, metavar="PATH",
-                         help="write the per-shard sync-protocol blocked "
-                              "waits as a Chrome trace (open in "
-                              "ui.perfetto.dev)")
-
     from .experiments.chaos_bank import CHAOS_SCENARIOS
     p_chaos = sub.add_parser(
         "chaos",
@@ -471,7 +324,6 @@ def main(argv: Optional[list] = None) -> int:
         "run": _cmd_run,
         "workload": _cmd_workload,
         "trace": _cmd_trace,
-        "shard-check": _cmd_shard_check,
         "chaos": _cmd_chaos,
     }
     if args.command == "chaos" and args.seed is None:

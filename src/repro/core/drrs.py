@@ -78,9 +78,8 @@ class DRRSController(ScalingController):
 
     name = "drrs"
 
-    def __init__(self, job: StreamJob, config: Optional[DRRSConfig] = None,
-                 control_latency: float = 0.002):
-        super().__init__(job, control_latency=control_latency)
+    def __init__(self, job: StreamJob, config: Optional[DRRSConfig] = None):
+        super().__init__(job)
         self.config = config or DRRSConfig()
         self._op_name: Optional[str] = None
         self._plan = None
@@ -482,10 +481,8 @@ class CoupledSubscaleController(OTFSController):
 
     name = "subscale_only"
 
-    def __init__(self, job, num_subscales: int = 16,
-                 control_latency: float = 0.002):
-        super().__init__(job, migration="fluid", injection="predecessor",
-                         control_latency=control_latency)
+    def __init__(self, job, num_subscales: int = 16):
+        super().__init__(job, migration="fluid", injection="predecessor")
         if num_subscales < 1:
             raise ValueError("num_subscales must be >= 1")
         self.num_subscales = num_subscales
@@ -496,22 +493,17 @@ class CoupledSubscaleController(OTFSController):
 
 
 def make_variant(job: StreamJob, variant: str = "drrs",
-                 num_subscales: int = 16,
-                 control_latency: float = 0.002) -> ScalingController:
+                 num_subscales: int = 16) -> ScalingController:
     """The four systems of the design-rationale isolation test (Fig. 14)."""
     if variant == "drrs":
-        return DRRSController(job, DRRSConfig(num_subscales=num_subscales),
-                              control_latency=control_latency)
+        return DRRSController(job, DRRSConfig(num_subscales=num_subscales))
     if variant == "dr":
         return DRRSController(
             job,
-            DRRSConfig(record_scheduling=False, subscale_division=False),
-            control_latency=control_latency)
+            DRRSConfig(record_scheduling=False, subscale_division=False))
     if variant == "schedule":
         return OTFSController(job, migration="fluid",
-                              injection="predecessor", scheduling=True,
-                              control_latency=control_latency)
+                              injection="predecessor", scheduling=True)
     if variant == "subscale":
-        return CoupledSubscaleController(job, num_subscales=num_subscales,
-                                         control_latency=control_latency)
+        return CoupledSubscaleController(job, num_subscales=num_subscales)
     raise ValueError(f"unknown DRRS variant: {variant!r}")

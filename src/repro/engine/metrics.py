@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["MetricsCollector", "series_peak", "series_mean", "percentile"]
 
@@ -43,19 +43,6 @@ class MetricsCollector:
         self._sink_times, self._sink_counts = array("d"), array("q")
         self._source_total = self._sink_total = 0
         self.custom: Dict[str, List[Tuple[float, float]]] = {}
-
-    @classmethod
-    def from_view(cls, view: Mapping[str, Any]) -> "MetricsCollector":
-        """A collector holding a sharded run's merged view (the metric keys
-        of :func:`repro.simulation.sharded.collect_run_view`)."""
-        metrics = cls()
-        metrics.latency_samples = list(view["latency_samples"])
-        for time, count in view["source_events"]:
-            metrics.record_source_output(time, count)
-        for time, count in view["sink_events"]:
-            metrics.record_sink_input(time, count)
-        metrics.custom = {k: list(v) for k, v in view["custom"].items()}
-        return metrics
 
     # -- recording -------------------------------------------------------------
 

@@ -10,7 +10,6 @@
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -79,22 +78,18 @@ class JobConfig:
     #: Hard per-group log bound for changelog backends — exceeding it
     #: forces a materialization (truncation).
     changelog_max_log_entries: int = 8192
-    #: Worker processes for the sharded multi-process kernel
-    #: (:mod:`repro.simulation.sharded`).  ``1`` (the default) runs the
-    #: ordinary single-process kernel; ``None`` reads ``REPRO_SHARDS``
-    #: (defaulting to 1).  Values > 1 only take effect on plain
-    #: run-to-completion workloads — controllers / telemetry / fault
-    #: injection degrade to single-process execution.
-    shards: Optional[int] = None
+    #: Worker processes for the sharded multi-process kernel.  Read only
+    #: by :func:`~repro.simulation.sharded.run_sharded`; every other entry
+    #: point runs the ordinary single-process kernel.
+    shards: int = 1
     #: Inbox (credit) capacity used for cut-crossing channels when a run is
-    #: sharded: the benches and ``repro shard-check`` substitute this for
+    #: sharded: the benchmark ledger substitutes this for
     #: ``inbox_capacity`` on *both* the sharded run and its single-process
     #: equivalence reference, so the credit-ledger certification has
     #: headroom on cut edges (the paper-tier Twitch session->loyalty cut
-    #: needs > the default 32).  ``None`` reads ``REPRO_SHARD_INBOX``
-    #: (defaulting to 512).  Per-cut-edge overrides can be attached to the
-    #: partition plan (:meth:`~..engine.routing.ShardPlan.annotate_cuts`).
-    shard_inbox_capacity: Optional[int] = None
+    #: needs > the default 32).  Per-cut-edge overrides can be attached to
+    #: the partition plan (:meth:`~..engine.routing.ShardPlan.annotate_cuts`).
+    shard_inbox_capacity: int = 512
 
     #: Legal record planes / schedulers / backends and the numeric bounds.
     RECORD_PLANES = ("batched", "single")
@@ -103,7 +98,6 @@ class JobConfig:
     MAX_BATCH_SIZE_LIMIT = 4096
     MAX_SHARDS = 64
     MAX_SHARD_INBOX = 1 << 20
-    DEFAULT_SHARD_INBOX = 512
 
     def __post_init__(self):
         if self.record_plane not in self.RECORD_PLANES:
@@ -114,18 +108,17 @@ class JobConfig:
             raise ValueError(
                 f"unknown state_backend: {self.state_backend!r} "
                 f"(expected one of: {', '.join(self.STATE_BACKENDS)})")
-        if (not isinstance(self.changelog_materialize_interval, int)
-                or isinstance(self.changelog_materialize_interval, bool)
-                or self.changelog_materialize_interval < 1):
-            raise ValueError(
-                "changelog_materialize_interval must be a positive "
-                f"integer, got {self.changelog_materialize_interval!r}")
-        if (not isinstance(self.changelog_max_log_entries, int)
-                or isinstance(self.changelog_max_log_entries, bool)
-                or self.changelog_max_log_entries < 1):
-            raise ValueError(
-                "changelog_max_log_entries must be a positive integer, "
-                f"got {self.changelog_max_log_entries!r}")
+        # A channel with no credit or no outbox slot carries nothing, and
+        # a host with no transfer slot stalls the first rescale.
+        for name in ("outbox_capacity", "inbox_capacity",
+                     "max_concurrent_transfers_per_host",
+                     "changelog_materialize_interval",
+                     "changelog_max_log_entries"):
+            value = getattr(self, name)
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < 1):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}")
         if self.scheduler not in self.SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler: {self.scheduler!r} "
@@ -137,28 +130,12 @@ class JobConfig:
                 "max_batch_size must be an integer in "
                 f"[1, {self.MAX_BATCH_SIZE_LIMIT}], "
                 f"got {self.max_batch_size!r}")
-        if self.shards is None:
-            raw = os.environ.get("REPRO_SHARDS", "1")
-            try:
-                self.shards = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_SHARDS must be an integer, got {raw!r}") from None
         if (not isinstance(self.shards, int)
                 or isinstance(self.shards, bool)
                 or not 1 <= self.shards <= self.MAX_SHARDS):
             raise ValueError(
                 f"shards must be an integer in [1, {self.MAX_SHARDS}], "
                 f"got {self.shards!r}")
-        if self.shard_inbox_capacity is None:
-            raw = os.environ.get("REPRO_SHARD_INBOX",
-                                 str(self.DEFAULT_SHARD_INBOX))
-            try:
-                self.shard_inbox_capacity = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_SHARD_INBOX must be an integer, "
-                    f"got {raw!r}") from None
         if (not isinstance(self.shard_inbox_capacity, int)
                 or isinstance(self.shard_inbox_capacity, bool)
                 or not 1 <= self.shard_inbox_capacity

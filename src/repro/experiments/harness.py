@@ -14,8 +14,7 @@ runs keep the same semantics).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..engine.cluster import ClusterModel
@@ -47,12 +46,9 @@ class ExperimentConfig:
     #: ... held for this many seconds (100 s in the paper).
     stabilize_hold: float = 10.0
     cluster: Optional[ClusterModel] = None
-    #: The engine configuration — record plane, scheduler, state backend,
-    #: shard count and every other engine knob live here and nowhere
-    #: else.  None = ``JobConfig()`` (which reads ``REPRO_SHARDS``).
-    #: ``shards > 1`` only applies to plain runs: a run with a scaling
-    #: controller, telemetry or a custom cluster stays single-process and
-    #: says so in :attr:`ExperimentResult.degraded`.
+    #: The engine configuration — record plane, scheduler, state backend
+    #: and every other engine knob live here and nowhere else.
+    #: None = ``JobConfig()``.
     job_config: Optional[JobConfig] = None
     label: str = ""
     #: Opt-in structured tracing: when True the job's telemetry subsystem
@@ -80,13 +76,6 @@ class ExperimentResult:
     job: Optional[StreamJob] = field(default=None, repr=False)
     #: The job's Telemetry bundle when ExperimentConfig.telemetry was set.
     telemetry: Optional[object] = field(default=None, repr=False)
-    #: How a run that asked for ``shards > 1`` fell short, in the reason
-    #: codes of ``ShardedRunResult.degraded``: ``"single-process:<reason>"``
-    #: (``controller``, ``telemetry``, ``cluster``, a
-    #: :func:`~repro.simulation.sharded.supports_sharding` reason, or
-    #: ``uncertified`` when the credit ledger rejected the sharded run)
-    #: and ``"clamped:<asked>-><got>"``.  Empty when nothing was degraded.
-    degraded: List[str] = field(default_factory=list)
 
     @property
     def peak_latency(self) -> float:
@@ -161,90 +150,9 @@ def detect_scaling_period(latency_series: List[Tuple[float, float]],
     return None
 
 
-def _single_process_reason(config: ExperimentConfig) -> Optional[str]:
-    """Why a run that asks for ``shards > 1`` must stay single-process
-    (a ``degraded`` reason code), or None when it may shard."""
-    from ..simulation.sharded import supports_sharding
-
-    support = supports_sharding(config.job_config,
-                                controller=config.controller_factory,
-                                telemetry=config.telemetry)
-    if not support:
-        return support.reason
-    return "cluster" if config.cluster is not None else None
-
-
-def _run_experiment_sharded(config: ExperimentConfig,
-                            shards: int) -> ExperimentResult:
-    """Plain (no-controller) run on the sharded kernel.
-
-    The merged per-shard view is loaded into a real
-    :class:`~repro.engine.metrics.MetricsCollector` so every downstream
-    statistic (latency stats, throughput buckets) uses the exact same
-    code path as a single-process run.  Results are identical by the
-    shard-vs-single equivalence contract; only wall-clock differs.
-    """
-    import copy
-
-    from ..engine.metrics import MetricsCollector
-    from ..simulation.sharded import run_sharded
-
-    workload = config.workload
-    end_at = config.warmup + config.post_duration
-    result = run_sharded(
-        # Each call (probe + one per worker) builds from a pristine copy
-        # so a Workload whose build mutates internal state stays
-        # deterministic across processes.
-        lambda: copy.deepcopy(workload),
-        until=end_at, shards=shards, job_config=config.job_config)
-    if not result.backpressure_safe:
-        # The credit ledger could not certify the run even after
-        # replanning — results may differ from single-process, so the
-        # figure falls back to the reference kernel.
-        single = replace(config.job_config or JobConfig(), shards=1)
-        fallback = run_experiment(replace(config, job_config=single))
-        fallback.degraded = ["single-process:uncertified"]
-        return fallback
-
-    metrics = MetricsCollector.from_view(result.semantic_view())
-
-    scale_at = config.warmup
-    latency = metrics.latency_series()
-    throughput = metrics.throughput_series(
-        window=config.measure_window, start=0.0, end=end_at)
-    pre = metrics.latency_stats(
-        start=scale_at - config.baseline_window, end=scale_at)
-    during = metrics.latency_stats(start=scale_at, end=end_at)
-    return ExperimentResult(
-        label=config.label or workload.name,
-        controller_name="no-scale",
-        scale_at=scale_at,
-        end_at=end_at,
-        latency_series=latency,
-        throughput_series=throughput,
-        pre_latency=pre,
-        during_latency=during,
-        scaling_metrics=None,
-        scaling_period=None,
-        source_records=metrics.total_source_output(),
-        sink_records=metrics.total_sink_input(),
-        job=None,
-        telemetry=None,
-        degraded=result.degraded,
-    )
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the three-phase protocol and collect the figure inputs."""
     workload = config.workload
-    degraded: List[str] = []
-    shards = (config.job_config or JobConfig()).shards
-    if shards > 1:
-        reason = _single_process_reason(config)
-        if reason is None:
-            return _run_experiment_sharded(config, shards)
-        degraded.append(f"single-process:{reason}")
-
     job = workload.build(cluster=config.cluster,
                          job_config=config.job_config)
     telemetry = job.enable_telemetry() if config.telemetry else None
@@ -289,5 +197,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         sink_records=job.metrics.total_sink_input(),
         job=job,
         telemetry=telemetry,
-        degraded=degraded,
     )

@@ -1,9 +1,9 @@
 """Kernel and channel microbench bodies, plus the shard operator weights.
 
 This module holds only what ``benchmarks/ledger`` imports: ``micro.py``
-times the four bench bodies and ``workloads.py`` (like ``repro
-shard-check``) reads :data:`SHARD_WEIGHTS`.  ROADMAP's "A ledger that
-imports nothing it measures" moves them into the ledger.
+times the four bench bodies and ``workloads.py`` reads
+:data:`SHARD_WEIGHTS`.  ROADMAP's "A ledger that imports nothing it
+measures" moves them into the ledger.
 
 Every bench reports wall-clock throughput (operations per second).
 Simulated time is free — these measure how much *host* CPU a kernel

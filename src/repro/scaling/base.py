@@ -307,11 +307,12 @@ class ScalingController:
 
     name = "abstract"
 
-    def __init__(self, job: StreamJob, control_latency: float = 0.002):
+    #: Coordinator → worker command latency (control plane RPC).
+    control_latency = 0.002
+
+    def __init__(self, job: StreamJob):
         self.job = job
         self.sim = job.sim
-        #: Coordinator → worker command latency (control plane RPC).
-        self.control_latency = control_latency
         self.metrics = ScalingMetrics()
         self._scale_ids = 0
         self.active = False

@@ -38,9 +38,8 @@ class MecesController(ScalingController):
 
     name = "meces"
 
-    def __init__(self, job, sub_groups: int = 4,
-                 control_latency: float = 0.002):
-        super().__init__(job, control_latency=control_latency)
+    def __init__(self, job, sub_groups: int = 4):
+        super().__init__(job)
         if sub_groups < 1:
             raise ValueError("sub_groups must be >= 1")
         self.sub_groups = sub_groups

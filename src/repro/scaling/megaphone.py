@@ -23,10 +23,9 @@ class MegaphoneController(OTFSController):
     name = "megaphone"
     sequential = True
 
-    def __init__(self, job, batch_size: int = 4,
-                 control_latency: float = 0.002):
+    def __init__(self, job, batch_size: int = 4):
         super().__init__(job, migration="fluid", injection="predecessor",
-                         scheduling=True, control_latency=control_latency)
+                         scheduling=True)
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size

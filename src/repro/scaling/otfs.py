@@ -38,9 +38,8 @@ class OTFSController(ScalingController):
 
     def __init__(self, job, migration: str = "fluid",
                  injection: str = "source",
-                 scheduling: bool = False,
-                 control_latency: float = 0.002):
-        super().__init__(job, control_latency=control_latency)
+                 scheduling: bool = False):
+        super().__init__(job)
         if migration not in ("fluid", "all_at_once"):
             raise ValueError(f"unknown migration mode: {migration}")
         if injection not in ("source", "predecessor"):

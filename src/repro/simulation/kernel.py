@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from collections import deque
 from typing import (Any, Callable, Deque, Generator, Iterable, List,
                     Optional, Tuple)
@@ -80,11 +79,6 @@ __all__ = [
 
 #: Supported pending-event queue implementations.
 SCHEDULERS = ("heap", "calendar")
-
-
-def _default_scheduler() -> str:
-    """Process-wide default, overridable via ``REPRO_SCHEDULER``."""
-    return os.environ.get("REPRO_SCHEDULER", "heap")
 
 
 class SimulationError(RuntimeError):
@@ -448,17 +442,11 @@ class Simulator:
                  "dispatch_probe", "discount_probe", "_done", "_push",
                  "scheduler", "_bound")
 
-    def __init__(self, scheduler: Optional[str] = None):
-        from_env = scheduler is None
-        if from_env:
-            scheduler = _default_scheduler()
+    def __init__(self, scheduler: str = "heap"):
         if scheduler not in SCHEDULERS:
-            # Same wording as JobConfig.scheduler validation, so callers
-            # see one error shape whether the bad value arrived via config
-            # or via the REPRO_SCHEDULER environment variable.
-            source = " (from REPRO_SCHEDULER)" if from_env else ""
+            # Same wording as JobConfig.scheduler validation.
             raise ValueError(
-                f"unknown scheduler{source}: {scheduler!r} "
+                f"unknown scheduler: {scheduler!r} "
                 f"(expected one of: {', '.join(SCHEDULERS)})")
         #: Which pending-event queue implementation this simulator runs on
         #: ("heap" or "calendar").  Dispatch order is identical; only the

@@ -52,9 +52,9 @@ if backpressure *would* have engaged, in which case the sharded timing is
 not equivalent to single-process and callers should fall back.
 
 Barriers, checkpoints, rescale, fault injection and telemetry all
-require a single event loop and fall back to single-process execution
-(:func:`supports_sharding` / the ``shards<=1`` path), mirroring the batched
-plane's per-record fallback.
+require a single event loop; the kernel runs plain jobs only, and
+:func:`supports_sharding` turns it off for the configurations (the
+changelog backend, platforms without ``fork``) it cannot run.
 """
 
 from __future__ import annotations
@@ -63,12 +63,11 @@ import dataclasses
 import heapq
 import math
 import multiprocessing
-import os
 import time
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine.frames import decode_frame, encode_frame
 from ..engine.routing import ShardPlan, partition_graph, topological_order
@@ -105,11 +104,10 @@ class ShardingSupport:
 
     Truthiness preserves the old boolean contract; when sharding is
     unsupported, :attr:`reason` carries a stable machine-readable code
-    (``"controller"``, ``"telemetry"``, ``"faults"``,
-    ``"changelog-async-uploads"``, ``"no-fork"``) and :attr:`detail` a
+    (``"changelog-async-uploads"``, ``"no-fork"``) and :attr:`detail` a
     human sentence — both end up in the fallback warning, and the code
     as ``"single-process:<reason>"`` in the ``degraded`` list of
-    :class:`ShardedRunResult` and of the experiment harness's result.
+    :class:`ShardedRunResult`.
     """
 
     supported: bool
@@ -120,33 +118,17 @@ class ShardingSupport:
         return self.supported
 
 
-def supports_sharding(config=None, *, controller=None,
-                      telemetry=False, faults=False) -> ShardingSupport:
-    """Whether a run may use the multi-process kernel.
+def supports_sharding(config=None) -> ShardingSupport:
+    """Whether a run at ``config`` may use the multi-process kernel.
 
-    Any feature that needs one global event loop (scaling controllers,
-    telemetry probes, fault injection, the changelog backend's
-    asynchronous segment uploads) degrades to single-process, as do
-    platforms without the ``fork`` start method (the workers inherit the
-    workload factory by forking).  Returns a truthy/falsy
-    :class:`ShardingSupport`; falsy verdicts name the degradation.  Two
-    more single-process reasons are decided elsewhere: ``"no-shm"`` by
-    :func:`run_sharded` when the shared-memory rings cannot be created,
-    and ``"cluster"`` by the experiment harness for custom cluster models.
+    The changelog backend's asynchronous segment uploads need one global
+    event loop, and platforms without the ``fork`` start method cannot
+    hand the workers the workload factory; both degrade to
+    single-process.  Returns a truthy/falsy :class:`ShardingSupport`;
+    falsy verdicts name the degradation.  One more single-process reason,
+    ``"no-shm"``, is decided by :func:`run_sharded` when the
+    shared-memory rings cannot be created.
     """
-    if controller is not None:
-        return ShardingSupport(
-            False, "controller",
-            "scaling controllers mutate the global assignment and need "
-            "one event loop")
-    if telemetry:
-        return ShardingSupport(
-            False, "telemetry",
-            "telemetry probes sample across the whole job")
-    if faults:
-        return ShardingSupport(
-            False, "faults",
-            "fault injection coordinates crashes and recovery globally")
     if getattr(config, "state_backend", "dict") == "changelog":
         return ShardingSupport(
             False, "changelog-async-uploads",
@@ -574,8 +556,6 @@ _WAIT_MIN = 5e-5
 _WAIT_MAX = 2e-3
 #: Safety bound on one blocked wait.
 _WAIT_LIMIT = 10.0
-#: Max blocked-wait intervals kept for the telemetry trace.
-_MAX_INTERVALS = 4096
 
 
 class _SyncStats:
@@ -585,8 +565,7 @@ class _SyncStats:
     __slots__ = ("null_sent", "null_suppressed",
                  "grant_rounds", "frames_sent", "msgs_sent",
                  "bytes_shipped", "spills", "batch_fallbacks",
-                 "blocked_waits", "blocked_wait_s", "writer_full_wait_s",
-                 "blocked_intervals")
+                 "blocked_waits", "blocked_wait_s", "writer_full_wait_s")
 
     def __init__(self):
         self.null_sent = 0           # bare-grant frames actually sent
@@ -600,8 +579,6 @@ class _SyncStats:
         self.blocked_waits = 0
         self.blocked_wait_s = 0.0
         self.writer_full_wait_s = 0.0
-        #: (start, end) wall seconds relative to worker start, capped.
-        self.blocked_intervals: List[Tuple[float, float]] = []
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -616,7 +593,6 @@ class _SyncStats:
             "blocked_waits": self.blocked_waits,
             "blocked_wait_s": self.blocked_wait_s,
             "writer_full_wait_s": self.writer_full_wait_s,
-            "blocked_intervals": self.blocked_intervals,
         }
 
 
@@ -862,8 +838,6 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
                     rx.ring.set_blocked(False)
             w1 = time.perf_counter()
             stats.blocked_wait_s += w1 - w0
-            if len(stats.blocked_intervals) < _MAX_INTERVALS:
-                stats.blocked_intervals.append((w0 - t0, w1 - t0))
 
         def flush(final: bool) -> None:
             nonlocal my_grant
@@ -911,11 +885,6 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
         # fully executed (run_to leaves sim._now at nextafter(stop, -inf),
         # so sim._now itself never equals the bound).
         frontier = 0.0
-        profiler = None
-        if os.environ.get("REPRO_SHARD_PROFILE"):
-            import cProfile
-            profiler = cProfile.Profile()
-            profiler.enable()
         while True:
             drain_upstream(block=False)
             safe = min(grants.values()) if grants else math.inf
@@ -945,11 +914,6 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
                 aq.blocked()
                 drain_upstream(block=True)
 
-        if profiler is not None:
-            profiler.disable()
-            import pstats
-            out = os.environ["REPRO_SHARD_PROFILE"]
-            profiler.dump_stats(f"{out}.shard{shard_id}.prof")
         view = collect_run_view(job, owned,
                                 collect_sinks=spec.collect_sinks,
                                 watermark_traces=traces)
@@ -1089,7 +1053,7 @@ class ShardedRunResult:
 
     def sync_totals(self) -> Dict[str, Any]:
         """Sum of the sync-protocol counters across shards (the
-        aggregate `repro shard-check` and the benchmark ledger report).
+        aggregate the benchmark ledger reports).
         Empty for single-process runs."""
         if not self.sync_per_shard:
             return {}

@@ -21,8 +21,6 @@ Quick start::
 from .exporters import (phase_summary_table, to_chrome_trace,
                         to_jsonl_lines, write_chrome_trace, write_jsonl)
 from .phases import migration_breakdown, phase_rows
-from .shards import (shard_sync_events, to_shard_sync_trace,
-                     write_shard_sync_trace)
 from .registry import Counter, Gauge, MetricsRegistry
 from .tracer import InstantEvent, Span, Telemetry, Tracer
 
@@ -41,7 +39,4 @@ __all__ = [
     "phase_summary_table",
     "phase_rows",
     "migration_breakdown",
-    "shard_sync_events",
-    "to_shard_sync_trace",
-    "write_shard_sync_trace",
 ]

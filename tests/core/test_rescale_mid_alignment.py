@@ -127,9 +127,12 @@ def _beside_drrs(system, delta, until):
 _MEGAPHONE_AT_30 = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="Megaphone has not finished at 30 s: loyalty[2] still aligns "
-    "scale token (1, 4), missing the channels from session[2] and "
-    "session[3] -- the same token it aligns at 30 s with no DRRS rescale "
-    "beside it")
+    "scale token (1, 4), injected at 20.51, whose barriers from session[2] "
+    "and session[3] are queued in loyalty[2]'s input cache behind 2,160 "
+    "and 1,080 records while loyalty[2] is busy the whole second at 720 "
+    "records/s -- backlog, Naive Division's expected cost, not an "
+    "injection held by a backpressured session loop; the token aligns at "
+    "35.16 with or without the DRRS rescale beside it")
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.5])

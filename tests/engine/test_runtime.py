@@ -126,3 +126,15 @@ def test_config_capacities_apply():
         for channel in edge.channels:
             assert channel.outbox_capacity == 7
             assert channel.inbox_capacity == 9
+
+
+@pytest.mark.parametrize("name", ["outbox_capacity", "inbox_capacity",
+                                  "max_concurrent_transfers_per_host"])
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0, "4"])
+def test_config_rejects_capacities_below_one(name, bad):
+    # A zero inbox admits records and delivers none; a zero outbox admits
+    # none; zero transfer slots fail only mid-rescale.  All three are
+    # refused when the configuration is built.
+    with pytest.raises(ValueError, match=f"{name} must be a positive"):
+        JobConfig(**{name: bad})
+    assert getattr(JobConfig(**{name: 1}), name) == 1

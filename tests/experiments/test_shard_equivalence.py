@@ -9,18 +9,14 @@ mechanism that could make the conservative schedule diverge).  These
 tests spawn real worker processes.
 """
 
-import dataclasses
 import os
 import sys
 
 import pytest
 
-from repro.engine.cluster import single_machine
 from repro.engine.runtime import JobConfig
-from repro.experiments.harness import ExperimentConfig, run_experiment
 from repro.simulation.sharded import (DEFAULT_QUANTUM, run_sharded,
-                                      run_single_reference,
-                                      supports_sharding)
+                                      run_single_reference)
 from repro.workloads.nexmark import NexmarkQ7
 from repro.workloads.twitch import TwitchWorkload
 
@@ -72,11 +68,15 @@ def test_q7_two_shards_equivalent():
     assert multi.view["state_digests"] == single.view["state_digests"]
 
 
-def test_twitch_three_shards_equivalent():
+@pytest.mark.parametrize("shards", [3, 4])
+def test_twitch_shards_equivalent(shards):
     """A seeded, chaos-free Twitch run over the shared-memory frames is
-    the single-process run: sinks, state digests, watermark traces."""
-    single, multi = _both(TwitchWorkload, until=20.0, shards=3)
-    assert multi.shards >= 2
+    the single-process run: sinks, state digests, watermark traces.  At
+    four workers every legal cut is taken (chain | session | loyalty |
+    sink)."""
+    single, multi = _both(TwitchWorkload, until=20.0, shards=shards)
+    assert multi.shards == multi.shards_requested == shards
+    assert multi.degraded == []
     # The source's chain is one task: it is planned as one block.
     assert multi.plan.shards[0][:4] == ["twitch-source", "parse",
                                         "bot-filter", "enrich"]
@@ -93,86 +93,6 @@ def test_worker_cpu_accounting_present():
     assert multi.bottleneck_cpu_s > 0.0
     assert len(multi.events_per_shard) == multi.shards
     assert all(n > 0 for n in multi.events_per_shard)
-
-
-def _harness_config(shards, **kw):
-    return ExperimentConfig(
-        workload=NexmarkQ7(), warmup=5.0, post_duration=15.0,
-        job_config=dataclasses.replace(_SHARD_CONFIG, shards=shards), **kw)
-
-
-def _assert_same_figures(result, ref):
-    assert result.source_records == ref.source_records
-    assert result.sink_records == ref.sink_records
-    assert sorted(result.latency_series) == sorted(ref.latency_series)
-    assert result.throughput_series == ref.throughput_series
-    assert result.pre_latency == ref.pre_latency
-    assert result.during_latency == ref.during_latency
-
-
-def test_harness_sharded_run_matches_single():
-    """job_config.shards=N reproduces the single-process figures."""
-    ref = run_experiment(_harness_config(1))
-    shard = run_experiment(_harness_config(2))
-    assert ref.degraded == [] and shard.degraded == []
-    assert shard.job is None  # the sharded path has no in-process job
-    _assert_same_figures(shard, ref)
-
-
-def test_harness_uncertified_run_falls_back_and_says_so(monkeypatch):
-    """A sharded run the credit ledger cannot certify is discarded: the
-    figures come from a single-process rerun, recorded as degraded."""
-    from repro.simulation import sharded
-
-    def uncertified(*args, shards, **kw):
-        return sharded.ShardedRunResult({}, shards=shards,
-                                        backpressure_safe=False)
-
-    ref = run_experiment(_harness_config(1))
-    monkeypatch.setattr(sharded, "run_sharded", uncertified)
-    result = run_experiment(_harness_config(2))
-    assert result.degraded == ["single-process:uncertified"]
-    assert result.job is not None
-    _assert_same_figures(result, ref)
-
-
-def test_harness_controller_run_ignores_shards():
-    """Scaling-controller runs degrade to single-process (the rescale
-    machinery needs one global event loop) and the result says so."""
-    from repro.scaling.otfs import OTFSController
-
-    result = run_experiment(ExperimentConfig(
-        workload=NexmarkQ7(),
-        controller_factory=lambda job: OTFSController(job),
-        new_parallelism=6, warmup=5.0, post_duration=10.0,
-        job_config=JobConfig(shards=4)))
-    assert result.controller_name != "no-scale"
-    assert result.job is not None  # single-process path keeps the job
-    assert result.degraded == ["single-process:controller"]
-
-
-#: ExperimentConfig overrides that keep a shards=2 run single-process,
-#: by the reason code the result must carry.
-_SINGLE_PROCESS_CAUSES = {
-    "telemetry": dict(telemetry=True),
-    "cluster": dict(cluster=single_machine()),
-    "changelog-async-uploads":
-        dict(job_config=JobConfig(shards=2, state_backend="changelog")),
-}
-
-
-@pytest.mark.parametrize("reason", sorted(_SINGLE_PROCESS_CAUSES))
-def test_harness_single_process_reason_is_recorded(reason):
-    config = dataclasses.replace(_harness_config(2),
-                                 **_SINGLE_PROCESS_CAUSES[reason])
-    result = run_experiment(config)
-    assert result.job is not None
-    assert result.degraded == [f"single-process:{reason}"]
-
-
-def test_supports_sharding_gate_matches_fallbacks():
-    assert supports_sharding(_SHARD_CONFIG)
-    assert not supports_sharding(_SHARD_CONFIG, telemetry=True)
 
 
 # ---------------------------------------------------------------------------

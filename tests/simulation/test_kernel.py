@@ -399,7 +399,7 @@ def test_schedule_entry_past_raises():
 
 class TestSchedulerValidation:
     """Unknown scheduler names fail fast at Simulator construction with a
-    clear ValueError, whether passed directly or via REPRO_SCHEDULER."""
+    clear ValueError."""
 
     def test_direct_unknown_scheduler(self):
         with pytest.raises(ValueError, match=r"unknown scheduler: 'splay'"):
@@ -408,19 +408,3 @@ class TestSchedulerValidation:
     def test_error_lists_supported_schedulers(self):
         with pytest.raises(ValueError, match=r"heap.*calendar"):
             Simulator(scheduler="fifo")
-
-    def test_env_unknown_scheduler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
-        with pytest.raises(
-                ValueError,
-                match=r"unknown scheduler \(from REPRO_SCHEDULER\): 'wheel'"):
-            Simulator()
-
-    def test_env_does_not_shadow_explicit_argument(self, monkeypatch):
-        # a bad env value must not poison explicitly-configured simulators
-        monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
-        assert Simulator(scheduler="calendar").scheduler == "calendar"
-
-    def test_env_valid_value_selects_scheduler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        assert Simulator().scheduler == "calendar"

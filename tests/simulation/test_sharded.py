@@ -19,6 +19,7 @@ from repro.simulation.sharded import (ShardedRunResult, _replay_credits,
                                       plan_for_job, run_sharded,
                                       run_single_reference,
                                       supports_sharding)
+from repro.simulation.kernel import Simulator
 from repro.simulation.shm_ring import ShmRing
 from repro.workloads.nexmark import NexmarkQ7
 from repro.workloads.twitch import TwitchWorkload
@@ -184,44 +185,17 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="shards"):
             JobConfig(shards=True)
 
-    def test_repro_shards_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "3")
-        assert JobConfig().shards == 3
-        monkeypatch.setenv("REPRO_SHARDS", "many")
-        with pytest.raises(ValueError, match="REPRO_SHARDS"):
-            JobConfig()
-        monkeypatch.delenv("REPRO_SHARDS")
-        assert JobConfig().shards == 1
-
-    def test_explicit_shards_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "7")
-        assert JobConfig(shards=2).shards == 2
-
-    def test_supports_sharding_degradations(self):
-        assert supports_sharding(JobConfig())
-        assert not supports_sharding(JobConfig(), controller=object())
-        assert not supports_sharding(JobConfig(), telemetry=True)
-        assert not supports_sharding(JobConfig(), faults=True)
-
     def test_supports_sharding_reasons_are_machine_readable(self):
         verdict = supports_sharding(JobConfig())
         assert verdict.supported and verdict.reason is None
-        cases = {
-            "controller": dict(controller=object()),
-            "telemetry": dict(telemetry=True),
-            "faults": dict(faults=True),
-        }
-        for reason, kwargs in cases.items():
-            verdict = supports_sharding(JobConfig(), **kwargs)
-            assert not verdict.supported
-            assert verdict.reason == reason
-            assert verdict.detail
+        assert not verdict.detail
 
     def test_supports_sharding_rejects_changelog_backend(self):
         verdict = supports_sharding(
             JobConfig(state_backend="changelog"))
         assert not verdict
         assert verdict.reason == "changelog-async-uploads"
+        assert verdict.detail
 
     def test_degraded_run_warns_once_with_reason(self):
         with pytest.warns(RuntimeWarning,
@@ -260,15 +234,16 @@ class TestConfigPlumbing:
             with pytest.raises(ValueError, match="shard_inbox_capacity"):
                 JobConfig(shard_inbox_capacity=bad)
 
-    def test_repro_shard_inbox_env_default(self, monkeypatch):
+    def test_environment_picks_no_engine_mode(self, monkeypatch):
+        """The shard count and the event scheduler come from the
+        configuration alone: no environment variable changes a default."""
+        monkeypatch.setenv("REPRO_SHARDS", "4")
         monkeypatch.setenv("REPRO_SHARD_INBOX", "128")
-        assert JobConfig().shard_inbox_capacity == 128
-        # explicit beats env
-        assert JobConfig(
-            shard_inbox_capacity=256).shard_inbox_capacity == 256
-        monkeypatch.setenv("REPRO_SHARD_INBOX", "lots")
-        with pytest.raises(ValueError, match="REPRO_SHARD_INBOX"):
-            JobConfig()
+        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
+        config = JobConfig()
+        assert config.shards == 1
+        assert config.shard_inbox_capacity == 512
+        assert Simulator().scheduler == "heap"
 
 
 class TestNoSharedMemory:
@@ -305,19 +280,6 @@ class TestNoSharedMemory:
             TwitchWorkload, until=5.0, job_config=JobConfig(),
             collect_sinks=True, trace_watermarks=True)
         assert result.semantic_view() == reference.semantic_view()
-
-    def test_shard_check_exits_nonzero(self, monkeypatch, capsys):
-        from repro.cli import main
-
-        def no_ring(capacity):
-            raise OSError("shared memory unavailable")
-
-        monkeypatch.setattr(sharded, "ShmRing", no_ring)
-        with pytest.warns(RuntimeWarning, match=r"\[no-shm\]"):
-            code = main(["shard-check", "--workload", "twitch",
-                         "--shards", "4", "--until", "5"])
-        assert code == 1
-        assert "single-process:no-shm" in capsys.readouterr().err
 
 
 class TestAdaptiveQuantum:

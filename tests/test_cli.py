@@ -114,7 +114,7 @@ def test_trace_command(tmp_path, capsys):
     assert first["kind"] in ("span", "instant")
 
 
-@pytest.mark.parametrize("command", ["chaos", "shard-check"])
+@pytest.mark.parametrize("command", ["chaos"])
 def test_check_commands_document_exit_contract(command, capsys):
     # The exit-status contract is part of each check-style command's
     # --help (0 = pass, 1 = check failure, 2 = usage error).
@@ -140,6 +140,15 @@ def test_autoscale_is_not_a_command(capsys):
         main(["autoscale"])
     assert excinfo.value.code == 2
     assert "invalid choice: 'autoscale'" in capsys.readouterr().err
+
+
+def test_shard_check_is_not_a_command(capsys):
+    # The sharded kernel runs plain jobs only; the benchmark ledger is
+    # its one caller, and the tier-1 equivalence tests check it.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["shard-check"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'shard-check'" in capsys.readouterr().err
 
 
 def test_figure_output_file(tmp_path, capsys, monkeypatch):
