@@ -5,14 +5,12 @@ from .checkpoint import CheckpointCoordinator
 from .cluster import (ClusterModel, LinkSpec, NodeSpec, single_machine,
                       swarm_cluster)
 from .graph import EdgeSpec, JobGraph, OperatorSpec
-from .introspection import (channel_rows, hot_instance, instance_rows,
-                            job_summary, operator_rows)
+from .introspection import instance_rows, operator_rows
 from .keys import KeyGroupAssignment, key_to_key_group, uniform_ranges
 from .metrics import MetricsCollector, percentile, series_mean, series_peak
 from .operators import (DefaultInputHandler, FilterLogic, InputHandler,
-                        KeyByLogic, KeyedReduceLogic, MapLogic,
-                        OperatorInstance, OperatorLogic, PassThroughLogic,
-                        SinkLogic)
+                        KeyedReduceLogic, MapLogic, OperatorInstance,
+                        OperatorLogic, PassThroughLogic, SinkLogic)
 from .recovery import RecoveryError, RecoveryManager
 from .records import (CheckpointBarrier, ControlSignal, EndOfStream,
                       LatencyMarker, Record, StreamElement, Watermark)
@@ -21,28 +19,26 @@ from .routing import (NoChannelError, OutputEdge, OutputRouter,
 from .runtime import JobConfig, SourceInstance, StreamJob
 from .state import (ChangelogChainError, ChangelogSegment,
                     ChangelogStateBackend, DictStateBackend,
-                    KeyGroupState, StateBackend, StateStatus,
-                    StateTransferCostModel)
+                    KeyGroupState, StateStatus, StateTransferCostModel)
 from .windows import SlidingWindowAggregateLogic, WindowedJoinLogic
 
 __all__ = [
     "Channel", "InputChannel", "CheckpointCoordinator",
     "ClusterModel", "LinkSpec", "NodeSpec", "single_machine", "swarm_cluster",
     "EdgeSpec", "JobGraph", "OperatorSpec",
-    "channel_rows", "hot_instance", "instance_rows", "job_summary",
-    "operator_rows",
+    "instance_rows", "operator_rows",
     "KeyGroupAssignment", "key_to_key_group", "uniform_ranges",
     "MetricsCollector", "percentile", "series_mean", "series_peak",
-    "DefaultInputHandler", "FilterLogic", "InputHandler", "KeyByLogic",
-    "KeyedReduceLogic", "MapLogic", "OperatorInstance", "OperatorLogic",
-    "PassThroughLogic", "SinkLogic",
+    "DefaultInputHandler", "FilterLogic", "InputHandler", "KeyedReduceLogic",
+    "MapLogic", "OperatorInstance", "OperatorLogic", "PassThroughLogic",
+    "SinkLogic",
     "CheckpointBarrier", "ControlSignal", "EndOfStream", "LatencyMarker",
     "Record", "StreamElement", "Watermark",
     "NoChannelError", "OutputEdge", "OutputRouter", "Partitioning",
     "JobConfig", "SourceInstance", "StreamJob",
     "RecoveryError", "RecoveryManager",
     "ChangelogChainError", "ChangelogSegment", "ChangelogStateBackend",
-    "DictStateBackend", "KeyGroupState",
-    "StateBackend", "StateStatus", "StateTransferCostModel",
+    "DictStateBackend", "KeyGroupState", "StateStatus",
+    "StateTransferCostModel",
     "SlidingWindowAggregateLogic", "WindowedJoinLogic",
 ]

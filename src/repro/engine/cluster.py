@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["NodeSpec", "LinkSpec", "ClusterModel", "single_machine", "swarm_cluster"]
 
@@ -66,19 +66,13 @@ class ClusterModel:
         self.default_link = default_link or LinkSpec()
         self.loopback = loopback or LinkSpec(latency=0.00005,
                                              bandwidth=8 * GBIT)
-        self._links: Dict[Tuple[str, str], LinkSpec] = {}
         self._occupancy: Dict[str, int] = {n.name: 0 for n in nodes}
         self._next = 0
-
-    def set_link(self, a: str, b: str, link: LinkSpec) -> None:
-        """Override the link between two named nodes (symmetric)."""
-        self._links[(a, b)] = link
-        self._links[(b, a)] = link
 
     def link(self, a: str, b: str) -> LinkSpec:
         if a == b:
             return self.loopback
-        return self._links.get((a, b), self.default_link)
+        return self.default_link
 
     def node(self, name: str) -> NodeSpec:
         for n in self.nodes:

@@ -107,9 +107,6 @@ class JobGraph:
     def upstream_of(self, name: str) -> List[str]:
         return [e.src for e in self.edges if e.dst == name]
 
-    def downstream_of(self, name: str) -> List[str]:
-        return [e.dst for e in self.edges if e.src == name]
-
     def in_edges(self, name: str) -> List[EdgeSpec]:
         return [e for e in self.edges if e.dst == name]
 

@@ -3,8 +3,7 @@
 Answers the operational questions every scaling decision needs — who is
 busy, where queues are building, where state lives — as plain dict rows,
 renderable with :func:`repro.experiments.report.format_table` or exported
-as JSON.  The CLI's ``workload --inspect`` and the policies' debugging all
-build on this.
+as JSON.  The CLI's ``workload --inspect`` builds on this.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from typing import Dict, List, Optional
 from .operators import OperatorInstance
 from .runtime import SourceInstance, StreamJob
 
-__all__ = ["instance_rows", "operator_rows", "channel_rows",
-           "hot_instance", "job_summary"]
+__all__ = ["instance_rows", "operator_rows"]
 
 
 def instance_rows(job: StreamJob, operator: Optional[str] = None,
@@ -76,51 +74,3 @@ def operator_rows(job: StreamJob, since: float = 0.0) -> List[Dict]:
             "suspended_s": sum(r["suspended_s"] for r in per_instance),
         })
     return rows
-
-
-def channel_rows(job: StreamJob, min_backlog: int = 1) -> List[Dict]:
-    """Channels with at least ``min_backlog`` unconsumed elements —
-    the congestion map."""
-    rows = []
-    for inst in job.all_instances():
-        for edge in inst.router.edges:
-            for channel in edge.channels:
-                if channel.backlog >= min_backlog:
-                    rows.append({
-                        "channel": channel.name,
-                        "outbox": len(channel.outbox),
-                        "in_flight": channel._in_flight,
-                        "inbox": (len(channel.input_channel)
-                                  if channel.input_channel else 0),
-                        "credits": channel.credits,
-                    })
-    rows.sort(key=lambda r: -(r["outbox"] + r["in_flight"] + r["inbox"]))
-    return rows
-
-
-def hot_instance(job: StreamJob, operator: str,
-                 since: float = 0.0) -> Dict:
-    """The busiest instance of an operator (skew diagnosis)."""
-    rows = instance_rows(job, operator=operator, since=since)
-    if not rows:
-        raise ValueError(f"operator {operator!r} has no instances")
-    return max(rows, key=lambda r: r["busy_fraction"])
-
-
-def job_summary(job: StreamJob) -> Dict:
-    """One-row health summary of the whole job."""
-    sources = job.sources()
-    return {
-        "sim_time_s": job.sim.now,
-        "kernel_events": job.sim.events_processed,
-        "record_plane": job.config.record_plane,
-        "plane_collapses": job.plane_collapses,
-        "operators": len(job.graph.operators),
-        "instances": len(job.all_instances()),
-        "records_generated": job.metrics.total_source_output(),
-        "records_delivered": job.metrics.total_sink_input(),
-        "admission_backlog": sum(s.backlog for s in sources),
-        "total_state_mb": sum(
-            inst.state.total_bytes() for inst in job.all_instances()) / 1e6,
-        "congested_channels": len(channel_rows(job, min_backlog=8)),
-    }

@@ -103,10 +103,6 @@ class KeyGroupAssignment:
     def owner(self, key_group: int) -> int:
         return self._mapping[key_group]
 
-    def groups_of(self, instance: int) -> List[int]:
-        return sorted(kg for kg, inst in self._mapping.items()
-                      if inst == instance)
-
     def as_dict(self) -> Dict[int, int]:
         return dict(self._mapping)
 

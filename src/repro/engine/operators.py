@@ -32,7 +32,6 @@ __all__ = [
     "OperatorLogic",
     "MapLogic",
     "FilterLogic",
-    "KeyByLogic",
     "KeyedReduceLogic",
     "PassThroughLogic",
     "SinkLogic",
@@ -101,16 +100,6 @@ class FilterLogic(OperatorLogic):
         return [record.copy_with(
             count=kept,
             size_bytes=record.size_bytes * kept / max(record.count, 1))]
-
-
-class KeyByLogic(OperatorLogic):
-    """Re-keys records: downstream hash edges will recompute key-groups."""
-
-    def __init__(self, key_fn: Callable[[Record], Any]):
-        self.key_fn = key_fn
-
-    def on_record(self, record, instance):
-        return [record.copy_with(key=self.key_fn(record), key_group=None)]
 
 
 class KeyedReduceLogic(OperatorLogic):

@@ -109,13 +109,11 @@ class RecoveryManager:
 
     def __init__(self, job: StreamJob,
                  restart_seconds: float = 1.0,
-                 restore_bandwidth: float = 400e6,
                  retain_checkpoints: int = 5):
         if retain_checkpoints < 1:
             raise ValueError("retain_checkpoints must be >= 1")
         self.job = job
         self.restart_seconds = restart_seconds
-        self.restore_bandwidth = restore_bandwidth
         #: Newest-N completed checkpoints kept restorable; older ones (and
         #: superseded incomplete ones) are dropped, and source replay
         #: history older than the oldest retained checkpoint is trimmed.
@@ -676,7 +674,7 @@ class RecoveryManager:
         # 2. Restart + restore costs.
         yield sim.timeout(self.restart_seconds)
         if total_bytes > 0:
-            yield sim.timeout(total_bytes / self.restore_bandwidth)
+            yield sim.timeout(total_bytes / job.snapshot_bandwidth)
 
         # 3. Restore state, routing and source offsets.  Ownership is
         # derived from where the snapshots hold each group's bytes, so a

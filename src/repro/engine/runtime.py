@@ -37,20 +37,9 @@ class JobConfig:
     outbox_capacity: int = 32
     #: Input-cache (credit) capacity per channel, in elements.
     inbox_capacity: int = 32
-    #: Snapshot write bandwidth (bytes/s) for checkpoints.
-    snapshot_bandwidth: float = 400e6
-    #: Fraction of snapshot time that blocks processing (aligned sync part).
-    snapshot_sync_fraction: float = 0.05
-    #: Time to provision a new instance (container start, task deploy) —
-    #: part of the paper's inherent overhead L_o.
-    instance_init_seconds: float = 0.5
     #: State transfer cost model (extraction + network).
     transfer: StateTransferCostModel = field(
         default_factory=StateTransferCostModel)
-    #: Concurrent state transfers sharing one host's NIC/disk; with the
-    #: default transfer bandwidth fraction this caps aggregate state traffic
-    #: at roughly the host link rate.
-    max_concurrent_transfers_per_host: int = 4
     #: Record plane: ``"batched"`` ships runs of records over a channel as
     #: one wire carrier (bit-identical semantics, golden-trace enforced);
     #: ``"single"`` is the per-record reference implementation.  Operators
@@ -75,12 +64,9 @@ class JobConfig:
     #: Changelog backends fold their logs into a durable base every this
     #: many mutations (bounds the delta tail a restore must replay).
     changelog_materialize_interval: int = 4096
-    #: Hard per-group log bound for changelog backends — exceeding it
-    #: forces a materialization (truncation).
-    changelog_max_log_entries: int = 8192
     #: Worker processes for the sharded multi-process kernel.  Read only
-    #: by :func:`~repro.simulation.sharded.run_sharded`; every other entry
-    #: point runs the ordinary single-process kernel.
+    #: by :func:`~repro.simulation.sharded.run_sharded`; a
+    #: :class:`StreamJob` built with any other value raises.
     shards: int = 1
     #: Inbox (credit) capacity used for cut-crossing channels when a run is
     #: sharded: the benchmark ledger substitutes this for
@@ -108,12 +94,9 @@ class JobConfig:
             raise ValueError(
                 f"unknown state_backend: {self.state_backend!r} "
                 f"(expected one of: {', '.join(self.STATE_BACKENDS)})")
-        # A channel with no credit or no outbox slot carries nothing, and
-        # a host with no transfer slot stalls the first rescale.
+        # A channel with no credit or no outbox slot carries nothing.
         for name in ("outbox_capacity", "inbox_capacity",
-                     "max_concurrent_transfers_per_host",
-                     "changelog_materialize_interval",
-                     "changelog_max_log_entries"):
+                     "changelog_materialize_interval"):
             value = getattr(self, name)
             if (not isinstance(value, int) or isinstance(value, bool)
                     or value < 1):
@@ -307,6 +290,17 @@ class SourceInstance(OperatorInstance):
 class StreamJob:
     """A deployed, runnable dataflow."""
 
+    #: Checkpoint storage bandwidth (bytes/s): snapshots are written at
+    #: this rate, and restored at it after a failure.
+    snapshot_bandwidth = 400e6
+    #: Fraction of snapshot write time that blocks processing (the
+    #: aligned, synchronous part).
+    snapshot_sync_fraction = 0.05
+    #: Concurrent state transfers sharing one host's NIC/disk; with the
+    #: default transfer bandwidth fraction this caps aggregate state
+    #: traffic at roughly the host link rate.
+    max_concurrent_transfers_per_host = 4
+
     def __init__(self, graph: JobGraph,
                  cluster: Optional[ClusterModel] = None,
                  sim: Optional[Simulator] = None,
@@ -322,6 +316,11 @@ class StreamJob:
             raise ValueError(
                 f"unknown record_plane: {self.config.record_plane!r} "
                 f"(expected one of: {', '.join(JobConfig.RECORD_PLANES)})")
+        if self.config.shards != 1:
+            raise ValueError(
+                f"shards={self.config.shards}: a StreamJob runs in one "
+                "process; repro.simulation.sharded.run_sharded runs a "
+                "workload on several")
         #: True when the record plane rides micro-batch carriers; decided
         #: by ``record_plane`` alone for the life of the job.  Rescales,
         #: fault windows and recoveries collapse the plane for their own
@@ -387,8 +386,7 @@ class StreamJob:
         #: so the disabled default costs one attribute load per site.
         self.telemetry = None
 
-    def enable_telemetry(self, capacity: int = 200_000,
-                         sample_interval: Optional[float] = None):
+    def enable_telemetry(self, sample_interval: Optional[float] = None):
         """Attach a :class:`repro.telemetry.Telemetry` to this job.
 
         Installs the kernel dispatch probe, tags every existing channel
@@ -401,7 +399,7 @@ class StreamJob:
         if self.telemetry is not None:
             return self.telemetry
         from ..telemetry import Telemetry
-        telemetry = Telemetry(self.sim, capacity=capacity)
+        telemetry = Telemetry(self.sim)
         self.telemetry = telemetry
         self.sim.dispatch_probe = telemetry.on_kernel_event
         self.sim.discount_probe = telemetry.on_kernel_discount
@@ -417,8 +415,7 @@ class StreamJob:
         from ..simulation.primitives import Semaphore
         gate = self._transfer_gates.get(node_name)
         if gate is None:
-            gate = Semaphore(self.sim,
-                             self.config.max_concurrent_transfers_per_host)
+            gate = Semaphore(self.sim, self.max_concurrent_transfers_per_host)
             self._transfer_gates[node_name] = gate
         return gate
 
@@ -755,8 +752,7 @@ class StreamJob:
             return ChangelogStateBackend(
                 bytes_per_entry=spec.bytes_per_entry,
                 materialize_interval=(
-                    self.config.changelog_materialize_interval),
-                max_log_entries=self.config.changelog_max_log_entries)
+                    self.config.changelog_materialize_interval))
         return DictStateBackend(bytes_per_entry=spec.bytes_per_entry)
 
     def checkpoint_sync_cost(self, instance: OperatorInstance) -> float:
@@ -768,8 +764,8 @@ class StreamJob:
         sync_bytes = instance.state.checkpoint_sync_bytes()
         if sync_bytes <= 0:
             return 0.0
-        full = sync_bytes / self.config.snapshot_bandwidth
-        return full * self.config.snapshot_sync_fraction
+        full = sync_bytes / self.snapshot_bandwidth
+        return full * self.snapshot_sync_fraction
 
     def note_snapshot(self, instance: OperatorInstance,
                       barrier: CheckpointBarrier) -> None:

@@ -19,16 +19,17 @@ Sub-key-groups (used by the Meces baseline's Hierarchical State
 Organization) divide one key-group into equal slices that can be fetched
 independently.
 
-Storage itself is pluggable behind :class:`StateBackend`:
+Storage is one of two stores:
 
 * :class:`DictStateBackend` — the reference in-memory store (full-copy
   snapshots; checkpoints pay for the whole state on the barrier path).
-* :class:`ChangelogStateBackend` — log-structured: every mutation appends
-  to a per-key-group changelog; checkpoints cut *delta segments* (only
-  what changed since the previous cut) that are uploaded asynchronously
-  off the barrier path, and a background *materialization* periodically
-  folds the log into a durable base so the log — and with it the
-  recovery-time delta tail — stays bounded.  Restore replays
+* :class:`ChangelogStateBackend` — a log-structured
+  :class:`DictStateBackend`: every mutation appends to a per-key-group
+  changelog; checkpoints cut *delta segments* (only what changed since
+  the previous cut) that are uploaded asynchronously off the barrier
+  path, and a background *materialization* periodically folds the log
+  into a durable base so the log — and with it the recovery-time delta
+  tail — stays bounded.  Restore replays
   materialized base + delta tail (:meth:`ChangelogStateBackend.replay_chain`).
 """
 
@@ -41,7 +42,6 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = [
     "StateStatus",
     "KeyGroupState",
-    "StateBackend",
     "DictStateBackend",
     "ChangelogStateBackend",
     "ChangelogSegment",
@@ -129,24 +129,24 @@ class KeyGroupState:
         self.version = _tick()
 
 
-class StateBackend:
-    """Abstract per-instance keyed state store, organised by key-group.
+class DictStateBackend:
+    """Per-instance keyed state store, organised by key-group: the
+    reference in-memory store, with full-copy snapshots and a synchronous
+    checkpoint cost proportional to total state size.
 
-    Concrete backends must provide the full ownership / value-access /
-    aggregate surface below.  The two checkpoint-facing hooks are what
-    distinguish backends:
+    Two checkpoint-facing hooks are what :class:`ChangelogStateBackend`
+    overrides:
 
     * :meth:`checkpoint_sync_bytes` — bytes charged *synchronously* on the
-      barrier path when a checkpoint barrier aligns.  Full-copy backends
-      pay the whole state; incremental backends pay a small constant
-      manifest and move the real bytes asynchronously.
+      barrier path when a checkpoint barrier aligns: the whole state here,
+      a small constant manifest for the changelog backend.
     * :attr:`is_incremental` — whether checkpoints are cut as delta
       segments that must be uploaded (and chained) before the checkpoint
       can complete.
     """
 
     #: Stable identifier used by config plumbing and reports.
-    name = "abstract"
+    name = "dict"
     #: Incremental backends cut delta segments + async uploads.
     is_incremental = False
     #: In-place write hook: ``note_in_place(key_group, nbytes)`` or None.
@@ -156,69 +156,6 @@ class StateBackend:
     #: written.  None means the backend needs no notice: callers resolve
     #: the attribute once per call and pay a single ``is None`` test.
     note_in_place = None
-
-    # -- ownership ------------------------------------------------------------
-    def register_group(self, key_group: int,
-                       status: StateStatus = StateStatus.LOCAL,
-                       size_bytes: float = 0.0) -> KeyGroupState:
-        raise NotImplementedError
-
-    def group(self, key_group: int) -> Optional[KeyGroupState]:
-        raise NotImplementedError
-
-    def require_group(self, key_group: int) -> KeyGroupState:
-        raise NotImplementedError
-
-    def drop_group(self, key_group: int) -> KeyGroupState:
-        raise NotImplementedError
-
-    def install_group(self, key_group: int, entries: Dict[Any, Any],
-                      size_bytes: float,
-                      status: StateStatus = StateStatus.LOCAL,
-                      sub_groups_present: Optional[set] = None
-                      ) -> KeyGroupState:
-        raise NotImplementedError
-
-    def groups(self) -> List[KeyGroupState]:
-        raise NotImplementedError
-
-    def owned_groups(self) -> List[int]:
-        raise NotImplementedError
-
-    def has_processable(self, key_group: int) -> bool:
-        raise NotImplementedError
-
-    # -- value access (used by operator logics) -------------------------------
-    def get(self, key_group: int, key: Any, default: Any = None) -> Any:
-        raise NotImplementedError
-
-    def put(self, key_group: int, key: Any, value: Any) -> None:
-        raise NotImplementedError
-
-    def delete(self, key_group: int, key: Any) -> None:
-        raise NotImplementedError
-
-    def add_bytes(self, key_group: int, delta: float) -> None:
-        raise NotImplementedError
-
-    # -- aggregates -----------------------------------------------------------
-    def total_bytes(self) -> float:
-        raise NotImplementedError
-
-    def snapshot(self) -> Dict[int, KeyGroupState]:
-        raise NotImplementedError
-
-    # -- checkpoint surface ---------------------------------------------------
-    def checkpoint_sync_bytes(self) -> float:
-        """Bytes serialized synchronously on the barrier path."""
-        return self.total_bytes()
-
-
-class DictStateBackend(StateBackend):
-    """Reference in-memory store: full-copy snapshots, synchronous
-    checkpoint cost proportional to total state size."""
-
-    name = "dict"
 
     def __init__(self, bytes_per_entry: float = 256.0):
         self.bytes_per_entry = bytes_per_entry
@@ -321,6 +258,12 @@ class DictStateBackend(StateBackend):
                 entries=cut_copy(group.entries),
             )
         return copied
+
+    # -- checkpoint surface -----------------------------------------------------
+
+    def checkpoint_sync_bytes(self) -> float:
+        """Bytes serialized synchronously on the barrier path."""
+        return self.total_bytes()
 
 
 class ChangelogChainError(RuntimeError):

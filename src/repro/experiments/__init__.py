@@ -11,7 +11,7 @@ from .report import (format_fig02, format_fig10, format_fig12,
                      format_fig13, format_fig14, format_fig15,
                      format_table)
 from .scenarios import PAPER, QUICK, Scenario, make_workload
-from .timeline import ascii_timeline, export_result, series_to_csv
+from .timeline import ascii_timeline
 
 __all__ = [
     "ExperimentConfig",
@@ -39,6 +39,4 @@ __all__ = [
     "Scenario",
     "make_workload",
     "ascii_timeline",
-    "export_result",
-    "series_to_csv",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..engine import (CheckpointCoordinator, JobConfig, JobGraph,
                       KeyedReduceLogic, OperatorSpec, Partitioning, Record,
@@ -58,16 +58,20 @@ def _config_with_backend(job_config, state_backend: Optional[str],
 def _keyed_job(stop_at: float, num_key_groups: int = 16,
                parallelism: int = 2, keys: int = 24,
                state_bytes_per_group: float = 2e6,
-               gap: float = 0.01, job_config=None,
+               agg_service_time: float = 2e-4,
+               gap: float = 0.01, ramp: Optional[Tuple[float, float]] = None,
+               job_config=None,
                state_backend: Optional[str] = None,
                record_plane: Optional[str] = None):
     """source → keyed sum → sink plus a counting oracle.
 
-    The generator tallies ``produced[key]`` as it offers records, so the
-    oracle survives replay-history trimming and is blind to every fault
-    downstream of the source.  The sink collects its input so the
-    semantic trace (backend-equivalence invariant) can diff per-key final
-    sink values across backends.
+    The generator offers one record per ``gap`` seconds; with ``ramp =
+    (at, rate)`` it offers ``rate`` records/s from sim time ``at`` on.  It
+    tallies ``produced[key]`` as it offers records, so the oracle survives
+    replay-history trimming and is blind to every fault downstream of the
+    source.  The sink collects its input so the semantic trace
+    (backend-equivalence invariant) can diff per-key final sink values
+    across backends.
     """
     graph = JobGraph("chaos", num_key_groups=num_key_groups)
     graph.add_source("src", parallelism=1, service_time=5e-5)
@@ -75,7 +79,7 @@ def _keyed_job(stop_at: float, num_key_groups: int = 16,
         "agg",
         logic_factory=lambda: KeyedReduceLogic(
             lambda old, r: (old or 0) + r.count),
-        parallelism=parallelism, service_time=2e-4, keyed=True,
+        parallelism=parallelism, service_time=agg_service_time, keyed=True,
         initial_state_bytes_per_group=state_bytes_per_group))
     graph.add_sink("sink", collect=True)
     graph.connect("src", "agg", Partitioning.HASH)
@@ -95,7 +99,10 @@ def _keyed_job(stop_at: float, num_key_groups: int = 16,
             if i % 20 == 0:
                 src.offer(Watermark(timestamp=job.sim.now))
             i += 1
-            yield job.sim.timeout(gap)
+            if ramp is not None and job.sim.now >= ramp[0]:
+                yield job.sim.timeout(1.0 / ramp[1])
+            else:
+                yield job.sim.timeout(gap)
 
     job.sim.spawn(gen(), name="chaos-driver")
     return job, produced
@@ -218,37 +225,13 @@ def _scripted_crash_mid_subscale(
     backends."""
     from ..core.drrs import DRRSController
 
-    graph = JobGraph("chaos", num_key_groups=16)
-    graph.add_source("src", parallelism=1, service_time=5e-5)
-    graph.add_operator(OperatorSpec(
-        "agg",
-        logic_factory=lambda: KeyedReduceLogic(
-            lambda old, r: (old or 0) + r.count),
-        parallelism=2, service_time=2e-3, keyed=True,
-        initial_state_bytes_per_group=8e6))
-    graph.add_sink("sink", collect=True)
-    graph.connect("src", "agg", Partitioning.HASH)
-    graph.connect("agg", "sink", Partitioning.FORWARD)
-    job = StreamJob(graph, config=_config_with_backend(
-        None, state_backend, record_plane)).build()
+    # Ramp at t=4: 300/s → 1200/s saturates p=2 (service 2 ms).
+    job, produced = _keyed_job(stop_at=16.0, state_bytes_per_group=8e6,
+                               agg_service_time=2e-3, gap=1.0 / 300.0,
+                               ramp=(4.0, 1200.0),
+                               state_backend=state_backend,
+                               record_plane=record_plane)
     job.enable_telemetry()
-    produced: Dict[str, int] = {}
-
-    def gen():
-        src = job.sources()[0]
-        i = 0
-        while job.sim.now < 16.0:
-            # Ramp at t=4: 300/s → 1200/s saturates p=2 (service 2 ms).
-            rate = 300.0 if job.sim.now < 4.0 else 1200.0
-            key = f"k{i % 24}"
-            src.offer(Record(key=key, event_time=job.sim.now, count=1))
-            produced[key] = produced.get(key, 0) + 1
-            if i % 20 == 0:
-                src.offer(Watermark(timestamp=job.sim.now))
-            i += 1
-            yield job.sim.timeout(1.0 / rate)
-
-    job.sim.spawn(gen(), name="chaos-driver")
     checkpoints = CheckpointCoordinator(job, interval=0.75)
     checkpoints.start()
     recovery = RecoveryManager(job, restart_seconds=0.5,

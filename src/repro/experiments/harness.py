@@ -41,9 +41,9 @@ class ExperimentConfig:
     measure_window: float = 1.0
     #: Pre-scale latency baseline window (seconds before the scale).
     baseline_window: float = 10.0
-    #: Stabilization criterion: latency within `threshold`×baseline ...
-    stabilize_threshold: float = 1.10
-    #: ... held for this many seconds (100 s in the paper).
+    #: Stabilization criterion: latency within 1.1×baseline (the
+    #: ``threshold`` of :func:`detect_scaling_period`) held for this many
+    #: seconds (100 s in the paper).
     stabilize_hold: float = 10.0
     cluster: Optional[ClusterModel] = None
     #: The engine configuration — record plane, scheduler, state backend
@@ -177,7 +177,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if controller is not None:
         period = detect_scaling_period(
             latency, scale_at, pre.get("mean", 0.0),
-            threshold=config.stabilize_threshold,
             hold=config.stabilize_hold,
             end_at=end_at)
         if period is None:

@@ -1,20 +1,11 @@
-"""Timeline rendering and raw-data export for experiment results.
-
-Plot-free output helpers: ASCII strips for terminals (used by the examples)
-and CSV/JSON export so the series behind every figure can be re-plotted
-with any external tool.
-"""
+"""Timeline rendering for experiment results: plot-free ASCII strips for
+terminals (used by the examples)."""
 
 from __future__ import annotations
 
-import csv
-import json
-import os
 from typing import List, Optional, Sequence, Tuple
 
-from .harness import ExperimentResult
-
-__all__ = ["ascii_timeline", "series_to_csv", "export_result"]
+__all__ = ["ascii_timeline"]
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
@@ -61,51 +52,3 @@ def ascii_timeline(series: Sequence[Tuple[float, float]],
     if mark_at is not None and start <= mark_at < end:
         chars[min(int((mark_at - start) / bucket_width), width - 1)] = "|"
     return "".join(chars)
-
-
-def series_to_csv(series: Sequence[Tuple[float, float]], path: str,
-                  header: Tuple[str, str] = ("time_s", "value")) -> None:
-    """Write one (time, value) series as a two-column CSV."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for t, v in series:
-            writer.writerow([f"{t:.6f}", f"{v:.9f}"])
-
-
-def export_result(result: ExperimentResult, directory: str) -> List[str]:
-    """Dump one experiment's series and summary for external plotting.
-
-    Writes ``latency.csv``, ``throughput.csv``, ``suspension.csv`` (when a
-    scaling operation ran) and ``summary.json``; returns the paths.
-    """
-    os.makedirs(directory, exist_ok=True)
-    written = []
-
-    path = os.path.join(directory, "latency.csv")
-    series_to_csv(result.latency_series, path,
-                  header=("time_s", "latency_s"))
-    written.append(path)
-
-    path = os.path.join(directory, "throughput.csv")
-    series_to_csv(result.throughput_series, path,
-                  header=("time_s", "records_per_s"))
-    written.append(path)
-
-    if result.scaling_metrics is not None:
-        path = os.path.join(directory, "suspension.csv")
-        series_to_csv(result.scaling_metrics.suspension_series(), path,
-                      header=("time_s", "cumulative_suspension_s"))
-        written.append(path)
-
-    path = os.path.join(directory, "summary.json")
-    summary = dict(result.summary())
-    summary["label"] = result.label
-    summary["scale_at"] = result.scale_at
-    summary["end_at"] = result.end_at
-    summary["source_records"] = result.source_records
-    summary["sink_records"] = result.sink_records
-    with open(path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-    written.append(path)
-    return written

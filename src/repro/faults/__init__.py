@@ -8,7 +8,7 @@ made scenarios live in :mod:`repro.experiments.chaos_bank`; run them with
 """
 
 from .chaos import ChaosHarness, ChaosReport, ChaosScenario, ChaosSetup
-from .injector import (CrashInstance, CrashNode, DelayRecords, DropRecords,
+from .injector import (CrashInstance, DelayRecords, DropRecords,
                        DuplicateRecords, FaultInjector, StallTransfers,
                        StallUploads)
 from .invariants import (WatermarkMonitor, check_all,
@@ -20,7 +20,6 @@ from .invariants import (WatermarkMonitor, check_all,
 __all__ = [
     "FaultInjector",
     "CrashInstance",
-    "CrashNode",
     "DropRecords",
     "DuplicateRecords",
     "DelayRecords",

@@ -29,7 +29,6 @@ spec                   effect
                        (Flink's restart-all strategy); if a scaling
                        operation is in flight the controller aborts and
                        rolls it back first
-:class:`CrashNode`     same recovery path, attributed to a host failure
 :class:`DropRecords`   records on one operator→operator hop are lost on
                        the wire for a window (flow-control credits are
                        returned so the pipe keeps flowing)
@@ -66,7 +65,6 @@ from ..simulation.randomness import make_rng
 __all__ = [
     "FaultInjector",
     "CrashInstance",
-    "CrashNode",
     "DropRecords",
     "DuplicateRecords",
     "DelayRecords",
@@ -92,21 +90,6 @@ class CrashInstance:
 
     def describe(self) -> str:
         return f"crash of {self.op}[{self.index}]"
-
-    def apply(self, injector: "FaultInjector") -> None:
-        injector.crash(self.describe())
-
-
-@dataclass
-class CrashNode:
-    """A whole host fails; every instance placed on it goes down."""
-
-    node: str
-    at: Optional[float] = None
-    phase: Optional[str] = None
-
-    def describe(self) -> str:
-        return f"crash of node {self.node}"
 
     def apply(self, injector: "FaultInjector") -> None:
         injector.crash(self.describe())

@@ -309,6 +309,9 @@ class ScalingController:
 
     #: Coordinator → worker command latency (control plane RPC).
     control_latency = 0.002
+    #: Time to provision a new instance (container start, task deploy) —
+    #: part of the paper's inherent overhead L_o.
+    instance_init_seconds = 0.5
 
     def __init__(self, job: StreamJob):
         self.job = job
@@ -421,7 +424,7 @@ class ScalingController:
             new_instances.append(self.job.add_instance(op_name))
         if not new_instances:
             return []  # scale-in / rebalance: nothing to provision
-        yield self.sim.timeout(self.job.config.instance_init_seconds)
+        yield self.sim.timeout(self.instance_init_seconds)
         for instance in new_instances:
             instance.start()
         return new_instances

@@ -80,9 +80,6 @@ class MigrationPlan:
             kgs.sort()
         return paths
 
-    def moves_from(self, src_index: int) -> List[Migration]:
-        return [m for m in self.moves if m.src_index == src_index]
-
     def move_for(self, key_group: int) -> Migration:
         for m in self.moves:
             if m.key_group == key_group:

@@ -41,14 +41,14 @@ class StopRestartController(ScalingController):
 
         # 2. Global checkpoint: every instance snapshots all of its state.
         total_bytes = sum(inst.state.total_bytes() for inst in all_instances)
-        checkpoint_seconds = total_bytes / job.config.snapshot_bandwidth
+        checkpoint_seconds = total_bytes / job.snapshot_bandwidth
         yield self.sim.timeout(checkpoint_seconds)
 
         # 3. Redeploy with the new configuration.
         new_instances = []
         for _ in plan.new_instance_indices:
             new_instances.append(job.add_instance(op_name))
-        yield self.sim.timeout(job.config.instance_init_seconds)
+        yield self.sim.timeout(self.instance_init_seconds)
         instances = job.instances(op_name)
 
         # 4. Restore migrating key-groups under the new assignment (the

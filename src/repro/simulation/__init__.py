@@ -2,7 +2,7 @@
 
 from .kernel import Event, Interrupt, Process, SimulationError, Simulator
 from .primitives import EdgeWake, Semaphore, Signal
-from .randomness import ZipfSampler, exponential_interarrival, make_rng
+from .randomness import ZipfSampler, make_rng
 
 __all__ = [
     "Event",
@@ -14,6 +14,5 @@ __all__ = [
     "Semaphore",
     "Signal",
     "ZipfSampler",
-    "exponential_interarrival",
     "make_rng",
 ]

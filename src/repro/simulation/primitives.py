@@ -127,12 +127,6 @@ class Semaphore:
             self._waiters.append(ev)
         return ev
 
-    def try_acquire(self) -> bool:
-        if self._count > 0:
-            self._count -= 1
-            return True
-        return False
-
     def release(self) -> None:
         while self._waiters:
             waiter = self._waiters.popleft()

@@ -11,19 +11,12 @@ import math
 import random
 from typing import List, Sequence
 
-__all__ = ["ZipfSampler", "make_rng", "exponential_interarrival"]
+__all__ = ["ZipfSampler", "make_rng"]
 
 
 def make_rng(seed: int) -> random.Random:
     """A dedicated RNG stream for one component, derived from ``seed``."""
     return random.Random(seed)
-
-
-def exponential_interarrival(rng: random.Random, rate: float) -> float:
-    """Draw one exponential inter-arrival gap for a Poisson arrival process."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    return rng.expovariate(rate)
 
 
 class ZipfSampler:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from .tracer import Telemetry, Tracer
+from .tracer import Telemetry
 
 __all__ = ["to_chrome_trace", "write_chrome_trace", "to_jsonl_lines",
            "write_jsonl", "phase_summary_table"]
@@ -40,17 +40,14 @@ def _json_safe(value: Any) -> Any:
     return str(value)
 
 
-def _tracer_of(telemetry) -> Tracer:
-    return telemetry.tracer if isinstance(telemetry, Telemetry) else telemetry
-
-
-def to_chrome_trace(telemetry, process_name: str = "repro-sim") -> Dict:
-    """Build a Trace Event Format document from a Telemetry (or Tracer).
+def to_chrome_trace(telemetry: Telemetry,
+                    process_name: str = "repro-sim") -> Dict:
+    """Build a Trace Event Format document from a Telemetry.
 
     Tracks are assigned thread ids in sorted-name order, so the document is
     deterministic for identically-seeded runs.
     """
-    tracer = _tracer_of(telemetry)
+    tracer = telemetry.tracer
     pid = 1
     tids = {track: i + 1 for i, track in enumerate(tracer.tracks())}
     events: List[Dict] = [{
@@ -85,14 +82,12 @@ def to_chrome_trace(telemetry, process_name: str = "repro-sim") -> Dict:
             "tid": tids[event.track],
             "args": _json_safe(event.attrs),
         })
-    doc: Dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if isinstance(telemetry, Telemetry):
-        doc["metrics"] = telemetry.registry.snapshot()
-        doc["droppedRecords"] = tracer.dropped
-    return doc
+    return {"traceEvents": events, "displayTimeUnit": "ms",
+            "metrics": telemetry.registry.snapshot(),
+            "droppedRecords": tracer.dropped}
 
 
-def write_chrome_trace(telemetry, path: str,
+def write_chrome_trace(telemetry: Telemetry, path: str,
                        process_name: str = "repro-sim") -> str:
     with open(path, "w") as f:
         json.dump(to_chrome_trace(telemetry, process_name=process_name), f,
@@ -101,10 +96,10 @@ def write_chrome_trace(telemetry, path: str,
     return path
 
 
-def to_jsonl_lines(telemetry) -> List[str]:
+def to_jsonl_lines(telemetry: Telemetry) -> List[str]:
     """One compact JSON object per record: spans first, then events,
     each in (time, id) order."""
-    tracer = _tracer_of(telemetry)
+    tracer = telemetry.tracer
     lines = []
     for span in sorted((s for s in tracer.spans if s.closed),
                        key=lambda s: (s.start, s.span_id)):
@@ -121,14 +116,15 @@ def to_jsonl_lines(telemetry) -> List[str]:
     return lines
 
 
-def write_jsonl(telemetry, path: str) -> str:
+def write_jsonl(telemetry: Telemetry, path: str) -> str:
     with open(path, "w") as f:
         for line in to_jsonl_lines(telemetry):
             f.write(line + "\n")
     return path
 
 
-def phase_summary_table(telemetry, title: str = "Telemetry phase summary",
+def phase_summary_table(telemetry: Telemetry,
+                        title: str = "Telemetry phase summary",
                         category: Optional[str] = None) -> str:
     """Aggregate spans by (category, name) into an aligned text table."""
     from ..experiments.report import format_table

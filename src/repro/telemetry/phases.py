@@ -35,18 +35,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .tracer import Telemetry, Tracer
+from .tracer import Telemetry
 
 __all__ = ["phase_rows", "migration_breakdown"]
 
 
-def _tracer_of(telemetry) -> Tracer:
-    return telemetry.tracer if isinstance(telemetry, Telemetry) else telemetry
-
-
-def phase_rows(telemetry, category: Optional[str] = None) -> List[Dict]:
+def phase_rows(telemetry: Telemetry,
+               category: Optional[str] = None) -> List[Dict]:
     """Aggregate closed spans by (category, name)."""
-    tracer = _tracer_of(telemetry)
+    tracer = telemetry.tracer
     groups: Dict[tuple, List[float]] = {}
     for span in tracer.spans:
         if not span.closed:
@@ -69,7 +66,7 @@ def phase_rows(telemetry, category: Optional[str] = None) -> List[Dict]:
     return rows
 
 
-def migration_breakdown(telemetry,
+def migration_breakdown(telemetry: Telemetry,
                         scale_id: Optional[int] = None) -> Dict:
     """Decompose one rescale operation's trace into the paper's phases.
 
@@ -77,7 +74,7 @@ def migration_breakdown(telemetry,
     latest one) and attributes every subscale wave, state transfer,
     re-route flush and suspension interval inside its window to it.
     """
-    tracer = _tracer_of(telemetry)
+    tracer = telemetry.tracer
     rescales = tracer.closed_spans(category="migration", name="rescale")
     if scale_id is not None:
         rescales = [s for s in rescales
@@ -120,7 +117,7 @@ def migration_breakdown(telemetry,
 
     # -- propagation delay: injection → first transfer, per subscale --------
     injected_at: Dict[int, float] = {}
-    for event in _tracer_of(telemetry).events_named("signal.injected"):
+    for event in tracer.events_named("signal.injected"):
         if t0 <= event.time <= t1:
             sid = event.attrs.get("subscale_id")
             if sid not in injected_at or event.time < injected_at[sid]:

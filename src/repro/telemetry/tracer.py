@@ -174,10 +174,10 @@ class Tracer:
 class Telemetry:
     """Registry + tracer bundle attached to a :class:`StreamJob`."""
 
-    def __init__(self, sim, capacity: int = 200_000):
+    def __init__(self, sim):
         self.sim = sim
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(sim, capacity=capacity)
+        self.tracer = Tracer(sim)
         self._sampler_running = False
 
     # -- kernel probe (installed on the Simulator when enabled) --------------

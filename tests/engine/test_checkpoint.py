@@ -5,7 +5,8 @@ import sys
 sys.path.insert(0, "tests")
 from helpers import build_keyed_job, drive  # noqa: E402
 
-from repro.engine import CheckpointCoordinator
+from repro.engine import ChangelogStateBackend, CheckpointCoordinator
+from repro.engine.runtime import JobConfig, StreamJob
 import pytest
 
 
@@ -64,6 +65,22 @@ def test_snapshot_cost_scales_with_state():
     big = job2.checkpoint_sync_cost(job2.instances("agg")[0])
     assert small == 0.0
     assert big > 0.0
+
+
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
+def test_sync_cost_is_a_share_of_the_snapshot_write(backend):
+    # The barrier path blocks for 5 % of writing the synchronous bytes at
+    # 400 MB/s: the whole state under dict, the manifest under changelog.
+    job = build_keyed_job(state_bytes_per_group=1e6,
+                          job_config=JobConfig(state_backend=backend))
+    instance = job.instances("agg")[0]
+    sync_bytes = (instance.state.total_bytes() if backend == "dict"
+                  else ChangelogStateBackend.MANIFEST_BYTES)
+    assert sync_bytes > 0
+    assert (StreamJob.snapshot_bandwidth,
+            StreamJob.snapshot_sync_fraction) == (400e6, 0.05)
+    assert job.checkpoint_sync_cost(instance) \
+        == sync_bytes / 400e6 * 0.05
 
 
 def test_coordinator_rejects_bad_interval():

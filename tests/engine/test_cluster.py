@@ -34,12 +34,10 @@ def test_loopback_differs_from_remote_link():
     assert local.latency < remote.latency
 
 
-def test_link_override_is_symmetric():
+def test_links_are_symmetric():
     cluster = swarm_cluster()
-    custom = LinkSpec(latency=0.5, bandwidth=1.0)
-    cluster.set_link("gold-5218", "gold-6230", custom)
-    assert cluster.link("gold-5218", "gold-6230") is custom
-    assert cluster.link("gold-6230", "gold-5218") is custom
+    assert cluster.link("gold-5218", "gold-6230") \
+        is cluster.link("gold-6230", "gold-5218") is cluster.default_link
 
 
 def test_round_robin_placement():

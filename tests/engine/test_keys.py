@@ -51,7 +51,8 @@ def test_assignment_owner_and_groups():
     assignment = KeyGroupAssignment(16, 4)
     assert assignment.owner(0) == 0
     assert assignment.owner(15) == 3
-    assert assignment.groups_of(1) == [4, 5, 6, 7]
+    assert [kg for kg, owner in sorted(assignment.as_dict().items())
+            if owner == 1] == [4, 5, 6, 7]
 
 
 def test_assignment_diff_counts_paper_scenario():

@@ -7,9 +7,9 @@ import pytest
 sys.path.insert(0, "tests")
 from helpers import build_keyed_job, drive  # noqa: E402
 
-from repro.engine import (FilterLogic, JobGraph, KeyByLogic,
-                          KeyedReduceLogic, MapLogic, OperatorSpec,
-                          Partitioning, Record, StreamJob, Watermark)
+from repro.engine import (FilterLogic, JobGraph, KeyedReduceLogic,
+                          MapLogic, OperatorSpec, Partitioning, Record,
+                          StreamJob, Watermark)
 from repro.engine.operators import PassThroughLogic, SinkLogic
 
 
@@ -53,14 +53,6 @@ def test_filter_logic_pass_fraction_thins_batches():
                           FakeInstance())
     assert out[0].count == 50
     assert out[0].size_bytes == pytest.approx(500)
-
-
-def test_keyby_logic_clears_key_group():
-    logic = KeyByLogic(lambda r: r.value)
-    out = logic.on_record(Record(key="old", key_group=3, value="new"),
-                          FakeInstance())
-    assert out[0].key == "new"
-    assert out[0].key_group is None
 
 
 def test_keyed_reduce_accumulates_per_key():

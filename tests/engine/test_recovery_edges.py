@@ -87,6 +87,24 @@ def test_double_failure_during_restore(backend):
     assert total_state(job) == produced
 
 
+def test_restore_reads_state_at_snapshot_bandwidth(backend):
+    """After the restart window, recovery reads the restored bytes back
+    at the rate snapshots are written at."""
+    job, _produced = counting_job(state_backend=backend)
+    job.enable_telemetry()
+    CheckpointCoordinator(job, interval=2.0).start()
+    manager = RecoveryManager(job, restart_seconds=0.5).install()
+    job.run(until=5.0)
+    manager.fail_and_recover("crash")
+    job.run(until=10.0)
+    span, = job.telemetry.tracer.closed_spans(category="recovery",
+                                              name="recovery.restore")
+    restored = span.attrs["restored_bytes"]
+    assert restored > 0
+    assert span.duration == pytest.approx(
+        0.5 + restored / StreamJob.snapshot_bandwidth)
+
+
 def test_failure_right_after_rescale_completes(backend):
     from repro.core.drrs import DRRSController
 

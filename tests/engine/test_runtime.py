@@ -98,7 +98,8 @@ def test_transfer_gate_is_shared_per_node():
     gate1 = job.transfer_gate("server-0")
     gate2 = job.transfer_gate("server-0")
     assert gate1 is gate2
-    assert gate1.available == job.config.max_concurrent_transfers_per_host
+    assert gate1.available == StreamJob.max_concurrent_transfers_per_host \
+        == 4
 
 
 def test_sink_logic_requires_unique_sink():
@@ -129,12 +130,12 @@ def test_config_capacities_apply():
 
 
 @pytest.mark.parametrize("name", ["outbox_capacity", "inbox_capacity",
-                                  "max_concurrent_transfers_per_host"])
+                                  "changelog_materialize_interval"])
 @pytest.mark.parametrize("bad", [0, -1, True, 2.0, "4"])
 def test_config_rejects_capacities_below_one(name, bad):
     # A zero inbox admits records and delivers none; a zero outbox admits
-    # none; zero transfer slots fail only mid-rescale.  All three are
-    # refused when the configuration is built.
+    # none; a changelog cannot fold its logs every zero mutations.  All
+    # three are refused when the configuration is built.
     with pytest.raises(ValueError, match=f"{name} must be a positive"):
         JobConfig(**{name: bad})
     assert getattr(JobConfig(**{name: 1}), name) == 1

@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable keyed-state backends.
+"""Unit tests for the two keyed-state backends.
 
 Covers the changelog backend's core mechanics in isolation: delta
 logging and segment cuts, periodic materialization, the bounded-log
@@ -10,7 +10,7 @@ images, and the migration tail fast path.
 import pytest
 
 from repro.engine import (ChangelogChainError, ChangelogStateBackend,
-                          DictStateBackend, JobConfig, StateBackend)
+                          DictStateBackend, JobConfig)
 from repro.engine.runtime import StreamJob
 
 
@@ -25,6 +25,10 @@ class TestBackendSelection:
         assert not DictStateBackend.is_incremental
         assert ChangelogStateBackend.name == "changelog"
         assert ChangelogStateBackend.is_incremental
+        # The dict backend is the base; it needs no in-place notice.
+        assert issubclass(ChangelogStateBackend, DictStateBackend)
+        assert DictStateBackend().note_in_place is None
+        assert make_backend().note_in_place is not None
 
     def test_config_validates_backend(self):
         with pytest.raises(ValueError, match="state_backend"):
@@ -49,10 +53,7 @@ class TestBackendSelection:
         state = job.instances("agg")[0].state
         assert isinstance(state, ChangelogStateBackend)
         assert state.materialize_interval == 123
-
-    def test_abstract_backend_is_not_usable(self):
-        with pytest.raises(NotImplementedError):
-            StateBackend().put(0, "k", 1)
+        assert state.max_log_entries == 8192
 
 
 class TestSegmentsAndSync:

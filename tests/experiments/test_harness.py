@@ -95,6 +95,13 @@ class TestRunExperiment:
             warmup=4.0, post_duration=8.0, measure_window=1.0))
         assert len(result.throughput_series) == pytest.approx(12, abs=1)
 
+    def test_a_sharded_config_is_refused(self):
+        with pytest.raises(ValueError, match="run_sharded"):
+            run_experiment(ExperimentConfig(
+                workload=tiny_workload(), controller_factory=None,
+                warmup=1.0, post_duration=1.0,
+                job_config=JobConfig(shards=4)))
+
     def test_no_field_shadows_an_engine_knob(self):
         """Engine knobs live on JobConfig alone; an experiment passes one
         as ``job_config`` rather than re-declaring its fields."""

@@ -1,13 +1,8 @@
-"""Timeline rendering and CSV/JSON export."""
-
-import csv
-import json
-import os
+"""Timeline rendering."""
 
 import pytest
 
-from repro.experiments.timeline import (ascii_timeline, export_result,
-                                        series_to_csv)
+from repro.experiments.timeline import ascii_timeline
 
 
 class TestAsciiTimeline:
@@ -46,43 +41,3 @@ class TestAsciiTimeline:
             ascii_timeline([(0.0, 1.0)], width=0)
         with pytest.raises(ValueError):
             ascii_timeline([(0.0, 1.0)], aggregate="median")
-
-
-def test_series_to_csv_roundtrip(tmp_path):
-    series = [(0.5, 1.25), (1.5, 2.5)]
-    path = tmp_path / "s.csv"
-    series_to_csv(series, str(path), header=("t", "v"))
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["t", "v"]
-    assert float(rows[1][0]) == 0.5
-    assert float(rows[2][1]) == 2.5
-
-
-def test_export_result_writes_everything(tmp_path):
-    import sys
-    sys.path.insert(0, "tests")
-    from helpers import build_keyed_job, drive
-    from repro.experiments import ExperimentConfig, run_experiment
-    from repro.scaling import OTFSController
-    from repro.workloads import CustomConfig, CustomWorkload
-
-    workload = CustomWorkload(CustomConfig(
-        rate=2000.0, batch_size=100, num_key_groups=16,
-        operator_parallelism=2, target_state_bytes=1e7,
-        marker_interval=0.2))
-    result = run_experiment(ExperimentConfig(
-        workload=workload,
-        controller_factory=lambda job: OTFSController(job),
-        new_parallelism=3, warmup=4.0, post_duration=12.0,
-        stabilize_hold=3.0))
-    out_dir = tmp_path / "export"
-    written = export_result(result, str(out_dir))
-    names = {os.path.basename(p) for p in written}
-    assert names == {"latency.csv", "throughput.csv", "suspension.csv",
-                     "summary.json"}
-    with open(out_dir / "summary.json") as f:
-        summary = json.load(f)
-    assert summary["controller"] == "otfs"
-    assert summary["migration_duration"] > 0
-    assert summary["source_records"] > 0

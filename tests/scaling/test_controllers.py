@@ -17,8 +17,9 @@ from repro.engine.runtime import JobConfig
 from repro.experiments import controller_factory
 from repro.faults.invariants import check_all
 from repro.scaling import (MecesController, MegaphoneController,
-                           OTFSController, StopRestartController,
-                           UnboundController)
+                           MigrationPlan, OTFSController,
+                           StopRestartController, UnboundController)
+from repro.scaling.base import ScalingController
 
 
 def run_scaled(controller_cls, until=35.0, scale_at=5.0, new_parallelism=4,
@@ -94,6 +95,28 @@ def test_controller_migrates_every_group(cls, kwargs):
     migrating = set(m.group_signal)
     assert migrating, "plan should migrate something"
     assert set(m.migration_completed) >= migrating
+
+
+@pytest.mark.parametrize("target,wait", [(4, 0.5), (1, 0.0)],
+                         ids=["scale-out", "scale-in"])
+def test_provisioning_waits_instance_init_seconds(target, wait):
+    # New instances start after the fixed provisioning time; a scale-in
+    # provisions nothing and waits for nothing.
+    assert ScalingController.instance_init_seconds == 0.5
+    job = build_keyed_job()
+    controller = OTFSController(job)
+    plan = MigrationPlan.uniform("agg", job.assignments["agg"], target)
+    provisioned = {}
+
+    def provision():
+        new = yield from controller._provision("agg", plan)
+        provisioned.update(at=job.sim.now, new=new)
+
+    job.sim.spawn(provision())
+    job.run(until=1.0)
+    assert provisioned["at"] == wait
+    assert len(provisioned["new"]) == max(target - 2, 0)
+    assert all(instance.running for instance in provisioned["new"])
 
 
 def test_rescale_rejects_non_keyed_operator():

@@ -39,13 +39,6 @@ def test_by_path_partitions_moves():
             assert (move.src_index, move.dst_index) == (src, dst)
 
 
-def test_moves_from():
-    plan = make_plan()
-    for src in range(plan.old_parallelism):
-        for move in plan.moves_from(src):
-            assert move.src_index == src
-
-
 def test_move_for_unknown_raises():
     plan = make_plan()
     stationary = set(range(16)) - set(plan.migrating_groups)

@@ -70,14 +70,6 @@ class TestSemaphore:
         assert starts[0] == 0.0 and starts[1] == 0.0
         assert starts[2] == 1.0 and starts[3] == 1.0
 
-    def test_try_acquire(self):
-        sim = Simulator()
-        sem = Semaphore(sim, 1)
-        assert sem.try_acquire()
-        assert not sem.try_acquire()
-        sem.release()
-        assert sem.try_acquire()
-
     def test_over_release_raises(self):
         sim = Simulator()
         sem = Semaphore(sim, 1)
@@ -88,7 +80,7 @@ class TestSemaphore:
         sim = Simulator()
         sem = Semaphore(sim, 3)
         assert sem.available == 3 and sem.in_use == 0
-        sem.try_acquire()
+        assert sem.acquire().triggered
         assert sem.available == 2 and sem.in_use == 1
 
 

@@ -6,26 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import ZipfSampler, exponential_interarrival, make_rng
+from repro.simulation import ZipfSampler, make_rng
 
 
 def test_make_rng_is_deterministic():
     a = make_rng(42)
     b = make_rng(42)
     assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
-
-
-def test_exponential_interarrival_positive():
-    rng = make_rng(1)
-    gaps = [exponential_interarrival(rng, 100.0) for _ in range(1000)]
-    assert all(g > 0 for g in gaps)
-    mean = sum(gaps) / len(gaps)
-    assert 0.008 < mean < 0.012  # 1/rate = 0.01
-
-
-def test_exponential_interarrival_rejects_bad_rate():
-    with pytest.raises(ValueError):
-        exponential_interarrival(make_rng(1), 0.0)
 
 
 def test_zipf_zero_skew_is_uniform():

@@ -185,6 +185,21 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="shards"):
             JobConfig(shards=True)
 
+    def test_reference_runs_a_sharded_config_in_one_process(self):
+        # run_single_reference builds with shards=1 whatever the config
+        # asks for; only StreamJob itself refuses shards > 1.
+        result = run_single_reference(NexmarkQ7, until=1.0,
+                                      job_config=JobConfig(shards=4))
+        assert result.shards == 1 and result.total_source_output() > 0
+
+    def test_a_sharded_config_runs_on_its_workers(self):
+        # The benchmark ledger passes a config with shards=2 to
+        # run_sharded; each worker builds its StreamJob with shards=1.
+        result = run_sharded(NexmarkQ7, until=1.0, shards=2,
+                             job_config=JobConfig(shards=2))
+        assert result.shards == 2 and result.degraded == []
+        assert result.total_source_output() > 0
+
     def test_supports_sharding_reasons_are_machine_readable(self):
         verdict = supports_sharding(JobConfig())
         assert verdict.supported and verdict.reason is None

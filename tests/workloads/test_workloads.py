@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import JobConfig
 from repro.experiments.scenarios import QUICK, make_workload
 from repro.workloads import (CustomConfig, CustomWorkload, NexmarkConfig,
                              NexmarkQ7, NexmarkQ8, TwitchConfig,
@@ -20,6 +21,13 @@ class TestConfigs:
     def test_rejects_negative_skew(self):
         with pytest.raises(ValueError):
             WorkloadConfig(skew=-1.0)
+
+    @pytest.mark.parametrize("workload", [NexmarkQ7, TwitchWorkload])
+    def test_build_refuses_a_sharded_config(self, workload):
+        # A StreamJob runs in one process: a config asking for several is
+        # refused, never run on one without a word.
+        with pytest.raises(ValueError, match="run_sharded"):
+            workload().build(job_config=JobConfig(shards=4))
 
 
 class TestGraphShapes:
