@@ -40,11 +40,11 @@ class ScaleCoordinator:
         self.config = controller.config
 
     def execute(self, op_name: str, plan: "MigrationPlan", scale_id: int):
-        # The body runs under try/finally: an abort (``abort_and_rollback``
+        # The body runs under try/finally: an abort (``abort``
         # interrupting the scale process) must still tear every DRRS
         # resource down — executors, handlers, probes — and commit the
-        # partial (rolled-back) assignment, or the job would be left with
-        # scaling machinery permanently installed.
+        # partial assignment, or the job would be left with scaling
+        # machinery permanently installed.
         executors: Dict[int, ScaleExecutor] = {}
         saved_handlers = {}
         try:
@@ -173,10 +173,11 @@ class ScaleCoordinator:
         controller._detach_suspension_probes(instances)
         if controller.cancelled:
             # Partial finalize: the authoritative assignment already
-            # reflects every *launched* subscale (updated at launch time,
-            # and restored at rollback time for aborted ones).  Rebuild it
-            # with the deployed parallelism so a superseding or retried
-            # scale plans from reality, and drop the migrated-out stubs.
+            # reflects every *launched* subscale (updated at launch time;
+            # after an abort the restore that follows re-derives it from
+            # the checkpoint).  Rebuild it with the deployed parallelism so
+            # a superseding or retried scale plans from reality, and drop
+            # the migrated-out stubs.
             from ..engine.keys import KeyGroupAssignment
             old = self.job.assignments[op_name]
             self.job.assignments[op_name] = KeyGroupAssignment(
@@ -198,7 +199,6 @@ class ScaleCoordinator:
         executors[id(src)].register_out(subscale)
         executors[id(dst)].expect_subscale(subscale)
         subscale.launched_at = self.sim.now
-        self.controller._inflight_subscales[subscale.subscale_id] = subscale
         telemetry = self.job.telemetry
         if telemetry is not None:
             self.controller._wave_spans[subscale.subscale_id] = (
@@ -250,8 +250,8 @@ class ScaleCoordinator:
         def inject(predecessor):
             if controller._abort_epoch != epoch:
                 # The scale was aborted between command and in-band
-                # execution: injecting now would flip routing towards a
-                # rolled-back destination.
+                # execution: injecting now would flip routing that the
+                # restore has just re-derived from the checkpoint.
                 return
             old_channel = edge.channels[subscale.src_index]
             new_channel = edge.channels[subscale.dst_index]

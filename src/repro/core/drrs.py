@@ -28,19 +28,14 @@ from ..scaling.base import ScalingController
 from ..scaling.otfs import OTFSController
 from .coordinator import ScaleCoordinator
 from .planner import Subscale
-from .rerouting import ReRouteManager
 
 __all__ = ["DRRSConfig", "DRRSController", "CoupledSubscaleController",
            "make_variant"]
 
-#: Retrying an aborted rescale (:meth:`DRRSController.abort_and_rollback`):
-#: retry *k* (1-based) backs off ``RETRY_BACKOFF * 2 ** (k - 1)``
-#: simulated seconds, at most ``RETRY_BACKOFF_CAP``, before re-requesting
-#: it; once ``MAX_RETRIES`` retries have aborted, the operation's done
-#: event fails instead.
+#: A rescale aborted by a crash (:meth:`DRRSController.abort`) is
+#: re-requested once the restore finishes; once ``MAX_RETRIES`` retries
+#: have aborted, the operation's done event fails instead.
 MAX_RETRIES = 3
-RETRY_BACKOFF = 0.05
-RETRY_BACKOFF_CAP = 10.0
 
 
 @dataclass
@@ -87,17 +82,12 @@ class DRRSController(ScalingController):
         self._completion_signal = None
         self._wave_spans: Dict[int, object] = {}
         self.cancelled = False
-        # -- crash tolerance (abort_and_rollback / retry) ---------------------
+        # -- crash tolerance (abort / retry) ------------------------------------
         #: Bumped by every abort; in-band injection closures capture the
         #: epoch at command time and become no-ops once it moves on.
         self._abort_epoch = 0
         #: subscale_id -> migration Process (interruptible on abort).
         self._migration_procs: Dict[int, object] = {}
-        #: subscale_id -> Subscale for launched-but-incomplete subscales.
-        self._inflight_subscales: Dict[int, Subscale] = {}
-        #: id(instance) -> channel-less auxiliary InputChannel that aborted
-        #: migrations re-deliver stranded records through.
-        self._rollback_queues: Dict[int, object] = {}
         self._attempts = 0
         self._in_retry = False
         self._target_parallelism: Optional[int] = None
@@ -216,7 +206,6 @@ class DRRSController(ScalingController):
     def on_subscale_progress(self, subscale: Subscale) -> None:
         if subscale.done and subscale.completed_at is None:
             subscale.completed_at = self.sim.now
-            self._inflight_subscales.pop(subscale.subscale_id, None)
             self._migration_procs.pop(subscale.subscale_id, None)
             wave_span = self._wave_spans.pop(subscale.subscale_id, None)
             if wave_span is not None and not wave_span.closed:
@@ -225,229 +214,62 @@ class DRRSController(ScalingController):
             if self._completion_signal is not None:
                 self._completion_signal.fire()
 
-    # -- crash-tolerant abort, rollback and retry (§IV-C coexistence) -----------------
+    # -- crash-tolerant abort and retry (§IV-C coexistence) ---------------------------
 
-    def abort_and_rollback(self, reason: str = "fault", retry: bool = True):
-        """Cancel the in-flight scale, undo incomplete subscales, retry.
+    def abort(self, reason: str) -> None:
+        """Cancel the in-flight scale and arm its retry; a restore follows.
 
-        Runs synchronously (no simulated time passes): in-flight state
-        transfers are interrupted and their bytes land back at the source,
-        routing and the authoritative assignment revert for every unfinished
-        subscale, and records already sent towards a rolled-back destination
-        are re-delivered to the restored source.  Completed subscales stay
-        committed — the retry plans from the partially-migrated reality,
-        mirroring the supersede path (§IV-B).
-
-        With ``retry=True`` the original ``request_rescale`` done event is
-        kept pending and settled by the retried attempt; once
+        Called by :meth:`RecoveryManager.fail_and_recover` only: the
+        checkpoint restore that runs next rebuilds state, routing and the
+        assignment for every instance, so nothing is undone here.  The
+        migration processes stop, and the scale process's ``finally``
+        tears the executors down.  The original ``request_rescale`` done
+        event stays pending and is settled by the retried attempt; once
         ``MAX_RETRIES`` retries have aborted, it fails.
-        Returns that done event (or None if no scale was active).
         """
         if not self.active:
-            return None
+            return
         self._abort_epoch += 1
         self.cancelled = True
-        job = self.job
-        telemetry = job.telemetry
-        span = None
+        telemetry = self.job.telemetry
         op_name = self._op_name or self._target_op
-        if telemetry is not None:
-            span = telemetry.tracer.begin(
-                "scale.rollback", category="recovery", track="scale",
-                op=op_name, reason=str(reason))
-        instances = self.job.instances(op_name)
-        redirected: Dict[int, tuple] = {}
-        rolled = 0
-        for sid, subscale in list(self._inflight_subscales.items()):
-            proc = self._migration_procs.pop(sid, None)
-            if subscale.done:
-                self._inflight_subscales.pop(sid, None)
-                continue
-            # Pull in-flight transfers out of the registry *before*
-            # interrupting their process: interrupt() detaches the wait
-            # synchronously, so the transfer generator can never resume
-            # past its registry check and install state at the target.
-            flights = []
-            for kg in subscale.key_groups:
-                flight = job.inflight_state.pop((self._op_name, kg), None)
-                if flight is not None:
-                    flights.append(flight)
-            if proc is not None and proc.is_alive:
+        for proc in self._migration_procs.values():
+            if proc.is_alive:
                 proc.interrupt(reason)
-            self._rollback_subscale(subscale, flights, instances, redirected)
-            self._inflight_subscales.pop(sid, None)
-            rolled += 1
-            wave_span = self._wave_spans.pop(sid, None)
-            if wave_span is not None and not wave_span.closed:
-                telemetry.tracer.end(wave_span, rolled_back=True)
-        self._install_redirectors(redirected)
-        # Defense-in-depth for the bulk revert above: every sender-side
-        # key-group -> channel cache targeting the operator is dropped, so
-        # a cache entry that survived the per-entry set_routing writes (or
-        # was populated mid-rollback by an emitting batch) cannot steer
-        # records at the rolled-back destination.
-        job.invalidate_routing_caches(op_name)
-        if span is not None:
-            telemetry.tracer.end(span, subscales_rolled_back=rolled,
-                                 retry=retry)
+        self._migration_procs.clear()
+        for wave_span in self._wave_spans.values():
+            if not wave_span.closed:
+                telemetry.tracer.end(wave_span, aborted=True)
+        self._wave_spans.clear()
+        if telemetry is not None:
+            telemetry.tracer.end(telemetry.tracer.begin(
+                "scale.abort", category="recovery", track="scale",
+                op=op_name, reason=str(reason)))
+        # Keep the caller's done pending across the abort; the retry (or
+        # its exhaustion) settles it.  Must be set before the scale
+        # process is interrupted, so _run_scale's finally sees it.
+        self._retry_pending = True
         done = self._current_done
-        if retry:
-            # Keep the caller's done pending across the abort; the retry
-            # (or its exhaustion) settles it.  Must be set before the scale
-            # process is interrupted, so _run_scale's finally sees it.
-            self._retry_pending = True
-            attempt = self._attempts + 1
-            if attempt > MAX_RETRIES:
-                if done is not None and not done.triggered:
-                    done.fail(RuntimeError(
-                        f"rescale of {op_name} failed after "
-                        f"{self._attempts} retries: {reason}"))
-            else:
-                self.sim.spawn(
-                    self._retry(op_name, self._target_parallelism,
-                                done, attempt),
-                    name=f"scale-retry:{op_name}:{attempt}")
+        attempt = self._attempts + 1
+        if attempt > MAX_RETRIES:
+            if done is not None and not done.triggered:
+                done.fail(RuntimeError(
+                    f"rescale of {op_name} failed after "
+                    f"{self._attempts} retries: {reason}"))
+        else:
+            self.sim.spawn(
+                self._retry(op_name, self._target_parallelism, done,
+                            attempt),
+                name=f"scale-retry:{op_name}:{attempt}")
         if self._scale_proc is not None and self._scale_proc.is_alive:
             self._scale_proc.interrupt(reason)
-        return done
-
-    def _rollback_subscale(self, subscale: Subscale, flights, instances,
-                           redirected) -> None:
-        """Undo one launched-but-incomplete subscale, synchronously."""
-        job = self.job
-        op_name = self._op_name
-        src = instances[subscale.src_index]
-        dst = instances[subscale.dst_index]
-        key_groups = set(subscale.key_groups)
-        restored = 0
-        # 1. State.  Bytes that were mid-transfer land back at the source;
-        # bytes that already reached the destination are pulled back (their
-        # entries may reflect records processed there — keeping them
-        # preserves exactly-once); expectation stubs are dropped.
-        for flight in flights:
-            src.state.install_group(
-                flight.key_group, flight.entries, flight.size_bytes,
-                status=StateStatus.LOCAL,
-                sub_groups_present=flight.sub_groups_present)
-            restored += 1
-        for kg in subscale.key_groups:
-            group = dst.state.group(kg)
-            if group is None:
-                continue
-            if group.status is StateStatus.INCOMING:
-                dst.state.drop_group(kg)
-            elif group.status in (StateStatus.INACTIVE, StateStatus.LOCAL):
-                dst.state.drop_group(kg)
-                src.state.install_group(
-                    kg, group.entries, group.size_bytes,
-                    status=StateStatus.LOCAL,
-                    sub_groups_present=group.sub_groups_present)
-                restored += 1
-        for kg in subscale.key_groups:
-            group = src.state.group(kg)
-            if group is not None and group.status is StateStatus.PENDING_OUT:
-                group.status = StateStatus.LOCAL
-        # 2. Routing and the authoritative assignment revert to the source.
-        assignment = job.assignments[op_name]
-        for kg in subscale.key_groups:
-            assignment.apply_move(kg, subscale.src_index)
-        for _sender, edge in job.senders_to(op_name):
-            for kg in subscale.key_groups:
-                edge.set_routing(kg, subscale.src_index)
-        # 3. Both executors forget the subscale (a late trigger barrier for
-        # it then falls through harmlessly).
-        for instance in (src, dst):
-            executor = self._executors.get(id(instance))
-            if executor is not None:
-                executor.rollback_subscale(subscale)
-        # 4. Stranded records: everything queued at the destination or
-        # still in a predecessor's output cache for these key-groups is
-        # re-delivered to the source (oldest first: input queues, then
-        # output caches).  Records on the wire are caught by the temporary
-        # redirector installed afterwards.
-        rollback_queue = self._rollback_queue_for(src)
-        stranded = []
-        for input_channel in dst.input_channels:
-            matches = [e for e in input_channel.queue
-                       if getattr(e, "key_group", None) in key_groups]
-            for element in matches:
-                input_channel.remove(element)
-                stranded.append(element)
-        for _sender, edge in job.senders_to(op_name):
-            channel = edge.channels[subscale.dst_index]
-            stranded.extend(channel.extract_outbox(
-                lambda e: getattr(e, "key_group", None) in key_groups))
-        if stranded:
-            rollback_queue.queue.extend(stranded)
-            src.wake.fire()
-        dst_entry = redirected.setdefault(id(dst), (dst, {}))
-        for kg in key_groups:
-            dst_entry[1][kg] = src
-        self.metrics.note_remigration(restored)
-        if job.telemetry is not None:
-            job.telemetry.registry.counter(
-                "drrs.subscales_rolled_back", operator=op_name).inc()
-            if stranded:
-                job.telemetry.registry.counter(
-                    "drrs.records_rolled_back", operator=op_name).inc(
-                        len(stranded))
-
-    def _rollback_queue_for(self, instance):
-        """A channel-less auxiliary input lane for re-delivered records."""
-        queue = self._rollback_queues.get(id(instance))
-        if queue is None or queue not in instance.input_channels:
-            queue = instance.add_input_channel(
-                name=f"rollback->{instance.name}")
-            queue.is_auxiliary = True
-            queue.watermark = float("inf")
-            self._rollback_queues[id(instance)] = queue
-        return queue
-
-    def _install_redirectors(self, redirected) -> None:
-        """Close the wire-race window after a rollback.
-
-        Records serialized towards a rolled-back destination before the
-        routing reverted deliver within one link latency (plus at most one
-        re-route flush).  A temporary element interceptor at the
-        destination forwards them to the restored source's rollback lane,
-        then uninstalls itself after a grace period covering that window.
-        """
-        for dst, kg_map in redirected.values():
-            latencies = [ch.channel.link.latency
-                         for ch in dst.input_channels
-                         if ch.channel is not None]
-            grace = (2 * max(latencies, default=0.001)
-                     + ReRouteManager.FLUSH_TIMEOUT
-                     + self.control_latency)
-            owners = dict(kg_map)
-
-            def intercept(channel, element, dst=dst, owners=owners):
-                src = owners.get(getattr(element, "key_group", None))
-                if src is None:
-                    return False
-                self._rollback_queue_for(src).queue.append(element)
-                src.wake.fire()
-                return True
-
-            dst.element_interceptor = intercept
-
-            def clear(dst=dst, intercept=intercept):
-                if dst.element_interceptor is intercept:
-                    dst.element_interceptor = None
-                    dst.wake.fire()
-
-            self.sim.call_in(grace, clear)
 
     def _retry(self, op_name, new_parallelism, done, attempt):
-        """Re-request an aborted rescale after backing off (and after any
-        concurrent failure recovery has finished restoring the job)."""
-        backoff = min(RETRY_BACKOFF * (2.0 ** (attempt - 1)),
-                      RETRY_BACKOFF_CAP)
+        """Re-request an aborted rescale once the restore has finished."""
         if self.job.telemetry is not None:
             self.job.telemetry.tracer.instant(
                 "scale.retry", category="recovery", track="scale",
-                op=op_name, attempt=attempt, backoff=backoff)
-        yield self.sim.timeout(backoff)
+                op=op_name, attempt=attempt)
         barrier = self.job.recovery_barrier
         if barrier is not None and not barrier.triggered:
             yield barrier

@@ -75,25 +75,6 @@ class ScaleExecutor:
                 self.instance.state.register_group(kg, StateStatus.INCOMING)
         self.instance.wake.fire()
 
-    def rollback_subscale(self, subscale: Subscale) -> None:
-        """Forget an aborted subscale (both directions).
-
-        Identity-guarded so that a retried scale's re-registered subscale
-        carrying the same key-groups is never clobbered by a stale rollback.
-        """
-        sid = subscale.subscale_id
-        if self.out_subscales.get(sid) is subscale:
-            del self.out_subscales[sid]
-        if self.in_subscales.get(sid) is subscale:
-            del self.in_subscales[sid]
-        self._triggered.discard(sid)
-        for kg in subscale.key_groups:
-            if self.kg_out.get(kg) is subscale:
-                del self.kg_out[kg]
-            if self.kg_in.get(kg) is subscale:
-                del self.kg_in[kg]
-        self.instance.wake.fire()
-
     def shutdown(self) -> None:
         for manager in self.reroute_managers.values():
             manager.close()

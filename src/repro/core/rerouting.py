@@ -18,16 +18,13 @@ handler.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, TYPE_CHECKING
+from typing import Deque, Optional
 
 from ..engine.channels import Channel
 from ..engine.records import StreamElement
 from ..simulation.kernel import Simulator
 from ..simulation.primitives import Signal
 from .barriers import ConfirmBarrier
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..engine.operators import OperatorInstance
 
 __all__ = ["ReRouteManager"]
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .operators import OperatorInstance
 from .runtime import SourceInstance, StreamJob
 
 __all__ = ["instance_rows", "operator_rows"]

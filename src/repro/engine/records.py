@@ -94,7 +94,7 @@ class Record(StreamElement):
         #: there.  ``src_seq < checkpoint offset`` is exactly "on the
         #: pre-barrier side of that checkpoint's cut" — how recovery
         #: decides whether a record that bypassed barrier alignment
-        #: (re-route lanes, rollback queues) belongs in a snapshot.
+        #: (re-route lanes) belongs in a snapshot.
         self.src_origin = src_origin
         self.src_seq = src_seq
 

@@ -24,9 +24,10 @@ where the snapshot actually holds the bytes, so a checkpoint cut
 mid-migration restores a consistent (possibly mixed old/new) assignment.
 
 A failure that strikes while scaling is in flight first asks the active
-controller to abort and roll the migration back (DRRS supports this;
-controllers without an ``abort_and_rollback`` method still raise), then
-restores as usual; the controller's retry waits on
+controller to abort (DRRS supports this; controllers without an
+``abort`` method still raise).  The abort only stops the migration: the
+restore rebuilds state, routing and assignments from the checkpoint as
+for any other failure, and the controller's retry waits on
 ``job.recovery_barrier`` so it cannot race the restore.
 """
 
@@ -290,7 +291,7 @@ class RecoveryManager:
         checkpoint whose cut the record *precedes* (``src_seq < source
         offset``) but whose capture of the record's key-group has already
         been taken cannot contain the record's effect in any snapshot — it
-        travelled an alignment-free path (re-route lane, rollback queue) or
+        travelled an alignment-free path (a re-route lane) or
         reached a group captured early (prefold).  Queue it for re-injection
         should that checkpoint ever be restored.
         """
@@ -437,11 +438,16 @@ class RecoveryManager:
 
         Rolls every instance back to the newest completed checkpoint and
         replays sources from their checkpointed offsets.  If a scaling
-        operation is in flight, the controller is asked to abort and roll
-        the migration back first (``abort_and_rollback``; controllers
-        without one still make this an error).  Calling again while a
-        recovery is already restoring models a *double failure*: the
+        operation is in flight, the controller is asked to ``abort`` it
+        first (controllers without one make this an error); the restore
+        then repairs the migration's half-done state.  Calling again while
+        a recovery is already restoring models a *double failure*: the
         in-flight restore is abandoned and recovery restarts from scratch.
+
+        When the checkpoint cannot be restored (it covers decommissioned
+        instances, or holds a key-group twice) the returned event has
+        already failed with a :class:`RecoveryError`, and nothing was
+        torn down: a scale in flight keeps running.
         """
         if self.job.recovery is not self:
             raise RecoveryError("RecoveryManager not installed")
@@ -449,48 +455,42 @@ class RecoveryManager:
         if checkpoint is None:
             raise RecoveryError("no completed checkpoint to recover from")
         job = self.job
-        if job.active_scalers:
-            scalers = list(job.active_scalers)
-            unsupported = [s for s in scalers
-                           if not hasattr(s, "abort_and_rollback")]
-            if unsupported:
-                names = ", ".join(s.name for s in unsupported)
+        scalers = list(job.active_scalers)
+        unsupported = [s for s in scalers if not hasattr(s, "abort")]
+        if unsupported:
+            names = ", ".join(s.name for s in unsupported)
+            raise RecoveryError(
+                f"a scaling operation ({names}) is in flight and the "
+                "controller cannot abort it; complete or cancel it "
+                "before injecting a failure")
+        # Fail fast, before anything is aborted or torn down, when the
+        # checkpoint covers instances that no longer exist (decommissioned
+        # by a completed scale-in) or its snapshots disagree on an owner.
+        # An abort is only safe when the restore that repairs it follows.
+        current_names = {inst.name for inst in job.all_instances()}
+        missing = set(checkpoint.snapshots) - current_names
+        try:
+            if missing:
                 raise RecoveryError(
-                    f"a scaling operation ({names}) is in flight and the "
-                    "controller cannot abort it; complete or cancel it "
-                    "before injecting a failure")
-            if job.recovery_barrier is None:
-                job.recovery_barrier = job.sim.event()
-            for scaler in scalers:
-                scaler.abort_and_rollback(reason, retry=True)
+                    f"checkpoint {checkpoint.checkpoint_id} covers "
+                    f"decommissioned instances {sorted(missing)}; no "
+                    "restorable checkpoint exists")
+            derived = self._derived_owners(checkpoint)
+        except RecoveryError as error:
+            return job.sim.event().fail(error)
         if job.recovery_barrier is None:
             job.recovery_barrier = job.sim.event()
+        for scaler in scalers:
+            scaler.abort(reason)
         if self._recover_proc is not None and self._recover_proc.is_alive:
             # Double failure: abandon the half-done restore and start over.
             self._recover_proc.interrupt(reason)
         done = job.sim.event()
         self._pending_dones.append(done)
         self._recover_proc = job.sim.spawn(
-            self._recover(checkpoint),
+            self._recover(checkpoint, derived),
             name=f"recover:ckpt-{checkpoint.checkpoint_id}")
         return done
-
-    def _settle(self, error: Optional[BaseException],
-                value=None) -> None:
-        dones, self._pending_dones = self._pending_dones, []
-        for done in dones:
-            if done.triggered:
-                continue
-            if error is not None:
-                done.fail(error)
-            else:
-                done.succeed(value)
-
-    def _release_barrier(self) -> None:
-        barrier = self.job.recovery_barrier
-        self.job.recovery_barrier = None
-        if barrier is not None and not barrier.triggered:
-            barrier.succeed()
 
     def _derived_owners(self, checkpoint: _Checkpoint
                         ) -> Dict[str, Dict[int, int]]:
@@ -530,7 +530,8 @@ class RecoveryManager:
             derived[op_name] = claimed
         return derived
 
-    def _recover(self, checkpoint: _Checkpoint):
+    def _recover(self, checkpoint: _Checkpoint,
+                 derived: Dict[str, Dict[int, int]]):
         job = self.job
         sim = job.sim
         self.recoveries.append((sim.now, checkpoint.checkpoint_id))
@@ -539,31 +540,6 @@ class RecoveryManager:
             restore_span = job.telemetry.tracer.begin(
                 "recovery.restore", category="recovery", track="recovery",
                 checkpoint_id=checkpoint.checkpoint_id)
-
-        # 0. Fail fast — before tearing anything down — when the checkpoint
-        # covers instances that no longer exist (decommissioned by a
-        # completed scale-in).  Surfaced through the done event: raising
-        # here would explode inside a spawned process nobody observes.
-        current_names = {inst.name for inst in job.all_instances()}
-        missing = set(checkpoint.snapshots) - current_names
-        if missing:
-            error = RecoveryError(
-                f"checkpoint {checkpoint.checkpoint_id} covers "
-                f"decommissioned instances {sorted(missing)}; no "
-                "restorable checkpoint exists")
-            if restore_span is not None:
-                job.telemetry.tracer.end(restore_span, failed=True)
-            self._release_barrier()
-            self._settle(error)
-            return
-        try:
-            derived = self._derived_owners(checkpoint)
-        except RecoveryError as error:
-            if restore_span is not None:
-                job.telemetry.tracer.end(restore_span, failed=True)
-            self._release_barrier()
-            self._settle(error)
-            return
 
         # 1. Halt everything and discard in-flight data.  ``abandon_work``
         # covers the straggler window: an element already mid-service when
@@ -594,9 +570,9 @@ class RecoveryManager:
             if cid > checkpoint.checkpoint_id:
                 del self._segments[(name, cid)]
 
-        # 1b. Sweep alignment-free lanes (re-route channels, rollback
-        # queues, re-route manager buffers) for stranded *pre-cut* records
-        # before everything is flushed.  Regular channels cannot hold
+        # 1b. Sweep alignment-free lanes (re-route channels, re-route
+        # manager buffers) for stranded *pre-cut* records before
+        # everything is flushed.  Regular channels cannot hold
         # pre-cut records of a completed checkpoint — alignment would not
         # have finished over them — so auxiliary lanes are the only leak.
         offsets = {name: snap.source_offset
@@ -758,5 +734,10 @@ class RecoveryManager:
         if restore_span is not None:
             job.telemetry.tracer.end(restore_span,
                                      restored_bytes=total_bytes)
-        self._release_barrier()
-        self._settle(None, checkpoint.checkpoint_id)
+        barrier, job.recovery_barrier = job.recovery_barrier, None
+        if barrier is not None and not barrier.triggered:
+            barrier.succeed()
+        dones, self._pending_dones = self._pending_dones, []
+        for done in dones:
+            if not done.triggered:
+                done.succeed(checkpoint.checkpoint_id)

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..simulation.kernel import Simulator
-from .channels import Channel, InputChannel
-from .cluster import ClusterModel, LinkSpec, NodeSpec, single_machine
+from .channels import Channel
+from .cluster import ClusterModel, LinkSpec, single_machine
 from .graph import EdgeSpec, JobGraph, OperatorSpec
 from .keys import KeyGroupAssignment
 from .metrics import MetricsCollector
 from .operators import OperatorInstance
 from .records import (CheckpointBarrier, EndOfStream, LatencyMarker, Record,
-                      StreamElement, Watermark)
+                      StreamElement)
 from .routing import OutputEdge, Partitioning
 from .state import StateStatus, StateTransferCostModel
 
@@ -139,8 +139,8 @@ class _InflightState:
     ``ScalingController._land`` when they are installed at the
     destination.  Every whole-key-group move of every controller passes
     through those two steps.  While registered, the bytes exist *nowhere
-    else* — checkpoints fold them into the source's snapshot and
-    rollbacks restore them at the source.
+    else* — checkpoints fold them into the source's snapshot, and a
+    restore discards them with the rest of the pre-crash world.
     """
 
     op_name: str
@@ -356,8 +356,7 @@ class StreamJob:
         #: ``(op name, key group) -> _InflightState``.  Registered when a
         #: transfer extracts the bytes from the source, popped when they are
         #: installed at the destination — so a checkpoint taken mid-transfer
-        #: can fold the migrating bytes into the source's snapshot (§IV-C),
-        #: and an aborted transfer can be rolled back.
+        #: can fold the migrating bytes into the source's snapshot (§IV-C).
         self.inflight_state: Dict[Tuple[str, int], "_InflightState"] = {}
         #: Callables ``() -> List[(op_name, record)]`` that *remove and
         #: return* records parked in scaling-internal buffers outside any
@@ -583,7 +582,7 @@ class StreamJob:
 
         ``OutputEdge.set_routing`` already invalidates on each table write;
         this hook is the defense-in-depth sweep for bulk ownership swaps
-        (DRRS re-routing table swap, ``abort_and_rollback`` restores).
+        (the DRRS re-routing table swap).
         """
         for _sender, edge in self.senders_to(op_name):
             edge.invalidate_cache()

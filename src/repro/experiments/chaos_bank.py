@@ -38,7 +38,7 @@ from ..engine import (CheckpointCoordinator, JobConfig, JobGraph,
 from ..engine.recovery import RecoveryManager
 from ..faults import (ChaosScenario, ChaosSetup, CrashInstance,
                       DelayRecords, DropRecords, DuplicateRecords,
-                      FaultInjector, StallTransfers, StallUploads)
+                      FaultInjector, StallUploads)
 
 __all__ = ["CHAOS_SCENARIOS", "chaos_scenario"]
 
@@ -138,14 +138,12 @@ def _expect_rescaled(holder, job, op_name: str,
     return problems
 
 
-def _expect_spans(job, want_rollback: bool = True,
-                  want_retry: bool = True) -> List[str]:
+def _expect_spans(job) -> List[str]:
     problems = []
     tracer = job.telemetry.tracer
-    if want_rollback and not tracer.closed_spans(category="recovery",
-                                                 name="scale.rollback"):
-        problems.append("no scale.rollback span recorded")
-    if want_retry and not tracer.events_named("scale.retry"):
+    if not tracer.closed_spans(category="recovery", name="scale.abort"):
+        problems.append("no scale.abort span recorded")
+    if not tracer.events_named("scale.retry"):
         problems.append("no scale.retry instant recorded")
     return problems
 
@@ -214,9 +212,9 @@ def _scripted_crash_mid_subscale(
     """Three scripted DRRS rescales under a load ramp and 0.75 s
     checkpoints: ``agg`` 2→5 at 6.0, →6 at 9.0 and →2 at 22.0, each
     requested after the previous one's done.  A phase-triggered crash
-    lands in the first rescale's state transfer; DRRS aborts, rolls back
-    and retries under the same done, and the later rescales open
-    channels while checkpoints align.
+    lands in the first rescale's state transfer; DRRS aborts, the restore
+    repairs the migration, the retry runs under the same done, and the
+    later rescales open channels while checkpoints align.
 
     The times are fixed, not load-dependent: they are where a
     utilisation-threshold policy decided on this load at seeds 7 and 11
@@ -277,7 +275,7 @@ def _crash_during_transfer(
         seed: int, state_backend: Optional[str] = None,
         record_plane: Optional[str] = None) -> ChaosSetup:
     """Phase-triggered crash the instant the first key-group migration
-    begins; recovery rolls the migration back, the retry completes it."""
+    begins; the restore undoes the migration, the retry completes it."""
     from ..core.drrs import DRRSController
 
     job, produced = _keyed_job(stop_at=14.0,
@@ -337,37 +335,6 @@ def _lossy_window_then_crash(
     return ChaosSetup(job=job, injector=injector, keyed_ops=["agg"],
                       horizon=35.0, recovery=recovery,
                       oracle={"agg": produced}, expectations=[expect])
-
-
-def _stall_and_rollback(
-        seed: int, state_backend: Optional[str] = None,
-        record_plane: Optional[str] = None) -> ChaosSetup:
-    """Transfers stall mid-migration; a watchdog aborts the scale, the
-    rollback restores the pre-subscale world and the retry finishes.
-    No recovery at all — exactly-once must survive on rollback alone."""
-    from ..core.drrs import DRRSController
-
-    job, produced = _keyed_job(stop_at=14.0,
-                               state_bytes_per_group=8e6,
-                               state_backend=state_backend,
-                               record_plane=record_plane)
-    job.enable_telemetry()
-    controller = DRRSController(job)
-    holder = _rescale_at(job, controller, "agg", 6.0, 4)
-    injector = FaultInjector(job, seed=seed)
-    injector.add(StallTransfers("agg", extra_seconds=6.0, duration=2.0,
-                                phase="state-transfer"))
-    job.sim.call_at(7.5, lambda: controller.abort_and_rollback(
-        "stall watchdog", retry=True))
-
-    def expect(setup) -> List[str]:
-        problems = _expect_rescaled(holder, job, "agg", 4)
-        problems += _expect_spans(job)
-        return problems
-
-    return ChaosSetup(job=job, injector=injector, keyed_ops=["agg"],
-                      horizon=45.0, oracle={"agg": produced},
-                      expectations=[expect])
 
 
 def _delay_blip(seed: int, state_backend: Optional[str] = None,
@@ -558,7 +525,7 @@ CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
             "scripted-crash-mid-subscale", _scripted_crash_mid_subscale,
             "crash during the first of three scripted DRRS rescales "
             "under a load ramp; the same done event survives abort → "
-            "rollback → retry, and the later rescales complete"),
+            "restore → retry, and the later rescales complete"),
         ChaosScenario(
             "crash-during-transfer", _crash_during_transfer,
             "phase-triggered crash at the first state transfer"),
@@ -572,10 +539,6 @@ CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
             functools.partial(_lossy_window_then_crash, kind="duplicate"),
             "deliver a window of records twice, then crash; rollback "
             "undoes the double count"),
-        ChaosScenario(
-            "stall-and-rollback", _stall_and_rollback,
-            "stalled transfers abort the scale; rollback + retry with "
-            "no recovery manager involved"),
         ChaosScenario(
             "delay-blip", _delay_blip,
             "re-order a window of records; exactly-once with no "

@@ -8,8 +8,8 @@ Every evaluation figure runs the same protocol:
 
 The **scaling period** follows the paper's definition: from the initial
 scaling operation until latency stays within 110 % of the pre-scaling level
-for 100 consecutive seconds (both thresholds configurable so scaled-down
-runs keep the same semantics).
+for 100 consecutive seconds (:data:`STABLE_LATENCY_RATIO`; the hold is
+configurable so scaled-down runs keep the same semantics).
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment",
 
 ControllerFactory = Callable[[StreamJob], ScalingController]
 
+#: Latency counts as re-stabilized at or below this multiple of the
+#: pre-scaling level (110 % in the paper).
+STABLE_LATENCY_RATIO = 1.10
+
 
 @dataclass
 class ExperimentConfig:
@@ -41,9 +45,9 @@ class ExperimentConfig:
     measure_window: float = 1.0
     #: Pre-scale latency baseline window (seconds before the scale).
     baseline_window: float = 10.0
-    #: Stabilization criterion: latency within 1.1×baseline (the
-    #: ``threshold`` of :func:`detect_scaling_period`) held for this many
-    #: seconds (100 s in the paper).
+    #: Stabilization criterion: latency within
+    #: ``STABLE_LATENCY_RATIO`` × baseline held for this many seconds
+    #: (100 s in the paper).
     stabilize_hold: float = 10.0
     cluster: Optional[ClusterModel] = None
     #: The engine configuration — record plane, scheduler, state backend
@@ -107,14 +111,14 @@ class ExperimentResult:
 def detect_scaling_period(latency_series: List[Tuple[float, float]],
                           scale_at: float,
                           baseline: float,
-                          threshold: float = 1.10,
                           hold: float = 10.0,
                           end_at: Optional[float] = None
                           ) -> Optional[float]:
     """Seconds from ``scale_at`` until latency re-stabilizes (§V-B).
 
     Stabilization = the earliest time ``t`` after the scale such that every
-    latency sample in ``[t, t + hold]`` is at most ``threshold * baseline``.
+    latency sample in ``[t, t + hold]`` is at most
+    ``STABLE_LATENCY_RATIO * baseline``.
     Returns None when the series never stabilizes before ``end_at``
     (censored — reported as the full post-scaling window by callers).
     """
@@ -123,7 +127,7 @@ def detect_scaling_period(latency_series: List[Tuple[float, float]],
                        default=0.0)
         if baseline <= 0:
             return 0.0
-    limit = threshold * baseline
+    limit = STABLE_LATENCY_RATIO * baseline
     after = [(t, v) for t, v in latency_series if t >= scale_at]
     if not after:
         return None

@@ -27,8 +27,8 @@ spec                   effect
 =====================  ====================================================
 :class:`CrashInstance` an instance fails → whole-job rollback recovery
                        (Flink's restart-all strategy); if a scaling
-                       operation is in flight the controller aborts and
-                       rolls it back first
+                       operation is in flight the controller aborts it
+                       and retries once the restore finishes
 :class:`DropRecords`   records on one operator→operator hop are lost on
                        the wire for a window (flow-control credits are
                        returned so the pipe keeps flowing)

@@ -321,7 +321,7 @@ class ScalingController:
         self.active = False
         self._current_done = None
         self._scale_proc = None
-        #: Set by an abort-and-retry path just before interrupting the
+        #: Set by an abort just before interrupting the
         #: scale process: tells ``_run_scale``'s finally NOT to fire the
         #: caller's done event — the retry will, once it concludes.
         self._retry_pending = False
@@ -516,7 +516,7 @@ class ScalingController:
         wire_bytes = size if tail_bytes is None else min(size, tail_bytes)
         # From this instant until installation at dst, the bytes live only
         # in the in-flight registry: checkpoints fold them into the source
-        # snapshot (§IV-C) and an abort restores them from here.
+        # snapshot (§IV-C).
         flight = _InflightState(
             op_name=src.spec.name, key_group=key_group,
             entries=group.entries, size_bytes=size,
@@ -561,8 +561,8 @@ class ScalingController:
         """Install a shipped flight at ``dst`` and close its span."""
         key = (flight.op_name, flight.key_group)
         if self.job.inflight_state.pop(key, None) is None:
-            # Rolled back under our feet (the abort path consumed the
-            # flight before interrupting us): nothing to install.
+            # Cleared under our feet (a restore discards every flight):
+            # nothing to install.
             return
         recovery = self.job.recovery
         if recovery is not None:

@@ -6,11 +6,13 @@ import pytest
 
 sys.path.insert(0, "tests")
 from helpers import (assert_assignment_consistent, build_keyed_job,
-                     drive)  # noqa: E402
+                     drive, run_until)  # noqa: E402
 
 from repro.core.barriers import ConfirmBarrier, TriggerBarrier
 from repro.core.drrs import (CoupledSubscaleController, DRRSConfig,
                              DRRSController, make_variant)
+from repro.engine import CheckpointCoordinator
+from repro.engine.recovery import RecoveryManager
 from repro.scaling import OTFSController
 
 
@@ -114,29 +116,28 @@ def test_cleanup_restores_non_scaling_state():
 
 
 def test_fourth_abort_of_one_rescale_fails_its_done_event():
-    """An aborted rescale retries after 0.05, 0.1 and 0.2 s of backoff;
-    the fourth abort of the same rescale exhausts the three retries and
-    fails the caller's done event."""
+    """Each crash during the rescale aborts it, and the restore is followed
+    by a retry under the same done event; the fourth crash exhausts the
+    three retries and fails that event."""
     job = build_keyed_job()
     drive(job, until=30.0)
+    CheckpointCoordinator(job, interval=1.0).start()
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
     job.run(until=5.0)
     controller = DRRSController(job)
     done = controller.request_rescale("agg", 4)
-    job.run(until=5.05)
-    for backoff in (0.05, 0.1, 0.2):
-        assert controller.active
-        controller.abort_and_rollback(reason="test")
-        aborted_at = job.sim.now
-        job.run(until=aborted_at + backoff - 0.001)
-        assert not controller.active  # backing off
-        job.run(until=aborted_at + backoff + 0.01)
-        assert not done.triggered
-    assert controller.active
-    controller.abort_and_rollback(reason="test")
-    job.run(until=job.sim.now + 1.0)
+    for crash in range(1, 5):
+        # The retry re-requests the rescale as the restore finishes.
+        run_until(job, lambda: controller.active)
+        job.run(until=job.sim.now + 0.05)
+        assert controller.active and not done.triggered
+        restored = recovery.fail_and_recover(f"crash {crash}")
+        run_until(job, lambda: restored.triggered)
+    job.run(until=job.sim.now + 5.0)
     assert done.triggered and not done.ok
-    assert str(done.value) == "rescale of agg failed after 3 retries: test"
+    assert str(done.value) == "rescale of agg failed after 3 retries: crash 4"
     assert not controller.active
+    assert len(recovery.recoveries) == 4
 
 
 def test_second_rescale_after_first():

@@ -1,20 +1,22 @@
-"""Sender-side routing-cache invalidation across rescale and rollback.
+"""Sender-side routing-cache invalidation across rescale and restore.
 
 The batched record plane makes the key-group -> channel cache on every
 ``OutputEdge`` hotter (bursts resolve a channel once per run, not per
 record), so a stale entry surviving a routing swap would steer whole
-batches at the wrong owner.  These tests pin the two bulk-swap paths that
-must sweep the caches: the DRRS subscale routing swap and
-``abort_and_rollback``.
+batches at the wrong owner.  These tests pin the two bulk ownership swaps
+the caches must follow: the DRRS subscale routing swap and the checkpoint
+restore after a crash mid-rescale.
 """
 
 import sys
 
 sys.path.insert(0, "tests")
 from helpers import (assert_assignment_consistent, build_keyed_job,
-                     drive)  # noqa: E402
+                     drive, run_until)  # noqa: E402
 
 from repro.core.drrs import DRRSConfig, DRRSController
+from repro.engine import CheckpointCoordinator
+from repro.engine.recovery import RecoveryManager
 
 
 def _assert_caches_match_assignment(job, op_name):
@@ -54,26 +56,30 @@ def test_post_swap_records_land_on_new_owner():
     _assert_caches_match_assignment(job, "agg")
 
 
-def test_abort_and_rollback_sweeps_sender_caches():
-    """Aborting mid-scale drops every sender cache targeting the operator,
-    and records after the revert land back at the restored sources."""
+def test_crash_mid_rescale_leaves_caches_agreeing_with_the_restore():
+    """A crash mid-scale restores the checkpoint's assignment: every sender
+    cache, warm before the crash, agrees with it once the restore is done,
+    and again after the retried rescale completes."""
     job = build_keyed_job()
     drive(job, until=30.0)
+    CheckpointCoordinator(job, interval=1.0).start()
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
     job.run(until=5.0)
     controller = DRRSController(job, DRRSConfig())
-    controller.request_rescale("agg", 4)
+    done = controller.request_rescale("agg", 4)
     job.run(until=5.05)
-    assert controller.active, "scale finished before the abort window"
-    # Warm the caches so the sweep has something real to drop.
+    assert controller.active, "scale finished before the crash window"
+    # Warm the caches so the restore has something real to replace.
     for _sender, edge in job.senders_to("agg"):
         for kg in edge.routing_table:
             edge._channel_cache[kg] = edge.channels[edge.routing_table[kg]]
 
-    controller.abort_and_rollback(reason="test", retry=False)
-    for _sender, edge in job.senders_to("agg"):
-        assert not edge._channel_cache, (
-            "abort_and_rollback left a warm sender cache behind")
+    restored = recovery.fail_and_recover("crash")
+    run_until(job, lambda: restored.triggered)
+    assert restored.triggered
+    _assert_caches_match_assignment(job, "agg")
 
-    job.run(until=12.0)
+    job.run(until=15.0)
+    assert done.triggered and done.ok
     assert_assignment_consistent(job, "agg")
     _assert_caches_match_assignment(job, "agg")

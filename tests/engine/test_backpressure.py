@@ -1,10 +1,5 @@
 """End-to-end backpressure: a slow stage throttles everything upstream."""
 
-import sys
-
-sys.path.insert(0, "tests")
-from helpers import build_keyed_job, drive  # noqa: E402
-
 from repro.engine import (JobGraph, KeyedReduceLogic, OperatorSpec,
                           Partitioning, Record, StreamJob)
 

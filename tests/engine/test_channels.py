@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine import JobGraph, OperatorSpec, Partitioning, StreamJob
 from repro.engine.channels import Channel, InputChannel
 from repro.engine.cluster import LinkSpec
 from repro.engine.records import Record, Watermark

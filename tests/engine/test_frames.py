@@ -9,8 +9,6 @@ import math
 import pickle
 import struct
 
-import pytest
-
 from repro.engine.frames import decode_frame, encode_frame
 from repro.engine.records import (CheckpointBarrier, LatencyMarker, Record,
                                   RecordBatch, Watermark)

@@ -7,10 +7,8 @@ import pytest
 sys.path.insert(0, "tests")
 from helpers import build_keyed_job, drive  # noqa: E402
 
-from repro.engine import (FilterLogic, JobGraph, KeyedReduceLogic,
-                          MapLogic, OperatorSpec, Partitioning, Record,
-                          StreamJob, Watermark)
-from repro.engine.operators import PassThroughLogic, SinkLogic
+from repro.engine import (FilterLogic, KeyedReduceLogic, MapLogic, Record,
+                          Watermark)
 
 
 class FakeInstance:

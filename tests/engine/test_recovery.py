@@ -1,11 +1,6 @@
 """Checkpoint-based failure recovery: exactly-once state, replay, costs."""
 
-import sys
-
 import pytest
-
-sys.path.insert(0, "tests")
-from helpers import build_keyed_job  # noqa: E402
 
 from repro.engine import (CheckpointCoordinator, JobGraph, KeyedReduceLogic,
                           OperatorSpec, Partitioning, Record, StreamJob)

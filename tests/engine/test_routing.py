@@ -7,8 +7,7 @@ import pytest
 sys.path.insert(0, "tests")
 from helpers import build_keyed_job, drive  # noqa: E402
 
-from repro.engine import (JobGraph, LatencyMarker, OperatorSpec,
-                          Partitioning, Record)
+from repro.engine import LatencyMarker, Partitioning, Record
 from repro.engine.routing import NoChannelError, OutputEdge
 
 

@@ -7,8 +7,7 @@ import pytest
 sys.path.insert(0, "tests")
 from helpers import build_keyed_job, drive  # noqa: E402
 
-from repro.engine import (JobConfig, JobGraph, OperatorSpec, Partitioning,
-                          StateStatus, StreamJob)
+from repro.engine import JobConfig, JobGraph, StateStatus, StreamJob
 
 
 def test_build_is_idempotent():

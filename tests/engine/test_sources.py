@@ -1,11 +1,6 @@
 """SourceInstance behaviour: admission, stamping, injection, EOS."""
 
-import sys
-
-sys.path.insert(0, "tests")
-from helpers import build_keyed_job  # noqa: E402
-
-from repro.engine import (EndOfStream, JobGraph, LatencyMarker, OperatorSpec,
+from repro.engine import (EndOfStream, JobGraph, LatencyMarker,
                           Partitioning, Record, StreamJob, Watermark)
 
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.experiments import (controller_factory, format_fig02,
-                               format_fig10, format_fig12, format_fig13,
-                               format_fig14, format_fig15, format_table,
+from repro.experiments import (controller_factory, format_fig14,
+                               format_fig15, format_table,
                                run_fig14_ablation, run_fig15_sensitivity,
                                run_main_comparison)
 from repro.experiments.scenarios import Scenario

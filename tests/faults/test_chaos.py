@@ -3,10 +3,10 @@ under *both* keyed-state backends, with identical semantic traces.
 
 ``crash-mid-subscale`` is the §IV-C acceptance scenario — its internal
 expectations pin that recovery restored a checkpoint taken *during* the
-scaling operation and that the controller's rollback + retry completed
+scaling operation and that the controller's abort + retry completed
 the rescale.  The others cover phase-triggered crashes, lossy windows,
-stalled transfers, stalled checkpoint uploads, re-ordering, double
-faults, and the recovery-time comparison on large state.
+stalled checkpoint uploads, re-ordering, double faults, and the
+recovery-time comparison on large state.
 """
 
 import pytest

@@ -122,6 +122,15 @@ def drive(job: StreamJob, until: float, record_gap: float = 0.005,
     return job
 
 
+def run_until(job: StreamJob, condition, within: float = 5.0,
+              step: float = 0.01) -> None:
+    """Advance ``job`` in ``step`` increments until ``condition()`` holds,
+    for at most ``within`` simulated seconds."""
+    deadline = job.sim.now + within
+    while not condition() and job.sim.now < deadline:
+        job.run(until=job.sim.now + step)
+
+
 def assert_assignment_consistent(job: StreamJob, op_name: str) -> None:
     """Post-scaling invariant: every key-group lives exactly where the
     authoritative assignment says, and nowhere else (processable)."""

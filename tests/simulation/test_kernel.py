@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation import (Event, Interrupt, SimulationError, Simulator)
+from repro.simulation import Interrupt, SimulationError, Simulator
 
 
 def test_time_starts_at_zero():

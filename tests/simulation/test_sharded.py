@@ -11,8 +11,7 @@ from multiprocessing import shared_memory
 import pytest
 
 from repro.engine.graph import JobGraph, OperatorSpec
-from repro.engine.routing import (ShardPlan, partition_graph,
-                                  topological_order)
+from repro.engine.routing import partition_graph, topological_order
 from repro.engine.runtime import JobConfig
 from repro.simulation import sharded
 from repro.simulation.sharded import (ShardedRunResult, _replay_credits,
