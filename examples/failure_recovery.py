@@ -72,7 +72,7 @@ def main():
 
     # Crash counter[1] at t=8 — with 16 MB per key group the subscales
     # are still migrating state, so the crash lands mid-scaling.
-    injector = FaultInjector(job, recovery=recovery, seed=7)
+    injector = FaultInjector(job, recovery=recovery)
     injector.add(CrashInstance("counter", 1, at=8.0)).arm()
 
     job.run(until=60.0)
@@ -96,9 +96,8 @@ def main():
 
     # The chaos bank packages scenarios like the above with invariant
     # checks and expectations; the harness runs one end to end.
-    print("\nrunning bank scenario 'crash-during-transfer' (seed 7)...")
-    report = ChaosHarness(chaos_scenario("crash-during-transfer"),
-                          seed=7).run()
+    print("\nrunning bank scenario 'crash-during-transfer'...")
+    report = ChaosHarness(chaos_scenario("crash-during-transfer")).run()
     print(report.summary())
     assert report.passed
 

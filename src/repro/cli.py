@@ -213,13 +213,11 @@ def _cmd_chaos(args) -> int:
         else [args.scenario]
     reports = []
     for name in names:
-        for seed in args.seed:
-            report = ChaosHarness(
-                CHAOS_SCENARIOS[name], seed=seed,
-                state_backend=args.state_backend).run()
-            reports.append(report)
-            if not args.json:
-                print(report.summary())
+        report = ChaosHarness(CHAOS_SCENARIOS[name],
+                              state_backend=args.state_backend).run()
+        reports.append(report)
+        if not args.json:
+            print(report.summary())
     doc = {"passed": all(r.passed for r in reports),
            "runs": [r.to_dict() for r in reports]}
     if args.json:
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     from .experiments.chaos_bank import CHAOS_SCENARIOS
     p_chaos = sub.add_parser(
         "chaos",
-        help="run seeded fault-injection scenarios and check the §IV-C "
+        help="run fault-injection scenarios and check the §IV-C "
              "safety invariants",
         epilog=EXIT_CONTRACT.format(
             fail="any safety invariant is violated"),
@@ -300,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("scenario", nargs="?", default="all",
                          choices=("all",) + tuple(sorted(CHAOS_SCENARIOS)),
                          help="scenario name (default: every scenario)")
-    p_chaos.add_argument("--seed", type=int, action="append", default=None,
-                         help="seed(s) to run; repeatable (default: 7)")
     p_chaos.add_argument("--state-backend", default=None,
                          choices=("dict", "changelog"),
                          help="force every scenario onto this keyed-state "
@@ -326,8 +322,6 @@ def main(argv: Optional[list] = None) -> int:
         "trace": _cmd_trace,
         "chaos": _cmd_chaos,
     }
-    if args.command == "chaos" and args.seed is None:
-        args.seed = [7]
     return handlers[args.command](args)
 
 

@@ -51,7 +51,7 @@ class Channel:
                  "sender", "telemetry", "_drain_parked",
                  "_drain_entry", "_ship_entry", "_deliver_entry",
                  "_serializing", "_serializing_epoch", "_wire",
-                 "fault_hook", "batching", "max_batch", "_job",
+                 "batching", "max_batch", "_job",
                  "_reservations", "_reserve_wake_at", "_ship_due",
                  "_fused_entry", "_fuse_due", "_late")
 
@@ -74,14 +74,6 @@ class Channel:
         self.sender: Optional["OperatorInstance"] = None
         #: Telemetry bundle shared with the owning job (None = disabled).
         self.telemetry = None
-        #: Optional ``hook(channel, element) -> action`` consulted at the
-        #: delivery point (after the epoch check).  ``"drop"`` discards the
-        #: element (its flow-control credit is returned here, since the
-        #: receiver will never pop it); ``"duplicate"`` delivers it twice
-        #: (the extra pop over-returns one credit — accepted, documented
-        #: fault-injection artefact); anything else delivers normally.
-        #: None — the default — costs one attribute check.
-        self.fault_hook = None
         # Drainer state: parked = waiting for a kick.  Born parked: with
         # nothing queued, the first productive kick (send/attach) starts
         # the loop.  No pending latch is needed — a scheduled or running
@@ -283,8 +275,8 @@ class Channel:
     def quiesce(self) -> bool:
         """Collapse sender-side batch state to the per-record equivalent.
 
-        Called when a collapse window opens (rescale, fault window on this
-        channel, recovery); returns True when there was batch state to
+        Called when a collapse window opens (rescale, recovery); returns
+        True when there was batch state to
         collapse.  A ship batch mid-serialize is *unwound*: members whose
         per-record serialization would not have started yet go back to the
         outbox head (credits, in-flight counts and phantom slots restored),
@@ -496,8 +488,7 @@ class Channel:
                 return
             element = self.outbox.popleft()
             if (self.batching and element.is_record and self.credits >= 2
-                    and self.outbox and self.fault_hook is None
-                    and not self._send_waiters
+                    and self.outbox and not self._send_waiters
                     and (self._job is None
                          or not self._job.active_scalers)):
                 if self._form_batch(element):
@@ -520,7 +511,6 @@ class Channel:
                 self._ship_due = due
                 if (self.batching and not self.outbox
                         and not self._send_waiters
-                        and self.fault_hook is None
                         and (self._job is None
                              or not self._job.active_scalers)):
                     # Nothing queued behind this element: the ship
@@ -626,12 +616,9 @@ class Channel:
             return
         self._in_flight -= 1
         if self._serializing_epoch == self._epoch:
-            if self.fault_hook is None:
-                receiver = self.input_channel
-                if receiver is not None:
-                    receiver.deliver(element)
-            else:
-                self._deliver_one(element)
+            receiver = self.input_channel
+            if receiver is not None:
+                receiver.deliver(element)
         if self.outbox:
             self._drain_loop()
         else:
@@ -704,15 +691,13 @@ class Channel:
                 return  # flushed while in flight: dropped (all members)
             if self.input_channel is None:
                 return
-            if (self.batching and self.fault_hook is None
-                    and (self._job is None
-                         or not self._job.active_scalers)):
+            if self.batching and (self._job is None
+                                  or not self._job.active_scalers):
                 self.input_channel.deliver_batch(element)
             else:
-                # A collapse window (rescale, fault window on this channel)
-                # opened while the batch was in flight: fall back to
-                # per-record delivery at the original per-record times, so
-                # the fault hook sees every member.
+                # A rescale window opened while the batch was in flight:
+                # fall back to per-record delivery at the original
+                # per-record times.
                 self._explode(element)
             return
         self._in_flight -= 1
@@ -721,15 +706,6 @@ class Channel:
         self._deliver_one(element)
 
     def _deliver_one(self, element: StreamElement) -> None:
-        hook = self.fault_hook
-        if hook is not None:
-            action = hook(self, element)
-            if action == "drop":
-                self.credits += 1
-                self._kick()
-                return
-            if action == "duplicate" and self.input_channel is not None:
-                self.input_channel.deliver(element)
         if self.input_channel is not None:
             self.input_channel.deliver(element)
 
@@ -911,10 +887,9 @@ class InputChannel:
         Members already visible (their per-record delivery time has
         passed) take the carrier's place in the queue; members still "on
         the wire" in per-record terms are re-delivered at their original
-        times through the backing channel's delivery path (epoch-checked,
-        fault hook consulted).  Called when a collapse window opens —
-        rescale, fault window on this channel, recovery — so every
-        consumer-side structure holds only plain elements afterwards.
+        times through the backing channel's delivery path (epoch-checked).
+        Called when a collapse window opens — rescale or recovery — so
+        every consumer-side structure holds only plain elements afterwards.
         Returns True when a carrier was queued.
         """
         if not self._nbatches:

@@ -129,8 +129,8 @@ class RecordBatch(StreamElement):
     keep their individual identity (ids, lineage, per-record delivery times)
     and the batched plane must stay bit-identical to moving them one at a
     time.  Batches never cross a time signal (watermark/barrier) and are
-    exploded back to individual records whenever a consumer, fault window or
-    rescale re-routing window needs per-record visibility.
+    exploded back to individual records whenever a consumer or a rescale
+    re-routing window needs per-record visibility.
 
     Attributes:
         records: the member records, in channel FIFO order.

@@ -43,9 +43,9 @@ class JobConfig:
     #: Record plane: ``"batched"`` ships runs of records over a channel as
     #: one wire carrier (bit-identical semantics, golden-trace enforced);
     #: ``"single"`` is the per-record reference implementation.  Operators
-    #: consume one record at a time on both.  Rescales, fault windows and
-    #: recoveries collapse the batched plane to per-record state for their
-    #: own window, never for the rest of the job.
+    #: consume one record at a time on both.  Rescales and recoveries
+    #: collapse the batched plane to per-record state for their own
+    #: window, never for the rest of the job.
     record_plane: str = "batched"
     #: Upper bound on records per wire carrier — the only batches there
     #: are; credits and channel occupancy shrink actual carriers below
@@ -322,9 +322,9 @@ class StreamJob:
                 "process; repro.simulation.sharded.run_sharded runs a "
                 "workload on several")
         #: True when the record plane rides micro-batch carriers; decided
-        #: by ``record_plane`` alone for the life of the job.  Rescales,
-        #: fault windows and recoveries collapse the plane for their own
-        #: window through :meth:`quiesce_batches`.
+        #: by ``record_plane`` alone for the life of the job.  Rescales
+        #: and recoveries collapse the plane for their own window through
+        #: :meth:`quiesce_batches`.
         self._batching = self.config.record_plane == "batched"
         #: :meth:`quiesce_batches` calls that found batch state to collapse.
         self.plane_collapses = 0
@@ -543,29 +543,23 @@ class StreamJob:
 
     # -- record-plane control ------------------------------------------------------
 
-    def quiesce_batches(self, channels: Optional[List[Channel]] = None
-                        ) -> None:
-        """Collapse in-flight micro-batches to per-record state.
+    def quiesce_batches(self) -> None:
+        """Collapse every in-flight micro-batch of the job to per-record
+        state.
 
         Unwinds ship batches mid-serialize and explodes batches queued at
         input channels; batches still on a wire explode at delivery (the
         deliver path re-checks the plane).  Formation gates read
-        ``active_scalers`` and ``fault_hook`` live, so a caller that needs a
-        per-record window (rescale, fault window, recovery) quiesces once
-        when it opens and the plane stays collapsed for as long as its gate
-        holds.
-        ``channels`` narrows the collapse to those channels and their
-        receivers (a fault window's hop); the default is the whole job.
+        ``active_scalers`` live, so a caller that needs a per-record window
+        (rescale, recovery) quiesces once when it opens and the plane stays
+        collapsed for as long as its gate holds.
         """
         now = self.sim.now
-        if channels is None:
-            receivers = self.all_instances()
-            channels = [channel for instance in receivers
-                        for channel in instance.router.all_channels()]
-            inputs = [input_channel for instance in receivers
-                      for input_channel in instance.input_channels]
-        else:
-            inputs = [channel.input_channel for channel in channels]
+        receivers = self.all_instances()
+        channels = [channel for instance in receivers
+                    for channel in instance.router.all_channels()]
+        inputs = [input_channel for instance in receivers
+                  for input_channel in instance.input_channels]
         found = False
         # Sender side first: unwinding a mid-serialize ship batch truncates
         # the shared carrier, so the consumer-side materialize below sees

@@ -1,4 +1,4 @@
-"""Bank of seeded chaos scenarios exercising §IV-C's robustness claims.
+"""Bank of chaos scenarios exercising §IV-C's robustness claims.
 
 Each scenario wires a keyed-sum pipeline (the canonical scaling testbed),
 an oracle that counts what the generator actually produced, periodic
@@ -6,30 +6,21 @@ aligned checkpoints, a :class:`~repro.engine.recovery.RecoveryManager`
 and a :class:`~repro.faults.FaultInjector`, then declares what must hold
 after the dust settles.  Run one with::
 
-    python -m repro chaos crash-mid-subscale --seed 7
+    python -m repro chaos crash-mid-subscale
 
-Design notes on the fault/checkpoint interplay the scenarios encode:
-
-* **Drop/duplicate windows corrupt checkpoints cut inside them** — a
-  checkpoint completed mid-window has source offsets past records that
-  were lost (or state that counted records twice), so replay from it
-  cannot restore exactly-once.  The drop/duplicate scenarios therefore
-  pause the checkpoint coordinator just before the window and crash
-  before resuming it: recovery lands on a pre-window checkpoint and
-  replay repairs the damage.  (Crashes and stalls need no such care:
-  they never corrupt a completed checkpoint.)
-* **``crash-mid-subscale`` is the §IV-C acceptance scenario** — a
-  checkpoint completes *during* the DRRS scaling operation (migrating
-  key-group bytes folded into the departing instance's snapshot), the
-  crash lands while subscales are still in flight, recovery restores
-  that mid-scaling checkpoint, and the controller's retry completes the
-  rescale.  The expectations pin all of that, not just the invariants.
+Channels are FIFO and reliable, so every fault here is a crash or a
+stall; neither corrupts a completed checkpoint.  ``crash-mid-subscale``
+is the §IV-C acceptance scenario — a checkpoint completes *during* the
+DRRS scaling operation (migrating key-group bytes folded into the
+departing instance's snapshot), the crash lands while subscales are
+still in flight, recovery restores that mid-scaling checkpoint, and the
+controller's retry completes the rescale.  The expectations pin all of
+that, not just the invariants.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Dict, List, Optional, Tuple
 
 from ..engine import (CheckpointCoordinator, JobConfig, JobGraph,
@@ -37,7 +28,6 @@ from ..engine import (CheckpointCoordinator, JobConfig, JobGraph,
                       StateTransferCostModel, StreamJob, Watermark)
 from ..engine.recovery import RecoveryManager
 from ..faults import (ChaosScenario, ChaosSetup, CrashInstance,
-                      DelayRecords, DropRecords, DuplicateRecords,
                       FaultInjector, StallUploads)
 
 __all__ = ["CHAOS_SCENARIOS", "chaos_scenario"]
@@ -151,8 +141,7 @@ def _expect_spans(job) -> List[str]:
 # -- scenarios ---------------------------------------------------------------
 
 
-def _crash_mid_subscale(seed: int, job_config=None,
-                        state_backend: Optional[str] = None,
+def _crash_mid_subscale(job_config=None, state_backend: Optional[str] = None,
                         record_plane: Optional[str] = None) -> ChaosSetup:
     """§IV-C acceptance: crash mid-subscale, recover from a checkpoint
     taken during the scaling operation, finish the rescale via retry.
@@ -181,7 +170,7 @@ def _crash_mid_subscale(seed: int, job_config=None,
                                retain_checkpoints=100).install()
     controller = DRRSController(job)
     holder = _rescale_at(job, controller, "agg", 6.0, 4)
-    injector = FaultInjector(job, recovery=recovery, seed=seed)
+    injector = FaultInjector(job, recovery=recovery)
     injector.add(CrashInstance("agg", 1, at=8.0))
 
     def expect(setup) -> List[str]:
@@ -207,7 +196,7 @@ def _crash_mid_subscale(seed: int, job_config=None,
 
 
 def _scripted_crash_mid_subscale(
-        seed: int, state_backend: Optional[str] = None,
+        state_backend: Optional[str] = None,
         record_plane: Optional[str] = None) -> ChaosSetup:
     """Three scripted DRRS rescales under a load ramp and 0.75 s
     checkpoints: ``agg`` 2→5 at 6.0, →6 at 9.0 and →2 at 22.0, each
@@ -247,7 +236,7 @@ def _scripted_crash_mid_subscale(
                 return  # expect() names the failed rescale
 
     job.sim.spawn(rescales(), name="chaos-rescales")
-    injector = FaultInjector(job, recovery=recovery, seed=seed)
+    injector = FaultInjector(job, recovery=recovery)
     injector.add(CrashInstance("agg", 1, phase="state-transfer"))
 
     def expect(setup) -> List[str]:
@@ -272,7 +261,7 @@ def _scripted_crash_mid_subscale(
 
 
 def _crash_during_transfer(
-        seed: int, state_backend: Optional[str] = None,
+        state_backend: Optional[str] = None,
         record_plane: Optional[str] = None) -> ChaosSetup:
     """Phase-triggered crash the instant the first key-group migration
     begins; the restore undoes the migration, the retry completes it."""
@@ -288,7 +277,7 @@ def _crash_during_transfer(
     recovery = RecoveryManager(job, restart_seconds=0.5).install()
     controller = DRRSController(job)
     holder = _rescale_at(job, controller, "agg", 6.0, 4)
-    injector = FaultInjector(job, recovery=recovery, seed=seed)
+    injector = FaultInjector(job, recovery=recovery)
     injector.add(CrashInstance("agg", 0, phase="state-transfer"))
 
     def expect(setup) -> List[str]:
@@ -303,54 +292,7 @@ def _crash_during_transfer(
                       oracle={"agg": produced}, expectations=[expect])
 
 
-def _lossy_window_then_crash(
-        seed: int, kind: str, state_backend: Optional[str] = None,
-        record_plane: Optional[str] = None) -> ChaosSetup:
-    """Drop or duplicate a window of records, then crash: recovery from
-    a pre-window checkpoint plus replay restores exactly-once."""
-    job, produced = _keyed_job(stop_at=12.0, state_backend=state_backend,
-                               record_plane=record_plane)
-    checkpoints = CheckpointCoordinator(job, interval=1.0)
-    checkpoints.start()
-    recovery = RecoveryManager(job, restart_seconds=0.5).install()
-    injector = FaultInjector(job, recovery=recovery, seed=seed)
-    # Checkpoints cut inside the fault window would bake the damage in
-    # (see module docstring); pause the coordinator around it.
-    job.sim.call_at(4.9, checkpoints.stop)
-    if kind == "drop":
-        injector.add(DropRecords("src", "agg", duration=0.6,
-                                 probability=0.7, at=5.0))
-    else:
-        injector.add(DuplicateRecords("src", "agg", duration=0.3,
-                                      at=5.0))
-    injector.add(CrashInstance("agg", 0, at=6.0))
-    job.sim.call_at(8.0, checkpoints.start)
-
-    def expect(setup) -> List[str]:
-        problems: List[str] = []
-        if not recovery.recoveries:
-            problems.append("crash caused no recovery")
-        return problems
-
-    return ChaosSetup(job=job, injector=injector, keyed_ops=["agg"],
-                      horizon=35.0, recovery=recovery,
-                      oracle={"agg": produced}, expectations=[expect])
-
-
-def _delay_blip(seed: int, state_backend: Optional[str] = None,
-                record_plane: Optional[str] = None) -> ChaosSetup:
-    """Records re-ordered by a delay window: no loss, no duplication —
-    exactly-once must hold with no recovery at all."""
-    job, produced = _keyed_job(stop_at=10.0, state_backend=state_backend,
-                               record_plane=record_plane)
-    injector = FaultInjector(job, seed=seed)
-    injector.add(DelayRecords("src", "agg", duration=1.0, hold=0.8,
-                              probability=0.5, at=4.0))
-    return ChaosSetup(job=job, injector=injector, keyed_ops=["agg"],
-                      horizon=20.0, oracle={"agg": produced})
-
-
-def _double_fault(seed: int, state_backend: Optional[str] = None,
+def _double_fault(state_backend: Optional[str] = None,
                   record_plane: Optional[str] = None) -> ChaosSetup:
     """A second crash strikes while the first restore is still running;
     the half-done restore is abandoned and recovery restarts cleanly."""
@@ -359,7 +301,7 @@ def _double_fault(seed: int, state_backend: Optional[str] = None,
     checkpoints = CheckpointCoordinator(job, interval=1.0)
     checkpoints.start()
     recovery = RecoveryManager(job, restart_seconds=1.5).install()
-    injector = FaultInjector(job, recovery=recovery, seed=seed)
+    injector = FaultInjector(job, recovery=recovery)
     injector.add(CrashInstance("agg", 0, at=6.0))
     injector.add(CrashInstance("agg", 1, at=6.8))
 
@@ -376,14 +318,14 @@ def _double_fault(seed: int, state_backend: Optional[str] = None,
                       oracle={"agg": produced}, expectations=[expect])
 
 
-def _crash_large_state(seed: int, state_backend: Optional[str] = None,
+def _crash_large_state(state_backend: Optional[str] = None,
                        record_plane: Optional[str] = None) -> ChaosSetup:
     """Recovery-time tier: crash a job with *large* keyed state.
 
     Defaults to the changelog backend.  The expectation measures the
     checkpoint barrier-path cost and the recovery-restore duration from
     telemetry spans, and — when running under changelog — runs a dict
-    twin of the same seed and asserts the two headline claims:
+    twin of the same scenario and asserts the two headline claims:
 
     * barrier-path (``checkpoint.sync``) cost is ~constant in state size
       (the dict twin's grows with the state; changelog's is the manifest),
@@ -400,7 +342,7 @@ def _crash_large_state(seed: int, state_backend: Optional[str] = None,
     checkpoints = CheckpointCoordinator(job, interval=1.0)
     checkpoints.start()
     recovery = RecoveryManager(job, restart_seconds=0.5).install()
-    injector = FaultInjector(job, recovery=recovery, seed=seed)
+    injector = FaultInjector(job, recovery=recovery)
     # The crash lands only after the first (anchoring, whole-state)
     # segment upload is durable — no checkpoint may complete before its
     # whole delta chain is, so an earlier crash would find nothing to
@@ -429,8 +371,8 @@ def _crash_large_state(seed: int, state_backend: Optional[str] = None,
         })
         if backend != "changelog":
             return problems
-        # Dict twin, same seed: the baseline the claims are made against.
-        twin = _crash_large_state(seed, state_backend="dict",
+        # Dict twin: the baseline the claims are made against.
+        twin = _crash_large_state(state_backend="dict",
                                   record_plane=record_plane)
         twin.injector.arm()
         twin.job.run(until=twin.horizon)
@@ -459,7 +401,7 @@ def _crash_large_state(seed: int, state_backend: Optional[str] = None,
 
 
 def _checkpoint_upload_stall(
-        seed: int, state_backend: Optional[str] = None,
+        state_backend: Optional[str] = None,
         record_plane: Optional[str] = None) -> ChaosSetup:
     """Recovery-time tier: async uploads stall, then a crash lands.
 
@@ -479,7 +421,7 @@ def _checkpoint_upload_stall(
     checkpoints = CheckpointCoordinator(job, interval=1.0)
     checkpoints.start()
     recovery = RecoveryManager(job, restart_seconds=0.5).install()
-    injector = FaultInjector(job, recovery=recovery, seed=seed)
+    injector = FaultInjector(job, recovery=recovery)
     injector.add(StallUploads("agg", extra_seconds=4.0, duration=2.5,
                               at=4.5))
     injector.add(CrashInstance("agg", 1, at=6.0))
@@ -530,20 +472,6 @@ CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
             "crash-during-transfer", _crash_during_transfer,
             "phase-triggered crash at the first state transfer"),
         ChaosScenario(
-            "drop-then-crash",
-            functools.partial(_lossy_window_then_crash, kind="drop"),
-            "lose a window of records on the wire, then crash; replay "
-            "repairs the loss"),
-        ChaosScenario(
-            "duplicate-then-crash",
-            functools.partial(_lossy_window_then_crash, kind="duplicate"),
-            "deliver a window of records twice, then crash; rollback "
-            "undoes the double count"),
-        ChaosScenario(
-            "delay-blip", _delay_blip,
-            "re-order a window of records; exactly-once with no "
-            "recovery"),
-        ChaosScenario(
             "double-fault", _double_fault,
             "second crash lands mid-restore; recovery restarts from "
             "scratch"),
@@ -551,8 +479,8 @@ CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
             "crash-large-state", _crash_large_state,
             "crash with large keyed state (changelog default): barrier "
             "sync must stay ~constant and recovery must finish in <=50% "
-            "of the dict backend's time (measured against a same-seed "
-            "dict twin)"),
+            "of the dict backend's time (measured against a dict "
+            "twin)"),
         ChaosScenario(
             "checkpoint-upload-stall", _checkpoint_upload_stall,
             "async changelog uploads stall, then a crash: recovery must "

@@ -8,8 +8,7 @@ made scenarios live in :mod:`repro.experiments.chaos_bank`; run them with
 """
 
 from .chaos import ChaosHarness, ChaosReport, ChaosScenario, ChaosSetup
-from .injector import (CrashInstance, DelayRecords, DropRecords,
-                       DuplicateRecords, FaultInjector, StallTransfers,
+from .injector import (CrashInstance, FaultInjector, StallTransfers,
                        StallUploads)
 from .invariants import (WatermarkMonitor, check_all,
                          check_backend_equivalence,
@@ -20,9 +19,6 @@ from .invariants import (WatermarkMonitor, check_all,
 __all__ = [
     "FaultInjector",
     "CrashInstance",
-    "DropRecords",
-    "DuplicateRecords",
-    "DelayRecords",
     "StallTransfers",
     "StallUploads",
     "ChaosHarness",

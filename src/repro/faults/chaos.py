@@ -1,8 +1,8 @@
 """Chaos harness: run a scenario, inject faults, check invariants.
 
-A :class:`ChaosScenario` is a named, seed-parameterised builder that
-returns a fully wired :class:`ChaosSetup` — job, fault injector, recovery
-manager, controllers, a per-operator oracle and a horizon.  The
+A :class:`ChaosScenario` is a named builder that returns a fully wired
+:class:`ChaosSetup` — job, fault injector, recovery manager,
+controllers, a per-operator oracle and a horizon.  The
 :class:`ChaosHarness` then:
 
 1. arms the injector and a :class:`~.invariants.WatermarkMonitor`,
@@ -15,7 +15,8 @@ manager, controllers, a per-operator oracle and a horizon.  The
 4. returns a :class:`ChaosReport` — JSON-serialisable, used by the
    ``repro chaos`` CLI and the CI chaos-smoke job.
 
-Everything is deterministic in ``(scenario, seed)``.
+No fault draws a random number, so a scenario's report is fully
+determined by the scenario, its state backend and its record plane.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ChaosSetup:
 @dataclass
 class ChaosScenario:
     """A named builder:
-    ``build(seed, state_backend=None, record_plane=None) -> ChaosSetup``.
+    ``build(state_backend=None, record_plane=None) -> ChaosSetup``.
 
     ``state_backend`` selects the keyed-state backend ("dict" or
     "changelog"; None keeps the scenario's own default) — every scenario
@@ -71,17 +72,16 @@ class ChaosScenario:
 
 @dataclass
 class ChaosReport:
-    """Outcome of one seeded chaos run."""
+    """Outcome of one chaos run."""
 
     scenario: str
-    seed: int
     passed: bool
     horizon: float
     #: Keyed-state backend the run used ("dict"/"changelog") — recorded
-    #: so seeded-report diffs cannot silently compare across backends.
+    #: so report diffs cannot silently compare across backends.
     state_backend: str = "dict"
     #: Record plane the job ran on, and how many times it collapsed to
-    #: per-record state for a window (rescale, fault window, recovery).
+    #: per-record state for a window (rescale, recovery).
     record_plane: str = "batched"
     plane_collapses: int = 0
     #: ``(time, kind, detail)`` per fired fault / closed window.
@@ -102,7 +102,6 @@ class ChaosReport:
     def to_dict(self) -> Dict:
         return {
             "scenario": self.scenario,
-            "seed": self.seed,
             "passed": self.passed,
             "horizon": self.horizon,
             "state_backend": self.state_backend,
@@ -119,8 +118,8 @@ class ChaosReport:
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        lines = [f"[{verdict}] {self.scenario} (seed={self.seed}, "
-                 f"backend={self.state_backend}, "
+        lines = [f"[{verdict}] {self.scenario} "
+                 f"(backend={self.state_backend}, "
                  f"plane={self.record_plane} collapsed "
                  f"{self.plane_collapses}x): "
                  f"{len(self.faults)} fault events, "
@@ -134,23 +133,21 @@ class ChaosReport:
 
 
 class ChaosHarness:
-    """Runs one scenario at one seed and judges the outcome.
+    """Runs one scenario and judges the outcome.
 
     ``state_backend`` (None / "dict" / "changelog") and ``record_plane``
     (None / a ``JobConfig.RECORD_PLANES`` name) are forwarded to the
     scenario builder; None keeps the scenario's default."""
 
-    def __init__(self, scenario: ChaosScenario, seed: int = 0,
+    def __init__(self, scenario: ChaosScenario,
                  state_backend: Optional[str] = None,
                  record_plane: Optional[str] = None):
         self.scenario = scenario
-        self.seed = seed
         self.state_backend = state_backend
         self.record_plane = record_plane
 
     def run(self) -> ChaosReport:
-        setup = self.scenario.build(self.seed,
-                                    state_backend=self.state_backend,
+        setup = self.scenario.build(state_backend=self.state_backend,
                                     record_plane=self.record_plane)
         job = setup.job
         setup.injector.arm()
@@ -176,7 +173,6 @@ class ChaosHarness:
                       if setup.recovery is not None else [])
         return ChaosReport(
             scenario=self.scenario.name,
-            seed=self.seed,
             passed=not violations,
             horizon=setup.horizon,
             state_backend=job.config.state_backend,

@@ -10,17 +10,17 @@ A :class:`FaultInjector` schedules *fault specs* against a running
   span with that name opens (e.g. ``phase="state-transfer"`` crashes the
   job the moment the first key-group migration begins).
 
-All randomness flows through one ``random.Random`` seeded at construction
-(:func:`~repro.simulation.randomness.make_rng`), and the kernel itself is
-deterministic, so a chaos run is exactly reproducible from
-``(scenario, seed)``.  With no faults scheduled the injector touches
-nothing — the hooks it uses (``Channel.fault_hook``,
-``job.transfer_fault_hook``, ``tracer.span_listener``) all default to
-``None`` and cost one attribute check, so fault-free runs stay
-bit-identical to runs without an injector.
+No fault draws a random number and the kernel itself is deterministic,
+so a chaos run is exactly reproducible from its scenario.  With no faults
+scheduled the injector touches nothing — the hooks it uses
+(``job.transfer_fault_hook``, ``job.checkpoint_upload_hook``,
+``tracer.span_listener``) all default to ``None`` and cost one attribute
+check, so fault-free runs stay bit-identical to runs without an injector.
 
 Fault model (what can go wrong, mirroring the failures §IV-C must
-coexist with):
+coexist with).  Channels themselves are FIFO and reliable, as the
+paper's snapshot algorithm assumes, so no fault loses, duplicates or
+re-orders a record on the wire:
 
 =====================  ====================================================
 spec                   effect
@@ -29,14 +29,6 @@ spec                   effect
                        (Flink's restart-all strategy); if a scaling
                        operation is in flight the controller aborts it
                        and retries once the restore finishes
-:class:`DropRecords`   records on one operator→operator hop are lost on
-                       the wire for a window (flow-control credits are
-                       returned so the pipe keeps flowing)
-:class:`DuplicateRecords` records on one hop are delivered twice for a
-                       window
-:class:`DelayRecords`  records on one hop are held back and re-delivered
-                       ``hold`` seconds later (re-ordering them past
-                       their successors)
 :class:`StallTransfers` key-group state transfers of one operator take
                        ``extra_seconds`` longer while the window is open,
                        holding their NIC slot (models a slow/overloaded
@@ -48,11 +40,6 @@ spec                   effect
                        a slow/overloaded DFS; no-op for the dict backend,
                        which has no async uploads)
 =====================  ====================================================
-
-Dropping or duplicating records violates exactly-once *by design*; chaos
-scenarios pair those windows with a crash+recovery that rolls state back
-to a checkpoint from before the window, after which replay restores
-exactly-once (see :mod:`repro.experiments.chaos_bank`).
 """
 
 from __future__ import annotations
@@ -60,14 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..simulation.randomness import make_rng
-
 __all__ = [
     "FaultInjector",
     "CrashInstance",
-    "DropRecords",
-    "DuplicateRecords",
-    "DelayRecords",
     "StallTransfers",
     "StallUploads",
 ]
@@ -93,64 +75,6 @@ class CrashInstance:
 
     def apply(self, injector: "FaultInjector") -> None:
         injector.crash(self.describe())
-
-
-@dataclass
-class DropRecords:
-    """Records on the ``from_op -> to_op`` hop are lost for a window."""
-
-    from_op: str
-    to_op: str
-    duration: float
-    probability: float = 1.0
-    at: Optional[float] = None
-    phase: Optional[str] = None
-
-    def describe(self) -> str:
-        return (f"drop p={self.probability} on {self.from_op}->"
-                f"{self.to_op} for {self.duration}s")
-
-    def apply(self, injector: "FaultInjector") -> None:
-        injector.open_channel_window(self, action="drop")
-
-
-@dataclass
-class DuplicateRecords:
-    """Records on one hop are delivered twice for a window."""
-
-    from_op: str
-    to_op: str
-    duration: float
-    probability: float = 1.0
-    at: Optional[float] = None
-    phase: Optional[str] = None
-
-    def describe(self) -> str:
-        return (f"duplicate p={self.probability} on {self.from_op}->"
-                f"{self.to_op} for {self.duration}s")
-
-    def apply(self, injector: "FaultInjector") -> None:
-        injector.open_channel_window(self, action="duplicate")
-
-
-@dataclass
-class DelayRecords:
-    """Records on one hop are held ``hold`` seconds, re-ordering them."""
-
-    from_op: str
-    to_op: str
-    duration: float
-    hold: float = 0.5
-    probability: float = 1.0
-    at: Optional[float] = None
-    phase: Optional[str] = None
-
-    def describe(self) -> str:
-        return (f"delay {self.hold}s p={self.probability} on "
-                f"{self.from_op}->{self.to_op} for {self.duration}s")
-
-    def apply(self, injector: "FaultInjector") -> None:
-        injector.open_delay_window(self)
 
 
 @dataclass
@@ -197,16 +121,17 @@ class FaultInjector:
 
     Usage::
 
-        injector = FaultInjector(job, recovery=manager, seed=7)
+        injector = FaultInjector(job, recovery=manager)
         injector.add(CrashInstance("agg", 1, at=8.0))
-        injector.add(DropRecords("src", "agg", duration=0.5,
-                                 phase="state-transfer"))
+        injector.add(StallTransfers("agg", extra_seconds=0.5,
+                                    duration=2.0, phase="state-transfer"))
         injector.arm()
         job.run(until=40.0)
 
     :attr:`injected` logs every fired fault as ``(time, kind, detail)``;
     :attr:`errors` collects faults that could not take effect (e.g. a
     crash before any checkpoint completed — nothing to recover from).
+    ``seed`` is kept but unread: no fault draws a random number.
     """
 
     def __init__(self, job, recovery=None, seed: int = 0):
@@ -214,7 +139,6 @@ class FaultInjector:
         self.sim = job.sim
         self.recovery = recovery
         self.seed = seed
-        self.rng = make_rng(seed)
         self.pending: List = []
         #: ``(sim time, fault class name, detail)`` per fired fault.
         self.injected: List[Tuple[float, str, str]] = []
@@ -291,116 +215,19 @@ class FaultInjector:
                 "crash faults need a RecoveryManager: pass recovery= to "
                 "FaultInjector")
         try:
-            self.recovery.fail_and_recover(reason)
+            done = self.recovery.fail_and_recover(reason)
         except RecoveryError as error:
             # No completed checkpoint (or an unabortable controller): the
             # job cannot recover.  Record it; the invariant report
             # surfaces unrecoverable crashes instead of exploding the sim.
             self.errors.append((self.sim.now, str(error)))
+            return
+        # An unrestorable checkpoint fails the returned event instead.
+        done.add_callback(self._on_recovered)
 
-    def channels_between(self, from_op: str, to_op: str) -> List:
-        channels = []
-        for sender, edge in self.job.senders_to(to_op):
-            if sender.spec.name == from_op:
-                channels.extend(edge.channels)
-        return channels
-
-    def _record_filter(self, probability: float):
-        rng = self.rng
-        if probability >= 1.0:
-            return lambda element: bool(getattr(element, "is_record",
-                                                False))
-        return lambda element: (getattr(element, "is_record", False)
-                                and rng.random() < probability)
-
-    def _hook_channels(self, channels: List, hook):
-        """Install ``hook`` on ``channels``; returns the call that undoes it.
-
-        The hop's batches collapse first, so every record not yet past its
-        per-record delivery point reaches the hook; a non-None
-        ``fault_hook`` then keeps the hop per-record until the window
-        closes.  Other channels — and injectors holding only crash or
-        stall faults — never leave the batched plane.
-        """
-        self.job.quiesce_batches(channels)
-        saved = [(channel, channel.fault_hook) for channel in channels]
-        for channel in channels:
-            channel.fault_hook = hook
-
-        def unhook():
-            for channel, previous in saved:
-                if channel.fault_hook is hook:
-                    channel.fault_hook = previous
-        return unhook
-
-    def open_channel_window(self, fault, action: str) -> None:
-        """Drop or duplicate matching records until the window closes."""
-        channels = self.channels_between(fault.from_op, fault.to_op)
-        if not channels:
-            raise ValueError(
-                f"no channels between {fault.from_op} and {fault.to_op}")
-        matches = self._record_filter(fault.probability)
-        hit = [0]
-
-        def hook(channel, element):
-            if matches(element):
-                hit[0] += 1
-                return action
-            return None
-
-        unhook = self._hook_channels(channels, hook)
-
-        def close():
-            unhook()
-            self.injected.append(
-                (self.sim.now, "WindowClosed",
-                 f"{action} window {fault.from_op}->{fault.to_op}: "
-                 f"{hit[0]} records"))
-
-        self.sim.call_in(fault.duration, close)
-
-    def open_delay_window(self, fault) -> None:
-        """Hold matching records and re-deliver them ``hold`` later.
-
-        Implemented as drop-with-redelivery: the channel returns the
-        flow-control credit immediately (as for a drop) and the record
-        re-enters the inbox later without consuming one — the inbox may
-        transiently exceed its capacity, like a real burst of delayed
-        packets.
-        """
-        channels = self.channels_between(fault.from_op, fault.to_op)
-        if not channels:
-            raise ValueError(
-                f"no channels between {fault.from_op} and {fault.to_op}")
-        matches = self._record_filter(fault.probability)
-        hit = [0]
-
-        def hook(channel, element):
-            if not matches(element):
-                return None
-            hit[0] += 1
-
-            def redeliver(ch=channel, el=element):
-                if ch.input_channel is not None:
-                    # Out-of-band arrival: a carrier queued after the
-                    # window closed may hold members the per-record plane
-                    # delivers only after this one.
-                    self.job.quiesce_batches([ch])
-                    ch.input_channel.deliver(el)
-
-            self.sim.call_in(fault.hold, redeliver)
-            return "drop"
-
-        unhook = self._hook_channels(channels, hook)
-
-        def close():
-            unhook()
-            self.injected.append(
-                (self.sim.now, "WindowClosed",
-                 f"delay window {fault.from_op}->{fault.to_op}: "
-                 f"{hit[0]} records"))
-
-        self.sim.call_in(fault.duration, close)
+    def _on_recovered(self, done) -> None:
+        if not done.ok:
+            self.errors.append((self.sim.now, str(done.value)))
 
     def open_stall_window(self, fault) -> None:
         """Stretch state transfers out of ``fault.op`` while open."""

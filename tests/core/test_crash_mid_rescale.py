@@ -15,6 +15,7 @@ from repro.engine import (CheckpointCoordinator, JobConfig,
                           StateTransferCostModel)
 from repro.engine.recovery import RecoveryError, RecoveryManager
 from repro.experiments.chaos_bank import _keyed_job
+from repro.faults import CrashInstance, FaultInjector
 from repro.faults.invariants import check_all
 
 #: A per-group handshake keeps the rescale open for about 2.5 s under
@@ -122,3 +123,28 @@ def test_unrestorable_checkpoint_leaves_the_rescale_running(backend):
     assert seen["out"].triggered and seen["out"].ok
     assert len(job.instances("agg")) == 3
     assert check_all(job, "agg", oracle=produced) == []
+
+
+def test_unrestorable_crash_through_the_injector_is_reported():
+    """The same unrestorable crash fired as a ``CrashInstance``: the
+    injector records the failed recovery in ``errors`` instead of
+    dropping the event ``fail_and_recover`` returned."""
+    job, _produced, checkpoints, recovery = _crash_job("dict",
+                                                       parallelism=4)
+    controller = DRRSController(job)
+    injector = FaultInjector(job, recovery=recovery).arm()
+
+    def rescales():
+        yield controller.request_rescale("agg", 2)
+        controller.request_rescale("agg", 3)
+        yield job.sim.timeout(1.0)
+        injector.add(CrashInstance("agg", 0, at=job.sim.now))
+
+    job.sim.call_at(5.0, checkpoints.stop)
+    job.sim.call_at(6.0, lambda: job.sim.spawn(rescales()))
+    job.run(until=40.0)
+
+    assert [kind for _t, kind, _d in injector.injected] == ["CrashInstance"]
+    assert len(injector.errors) == 1
+    assert "decommissioned instances" in injector.errors[0][1]
+    assert not recovery.recoveries

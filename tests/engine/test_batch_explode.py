@@ -2,8 +2,8 @@
 
 Batches (including carriers with a cached column view) are transport
 envelopes only: whenever a consumer-side structure must hold
-individual records — checkpoint barriers, fault windows, rescale
-re-routing, recovery surgery — the plane collapses and the member records
+individual records — checkpoint barriers, rescale re-routing,
+recovery surgery — the plane collapses and the member records
 come back out with identity, order and per-record delivery times intact.
 """
 
@@ -121,7 +121,7 @@ def test_batches_never_cross_a_watermark():
 
 
 def test_quiesce_batches_explodes_everything():
-    """StreamJob.quiesce_batches: the rescale/fault collapse."""
+    """StreamJob.quiesce_batches: the rescale/recovery collapse."""
     job = build_keyed_job()
     drive(job, until=0.5)
     job.start()

@@ -20,7 +20,7 @@ from repro.experiments.chaos_bank import _keyed_job
 from repro.faults.injector import CrashInstance, FaultInjector, StallUploads
 
 
-def _upload_stall(seed):
+def _upload_stall():
     """The ``checkpoint-upload-stall`` shape: uploads of ``agg`` stall
     from 4.5 s, and ``agg[1]`` crashes at 6.0 s inside the stall."""
     job, _produced = _keyed_job(stop_at=12.0, state_bytes_per_group=8e6,
@@ -29,14 +29,14 @@ def _upload_stall(seed):
     coordinator.start()
     recovery = RecoveryManager(job, restart_seconds=0.5,
                                retain_checkpoints=1000).install()
-    injector = FaultInjector(job, recovery=recovery, seed=seed)
+    injector = FaultInjector(job, recovery=recovery)
     injector.add(StallUploads("agg", extra_seconds=4.0, duration=2.5,
                               at=4.5))
     injector.add(CrashInstance("agg", 1, at=6.0))
     return job, coordinator, recovery, injector, 35.0
 
 
-def _crash_mid_subscale(seed):
+def _crash_mid_subscale():
     """The ``crash-mid-subscale`` shape: DRRS rescales ``agg`` 2 -> 4 at
     6.0 s and ``agg[1]`` crashes at 8.0 s, mid-migration."""
     config = dataclasses.replace(
@@ -51,16 +51,15 @@ def _crash_mid_subscale(seed):
                                retain_checkpoints=1000).install()
     controller = DRRSController(job)
     job.sim.call_at(6.0, lambda: controller.request_rescale("agg", 4))
-    injector = FaultInjector(job, recovery=recovery, seed=seed)
+    injector = FaultInjector(job, recovery=recovery)
     injector.add(CrashInstance("agg", 1, at=8.0))
     return job, coordinator, recovery, injector, 45.0
 
 
-@pytest.mark.parametrize("shape, seed", [
-    (_upload_stall, 7), (_upload_stall, 11), (_crash_mid_subscale, 7)],
-    ids=["upload-stall-7", "upload-stall-11", "crash-mid-subscale-7"])
-def test_restore_discards_open_checkpoints_from_the_one_ledger(shape, seed):
-    job, coordinator, recovery, injector, horizon = shape(seed)
+@pytest.mark.parametrize("shape", [_upload_stall, _crash_mid_subscale],
+                         ids=["upload-stall", "crash-mid-subscale"])
+def test_restore_discards_open_checkpoints_from_the_one_ledger(shape):
+    job, coordinator, recovery, injector, horizon = shape()
     injector.arm()
     job.run(until=horizon)
     assert not injector.errors

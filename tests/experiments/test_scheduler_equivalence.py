@@ -48,14 +48,13 @@ def test_chaos_crash_mid_subscale_identical_under_calendar(plane):
     The rescale and the restore each collapse the plane for their window,
     so this exercises the explode path under the calendar scheduler too.
     """
-    reference = ChaosHarness(CHAOS_SCENARIOS["crash-mid-subscale"],
-                             seed=7).run()
+    reference = ChaosHarness(CHAOS_SCENARIOS["crash-mid-subscale"]).run()
     scenario = ChaosScenario(
         f"crash-mid-subscale-calendar-{plane}",
         functools.partial(_crash_mid_subscale,
                           job_config=JobConfig(scheduler="calendar")),
         "crash-mid-subscale under the calendar-queue scheduler")
-    run = ChaosHarness(scenario, seed=7, record_plane=plane).run()
+    run = ChaosHarness(scenario, record_plane=plane).run()
     assert reference.passed and run.passed
     ref_doc, doc = reference.to_dict(), run.to_dict()
     ref_doc.pop("scenario"), doc.pop("scenario")

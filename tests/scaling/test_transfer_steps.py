@@ -35,7 +35,7 @@ def _rescale(system, stall=None, telemetry=False, until=25.0):
     controller = controller_factory(system)(job)
     injector = None
     if stall is not None:
-        injector = FaultInjector(job, seed=0).add(stall).arm()
+        injector = FaultInjector(job).add(stall).arm()
     holder = {}
     job.sim.call_at(
         2.0, lambda: holder.setdefault(

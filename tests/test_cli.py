@@ -126,6 +126,14 @@ def test_check_commands_document_exit_contract(command, capsys):
     assert "usage error" in out
 
 
+def test_chaos_takes_no_seed(capsys):
+    # No fault draws a random number, so a chaos run has no seed axis.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "double-fault", "--seed", "7"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_bench_is_not_a_command(capsys):
     # Host time is measured by the benchmark ledger; `bench` is gone.
     with pytest.raises(SystemExit) as excinfo:
