@@ -356,3 +356,53 @@ def test_a_landed_fused_singleton_leaves_the_drainer_parked():
     channel.send(second)
     sim.run(until=0.5)
     assert list(inbox.queue) == [first, second]
+
+
+def _singleton_then(batching, first, follower, send_at):
+    """``first`` (serialize 0.1 s, latency 0.01 s), then ``follower``
+    sent at ``send_at`` while ``first`` is still in flight; returns each
+    delivery's time and element and the credits left."""
+    sim = Simulator()
+    channel, inbox, receiver = make_pair(sim, latency=0.01, bandwidth=1000)
+    channel.batching = batching
+    deliveries = []
+
+    class LoggingWake:
+        """Each delivery wakes the receiver once: log what just landed."""
+
+        def fire(self):
+            deliveries.append((sim.now, inbox.queue[-1]))
+
+    receiver.wake = LoggingWake()
+    fused = []
+
+    def send_follower():
+        fused.append(channel._fuse_due is not None)
+        channel.send(follower)
+
+    channel.send(first)
+    sim.call_at(send_at, send_follower)
+    sim.run(until=1.0)
+    return {"fused": fused[0], "deliveries": deliveries,
+            "credits": channel.credits}
+
+
+@pytest.mark.parametrize("send_at", [0.05, 0.105])
+@pytest.mark.parametrize("follower", [
+    Record(key="b", size_bytes=100), Watermark(timestamp=1.0)],
+    ids=["record", "watermark"])
+def test_a_send_mid_fused_flight_delivers_as_on_the_split_path(
+        follower, send_at):
+    """Sent while the singleton serializes (0.05) or is on the wire
+    (0.105), the follower lands after it, as on the split path: the first
+    record still arrives at 0.11, FIFO order holds and both credits are
+    held by the receiver's queue."""
+    first = Record(key="a", size_bytes=100)
+    fused = _singleton_then(True, first, follower, send_at)
+    split = _singleton_then(False, first, follower, send_at)
+    assert fused.pop("fused") and not split.pop("fused")
+    assert fused == split
+    (first_at, landed_first), (_then, landed_second) = fused["deliveries"]
+    assert first_at == pytest.approx(0.11)
+    assert landed_first is first and landed_second is follower
+    assert fused["credits"] == 2

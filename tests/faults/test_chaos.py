@@ -62,6 +62,15 @@ def test_report_shape():
     assert "crash-during-transfer" in report.summary()
 
 
+def test_a_scenario_replays_to_the_same_report():
+    """No fault draws a random number: a scenario is its own seed, so two
+    runs of it write the same report, kernel event count included."""
+    scenario = CHAOS_SCENARIOS["crash-during-transfer"]
+    first = ChaosHarness(scenario).run().to_dict()
+    assert first["kernel_events"] > 0
+    assert ChaosHarness(scenario).run().to_dict() == first
+
+
 def test_recovery_time_measurements_recorded():
     report = ChaosHarness(CHAOS_SCENARIOS["crash-large-state"]).run()
     assert report.passed, report.summary()

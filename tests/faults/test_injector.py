@@ -1,14 +1,20 @@
 """FaultInjector: inertness, determinism, phase triggers, error reports."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (CheckpointCoordinator, JobGraph, KeyedReduceLogic,
                           OperatorSpec, Partitioning, Record, StreamJob)
+from repro.engine.cluster import ClusterModel, LinkSpec, NodeSpec
+from repro.engine.records import RecordBatch
 from repro.engine.recovery import RecoveryManager
-from repro.faults import CrashInstance, FaultInjector, StallTransfers
+from repro.engine.runtime import JobConfig
+from repro.faults import (CrashInstance, FaultInjector, StallTransfers,
+                          StallUploads, check_all)
 
 
-def small_job(stop_at=6.0):
+def small_job(stop_at=6.0, state_backend="dict"):
     graph = JobGraph("inj", num_key_groups=8)
     graph.add_source("src", parallelism=1)
     graph.add_operator(OperatorSpec(
@@ -19,7 +25,8 @@ def small_job(stop_at=6.0):
     graph.add_sink("sink")
     graph.connect("src", "agg", Partitioning.HASH)
     graph.connect("agg", "sink", Partitioning.FORWARD)
-    job = StreamJob(graph).build()
+    job = StreamJob(graph,
+                    config=JobConfig(state_backend=state_backend)).build()
     produced = {}
 
     def gen():
@@ -89,13 +96,14 @@ def test_phase_trigger_requires_telemetry():
         injector.add(CrashInstance("agg", 0, phase="state-transfer")).arm()
 
 
-def test_same_faults_same_run():
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
+def test_same_faults_same_run(backend):
     """A crash and a transfer stall around a rescale replay exactly: same
     kernel event count, same fault log."""
     from repro.core.drrs import DRRSController
 
     def one_run():
-        job, _produced = small_job(stop_at=8.0)
+        job, _produced = small_job(stop_at=8.0, state_backend=backend)
         checkpoints = CheckpointCoordinator(job, interval=1.0)
         checkpoints.start()
         recovery = RecoveryManager(job, restart_seconds=0.2).install()
@@ -128,3 +136,143 @@ def test_crash_only_injector_never_collapses_the_plane():
     assert job_b._batching and job_b.plane_collapses == 0
     assert all(channel.batching for inst in job_b.all_instances()
                for channel in inst.router.all_channels())
+
+
+def test_recovered_crash_reports_no_error():
+    """A crash after a completed checkpoint recovers: one restore, no
+    error, and the keyed state matches what the generator produced."""
+    job, produced = small_job()
+    CheckpointCoordinator(job, interval=1.0).start()
+    recovery = RecoveryManager(job, restart_seconds=0.2).install()
+    injector = FaultInjector(job, recovery=recovery)
+    injector.add(CrashInstance("agg", 1, at=2.5)).arm()
+    job.run(until=12.0)
+    assert injector.injected and not injector.errors
+    assert len(recovery.recoveries) == 1
+    assert check_all(job, "agg", oracle=produced) == []
+
+
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
+def test_upload_stall_window_counts_only_async_uploads(backend):
+    """The changelog backend uploads checkpoint segments asynchronously,
+    so its stall window stretches some; the dict backend uploads nothing
+    asynchronously and the same window stretches none."""
+    job, _produced = small_job(state_backend=backend)
+    CheckpointCoordinator(job, interval=1.0).start()
+    injector = FaultInjector(job)
+    injector.add(StallUploads("agg", extra_seconds=0.5, duration=3.0,
+                              at=1.5)).arm()
+    job.run(until=8.0)
+    (_t, kind, detail), = [entry for entry in injector.injected
+                           if entry[1] == "WindowClosed"]
+    assert detail.startswith("upload-stall window on agg: ")
+    uploads = int(detail.split(": ")[1].split()[0])
+    if backend == "changelog":
+        assert uploads > 0
+    else:
+        assert uploads == 0
+
+
+# -- a crash mid-carrier, on both record planes -------------------------------
+
+def _burst_run(record_plane, crash_at, eligible, probe=None):
+    """Three 24-record bursts over a slow hop (0.2 ms serialize per
+    record, 2 ms latency), so one wire carrier's members become visible
+    over several milliseconds; a checkpoint completes after the first
+    burst and ``agg[0]`` crashes at ``crash_at``, inside the later two.
+
+    ``eligible`` makes the receiver a slow silent reducer (a backlog of
+    queued carriers builds up behind it); otherwise it is fast and emits
+    every update to the sink.
+    """
+    slow = LinkSpec(latency=0.002, bandwidth=1e6)
+    cluster = ClusterModel([NodeSpec("n0")], default_link=slow,
+                           loopback=slow)
+    graph = JobGraph("burst", num_key_groups=8)
+    graph.add_source("src", service_time=1e-5)
+    graph.add_operator(OperatorSpec(
+        "agg",
+        logic_factory=lambda: KeyedReduceLogic(
+            lambda old, r: (old or 0) + r.count,
+            emit_updates=not eligible),
+        parallelism=1, service_time=5e-4 if eligible else 1e-4,
+        keyed=True))
+    graph.add_sink("sink", collect=True)
+    graph.connect("src", "agg", Partitioning.HASH)
+    graph.connect("agg", "sink", Partitioning.FORWARD)
+    job = StreamJob(graph, cluster=cluster,
+                    config=JobConfig(record_plane=record_plane)).build()
+    src = job.sources()[0]
+    produced = {}
+
+    def burst():
+        for i in range(24):
+            key = f"k{i % 5}"
+            src.offer(Record(key=key, event_time=job.sim.now, count=1,
+                             size_bytes=200.0))
+            produced[key] = produced.get(key, 0) + 1
+
+    # Off-grid burst times: no delivery shares a timestamp with the crash.
+    for at in (0.300003, 1.000003, 1.0081):
+        job.sim.call_at(at, burst)
+    if probe is not None:  # scheduled first: sees the hop before the crash
+        job.sim.call_at(crash_at, lambda: probe(job))
+    CheckpointCoordinator(job, interval=0.5).start()
+    recovery = RecoveryManager(job, restart_seconds=0.2).install()
+    injector = FaultInjector(job, recovery=recovery)
+    injector.add(CrashInstance("agg", 0, at=crash_at)).arm()
+    job.run(until=3.0)
+    agg = job.instances("agg")[0]
+    return {
+        "faults": injector.injected,
+        "errors": injector.errors,
+        "recoveries": recovery.recoveries,
+        "violations": check_all(job, "agg", oracle=produced),
+        "state": sorted((key, value) for group in agg.state.groups()
+                        for key, value in group.entries.items()),
+        "sink": [(r.key, r.value) for r in job.sink_logic().collected],
+        "processed": agg.records_processed,
+        "busy_seconds": agg.busy_seconds,
+    }
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(crash_at=st.floats(min_value=0.999, max_value=1.024),
+       eligible=st.booleans())
+def test_a_crash_anywhere_in_a_carriers_life_recovers_alike_on_both_planes(
+        crash_at, eligible):
+    """A crash landing anywhere in a carrier's life — members still
+    serializing, on the wire, queued but not yet visible, or queued behind
+    a slow receiver's backlog — rolls back to the same checkpoint and
+    ends where the per-record plane ends: same state, same sink sequence,
+    and exactly-once against the oracle."""
+    batched = _burst_run("batched", crash_at, eligible)
+    assert batched == _burst_run("single", crash_at, eligible)
+    assert len(batched["recoveries"]) == 1 and not batched["errors"]
+    assert batched["violations"] == []
+
+
+@pytest.mark.parametrize("crash_at,where", [
+    (1.001, {"serializing": True, "wire": True, "queue": False}),
+    (1.0055, {"serializing": False, "wire": True, "queue": True}),
+    (1.0065, {"serializing": False, "wire": False, "queue": True})])
+def test_a_crash_mid_carrier_replays_the_unseen_members(crash_at, where):
+    """Pinned cases of the above, each checked to crash while a carrier
+    really is mid-serialize / on the wire / queued with unseen members:
+    the restore drops them with the channel and the source replays them,
+    so each counts once."""
+    seen = {}
+
+    def probe(job):
+        channel = job.instances("src")[0].router.all_channels()[0]
+        seen["serializing"] = channel._serializing.__class__ is RecordBatch
+        seen["wire"] = any(el.__class__ is RecordBatch
+                           for el, _epoch, _due in channel._wire)
+        seen["queue"] = channel.input_channel._nbatches > 0
+
+    batched = _burst_run("batched", crash_at, False, probe=probe)
+    assert seen == where
+    assert batched == _burst_run("single", crash_at, False)
+    assert len(batched["recoveries"]) == 1 and not batched["errors"]
+    assert batched["violations"] == []

@@ -12,11 +12,19 @@ from repro.experiments.chaos_bank import _keyed_job
 from repro.faults import check_all
 
 
-def _clean_run():
-    job, produced = _keyed_job(stop_at=2.0)
+def _clean_run(backend="dict", record_plane=None):
+    job, produced = _keyed_job(stop_at=2.0, state_backend=backend,
+                               record_plane=record_plane)
     job.run(until=5.0)
-    assert produced and check_all(job, "agg", oracle=produced) == []
+    assert produced
     return job, produced
+
+
+@pytest.mark.parametrize("record_plane", ["batched", "single"])
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
+def test_check_all_passes_a_clean_run(backend, record_plane):
+    job, produced = _clean_run(backend, record_plane)
+    assert check_all(job, "agg", oracle=produced) == []
 
 
 def _group_holding(job, index, key=None):
@@ -50,6 +58,7 @@ def _copy_to_second_instance(job):
     _group_holding(job, 1).entries[key] = value
 
 
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
 @pytest.mark.parametrize("corrupt, message", [
     (_lose_one, "oracle says"),
     (_count_twice, "oracle says"),
@@ -57,8 +66,9 @@ def _copy_to_second_instance(job):
     (_copy_to_second_instance, "held by both agg[0] and agg[1]"),
 ])
 def test_check_all_reports_state_that_disagrees_with_the_oracle(
-        corrupt, message):
-    job, produced = _clean_run()
+        corrupt, message, backend):
+    job, produced = _clean_run(backend)
+    assert check_all(job, "agg", oracle=produced) == []
     corrupt(job)
     violations = check_all(job, "agg", oracle=produced)
     assert any(message in violation for violation in violations), \
