@@ -10,6 +10,13 @@ rolls the whole job back to the newest completed checkpoint —
 3. sources rewind to their checkpointed offsets and replay,
 4. processing resumes after a restart delay + state-restore time.
 
+Since a restore reads only the newest completed checkpoint, that is the
+one completed checkpoint retained: once one completes, every older
+checkpoint, the source replay history before its offsets and the
+changelog segments its delta chains cannot reach are dropped.  Open
+checkpoints newer than it stay until they complete or a restore
+discards them.
+
 Semantics delivered (matching Flink without transactional sinks):
 **exactly-once state** — post-recovery keyed state reflects each input
 record exactly once — and **at-least-once output** (records processed
@@ -105,41 +112,38 @@ class RecoveryManager:
     its instances: :meth:`on_snapshot` and :meth:`on_complete` by the
     job's checkpoint ledger (which alone decides completion),
     :meth:`on_flight_landed` by the scaling controllers, and
-    :meth:`on_record` / :meth:`holds_aux` on the record path.
+    :meth:`on_record` / :meth:`holds_aux` on the record path
+    (``on_record`` through ``job.compensation``, once a rescale started).
     """
 
-    def __init__(self, job: StreamJob,
-                 restart_seconds: float = 1.0,
-                 retain_checkpoints: int = 5):
-        if retain_checkpoints < 1:
-            raise ValueError("retain_checkpoints must be >= 1")
+    def __init__(self, job: StreamJob, restart_seconds: float = 1.0):
         self.job = job
         self.restart_seconds = restart_seconds
-        #: Newest-N completed checkpoints kept restorable; older ones (and
-        #: superseded incomplete ones) are dropped, and source replay
-        #: history older than the oldest retained checkpoint is trimmed.
-        self.retain_checkpoints = retain_checkpoints
+        #: The newest completed checkpoint and any open ones newer than it
+        #: (:meth:`_prune`): a restore only ever reads the newest
+        #: completed one, so nothing older is kept.
         self._checkpoints: Dict[int, _Checkpoint] = {}
         #: Changelog segment store, ``(instance name, checkpoint id) ->
         #: ChangelogSegment``.  Deliberately *not* tied to checkpoint
         #: lifetime: a segment outlives its own checkpoint for as long as
-        #: any retained checkpoint's delta chain runs through it (e.g. the
+        #: the retained checkpoint's delta chain runs through it (e.g. the
         #: anchoring full image of a checkpoint whose upload was slow and
         #: which was superseded before completing).  Pruned only below the
-        #: newest anchor the oldest retained checkpoint can reach.
+        #: newest anchor the retained checkpoint can reach.
         self._segments: Dict[Tuple[str, int], object] = {}
         #: Retained checkpoint ids, ascending (iteration newest-first).
         self._cids: List[int] = []
         #: Ids of retained checkpoints that are still aligning — the only
         #: ones the auxiliary-lane hold has to consider.
         self._open_cids: List[int] = []
-        #: Latched once any checkpoint has captured a key-group (non-empty
-        #: ``folded``) — until then no record can need compensating.
-        self._captured = False
         #: Ids open in the job's ledger at :meth:`install`: their earlier
         #: snapshots were never retained, so they never become restorable.
         self._unrestorable: frozenset = frozenset()
+        #: ``(time, checkpoint id)`` of every restore.
         self.recoveries: List[Tuple[float, int]] = []
+        #: Ids of restored checkpoints that were cut mid-scaling
+        #: (:attr:`_Checkpoint.mid_scaling`), recorded at restore time.
+        self.restored_mid_scaling: set = set()
         self._recover_proc = None
         self._pending_dones: List = []
 
@@ -152,6 +156,8 @@ class RecoveryManager:
         # The batched plane stays on and collapses only for the duration
         # of a restore (:meth:`_recover`).
         self.job.recovery = self
+        if self.job.rescaled:
+            self.job.compensation = self
         self._unrestorable = frozenset(self.job.open_checkpoints)
         for source in self.job.sources():
             source.enable_replay_history()
@@ -236,18 +242,17 @@ class RecoveryManager:
                 continue
             checkpoint.folded.setdefault((op_name, kg), instance.name)
         checkpoint.snapshots[instance.name] = snapshot
-        if checkpoint.folded:
-            self._captured = True
 
     def on_complete(self, checkpoint_id: int) -> None:
-        """The job's ledger completed ``checkpoint_id``: make it
-        restorable and bound retention.  Ignored for ids already pruned
-        and for ids that were open at :meth:`install`."""
+        """The job's ledger completed ``checkpoint_id``: make it the one
+        restorable checkpoint.  Ignored for ids already pruned (a newer
+        checkpoint completed first) and for ids that were open at
+        :meth:`install`."""
         checkpoint = self._checkpoints.get(checkpoint_id)
         if checkpoint is None or checkpoint_id in self._unrestorable:
             return
         checkpoint.completed_at = self.job.sim.now
-        self._prune()
+        self._prune(checkpoint)
         self._reindex()
 
     def on_flight_landed(self, flight, dst: OperatorInstance) -> None:
@@ -282,12 +287,14 @@ class RecoveryManager:
                 # on_record, which sees the capture on record below).
                 checkpoint.prefolds[key] = (dst.name, frozen)
             checkpoint.folded[key] = dst.name
-            self._captured = True
 
     def on_record(self, instance: OperatorInstance, record) -> None:
         """Record-level checkpoint compensation (the aux-lane gap closer).
 
-        Called for every record an instance is about to apply.  A retained
+        Called for every record an instance is about to apply once a
+        rescale has started (``job.compensation``); before the first one,
+        FIFO channels and aligned barriers let no record reach a key-group
+        after its capture, so the record path skips the call.  A retained
         checkpoint whose cut the record *precedes* (``src_seq < source
         offset``) but whose capture of the record's key-group has already
         been taken cannot contain the record's effect in any snapshot — it
@@ -296,7 +303,7 @@ class RecoveryManager:
         should that checkpoint ever be restored.
         """
         seq = record.src_seq
-        if seq is None or not self._captured:
+        if seq is None:
             return
         origin = record.src_origin
         op = instance.spec.name
@@ -347,43 +354,30 @@ class RecoveryManager:
                 return True
         return False
 
-    def _prune(self) -> None:
-        """Satellite of checkpoint completion: bound retention.
+    def _prune(self, newest: _Checkpoint) -> None:
+        """Keep only what a restore can use once ``newest`` completed.
 
-        Keeps the newest :attr:`retain_checkpoints` completed checkpoints,
-        drops completed ones beyond that and incomplete ones older than the
-        oldest retained (their barriers can no longer complete), and trims
-        source replay history below the oldest retained offset.
+        A restore reads the newest completed checkpoint alone (§IV-C), so
+        every checkpoint older than it goes — completed ones are
+        superseded, open ones can no longer be restored from — source
+        replay history is trimmed to its offsets, and changelog segments
+        below the newest anchor its chains reach are dropped.
         """
-        completed = sorted(c.checkpoint_id
-                           for c in self._checkpoints.values()
-                           if c.completed_at is not None)
-        if not completed:
-            return
-        retained = set(completed[-self.retain_checkpoints:])
-        oldest = min(retained)
-        for cid in list(self._checkpoints):
-            ckpt = self._checkpoints[cid]
-            if ckpt.completed_at is not None:
-                if cid not in retained:
-                    del self._checkpoints[cid]
-            elif cid < oldest:
-                del self._checkpoints[cid]
-        oldest_ckpt = self._checkpoints[oldest]
+        cut = newest.checkpoint_id
+        for cid in [cid for cid in self._checkpoints if cid < cut]:
+            del self._checkpoints[cid]
         for source in self.job.sources():
-            snapshot = oldest_ckpt.snapshots.get(source.name)
+            snapshot = newest.snapshots.get(source.name)
             if snapshot is not None and snapshot.source_offset is not None:
                 source.trim_history_before(snapshot.source_offset)
-        # Changelog segments below the newest anchor the oldest retained
-        # checkpoint can reach are unreachable from every restorable
-        # chain — drop them.  Segments *between* that anchor and the
-        # oldest retained checkpoint stay, even when their own checkpoint
-        # is long gone.
+        # Segments below the newest anchor the retained checkpoint can
+        # reach are in none of its chains.  Segments *between* that anchor
+        # and it stay, even when their own checkpoint is long gone.
         for name in {name for name, _cid in self._segments}:
             cids = sorted(cid for n, cid in self._segments if n == name)
             anchor = None
             for cid in cids:
-                if cid > oldest:
+                if cid > cut:
                     break
                 if self._segments[(name, cid)].anchors_chain:
                     anchor = cid
@@ -396,14 +390,9 @@ class RecoveryManager:
     # -- queries --------------------------------------------------------------------
 
     def latest_completed(self) -> Optional[_Checkpoint]:
-        """Newest complete, restorable checkpoint."""
-        done = [c for c in self._checkpoints.values()
-                if c.completed_at is not None]
-        return max(done, key=lambda c: c.checkpoint_id) if done else None
-
-    def checkpoint(self, checkpoint_id: int) -> Optional[_Checkpoint]:
-        """A retained checkpoint by id (None once pruned)."""
-        return self._checkpoints.get(checkpoint_id)
+        """The restorable checkpoint: the one completed checkpoint kept."""
+        return next((c for c in self._checkpoints.values()
+                     if c.completed_at is not None), None)
 
     def restore_chain(self, checkpoint: _Checkpoint,
                       instance_name: str) -> List[object]:
@@ -438,9 +427,9 @@ class RecoveryManager:
 
         Rolls every instance back to the newest completed checkpoint and
         replays sources from their checkpointed offsets.  If a scaling
-        operation is in flight, the controller is asked to ``abort`` it
-        first (controllers without one make this an error); the restore
-        then repairs the migration's half-done state.  Calling again while
+        operation is in flight or requested, the controller is asked to
+        ``abort`` it first (controllers without one make this an error);
+        the restore then repairs the migration's half-done state.  Calling again while
         a recovery is already restoring models a *double failure*: the
         in-flight restore is abandoned and recovery restarts from scratch.
 
@@ -455,7 +444,9 @@ class RecoveryManager:
         if checkpoint is None:
             raise RecoveryError("no completed checkpoint to recover from")
         job = self.job
-        scalers = list(job.active_scalers)
+        # A rescale requested in this same instant has not registered in
+        # ``active_scalers`` yet; it is aborted all the same.
+        scalers = job.active_scalers + job.pending_scalers
         unsupported = [s for s in scalers if not hasattr(s, "abort")]
         if unsupported:
             names = ", ".join(s.name for s in unsupported)
@@ -535,6 +526,8 @@ class RecoveryManager:
         job = self.job
         sim = job.sim
         self.recoveries.append((sim.now, checkpoint.checkpoint_id))
+        if checkpoint.mid_scaling:
+            self.restored_mid_scaling.add(checkpoint.checkpoint_id)
         restore_span = None
         if job.telemetry is not None:
             restore_span = job.telemetry.tracer.begin(
@@ -719,10 +712,7 @@ class RecoveryManager:
             owner = None if owner_map is None else owner_map.get(kg)
             if owner is None:
                 continue
-            targets = job.instances(op)
-            if owner >= len(targets):
-                continue
-            for input_channel in targets[owner].input_channels:
+            for input_channel in job.instances(op)[owner].input_channels:
                 if not input_channel.is_auxiliary:
                     input_channel.deliver(record)
                     break

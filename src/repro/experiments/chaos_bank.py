@@ -166,8 +166,7 @@ def _crash_mid_subscale(job_config=None, state_backend: Optional[str] = None,
     job.enable_telemetry()
     checkpoints = CheckpointCoordinator(job, interval=0.75)
     checkpoints.start()
-    recovery = RecoveryManager(job, restart_seconds=0.5,
-                               retain_checkpoints=100).install()
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
     controller = DRRSController(job)
     holder = _rescale_at(job, controller, "agg", 6.0, 4)
     injector = FaultInjector(job, recovery=recovery)
@@ -180,10 +179,7 @@ def _crash_mid_subscale(job_config=None, state_backend: Optional[str] = None,
             problems.append("crash caused no recovery")
         else:
             _when, cid = recovery.recoveries[0]
-            ckpt = recovery.checkpoint(cid)
-            if ckpt is None:
-                problems.append(f"restored checkpoint #{cid} was pruned")
-            elif not ckpt.mid_scaling:
+            if cid not in recovery.restored_mid_scaling:
                 problems.append(
                     f"restored checkpoint #{cid} predates the scaling "
                     "operation — the mid-scaling fold was never "
@@ -221,8 +217,7 @@ def _scripted_crash_mid_subscale(
     job.enable_telemetry()
     checkpoints = CheckpointCoordinator(job, interval=0.75)
     checkpoints.start()
-    recovery = RecoveryManager(job, restart_seconds=0.5,
-                               retain_checkpoints=100).install()
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
     controller = DRRSController(job)
     dones = []
 

@@ -352,9 +352,11 @@ class ScalingController:
         self._scale_proc = self.sim.spawn(
             self._run_scale(op_name, plan, self._scale_ids, done),
             name=f"scale:{self.name}:{op_name}")
+        self.job.pending_scalers.append(self)
         return done
 
     def _run_scale(self, op_name, plan, scale_id, done):
+        self.job.pending_scalers.remove(self)
         if not self.job.active_scalers:
             # Entering the first concurrent rescale window: collapse the
             # batched record plane to per-record state so every protocol
@@ -362,6 +364,8 @@ class ScalingController:
             # quiescence) sees exactly what the reference plane would hold.
             self.job.quiesce_batches()
         self.job.active_scalers.append(self)
+        self.job.rescaled = True
+        self.job.compensation = self.job.recovery
         telemetry = self.job.telemetry
         span = None
         if telemetry is not None:

@@ -34,8 +34,7 @@ def _crash_job(backend, parallelism=2):
     job.enable_telemetry()
     checkpoints = CheckpointCoordinator(job, interval=0.75)
     checkpoints.start()
-    recovery = RecoveryManager(job, restart_seconds=0.5,
-                               retain_checkpoints=100).install()
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
     return job, produced, checkpoints, recovery
 
 
@@ -52,7 +51,7 @@ def test_crash_anywhere_in_a_rescale_is_repaired(backend, num_subscales,
     """``agg`` 2→4 at 6.0 and a crash at ``crash_at``: the rescale's done
     succeeds with all four instances owning key-groups, recovery
     happened, state is exactly-once, and the scale was aborted once
-    exactly when the crash hit it.
+    exactly when the crash hit it, from the request on.
 
     The paper's 16 subscales leave one moving key-group in each; with 2,
     each carries four, so a subscale migration that outlived the abort
@@ -66,7 +65,10 @@ def test_crash_anywhere_in_a_rescale_is_repaired(backend, num_subscales,
         seen["rescale"] = controller.request_rescale("agg", 4)
 
     def crash():
-        seen["hit"] = controller in job.active_scalers
+        # Requested or running: a crash in the request's own instant
+        # (offset 6.0) lands before ``_run_scale`` registers the scale in
+        # ``active_scalers``, and must abort it all the same.
+        seen["hit"] = controller.active
         seen["recovered"] = recovery.fail_and_recover("sweep")
 
     job.sim.call_at(6.0, rescale)
@@ -81,6 +83,8 @@ def test_crash_anywhere_in_a_rescale_is_repaired(backend, num_subscales,
         0, 1, 2, 3]
     assert check_all(job, "agg", oracle=produced) == []
     assert len(_abort_spans(job)) == (1 if seen["hit"] else 0)
+    if crash_at == 6.0:
+        assert seen["hit"]
 
 
 @pytest.mark.parametrize("backend", ["dict", "changelog"])
@@ -148,3 +152,43 @@ def test_unrestorable_crash_through_the_injector_is_reported():
     assert len(injector.errors) == 1
     assert "decommissioned instances" in injector.errors[0][1]
     assert not recovery.recoveries
+
+
+@pytest.mark.parametrize("num_subscales", [16, 2])
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
+def test_injection_commanded_before_a_crash_is_dropped(backend,
+                                                       num_subscales):
+    """A crash lands after the second subscale launch's
+    ``control_latency``, once its injection was commanded at the
+    predecessor but before that predecessor ran it in-band.  The restore
+    pauses the predecessor, so the stale injection would run after the
+    restore, ahead of the retry's own launch of that subscale, and flip
+    routing the restore has just re-derived; the abort's epoch bump turns
+    it into a no-op.  (The first subscale's stale injection would pass
+    unnoticed: the retry re-plans it identically and launches it first.)
+    """
+    job, produced, _checkpoints, recovery = _crash_job(backend)
+    controller = DRRSController(job,
+                                DRRSConfig(num_subscales=num_subscales))
+    (source, _edge), = job.senders_to("agg")
+    run_inband = source.run_inband
+    seen = {"commanded": 0}
+
+    def crash_then_run_inband(fn):
+        seen["commanded"] += 1
+        if seen["commanded"] == 2:
+            seen["recovered"] = recovery.fail_and_recover("in flight")
+        run_inband(fn)
+
+    source.run_inband = crash_then_run_inband
+    job.sim.call_at(6.0, lambda: seen.setdefault(
+        "rescale", controller.request_rescale("agg", 4)))
+    job.run(until=40.0)
+
+    assert seen["recovered"].triggered and seen["recovered"].ok
+    assert len(_abort_spans(job)) == 1
+    done = seen["rescale"]
+    assert done.triggered and done.ok, done.value
+    assert sorted(set(job.assignments["agg"].as_dict().values())) == [
+        0, 1, 2, 3]
+    assert check_all(job, "agg", oracle=produced) == []

@@ -27,8 +27,7 @@ def _upload_stall():
                                 state_backend="changelog")
     coordinator = CheckpointCoordinator(job, interval=1.0)
     coordinator.start()
-    recovery = RecoveryManager(job, restart_seconds=0.5,
-                               retain_checkpoints=1000).install()
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
     injector = FaultInjector(job, recovery=recovery)
     injector.add(StallUploads("agg", extra_seconds=4.0, duration=2.5,
                               at=4.5))
@@ -47,8 +46,7 @@ def _crash_mid_subscale():
                                 state_backend="changelog")
     coordinator = CheckpointCoordinator(job, interval=0.75)
     coordinator.start()
-    recovery = RecoveryManager(job, restart_seconds=0.5,
-                               retain_checkpoints=1000).install()
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
     controller = DRRSController(job)
     job.sim.call_at(6.0, lambda: controller.request_rescale("agg", 4))
     injector = FaultInjector(job, recovery=recovery)
@@ -60,6 +58,20 @@ def _crash_mid_subscale():
                          ids=["upload-stall", "crash-mid-subscale"])
 def test_restore_discards_open_checkpoints_from_the_one_ledger(shape):
     job, coordinator, recovery, injector, horizon = shape()
+    # At every completion the ledger reports, the checkpoint recovery can
+    # restore is the ledger's newest completed one, completed just now.
+    seen = []
+    on_complete = recovery.on_complete
+
+    def checked_on_complete(checkpoint_id):
+        on_complete(checkpoint_id)
+        newest = max(cid for _t, cid in job.completed_checkpoints)
+        latest = recovery.latest_completed()
+        seen.append((checkpoint_id, newest,
+                     latest and latest.checkpoint_id,
+                     latest and latest.completed_at == job.sim.now))
+
+    recovery.on_complete = checked_on_complete
     injector.arm()
     job.run(until=horizon)
     assert not injector.errors
@@ -74,20 +86,18 @@ def test_restore_discards_open_checkpoints_from_the_one_ledger(shape):
                        if t <= restored_at} - done_before
     assert open_at_restore
     assert not open_at_restore & set(completed)
-    # The coordinator reports exactly the checkpoints recovery can restore.
-    restorable = set()
-    for _t, cid in coordinator.triggered:
-        checkpoint = recovery.checkpoint(cid)
-        if checkpoint is not None and checkpoint.completed_at is not None:
-            restorable.add(cid)
-    assert set(completed) == restorable
+    # The coordinator reports exactly the checkpoints recovery made
+    # restorable, each once, in order.
+    assert [cid for cid, *_rest in seen] == completed
+    assert all(cid == newest == latest and fresh
+               for cid, newest, latest, fresh in seen)
+    assert recovery.latest_completed().checkpoint_id == completed[-1]
 
 
 def test_checkpoint_open_at_install_is_never_restored():
     job, _produced = _keyed_job(stop_at=12.0)
     coordinator = CheckpointCoordinator(job, interval=100.0)
-    recovery = RecoveryManager(job, restart_seconds=0.5,
-                               retain_checkpoints=1000)
+    recovery = RecoveryManager(job, restart_seconds=0.5)
     job.sim.call_at(1.0, coordinator.trigger_now)
     # Installed mid-alignment: the source has snapshotted for checkpoint
     # 1, ``agg`` and the sink have not.

@@ -12,7 +12,7 @@ def counting_job():
 
     Returns ``(job, produced)``: ``produced`` counts records per key as the
     generator offers them — an oracle independent of the source's replay
-    history, which the RecoveryManager trims behind retained checkpoints.
+    history, which the RecoveryManager trims behind its retained checkpoint.
     """
     graph = JobGraph("recovery", num_key_groups=8)
     graph.add_source("src", parallelism=1)

@@ -111,8 +111,7 @@ def test_failure_right_after_rescale_completes(backend):
     job, produced = counting_job(state_backend=backend)
     coordinator = CheckpointCoordinator(job, interval=2.0)
     coordinator.start()
-    manager = RecoveryManager(job, restart_seconds=0.5,
-                              retain_checkpoints=50).install()
+    manager = RecoveryManager(job, restart_seconds=0.5).install()
     controller = DRRSController(job)
     holder = {}
 

@@ -26,8 +26,7 @@ def _recoverable_job():
     job.enable_telemetry()
     coordinator = CheckpointCoordinator(job, interval=100.0)
     coordinator.start()
-    manager = RecoveryManager(job, restart_seconds=0.3,
-                              retain_checkpoints=50).install()
+    manager = RecoveryManager(job, restart_seconds=0.3).install()
     return job, produced, coordinator, manager
 
 
