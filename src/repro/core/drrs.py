@@ -81,6 +81,10 @@ class DRRSController(ScalingController):
         self._executors: Dict[int, object] = {}
         self._completion_signal = None
         self._wave_spans: Dict[int, object] = {}
+        #: Set by ``cancel`` and ``abort``, cleared by each new request (not
+        #: when its scale process starts): a request aborted in its own
+        #: instant, before that process ran, still ends on the partial
+        #: cleanup, never committing its target or decommissioning.
         self.cancelled = False
         # -- crash tolerance (abort / retry) ------------------------------------
         #: Bumped by every abort; in-band injection closures capture the
@@ -131,6 +135,7 @@ class DRRSController(ScalingController):
         if not self._in_retry:
             self._attempts = 0
         if not self.active:
+            self.cancelled = False
             return super().request_rescale(op_name, new_parallelism)
         previous_done = self._current_done
         self.cancel()
@@ -138,6 +143,7 @@ class DRRSController(ScalingController):
 
         def chain():
             yield previous_done
+            self.cancelled = False
             inner = super(DRRSController, self).request_rescale(
                 op_name, new_parallelism)
             result = yield inner
@@ -157,7 +163,6 @@ class DRRSController(ScalingController):
     # -- ScalingController hooks ---------------------------------------------------
 
     def _execute(self, op_name, plan, scale_id):
-        self.cancelled = False
         self._op_name = op_name
         self._plan = plan
         coordinator = ScaleCoordinator(self)

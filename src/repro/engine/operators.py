@@ -475,9 +475,10 @@ class OperatorInstance:
                             telemetry.registry.counter(
                                 "records.processed",
                                 operator=self.spec.name).inc(count)
-                        compensation = self.job.compensation
-                        if compensation is not None:
-                            compensation.on_record(self, element)
+                        if self.job.rescaled:
+                            recovery = self.job.recovery
+                            if recovery is not None:
+                                recovery.on_record(self, element)
                         outputs = self.logic.on_record(element, self)
                     finally:
                         self.current_key_group = None
@@ -601,9 +602,10 @@ class OperatorInstance:
                 telemetry.registry.counter(
                     "records.processed",
                     operator=self.spec.name).inc(count)
-            compensation = self.job.compensation
-            if compensation is not None:
-                compensation.on_record(self, record)
+            if self.job.rescaled:
+                recovery = self.job.recovery
+                if recovery is not None:
+                    recovery.on_record(self, record)
             outputs = self.logic.on_record(record, self)
         finally:
             self.current_key_group = None

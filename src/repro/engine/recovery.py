@@ -113,7 +113,7 @@ class RecoveryManager:
     job's checkpoint ledger (which alone decides completion),
     :meth:`on_flight_landed` by the scaling controllers, and
     :meth:`on_record` / :meth:`holds_aux` on the record path
-    (``on_record`` through ``job.compensation``, once a rescale started).
+    (``on_record`` only once ``job.rescaled`` latched).
     """
 
     def __init__(self, job: StreamJob, restart_seconds: float = 1.0):
@@ -156,8 +156,6 @@ class RecoveryManager:
         # The batched plane stays on and collapses only for the duration
         # of a restore (:meth:`_recover`).
         self.job.recovery = self
-        if self.job.rescaled:
-            self.job.compensation = self
         self._unrestorable = frozenset(self.job.open_checkpoints)
         for source in self.job.sources():
             source.enable_replay_history()
@@ -292,7 +290,7 @@ class RecoveryManager:
         """Record-level checkpoint compensation (the aux-lane gap closer).
 
         Called for every record an instance is about to apply once a
-        rescale has started (``job.compensation``); before the first one,
+        rescale has started (``job.rescaled``); before the first one,
         FIFO channels and aligned barriers let no record reach a key-group
         after its capture, so the record path skips the call.  A retained
         checkpoint whose cut the record *precedes* (``src_seq < source

@@ -343,9 +343,9 @@ class StreamJob:
         self.open_checkpoints: Dict[int, Set[str]] = {}
         self.completed_checkpoints: List[Tuple[float, int]] = []
         #: The installed RecoveryManager (set by its ``install()``), told
-        #: directly about snapshots, completions, landed flights and
-        #: auxiliary-lane pops; applied records reach it through
-        #: ``compensation``.  None costs one attribute load per site.
+        #: directly about snapshots, completions, landed flights,
+        #: auxiliary-lane pops and, once ``rescaled`` latched, applied
+        #: records.  None costs one attribute load per site.
         self.recovery = None
         #: Scaling controllers with an operation in flight, registered by
         #: ``ScalingController._run_scale``.  Non-empty keeps the batched
@@ -356,15 +356,13 @@ class StreamJob:
         #: whose ``_run_scale`` has not started yet, so that a failure in
         #: the same instant aborts them too.
         self.pending_scalers: List = []
-        #: Latched when a controller first registers in ``active_scalers``.
+        #: Latched when a controller first registers in ``active_scalers``;
+        #: until then the record path skips ``recovery.on_record``.  Only
+        #: rescales create alignment-free lanes, early captures and
+        #: in-flight folds; before the first one, FIFO channels and aligned
+        #: barriers let no record reach a key-group after that group's
+        #: capture, so there is nothing to compensate.
         self.rescaled = False
-        #: The installed RecoveryManager once ``rescaled`` latched, else
-        #: None: the record path calls its ``on_record`` only through
-        #: this.  Only rescales create alignment-free lanes, early
-        #: captures and in-flight folds; before the first one, FIFO
-        #: channels and aligned barriers let no record reach a key-group
-        #: after that group's capture, so there is nothing to compensate.
-        self.compensation = None
         #: Key-group state currently on the wire between two instances:
         #: ``(op name, key group) -> _InflightState``.  Registered when a
         #: transfer extracts the bytes from the source, popped when they are

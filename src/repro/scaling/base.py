@@ -365,7 +365,6 @@ class ScalingController:
             self.job.quiesce_batches()
         self.job.active_scalers.append(self)
         self.job.rescaled = True
-        self.job.compensation = self.job.recovery
         telemetry = self.job.telemetry
         span = None
         if telemetry is not None:

@@ -87,6 +87,46 @@ def test_crash_anywhere_in_a_rescale_is_repaired(backend, num_subscales,
         assert seen["hit"]
 
 
+@pytest.mark.parametrize("old,new", [(2, 4), (4, 2)])
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
+def test_crash_in_the_requests_instant_commits_only_the_retry(backend, old,
+                                                              new):
+    """``agg`` old→new requested at 6.0 and a crash in that same instant.
+    The abort lands before the scale process starts, and that process
+    then runs up to its first yield.  Its cleanup must take the aborted
+    branch: only the retry commits the target assignment, so a scale-in
+    decommissions no instance that the restore still writes to."""
+    job, produced, _checkpoints, recovery = _crash_job(backend,
+                                                       parallelism=old)
+    controller = DRRSController(job)
+    finalize = controller._finalize_assignment
+    committed = []
+
+    def finalize_after_restore(op_name, plan):
+        committed.append(len(recovery.recoveries))
+        finalize(op_name, plan)
+
+    controller._finalize_assignment = finalize_after_restore
+    seen = {}
+
+    def rescale_then_crash():
+        seen["rescale"] = controller.request_rescale("agg", new)
+        seen["recovered"] = recovery.fail_and_recover("same instant")
+
+    job.sim.call_at(6.0, rescale_then_crash)
+    job.run(until=40.0)
+
+    assert seen["recovered"].triggered and seen["recovered"].ok
+    done = seen["rescale"]
+    assert done.triggered and done.ok, done.value
+    assert len(_abort_spans(job)) == 1
+    assert committed == [1]
+    assert len(job.instances("agg")) == new
+    assert sorted(set(job.assignments["agg"].as_dict().values())) == list(
+        range(new))
+    assert check_all(job, "agg", oracle=produced) == []
+
+
 @pytest.mark.parametrize("backend", ["dict", "changelog"])
 def test_unrestorable_checkpoint_leaves_the_rescale_running(backend):
     """The newest checkpoint covers ``agg[3]``, which a completed scale-in

@@ -119,25 +119,15 @@ def test_compensation_starts_with_the_first_rescale():
     seen = {}
 
     def rescale():
-        seen["before"] = (len(calls), job.compensation)
+        seen["before"] = (len(calls), job.rescaled)
         seen["done"] = controller.request_rescale("agg", 4)
 
     job.sim.call_at(6.0, rescale)
     job.sim.call_at(6.5, lambda: recovery.fail_and_recover("crash"))
     job.run(until=40.0)
 
-    assert seen["before"] == (0, None)
-    assert job.rescaled and job.compensation is recovery
+    assert seen["before"] == (0, False)
+    assert job.rescaled
     assert calls
     assert seen["done"].triggered and seen["done"].ok
     assert check_all(job, "agg", oracle=produced) == []
-
-
-def test_install_after_a_rescale_compensates_from_the_start():
-    job, _produced = _keyed_job(stop_at=6.0)
-    controller = DRRSController(job)
-    job.sim.call_at(1.0, lambda: controller.request_rescale("agg", 3))
-    job.run(until=4.0)
-    assert job.rescaled and job.compensation is None
-    recovery = RecoveryManager(job).install()
-    assert job.compensation is recovery
