@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import chain, islice, repeat
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["MetricsCollector", "series_peak", "series_mean", "percentile"]
@@ -30,17 +32,25 @@ __all__ = ["MetricsCollector", "series_peak", "series_mean", "percentile"]
 class MetricsCollector:
     """Central sink for measurements produced during one simulated run.
 
-    The source and sink logs hold one ``(time, count)`` event per record,
-    packed into parallel ``array('d')`` / ``array('q')`` columns — 16 bytes
-    an event, exact values — with a running total beside each.  Read them
-    through :meth:`source_events` / :meth:`sink_events`, the two series and
-    the two totals; nothing outside this module touches the columns.
+    The source and sink logs hold one ``(time, count)`` event per record:
+    an ``array('d')`` time column (8 bytes an event, exact values) and the
+    counts run-length encoded as two ``array('q')`` columns, each run's
+    count and the index of its first event.  Every shipped workload logs
+    one count per side (its ``batch_size`` at the sources, 1 at the sink),
+    so a run keeps a handful of runs, not a count per event.  A running
+    total sits beside each log.  Read them through :meth:`source_events` /
+    :meth:`sink_events`, the two series and the two totals; nothing
+    outside this module touches the columns.
     """
 
     def __init__(self):
         self.latency_samples: List[Tuple[float, float]] = []
-        self._source_times, self._source_counts = array("d"), array("q")
-        self._sink_times, self._sink_counts = array("d"), array("q")
+        self._source_times = array("d")
+        self._source_runs, self._source_starts = array("q"), array("q")
+        self._sink_times = array("d")
+        self._sink_runs, self._sink_starts = array("q"), array("q")
+        # The current run's count (None before the first event).
+        self._source_last = self._sink_last = None
         self._source_total = self._sink_total = 0
         self.custom: Dict[str, List[Tuple[float, float]]] = {}
 
@@ -51,14 +61,22 @@ class MetricsCollector:
 
     # The count goes in first: ``array('q')`` refuses a non-integer with a
     # TypeError (it never truncates), and then nothing of the event is kept.
+    # Only an ``int`` equal to the current run's count skips the column, so
+    # a float such as ``100.0`` after ``100`` still reaches it and raises.
 
     def record_source_output(self, time: float, count: int) -> None:
-        self._source_counts.append(count)
+        if count.__class__ is not int or count != self._source_last:
+            self._source_runs.append(count)
+            self._source_starts.append(len(self._source_times))
+            self._source_last = count
         self._source_times.append(time)
         self._source_total += count
 
     def record_sink_input(self, time: float, count: int) -> None:
-        self._sink_counts.append(count)
+        if count.__class__ is not int or count != self._sink_last:
+            self._sink_runs.append(count)
+            self._sink_starts.append(len(self._sink_times))
+            self._sink_last = count
         self._sink_times.append(time)
         self._sink_total += count
 
@@ -72,25 +90,27 @@ class MetricsCollector:
 
     def source_events(self) -> Iterable[Tuple[float, int]]:
         """Every source record as ``(emit time, count)``, in record order."""
-        return zip(self._source_times, self._source_counts)
+        return zip(self._source_times, _expand(
+            self._source_runs, self._source_starts, len(self._source_times)))
 
     def sink_events(self) -> Iterable[Tuple[float, int]]:
         """Every sink record as ``(arrival time, count)``, in record order."""
-        return zip(self._sink_times, self._sink_counts)
+        return zip(self._sink_times, _expand(
+            self._sink_runs, self._sink_starts, len(self._sink_times)))
 
     def throughput_series(self, window: float = 1.0,
                           start: float = 0.0,
                           end: Optional[float] = None
                           ) -> List[Tuple[float, float]]:
         """Source output rate (records/s) per ``window``-second bucket."""
-        return _rate_series(self._source_times, self._source_counts,
+        return _rate_series(self._source_times, self.source_events(),
                             window, start, end)
 
     def sink_rate_series(self, window: float = 1.0,
                          start: float = 0.0,
                          end: Optional[float] = None
                          ) -> List[Tuple[float, float]]:
-        return _rate_series(self._sink_times, self._sink_counts,
+        return _rate_series(self._sink_times, self.sink_events(),
                             window, start, end)
 
     # Simulated time is never negative, so the default range is the whole
@@ -125,7 +145,17 @@ class MetricsCollector:
         }
 
 
-def _rate_series(times: Sequence[float], counts: Sequence[int],
+def _expand(runs: Sequence[int], starts: Sequence[int], n: int
+            ) -> Iterable[int]:
+    """The per-event counts of a run-length column holding ``n`` events,
+    produced at C speed.  A run may be empty (a time that failed to go in
+    after its run opened); it yields nothing."""
+    lengths = map(sub, chain(islice(starts, 1, None), (n,)), starts)
+    return chain.from_iterable(map(repeat, runs, lengths))
+
+
+def _rate_series(times: Sequence[float],
+                 events: Iterable[Tuple[float, int]],
                  window: float, start: float, end: Optional[float]
                  ) -> List[Tuple[float, float]]:
     if window <= 0:
@@ -135,7 +165,7 @@ def _rate_series(times: Sequence[float], counts: Sequence[int],
     if end is None:
         end = max(times) + window
     buckets: Dict[int, int] = {}
-    for t, count in zip(times, counts):
+    for t, count in events:
         if t < start or t >= end:
             continue
         index = int((t - start) // window)

@@ -90,8 +90,12 @@ class _PaneLogic(OperatorLogic):
         # holds the newest bucket seen and the ``_memo_span`` buckets below
         # it, the only ones with a window still open (or within
         # ``allowed_lateness``) at the newest event time, so its size is set
-        # by the window shape and never by how long the job has run.
+        # by the window shape and never by how long the job has run.  The
+        # buckets' key lists share one tuple per start through
+        # ``_start_keys`` (start -> key), evicted with the memo, so a start
+        # covered by ~size/slide buckets is still one tuple.
         self._starts_memo: dict = {}
+        self._start_keys: dict = {}
         self._memo_span = math.ceil((size + allowed_lateness) / slide)
         self._memo_front = -math.inf
         # Fire-floor memo: key_group -> [state version, lower bound on the
@@ -152,15 +156,25 @@ class _PaneLogic(OperatorLogic):
         """Memo miss — once per slide bucket, never per record: compute the
         bucket's entry keys and remember them while event time is within
         ``_memo_span`` buckets.  A new front bucket evicts the buckets it
-        leaves behind; a record later than that just recomputes its keys."""
-        pane_keys = [(self._TAG, start) for start in
-                     _window_starts(event_time, self.size, self.slide)]
+        leaves behind, and the starts no kept bucket can cover; a record
+        later than that just recomputes its keys."""
+        keys = self._start_keys
+        tag = self._TAG
+        pane_keys = []
+        for start in _window_starts(event_time, self.size, self.slide):
+            key = keys.get(start)
+            if key is None:
+                key = keys[start] = (tag, start)
+            pane_keys.append(key)
         memo = self._starts_memo
         if bucket > self._memo_front:
             self._memo_front = bucket
             oldest = bucket - self._memo_span
             for stale in [b for b in memo if b < oldest]:
                 del memo[stale]
+            low = oldest * self.slide - self.size
+            for stale in [s for s in keys if s < low]:
+                del keys[stale]
         if bucket >= self._memo_front - self._memo_span:
             memo[bucket] = pane_keys
         return pane_keys

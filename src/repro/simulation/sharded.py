@@ -59,12 +59,12 @@ changelog backend, platforms without ``fork``) it cannot run.
 
 from __future__ import annotations
 
+# ``multiprocessing`` and ``traceback`` are imported where a sharded run
+# starts, so single-process runs that import this module never load them.
 import dataclasses
 import heapq
 import math
-import multiprocessing
 import time
-import traceback
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -134,6 +134,7 @@ def supports_sharding(config=None) -> ShardingSupport:
             False, "changelog-async-uploads",
             "the changelog backend spawns asynchronous segment-upload "
             "processes that complete checkpoints on the global loop")
+    import multiprocessing
     try:
         multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -937,6 +938,7 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
         }
         result_conn.send(("done", bundle))
     except BaseException:
+        import traceback
         try:
             result_conn.send(("err", traceback.format_exc()))
         except Exception:  # pragma: no cover - parent gone
@@ -1264,6 +1266,8 @@ def _run_sharded_once(workload_factory, probe_job, plan, config, *,
             ring.unlink()
         raise _NoSharedMemory(str(exc)) from exc
 
+    import multiprocessing
+    import multiprocessing.connection
     ctx = multiprocessing.get_context("fork")
     spec_pipes = [ctx.Pipe(duplex=False) for _ in range(plan.num_shards)]
     result_pipes = [ctx.Pipe(duplex=False) for _ in range(plan.num_shards)]

@@ -36,7 +36,6 @@ exactly.
 from __future__ import annotations
 
 import struct
-from multiprocessing import shared_memory
 from typing import Optional, Union
 
 __all__ = ["ShmRing", "SPILL", "DEFAULT_RING_BYTES"]
@@ -90,6 +89,9 @@ class ShmRing:
                  name: Optional[str] = None):
         if capacity < 64:
             raise ValueError(f"ring capacity must be >= 64, got {capacity}")
+        # Imported here, so single-process runs that import this module
+        # never load ``multiprocessing``.
+        from multiprocessing import shared_memory
         self.capacity = capacity
         self.shm = shared_memory.SharedMemory(
             name=name, create=True, size=_HEADER + capacity)

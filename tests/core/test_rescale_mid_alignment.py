@@ -20,6 +20,7 @@ from repro.experiments.chaos_bank import _keyed_job
 from repro.experiments.figures import controller_factory
 from repro.experiments.scenarios import QUICK, make_workload
 from repro.faults.invariants import check_all
+from tests.core.test_crash_mid_rescale import _crash_job
 
 LIVE_MIGRATION = ["drrs", "otfs", "otfs-all-at-once", "megaphone",
                   "subscale", "schedule"]
@@ -182,3 +183,28 @@ def test_q7_rescale_inside_a_checkpoint_alignment_finishes():
     assert checkpoints.completed[-1][0] > finished[0]
     offered = workload.config.rate * 40.0
     assert job.metrics.total_source_output() >= 0.97 * offered
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP items 1 and 11: the rescale requested as the restore "
+    "resumes adds instances while checkpoint 8's barrier is between the "
+    "sources and the sink, whose alignment waits on the new channels "
+    "forever; 0.05 s later the same request completes")
+def test_rescale_requested_as_a_restore_resumes_finishes():
+    """A crash at 6.0 under the dict backend, and DRRS ``agg`` 2→4
+    requested from a callback on ``job.recovery_barrier``, in the instant
+    the restore resumes the job.  Today ``done`` never fires and the
+    completed checkpoints stop at 7."""
+    job, _produced, _checkpoints, recovery = _crash_job("dict")
+    controller = DRRSController(job)
+    seen = {}
+
+    def crash():
+        recovery.fail_and_recover("crash")
+        job.recovery_barrier.add_callback(lambda _event: seen.setdefault(
+            "done", controller.request_rescale("agg", 4)))
+
+    job.sim.call_at(6.0, crash)
+    job.run(until=40.0)
+    assert seen["done"].triggered, "the rescale did not finish"

@@ -99,8 +99,13 @@ def _ref_total(events, start=0.0, end=math.inf):
     return sum(c for t, c in events if start <= t < end)
 
 
-_events = st.lists(st.tuples(st.floats(0.0, 50.0), st.integers(0, 10**6)),
-                   max_size=60)
+#: Streams whose counts come in runs, as every shipped workload's do (one
+#: count per side), drawn as (count, times of the run's events).
+_events = st.lists(
+    st.tuples(st.one_of(st.sampled_from([0, 1, 100]), st.integers(0, 10**6)),
+              st.lists(st.floats(0.0, 50.0), min_size=1, max_size=12)),
+    max_size=8).map(lambda runs: [(t, c) for c, times in runs
+                                  for t in times])
 _bound = st.one_of(st.none(), st.floats(0.0, 60.0))
 
 
@@ -128,6 +133,9 @@ def test_packed_logs_equal_the_list_of_tuples_reference(
         assert view["custom"] == {"backlog": [(2.0, 3.0)]}
     assert list(m.source_events()) == source
     assert list(m.sink_events()) == sink
+    changes = sum(1 for i, (_t, c) in enumerate(source)
+                  if i == 0 or c != source[i - 1][1])
+    assert len(m._source_runs) == len(m._source_starts) == changes
     for series, total, events in (
             (m.throughput_series, m.total_source_output, source),
             (m.sink_rate_series, m.total_sink_input, sink)):
@@ -139,6 +147,55 @@ def test_packed_logs_equal_the_list_of_tuples_reference(
         if end is not None:
             assert total(start, end) == _ref_total(events, start, end)
             assert total(end=end) == _ref_total(events, end=end)
+
+
+# -- the run-length count column ------------------------------------------------
+
+def _columns(m):
+    return [list(column) for column in (
+        m._source_times, m._source_runs, m._source_starts,
+        m._sink_times, m._sink_runs, m._sink_starts)]
+
+
+def test_count_runs_change_mid_stream():
+    m = MetricsCollector()
+    stream = [(0.1, 100), (0.2, 100), (0.3, 200), (0.4, 200), (0.5, 100),
+              (0.6, 1)]
+    for t, c in stream:
+        m.record_source_output(t, c)
+    assert list(m.source_events()) == stream
+    assert list(m._source_runs) == [100, 200, 100, 1]
+    assert list(m._source_starts) == [0, 2, 4, 5]
+    assert m.total_source_output() == 701
+    assert m.total_source_output(0.25, 0.55) == 500
+
+
+def test_a_float_equal_to_the_current_run_raises_and_keeps_nothing():
+    m = MetricsCollector()
+    m.record_source_output(1.0, 100)
+    m.record_sink_input(1.0, 1)
+    before = _columns(m)
+    with pytest.raises(TypeError):
+        m.record_source_output(2.0, 100.0)
+    with pytest.raises(TypeError):
+        m.record_sink_input(2.0, 1.0)
+    assert _columns(m) == before
+    assert m.total_source_output() == 100 and m.total_sink_input() == 1
+    m.record_source_output(3.0, 100)
+    assert list(m.source_events()) == [(1.0, 100), (3.0, 100)]
+    assert list(m._source_runs) == [100]
+
+
+def test_counts_read_back_as_int():
+    class Count(int):
+        pass
+
+    m = MetricsCollector()
+    for t, c in ((1.0, True), (2.0, 1), (3.0, Count(1)), (4.0, 7)):
+        m.record_sink_input(t, c)
+    events = list(m.sink_events())
+    assert events == [(1.0, 1), (2.0, 1), (3.0, 1), (4.0, 7)]
+    assert all(type(c) is int for _t, c in events)
 
 
 def test_series_peak_and_mean():

@@ -3,8 +3,10 @@
 Two structures used to grow with simulated time for no reason an operator
 would recognise: the collector's source/sink logs (a tuple and a float per
 record) and the pane engine's window-start memo (never evicted).  The logs
-are packed at 16 bytes an event and the memo is bounded by the window shape;
-these tests hold both, on a real Q7 job and on a bare logic.
+keep one 8-byte time an event, with the counts stored per run of equal
+counts, and the memo is bounded by the window shape and shares one key
+tuple per window start; these tests hold all three, on a real Q7 job and on
+a bare logic.
 """
 
 import copy
@@ -21,9 +23,10 @@ from repro.engine.windows import SlidingWindowAggregateLogic, _window_starts
 from repro.experiments.scenarios import QUICK, make_workload
 
 HORIZONS = (40.0, 160.0)
-#: Bytes a run may keep per source/sink event: two 8-byte columns plus the
-#: arrays' growth headroom.  The tuple-and-float log cost ~65.
-PER_EVENT_B = 24
+#: Bytes a run may keep per source/sink event: one 8-byte time column plus
+#: the array's growth headroom (the counts are per run, not per event).
+#: The two-column log cost ~18, the tuple-and-float log ~65.
+PER_EVENT_B = 12
 #: Everything else that legitimately grows over 120 simulated seconds:
 #: latency samples, the generators' key caches, allocator rounding.
 SLACK_B = 192 * 1024
@@ -37,7 +40,9 @@ def _events(metrics):
 @pytest.fixture(scope="module")
 def q7_at_two_horizons():
     """One QUICK Q7 job read at 40 and at 160 simulated seconds:
-    ``[(memo sizes, events logged, traced bytes)]`` and the window shape."""
+    ``[(memo sizes, events logged, traced bytes, key tuples)]`` and the
+    window shape.  ``key tuples`` is, per instance, the number of distinct
+    key tuple objects and of distinct window starts across its memo."""
     workload = make_workload("q7", QUICK)
     job = workload.build()
     logics = [inst.logic for inst in job.instances(workload.scaling_operator)]
@@ -51,23 +56,39 @@ def q7_at_two_horizons():
             gc.collect()
             readings.append(([len(logic._starts_memo) for logic in logics],
                              _events(job.metrics),
-                             tracemalloc.get_traced_memory()[0]))
+                             tracemalloc.get_traced_memory()[0],
+                             [_key_tuples(logic) for logic in logics]))
     finally:
         if started:
             tracemalloc.stop()
     return readings, (logics[0].size, logics[0].slide)
 
 
+def _key_tuples(logic):
+    keys = [key for pane_keys in logic._starts_memo.values()
+            for key in pane_keys]
+    return len({id(key) for key in keys}), len({key[1] for key in keys})
+
+
 def test_memo_size_is_set_by_the_window_shape(q7_at_two_horizons):
     readings, (size, slide) = q7_at_two_horizons
     bound = math.ceil(size / slide) + 1
-    (early, _, _), (late, _, _) = readings
+    (early, _, _, _), (late, _, _, _) = readings
     assert early == late                      # 4x the run, the same memo
     assert all(0 < n <= bound for n in late)
 
 
+def test_memo_holds_one_key_tuple_per_window_start(q7_at_two_horizons):
+    readings, _shape = q7_at_two_horizons
+    for _, _, _, key_tuples in readings:
+        for tuples, starts in key_tuples:
+            # Each start is covered by size/slide buckets, and all of them
+            # hold the same tuple.
+            assert 0 < starts == tuples
+
+
 def test_retained_growth_is_a_few_bytes_per_event(q7_at_two_horizons):
-    (_, events_early, bytes_early), (_, events_late, bytes_late) = \
+    (_, events_early, bytes_early, _), (_, events_late, bytes_late, _) = \
         q7_at_two_horizons[0]
     added = events_late - events_early
     assert added > 40_000

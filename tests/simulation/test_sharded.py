@@ -5,6 +5,9 @@ The full shard-vs-single equivalence runs (real worker processes) live in
 deterministic single-process pieces.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 from multiprocessing import shared_memory
 
@@ -203,6 +206,20 @@ class TestConfigPlumbing:
         verdict = supports_sharding(JobConfig())
         assert verdict.supported and verdict.reason is None
         assert not verdict.detail
+
+    def test_importing_the_kernel_loads_no_multiprocessing(self):
+        # A single-process run imports these modules (the benchmark
+        # ledger does, in every worker); only a sharded run may pay for
+        # ``multiprocessing``.  Fresh interpreter: this one has loaded it.
+        script = (
+            "import sys\n"
+            "import repro.simulation.sharded, repro.simulation.shm_ring\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'multiprocessing'))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_supports_sharding_rejects_changelog_backend(self):
         verdict = supports_sharding(
