@@ -69,7 +69,6 @@ class _Checkpoint:
     checkpoint_id: int
     #: instance name -> snapshot
     snapshots: Dict[str, _InstanceSnapshot] = field(default_factory=dict)
-    completed_at: Optional[float] = None
     #: Diagnostic: any snapshot of this checkpoint was taken while a
     #: scaling operation was in flight.  Such checkpoints are restorable
     #: (migrating bytes are folded into the departing instance's snapshot,
@@ -105,6 +104,15 @@ class _Checkpoint:
     pending_ids: set = field(default_factory=set)
 
 
+def _capture(flight) -> KeyGroupState:
+    """A frozen copy of a migrating flight's bytes as of extraction; it
+    never becomes live, so it draws no stamp from the mutation clock."""
+    return KeyGroupState(key_group=flight.key_group,
+                         status=StateStatus.LOCAL,
+                         size_bytes=flight.size_bytes,
+                         entries=cut_copy(flight.entries), version=0)
+
+
 class RecoveryManager:
     """Retains checkpoint snapshots and performs rollback recovery.
 
@@ -119,10 +127,12 @@ class RecoveryManager:
     def __init__(self, job: StreamJob, restart_seconds: float = 1.0):
         self.job = job
         self.restart_seconds = restart_seconds
-        #: The newest completed checkpoint and any open ones newer than it
-        #: (:meth:`_prune`): a restore only ever reads the newest
-        #: completed one, so nothing older is kept.
-        self._checkpoints: Dict[int, _Checkpoint] = {}
+        #: The one checkpoint a restore reads: the newest completed one.
+        self._restorable: Optional[_Checkpoint] = None
+        #: Checkpoints still aligning, all newer than :attr:`_restorable`
+        #: (:meth:`_prune`), in ascending id order: barriers are FIFO, so a
+        #: newer id's first snapshot comes later.
+        self._open: Dict[int, _Checkpoint] = {}
         #: Changelog segment store, ``(instance name, checkpoint id) ->
         #: ChangelogSegment``.  Deliberately *not* tied to checkpoint
         #: lifetime: a segment outlives its own checkpoint for as long as
@@ -131,11 +141,6 @@ class RecoveryManager:
         #: which was superseded before completing).  Pruned only below the
         #: newest anchor the retained checkpoint can reach.
         self._segments: Dict[Tuple[str, int], object] = {}
-        #: Retained checkpoint ids, ascending (iteration newest-first).
-        self._cids: List[int] = []
-        #: Ids of retained checkpoints that are still aligning — the only
-        #: ones the auxiliary-lane hold has to consider.
-        self._open_cids: List[int] = []
         #: Ids open in the job's ledger at :meth:`install`: their earlier
         #: snapshots were never retained, so they never become restorable.
         self._unrestorable: frozenset = frozenset()
@@ -161,11 +166,6 @@ class RecoveryManager:
             source.enable_replay_history()
         return self
 
-    def _reindex(self) -> None:
-        self._cids = sorted(self._checkpoints)
-        self._open_cids = [cid for cid in self._cids
-                           if self._checkpoints[cid].completed_at is None]
-
     def on_snapshot(self, instance: OperatorInstance, checkpoint_id: int,
                     segment) -> None:
         """Retain ``instance``'s snapshot for ``checkpoint_id``, with the
@@ -173,14 +173,25 @@ class RecoveryManager:
         backends)."""
         if segment is not None:
             self._segments[(instance.name, checkpoint_id)] = segment
-        checkpoint = self._checkpoints.get(checkpoint_id)
+        checkpoint = self._open.get(checkpoint_id)
+        restorable = self._restorable
+        if checkpoint is None and restorable is not None \
+                and checkpoint_id <= restorable.checkpoint_id:
+            # A late joiner (an instance added since) joins the restorable
+            # checkpoint.  An older cut is never restored, and every source
+            # snapshotted it before the restorable one completed, so it
+            # would hold no offset: nothing to hold back or compensate.
+            if checkpoint_id < restorable.checkpoint_id:
+                return
+            checkpoint = restorable
         if checkpoint is None:
+            assert not self._open or checkpoint_id > max(self._open)
             checkpoint = _Checkpoint(
                 checkpoint_id,
                 assignments={op: assignment.copy()
                              for op, assignment
                              in self.job.assignments.items()})
-            self._checkpoints[checkpoint_id] = checkpoint
+            self._open[checkpoint_id] = checkpoint
             # §IV-C fold, taken eagerly: bytes already on the wire when
             # this checkpoint is born are captured *now*, frozen as of
             # extraction (nothing mutates an unlanded flight).  Waiting
@@ -190,20 +201,16 @@ class RecoveryManager:
             # cannot contain and which would then silently vanish.  With
             # the capture on record, those records are compensated
             # through :meth:`on_record` instead.
-            for (op, kg), flight in self.job.inflight_state.items():
-                checkpoint.prefolds[(op, kg)] = (
-                    flight.src_name,
-                    KeyGroupState(key_group=kg, status=StateStatus.LOCAL,
-                                  size_bytes=flight.size_bytes,
-                                  entries=cut_copy(flight.entries)))
-                checkpoint.folded[(op, kg)] = flight.src_name
-            self._reindex()
+            for key, flight in self.job.inflight_state.items():
+                checkpoint.prefolds[key] = (flight.src_name, _capture(flight))
+                checkpoint.folded[key] = flight.src_name
         if self.job.active_scalers:
             checkpoint.mid_scaling = True
         snapshot = _InstanceSnapshot(state=instance.state.snapshot())
         if isinstance(instance, SourceInstance):
             snapshot.source_offset = instance.consumed_elements
         op_name = instance.spec.name
+        folded = checkpoint.folded
         # Captures this instance owns that were taken early (prefolds)
         # replace its live view: the frozen copy is the consistent cut,
         # and anything applied since is compensated record-by-record.
@@ -217,28 +224,23 @@ class RecoveryManager:
         for (op, kg), flight in self.job.inflight_state.items():
             if flight.src_name != instance.name:
                 continue
-            if (op, kg) in checkpoint.folded:
+            if (op, kg) in folded:
                 continue
-            snapshot.state[kg] = KeyGroupState(
-                key_group=kg, status=StateStatus.LOCAL,
-                size_bytes=flight.size_bytes,
-                entries=cut_copy(flight.entries))
-            checkpoint.folded[(op, kg)] = instance.name
-        # First capture wins: a key-group someone else already captured is
-        # scrubbed from this snapshot (the landed copy at a destination
-        # would otherwise be a second, differently-timed capture).
-        for (op, kg), src_name in list(checkpoint.folded.items()):
-            if op != op_name or instance.name == src_name:
-                continue
-            snapshot.state.pop(kg, None)
-        # Plain claims: key-groups whose bytes this snapshot holds and that
-        # no one captured yet are captured here and now.  Recording the
-        # claim is what lets on_record spot post-capture stragglers.
-        for kg, group in snapshot.state.items():
-            if group.status in (StateStatus.MIGRATED_OUT,
-                                StateStatus.INCOMING):
-                continue
-            checkpoint.folded.setdefault((op_name, kg), instance.name)
+            snapshot.state[kg] = _capture(flight)
+            folded[(op, kg)] = instance.name
+        # Plain claims: bytes this snapshot holds that no one captured yet
+        # are captured here and now (the claim is what lets on_record spot
+        # post-capture stragglers).  First capture wins: a group someone
+        # else captured is scrubbed (the landed copy at a destination
+        # would be a second, differently-timed capture).
+        for kg, group in list(snapshot.state.items()):
+            owner = folded.get((op_name, kg))
+            if owner is None:
+                if group.status not in (StateStatus.MIGRATED_OUT,
+                                        StateStatus.INCOMING):
+                    folded[(op_name, kg)] = instance.name
+            elif owner != instance.name:
+                del snapshot.state[kg]
         checkpoint.snapshots[instance.name] = snapshot
 
     def on_complete(self, checkpoint_id: int) -> None:
@@ -246,12 +248,13 @@ class RecoveryManager:
         restorable checkpoint.  Ignored for ids already pruned (a newer
         checkpoint completed first) and for ids that were open at
         :meth:`install`."""
-        checkpoint = self._checkpoints.get(checkpoint_id)
-        if checkpoint is None or checkpoint_id in self._unrestorable:
+        if checkpoint_id in self._unrestorable:
             return
-        checkpoint.completed_at = self.job.sim.now
+        checkpoint = self._open.pop(checkpoint_id, None)
+        if checkpoint is None:
+            return
+        self._restorable = checkpoint
         self._prune(checkpoint)
-        self._reindex()
 
     def on_flight_landed(self, flight, dst: OperatorInstance) -> None:
         """A migrating key-group just installed at its destination.
@@ -263,18 +266,13 @@ class RecoveryManager:
         landed bytes — they are exactly the state as of extraction, which
         no one has mutated in between.
         """
-        for checkpoint in self._checkpoints.values():
-            if checkpoint.completed_at is not None:
-                continue
-            key = (flight.op_name, flight.key_group)
+        key = (flight.op_name, flight.key_group)
+        for checkpoint in self._open.values():
             if key in checkpoint.folded:
                 continue
             if flight.src_name in checkpoint.snapshots:
                 continue
-            frozen = KeyGroupState(
-                key_group=flight.key_group, status=StateStatus.LOCAL,
-                size_bytes=flight.size_bytes,
-                entries=cut_copy(flight.entries))
+            frozen = _capture(flight)
             dst_snapshot = checkpoint.snapshots.get(dst.name)
             if dst_snapshot is not None:
                 dst_snapshot.state[flight.key_group] = frozen
@@ -306,10 +304,7 @@ class RecoveryManager:
         origin = record.src_origin
         op = instance.spec.name
         kg = record.key_group
-        for cid in reversed(self._cids):
-            checkpoint = self._checkpoints.get(cid)
-            if checkpoint is None:
-                continue
+        for checkpoint in self._newest_first():
             snapshot = checkpoint.snapshots.get(origin)
             offset = None if snapshot is None else snapshot.source_offset
             if offset is not None and seq >= offset:
@@ -321,6 +316,11 @@ class RecoveryManager:
                 continue
             checkpoint.pending_ids.add(record.record_id)
             checkpoint.pending_records.append((op, kg, record))
+
+    def _newest_first(self):
+        yield from reversed(self._open.values())
+        if self._restorable is not None:
+            yield self._restorable
 
     def holds_aux(self, instance: OperatorInstance, element) -> bool:
         """Hold a post-cut element on an alignment-free lane (§IV-C).
@@ -335,16 +335,15 @@ class RecoveryManager:
         # Re-route lanes are built with batching off; a carrier here would
         # read as "no lineage" and leak its post-cut members.
         assert element.__class__ is not RecordBatch
-        if not self._open_cids:
+        if not self._open:
             return False
         seq = getattr(element, "src_seq", None)
         if seq is None:
             return False
         origin = element.src_origin
         name = instance.name
-        for cid in self._open_cids:
-            checkpoint = self._checkpoints.get(cid)
-            if checkpoint is None or name in checkpoint.snapshots:
+        for checkpoint in self._open.values():
+            if name in checkpoint.snapshots:
                 continue
             snapshot = checkpoint.snapshots.get(origin)
             offset = None if snapshot is None else snapshot.source_offset
@@ -362,8 +361,8 @@ class RecoveryManager:
         below the newest anchor its chains reach are dropped.
         """
         cut = newest.checkpoint_id
-        for cid in [cid for cid in self._checkpoints if cid < cut]:
-            del self._checkpoints[cid]
+        self._open = {cid: checkpoint
+                      for cid, checkpoint in self._open.items() if cid > cut}
         for source in self.job.sources():
             snapshot = newest.snapshots.get(source.name)
             if snapshot is not None and snapshot.source_offset is not None:
@@ -389,8 +388,7 @@ class RecoveryManager:
 
     def latest_completed(self) -> Optional[_Checkpoint]:
         """The restorable checkpoint: the one completed checkpoint kept."""
-        return next((c for c in self._checkpoints.values()
-                     if c.completed_at is not None), None)
+        return self._restorable
 
     def restore_chain(self, checkpoint: _Checkpoint,
                       instance_name: str) -> List[object]:
@@ -549,10 +547,7 @@ class RecoveryManager:
         # their barriers are about to be flushed, so they can never
         # complete, and their half-taken snapshots mix pre-crash state.
         # The job's ledger drops them too.
-        for cid in list(self._checkpoints):
-            if self._checkpoints[cid].completed_at is None:
-                del self._checkpoints[cid]
-        self._reindex()
+        self._open.clear()
         job.open_checkpoints.clear()
         # Segments newer than the restore point belong to those discarded
         # cuts; post-restore backends re-anchor (``restart_changelog``),

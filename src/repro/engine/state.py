@@ -72,7 +72,8 @@ PROCESSABLE = (StateStatus.LOCAL, StateStatus.PENDING_OUT)
 #: version an observer memoised for the old incarnation, and so an observer
 #: caching a view over *all* groups of a backend (the window operators'
 #: ripe-time gate) can validate it with one comparison — an unrelated tick
-#: merely costs that observer one recomputation.
+#: merely costs that observer one recomputation.  Detached copies (checkpoint
+#: snapshots, flight captures) never become live and pass ``version``.
 _clock = [0]
 
 
@@ -249,14 +250,13 @@ class DictStateBackend:
     def snapshot(self) -> Dict[int, KeyGroupState]:
         """A structural copy for checkpoints (entries shared copy-on-write
         is unnecessary in simulation; we copy dicts, and in-place-mutable
-        values one level — see :func:`cut_copy`)."""
+        values one level — see :func:`cut_copy`).  Detached: no tick."""
         copied = {}
         for kg, group in self._groups.items():
             copied[kg] = KeyGroupState(
                 key_group=kg, status=group.status,
                 size_bytes=group.size_bytes,
-                entries=cut_copy(group.entries),
-            )
+                entries=cut_copy(group.entries), version=group.version)
         return copied
 
     # -- checkpoint surface -----------------------------------------------------

@@ -126,10 +126,11 @@ class _PaneLogic(OperatorLogic):
         # clock still reads ``_gate_clock``; ``_new_low`` bounds the start
         # of every pane created since (late records included).  Until the
         # watermark reaches either bound ``on_watermark`` returns in O(1).
-        # The clock ticks on every ``KeyGroupState`` creation and
+        # The clock ticks on every live ``KeyGroupState`` creation and
         # ``bump_version()``, so no install, rollback or recovery merge can
         # hide a ripe pane behind a closed gate, and a group that is not
-        # processable keeps the gate open until it is.
+        # processable keeps the gate open until it is.  Snapshot copies do
+        # not tick, so a checkpoint leaves the gate shut.
         self._ripe_at = -math.inf
         self._new_low = math.inf
         self._gate_clock = -1

@@ -69,7 +69,7 @@ def test_restore_discards_open_checkpoints_from_the_one_ledger(shape):
         latest = recovery.latest_completed()
         seen.append((checkpoint_id, newest,
                      latest and latest.checkpoint_id,
-                     latest and latest.completed_at == job.sim.now))
+                     job.completed_checkpoints[-1][0] == job.sim.now))
 
     recovery.on_complete = checked_on_complete
     injector.arm()

@@ -9,6 +9,8 @@ from repro.engine import (CheckpointCoordinator, JobConfig, JobGraph,
                           KeyedReduceLogic, OperatorSpec, Partitioning,
                           Record, StreamJob)
 from repro.engine.recovery import RecoveryError, RecoveryManager
+from repro.engine.runtime import _InflightState
+from repro.engine.state import StateStatus
 from repro.faults.invariants import check_all
 
 
@@ -148,3 +150,70 @@ def test_seeded_crash_time_property(seed, backend):
     assert manager.recoveries
     assert check_all(job, "agg", oracle=produced) == [], (
         f"seed={seed} crash_at={crash_at}")
+
+
+def test_a_record_without_lineage_is_never_compensated():
+    """``on_record`` skips a record without source lineage (consumed
+    before install, or built by an operator, as a window fire is): it
+    lies on neither side of a cut, so queueing it would re-inject it at a
+    restore.  A pre-cut record with lineage is queued."""
+    job, _produced = counting_job(stop_at=4.0)
+    CheckpointCoordinator(job, interval=1.0).start()
+    recovery = RecoveryManager(job).install()
+    job.run(until=3.0)
+    checkpoint = recovery.latest_completed()
+    agg = job.instances("agg")[0]
+    kg = agg.state.owned_groups()[0]
+    assert checkpoint.folded[("agg", kg)] == agg.name
+    assert checkpoint.pending_records == []
+    plain = Record(key="x", key_group=kg, event_time=job.sim.now, count=1)
+    assert plain.src_seq is None
+    recovery.on_record(agg, plain)
+    assert checkpoint.pending_records == []
+    source = job.sources()[0]
+    offset = checkpoint.snapshots[source.name].source_offset
+    pre_cut = plain.copy_with(src_origin=source.name, src_seq=offset - 1)
+    recovery.on_record(agg, pre_cut)
+    assert checkpoint.pending_records == [("agg", kg, pre_cut)]
+
+
+def test_a_flight_captured_at_birth_restores_where_it_departed():
+    """Bytes on the wire when a checkpoint is born are captured for their
+    source at once.  The destination aligns before they land and the
+    source after: the landing must not capture them a second time at the
+    destination, and a restore puts the group back on its source."""
+    job, _produced = counting_job(stop_at=4.0)
+    recovery = RecoveryManager(job, restart_seconds=0.1).install()
+    job.run(until=1.0)
+    src, dst = job.instances("agg")
+    kg = src.state.owned_groups()[0]
+    group = src.state.group(kg)
+    entries = dict(group.entries)
+    assert entries
+    flight = _InflightState(
+        op_name="agg", key_group=kg, entries=group.entries,
+        size_bytes=group.size_bytes, sub_groups_present=None,
+        src_name=src.name, src_index=src.index, dst_index=dst.index)
+    group.entries, group.status = {}, StateStatus.MIGRATED_OUT
+    job.inflight_state[("agg", kg)] = flight
+    recovery.on_snapshot(job.sources()[0], 1, None)  # born: captured
+    recovery.on_snapshot(dst, 1, None)
+    del job.inflight_state[("agg", kg)]
+    recovery.on_flight_landed(flight, dst)
+    dst.state.install_group(kg, flight.entries, flight.size_bytes)
+    for instance in job.all_instances():
+        if instance.name not in recovery._open[1].snapshots:
+            recovery.on_snapshot(instance, 1, None)
+    recovery.on_complete(1)
+    checkpoint = recovery.latest_completed()
+    assert kg not in checkpoint.snapshots[dst.name].state
+    assert checkpoint.snapshots[src.name].state[kg].entries == entries
+    restored = {}
+    recovery.fail_and_recover("crash").add_callback(
+        lambda _event: restored.update(
+            owner=job.assignments["agg"].owner(kg),
+            at_src=dict(src.state.group(kg).entries),
+            at_dst=dst.state.group(kg)))
+    job.run(until=2.0)
+    assert restored == {"owner": src.index, "at_src": entries,
+                        "at_dst": None}

@@ -5,15 +5,20 @@ completed checkpoint the RecoveryManager holds; source replay history and
 changelog segments are bounded by it.  Record-level compensation runs only
 once a rescale has started: before that, FIFO channels and aligned
 barriers let no record reach a key-group after that group's capture.
+Snapshot copies are detached: they leave the mutation clock, and with it
+the window operators' ripe-time gate, as they were.
 """
 
 import pytest
 
 from repro.core.drrs import DRRSController
-from repro.engine import CheckpointCoordinator
+from repro.engine import (CheckpointCoordinator, Record,
+                          SlidingWindowAggregateLogic, Watermark)
 from repro.engine.recovery import RecoveryManager
+from repro.engine.state import mutation_clock
 from repro.experiments.chaos_bank import _keyed_job
 from repro.faults.invariants import check_all
+from tests.engine.test_windows import window_job
 
 
 def _probe(job, recovery, every=0.05):
@@ -24,17 +29,13 @@ def _probe(job, recovery, every=0.05):
     def check():
         while True:
             yield job.sim.timeout(every)
-            completed = [cid for cid, c in recovery._checkpoints.items()
-                         if c.completed_at is not None]
-            if len(completed) > 1:
-                problems.append((job.sim.now, "completed", completed))
-            if not completed:
+            newest = recovery.latest_completed()
+            if newest is None:
                 continue
-            cut = completed[0]
-            older = [cid for cid in recovery._checkpoints if cid < cut]
+            older = [cid for cid in recovery._open
+                     if cid <= newest.checkpoint_id]
             if older:
                 problems.append((job.sim.now, "older", older))
-            newest = recovery._checkpoints[cut]
             for source in job.sources():
                 offset = newest.snapshots[source.name].source_offset
                 if source._history_base != offset:
@@ -47,8 +48,8 @@ def _probe(job, recovery, every=0.05):
 
 @pytest.mark.parametrize("backend", ["dict", "changelog"])
 def test_a_checkpointed_run_holds_one_completed_checkpoint(backend):
-    """Across a run with a crash, recovery never holds more than one
-    completed checkpoint, nothing older than it, and no source history
+    """Across a run with a crash, recovery holds one completed checkpoint
+    (its only slot), no open one at or below it, and no source history
     before its cut."""
     job, produced = _keyed_job(stop_at=10.0, state_backend=backend)
     coordinator = CheckpointCoordinator(job, interval=0.5)
@@ -131,3 +132,44 @@ def test_compensation_starts_with_the_first_rescale():
     assert calls
     assert seen["done"].triggered and seen["done"].ok
     assert check_all(job, "agg", oracle=produced) == []
+
+
+def test_a_checkpoint_leaves_the_ripe_time_gate_shut():
+    """A checkpoint snapshot does not tick the mutation clock, so a window
+    operator whose gate a pass closed returns from the next watermark
+    through the gate: no full pass over its groups."""
+    job = window_job(lambda: SlidingWindowAggregateLogic(size=10.0,
+                                                         slide=5.0))
+    coordinator = CheckpointCoordinator(job, interval=100.0)
+    RecoveryManager(job).install()
+    job.start()
+    src = job.sources()[0]
+    for i in range(8):
+        src.offer(Record(key=f"k{i}", event_time=50.0, count=1))
+    src.offer(Watermark(timestamp=20.0))  # closes the gate: ripe at 55
+    job.run(until=1.0)
+    win = job.instances("win")[0]
+    assert len(win.state.groups()) == 4
+    watermarks, passes = [], []
+    on_watermark, groups = win.logic.on_watermark, win.state.groups
+
+    def counted_on_watermark(timestamp, instance):
+        watermarks.append(timestamp)
+        return on_watermark(timestamp, instance)
+
+    def counted_groups():
+        passes.append(job.sim.now)
+        return groups()
+
+    win.logic.on_watermark = counted_on_watermark
+    win.state.groups = counted_groups
+    clock = mutation_clock()
+    coordinator.trigger_now()
+    job.run(until=2.0)
+    assert [cid for _t, cid in coordinator.completed] == [1]
+    assert mutation_clock() == clock
+    src.offer(Watermark(timestamp=30.0))
+    job.run(until=3.0)
+    assert watermarks == [30.0]
+    assert passes == []
+    assert win.logic.windows_fired == 0
