@@ -1,7 +1,6 @@
 """DRRS — the paper's primary contribution."""
 
 from .barriers import ConfirmBarrier, TriggerBarrier
-from .coordinator import ScaleCoordinator
 from .drrs import (CoupledSubscaleController, DRRSConfig, DRRSController,
                    make_variant)
 from .executor import DRRSInputHandler, ScaleExecutor
@@ -11,7 +10,6 @@ from .rerouting import ReRouteManager
 __all__ = [
     "ConfirmBarrier",
     "TriggerBarrier",
-    "ScaleCoordinator",
     "CoupledSubscaleController",
     "DRRSConfig",
     "DRRSController",

@@ -20,14 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
+from ..engine.keys import KeyGroupAssignment
 from ..engine.runtime import StreamJob
 from ..engine.state import StateStatus
 from ..scaling.base import ScalingController
 from ..scaling.otfs import OTFSController
-from .coordinator import ScaleCoordinator
-from .planner import Subscale
+from ..simulation.primitives import Signal
+from .barriers import ConfirmBarrier, TriggerBarrier
+from .executor import DRRSInputHandler, ScaleExecutor
+from .planner import Subscale, SubscalePlanner
 
 __all__ = ["DRRSConfig", "DRRSController", "CoupledSubscaleController",
            "make_variant"]
@@ -69,15 +72,22 @@ class DRRSConfig:
 
 class DRRSController(ScalingController):
     """DRRS on-the-fly rescaling (Decoupling/Re-routing + Scheduling +
-    Subscale Division)."""
+    Subscale Division).
+
+    The controller is the master-side Scale Coordinator (A, §IV-A): its
+    Topology Updater (A0) provisions the new instances and installs the
+    Scale Input Handlers (B1); its Subscale Handler (A1) schedules the
+    planner's subscales (C1) greedily under the per-node concurrency
+    threshold and commands the predecessors to inject the decoupled
+    signals.  It also supersedes requests (§IV-B) and aborts and retries
+    a scale across a checkpoint restore (§IV-C).
+    """
 
     name = "drrs"
 
     def __init__(self, job: StreamJob, config: Optional[DRRSConfig] = None):
         super().__init__(job)
         self.config = config or DRRSConfig()
-        self._op_name: Optional[str] = None
-        self._plan = None
         self._executors: Dict[int, object] = {}
         self._completion_signal = None
         self._wave_spans: Dict[int, object] = {}
@@ -93,7 +103,6 @@ class DRRSController(ScalingController):
         #: subscale_id -> migration Process (interruptible on abort).
         self._migration_procs: Dict[int, object] = {}
         self._attempts = 0
-        self._in_retry = False
         self._target_parallelism: Optional[int] = None
         self._target_op: Optional[str] = None
         # Failure recovery sweeps re-route manager buffers: records parked
@@ -104,7 +113,8 @@ class DRRSController(ScalingController):
     def _sweep_reroute_buffers(self):
         """Drain every re-route manager buffer for recovery's sweep.
 
-        Returns ``(op name, element)`` pairs and *empties* the buffers —
+        Returns ``(op name, element)`` pairs for every buffered element
+        (recovery keeps the pre-cut records) and *empties* the buffers —
         post-restore, pre-cut records are re-injected and post-cut ones
         replayed, so letting the drain process flush the stale copies into
         the fresh epoch would double-deliver them.
@@ -113,10 +123,8 @@ class DRRSController(ScalingController):
         for executor in self._executors.values():
             op = executor.instance.spec.name
             for manager in executor.reroute_managers.values():
-                while manager._buffer:
-                    element = manager._buffer.popleft()
-                    if element.is_record:
-                        swept.append((op, element))
+                swept.extend((op, element) for element in manager._buffer)
+                manager._buffer.clear()
         return swept
 
     # -- concurrent executions (§IV-B) ----------------------------------------------
@@ -132,8 +140,7 @@ class DRRSController(ScalingController):
         """
         self._target_parallelism = new_parallelism
         self._target_op = op_name
-        if not self._in_retry:
-            self._attempts = 0
+        self._attempts = 0
         if not self.active:
             self.cancelled = False
             return super().request_rescale(op_name, new_parallelism)
@@ -163,10 +170,238 @@ class DRRSController(ScalingController):
     # -- ScalingController hooks ---------------------------------------------------
 
     def _execute(self, op_name, plan, scale_id):
-        self._op_name = op_name
-        self._plan = plan
-        coordinator = ScaleCoordinator(self)
-        yield from coordinator.execute(op_name, plan, scale_id)
+        # The body runs under try/finally: an abort (``abort``
+        # interrupting the scale process) must still tear every DRRS
+        # resource down — executors, handlers, probes — and commit the
+        # partial assignment, or the job would be left with scaling
+        # machinery permanently installed.
+        executors: Dict[int, ScaleExecutor] = {}
+        saved_handlers = {}
+        try:
+            yield from self._execute_body(op_name, plan, scale_id,
+                                          executors, saved_handlers)
+        finally:
+            self._cleanup(op_name, plan, executors, saved_handlers)
+
+    def _execute_body(self, op_name, plan, scale_id, executors,
+                      saved_handlers):
+        config = self.config
+        telemetry = self.job.telemetry
+
+        # -- A0/B0: deploy update -------------------------------------------------
+        decouple_span = None
+        if telemetry is not None:
+            decouple_span = telemetry.tracer.begin(
+                "decouple", category="drrs.phase", track="scale",
+                op=op_name, scale_id=scale_id)
+        yield from self._provision(op_name, plan)
+        instances = self.job.instances(op_name)
+        for instance in instances:
+            executor = ScaleExecutor(self, instance)
+            executors[id(instance)] = executor
+            saved_handlers[instance] = instance.input_handler
+            instance.input_handler = DRRSInputHandler(
+                instance, executor, scheduling=config.record_scheduling,
+                buffer_size=config.schedule_buffer)
+            instance.wake.fire()
+        self._executors = executors
+        self._attach_suspension_probes(instances)
+        if decouple_span is not None:
+            telemetry.tracer.end(decouple_span, instances=len(instances))
+
+        # -- C1: divide into subscales --------------------------------------------
+        planner = SubscalePlanner(
+            num_subscales=(config.num_subscales
+                           if config.subscale_division else 1),
+            max_concurrent_per_node=config.max_concurrent_per_node,
+            strategy=config.subscale_strategy)
+        subscales = planner.divide(plan)
+        predecessor_ids = {id(sender)
+                           for sender, _e in self.job.senders_to(op_name)}
+        for subscale in subscales:
+            subscale.expected_predecessors = set(predecessor_ids)
+            for kg in subscale.key_groups:
+                self.metrics.assign_group(kg, subscale.subscale_id)
+
+        # -- A1: greedy scheduling loop --------------------------------------------
+        completion = Signal(self.sim)
+        self._completion_signal = completion
+        pending: List[Subscale] = list(subscales)
+        running: List[Subscale] = []
+        # Concurrency accounting is per worker "node" in the paper's sense:
+        # one TaskManager container per instance in the Dockerized setups,
+        # so the threshold applies per participating instance.
+        node_of = {inst.index: f"container-{inst.index}"
+                   for inst in instances}
+        node_load: Dict[str, int] = {}
+        held = {inst.index: len(inst.state.owned_groups())
+                for inst in instances}
+        reserved: Dict[int, List[str]] = {}
+
+        while pending or running:
+            if self.cancelled:
+                # Superseded (§IV-B): stop launching, let running subscales
+                # finish (they are already routed), then clean up partially.
+                pending.clear()
+            while pending:
+                if config.subscale_division:
+                    nxt = planner.pick_next(pending, node_load, held,
+                                            node_of)
+                    if nxt is None:
+                        break
+                else:
+                    nxt = pending[0]
+                pending.remove(nxt)
+                running.append(nxt)
+                nodes = [node_of[nxt.src_index], node_of[nxt.dst_index]]
+                reserved[nxt.subscale_id] = nodes
+                for node in nodes:
+                    node_load[node] = node_load.get(node, 0) + 1
+                held[nxt.dst_index] = (held.get(nxt.dst_index, 0)
+                                       + len(nxt.key_groups))
+                yield from self._launch_subscale(op_name, nxt, executors,
+                                                 instances)
+            if not running and not pending:
+                break
+            yield completion.wait()
+            for subscale in list(running):
+                if subscale.done:
+                    running.remove(subscale)
+                    for node in reserved.pop(subscale.subscale_id, []):
+                        node_load[node] = max(0, node_load.get(node, 0) - 1)
+
+    def _cleanup(self, op_name, plan, executors, saved_handlers) -> None:
+        """Release every DRRS resource; runs even when the scale is aborted.
+
+        On the normal and superseded paths this is the tail of the scale;
+        on the abort path (Interrupt delivered into :meth:`_execute`) it
+        additionally copes with partially-installed machinery — instances
+        provisioned but not yet started, handlers not yet swapped in — so
+        that no DRRS component remains active after scaling (non-scaling
+        neutrality).
+        """
+        instances = self.job.instances(op_name)
+        # An abort can interrupt _provision between deployment and start-up;
+        # finish starting the new instances so the deployed parallelism is
+        # fully live before a retry plans against it.
+        for instance in instances[plan.old_parallelism:]:
+            if not instance.running and not instance.paused:
+                instance.start()
+        for instance in instances:
+            executor = executors.get(id(instance))
+            if executor is not None:
+                executor.shutdown()
+            saved = saved_handlers.pop(instance, None)
+            if saved is not None:
+                instance.input_handler = saved
+            for group in instance.state.groups():
+                if group.status is StateStatus.INACTIVE:
+                    group.status = StateStatus.LOCAL
+            instance.wake.fire()
+        self._detach_suspension_probes(instances)
+        if self.cancelled:
+            # Partial finalize: the authoritative assignment already
+            # reflects every *launched* subscale (updated at launch time;
+            # after an abort the restore that follows re-derives it from
+            # the checkpoint).  Rebuild it with the deployed parallelism so
+            # a superseding or retried scale plans from reality, and drop
+            # the migrated-out stubs.
+            old = self.job.assignments[op_name]
+            self.job.assignments[op_name] = KeyGroupAssignment(
+                old.num_key_groups, len(instances), old.as_dict())
+            for instance in instances:
+                for group in list(instance.state.groups()):
+                    if group.status is StateStatus.MIGRATED_OUT:
+                        instance.state.drop_group(group.key_group)
+        else:
+            self._finalize_assignment(op_name, plan)
+
+    # -- A1: subscale launch (commands to the predecessors) ---------------------------
+
+    def _launch_subscale(self, op_name, subscale: Subscale,
+                         executors: Dict[int, ScaleExecutor], instances):
+        src = instances[subscale.src_index]
+        dst = instances[subscale.dst_index]
+        executors[id(src)].register_out(subscale)
+        executors[id(dst)].expect_subscale(subscale)
+        subscale.launched_at = self.sim.now
+        telemetry = self.job.telemetry
+        if telemetry is not None:
+            self._wave_spans[subscale.subscale_id] = telemetry.tracer.begin(
+                f"subscale-{subscale.subscale_id}",
+                category="drrs.phase",
+                track=f"subscale[{subscale.subscale_id}]",
+                subscale_id=subscale.subscale_id,
+                src=src.name, dst=dst.name,
+                key_groups=list(subscale.key_groups),
+                bytes_moved=0.0)
+        # Keep the job-level assignment consistent with the routing flip:
+        # any instance deployed from now on (e.g. by a concurrent scaling
+        # of an adjacent operator, §IV-B) must copy the updated routing.
+        assignment = self.job.assignments[op_name]
+        for kg in subscale.key_groups:
+            assignment.apply_move(kg, subscale.dst_index)
+        # The authoritative swap above and the per-sender in-band swaps
+        # below are not atomic; drop every sender-side routing cache now so
+        # the window holds no stale key-group -> channel entries (the
+        # in-band set_routing writes re-invalidate per edge as they land).
+        self.job.invalidate_routing_caches(op_name)
+        # Control-plane command to the predecessors.
+        yield self.sim.timeout(self.control_latency)
+        self.metrics.signal_injected(subscale.subscale_id, self.sim.now)
+        if telemetry is not None:
+            # Emitted at the exact sim-time ScalingMetrics records, so the
+            # span-derived propagation delay matches the metric.
+            telemetry.tracer.instant(
+                "signal.injected", category="drrs.phase",
+                track=f"subscale[{subscale.subscale_id}]",
+                subscale_id=subscale.subscale_id)
+        for sender, edge in self.job.senders_to(op_name):
+            sender.run_inband(self._make_injection(subscale, edge))
+
+    def _make_injection(self, subscale: Subscale, edge):
+        """Decoupled signal injection, executed in-band at one predecessor.
+
+        Order of operations within the atomic in-band step (§III-A, Fig. 4a):
+        routing update → trigger barrier on the control lane → confirm
+        barrier at the *front* of the old output cache → redirection of the
+        bypassed records (preserving relative order) to the new channel.
+        """
+        key_groups = set(subscale.key_groups)
+        epoch = self._abort_epoch
+
+        def inject(predecessor):
+            if self._abort_epoch != epoch:
+                # The scale was aborted between command and in-band
+                # execution: injecting now would flip routing that the
+                # restore has just re-derived from the checkpoint.
+                return
+            old_channel = edge.channels[subscale.src_index]
+            new_channel = edge.channels[subscale.dst_index]
+            for kg in subscale.key_groups:
+                edge.set_routing(kg, subscale.dst_index)
+            old_channel.send_control(TriggerBarrier(
+                scale_id=self._scale_ids,
+                subscale_id=subscale.subscale_id,
+                key_groups=tuple(subscale.key_groups),
+                src_index=subscale.src_index,
+                dst_index=subscale.dst_index,
+                controller=self))
+            # Confirm barrier overtakes the output cache; bypassed records
+            # are redirected (§III-A), except those belonging to a pending
+            # checkpoint's consistent cut (§IV-C, Fig. 9a).
+            bypassed = old_channel.inject_confirm(
+                lambda e: getattr(e, "key_group", None) in key_groups,
+                ConfirmBarrier(
+                    scale_id=self._scale_ids,
+                    subscale_id=subscale.subscale_id,
+                    predecessor_id=id(predecessor),
+                    key_groups=tuple(subscale.key_groups),
+                    controller=self))
+            for element in bypassed:
+                yield new_channel.send(element)
+
+        return inject
 
     def scaling_instances(self):
         return self.job.instances(self._op_name)
@@ -230,14 +465,15 @@ class DRRSController(ScalingController):
         migration processes stop, and the scale process's ``finally``
         tears the executors down.  The original ``request_rescale`` done
         event stays pending and is settled by the retried attempt; once
-        ``MAX_RETRIES`` retries have aborted, it fails.
+        ``MAX_RETRIES`` retries have aborted, it fails.  Only an active
+        controller is aborted: ``fail_and_recover`` calls those in the
+        job's pending and active scalers, which hold :attr:`active` from
+        the request until ``_run_scale``'s finally.
         """
-        if not self.active:
-            return
         self._abort_epoch += 1
         self.cancelled = True
         telemetry = self.job.telemetry
-        op_name = self._op_name or self._target_op
+        op_name = self._op_name
         for proc in self._migration_procs.values():
             if proc.is_alive:
                 proc.interrupt(reason)
@@ -262,10 +498,12 @@ class DRRSController(ScalingController):
                     f"rescale of {op_name} failed after "
                     f"{self._attempts} retries: {reason}"))
         else:
+            # The retry re-runs the latest request, which under a
+            # superseding request is not the scale that was running.
             self.sim.spawn(
-                self._retry(op_name, self._target_parallelism, done,
-                            attempt),
-                name=f"scale-retry:{op_name}:{attempt}")
+                self._retry(self._target_op, self._target_parallelism,
+                            done, attempt),
+                name=f"scale-retry:{self._target_op}:{attempt}")
         if self._scale_proc is not None and self._scale_proc.is_alive:
             self._scale_proc.interrupt(reason)
 
@@ -278,14 +516,8 @@ class DRRSController(ScalingController):
         barrier = self.job.recovery_barrier
         if barrier is not None and not barrier.triggered:
             yield barrier
-        if done is not None and done.triggered:
-            return  # settled elsewhere (exhaustion, supersede)
+        inner = self.request_rescale(op_name, new_parallelism)
         self._attempts = attempt
-        self._in_retry = True
-        try:
-            inner = self.request_rescale(op_name, new_parallelism)
-        finally:
-            self._in_retry = False
         try:
             result = yield inner
         except Exception as error:

@@ -58,7 +58,7 @@ class ScaleExecutor:
         self.reroute_managers: Dict[int, ReRouteManager] = {}
         self._triggered: Set[int] = set()
 
-    # -- coordinator notifications ------------------------------------------------
+    # -- Scale Coordinator notifications (A1) -------------------------------------
 
     def register_out(self, subscale: Subscale) -> None:
         """This instance is the migration source of ``subscale``."""

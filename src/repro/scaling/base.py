@@ -321,6 +321,10 @@ class ScalingController:
         self.active = False
         self._current_done = None
         self._scale_proc = None
+        #: The operator and plan of the latest request, recorded by
+        #: :meth:`request_rescale` and read by the mechanism's hooks.
+        self._op_name: Optional[str] = None
+        self._plan: Optional[MigrationPlan] = None
         #: Set by an abort just before interrupting the
         #: scale process: tells ``_run_scale``'s finally NOT to fire the
         #: caller's done event — the retry will, once it concludes.
@@ -343,6 +347,8 @@ class ScalingController:
                 "supports superseding it (§IV-B), other controllers do not")
         current = self.job.assignments[op_name]
         plan = MigrationPlan.uniform(op_name, current, new_parallelism)
+        self._op_name = op_name
+        self._plan = plan
         self._scale_ids += 1
         done = self.sim.event()
         self._current_done = done

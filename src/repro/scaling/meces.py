@@ -21,14 +21,13 @@ Modelled on the paper's re-implementation (§V-A):
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..engine.keys import key_to_key_group
 from ..engine.operators import Alignment, OperatorInstance
 from ..engine.records import Record
 from ..engine.state import StateStatus
 from .base import ScaleSignalBarrier, ScalingController
-from .plan import MigrationPlan
 
 __all__ = ["MecesController"]
 
@@ -43,8 +42,6 @@ class MecesController(ScalingController):
         if sub_groups < 1:
             raise ValueError("sub_groups must be >= 1")
         self.sub_groups = sub_groups
-        self._plan: Optional[MigrationPlan] = None
-        self._op_name: Optional[str] = None
         #: (key_group, sub) → current holder instance.
         self._sub_owner: Dict[Tuple[int, int], OperatorInstance] = {}
         #: (key_group, sub) currently on the wire.
@@ -119,8 +116,6 @@ class MecesController(ScalingController):
     def _execute(self, op_name, plan, scale_id):
         from ..simulation.primitives import Signal
 
-        self._plan = plan
-        self._op_name = op_name
         self._moving = set(plan.migrating_groups)
         self._task_wake = Signal(self.sim)
         self._done_event = self.sim.event()

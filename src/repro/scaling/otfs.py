@@ -23,7 +23,6 @@ from typing import List, Optional, Set
 from ..engine.operators import OperatorInstance
 from ..engine.state import StateStatus
 from .base import ScaleSignalBarrier, ScalingController
-from .plan import MigrationPlan
 
 __all__ = ["OTFSController"]
 
@@ -47,8 +46,6 @@ class OTFSController(ScalingController):
         self.migration = migration
         self.injection = injection
         self.scheduling = scheduling
-        self._plan: Optional[MigrationPlan] = None
-        self._op_name: Optional[str] = None
         self._route_set: Set[str] = set()
         self._remaining: Set[int] = set()
         self._complete = None
@@ -61,8 +58,6 @@ class OTFSController(ScalingController):
         return [groups]
 
     def _execute(self, op_name, plan, scale_id):
-        self._plan = plan
-        self._op_name = op_name
         self._route_set = self._upstream_closure(op_name) | {op_name}
 
         new_instances = yield from self._provision(op_name, plan)

@@ -17,9 +17,9 @@ Span/event naming contract (what the instrumented hot paths emit):
 name                   category        emitted by
 =====================  ==============  =======================================
 ``rescale``            ``migration``   ScalingController._run_scale
-``decouple``           ``drrs.phase``  ScaleCoordinator (A0/B0 deploy update)
-``subscale-<i>``       ``drrs.phase``  ScaleCoordinator (launch → done)
-``signal.injected``    ``drrs.phase``  ScaleCoordinator (instant, per subscale)
+``decouple``           ``drrs.phase``  DRRSController (A0/B0 deploy update)
+``subscale-<i>``       ``drrs.phase``  DRRSController (launch → done)
+``signal.injected``    ``drrs.phase``  DRRSController (instant, per subscale)
 ``state-transfer``     ``transfer``    ScalingController._extract → _land
 ``suspended``          ``suspension``  OperatorInstance wake-up accounting
 ``reroute.flush``      ``reroute``     ReRouteManager drain process

@@ -11,8 +11,11 @@ import dataclasses
 import pytest
 
 from repro.core.drrs import DRRSConfig, DRRSController
-from repro.engine import (CheckpointCoordinator, JobConfig,
-                          StateTransferCostModel)
+from repro.core.rerouting import ReRouteManager
+from repro.engine import (CheckpointCoordinator, JobConfig, JobGraph,
+                          KeyedReduceLogic, OperatorSpec, Partitioning,
+                          Record, StateTransferCostModel, StreamJob,
+                          Watermark)
 from repro.engine.recovery import RecoveryError, RecoveryManager
 from repro.experiments.chaos_bank import _keyed_job
 from repro.faults import CrashInstance, FaultInjector
@@ -231,4 +234,137 @@ def test_injection_commanded_before_a_crash_is_dropped(backend,
     assert done.triggered and done.ok, done.value
     assert sorted(set(job.assignments["agg"].as_dict().values())) == [
         0, 1, 2, 3]
+    assert check_all(job, "agg", oracle=produced) == []
+
+
+def _two_stage_job(backend):
+    """``src → agg → agg2 → sink``, both keyed sums of ``count`` (so the
+    same per-key oracle holds for each), 16 key-groups, parallelism 2."""
+    graph = JobGraph("two-stage", num_key_groups=16)
+    graph.add_source("src", parallelism=1, service_time=5e-5)
+    for name in ("agg", "agg2"):
+        graph.add_operator(OperatorSpec(
+            name,
+            logic_factory=lambda: KeyedReduceLogic(
+                lambda old, r: (old or 0) + r.count),
+            parallelism=2, service_time=2e-4, keyed=True,
+            initial_state_bytes_per_group=2e6))
+    graph.add_sink("sink", collect=True)
+    graph.connect("src", "agg", Partitioning.HASH)
+    graph.connect("agg", "agg2", Partitioning.HASH)
+    graph.connect("agg2", "sink", Partitioning.FORWARD)
+    job = StreamJob(graph, config=dataclasses.replace(
+        JobConfig(), state_backend=backend)).build()
+    produced = {}
+
+    def gen():
+        src = job.sources()[0]
+        i = 0
+        while job.sim.now < 14.0:
+            key = f"k{i % 24}"
+            src.offer(Record(key=key, event_time=job.sim.now, count=1))
+            produced[key] = produced.get(key, 0) + 1
+            if i % 20 == 0:
+                src.offer(Watermark(timestamp=job.sim.now))
+            i += 1
+            yield job.sim.timeout(0.01)
+
+    job.sim.spawn(gen(), name="two-stage-driver")
+    job.enable_telemetry()
+    CheckpointCoordinator(job, interval=0.75).start()
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
+    return job, produced, recovery
+
+
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
+def test_retry_reruns_the_operator_that_was_requested(backend):
+    """``agg`` 2→4 completes; then ``agg2`` 2→4 is requested at 9.0 and a
+    crash lands in that same instant, before the scale process ran.  The
+    abort and its retry must name ``agg2``, not the previous rescale's
+    operator, and the retried rescale must leave all four ``agg2``
+    instances owning key-groups."""
+    job, produced, recovery = _two_stage_job(backend)
+    controller = DRRSController(job)
+    seen = {}
+
+    def rescales():
+        yield controller.request_rescale("agg", 4)
+        yield job.sim.timeout(9.0 - job.sim.now)
+        seen["rescale"] = controller.request_rescale("agg2", 4)
+        seen["recovered"] = recovery.fail_and_recover("same instant")
+
+    job.sim.call_at(4.0, lambda: job.sim.spawn(rescales()))
+    job.run(until=40.0)
+
+    assert seen["recovered"].triggered and seen["recovered"].ok
+    abort, = _abort_spans(job)
+    assert abort.attrs["op"] == "agg2"
+    retry, = job.telemetry.tracer.events_named("scale.retry")
+    assert retry.attrs["op"] == "agg2"
+    done = seen["rescale"]
+    assert done.triggered and done.ok, done.value
+    assert len(job.instances("agg2")) == 4
+    assert sorted(set(job.assignments["agg2"].as_dict().values())) == [
+        0, 1, 2, 3]
+    for instance in job.instances("agg2"):
+        assert instance.state.owned_groups(), instance.name
+    for op_name in ("agg", "agg2"):
+        assert check_all(job, op_name, oracle=produced) == []
+
+
+def test_pre_cut_record_in_a_reroute_buffer_is_swept(monkeypatch):
+    """A crash while a re-route manager still holds a record from before
+    the restored checkpoint's cut.  No snapshot holds that record's
+    effect (it left the source instance's state on an alignment-free
+    lane) and the source replays only from the cut on, so recovery's
+    sweep of the manager buffers must re-inject it.
+
+    The manager drains within 2 ms, so the first re-routed record is held
+    out of its buffer, a checkpoint is triggered behind it, and the
+    record goes back into the buffer in the instant that checkpoint
+    completes, just before the crash.  Under ``changelog`` that
+    checkpoint completes only after the rescale has ended, so the case
+    runs under ``dict`` alone."""
+    job, produced = _keyed_job(stop_at=14.0, parallelism=2,
+                               state_bytes_per_group=8e6, ramp=(5.5, 1000),
+                               job_config=SLOW_HANDOFF, state_backend="dict")
+    checkpoints = CheckpointCoordinator(job, interval=0.75)
+    checkpoints.start()
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
+    controller = DRRSController(job)
+    seen = {}
+    forward_record = ReRouteManager.forward_record
+
+    def hold_first_record(manager, element):
+        forward_record(manager, element)
+        if "held" not in seen:
+            manager._buffer.pop()
+            seen["held"] = (manager, element)
+            seen["checkpoint"] = checkpoints.trigger_now()
+
+    monkeypatch.setattr(ReRouteManager, "forward_record", hold_first_record)
+    on_complete = recovery.on_complete
+
+    def crash():
+        manager, element = seen["held"]
+        manager._buffer.append(element)
+        cut = recovery.latest_completed().snapshots[element.src_origin]
+        seen["pre_cut"] = element.src_seq < cut.source_offset
+        seen["active"] = controller.active
+        seen["recovered"] = recovery.fail_and_recover("stranded record")
+
+    def crash_on_complete(checkpoint_id):
+        on_complete(checkpoint_id)
+        if checkpoint_id == seen.get("checkpoint"):
+            job.sim.call_at(job.sim.now, crash)
+
+    recovery.on_complete = crash_on_complete
+    job.sim.call_at(6.0, lambda: seen.setdefault(
+        "rescale", controller.request_rescale("agg", 4)))
+    job.run(until=40.0)
+
+    assert seen["pre_cut"] and seen["active"]
+    assert seen["recovered"].triggered and seen["recovered"].ok
+    done = seen["rescale"]
+    assert done.triggered and done.ok, done.value
     assert check_all(job, "agg", oracle=produced) == []

@@ -208,3 +208,37 @@ def test_rescale_requested_as_a_restore_resumes_finishes():
     job.sim.call_at(6.0, crash)
     job.run(until=40.0)
     assert seen["done"].triggered, "the rescale did not finish"
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP items 1 and 11: the retry of a rescale aborted by a "
+    "crash is requested as the restore resumes, so it adds instances "
+    "while checkpoint 9's barrier is between the sources and the sink, "
+    "whose alignment waits on the new channels forever")
+def test_retry_of_a_superseding_rescale_finishes():
+    """DRRS ``agg`` 2→4 at 6.0, then ``agg`` 2→6 requested at 6.6 with a
+    crash in that same instant, under the dict backend.  The abort arms
+    the built-in retry of the latest request, which reaches the stall
+    pinned above: today the retried 4→6 rescale starts at 7.42 and is
+    still open at 40.0, no checkpoint completes after #8, and neither
+    ``done`` fires."""
+    job, produced, _checkpoints, recovery = _crash_job("dict")
+    controller = DRRSController(job)
+    seen = {}
+
+    def supersede_and_crash():
+        seen["second"] = controller.request_rescale("agg", 6)
+        seen["recovered"] = recovery.fail_and_recover("crash")
+
+    job.sim.call_at(6.0, lambda: seen.setdefault(
+        "first", controller.request_rescale("agg", 4)))
+    job.sim.call_at(6.6, supersede_and_crash)
+    job.run(until=40.0)
+    assert seen["recovered"].triggered and seen["recovered"].ok
+    for name in ("first", "second"):
+        assert seen[name].triggered, f"the {name} rescale did not finish"
+        assert seen[name].ok, seen[name].value
+    assert sorted(set(job.assignments["agg"].as_dict().values())) == list(
+        range(6))
+    assert check_all(job, "agg", oracle=produced) == []
