@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from ..engine.keys import KeyGroupAssignment
 from ..engine.runtime import StreamJob
 from ..engine.state import StateStatus
-from ..scaling.base import ScalingController
+from ..scaling.base import RescaleAborted, ScalingController
 from ..scaling.otfs import OTFSController
 from ..simulation.primitives import Signal
 from .barriers import ConfirmBarrier, TriggerBarrier
@@ -34,11 +34,6 @@ from .planner import Subscale, SubscalePlanner
 
 __all__ = ["DRRSConfig", "DRRSController", "CoupledSubscaleController",
            "make_variant"]
-
-#: A rescale aborted by a crash (:meth:`DRRSController.abort`) is
-#: re-requested once the restore finishes; once ``MAX_RETRIES`` retries
-#: have aborted, the operation's done event fails instead.
-MAX_RETRIES = 3
 
 
 @dataclass
@@ -79,8 +74,7 @@ class DRRSController(ScalingController):
     Scale Input Handlers (B1); its Subscale Handler (A1) schedules the
     planner's subscales (C1) greedily under the per-node concurrency
     threshold and commands the predecessors to inject the decoupled
-    signals.  It also supersedes requests (§IV-B) and aborts and retries
-    a scale across a checkpoint restore (§IV-C).
+    signals.  It also supersedes requests (§IV-B).
     """
 
     name = "drrs"
@@ -96,15 +90,6 @@ class DRRSController(ScalingController):
         #: instant, before that process ran, still ends on the partial
         #: cleanup, never committing its target or decommissioning.
         self.cancelled = False
-        # -- crash tolerance (abort / retry) ------------------------------------
-        #: Bumped by every abort; in-band injection closures capture the
-        #: epoch at command time and become no-ops once it moves on.
-        self._abort_epoch = 0
-        #: subscale_id -> migration Process (interruptible on abort).
-        self._migration_procs: Dict[int, object] = {}
-        self._attempts = 0
-        self._target_parallelism: Optional[int] = None
-        self._target_op: Optional[str] = None
         # Failure recovery sweeps re-route manager buffers: records parked
         # there live outside any channel, so a teardown flush would
         # silently drop them (pre-checkpoint ones would be lost for good).
@@ -117,7 +102,8 @@ class DRRSController(ScalingController):
         (recovery keeps the pre-cut records) and *empties* the buffers —
         post-restore, pre-cut records are re-injected and post-cut ones
         replayed, so letting the drain process flush the stale copies into
-        the fresh epoch would double-deliver them.
+        the fresh epoch would double-deliver them.  The executors go with
+        their buffers: a later sweep has nothing of this scale to drain.
         """
         swept = []
         for executor in self._executors.values():
@@ -125,6 +111,7 @@ class DRRSController(ScalingController):
             for manager in executor.reroute_managers.values():
                 swept.extend((op, element) for element in manager._buffer)
                 manager._buffer.clear()
+        self._executors = {}
         return swept
 
     # -- concurrent executions (§IV-B) ----------------------------------------------
@@ -136,11 +123,9 @@ class DRRSController(ScalingController):
         it is terminated (§IV-B case 1): no further subscales launch, the
         ones already running complete, the partial result is committed,
         and the new request then plans from the partially migrated state —
-        avoiding redundant data migrations.
+        avoiding redundant data migrations.  An abort of either scale
+        fails the returned event with :class:`RescaleAborted`.
         """
-        self._target_parallelism = new_parallelism
-        self._target_op = op_name
-        self._attempts = 0
         if not self.active:
             self.cancelled = False
             return super().request_rescale(op_name, new_parallelism)
@@ -149,12 +134,14 @@ class DRRSController(ScalingController):
         done = self.sim.event()
 
         def chain():
-            yield previous_done
-            self.cancelled = False
-            inner = super(DRRSController, self).request_rescale(
-                op_name, new_parallelism)
-            result = yield inner
-            done.succeed(result)
+            try:
+                yield previous_done
+                self.cancelled = False
+                done.succeed((yield super(DRRSController, self)
+                              .request_rescale(op_name, new_parallelism)))
+            except RescaleAborted:
+                done.fail(RescaleAborted(op_name, new_parallelism,
+                                         self._aborted))
 
         self.sim.spawn(chain(), name=f"supersede:{op_name}")
         return done
@@ -275,18 +262,15 @@ class DRRSController(ScalingController):
 
         On the normal and superseded paths this is the tail of the scale;
         on the abort path (Interrupt delivered into :meth:`_execute`) it
-        additionally copes with partially-installed machinery — instances
-        provisioned but not yet started, handlers not yet swapped in — so
-        that no DRRS component remains active after scaling (non-scaling
-        neutrality).
+        additionally copes with partially-installed machinery — handlers
+        not yet swapped in — so that no DRRS component remains active
+        after scaling (non-scaling neutrality).  An aborted scale keeps
+        its executors until recovery's sweep has drained their re-route
+        buffers.
         """
         instances = self.job.instances(op_name)
-        # An abort can interrupt _provision between deployment and start-up;
-        # finish starting the new instances so the deployed parallelism is
-        # fully live before a retry plans against it.
-        for instance in instances[plan.old_parallelism:]:
-            if not instance.running and not instance.paused:
-                instance.start()
+        if self._aborted is None:
+            self._executors = {}
         for instance in instances:
             executor = executors.get(id(instance))
             if executor is not None:
@@ -304,7 +288,7 @@ class DRRSController(ScalingController):
             # reflects every *launched* subscale (updated at launch time;
             # after an abort the restore that follows re-derives it from
             # the checkpoint).  Rebuild it with the deployed parallelism so
-            # a superseding or retried scale plans from reality, and drop
+            # a superseding or re-requested scale plans from reality, and drop
             # the migrated-out stubs.
             old = self.job.assignments[op_name]
             self.job.assignments[op_name] = KeyGroupAssignment(
@@ -368,14 +352,8 @@ class DRRSController(ScalingController):
         bypassed records (preserving relative order) to the new channel.
         """
         key_groups = set(subscale.key_groups)
-        epoch = self._abort_epoch
 
         def inject(predecessor):
-            if self._abort_epoch != epoch:
-                # The scale was aborted between command and in-band
-                # execution: injecting now would flip routing that the
-                # restore has just re-derived from the checkpoint.
-                return
             old_channel = edge.channels[subscale.src_index]
             new_channel = edge.channels[subscale.dst_index]
             for kg in subscale.key_groups:
@@ -401,7 +379,7 @@ class DRRSController(ScalingController):
             for element in bypassed:
                 yield new_channel.send(element)
 
-        return inject
+        return self._guarded(inject)
 
     def scaling_instances(self):
         return self.job.instances(self._op_name)
@@ -418,9 +396,8 @@ class DRRSController(ScalingController):
     # -- migration (driven by trigger barriers via the executors) ---------------------
 
     def start_subscale_migration(self, subscale: Subscale) -> None:
-        self._migration_procs[subscale.subscale_id] = self.sim.spawn(
-            self._migrate_subscale(subscale),
-            name=f"drrs-subscale-{subscale.subscale_id}")
+        self._spawn_migration(self._migrate_subscale(subscale),
+                              f"drrs-subscale-{subscale.subscale_id}")
 
     def _migrate_subscale(self, subscale: Subscale):
         instances = self.scaling_instances()
@@ -446,7 +423,6 @@ class DRRSController(ScalingController):
     def on_subscale_progress(self, subscale: Subscale) -> None:
         if subscale.done and subscale.completed_at is None:
             subscale.completed_at = self.sim.now
-            self._migration_procs.pop(subscale.subscale_id, None)
             wave_span = self._wave_spans.pop(subscale.subscale_id, None)
             if wave_span is not None and not wave_span.closed:
                 self.job.telemetry.tracer.end(
@@ -454,78 +430,12 @@ class DRRSController(ScalingController):
             if self._completion_signal is not None:
                 self._completion_signal.fire()
 
-    # -- crash-tolerant abort and retry (§IV-C coexistence) ---------------------------
-
-    def abort(self, reason: str) -> None:
-        """Cancel the in-flight scale and arm its retry; a restore follows.
-
-        Called by :meth:`RecoveryManager.fail_and_recover` only: the
-        checkpoint restore that runs next rebuilds state, routing and the
-        assignment for every instance, so nothing is undone here.  The
-        migration processes stop, and the scale process's ``finally``
-        tears the executors down.  The original ``request_rescale`` done
-        event stays pending and is settled by the retried attempt; once
-        ``MAX_RETRIES`` retries have aborted, it fails.  Only an active
-        controller is aborted: ``fail_and_recover`` calls those in the
-        job's pending and active scalers, which hold :attr:`active` from
-        the request until ``_run_scale``'s finally.
-        """
-        self._abort_epoch += 1
+    def _on_abort(self) -> None:
         self.cancelled = True
-        telemetry = self.job.telemetry
-        op_name = self._op_name
-        for proc in self._migration_procs.values():
-            if proc.is_alive:
-                proc.interrupt(reason)
-        self._migration_procs.clear()
         for wave_span in self._wave_spans.values():
             if not wave_span.closed:
-                telemetry.tracer.end(wave_span, aborted=True)
+                self.job.telemetry.tracer.end(wave_span, aborted=True)
         self._wave_spans.clear()
-        if telemetry is not None:
-            telemetry.tracer.end(telemetry.tracer.begin(
-                "scale.abort", category="recovery", track="scale",
-                op=op_name, reason=str(reason)))
-        # Keep the caller's done pending across the abort; the retry (or
-        # its exhaustion) settles it.  Must be set before the scale
-        # process is interrupted, so _run_scale's finally sees it.
-        self._retry_pending = True
-        done = self._current_done
-        attempt = self._attempts + 1
-        if attempt > MAX_RETRIES:
-            if done is not None and not done.triggered:
-                done.fail(RuntimeError(
-                    f"rescale of {op_name} failed after "
-                    f"{self._attempts} retries: {reason}"))
-        else:
-            # The retry re-runs the latest request, which under a
-            # superseding request is not the scale that was running.
-            self.sim.spawn(
-                self._retry(self._target_op, self._target_parallelism,
-                            done, attempt),
-                name=f"scale-retry:{self._target_op}:{attempt}")
-        if self._scale_proc is not None and self._scale_proc.is_alive:
-            self._scale_proc.interrupt(reason)
-
-    def _retry(self, op_name, new_parallelism, done, attempt):
-        """Re-request an aborted rescale once the restore has finished."""
-        if self.job.telemetry is not None:
-            self.job.telemetry.tracer.instant(
-                "scale.retry", category="recovery", track="scale",
-                op=op_name, attempt=attempt)
-        barrier = self.job.recovery_barrier
-        if barrier is not None and not barrier.triggered:
-            yield barrier
-        inner = self.request_rescale(op_name, new_parallelism)
-        self._attempts = attempt
-        try:
-            result = yield inner
-        except Exception as error:
-            if done is not None and not done.triggered:
-                done.fail(error)
-            return
-        if done is not None and not done.triggered:
-            done.succeed(result)
 
 
 class CoupledSubscaleController(OTFSController):

@@ -672,6 +672,8 @@ class OperatorInstance:
                 yield self.sim.timeout(sync_cost)
                 if span is not None:
                     telemetry.tracer.end(span)
+                if self.abandon_work:
+                    return  # a restore discarded this checkpoint meanwhile
             self.job.note_snapshot(self, barrier)
             yield from self.router.emit(barrier)
             alignment.release()

@@ -30,12 +30,13 @@ destination.  At restore time, key-group ownership is re-derived from
 where the snapshot actually holds the bytes, so a checkpoint cut
 mid-migration restores a consistent (possibly mixed old/new) assignment.
 
-A failure that strikes while scaling is in flight first asks the active
-controller to abort (DRRS supports this; controllers without an
-``abort`` method still raise).  The abort only stops the migration: the
-restore rebuilds state, routing and assignments from the checkpoint as
-for any other failure, and the controller's retry waits on
-``job.recovery_barrier`` so it cannot race the restore.
+A failure that strikes while scaling is in flight first aborts the
+requested or running rescale, whose done event fails with
+``RescaleAborted``.  The abort only stops the migration: the restore
+rebuilds state, routing and assignments from the checkpoint as for any
+other failure.  The caller re-requests the rescale;
+``rescale_until_done`` waits on ``job.recovery_barrier`` first, so the
+re-request cannot race the restore.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = ["RecoveryManager", "RecoveryError"]
 
 
 class RecoveryError(RuntimeError):
-    """Raised when recovery is impossible (no checkpoint, scaling active)."""
+    """Raised when recovery is impossible (no restorable checkpoint)."""
 
 
 @dataclass
@@ -423,11 +424,11 @@ class RecoveryManager:
 
         Rolls every instance back to the newest completed checkpoint and
         replays sources from their checkpointed offsets.  If a scaling
-        operation is in flight or requested, the controller is asked to
-        ``abort`` it first (controllers without one make this an error);
-        the restore then repairs the migration's half-done state.  Calling again while
-        a recovery is already restoring models a *double failure*: the
-        in-flight restore is abandoned and recovery restarts from scratch.
+        operation is in flight or requested, its controller aborts it
+        first; the restore then repairs the migration's half-done state.
+        Calling again while a recovery is already restoring models a
+        *double failure*: the in-flight restore is abandoned and recovery
+        restarts from scratch.
 
         When the checkpoint cannot be restored (it covers decommissioned
         instances, or holds a key-group twice) the returned event has
@@ -443,13 +444,6 @@ class RecoveryManager:
         # A rescale requested in this same instant has not registered in
         # ``active_scalers`` yet; it is aborted all the same.
         scalers = job.active_scalers + job.pending_scalers
-        unsupported = [s for s in scalers if not hasattr(s, "abort")]
-        if unsupported:
-            names = ", ".join(s.name for s in unsupported)
-            raise RecoveryError(
-                f"a scaling operation ({names}) is in flight and the "
-                "controller cannot abort it; complete or cancel it "
-                "before injecting a failure")
         # Fail fast, before anything is aborted or torn down, when the
         # checkpoint covers instances that no longer exist (decommissioned
         # by a completed scale-in) or its snapshots disagree on an owner.
@@ -611,7 +605,10 @@ class RecoveryManager:
             for input_channel in instance.input_channels:
                 input_channel.queue.clear()
                 input_channel.block_tokens.clear()
-            for token in [t for t in instance.alignments if t[0] == "ckpt"]:
+            # Every alignment but end-of-stream waits on a barrier the
+            # flush just discarded: an open checkpoint's, or an aborted
+            # rescale's coupled one.
+            for token in [t for t in instance.alignments if t[0] != "eos"]:
                 del instance.alignments[token]
             snapshot = checkpoint.snapshots.get(instance.name)
             if snapshot is not None:

@@ -28,7 +28,7 @@ spec                   effect
 :class:`CrashInstance` an instance fails → whole-job rollback recovery
                        (Flink's restart-all strategy); if a scaling
                        operation is in flight the controller aborts it
-                       and retries once the restore finishes
+                       and its done fails with ``RescaleAborted``
 :class:`StallTransfers` key-group state transfers of one operator take
                        ``extra_seconds`` longer while the window is open,
                        holding their NIC slot (models a slow/overloaded
@@ -217,8 +217,7 @@ class FaultInjector:
         try:
             done = self.recovery.fail_and_recover(reason)
         except RecoveryError as error:
-            # No completed checkpoint (or an unabortable controller): the
-            # job cannot recover.  Record it; the invariant report
+            # No completed checkpoint: the job cannot recover.  Record it; the invariant report
             # surfaces unrecoverable crashes instead of exploding the sim.
             self.errors.append((self.sim.now, str(error)))
             return

@@ -33,7 +33,38 @@ __all__ = [
     "ScalingMetrics",
     "ScalingController",
     "MigrationAwareHandler",
+    "RescaleAborted",
+    "rescale_until_done",
 ]
+
+
+class RescaleAborted(RuntimeError):
+    """A crash aborted the rescale of ``op_name`` to ``new_parallelism``.
+
+    The checkpoint restore that follows the abort repairs whatever the
+    rescale had moved; the caller may request it again
+    (:func:`rescale_until_done`)."""
+
+    def __init__(self, op_name: str, new_parallelism: int, reason):
+        super().__init__(f"rescale of {op_name} to {new_parallelism} "
+                         f"aborted: {reason}")
+        self.op_name = op_name
+        self.new_parallelism = new_parallelism
+
+
+def rescale_until_done(job: StreamJob, controller, op_name: str,
+                       new_parallelism: int):
+    """Generator: request the rescale, after any pending restore, until
+    it is not aborted; returns the done event's value."""
+    while True:
+        barrier = job.recovery_barrier
+        if barrier is not None and not barrier.triggered:
+            yield barrier
+        try:
+            return (yield controller.request_rescale(op_name,
+                                                     new_parallelism))
+        except RescaleAborted:
+            pass
 
 
 @dataclass
@@ -312,6 +343,9 @@ class ScalingController:
     #: Time to provision a new instance (container start, task deploy) —
     #: part of the paper's inherent overhead L_o.
     instance_init_seconds = 0.5
+    #: Why a checkpoint restore cannot repair this mechanism's moves; a
+    #: controller that sets it refuses to rescale under a RecoveryManager.
+    unrestorable: Optional[str] = None
 
     def __init__(self, job: StreamJob):
         self.job = job
@@ -325,10 +359,13 @@ class ScalingController:
         #: :meth:`request_rescale` and read by the mechanism's hooks.
         self._op_name: Optional[str] = None
         self._plan: Optional[MigrationPlan] = None
-        #: Set by an abort just before interrupting the
-        #: scale process: tells ``_run_scale``'s finally NOT to fire the
-        #: caller's done event — the retry will, once it concludes.
-        self._retry_pending = False
+        #: Bumped by every abort: in-band steps commanded before it become
+        #: no-ops (:meth:`_guarded`).
+        self._abort_epoch = 0
+        #: Migration processes of the current request (interrupted on abort).
+        self._migration_procs: List = []
+        #: Why the current request was aborted; None while it was not.
+        self._aborted: Optional[str] = None
 
     # -- public API -----------------------------------------------------------------
 
@@ -345,11 +382,16 @@ class ScalingController:
             raise RuntimeError(
                 "a scaling operation is already in flight; DRRSController "
                 "supports superseding it (§IV-B), other controllers do not")
+        if self.unrestorable is not None and self.job.recovery is not None:
+            raise RuntimeError(
+                f"{type(self).__name__} does not support checkpoint "
+                f"recovery: {self.unrestorable}")
         current = self.job.assignments[op_name]
         plan = MigrationPlan.uniform(op_name, current, new_parallelism)
         self._op_name = op_name
         self._plan = plan
         self._scale_ids += 1
+        self._aborted = None
         done = self.sim.event()
         self._current_done = done
         self.metrics = ScalingMetrics()
@@ -382,6 +424,13 @@ class ScalingController:
         try:
             yield from self._execute(op_name, plan, scale_id)
         finally:
+            # An abort can interrupt provisioning before start-up: the
+            # deployed parallelism must be live for a re-request's plan.
+            for instance in self.job.instances(op_name)[
+                    plan.old_parallelism:]:
+                if not instance.running and not instance.paused:
+                    instance.start()
+            self._migration_procs.clear()
             self.metrics.finish(self.sim.now)
             self.active = False
             self.job.active_scalers.remove(self)
@@ -391,16 +440,58 @@ class ScalingController:
                     records_rerouted=self.metrics.records_rerouted,
                     remigrations=self.metrics.remigrations,
                     groups_migrated=len(self.metrics.migration_completed))
-            # An abort-and-retry keeps the caller's done event pending —
-            # the retry attempt (which re-enters request_rescale with a
-            # fresh event) settles it when the operation truly concludes.
-            retrying = self._retry_pending
-            self._retry_pending = False
-            if not retrying and not done.triggered:
+            if self._aborted is not None:
+                done.fail(RescaleAborted(op_name, plan.new_parallelism,
+                                         self._aborted))
+            else:
                 done.succeed(self.metrics)
 
     def _execute(self, op_name: str, plan: MigrationPlan, scale_id: int):
         raise NotImplementedError
+
+    # -- abort (§IV-C coexistence) ------------------------------------------------
+
+    def abort(self, reason: str) -> None:
+        """Abort the requested or running rescale; a restore follows.
+
+        Called by :meth:`RecoveryManager.fail_and_recover` only, on the
+        controllers in the job's pending and active scalers.  The restore
+        rebuilds state, routing and the assignment for every instance, so
+        nothing is undone here: the migrations stop, the scale process's
+        ``finally`` tears the mechanism down, and its done event fails
+        with :class:`RescaleAborted`.  A second abort of the same request
+        does nothing.
+        """
+        if self._aborted is not None:
+            return
+        self._aborted = reason
+        self._abort_epoch += 1
+        for proc in self._migration_procs:
+            proc.interrupt(reason)
+        self._on_abort()
+        telemetry = self.job.telemetry
+        if telemetry is not None:
+            telemetry.tracer.end(telemetry.tracer.begin(
+                "scale.abort", category="recovery", track="scale",
+                op=self._op_name, reason=str(reason)))
+        self._scale_proc.interrupt(reason)
+
+    def _on_abort(self) -> None:
+        """Mechanism hook, run by :meth:`abort` before the interrupt."""
+
+    def _spawn_migration(self, generator, name: str):
+        """Start a migration process that an abort interrupts."""
+        proc = self.sim.spawn(generator, name=name)
+        self._migration_procs.append(proc)
+        return proc
+
+    def _guarded(self, inject):
+        """In-band step ``inject`` as a no-op once an abort has moved the
+        epoch on since it was commanded: run after the restore, it would
+        flip routing the restore has just re-derived."""
+        epoch = self._abort_epoch
+        return lambda instance: (inject(instance)
+                                 if self._abort_epoch == epoch else ())
 
     # -- signal dispatch (every ControlSignal names its controller) ---------------
 

@@ -36,6 +36,9 @@ class MecesController(ScalingController):
     """Fetch-on-demand rescaling with hierarchical sub-key-groups."""
 
     name = "meces"
+    unrestorable = ("its sub-key-group moves split a key-group across "
+                    "instances, and the RecoveryManager's checkpoint fold "
+                    "captures whole key-groups only")
 
     def __init__(self, job, sub_groups: int = 4):
         super().__init__(job)
@@ -100,18 +103,6 @@ class MecesController(ScalingController):
             self._task_wake.fire()
 
     # -- main flow -----------------------------------------------------------------
-
-    def request_rescale(self, op_name: str, new_parallelism: int):
-        # A RecoveryManager folds in-flight bytes into checkpoints one whole
-        # key-group at a time (§IV-C); a Meces move splits a key-group
-        # across two instances, which no snapshot can capture consistently.
-        if self.job.recovery is not None:
-            raise RuntimeError(
-                "MecesController does not support checkpoint recovery: its "
-                "sub-key-group moves split a key-group across instances, "
-                "and the RecoveryManager's checkpoint fold captures whole "
-                "key-groups only")
-        return super().request_rescale(op_name, new_parallelism)
 
     def _execute(self, op_name, plan, scale_id):
         from ..simulation.primitives import Signal

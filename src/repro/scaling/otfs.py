@@ -67,34 +67,37 @@ class OTFSController(ScalingController):
         self._attach_suspension_probes(scaling_instances)
         saved = self._install_handlers(scaling_instances,
                                        scheduling=self.scheduling)
-
-        groups = plan.migrating_groups  # lexicographic, as the paper's C1
-        anchor = (scale_id, 0) if self.sequential else None
-        self._remaining = set(groups)
-        self._complete = self.sim.event()
-        for phase, batch in enumerate(self._batches(groups)):
-            # Lifecycle marking: only injected batches are in flight.
-            routing = {}
-            for kg in batch:
-                move = plan.move_for(kg)
-                routing[kg] = move.dst_index
-                instances[move.src_index].state.require_group(
-                    kg).status = StateStatus.PENDING_OUT
-                instances[move.dst_index].state.register_group(
-                    kg, StateStatus.INCOMING)
-            self._aligned_old = set()
-            if self.sequential:
-                self._remaining = set(batch)
-                self._complete = self.sim.event()
-            yield from self._inject_phase(op_name, plan, scale_id,
-                                          phase=phase, routing=routing,
-                                          anchor=anchor)
-            if self.sequential and self._remaining:
+        # An abort interrupts provisioning (nothing installed yet) or the
+        # body below: the restore repairs state, the teardown is ours.
+        try:
+            groups = plan.migrating_groups  # lexicographic, as the paper's C1
+            anchor = (scale_id, 0) if self.sequential else None
+            self._remaining = set(groups)
+            self._complete = self.sim.event()
+            for phase, batch in enumerate(self._batches(groups)):
+                # Lifecycle marking: only injected batches are in flight.
+                routing = {}
+                for kg in batch:
+                    move = plan.move_for(kg)
+                    routing[kg] = move.dst_index
+                    instances[move.src_index].state.require_group(
+                        kg).status = StateStatus.PENDING_OUT
+                    instances[move.dst_index].state.register_group(
+                        kg, StateStatus.INCOMING)
+                self._aligned_old = set()
+                if self.sequential:
+                    self._remaining = set(batch)
+                    self._complete = self.sim.event()
+                yield from self._inject_phase(op_name, plan, scale_id,
+                                              phase=phase, routing=routing,
+                                              anchor=anchor)
+                if self.sequential and self._remaining:
+                    yield self._complete
+            if self._remaining:
                 yield self._complete
-        if self._remaining:
-            yield self._complete
-        self._restore_handlers(saved)
-        self._detach_suspension_probes(scaling_instances)
+        finally:
+            self._restore_handlers(saved)
+            self._detach_suspension_probes(scaling_instances)
         self._finalize_assignment(op_name, plan)
 
     def _inject_phase(self, op_name, plan, scale_id, phase, routing,
@@ -121,7 +124,7 @@ class OTFSController(ScalingController):
             self._apply_routing(instance, barrier)
             yield from self._forward(instance, barrier,
                                      only_to=self._op_name)
-        return inject
+        return self._guarded(inject)
 
     # -- signal propagation -----------------------------------------------------------
 
@@ -183,12 +186,10 @@ class OTFSController(ScalingController):
         if not moves:
             return
         instances = self.job.instances(self._op_name)
-        if self.migration == "fluid":
-            self.sim.spawn(self._fluid_migration(src, moves, instances),
-                           name=f"migrate:{src.name}")
-        else:
-            self.sim.spawn(self._batch_migration(src, moves, instances),
-                           name=f"migrate:{src.name}")
+        migrate = (self._fluid_migration if self.migration == "fluid"
+                   else self._batch_migration)
+        self._spawn_migration(migrate(src, moves, instances),
+                              f"migrate:{src.name}")
 
     def _fluid_migration(self, src, moves, instances):
         for move in moves:

@@ -28,6 +28,12 @@ class StopRestartController(ScalingController):
         for kg in plan.migrating_groups:
             self.metrics.assign_group(kg, signal_id)
 
+        # 0. Wait out a restore in progress: as it ends it resumes every
+        #    instance and re-derives the assignment, undoing half a halt.
+        barrier = job.recovery_barrier
+        if barrier is not None and not barrier.triggered:
+            yield barrier
+
         # 1. Global halt with drain-to-quiescence (stop-with-savepoint):
         #    sources stop first and the pipeline empties, so the checkpoint
         #    cut is consistent and no record is stranded in a channel.

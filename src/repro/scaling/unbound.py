@@ -23,6 +23,9 @@ class UnboundController(ScalingController):
     """Lower-bound probe: instant routing flip, background migration."""
 
     name = "unbound"
+    unrestorable = ("its universal keys apply records against missing or "
+                    "stale state, which no checkpoint restore makes "
+                    "exactly-once")
 
     def record_ready(self, instance, record) -> bool:
         # Universal keys: every record is processable everywhere.
@@ -56,9 +59,9 @@ class UnboundController(ScalingController):
         events = []
         for src_index, moves in self._moves_by_src(plan).items():
             src = instances[src_index]
-            events.append(self.sim.spawn(
+            events.append(self._spawn_migration(
                 self._migrate(src, moves, instances),
-                name=f"unbound-migrate:{src.name}"))
+                f"unbound-migrate:{src.name}"))
         if events:
             yield self.sim.all_of(events)
         self._detach_suspension_probes(scaling_instances)

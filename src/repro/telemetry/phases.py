@@ -25,8 +25,7 @@ name                   category        emitted by
 ``reroute.flush``      ``reroute``     ReRouteManager drain process
 ``checkpoint.sync``    ``checkpoint``  aligned-snapshot sync pause
 ``recovery.restore``   ``recovery``    RecoveryManager rollback
-``scale.abort``        ``recovery``    DRRSController.abort (zero-length)
-``scale.retry``        ``recovery``    DRRSController._retry (instant)
+``scale.abort``        ``recovery``    ScalingController.abort (zero-length)
 ``fault.injected``     ``fault``       FaultInjector (instant, per fault)
 =====================  ==============  =======================================
 """

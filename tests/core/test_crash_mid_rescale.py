@@ -1,9 +1,11 @@
-"""A crash during a DRRS rescale is repaired by the checkpoint restore.
+"""A crash during a rescale is repaired by the checkpoint restore.
 
-The controller's ``abort`` only stops the migration and arms a retry; the
-restore rebuilds state, routing and assignments for every instance.  The
-sweep moves the crash across the whole rescale window, so it lands during
-provisioning, mid-transfer, between subscales and after completion.
+The controller's ``abort`` only stops the migration and fails the
+rescale's done event with ``RescaleAborted``; the restore rebuilds state,
+routing and assignments for every instance, and the caller re-requests
+the rescale.  The sweep moves the crash across the whole rescale window
+of every whole-group controller, so it lands during provisioning,
+mid-transfer, between subscales and after completion.
 """
 
 import dataclasses
@@ -18,8 +20,12 @@ from repro.engine import (CheckpointCoordinator, JobConfig, JobGraph,
                           Watermark)
 from repro.engine.recovery import RecoveryError, RecoveryManager
 from repro.experiments.chaos_bank import _keyed_job
+from repro.experiments.figures import controller_factory
 from repro.faults import CrashInstance, FaultInjector
 from repro.faults.invariants import check_all
+from repro.scaling import StopRestartController
+from repro.scaling.base import RescaleAborted, rescale_until_done
+from tests.scaling.test_transfer_recovery import WHOLE_GROUP_CONTROLLERS
 
 #: A per-group handshake keeps the rescale open for about 2.5 s under
 #: both backends, so most sweep offsets land inside it.
@@ -41,31 +47,68 @@ def _crash_job(backend, parallelism=2):
     return job, produced, checkpoints, recovery
 
 
+#: The sweep's controllers: every whole-group one, the ``dr`` variant,
+#: and DRRS with 2 subscales.  The paper's 16 subscales leave one moving
+#: key-group in each; with 2, each carries four, so a subscale migration
+#: that outlived the abort would move more groups after the restore.
+SWEEP = {name: controller_factory(name)
+         for name in WHOLE_GROUP_CONTROLLERS + ["dr"]}
+SWEEP["drrs-2"] = lambda job: DRRSController(job,
+                                             DRRSConfig(num_subscales=2))
+
+
 def _abort_spans(job):
     return job.telemetry.tracer.closed_spans(category="recovery",
                                              name="scale.abort")
 
 
+def _owners(job, op_name="agg"):
+    return sorted(set(job.assignments[op_name].as_dict().values()))
+
+
+def _request(job, controller, seen, op_name="agg", new_parallelism=4):
+    """Request the rescale now, as ``seen["rescale"]``, and spawn its
+    caller: on ``RescaleAborted`` it keeps ``seen["aborted"]`` and
+    re-requests until done; ``seen["finished"]`` marks the end."""
+    done = seen["rescale"] = controller.request_rescale(op_name,
+                                                        new_parallelism)
+
+    def caller():
+        try:
+            yield done
+        except RescaleAborted as aborted:
+            seen["aborted"] = aborted
+            yield from rescale_until_done(job, controller, op_name,
+                                          new_parallelism)
+        seen["finished"] = True
+
+    job.sim.spawn(caller())
+
+
+def _assert_aborted(seen, op_name="agg", new_parallelism=4):
+    done = seen["rescale"]
+    assert done.triggered and not done.ok
+    assert done.value is seen["aborted"]
+    assert seen["aborted"].op_name == op_name
+    assert seen["aborted"].new_parallelism == new_parallelism
+    assert seen["finished"]
+
+
 @pytest.mark.parametrize("crash_at", CRASH_OFFSETS)
-@pytest.mark.parametrize("num_subscales", [16, 2])
+@pytest.mark.parametrize("system", sorted(SWEEP))
 @pytest.mark.parametrize("backend", ["dict", "changelog"])
-def test_crash_anywhere_in_a_rescale_is_repaired(backend, num_subscales,
-                                                 crash_at):
-    """``agg`` 2→4 at 6.0 and a crash at ``crash_at``: the rescale's done
-    succeeds with all four instances owning key-groups, recovery
-    happened, state is exactly-once, and the scale was aborted once
-    exactly when the crash hit it, from the request on.
-
-    The paper's 16 subscales leave one moving key-group in each; with 2,
-    each carries four, so a subscale migration that outlived the abort
-    would move more groups after the restore."""
+def test_crash_anywhere_in_a_rescale_is_repaired(backend, system, crash_at):
+    """``agg`` 2→4 at 6.0 and a crash at ``crash_at``: recovery happened,
+    state is exactly-once, and the scale was aborted once exactly when
+    the crash hit it, from the request on.  An aborted rescale fails its
+    done with ``RescaleAborted``, and the caller's re-request leaves all
+    four instances owning key-groups.  A crash after the rescale's done
+    may restore a checkpoint cut during it (see
+    ``test_a_crash_after_done_keeps_the_rescale``), so ownership is
+    asserted only when the crash hit the rescale."""
     job, produced, _checkpoints, recovery = _crash_job(backend)
-    controller = DRRSController(job,
-                                DRRSConfig(num_subscales=num_subscales))
+    controller = SWEEP[system](job)
     seen = {}
-
-    def rescale():
-        seen["rescale"] = controller.request_rescale("agg", 4)
 
     def crash():
         # Requested or running: a crash in the request's own instant
@@ -74,31 +117,97 @@ def test_crash_anywhere_in_a_rescale_is_repaired(backend, num_subscales,
         seen["hit"] = controller.active
         seen["recovered"] = recovery.fail_and_recover("sweep")
 
-    job.sim.call_at(6.0, rescale)
+    job.sim.call_at(6.0, lambda: _request(job, controller, seen))
     job.sim.call_at(crash_at, crash)
     job.run(until=40.0)
 
-    done = seen["rescale"]
-    assert done.triggered and done.ok, done.value
     assert seen["recovered"].triggered and seen["recovered"].ok
     assert recovery.recoveries
-    assert sorted(set(job.assignments["agg"].as_dict().values())) == [
-        0, 1, 2, 3]
-    assert check_all(job, "agg", oracle=produced) == []
     assert len(_abort_spans(job)) == (1 if seen["hit"] else 0)
+    if seen["hit"]:
+        _assert_aborted(seen)
+        assert _owners(job) == [0, 1, 2, 3]
+    else:
+        assert seen["rescale"].ok and seen["finished"]
+    assert len(job.instances("agg")) == 4
+    assert check_all(job, "agg", oracle=produced) == []
     if crash_at == 6.0:
         assert seen["hit"]
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 11: a crash after a rescale's done can restore a "
+    "checkpoint cut during that rescale, which silently undoes part of it")
+def test_a_crash_after_done_keeps_the_rescale():
+    """The ``dr`` variant under changelog: ``agg`` 2→4 at 6.0 reports
+    done at 7.915, and a crash at 8.0 restores checkpoint 8, cut
+    mid-scaling.  Today the restore leaves four ``agg`` instances with
+    owners [0, 1], exactly-once state, and nothing reported."""
+    job, produced, _checkpoints, recovery = _crash_job("changelog")
+    controller = controller_factory("dr")(job)
+    seen = {}
+    job.sim.call_at(6.0, lambda: _request(job, controller, seen))
+    job.sim.call_at(8.0, lambda: recovery.fail_and_recover("after done"))
+    job.run(until=40.0)
+    assert seen["rescale"].ok
+    assert check_all(job, "agg", oracle=produced) == []
+    assert _owners(job) == [0, 1, 2, 3]
+
+
+def test_a_double_failure_aborts_the_rescale_once():
+    """Two crashes in one instant during ``agg`` 2→4: one abort, one
+    ``RescaleAborted`` and one re-requested ``rescale`` span."""
+    job, produced, _checkpoints, recovery = _crash_job("dict")
+    controller = DRRSController(job)
+    seen = {}
+
+    def crash_twice():
+        seen["first"] = recovery.fail_and_recover("first")
+        seen["second"] = recovery.fail_and_recover("second")
+
+    job.sim.call_at(6.0, lambda: _request(job, controller, seen))
+    job.sim.call_at(6.8, crash_twice)
+    job.run(until=40.0)
+
+    assert seen["first"].ok and seen["second"].ok
+    assert len(_abort_spans(job)) == 1
+    _assert_aborted(seen)
+    assert len(job.telemetry.tracer.closed_spans(name="rescale")) == 2
+    assert _owners(job) == [0, 1, 2, 3]
+    assert check_all(job, "agg", oracle=produced) == []
+
+
+@pytest.mark.parametrize("request_at", [6.0, 6.2, 6.45, 6.5, 6.55, 7.0])
+@pytest.mark.parametrize("backend", ["dict", "changelog"])
+def test_stop_restart_requested_during_a_restore_waits_for_it(backend,
+                                                              request_at):
+    """A crash at 6.0, then Stop-Restart ``agg`` 2→4 requested at
+    ``request_at``, from the crash's own instant to after the restore.
+    Halting and moving state under the restore would leave key-groups 4
+    and 5 processable on both old instances, so the rescale waits for
+    the restore."""
+    job, produced, _checkpoints, recovery = _crash_job(backend)
+    controller = StopRestartController(job)
+    seen = {}
+    job.sim.call_at(6.0, lambda: recovery.fail_and_recover("crash"))
+    job.sim.call_at(request_at, lambda: _request(job, controller, seen))
+    job.run(until=40.0)
+    assert seen["rescale"].ok and seen["finished"]
+    assert _owners(job) == [0, 1, 2, 3]
+    assert check_all(job, "agg", oracle=produced) == []
+
+
 @pytest.mark.parametrize("old,new", [(2, 4), (4, 2)])
 @pytest.mark.parametrize("backend", ["dict", "changelog"])
-def test_crash_in_the_requests_instant_commits_only_the_retry(backend, old,
-                                                              new):
+def test_crash_in_the_requests_instant_commits_only_the_re_request(
+        backend, old, new):
     """``agg`` old→new requested at 6.0 and a crash in that same instant.
     The abort lands before the scale process starts, and that process
     then runs up to its first yield.  Its cleanup must take the aborted
-    branch: only the retry commits the target assignment, so a scale-in
-    decommissions no instance that the restore still writes to."""
+    branch: only the re-request commits the target assignment, so a
+    scale-in decommissions no instance that the restore still writes
+    to."""
     job, produced, _checkpoints, recovery = _crash_job(backend,
                                                        parallelism=old)
     controller = DRRSController(job)
@@ -113,20 +222,18 @@ def test_crash_in_the_requests_instant_commits_only_the_retry(backend, old,
     seen = {}
 
     def rescale_then_crash():
-        seen["rescale"] = controller.request_rescale("agg", new)
+        _request(job, controller, seen, new_parallelism=new)
         seen["recovered"] = recovery.fail_and_recover("same instant")
 
     job.sim.call_at(6.0, rescale_then_crash)
     job.run(until=40.0)
 
     assert seen["recovered"].triggered and seen["recovered"].ok
-    done = seen["rescale"]
-    assert done.triggered and done.ok, done.value
+    _assert_aborted(seen, new_parallelism=new)
     assert len(_abort_spans(job)) == 1
     assert committed == [1]
     assert len(job.instances("agg")) == new
-    assert sorted(set(job.assignments["agg"].as_dict().values())) == list(
-        range(new))
+    assert _owners(job) == list(range(new))
     assert check_all(job, "agg", oracle=produced) == []
 
 
@@ -162,7 +269,6 @@ def test_unrestorable_checkpoint_leaves_the_rescale_running(backend):
     assert isinstance(recovered.value, RecoveryError)
     assert "decommissioned instances" in str(recovered.value)
     tracer = job.telemetry.tracer
-    assert not tracer.events_named("scale.retry")
     assert len(tracer.closed_spans(name="rescale")) == 2
     assert not _abort_spans(job)
     assert job.recovery_barrier is None
@@ -197,43 +303,41 @@ def test_unrestorable_crash_through_the_injector_is_reported():
     assert not recovery.recoveries
 
 
-@pytest.mark.parametrize("num_subscales", [16, 2])
+@pytest.mark.parametrize("system,command", [
+    ("drrs", 2), ("drrs-2", 2), ("schedule", 1), ("subscale", 2),
+    ("megaphone", 2)])
 @pytest.mark.parametrize("backend", ["dict", "changelog"])
-def test_injection_commanded_before_a_crash_is_dropped(backend,
-                                                       num_subscales):
-    """A crash lands after the second subscale launch's
-    ``control_latency``, once its injection was commanded at the
-    predecessor but before that predecessor ran it in-band.  The restore
-    pauses the predecessor, so the stale injection would run after the
-    restore, ahead of the retry's own launch of that subscale, and flip
-    routing the restore has just re-derived; the abort's epoch bump turns
-    it into a no-op.  (The first subscale's stale injection would pass
-    unnoticed: the retry re-plans it identically and launches it first.)
+def test_injection_commanded_before_a_crash_is_dropped(backend, system,
+                                                       command):
+    """A crash lands once an in-band injection was commanded at the
+    predecessor (the ``command``-th), but before that predecessor ran
+    it.  The restore pauses the predecessor, so the stale injection
+    would run after the restore, ahead of the re-request's own launch,
+    and flip routing the restore has just re-derived; the abort's epoch
+    bump turns it into a no-op.  (DRRS's first subscale's stale
+    injection would pass unnoticed: the re-request re-plans it
+    identically and launches it first.)
     """
     job, produced, _checkpoints, recovery = _crash_job(backend)
-    controller = DRRSController(job,
-                                DRRSConfig(num_subscales=num_subscales))
+    controller = SWEEP[system](job)
     (source, _edge), = job.senders_to("agg")
     run_inband = source.run_inband
     seen = {"commanded": 0}
 
     def crash_then_run_inband(fn):
         seen["commanded"] += 1
-        if seen["commanded"] == 2:
+        if seen["commanded"] == command:
             seen["recovered"] = recovery.fail_and_recover("in flight")
         run_inband(fn)
 
     source.run_inband = crash_then_run_inband
-    job.sim.call_at(6.0, lambda: seen.setdefault(
-        "rescale", controller.request_rescale("agg", 4)))
+    job.sim.call_at(6.0, lambda: _request(job, controller, seen))
     job.run(until=40.0)
 
     assert seen["recovered"].triggered and seen["recovered"].ok
     assert len(_abort_spans(job)) == 1
-    done = seen["rescale"]
-    assert done.triggered and done.ok, done.value
-    assert sorted(set(job.assignments["agg"].as_dict().values())) == [
-        0, 1, 2, 3]
+    _assert_aborted(seen)
+    assert _owners(job) == [0, 1, 2, 3]
     assert check_all(job, "agg", oracle=produced) == []
 
 
@@ -277,11 +381,11 @@ def _two_stage_job(backend):
 
 
 @pytest.mark.parametrize("backend", ["dict", "changelog"])
-def test_retry_reruns_the_operator_that_was_requested(backend):
+def test_an_aborted_rescale_names_the_operator_that_was_requested(backend):
     """``agg`` 2→4 completes; then ``agg2`` 2→4 is requested at 9.0 and a
     crash lands in that same instant, before the scale process ran.  The
-    abort and its retry must name ``agg2``, not the previous rescale's
-    operator, and the retried rescale must leave all four ``agg2``
+    abort and its ``RescaleAborted`` must name ``agg2``, not the previous
+    rescale's operator, and the re-request must leave all four ``agg2``
     instances owning key-groups."""
     job, produced, recovery = _two_stage_job(backend)
     controller = DRRSController(job)
@@ -290,7 +394,7 @@ def test_retry_reruns_the_operator_that_was_requested(backend):
     def rescales():
         yield controller.request_rescale("agg", 4)
         yield job.sim.timeout(9.0 - job.sim.now)
-        seen["rescale"] = controller.request_rescale("agg2", 4)
+        _request(job, controller, seen, op_name="agg2")
         seen["recovered"] = recovery.fail_and_recover("same instant")
 
     job.sim.call_at(4.0, lambda: job.sim.spawn(rescales()))
@@ -299,13 +403,9 @@ def test_retry_reruns_the_operator_that_was_requested(backend):
     assert seen["recovered"].triggered and seen["recovered"].ok
     abort, = _abort_spans(job)
     assert abort.attrs["op"] == "agg2"
-    retry, = job.telemetry.tracer.events_named("scale.retry")
-    assert retry.attrs["op"] == "agg2"
-    done = seen["rescale"]
-    assert done.triggered and done.ok, done.value
+    _assert_aborted(seen, op_name="agg2")
     assert len(job.instances("agg2")) == 4
-    assert sorted(set(job.assignments["agg2"].as_dict().values())) == [
-        0, 1, 2, 3]
+    assert _owners(job, "agg2") == [0, 1, 2, 3]
     for instance in job.instances("agg2"):
         assert instance.state.owned_groups(), instance.name
     for op_name in ("agg", "agg2"):
@@ -359,12 +459,44 @@ def test_pre_cut_record_in_a_reroute_buffer_is_swept(monkeypatch):
             job.sim.call_at(job.sim.now, crash)
 
     recovery.on_complete = crash_on_complete
-    job.sim.call_at(6.0, lambda: seen.setdefault(
-        "rescale", controller.request_rescale("agg", 4)))
+    job.sim.call_at(6.0, lambda: _request(job, controller, seen))
     job.run(until=40.0)
 
     assert seen["pre_cut"] and seen["active"]
     assert seen["recovered"].triggered and seen["recovered"].ok
-    done = seen["rescale"]
-    assert done.triggered and done.ok, done.value
+    _assert_aborted(seen)
     assert check_all(job, "agg", oracle=produced) == []
+
+
+def test_a_completed_rescale_leaves_nothing_to_sweep():
+    """After a completed DRRS rescale, recovery's sweep of re-route
+    buffers drains nothing of it, even a record left in one of its
+    managers' buffers."""
+    job, _produced, _checkpoints, _recovery = _crash_job("dict")
+    controller = DRRSController(job)
+    seen = {}
+    job.sim.call_at(6.0, lambda: _request(job, controller, seen))
+    job.sim.call_at(6.6, lambda: seen.setdefault(
+        "executors", list(controller._executors.values())))
+    job.run(until=12.0)
+    assert seen["rescale"].ok
+    managers = [manager for executor in seen["executors"]
+                for manager in executor.reroute_managers.values()]
+    assert managers
+    managers[0]._buffer.append(Record(key="k0", event_time=6.0, count=1))
+    assert controller._sweep_reroute_buffers() == []
+
+
+def test_recovery_sweep_releases_an_aborted_rescales_executors():
+    """An aborted DRRS rescale's cleanup runs before recovery's sweep, so
+    it keeps its executors for the sweep to drain; the sweep then
+    releases them."""
+    job, _produced, _checkpoints, recovery = _crash_job("dict")
+    controller = DRRSController(job)
+    seen = {}
+    job.sim.call_at(6.0, lambda: seen.setdefault(
+        "rescale", controller.request_rescale("agg", 4)))
+    job.sim.call_at(7.0, lambda: recovery.fail_and_recover("crash"))
+    job.run(until=7.1)
+    assert isinstance(seen["rescale"].value, RescaleAborted)
+    assert controller._executors == {}

@@ -11,8 +11,6 @@ from helpers import (assert_assignment_consistent, build_keyed_job,
 from repro.core.barriers import ConfirmBarrier, TriggerBarrier
 from repro.core.drrs import (CoupledSubscaleController, DRRSConfig,
                              DRRSController, make_variant)
-from repro.engine import CheckpointCoordinator
-from repro.engine.recovery import RecoveryManager
 from repro.scaling import OTFSController
 
 
@@ -92,8 +90,16 @@ def test_no_subscale_division_uses_one_subscale_per_path():
 def test_cleanup_restores_non_scaling_state():
     """Non-scaling neutrality: after scaling, no DRRS component remains
     active (§IV-A: resources released)."""
-    job, controller, done = run_drrs()
+    job = build_keyed_job()
+    drive(job, until=30.0)
+    job.run(until=5.0)
+    controller = DRRSController(job)
+    done = controller.request_rescale("agg", 4)
+    run_until(job, lambda: controller._executors)
+    executors = list(controller._executors.values())
+    job.run(until=35.0)
     assert done.triggered
+    assert controller._executors == {}
     for inst in job.instances("agg"):
         assert type(inst.input_handler).__name__ != "DRRSInputHandler"
         for group in inst.state.groups():
@@ -110,34 +116,9 @@ def test_cleanup_restores_non_scaling_state():
         subscale_id=0, controller=controller))) == []
     assert reached == []
     # re-route managers drained and closed
-    for executor in controller._executors.values():
+    for executor in executors:
         for manager in executor.reroute_managers.values():
             assert manager.pending == 0
-
-
-def test_fourth_abort_of_one_rescale_fails_its_done_event():
-    """Each crash during the rescale aborts it, and the restore is followed
-    by a retry under the same done event; the fourth crash exhausts the
-    three retries and fails that event."""
-    job = build_keyed_job()
-    drive(job, until=30.0)
-    CheckpointCoordinator(job, interval=1.0).start()
-    recovery = RecoveryManager(job, restart_seconds=0.5).install()
-    job.run(until=5.0)
-    controller = DRRSController(job)
-    done = controller.request_rescale("agg", 4)
-    for crash in range(1, 5):
-        # The retry re-requests the rescale as the restore finishes.
-        run_until(job, lambda: controller.active)
-        job.run(until=job.sim.now + 0.05)
-        assert controller.active and not done.triggered
-        restored = recovery.fail_and_recover(f"crash {crash}")
-        run_until(job, lambda: restored.triggered)
-    job.run(until=job.sim.now + 5.0)
-    assert done.triggered and not done.ok
-    assert str(done.value) == "rescale of agg failed after 3 retries: crash 4"
-    assert not controller.active
-    assert len(recovery.recoveries) == 4
 
 
 def test_second_rescale_after_first():
@@ -160,10 +141,12 @@ def test_concurrency_threshold_limits_parallel_subscales():
         num_subscales=16, max_concurrent_per_node=1))
     # Track concurrent running subscales via launched/completed stamps.
     done = controller.request_rescale("agg", 4)
+    run_until(job, lambda: controller._executors)
+    executors = list(controller._executors.values())
     job.run(until=40.0)
     assert done.triggered
-    subscales = [s for ex in controller._executors.values()
-                 for s in ex.in_subscales.values()]
+    subscales = [s for ex in executors for s in ex.in_subscales.values()]
+    assert subscales
     events = []
     for s in subscales:
         events.append((s.launched_at, 1, s.subscale_id))

@@ -20,6 +20,7 @@ from repro.experiments.chaos_bank import _keyed_job
 from repro.experiments.figures import controller_factory
 from repro.experiments.scenarios import QUICK, make_workload
 from repro.faults.invariants import check_all
+from repro.scaling.base import RescaleAborted, rescale_until_done
 from tests.core.test_crash_mid_rescale import _crash_job
 
 LIVE_MIGRATION = ["drrs", "otfs", "otfs-all-at-once", "megaphone",
@@ -212,24 +213,33 @@ def test_rescale_requested_as_a_restore_resumes_finishes():
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP items 1 and 11: the retry of a rescale aborted by a "
-    "crash is requested as the restore resumes, so it adds instances "
-    "while checkpoint 9's barrier is between the sources and the sink, "
-    "whose alignment waits on the new channels forever")
-def test_retry_of_a_superseding_rescale_finishes():
+    reason="ROADMAP item 1: the caller's re-request of a superseding "
+    "rescale aborted by a crash is requested as the restore resumes, so "
+    "it adds instances while checkpoint 9's barrier is between the "
+    "sources and the sink, whose alignment waits on the new channels "
+    "forever")
+def test_re_request_of_a_superseding_rescale_finishes():
     """DRRS ``agg`` 2→4 at 6.0, then ``agg`` 2→6 requested at 6.6 with a
-    crash in that same instant, under the dict backend.  The abort arms
-    the built-in retry of the latest request, which reaches the stall
-    pinned above: today the retried 4→6 rescale starts at 7.42 and is
-    still open at 40.0, no checkpoint completes after #8, and neither
-    ``done`` fires."""
+    crash in that same instant, under the dict backend.  Both requests
+    fail with ``RescaleAborted``, and the caller re-requests 2→6 once
+    the restore ends.  That re-request reaches the stall pinned above:
+    today it is still open at 40.0, no checkpoint completes after #8,
+    and key-group 5 is stuck ``INCOMING``."""
     job, produced, _checkpoints, recovery = _crash_job("dict")
     controller = DRRSController(job)
     seen = {}
 
+    def caller():
+        try:
+            yield seen["second"]
+        except RescaleAborted:
+            yield from rescale_until_done(job, controller, "agg", 6)
+            seen["finished"] = True
+
     def supersede_and_crash():
         seen["second"] = controller.request_rescale("agg", 6)
         seen["recovered"] = recovery.fail_and_recover("crash")
+        job.sim.spawn(caller())
 
     job.sim.call_at(6.0, lambda: seen.setdefault(
         "first", controller.request_rescale("agg", 4)))
@@ -237,8 +247,8 @@ def test_retry_of_a_superseding_rescale_finishes():
     job.run(until=40.0)
     assert seen["recovered"].triggered and seen["recovered"].ok
     for name in ("first", "second"):
-        assert seen[name].triggered, f"the {name} rescale did not finish"
-        assert seen[name].ok, seen[name].value
+        assert isinstance(seen[name].value, RescaleAborted)
+    assert seen.get("finished"), "the re-requested rescale did not finish"
     assert sorted(set(job.assignments["agg"].as_dict().values())) == list(
         range(6))
     assert check_all(job, "agg", oracle=produced) == []

@@ -17,6 +17,7 @@ from helpers import (assert_assignment_consistent, build_keyed_job,
 from repro.core.drrs import DRRSConfig, DRRSController
 from repro.engine import CheckpointCoordinator
 from repro.engine.recovery import RecoveryManager
+from repro.scaling.base import RescaleAborted, rescale_until_done
 
 
 def _assert_caches_match_assignment(job, op_name):
@@ -59,7 +60,7 @@ def test_post_swap_records_land_on_new_owner():
 def test_crash_mid_rescale_leaves_caches_agreeing_with_the_restore():
     """A crash mid-scale restores the checkpoint's assignment: every sender
     cache, warm before the crash, agrees with it once the restore is done,
-    and again after the retried rescale completes."""
+    and again after the re-requested rescale completes."""
     job = build_keyed_job()
     drive(job, until=30.0)
     CheckpointCoordinator(job, interval=1.0).start()
@@ -77,9 +78,11 @@ def test_crash_mid_rescale_leaves_caches_agreeing_with_the_restore():
     restored = recovery.fail_and_recover("crash")
     run_until(job, lambda: restored.triggered)
     assert restored.triggered
+    assert isinstance(done.value, RescaleAborted)
     _assert_caches_match_assignment(job, "agg")
 
+    again = job.sim.spawn(rescale_until_done(job, controller, "agg", 4))
     job.run(until=15.0)
-    assert done.triggered and done.ok
+    assert again.triggered and again.ok
     assert_assignment_consistent(job, "agg")
     _assert_caches_match_assignment(job, "agg")

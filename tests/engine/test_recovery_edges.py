@@ -11,6 +11,7 @@ from repro.engine import (CheckpointCoordinator, JobConfig, JobGraph,
 from repro.engine.recovery import RecoveryError, RecoveryManager
 from repro.engine.runtime import _InflightState
 from repro.engine.state import StateStatus
+from repro.experiments.chaos_bank import _keyed_job
 from repro.faults.invariants import check_all
 
 
@@ -217,3 +218,51 @@ def test_a_flight_captured_at_birth_restores_where_it_departed():
     job.run(until=2.0)
     assert restored == {"owner": src.index, "at_src": entries,
                         "at_dst": None}
+
+
+def test_a_snapshot_whose_sync_pause_a_restore_interrupts_is_dropped(
+        backend):
+    """A crash halfway through ``agg[0]``'s synchronous snapshot pause for
+    checkpoint 3.  The restore discards that checkpoint, so the pause
+    must not end in a snapshot of it: one taken during the restore would
+    reopen the discarded checkpoint with pre-crash state."""
+    job, produced = _keyed_job(stop_at=12.0, state_bytes_per_group=8e6,
+                               state_backend=backend)
+    CheckpointCoordinator(job, interval=1.0).start()
+    recovery = RecoveryManager(job, restart_seconds=0.5).install()
+    sync_cost = job.checkpoint_sync_cost
+    seen = {}
+
+    def crash_mid_pause(instance):
+        cost = sync_cost(instance)
+        if instance.name == "agg[0]" and len(job._snapshots) > 8 \
+                and "crash" not in seen:
+            seen["crash"] = job.sim.now + cost / 2
+            job.sim.call_at(seen["crash"], lambda: seen.setdefault(
+                "recovered", recovery.fail_and_recover("mid pause")))
+        return cost
+
+    job.checkpoint_sync_cost = crash_mid_pause
+    job.run(until=30.0)
+
+    assert seen["recovered"].ok
+    assert recovery.recoveries == [(seen["crash"], 2)]
+    assert not [cid for _t, name, cid in job._snapshots
+                if name == "agg[0]" and cid == 3]
+    assert check_all(job, "agg", oracle=produced) == []
+
+
+def test_the_restore_drops_every_alignment_but_end_of_stream(backend):
+    """An aborted rescale can leave a coupled barrier's alignment that no
+    flushed channel will complete, and a fresh controller's first scale
+    reuses its token; the restore drops it with the checkpoints'."""
+    job, _produced = counting_job(state_backend=backend)
+    CheckpointCoordinator(job, interval=1.0).start()
+    recovery = RecoveryManager(job).install()
+    job.run(until=3.5)
+    instance = job.instances("agg")[0]
+    instance.alignment(("scale", (1, 0)))
+    instance.alignment(("eos",), blocking=False)
+    recovery.fail_and_recover("crash")
+    job.run(until=3.6)
+    assert list(instance.alignments) == [("eos",)]

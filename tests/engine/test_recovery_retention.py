@@ -18,6 +18,7 @@ from repro.engine.recovery import RecoveryManager
 from repro.engine.state import mutation_clock
 from repro.experiments.chaos_bank import _keyed_job
 from repro.faults.invariants import check_all
+from repro.scaling.base import RescaleAborted, rescale_until_done
 from tests.engine.test_windows import window_job
 
 
@@ -110,7 +111,7 @@ def _count_on_record(recovery):
 def test_compensation_starts_with_the_first_rescale():
     """No ``on_record`` call before a rescale starts; every applied record
     reaches it from then on, and a crash mid-rescale still restores
-    exactly-once state."""
+    exactly-once state, which the re-requested rescale keeps."""
     job, produced = _keyed_job(stop_at=14.0, state_bytes_per_group=8e6)
     coordinator = CheckpointCoordinator(job, interval=0.75)
     coordinator.start()
@@ -122,15 +123,21 @@ def test_compensation_starts_with_the_first_rescale():
     def rescale():
         seen["before"] = (len(calls), job.rescaled)
         seen["done"] = controller.request_rescale("agg", 4)
+        try:
+            yield seen["done"]
+        except RescaleAborted:
+            yield from rescale_until_done(job, controller, "agg", 4)
+            seen["re-requested"] = True
 
-    job.sim.call_at(6.0, rescale)
+    job.sim.call_at(6.0, lambda: job.sim.spawn(rescale()))
     job.sim.call_at(6.5, lambda: recovery.fail_and_recover("crash"))
     job.run(until=40.0)
 
     assert seen["before"] == (0, False)
     assert job.rescaled
     assert calls
-    assert seen["done"].triggered and seen["done"].ok
+    assert isinstance(seen["done"].value, RescaleAborted)
+    assert seen["re-requested"]
     assert check_all(job, "agg", oracle=produced) == []
 
 

@@ -4,8 +4,9 @@ A keyed job rescales 2→4 at t=6, a checkpoint is triggered at t=6.6 while
 key-groups are on the wire, and a failure at t=20 restores from it.  The
 in-flight bytes must be folded into that checkpoint (§IV-C) whatever the
 controller, so recovery ends exactly-once; and every migrated key-group
-must leave one ``state-transfer`` span.  Unbound is left out: it is
-incorrect by design.
+must leave one ``state-transfer`` span.  Meces and Unbound refuse to
+rescale under a RecoveryManager: no whole-group restore repairs their
+moves.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from repro.engine.recovery import RecoveryManager
 from repro.experiments.chaos_bank import _keyed_job
 from repro.experiments.figures import controller_factory
 from repro.faults.invariants import check_all
-from repro.scaling import MecesController
+from repro.scaling import MecesController, UnboundController
 
 WHOLE_GROUP_CONTROLLERS = ["drrs", "otfs", "otfs-all-at-once", "megaphone",
                            "subscale", "schedule", "stop-restart"]
@@ -55,9 +56,13 @@ def test_checkpoint_mid_move_restores_exactly_once(system):
     assert sorted(s.attrs["key_group"] for s in spans) == migrated
 
 
-def test_meces_refuses_to_rescale_under_recovery():
+@pytest.mark.parametrize("controller_class",
+                         [MecesController, UnboundController])
+def test_meces_refuses_to_rescale_under_recovery(controller_class):
+    """The two controllers whose moves no whole-group restore repairs
+    refuse at request time, through the same check."""
     job, _produced, _coordinator, _manager = _recoverable_job()
-    controller = MecesController(job)
+    controller = controller_class(job)
     with pytest.raises(RuntimeError, match="checkpoint recovery"):
         controller.request_rescale("agg", 4)
     assert not controller.active
