@@ -4,31 +4,20 @@
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Optional
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-def save_table(name: str, text: str, data: Optional[Any] = None) -> None:
-    """Save a formatted table as ``<name>.txt`` plus a ``<name>.json``
-    sidecar (machine-readable: the table lines, and ``data`` when the
-    caller passes a JSON-serialisable structure)."""
+def save_table(name: str, text: str) -> None:
+    """Save a formatted table as ``<name>.txt`` and print it."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
     with open(path, "w") as f:
         f.write(text + "\n")
-    sidecar = {"name": name, "lines": text.splitlines()}
-    if data is not None:
-        sidecar["data"] = data
-    json_path = os.path.join(RESULTS_DIR, f"{name}.json")
-    with open(json_path, "w") as f:
-        json.dump(sidecar, f, indent=1, sort_keys=True)
-        f.write("\n")
     print()
     print(text)
-    print(f"[saved to {path} (+ .json)]")
+    print(f"[saved to {path}]")
 
 
 def assert_rescales_finished(results, outlasting=()) -> None:

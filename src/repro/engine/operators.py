@@ -97,9 +97,12 @@ class FilterLogic(OperatorLogic):
         if self.pass_fraction >= 1.0:
             return [record]
         kept = max(1, int(round(record.count * self.pass_fraction)))
-        return [record.copy_with(
-            count=kept,
-            size_bytes=record.size_bytes * kept / max(record.count, 1))]
+        # Positional (see Record); record_id None draws a fresh one.
+        return [Record(record.key, record.key_group, record.event_time,
+                       record.value, kept,
+                       record.size_bytes * kept / max(record.count, 1),
+                       record.created_at, None, record.src_origin,
+                       record.src_seq)]
 
 
 class KeyedReduceLogic(OperatorLogic):
@@ -128,7 +131,9 @@ class KeyedReduceLogic(OperatorLogic):
                 kg, self.state_bytes_per_record * record.count)
         if not self.emit_updates:
             return []
-        return [record.copy_with(value=new)]
+        return [Record(record.key, kg, record.event_time, new, record.count,
+                       record.size_bytes, record.created_at, None,
+                       record.src_origin, record.src_seq)]
 
 
 class SinkLogic(OperatorLogic):
@@ -141,7 +146,7 @@ class SinkLogic(OperatorLogic):
 
     def on_record(self, record, instance):
         self.records_in += record.count
-        instance.metrics.record_sink_input(instance.sim.now, record.count)
+        instance.metrics.record_sink_input(instance.sim._now, record.count)
         if self.collect:
             self.collected.append(record)
         return []
@@ -274,10 +279,11 @@ class OperatorInstance:
     """One parallel subtask: a DES process bound to a cluster node."""
 
     #: Head of the operator chain this instance is a member of: the
-    #: instance whose task hands it every element, in order, through
-    #: ``handle_element(None, element)``.  None for an instance with its
-    #: own input channels and process (a head is its own task).  A class
-    #: default that only members shadow: ``__init__`` sets 28 attributes,
+    #: instance whose task hands it every element, in order (through
+    #: ``handle_element(None, element)`` or the :meth:`_handle_record`
+    #: walk).  None for an instance with its own input channels and
+    #: process (a head is its own task).  A class default that only
+    #: members shadow: ``__init__`` sets 28 attributes,
     #: CPython keeps at most 30 in an instance's inline value array, and a
     #: 31st on every instance slows each attribute load on the record path.
     chain_head: Optional["OperatorInstance"] = None
@@ -585,32 +591,50 @@ class OperatorInstance:
         return iter(())
 
     def _handle_record(self, record: Record):
-        self.current_key_group = record.key_group
-        try:
-            count = record.count
-            cost = self.spec.service_time * count / self.node.speed
-            if cost > 0:
-                sim = self.sim
-                start = sim._now
-                yield cost  # bare-delay yield == sim.timeout(cost)
-                self.busy_seconds += sim._now - start
-                if self.abandon_work:
-                    return
-            self.records_processed += count
-            telemetry = self.job.telemetry
-            if telemetry is not None:
-                telemetry.registry.counter(
-                    "records.processed",
-                    operator=self.spec.name).inc(count)
-            if self.job.rescaled:
-                recovery = self.job.recovery
-                if recovery is not None:
-                    recovery.on_record(self, record)
-            outputs = self.logic.on_record(record, self)
-        finally:
-            self.current_key_group = None
-        router = self.router
-        done = self.sim._done
+        """Process ``record``, then walk on along a chain: an output that
+        ``emit`` would hand to a chained member through ``handle_element``
+        (one record, one chained edge) goes to that member in this same
+        generator, which pays its service and counters.  Anything else
+        is emitted."""
+        instance = self
+        sim = self.sim
+        job = self.job
+        while True:
+            instance.current_key_group = record.key_group
+            try:
+                count = record.count
+                cost = instance.spec.service_time * count / instance.node.speed
+                if cost > 0:
+                    start = sim._now
+                    yield cost  # bare-delay yield == sim.timeout(cost)
+                    instance.busy_seconds += sim._now - start
+                    if instance.abandon_work:
+                        return
+                instance.records_processed += count
+                telemetry = job.telemetry
+                if telemetry is not None:
+                    telemetry.registry.counter(
+                        "records.processed",
+                        operator=instance.spec.name).inc(count)
+                if job.rescaled:
+                    recovery = job.recovery
+                    if recovery is not None:
+                        recovery.on_record(instance, record)
+                outputs = instance.logic.on_record(record, instance)
+            finally:
+                instance.current_key_group = None
+            router = instance.router
+            edges = router.edges
+            if len(outputs) == 1 and len(edges) == 1:
+                member = edges[0].chained
+                if (member is not None and outputs[0].is_record
+                        and member.element_interceptor is None
+                        and not instance.abandon_work):
+                    instance = member
+                    record = outputs[0]
+                    continue
+            break
+        done = sim._done
         for out in outputs:
             if out.is_record:
                 ev = router.emit_record_fast(out)
@@ -647,8 +671,8 @@ class OperatorInstance:
             yield cost  # bare-delay yield == sim.timeout(cost)
             self.busy_seconds += cost
         if self.spec.is_sink:
-            self.metrics.record_latency(self.sim.now,
-                                        self.sim.now - marker.emitted_at)
+            now = self.sim._now
+            self.metrics.record_latency(now, now - marker.emitted_at)
         else:
             yield from self.router.emit(marker)
 

@@ -63,7 +63,8 @@ class Record(StreamElement):
         created_at: simulated time the record entered the system (source
             admission queue), used for end-to-end latency accounting.
 
-    Hot-path callers (sources, window fires, :meth:`copy_with`) pass the
+    Hot-path callers (sources, window fires, ``FilterLogic`` and
+    ``KeyedReduceLogic`` outputs, :meth:`copy_with`) pass the
     constructor's arguments positionally -- keywords cost about twice as
     much per call -- so the parameter order is part of the interface.
     """
@@ -103,8 +104,9 @@ class Record(StreamElement):
         unless ``record_id`` is one of the changes); an unknown field name
         raises ``AttributeError``.
 
-        Built positionally, then only the changed fields are set: this
-        runs once per record through every filter, re-key and reduce.
+        Built positionally, then only the changed fields are set.  The
+        engine's filter and reduce outputs skip this keyword call and
+        build their ``Record`` positionally.
         """
         copy = Record(self.key, self.key_group, self.event_time, self.value,
                       self.count, self.size_bytes, self.created_at,

@@ -54,8 +54,9 @@ class OutputEdge:
     that trims ``channels`` in place.
 
     A *chained* edge (:attr:`chained` set, ``channels`` empty for good) is
-    a co-located FORWARD hop fused into the sender's task: the router
-    hands every element to that one downstream instance directly.
+    a co-located FORWARD hop fused into the sender's task: every element
+    goes to that one downstream instance directly, a record mostly inside
+    the sender's ``OperatorInstance._handle_record`` walk.
     """
 
     def __init__(self, name: str, partitioning: Partitioning,

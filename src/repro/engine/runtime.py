@@ -269,7 +269,13 @@ class SourceInstance(OperatorInstance):
             if is_record:
                 ev = self.router.emit_record_fast(element)
                 if ev is None:
-                    yield from self.router.emit(element)
+                    edges = self.router.edges
+                    member = edges[0].chained if len(edges) == 1 else None
+                    if (member is None or self.abandon_work
+                            or member.element_interceptor is not None):
+                        yield from self.router.emit(element)
+                    else:  # a chained first hop: the member walks it on
+                        yield from member._handle_record(element)
                 elif ev is not done:
                     yield ev
                 self.emitted_records += element.count

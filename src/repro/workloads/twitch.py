@@ -141,29 +141,30 @@ class TwitchWorkload(Workload):
         sampler = ZipfSampler(cfg.num_keys, cfg.skew, rng)
         next_marker = cfg.marker_interval
         next_watermark = cfg.watermark_interval
-        deadline = (sim.now + cfg.duration
-                    if cfg.duration is not None else None)
+        now = sim._now  # the slot, read once per record, not the property
+        deadline = now + cfg.duration if cfg.duration is not None else None
         session_channel = None
         session_left = 0
-        while deadline is None or sim.now < deadline:
+        while deadline is None or now < deadline:
             # Sessions: a viewer interacts with one channel for a while.
             if session_left <= 0:
                 session_channel = sampler.sample()
                 session_left = 1 + int(rng.expovariate(1.0 / 2.0))
             session_left -= 1
             wave = 1.0 + cfg.rate_wave * math.sin(
-                2 * math.pi * sim.now / cfg.rate_wave_period)
+                2 * math.pi * now / cfg.rate_wave_period)
             current_rate = max(rate * wave, 1.0)
             # Positional: key, key_group, event_time, value, count,
             # size_bytes.
             source.offer(Record(
-                f"channel-{session_channel}", None, sim.now,
+                f"channel-{session_channel}", None, now,
                 rng.choice(("chat", "follow", "sub", "view")),
                 cfg.batch_size, cfg.record_bytes * cfg.batch_size))
-            if emit_markers and sim.now >= next_marker:
+            if emit_markers and now >= next_marker:
                 source.offer(LatencyMarker(key=f"channel-{session_channel}"))
-                next_marker = sim.now + cfg.marker_interval
-            if sim.now >= next_watermark:
-                source.offer(Watermark(timestamp=sim.now - cfg.watermark_lag))
-                next_watermark = sim.now + cfg.watermark_interval
+                next_marker = now + cfg.marker_interval
+            if now >= next_watermark:
+                source.offer(Watermark(timestamp=now - cfg.watermark_lag))
+                next_watermark = now + cfg.watermark_interval
             yield cfg.batch_size / current_rate  # bare delay, no Event
+            now = sim._now

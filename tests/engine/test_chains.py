@@ -4,13 +4,17 @@
 into its head's task; the same graph dealt over several nodes keeps every
 hop a channel -- the only way a deployment reaches the unchained engine,
 and therefore the oracle here.  One small job is built both ways (same
-link spec for every hop in both) with one to three ``MapLogic`` /
-``FilterLogic`` stages behind a source head or behind an operator head,
-and hit at a random instant by everything that cuts into a main loop.
+link spec for every hop in both) with one to four ``MapLogic`` /
+``FilterLogic`` / splitting stages behind a source head or behind an
+operator head, and hit at a random instant by everything that cuts into a
+main loop.  A splitting stage emits no record, one or two, so a chain's
+walk from member to member (one output) and its fall-back emit (none or
+several) both run.
 
 What must agree is everything but time: what reaches the sink, per key in
-order; per-instance ``records_processed`` and final watermark; keyed state;
-which instances snapshot for which checkpoint; the exactly-once oracle.
+order; per-instance ``records_processed``, ``busy_seconds`` and final
+watermark; keyed state; which instances snapshot for which checkpoint; the
+exactly-once oracle.
 Both runs are also held against a three-line model of the stages.
 
 Time is where a chain differs, in both directions.  It has no wire between
@@ -38,8 +42,8 @@ from helpers import (assert_assignment_consistent,  # noqa: E402
                      build_tie_job, run_outcome)
 
 from repro.engine import (CheckpointBarrier, FilterLogic, LatencyMarker,
-                          MapLogic, NoChannelError, Record, RecoveryError,
-                          RecoveryManager, Watermark)
+                          MapLogic, NoChannelError, OperatorLogic, Record,
+                          RecoveryError, RecoveryManager, Watermark)
 from repro.engine.cluster import GBIT
 from repro.faults.invariants import check_exactly_once_state
 from repro.scaling import OTFSController, ScaleSignalBarrier
@@ -53,12 +57,29 @@ CRASH_AFTER = 10 * TICK
 #: every instance, whatever a recovery rewound.
 CLOSE = (60, 1.0)
 
-#: kind -> (logic factory, the same stage as a function value -> value|None)
+class _SplitLogic(OperatorLogic):
+    """No record for a value ≡ 0 (mod 4), two for ≡ 1, else the one in."""
+
+    def on_record(self, record, instance):
+        value = record.value
+        if value % 4 == 0:
+            return []
+        if value % 4 == 1:
+            return [record, record.copy_with(value=value + 1)]
+        return [record]
+
+
+#: kind -> (logic factory, the same stage on one value -> the values out)
 _KINDS = {
     "map": (lambda: MapLogic(lambda r: r.copy_with(value=r.value + 1)),
-            lambda v: v + 1),
+            lambda v: [v + 1]),
     "filter": (lambda: FilterLogic(lambda r: r.value % 3 != 0),
-               lambda v: v if v % 3 != 0 else None),
+               lambda v: [v] if v % 3 != 0 else []),
+    # A chain walks on with a member's one output; none or two fall back
+    # to the router's emit.
+    "split": (_SplitLogic,
+              lambda v: [] if v % 4 == 0 else
+              [v, v + 1] if v % 4 == 1 else [v]),
 }
 ACTIONS = ["none", "pause", "inband", "checkpoint", "stop", "run-until",
            "crash"]
@@ -100,15 +121,14 @@ def _model(offered, kinds, keyed):
     arrivals, state = {}, {}
     for tick, _source, what in offered:
         for rec in what if isinstance(what, list) else ():
-            value = rec["value"]
+            values = [rec["value"]]
             for kind in kinds:
-                value = None if value is None else _KINDS[kind][1](value)
-            if value is None:
-                continue
-            state[rec["key"]] = state.get(rec["key"], 0) + 1
-            arrivals.setdefault(rec["key"], []).append(
-                (rec["key"], state[rec["key"]] if keyed else value, 1,
-                 rec["event_time"]))
+                values = [out for v in values for out in _KINDS[kind][1](v)]
+            for value in values:
+                state[rec["key"]] = state.get(rec["key"], 0) + 1
+                arrivals.setdefault(rec["key"], []).append(
+                    (rec["key"], state[rec["key"]] if keyed else value, 1,
+                     rec["event_time"]))
     return arrivals, state
 
 
@@ -205,13 +225,17 @@ def _outcome(params, offered, state, action, spread):
     job.run(until=END)
 
     # A chain is one task: what stalls or stops one of its instances holds
-    # all of them, but for the element the head has in hand.
+    # all of them, but for the element the head has in hand -- which each
+    # splitting stage on the way may have doubled.
     held = {"pause": (at, at + 3 * TICK), "stop": (at, END),
             "inband": (ran[0], ran[0] + TICK) if ran else None}.get(what)
     if held is not None and not spread:
-        for name, times in worked.items():
+        kinds = [kind for kind, _service in params["chain"]]
+        for k, (name, times) in enumerate(worked.items()):
+            in_hand = 2 ** kinds[:max(k - 1, 0)].count("split")
             during = sum(held[0] < t < held[1] for t in times)
-            assert during <= (what != "inband"), (name, held, times)
+            assert during <= in_hand * (what != "inband"), (
+                name, held, times)
 
     out = run_outcome(job)
     per_key = {}
@@ -226,6 +250,7 @@ def _outcome(params, offered, state, action, spread):
         "times": sorted([t for t, _count in out["sink_events"]]
                         + [t for t, _latency in out["latency"]]),
         "processed": {n: v[0] for n, v in out["instances"].items()},
+        "busy": {n: v[2] for n, v in out["instances"].items()},
         "watermarks": {n: v[1] for n, v in out["instances"].items()},
         "state": out["trace"]["state"], "last": out["trace"]["sinks"],
         "snapshots": snapshots, "ran": len(ran), "recovered": recovered,
@@ -267,6 +292,9 @@ def _assert_chain_agrees(params, script, action):
     for field in ("per_key", "processed", "watermarks", "state", "last",
                   "snapshots", "ran", "violations", "markers"):
         assert chained[field] == spread[field], field
+    # Each member pays its own service, chained or not (up to rounding:
+    # a service yield is charged as the clock difference it spanned).
+    assert chained["busy"] == pytest.approx(spread["busy"], rel=1e-9)
     if params["sources"] == params["aggs"] == 1:
         assert chained["arrivals"] == spread["arrivals"]
     assert chained["per_key"] == model
@@ -293,7 +321,7 @@ _params = st.fixed_dictionaries({
     "op_head": st.booleans(),
     "chain": st.lists(st.tuples(st.sampled_from(sorted(_KINDS)),
                                 st.sampled_from([0.0, 0.0, 2e-5])),
-                      min_size=1, max_size=3),
+                      min_size=1, max_size=4),
     "latency": st.sampled_from([0.0, TICK]),
     "bandwidth": st.sampled_from([float("inf"), 1e6, GBIT]),
     "plane": st.sampled_from(["batched", "single"]),
@@ -341,6 +369,17 @@ def test_action_landing_on_a_busy_chain(what, op_head):
     while both chains are working through a burst."""
     assert _assert_chain_agrees(dict(_PINNED, op_head=op_head), _BUSY,
                                 (what, 0.0042, 3))
+
+
+@pytest.mark.parametrize("op_head", [False, True])
+@pytest.mark.parametrize("what", ACTIONS)
+def test_action_landing_on_a_busy_four_stage_chain(what, op_head):
+    """As above through four stages that each pay service: the walk
+    carries one output member to member, the split's none or two fall
+    back to emit."""
+    chain = [("map", 2e-5), ("split", 2e-5), ("filter", 2e-5), ("map", 2e-5)]
+    assert _assert_chain_agrees(dict(_PINNED, op_head=op_head, chain=chain),
+                                _BUSY, (what, 0.0042, 3))
 
 
 # -- pinned cases ------------------------------------------------------------
@@ -453,3 +492,30 @@ def test_chain_parallelism_is_fixed_at_build_time():
         with pytest.raises(ValueError, match="operator chain"):
             job.add_instance(op)
     assert len(job.add_instance("agg").input_channels) == 2
+
+
+@pytest.mark.parametrize("op_head", [False, True])
+def test_each_member_pays_its_own_service_for_a_walked_record(op_head):
+    """One record down a three-member chain: every member, not only the
+    one the head hands it to, is charged its own service and count, holds
+    the record's key-group only while serving it, and lets go after."""
+    services = [1e-4, 2e-4, 3e-4]
+    job = _build(dict(_PINNED, op_head=op_head,
+                      chain=[("map", s) for s in services]),
+                 spread=False)[0]
+    members = [job.instances(f"s{k}")[0] for k in range(len(services))]
+    held = []
+    for member in members:
+        def on_record(record, instance, _original=member.logic.on_record):
+            held.append([m.current_key_group for m in members])
+            return _original(record, instance)
+
+        member.logic.on_record = on_record
+    job.sim.call_at(TICK, lambda: job.sources()[0].offer(
+        Record(key="k", key_group=2, value=1, count=1, size_bytes=200.0)))
+    job.run(until=END)
+    assert held == [[2, None, None], [None, 2, None], [None, None, 2]]
+    assert [m.records_processed for m in members] == [1, 1, 1]
+    assert [m.busy_seconds for m in members] == pytest.approx(services)
+    assert [m.current_key_group for m in members] == [None] * 3
+    assert len(job.sink_logic().collected) == 1

@@ -67,7 +67,8 @@ def test_non_integer_count_fails_loudly_and_keeps_nothing():
     """A fractional ``Record.count`` must never be truncated into the
     packed counters: the record path raises and the log stays aligned."""
     m = MetricsCollector()
-    sink = types.SimpleNamespace(metrics=m, sim=types.SimpleNamespace(now=1.0))
+    sink = types.SimpleNamespace(metrics=m,
+                                 sim=types.SimpleNamespace(_now=1.0))
     SinkLogic().on_record(Record(key="k", count=2), sink)
     with pytest.raises(TypeError):
         SinkLogic().on_record(Record(key="k", count=2.5), sink)

@@ -1,11 +1,12 @@
 """Stream element types."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
-from repro.engine import (CheckpointBarrier, EndOfStream, LatencyMarker,
-                          Record, Watermark)
+from repro.engine import (CheckpointBarrier, EndOfStream, FilterLogic,
+                          KeyedReduceLogic, LatencyMarker, Record, Watermark)
 from repro.engine import records
 from repro.engine.records import ControlSignal
 
@@ -100,3 +101,47 @@ def test_copy_with_rejects_an_unknown_field():
     for name in ("colour", "is_record"):
         with pytest.raises(AttributeError):
             r.copy_with(**{name: 1})
+
+
+class _State:
+    """The slice of a keyed state backend ``KeyedReduceLogic`` uses."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def get(self, key_group, key):
+        return self.value
+
+    def put(self, key_group, key, value):
+        self.value = value
+
+    def add_bytes(self, key_group, nbytes):
+        pass
+
+
+def _filtered(record):
+    return FilterLogic(pass_fraction=0.4).on_record(record, None)
+
+
+def _reduced(record):
+    logic = KeyedReduceLogic(lambda old, r: old + r.count)
+    return logic.on_record(record, SimpleNamespace(state=_State(7)))
+
+
+@pytest.mark.parametrize("run, changed", [
+    (_filtered, {"count": 2, "size_bytes": 40.0}),
+    (_reduced, {"value": 12}),
+], ids=["filter", "reduce"])
+def test_logic_outputs_keep_every_field_and_draw_one_id(monkeypatch, run,
+                                                         changed):
+    """What ``copy_with`` guarantees, held by the two logics that build
+    their output positionally.  Recovery's consistent cut reads
+    ``src_origin``/``src_seq``, so a dropped lineage field fails here."""
+    r = _full_record()
+    monkeypatch.setattr(records, "_record_ids", itertools.count(1000))
+    [out] = run(r)
+    assert out is not r and out.record_id == 1000
+    assert next(records._record_ids) == 1001
+    for name in _COPIED:
+        assert getattr(out, name) == changed.get(name, getattr(r, name)), \
+            name
