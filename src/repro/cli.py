@@ -25,7 +25,7 @@ from .experiments import (PAPER, QUICK, format_fig02, format_fig10,
                           run_fig12_propagation_dependency,
                           run_fig13_suspension, run_fig14_ablation,
                           run_fig15_sensitivity)
-from .experiments.figures import _run_one
+from .experiments.figures import SYSTEMS as _CONTROLLERS, _run_one
 from .experiments.report import format_table as _format_table
 from .experiments.scenarios import make_workload
 
@@ -59,8 +59,7 @@ FIGURES: Dict[str, tuple] = {
     "fig15": (run_fig15_sensitivity, format_fig15),
 }
 
-SYSTEMS = ("drrs", "megaphone", "meces", "otfs", "otfs-all-at-once",
-           "unbound", "stop-restart", "dr", "schedule", "subscale")
+SYSTEMS = tuple(_CONTROLLERS)
 WORKLOADS = ("q7", "q8", "twitch", "custom")
 
 

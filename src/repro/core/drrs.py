@@ -88,7 +88,7 @@ class DRRSController(ScalingController):
         #: Set by ``cancel`` and ``abort``, cleared by each new request (not
         #: when its scale process starts): a request aborted in its own
         #: instant, before that process ran, still ends on the partial
-        #: cleanup, never committing its target or decommissioning.
+        #: commit, never committing its target or decommissioning.
         self.cancelled = False
         # Failure recovery sweeps re-route manager buffers: records parked
         # there live outside any channel, so a teardown flush would
@@ -156,22 +156,14 @@ class DRRSController(ScalingController):
 
     # -- ScalingController hooks ---------------------------------------------------
 
-    def _execute(self, op_name, plan, scale_id):
-        # The body runs under try/finally: an abort (``abort``
-        # interrupting the scale process) must still tear every DRRS
-        # resource down — executors, handlers, probes — and commit the
-        # partial assignment, or the job would be left with scaling
-        # machinery permanently installed.
-        executors: Dict[int, ScaleExecutor] = {}
-        saved_handlers = {}
-        try:
-            yield from self._execute_body(op_name, plan, scale_id,
-                                          executors, saved_handlers)
-        finally:
-            self._cleanup(op_name, plan, executors, saved_handlers)
+    def _input_handler(self, instance):
+        executor = ScaleExecutor(self, instance)
+        self._executors[id(instance)] = executor
+        return DRRSInputHandler(instance, executor,
+                                scheduling=self.config.record_scheduling,
+                                buffer_size=self.config.schedule_buffer)
 
-    def _execute_body(self, op_name, plan, scale_id, executors,
-                      saved_handlers):
+    def _execute(self, op_name, plan, scale_id):
         config = self.config
         telemetry = self.job.telemetry
 
@@ -181,18 +173,9 @@ class DRRSController(ScalingController):
             decouple_span = telemetry.tracer.begin(
                 "decouple", category="drrs.phase", track="scale",
                 op=op_name, scale_id=scale_id)
+        self._executors = {}
         yield from self._provision(op_name, plan)
         instances = self.job.instances(op_name)
-        for instance in instances:
-            executor = ScaleExecutor(self, instance)
-            executors[id(instance)] = executor
-            saved_handlers[instance] = instance.input_handler
-            instance.input_handler = DRRSInputHandler(
-                instance, executor, scheduling=config.record_scheduling,
-                buffer_size=config.schedule_buffer)
-            instance.wake.fire()
-        self._executors = executors
-        self._attach_suspension_probes(instances)
         if decouple_span is not None:
             telemetry.tracer.end(decouple_span, instances=len(instances))
 
@@ -228,7 +211,7 @@ class DRRSController(ScalingController):
         while pending or running:
             if self.cancelled:
                 # Superseded (§IV-B): stop launching, let running subscales
-                # finish (they are already routed), then clean up partially.
+                # finish (they are already routed), then commit partially.
                 pending.clear()
             while pending:
                 if config.subscale_division:
@@ -246,8 +229,7 @@ class DRRSController(ScalingController):
                     node_load[node] = node_load.get(node, 0) + 1
                 held[nxt.dst_index] = (held.get(nxt.dst_index, 0)
                                        + len(nxt.key_groups))
-                yield from self._launch_subscale(op_name, nxt, executors,
-                                                 instances)
+                yield from self._launch_subscale(op_name, nxt, instances)
             if not running and not pending:
                 break
             yield completion.wait()
@@ -257,57 +239,49 @@ class DRRSController(ScalingController):
                     for node in reserved.pop(subscale.subscale_id, []):
                         node_load[node] = max(0, node_load.get(node, 0) - 1)
 
-    def _cleanup(self, op_name, plan, executors, saved_handlers) -> None:
-        """Release every DRRS resource; runs even when the scale is aborted.
-
-        On the normal and superseded paths this is the tail of the scale;
-        on the abort path (Interrupt delivered into :meth:`_execute`) it
-        additionally copes with partially-installed machinery — handlers
-        not yet swapped in — so that no DRRS component remains active
-        after scaling (non-scaling neutrality).  An aborted scale keeps
-        its executors until recovery's sweep has drained their re-route
-        buffers.
-        """
-        instances = self.job.instances(op_name)
+    def _teardown(self, op_name) -> None:
+        """Shut every executor down and activate what is still INACTIVE,
+        waking each instance; runs even when the scale is aborted, so no
+        DRRS component stays active after scaling (non-scaling
+        neutrality).  An aborted scale keeps its executors until
+        recovery's sweep has drained their re-route buffers."""
         if self._aborted is None:
             self._executors = {}
-        for instance in instances:
-            executor = executors.get(id(instance))
-            if executor is not None:
-                executor.shutdown()
-            saved = saved_handlers.pop(instance, None)
-            if saved is not None:
-                instance.input_handler = saved
+        for instance in self.job.instances(op_name):
+            handler = instance.input_handler
+            if isinstance(handler, DRRSInputHandler):
+                handler.executor.shutdown()
             for group in instance.state.groups():
                 if group.status is StateStatus.INACTIVE:
                     group.status = StateStatus.LOCAL
             instance.wake.fire()
-        self._detach_suspension_probes(instances)
-        if self.cancelled:
-            # Partial finalize: the authoritative assignment already
-            # reflects every *launched* subscale (updated at launch time;
-            # after an abort the restore that follows re-derives it from
-            # the checkpoint).  Rebuild it with the deployed parallelism so
-            # a superseding or re-requested scale plans from reality, and drop
-            # the migrated-out stubs.
-            old = self.job.assignments[op_name]
-            self.job.assignments[op_name] = KeyGroupAssignment(
-                old.num_key_groups, len(instances), old.as_dict())
-            for instance in instances:
-                for group in list(instance.state.groups()):
-                    if group.status is StateStatus.MIGRATED_OUT:
-                        instance.state.drop_group(group.key_group)
-        else:
-            self._finalize_assignment(op_name, plan)
+
+    def _commit(self, op_name, plan) -> None:
+        if not self.cancelled:
+            super()._commit(op_name, plan)
+            return
+        # Partial finalize: the authoritative assignment already reflects
+        # every *launched* subscale (updated at launch time; after an abort
+        # the restore that follows re-derives it from the checkpoint).
+        # Rebuild it with the deployed parallelism so a superseding or
+        # re-requested scale plans from reality, and drop the migrated-out
+        # stubs.
+        instances = self.job.instances(op_name)
+        old = self.job.assignments[op_name]
+        self.job.assignments[op_name] = KeyGroupAssignment(
+            old.num_key_groups, len(instances), old.as_dict())
+        for instance in instances:
+            for group in list(instance.state.groups()):
+                if group.status is StateStatus.MIGRATED_OUT:
+                    instance.state.drop_group(group.key_group)
 
     # -- A1: subscale launch (commands to the predecessors) ---------------------------
 
-    def _launch_subscale(self, op_name, subscale: Subscale,
-                         executors: Dict[int, ScaleExecutor], instances):
+    def _launch_subscale(self, op_name, subscale: Subscale, instances):
         src = instances[subscale.src_index]
         dst = instances[subscale.dst_index]
-        executors[id(src)].register_out(subscale)
-        executors[id(dst)].expect_subscale(subscale)
+        self._executors[id(src)].register_out(subscale)
+        self._executors[id(dst)].expect_subscale(subscale)
         subscale.launched_at = self.sim.now
         telemetry = self.job.telemetry
         if telemetry is not None:

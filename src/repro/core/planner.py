@@ -40,10 +40,6 @@ class Subscale:
     migrated_groups: Set[int] = field(default_factory=set)
 
     @property
-    def launched(self) -> bool:
-        return self.launched_at is not None
-
-    @property
     def aligned(self) -> bool:
         return self.arrived_predecessors >= self.expected_predecessors
 

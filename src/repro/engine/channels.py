@@ -13,9 +13,9 @@ and models the parts of Flink's Netty stack the paper's mechanisms act on:
 * a **control lane** (:meth:`send_control`): priority messages that bypass
   all in-flight data in both caches — how DRRS trigger barriers achieve
   topologically-shortest, alignment-free propagation.
-* outbox **introspection/redirection** (:meth:`extract_outbox`,
-  :meth:`send_front`): how confirm barriers jump the output cache and how the
-  records they bypass are re-queued onto the new instance's channel.
+* outbox **redirection** (:meth:`inject_confirm`): how confirm barriers
+  jump the output cache and how the records they bypass are re-queued onto
+  the new instance's channel.
 """
 
 from __future__ import annotations
@@ -156,15 +156,6 @@ class Channel:
             self._schedule_reserve_wake()
         return ev
 
-    def send_front(self, element: StreamElement) -> None:
-        """Insert at the *front* of the outbox (priority-in-output-cache).
-
-        Used by confirm barriers: they overtake everything queued in the
-        output cache.  Control elements are tiny, so this never blocks.
-        """
-        self.outbox.appendleft(element)
-        self._kick()
-
     def send_control(self, element: StreamElement) -> None:
         """Priority control-lane send: bypass both caches entirely.
 
@@ -174,39 +165,6 @@ class Channel:
         """
         self.sim.call_in(self.link.latency,
                          lambda: self._deliver_control(element))
-
-    def extract_outbox(
-            self, predicate: Callable[[StreamElement], bool]
-    ) -> List[StreamElement]:
-        """Remove and return outbox elements matching ``predicate``.
-
-        Relative order among the extracted elements is preserved; the rest of
-        the outbox keeps its order.  Used to redirect bypassed records to a
-        newly created channel during confirm-barrier injection.
-        """
-        kept: Deque[StreamElement] = deque()
-        extracted: List[StreamElement] = []
-        for element in self.outbox:
-            if predicate(element):
-                extracted.append(element)
-            else:
-                kept.append(element)
-        self.outbox = kept
-        # Also redirect records still *waiting* for outbox space: they were
-        # emitted (routed) before the injection, so they belong to the
-        # preceding epoch and must travel with the other bypassed records.
-        kept_waiters: Deque = deque()
-        for ev, element in self._send_waiters:
-            if predicate(element):
-                extracted.append(element)
-                if not ev.triggered:
-                    ev.succeed()  # accepted — by redirection
-            else:
-                kept_waiters.append((ev, element))
-        self._send_waiters = kept_waiters
-        if extracted:
-            self._grant_sends()
-        return extracted
 
     def inject_confirm(self, predicate: Callable[[StreamElement], bool],
                        barrier: StreamElement) -> List[StreamElement]:
@@ -283,8 +241,8 @@ class Channel:
         and the ship completion retargets to the in-progress member's
         boundary — from there the per-element drain reproduces the exact
         per-record ship/delivery times.  Scaling-time outbox surgery
-        (``extract_outbox``/``inject_confirm``/``send_front``) then sees
-        exactly the elements the reference plane would hold.
+        (``inject_confirm``) then sees exactly the elements the reference
+        plane would hold.
         """
         found = self._fuse_due is not None
         if found:
@@ -428,10 +386,9 @@ class Channel:
 
         The wake-up must be a dispatch of its own, not run inline: an
         element sent at time T stays in the output cache until the drain
-        entry dispatches from the same-instant lane, so same-timestamp
-        ``send_front``/``inject_confirm``/``extract_outbox`` can still
-        overtake or redirect it — the cache semantics every bypass
-        protocol in the paper relies on.
+        entry dispatches from the same-instant lane, so a same-timestamp
+        ``inject_confirm`` can still overtake or redirect it — the cache
+        semantics every bypass protocol in the paper relies on.
 
         Two classes of wake-up are dropped without scheduling anything:
 
@@ -442,9 +399,9 @@ class Channel:
           already seen.
         * The drainer could not make progress anyway (empty outbox, closed,
           no credits, unattached).  Every one of those conditions kicks
-          again at the call site that clears it (send/send_front/
-          _grant_sends/inject_confirm, close is terminal, pop's credit
-          return, attach), so a parked drainer can never be stranded.
+          again at the call site that clears it (send/_grant_sends/
+          inject_confirm, close is terminal, pop's credit return, attach),
+          so a parked drainer can never be stranded.
         """
         if self._fuse_due is not None and self.outbox and not self._closed:
             # A fused singleton is in flight and new work arrived: restore

@@ -237,7 +237,7 @@ class OutputRouter:
         synchronously anyway, so they are never yielded.
         """
         instance = self.instance
-        done = instance.sim.done
+        done = instance.sim._done
         for e, edge in enumerate(self.edges):
             if dst_ops is not None and edge.dst_op not in dst_ops:
                 continue
@@ -258,7 +258,7 @@ class OutputRouter:
         if ev is not None:
             yield ev
         instance = self.instance
-        done = instance.sim.done
+        done = instance.sim._done
         edges = self.edges
         while e < len(edges):
             edge = edges[e]

@@ -147,7 +147,6 @@ class _InflightState:
     key_group: int
     entries: dict
     size_bytes: float
-    sub_groups_present: Optional[set]
     src_name: str
     src_index: int
     dst_index: int

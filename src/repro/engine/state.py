@@ -110,9 +110,6 @@ class KeyGroupState:
     status: StateStatus = StateStatus.LOCAL
     size_bytes: float = 0.0
     entries: Dict[Any, Any] = field(default_factory=dict)
-    #: Number of sub-key-groups (Meces hierarchical organisation); the
-    #: fraction of sub-groups locally present when partially fetched.
-    sub_groups_present: Optional[set] = None
     #: Bulk-mutation stamp: any code path that replaces or merges
     #: ``entries`` wholesale (migration install, rollback, recovery merge)
     #: must call :meth:`bump_version`.  Operator logics that cache derived
@@ -186,8 +183,7 @@ class DictStateBackend:
 
     def install_group(self, key_group: int, entries: Dict[Any, Any],
                       size_bytes: float,
-                      status: StateStatus = StateStatus.LOCAL,
-                      sub_groups_present: Optional[set] = None
+                      status: StateStatus = StateStatus.LOCAL
                       ) -> KeyGroupState:
         """Install a key-group's bytes wholesale (migration arrival or
         rollback), replacing any stub registered for it."""
@@ -197,7 +193,6 @@ class DictStateBackend:
         group.entries = entries
         group.size_bytes = size_bytes
         group.status = status
-        group.sub_groups_present = sub_groups_present
         group.bump_version()
         return group
 
@@ -207,10 +202,6 @@ class DictStateBackend:
     def owned_groups(self) -> List[int]:
         return sorted(kg for kg, g in self._groups.items()
                       if g.status in PROCESSABLE)
-
-    def has_processable(self, key_group: int) -> bool:
-        group = self._groups.get(key_group)
-        return group is not None and group.processable
 
     # -- value access (used by operator logics) --------------------------------
 

@@ -39,24 +39,28 @@ MAIN_WORKLOADS = ("q7", "q8", "twitch")
 MAIN_SYSTEMS = ("drrs", "megaphone", "meces")
 
 
+#: Every controller the evaluation compares, by the name the CLI's
+#: ``--system`` takes.
+SYSTEMS: Dict[str, Callable[[StreamJob], object]] = {
+    "drrs": DRRSController,
+    "megaphone": MegaphoneController,
+    "meces": MecesController,
+    "otfs": OTFSController,
+    "otfs-all-at-once": lambda job: OTFSController(
+        job, migration="all_at_once"),
+    "unbound": UnboundController,
+    "stop-restart": StopRestartController,
+    "dr": lambda job: make_variant(job, "dr"),
+    "schedule": lambda job: make_variant(job, "schedule"),
+    "subscale": lambda job: make_variant(job, "subscale"),
+}
+
+
 def controller_factory(name: str) -> Callable[[StreamJob], object]:
-    """Factory for every controller the evaluation compares."""
-    builders = {
-        "drrs": DRRSController,
-        "megaphone": MegaphoneController,
-        "meces": MecesController,
-        "otfs": OTFSController,
-        "otfs-all-at-once": lambda job: OTFSController(
-            job, migration="all_at_once"),
-        "unbound": UnboundController,
-        "stop-restart": StopRestartController,
-        "dr": lambda job: make_variant(job, "dr"),
-        "schedule": lambda job: make_variant(job, "schedule"),
-        "subscale": lambda job: make_variant(job, "subscale"),
-    }
-    if name not in builders:
+    """The factory :data:`SYSTEMS` registers under ``name``."""
+    if name not in SYSTEMS:
         raise ValueError(f"unknown controller: {name!r}")
-    return builders[name]
+    return SYSTEMS[name]
 
 
 def _run_one(kind: str, system: Optional[str],

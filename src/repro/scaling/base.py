@@ -2,9 +2,11 @@
 
 Every mechanism (OTFS, Megaphone, Meces, Unbound, Stop-Restart, DRRS) is a
 :class:`ScalingController`; the base class provides the pieces they share —
-instance provisioning, state transfer with cost accounting, in-band signal
-dispatch, suspension bookkeeping — so each controller file reads as the
-paper's description of that mechanism.
+the rescale lifecycle (provisioning, the Scale Input Handler and the
+suspension probe on every scaling instance, their removal and the commit
+of the new assignment), state transfer with cost accounting, in-band
+signal dispatch, suspension bookkeeping — so each controller file reads as
+the paper's description of that mechanism.
 
 Instrumentation matches the paper's three decomposed overheads (§II-B):
 
@@ -338,6 +340,9 @@ class ScalingController:
 
     name = "abstract"
 
+    #: Record Scheduling in the default Scale Input Handler
+    #: (:class:`MigrationAwareHandler`).
+    scheduling = False
     #: Coordinator → worker command latency (control plane RPC).
     control_latency = 0.002
     #: Time to provision a new instance (container start, task deploy) —
@@ -366,6 +371,9 @@ class ScalingController:
         self._migration_procs: List = []
         #: Why the current request was aborted; None while it was not.
         self._aborted: Optional[str] = None
+        #: Each instance :meth:`_provision` deployed the rescale on, with
+        #: the input handler it ran before (None when none was swapped in).
+        self._deployed: Dict[OperatorInstance, Optional[InputHandler]] = {}
 
     # -- public API -----------------------------------------------------------------
 
@@ -424,6 +432,16 @@ class ScalingController:
         try:
             yield from self._execute(op_name, plan, scale_id)
         finally:
+            # Take the rescale off its instances and commit, whether it
+            # completed, was superseded or was aborted.
+            self._teardown(op_name)
+            for instance, handler in self._deployed.items():
+                instance.set_suspension_listener(None)
+                if handler is not None:
+                    instance.input_handler = handler
+                    instance.wake.fire()
+            self._deployed = {}
+            self._commit(op_name, plan)
             # An abort can interrupt provisioning before start-up: the
             # deployed parallelism must be live for a re-request's plan.
             for instance in self.job.instances(op_name)[
@@ -448,6 +466,24 @@ class ScalingController:
 
     def _execute(self, op_name: str, plan: MigrationPlan, scale_id: int):
         raise NotImplementedError
+
+    def _input_handler(self, instance: OperatorInstance
+                       ) -> Optional[InputHandler]:
+        """The Scale Input Handler (B1) :meth:`_provision` swaps in on
+        ``instance``; None keeps the instance's own."""
+        return MigrationAwareHandler(instance, self,
+                                     scheduling=self.scheduling)
+
+    def _teardown(self, op_name: str) -> None:
+        """Mechanism hook, run first by the scale process's ``finally``,
+        before the base restores the handlers."""
+
+    def _commit(self, op_name: str, plan: MigrationPlan) -> None:
+        """Commit the rescale once its handlers are restored.  An aborted
+        one commits nothing: the restore that follows re-derives the
+        assignment."""
+        if self._aborted is None:
+            self._finalize_assignment(op_name, plan)
 
     # -- abort (§IV-C coexistence) ------------------------------------------------
 
@@ -518,38 +554,25 @@ class ScalingController:
     # -- shared building blocks ----------------------------------------------------
 
     def _provision(self, op_name: str, plan: MigrationPlan):
-        """Create, initialise and start the new instances (costs L_o)."""
-        new_instances = []
-        for _ in plan.new_instance_indices:
-            new_instances.append(self.job.add_instance(op_name))
-        if not new_instances:
-            return []  # scale-in / rebalance: nothing to provision
-        yield self.sim.timeout(self.instance_init_seconds)
-        for instance in new_instances:
-            instance.start()
-        return new_instances
-
-    def _attach_suspension_probes(self, instances):
-        for instance in instances:
+        """Create, initialise and start the new instances (costs L_o),
+        then deploy the rescale on every instance of ``op_name``: the
+        suspension probe and :meth:`_input_handler`'s handler, both taken
+        off again by the scale process's ``finally``."""
+        # None on a scale-in or rebalance: nothing to wait for.
+        new_instances = [self.job.add_instance(op_name)
+                         for _ in plan.new_instance_indices]
+        if new_instances:
+            yield self.sim.timeout(self.instance_init_seconds)
+            for instance in new_instances:
+                instance.start()
+        for instance in self.job.instances(op_name):
             instance.set_suspension_listener(self.metrics.note_suspension)
-
-    def _detach_suspension_probes(self, instances):
-        for instance in instances:
-            instance.set_suspension_listener(None)
-
-    def _install_handlers(self, instances, scheduling: bool):
-        saved = {}
-        for instance in instances:
-            saved[instance] = instance.input_handler
-            instance.input_handler = MigrationAwareHandler(
-                instance, self, scheduling=scheduling)
-            instance.wake.fire()
-        return saved
-
-    def _restore_handlers(self, saved) -> None:
-        for instance, handler in saved.items():
-            instance.input_handler = handler
-            instance.wake.fire()
+            self._deployed[instance] = None
+            handler = self._input_handler(instance)
+            if handler is not None:
+                self._deployed[instance] = instance.input_handler
+                instance.input_handler = handler
+                instance.wake.fire()
 
     def _wait_until_idle(self, instance: OperatorInstance, key_group: int):
         """Wait until ``instance`` is not mid-record on ``key_group``."""
@@ -619,9 +642,8 @@ class ScalingController:
         # snapshot (§IV-C).
         flight = _InflightState(
             op_name=src.spec.name, key_group=key_group,
-            entries=group.entries, size_bytes=size,
-            sub_groups_present=group.sub_groups_present,
-            src_name=src.name, src_index=src.index, dst_index=dst.index)
+            entries=group.entries, size_bytes=size, src_name=src.name,
+            src_index=src.index, dst_index=dst.index)
         group.entries = {}
         group.size_bytes = 0.0
         group.status = StateStatus.MIGRATED_OUT
@@ -677,8 +699,7 @@ class ScalingController:
                  arrival_status: StateStatus) -> None:
         """Put a landed flight's bytes into ``dst``'s backend."""
         dst.state.install_group(flight.key_group, flight.entries,
-                                flight.size_bytes, status=arrival_status,
-                                sub_groups_present=flight.sub_groups_present)
+                                flight.size_bytes, status=arrival_status)
 
     def _finalize_assignment(self, op_name: str,
                              plan: MigrationPlan) -> None:

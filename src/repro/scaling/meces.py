@@ -111,28 +111,20 @@ class MecesController(ScalingController):
         self._task_wake = Signal(self.sim)
         self._done_event = self.sim.event()
 
-        new_instances = yield from self._provision(op_name, plan)
+        yield from self._provision(op_name, plan)
         instances = self.job.instances(op_name)
-        old_instances = instances[:plan.old_parallelism]
-        scaling_instances = old_instances + new_instances
 
         # Ownership map: every sub of every moving group starts at its src.
         for move in plan.moves:
             src = instances[move.src_index]
-            group = src.state.require_group(move.key_group)
-            group.sub_groups_present = set(range(self.sub_groups))
             for sub in range(self.sub_groups):
                 self._sub_owner[(move.key_group, sub)] = src
                 self._move_counts[(move.key_group, sub)] = 0
-            dst = instances[move.dst_index]
-            new_group = dst.state.register_group(move.key_group,
-                                                 StateStatus.INCOMING)
-            new_group.sub_groups_present = set()
+            instances[move.dst_index].state.register_group(
+                move.key_group, StateStatus.INCOMING)
         self._epochs = [Alignment(inst, ("scale", (scale_id, 0)),
-                                  blocking=False) for inst in old_instances]
-
-        self._attach_suspension_probes(scaling_instances)
-        saved = self._install_handlers(scaling_instances, scheduling=False)
+                                  blocking=False)
+                        for inst in instances[:plan.old_parallelism]]
 
         # Single synchronization: routing for every move flips at once.
         signal_id = (scale_id, 0)
@@ -152,12 +144,9 @@ class MecesController(ScalingController):
                                      name="meces-pusher")
 
         yield self._done_event
-        self._restore_handlers(saved)
-        self._detach_suspension_probes(scaling_instances)
         for move in plan.moves:
             dst = instances[move.dst_index]
             dst.state.require_group(move.key_group).status = StateStatus.LOCAL
-        self._finalize_assignment(op_name, plan)
         self._task_wake.fire()  # let the executor observe completion and exit
 
     def _make_injection(self, barrier, edge):
@@ -200,22 +189,21 @@ class MecesController(ScalingController):
             self._in_flight.add((kg, sub))
             yield from self._wait_until_idle(holder, kg)
             src_group = holder.state.group(kg)
-            present = src_group.sub_groups_present or set()
-            if sub not in present:
-                self._in_flight.discard((kg, sub))
-                continue
             if self._move_counts[(kg, sub)] == 0:
                 self.metrics.note_migration_started(kg, self.sim.now)
-            # Extract this sub's share of entries and bytes.
-            share = (src_group.size_bytes / len(present)) if present else 0.0
+            # Extract this sub's share of entries and bytes: the holder's
+            # bytes split evenly over the subs it holds (one moves at a
+            # time, so none of them is on the wire).
+            held = sum(self._holds(holder, kg, s)
+                       for s in range(self.sub_groups))
+            share = src_group.size_bytes / held
             moved_entries = {k: v for k, v in src_group.entries.items()
                              if self.sub_of_key(k) == sub}
             for k in moved_entries:
                 del src_group.entries[k]
             src_group.bump_version()
             src_group.size_bytes = max(0.0, src_group.size_bytes - share)
-            present.discard(sub)
-            if not present:
+            if held == 1:
                 src_group.status = StateStatus.MIGRATED_OUT
             if cost_model.extract_seconds_per_group > 0:
                 yield self.sim.timeout(
@@ -225,14 +213,10 @@ class MecesController(ScalingController):
             if dst_group is None:
                 dst_group = requester.state.register_group(
                     kg, StateStatus.LOCAL)
-            if dst_group.sub_groups_present is None:
-                dst_group.sub_groups_present = set()
             dst_group.entries.update(moved_entries)
             dst_group.size_bytes += share
-            dst_group.sub_groups_present.add(sub)
             dst_group.bump_version()
-            if dst_group.status is not StateStatus.LOCAL:
-                dst_group.status = StateStatus.LOCAL
+            dst_group.status = StateStatus.LOCAL
             self._sub_owner[(kg, sub)] = requester
             self._in_flight.discard((kg, sub))
             count = self._move_counts[(kg, sub)] + 1

@@ -59,46 +59,33 @@ class OTFSController(ScalingController):
 
     def _execute(self, op_name, plan, scale_id):
         self._route_set = self._upstream_closure(op_name) | {op_name}
-
-        new_instances = yield from self._provision(op_name, plan)
+        yield from self._provision(op_name, plan)
         instances = self.job.instances(op_name)
-        scaling_instances = (instances[:plan.old_parallelism]
-                             + new_instances)
-        self._attach_suspension_probes(scaling_instances)
-        saved = self._install_handlers(scaling_instances,
-                                       scheduling=self.scheduling)
-        # An abort interrupts provisioning (nothing installed yet) or the
-        # body below: the restore repairs state, the teardown is ours.
-        try:
-            groups = plan.migrating_groups  # lexicographic, as the paper's C1
-            anchor = (scale_id, 0) if self.sequential else None
-            self._remaining = set(groups)
-            self._complete = self.sim.event()
-            for phase, batch in enumerate(self._batches(groups)):
-                # Lifecycle marking: only injected batches are in flight.
-                routing = {}
-                for kg in batch:
-                    move = plan.move_for(kg)
-                    routing[kg] = move.dst_index
-                    instances[move.src_index].state.require_group(
-                        kg).status = StateStatus.PENDING_OUT
-                    instances[move.dst_index].state.register_group(
-                        kg, StateStatus.INCOMING)
-                self._aligned_old = set()
-                if self.sequential:
-                    self._remaining = set(batch)
-                    self._complete = self.sim.event()
-                yield from self._inject_phase(op_name, plan, scale_id,
-                                              phase=phase, routing=routing,
-                                              anchor=anchor)
-                if self.sequential and self._remaining:
-                    yield self._complete
-            if self._remaining:
+        groups = plan.migrating_groups  # lexicographic, as the paper's C1
+        anchor = (scale_id, 0) if self.sequential else None
+        self._remaining = set(groups)
+        self._complete = self.sim.event()
+        for phase, batch in enumerate(self._batches(groups)):
+            # Lifecycle marking: only injected batches are in flight.
+            routing = {}
+            for kg in batch:
+                move = plan.move_for(kg)
+                routing[kg] = move.dst_index
+                instances[move.src_index].state.require_group(
+                    kg).status = StateStatus.PENDING_OUT
+                instances[move.dst_index].state.register_group(
+                    kg, StateStatus.INCOMING)
+            self._aligned_old = set()
+            if self.sequential:
+                self._remaining = set(batch)
+                self._complete = self.sim.event()
+            yield from self._inject_phase(op_name, plan, scale_id,
+                                          phase=phase, routing=routing,
+                                          anchor=anchor)
+            if self.sequential and self._remaining:
                 yield self._complete
-        finally:
-            self._restore_handlers(saved)
-            self._detach_suspension_probes(scaling_instances)
-        self._finalize_assignment(op_name, plan)
+        if self._remaining:
+            yield self._complete
 
     def _inject_phase(self, op_name, plan, scale_id, phase, routing,
                       anchor=None):

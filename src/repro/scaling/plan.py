@@ -61,11 +61,6 @@ class MigrationPlan:
         """Indices of instances to provision (empty for scale-in)."""
         return list(range(self.old_parallelism, self.new_parallelism))
 
-    @property
-    def removed_instance_indices(self) -> List[int]:
-        """Trailing instances to decommission (empty for scale-out)."""
-        return list(range(self.new_parallelism, self.old_parallelism))
-
     def routing_updates(self) -> Dict[int, int]:
         """key-group → new owner, for every migrating key-group."""
         return {m.key_group: m.dst_index for m in self.moves}

@@ -74,7 +74,6 @@ class StopRestartController(ScalingController):
             instance.resume()
         for instance in instances:
             self.metrics.note_suspension(instance, halt_start, self.sim.now)
-        self._finalize_assignment(op_name, plan)
 
     @staticmethod
     def _quiesced(instances) -> bool:

@@ -27,16 +27,14 @@ class UnboundController(ScalingController):
                     "stale state, which no checkpoint restore makes "
                     "exactly-once")
 
-    def record_ready(self, instance, record) -> bool:
-        # Universal keys: every record is processable everywhere.
-        return True
+    def _input_handler(self, instance):
+        # Universal keys: every record is processable everywhere, so the
+        # instance's own handler stays.
+        return None
 
     def _execute(self, op_name, plan, scale_id):
-        new_instances = yield from self._provision(op_name, plan)
+        yield from self._provision(op_name, plan)
         instances = self.job.instances(op_name)
-        scaling_instances = (instances[:plan.old_parallelism]
-                             + new_instances)
-        self._attach_suspension_probes(scaling_instances)
 
         # Routing tables flip instantly and out-of-band: no signals at all.
         signal_id = (scale_id, 0)
@@ -64,8 +62,6 @@ class UnboundController(ScalingController):
                 f"unbound-migrate:{src.name}"))
         if events:
             yield self.sim.all_of(events)
-        self._detach_suspension_probes(scaling_instances)
-        self._finalize_assignment(op_name, plan)
 
     @staticmethod
     def _moves_by_src(plan):

@@ -372,7 +372,7 @@ def _state_digest(instance) -> str:
     groups = []
     for g in sorted(instance.state.groups(), key=lambda g: g.key_group):
         groups.append((g.key_group, g.status.name, repr(g.size_bytes),
-                       _canon(g.entries), _canon(g.sub_groups_present)))
+                       _canon(g.entries)))
     return hashlib.sha256(repr(groups).encode()).hexdigest()
 
 

@@ -25,6 +25,7 @@ from repro.faults import CrashInstance, FaultInjector
 from repro.faults.invariants import check_all
 from repro.scaling import StopRestartController
 from repro.scaling.base import RescaleAborted, rescale_until_done
+from tests.helpers import runs_without_rescale
 from tests.scaling.test_transfer_recovery import WHOLE_GROUP_CONTROLLERS
 
 #: A per-group handshake keeps the rescale open for about 2.5 s under
@@ -68,8 +69,10 @@ def _owners(job, op_name="agg"):
 
 def _request(job, controller, seen, op_name="agg", new_parallelism=4):
     """Request the rescale now, as ``seen["rescale"]``, and spawn its
-    caller: on ``RescaleAborted`` it keeps ``seen["aborted"]`` and
-    re-requests until done; ``seen["finished"]`` marks the end."""
+    caller: on ``RescaleAborted`` it keeps ``seen["aborted"]``, notes in
+    ``seen["torn_down"]`` whether the rescale left ``op_name``'s instances
+    as it found them, and re-requests until done; ``seen["finished"]``
+    marks the end."""
     done = seen["rescale"] = controller.request_rescale(op_name,
                                                         new_parallelism)
 
@@ -78,6 +81,7 @@ def _request(job, controller, seen, op_name="agg", new_parallelism=4):
             yield done
         except RescaleAborted as aborted:
             seen["aborted"] = aborted
+            seen["torn_down"] = runs_without_rescale(job, op_name)
             yield from rescale_until_done(job, controller, op_name,
                                           new_parallelism)
         seen["finished"] = True
@@ -126,6 +130,7 @@ def test_crash_anywhere_in_a_rescale_is_repaired(backend, system, crash_at):
     assert len(_abort_spans(job)) == (1 if seen["hit"] else 0)
     if seen["hit"]:
         _assert_aborted(seen)
+        assert seen["torn_down"]
         assert _owners(job) == [0, 1, 2, 3]
     else:
         assert seen["rescale"].ok and seen["finished"]

@@ -87,8 +87,7 @@ def test_pick_next_same_node_counts_twice():
 def test_subscale_lifecycle_flags():
     s = _subscale(0, 0, 1, [1, 2])
     s.expected_predecessors = {10, 11}
-    assert not s.launched and not s.aligned and not s.done
-    s.launched_at = 1.0
+    assert not s.aligned and not s.done
     s.arrived_predecessors = {10, 11}
     assert s.aligned and not s.done
     s.migrated_groups = {1, 2}

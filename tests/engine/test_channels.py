@@ -123,59 +123,6 @@ def test_send_control_bypasses_queued_data():
     assert len(inbox) == 0
 
 
-def test_send_front_jumps_outbox_queue():
-    sim = Simulator()
-    channel, inbox, _r = make_pair(sim, bandwidth=1e9, outbox=16, inbox=16)
-    first = Record(key="data", size_bytes=10)
-    priority = Watermark(timestamp=9.0)
-    channel.send(first)
-    channel.send(Record(key="data2", size_bytes=10))
-    channel.send_front(priority)
-    sim.run()
-    order = [inbox.pop() for _ in range(len(inbox))]
-    # the priority element overtakes everything still in the outbox
-    assert order[0] is priority
-
-
-def test_extract_outbox_preserves_order_and_residuals():
-    sim = Simulator()
-    channel, inbox, _r = make_pair(sim, bandwidth=1e9, outbox=16)
-    records = [Record(key=f"k{i}", key_group=i % 2, size_bytes=10)
-               for i in range(8)]
-    for r in records:
-        channel.send(r)
-    # Immediately extract key-group 1 before the drainer runs.
-    extracted = channel.extract_outbox(
-        lambda e: getattr(e, "key_group", None) == 1)
-    assert [r.key for r in extracted if r in records] == [
-        r.key for r in records if r.key_group == 1][-len(extracted):] or \
-        [r.key_group for r in extracted] == [1] * len(extracted)
-    sim.run()
-    remaining = [inbox.pop() for _ in range(len(inbox))]
-    assert all(r.key_group == 0 for r in remaining if isinstance(r, Record))
-
-
-def test_extract_outbox_redirects_blocked_waiters():
-    sim = Simulator()
-    channel, inbox, _r = make_pair(sim, bandwidth=100.0, outbox=1, inbox=1)
-    sent = []
-
-    def sender():
-        for i in range(5):
-            yield channel.send(Record(key=i, key_group=1, size_bytes=10))
-            sent.append(i)
-
-    sim.spawn(sender())
-    sim.run(until=0.01)
-    assert len(sent) < 5  # sender blocked
-    extracted = channel.extract_outbox(
-        lambda e: getattr(e, "key_group", None) == 1)
-    sim.run(until=0.02)
-    # The waiter's element was extracted and the send unblocked.
-    assert extracted
-    assert len(sent) >= len(extracted)
-
-
 def test_block_tokens_stack():
     sim = Simulator()
     _channel, inbox, _r = make_pair(sim)
@@ -260,23 +207,43 @@ def test_inject_confirm_redirection_concludes_at_checkpoint_barrier():
     assert delivered[3] is other
 
 
-def test_inject_confirm_redirects_blocked_waiters_always():
-    from repro.engine.records import CheckpointBarrier, Watermark as WM
+@pytest.mark.parametrize(
+    "groups,outbox,bypassed_keys,delivered_keys",
+    [((1, 1, 1, 1), 1, [1, 2], [0, 3]),
+     ((0, 1, 0, 1, 0, 1), 3, [1, 3], [0, 2, 4, 5])],
+    ids=["all-matching", "mixed"])
+def test_inject_confirm_redirects_blocked_waiters_always(
+        groups, outbox, bypassed_keys, delivered_keys):
+    """A slow link keeps the outbox full, so the sender blocks.  Waiters
+    are logically behind the cache: matching ones are always redirected.
+    The redirect frees outbox slots, so every blocked send completes, and
+    the survivors deliver in order behind the confirm barrier."""
+    from repro.engine.records import Watermark as WM
     sim = Simulator()
-    channel, inbox, _r = make_pair(sim, bandwidth=100.0, outbox=1, inbox=1)
+    channel, inbox, _r = make_pair(sim, bandwidth=100.0, outbox=outbox,
+                                   inbox=16)
     accepted = []
 
     def sender():
-        for i in range(4):
-            yield channel.send(Record(key=i, key_group=1, size_bytes=10))
+        for i, group in enumerate(groups):
+            yield channel.send(Record(key=i, key_group=group, size_bytes=10))
             accepted.append(i)
 
     sim.spawn(sender())
     sim.run(until=0.01)
+    # Record 0 is mid-serialize, the outbox is full, the next send waits.
+    assert accepted == list(range(outbox + 1))
+    confirm = WM(timestamp=1.0)
     bypassed = channel.inject_confirm(
-        lambda e: getattr(e, "key_group", None) == 1, WM(timestamp=1.0))
-    # waiters are logically behind the cache: always redirected
-    assert len(bypassed) >= 1
+        lambda e: getattr(e, "key_group", None) == 1, confirm)
+    assert [e.key for e in bypassed] == bypassed_keys
+    sim.run()
+    delivered = [inbox.pop() for _ in range(len(inbox))]
+    # Record 0 was already on the wire; the barrier overtakes the rest.
+    assert delivered.index(confirm) == 1
+    assert [e.key for e in delivered if isinstance(e, Record)] \
+        == delivered_keys
+    assert accepted == list(range(len(groups)))
 
 
 def test_closed_channel_send_returns_shared_event_without_heap_growth():
@@ -298,46 +265,6 @@ def test_closed_channel_send_returns_shared_event_without_heap_growth():
     assert pending() == before
     sim.run()
     assert len(inbox) == 0
-
-
-def test_send_front_and_extract_outbox_order_under_backpressure():
-    # A slow link keeps the outbox full: senders block, elements queue.
-    sim = Simulator()
-    channel, inbox, _r = make_pair(sim, bandwidth=100.0, outbox=3, inbox=16)
-    accepted = []
-
-    def sender():
-        for i in range(6):
-            yield channel.send(Record(key=i, key_group=i % 2,
-                                      size_bytes=10))
-            accepted.append(i)
-
-    sim.spawn(sender())
-    sim.run(until=0.01)
-    # Record 0 is mid-serialize, 1-3 queue in the outbox, 4 is blocked.
-    assert accepted == [0, 1, 2, 3]
-
-    # A control element jumps the queued data...
-    priority = Watermark(timestamp=1.0)
-    channel.send_front(priority)
-    # ...and extract_outbox removes queued matches (records 1 and 3, the
-    # key-group-1 residents) in FIFO order without disturbing the rest.
-    extracted = channel.extract_outbox(
-        lambda e: isinstance(e, Record) and e.key_group == 1)
-    assert [e.key for e in extracted] == [1, 3]
-
-    sim.run()
-    delivered = [inbox.pop() for _ in range(len(inbox))]
-    # Record 0 was already on the wire; the watermark overtakes everything
-    # that was still in the outbox; extraction freed slots, so the blocked
-    # sends (4, 5) completed and delivered after the survivors.
-    assert [e.key for e in delivered if isinstance(e, Record)] == [0, 2,
-                                                                   4, 5]
-    assert delivered.index(priority) == 1
-    # The extracted instances themselves were never delivered.
-    assert not any(e in extracted for e in delivered)
-    # All six sends eventually completed (extraction unblocks waiters).
-    assert accepted == list(range(6))
 
 
 def test_a_landed_fused_singleton_leaves_the_drainer_parked():

@@ -57,30 +57,6 @@ def test_every_sent_element_arrives_exactly_once_in_order(
     assert received == records
 
 
-@given(n=st.integers(2, 40),
-       extract_group=st.integers(0, 2),
-       groups=st.integers(1, 3))
-@settings(max_examples=60, deadline=None)
-def test_extract_partitions_the_outbox(n, extract_group, groups):
-    sim = Simulator()
-    channel, input_channel = build(sim, outbox=64, inbox=64)
-    records = [Record(key=i, key_group=i % groups, size_bytes=8)
-               for i in range(n)]
-    for r in records:
-        channel.send(r)
-    extracted = channel.extract_outbox(
-        lambda e: getattr(e, "key_group", None) == extract_group)
-    sim.run(until=10.0)
-    delivered = []
-    while len(input_channel):
-        delivered.append(input_channel.pop())
-    # partition: extracted + delivered == sent, each preserving order
-    assert extracted == [r for r in records
-                         if r.key_group == extract_group]
-    assert delivered == [r for r in records
-                         if r.key_group != extract_group]
-
-
 @given(data=st.data(),
        n=st.integers(2, 30))
 @settings(max_examples=40, deadline=None)

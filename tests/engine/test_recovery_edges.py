@@ -193,8 +193,8 @@ def test_a_flight_captured_at_birth_restores_where_it_departed():
     assert entries
     flight = _InflightState(
         op_name="agg", key_group=kg, entries=group.entries,
-        size_bytes=group.size_bytes, sub_groups_present=None,
-        src_name=src.name, src_index=src.index, dst_index=dst.index)
+        size_bytes=group.size_bytes, src_name=src.name,
+        src_index=src.index, dst_index=dst.index)
     group.entries, group.status = {}, StateStatus.MIGRATED_OUT
     job.inflight_state[("agg", kg)] = flight
     recovery.on_snapshot(job.sources()[0], 1, None)  # born: captured

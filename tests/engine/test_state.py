@@ -60,8 +60,7 @@ def test_processable_statuses():
             (StateStatus.MIGRATED_OUT, False),
             (StateStatus.INCOMING, False),
             (StateStatus.INACTIVE, False)]:
-        backend.register_group(0, status)
-        assert backend.has_processable(0) is expected
+        assert backend.register_group(0, status).processable is expected
         backend.drop_group(0)
 
 

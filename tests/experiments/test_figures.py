@@ -6,6 +6,7 @@ from repro.experiments import (controller_factory, format_fig14,
                                format_fig15, format_table,
                                run_fig14_ablation, run_fig15_sensitivity,
                                run_main_comparison)
+from repro.experiments.figures import SYSTEMS
 from repro.experiments.scenarios import Scenario
 
 TINY = Scenario(name="tiny-fig", warmup=5.0, post_duration=15.0,
@@ -16,8 +17,7 @@ TINY = Scenario(name="tiny-fig", warmup=5.0, post_duration=15.0,
 
 
 def test_controller_factory_knows_every_system():
-    for name in ("drrs", "megaphone", "meces", "otfs", "otfs-all-at-once",
-                 "unbound", "stop-restart", "dr", "schedule", "subscale"):
+    for name in SYSTEMS:
         assert callable(controller_factory(name))
     with pytest.raises(ValueError):
         controller_factory("unknown")

@@ -7,6 +7,7 @@ from repro.engine import (JobGraph, KeyedReduceLogic, LatencyMarker,
                           Watermark)
 from repro.engine.cluster import ClusterModel, LinkSpec, NodeSpec
 from repro.engine.graph import OperatorSpec
+from repro.engine.operators import DefaultInputHandler
 from repro.engine.runtime import JobConfig
 from repro.faults.invariants import semantic_trace
 
@@ -137,13 +138,22 @@ def assert_assignment_consistent(job: StreamJob, op_name: str) -> None:
     assignment = job.assignments[op_name]
     instances = job.instances(op_name)
     for kg, owner in assignment.as_dict().items():
-        assert instances[owner].state.has_processable(kg), (
+        group = instances[owner].state.group(kg)
+        assert group is not None and group.processable, (
             f"kg {kg} missing at declared owner {owner}")
         for other in instances:
             if other.index != owner:
                 group = other.state.group(kg)
                 assert group is None or not group.processable, (
                     f"kg {kg} duplicated on instance {other.index}")
+
+
+def runs_without_rescale(job: StreamJob, op_name: str) -> bool:
+    """Whether no rescale is left deployed on ``op_name``: every instance
+    runs the engine's own input handler and has no suspension probe."""
+    return all(type(instance.input_handler) is DefaultInputHandler
+               and instance._suspension_listener is None
+               for instance in job.instances(op_name))
 
 
 class EventPerWaitWake:

@@ -11,10 +11,11 @@ import pytest
 
 sys.path.insert(0, "tests")
 from helpers import (assert_assignment_consistent, build_keyed_job,
-                      drive)  # noqa: E402
+                      drive, runs_without_rescale)  # noqa: E402
 
 from repro.engine.runtime import JobConfig
 from repro.experiments import controller_factory
+from repro.experiments.figures import SYSTEMS
 from repro.faults.invariants import check_all
 from repro.scaling import (MecesController, MegaphoneController,
                            MigrationPlan, OTFSController,
@@ -43,33 +44,33 @@ CONTROLLERS = [
     (StopRestartController, {}),
 ]
 
-SYSTEMS = ["drrs", "megaphone", "meces", "otfs", "otfs-all-at-once",
-           "unbound", "stop-restart", "dr", "schedule", "subscale"]
-
-
 @pytest.mark.parametrize("backend", ["dict", "changelog"])
 @pytest.mark.parametrize("targets", [(4,), (5, 6, 2), (4, 2, 4, 2), (8,)],
                          ids=lambda t: "-".join(map(str, t)))
-@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("name", list(SYSTEMS))
 def test_controller_completes_and_is_consistent(name, targets, backend):
     """One controller instance runs successive rescales, each requested
     after the previous one's ``done``: scale-outs, scale-ins and one large
-    scale-out (2 -> 8, two key-groups per instance)."""
+    scale-out (2 -> 8, two key-groups per instance).  Each ``done`` finds
+    the rescale taken off every instance again."""
     job = build_keyed_job(job_config=JobConfig(state_backend=backend))
     drive(job, until=30.0)
     controller = controller_factory(name)(job)
     dones = []
+    torn_down = []
 
     def rescales():
         yield job.sim.timeout(5.0)
         for target in targets:
             dones.append(controller.request_rescale("agg", target))
             yield dones[-1]
+            torn_down.append(runs_without_rescale(job, "agg"))
 
     job.sim.spawn(rescales(), name="rescales")
     job.run(until=40.0)
     assert [done.triggered and done.ok for done in dones] \
         == [True] * len(targets), f"{name} did not finish {targets}"
+    assert torn_down == [True] * len(targets)
     assert_assignment_consistent(job, "agg")
     assert job.assignments["agg"].parallelism == targets[-1]
     assert check_all(job, "agg") == []
@@ -109,8 +110,8 @@ def test_provisioning_waits_instance_init_seconds(target, wait):
     provisioned = {}
 
     def provision():
-        new = yield from controller._provision("agg", plan)
-        provisioned.update(at=job.sim.now, new=new)
+        yield from controller._provision("agg", plan)
+        provisioned.update(at=job.sim.now, new=job.instances("agg")[2:])
 
     job.sim.spawn(provision())
     job.run(until=1.0)

@@ -16,6 +16,17 @@ def test_every_figure_is_registered():
                             "fig14", "fig15"}
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_every_registered_controller_is_a_system_choice(command):
+    """A name registered in the experiments' controller table reaches
+    ``--system`` with no edit to the CLI."""
+    from repro.experiments.figures import SYSTEMS
+    parser = build_parser()
+    for name in SYSTEMS:
+        args = parser.parse_args([command, "custom", "--system", name])
+        assert args.system == name
+
+
 def test_parser_rejects_unknown_figure():
     parser = build_parser()
     with pytest.raises(SystemExit):
